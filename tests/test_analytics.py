@@ -10,6 +10,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -1875,3 +1876,62 @@ def test_burst_audit_matches_bruteforce(ray_session):
     got = burst_audit(SF, npart=5).to_pandas() \
         .set_index("peak_60s").n_users
     assert got.to_dict() == want.to_dict()
+
+
+# --------------------------------------------------------------------- q163
+
+def test_q5_revenue_includes_first_day_of_window(ray_session, tmp_path):
+    """TPC-H Q5's date window is [1995-01-01, 1996-01-01): an ASIA order
+    dated exactly 1995-01-01 counts, ones a microsecond outside do not.
+    q163 must equal its Q5_SQL oracle on tables built to probe both
+    edges of the window."""
+    import duckdb
+
+    from warc_ray.pipelines.analytics import Q5_SQL, local_supplier_revenue
+
+    i32, i64, f64 = pa.int32(), pa.int64(), pa.float64()
+    ts = pa.timestamp("us")
+    tables = {
+        "region": pa.table({"r_regionkey": pa.array([0, 1], i32),
+                            "r_name": ["ASIA", "EUROPE"]}),
+        "nation": pa.table({"n_nationkey": pa.array([0, 1, 2], i32),
+                            "n_name": ["CHINA", "JAPAN", "FRANCE"],
+                            "n_regionkey": pa.array([0, 0, 1], i32)}),
+        "customer": pa.table({"c_custkey": pa.array([1, 2, 3], i64),
+                              "c_nationkey": pa.array([0, 1, 2], i32)}),
+        "supplier": pa.table({"s_suppkey": pa.array([1, 2, 3], i64),
+                              "s_nationkey": pa.array([0, 1, 2], i32)}),
+    }
+    # (orderkey, custkey, orderdate): CHINA orders on and just before the
+    # first day, JAPAN orders inside and on the exclusive end, FRANCE
+    # (not ASIA) inside
+    orders = [(1, 1, "1995-01-01T00:00:00"), (2, 1, "1994-12-31T23:59:59.999999"),
+              (3, 2, "1995-06-30T00:00:00"), (4, 2, "1996-01-01T00:00:00"),
+              (5, 3, "1995-03-01T00:00:00"), (6, 1, "1995-12-31T23:59:59")]
+    tables["orders"] = pa.table({
+        "o_orderkey": pa.array([o[0] for o in orders], i64),
+        "o_custkey": pa.array([o[1] for o in orders], i64),
+        "o_orderdate": pa.array(np.array([o[2] for o in orders],
+                                         dtype="datetime64[us]"), ts)})
+    # every order ships one line from its customer's nation's supplier
+    # and one from a foreign supplier (dropped by the nation equality)
+    okeys = [o[0] for o in orders for _ in range(2)]
+    tables["lineitem"] = pa.table({
+        "l_orderkey": pa.array(okeys, i64),
+        "l_suppkey": pa.array([s for o in orders
+                               for s in (o[1], o[1] % 3 + 1)], i64),
+        "l_extendedprice": pa.array([100.0 * k + 0.25 for k in okeys], f64),
+        "l_discount": pa.array([0.05, 0.02] * len(orders), f64)})
+    for name, t in tables.items():
+        pq.write_table(t, str(tmp_path / f"{name}.parquet"))
+
+    got = local_supplier_revenue(str(tmp_path), npart=4).to_pandas()
+    con = duckdb.connect()
+    for name in tables:
+        con.execute(f"CREATE VIEW {name} AS SELECT * FROM "
+                    f"read_parquet('{tmp_path / name}.parquet')")
+    want = con.execute(Q5_SQL).fetchdf()
+    assert got.n_name.tolist() == want.n_name.tolist() == ["CHINA", "JAPAN"]
+    # CHINA: orders 1 and 6 (the first-day order included)
+    assert got.revenue.tolist() == want.revenue.tolist()
+    assert want.revenue[0] == pytest.approx((100.25 + 600.25) * 0.95)

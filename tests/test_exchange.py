@@ -35,31 +35,56 @@ def test_hash64_deterministic_and_spread():
     assert counts.max() < 3 * len(t) / 16
 
 
-def test_combine_buckets_matches_builtin_aggregate(ray_session):
+@pytest.mark.parametrize("keys", [["k"], ["k", "s"]],
+                         ids=["one_key", "two_keys"])
+@pytest.mark.parametrize("path", ["fold", "exchange", "empty"])
+def test_combine_buckets_matches_builtin_aggregate(ray_session, path, keys):
+    """Both combine_buckets paths equal one Arrow aggregate: the driver
+    fold (partials fit in one block), the bucket exchange (forced by
+    lowering the block ceiling below the partials' size), and empty
+    input, which keeps the combine's output schema."""
+    import ray
     import ray.data as rd
+    from ray.data import DataContext
 
     t = _rand_table()
+    if path == "empty":
+        t = t.slice(0, 0)
+    aggs = [("v", "sum"), ("v", "min"), ("s", "max")]
+    names = keys + ["v_sum", "v_min", "s_max"]
     # ground truth: single-table Arrow aggregate
-    want = t.group_by("k").aggregate(
-        [("v", "sum"), ("v", "min"), ("s", "max")]) \
-        .rename_columns(["k", "v_sum", "v_min", "s_max"]) \
-        .sort_by("k")
+    want = t.group_by(keys).aggregate(aggs).rename_columns(names)
 
-    # distributed: per-batch partials + bucket combine over many blocks
+    # distributed: per-batch partials + bucket combine over many blocks;
+    # buckets hash the first key only, which still puts every key
+    # tuple in exactly one bucket
     def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by("k").aggregate(
-            [("v", "sum"), ("v", "min"), ("s", "max")])
-        return with_part(
-            g.rename_columns(["k", "v_sum", "v_min", "s_max"]), "k", 8)
+        g = b.group_by(keys).aggregate(aggs).rename_columns(names)
+        return with_part(g, "k", 8)
 
-    ds = rd.from_arrow(t).repartition(13) \
-        .map_batches(partial, batch_format="pyarrow", batch_size=None)
-    got = combine_buckets(
-        ds, "k", [("v_sum", "sum"), ("v_min", "min"), ("s_max", "max")],
-        names=["k", "v_sum", "v_min", "s_max"])
-    got_pd = got.to_pandas().sort_values("k").reset_index(drop=True)
-    want_pd = want.to_pandas().reset_index(drop=True)
-    assert got_pd.equals(want_pd)
+    if path == "empty":
+        ds = rd.from_arrow([partial(t)] * 4)
+    else:
+        ds = rd.from_arrow(t).repartition(13) \
+            .map_batches(partial, batch_format="pyarrow", batch_size=None) \
+            .materialize()
+    ctx = DataContext.get_current()
+    ceiling = ctx.target_max_block_size
+    if path == "exchange":
+        ctx.target_max_block_size = ds.size_bytes() - 1
+    try:
+        got = combine_buckets(
+            ds, keys, [("v_sum", "sum"), ("v_min", "min"), ("s_max", "max")],
+            names=names).materialize()
+    finally:
+        ctx.target_max_block_size = ceiling
+    assert ("Sort" in got.stats()) == (path == "exchange")
+    order = [(k, "ascending") for k in keys]
+    # the exchange may emit empty, schema-less blocks
+    got_t = pa.concat_tables(ray.get(got.to_arrow_refs()),
+                             promote_options="default").sort_by(order)
+    assert (got_t.num_rows == 0) == (path == "empty")
+    assert got_t.equals(want.sort_by(order))
 
 
 def test_with_part_rejects_nothing_and_is_int32():

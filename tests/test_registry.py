@@ -9,10 +9,11 @@ registry edits can't silently break them.  No Ray needed — the
 registry is plain dict construction.
 """
 
+import os
 import re
 import sys
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import __ray_entry__ as entry
 

@@ -10,14 +10,21 @@ Usage: python tools/profile_query.py q201_assortativity [sf_dir]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def main():
     name = sys.argv[1]
     sf_dir = sys.argv[2] if len(sys.argv) > 2 else "/root/testdata/sf0.1"
 
+    # the driver and the Ray workers both import this checkout
+    sys.path.insert(0, ROOT)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [ROOT] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
     import ray
 
     if not ray.is_initialized():
@@ -27,7 +34,6 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     fn = entrymod.queries()[name]

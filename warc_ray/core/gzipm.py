@@ -195,10 +195,6 @@ def iter_members(fileobj: BinaryIO, chunk_size: int = 1 << 20,
         offset += consumed
 
 
-def count_members(data: bytes) -> int:
-    return len(split_members(data))
-
-
 def _member_validates(buf: bytes, j: int, prefix: bytes | None,
                       probe: int = 1 << 12) -> bool:
     """Does a real gzip member start at ``buf[j:]``?  The magic bytes

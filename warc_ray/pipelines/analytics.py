@@ -29,6 +29,11 @@ from ..stages.exchange import with_part
 INT64 = pa.int64()
 
 
+def _epoch_us(iso_date: str) -> int:
+    """Epoch microseconds of ``iso_date`` at 00:00 UTC."""
+    return int(np.datetime64(iso_date, "us").astype(np.int64))
+
+
 def _pq(sf_dir: str, name: str) -> str:
     return os.path.join(sf_dir, f"{name}.parquet")
 
@@ -827,7 +832,7 @@ def degree_histogram(docs_path: str, npart: int = 32):
 # Q100: TPC-H Q3 shape (dim filter broadcast → fact⋈fact join → top-k)
 # ---------------------------------------------------------------------------
 
-_Q3_CUTOFF_US = 795_225_600_000_000    # 1995-03-15 in epoch microseconds
+_Q3_CUTOFF_US = _epoch_us("1995-03-15")
 
 
 def shipping_priority(sf_dir: str, segment: str = "BUILDING",
@@ -7341,8 +7346,8 @@ LPM_ENRICH_SQL = f"""
     GROUP BY reg.region ORDER BY reg.region"""
 
 
-_Q5_LO_US = 789_004_800_000_000        # 1995-01-01T00:00:00Z epoch µs
-_Q5_HI_US = 820_454_400_000_000        # 1996-01-01T00:00:00Z
+_Q5_LO_US = _epoch_us("1995-01-01")
+_Q5_HI_US = _epoch_us("1996-01-01")
 
 
 def local_supplier_revenue(sf_dir: str, region: str = "ASIA",
@@ -8166,7 +8171,7 @@ CUSUM_SQL = """
 # Q172: period-over-period mover report
 # ---------------------------------------------------------------------------
 
-_MOVER_SPLIT_US = 899_251_200_000_000   # 1998-07-01T00:00:00Z epoch µs
+_MOVER_SPLIT_US = _epoch_us("1998-07-01")
 _MOVER_K = 20
 
 
@@ -9392,8 +9397,8 @@ LIFECYCLE_SQL = "\nUNION ALL\n".join("""
 # Q183: TPC-H Q7 — volume shipping between two nations
 # ---------------------------------------------------------------------------
 
-_Q7_LO_US = 820_454_400_000_000        # 1996-01-01T00:00:00Z epoch µs
-_Q7_HI_US = 883_612_800_000_000        # 1998-01-01T00:00:00Z
+_Q7_LO_US = _epoch_us("1996-01-01")
+_Q7_HI_US = _epoch_us("1998-01-01")
 
 
 def volume_shipping(sf_dir: str, nation_a: str = "NATION_3",
@@ -9758,8 +9763,8 @@ Q8_SQL = """
 # Q185: TPC-H Q10 — returned-item reporting (top-20 lossy customers)
 # ---------------------------------------------------------------------------
 
-_Q10_LO_US = 836_179_200_000_000       # 1996-07-01T00:00:00Z epoch µs
-_Q10_HI_US = 844_128_000_000_000       # 1996-10-01T00:00:00Z
+_Q10_LO_US = _epoch_us("1996-07-01")
+_Q10_HI_US = _epoch_us("1996-10-01")
 
 
 def returned_items(sf_dir: str, npart: int = 16, k: int = 20):
@@ -16005,7 +16010,7 @@ SOLE_LATEST_SQL = """
 # ---------------------------------------------------------------------------
 
 
-_IDLE_CUT_US = 883_612_800_000_000      # 1998-01-01 UTC in µs
+_IDLE_CUT_US = _epoch_us("1998-01-01")
 
 
 def rich_idle_customers(sf_dir: str, npart: int = 32):

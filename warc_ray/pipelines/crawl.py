@@ -50,7 +50,7 @@ from ..stages.assemble import (
     logical_date,
     serialize_records,
 )
-from ..stages.fetch import FetchGroup, add_bucket_column
+from ..stages.fetch import FetchGroup
 from ..stages.urls import canonicalize_batch, extract_links
 from ..state.frontier import (
     FrontierConfig,
@@ -115,23 +115,6 @@ def route_and_offer(table: pa.Table, shards, num_shards: int) -> int:
     return sum(ray.get(refs))
 
 
-class OfferLinks:
-    """map_batches stage: fetched rows → extracted+canonical links →
-    direct actor offers.  Emits one count row per batch.  (Used by the
-    Dataset-based re-crawl paths/tests; the crawl loop's workers call
-    the same extract/canonicalize/route functions inline.)"""
-
-    def __init__(self, shards, num_shards: int):
-        self.shards = shards
-        self.num_shards = num_shards
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        links = extract_links(batch, doc_col="doc_id", depth_col="depth")
-        links = canonicalize_batch(links)
-        n = route_and_offer(links, self.shards, self.num_shards)
-        return pa.table({"offered": pa.array([n], type=pa.int64())})
-
-
 @ray.remote
 class WarcWriter:
     """Persistent WARC assembly/compression worker.
@@ -170,11 +153,9 @@ class WarcWriter:
         # fused assembly+gzip (write_fused_round): the writer pool is
         # memory-bandwidth-bound at full node occupancy, so the record
         # bytes never materialize — bodies stream Arrow→sha1→deflate.
-        # _busy_asm stays 0 by construction (folded into the member
-        # loop); byte parity with the two-pass path is pytest-pinned.
+        # Byte parity with the two-pass path is pytest-pinned.
         cdx = write_fused_round(fetched, os.path.join(round_dir, "warc"),
                                 date_str)
-        self._busy_asm = getattr(self, "_busy_asm", 0.0)
         # CDX rows buffer in-actor and flush at checkpoint barriers /
         # crawl end (same durability granularity as the fetch log) —
         # a parquet file per 2048-row chunk was ~3k tiny files and a
@@ -211,14 +192,13 @@ class WarcWriter:
         reuse; returns and clears the busy counter."""
         self._cdx_buf = []
         b = getattr(self, "_busy", 0.0)
-        self._busy = self._busy_cpu = self._busy_asm = 0.0
+        self._busy = self._busy_cpu = 0.0
         return b
 
     def busy_seconds(self) -> tuple:
-        """Cumulative write_round (wall, cpu, assembly-wall) work time."""
-        b = (getattr(self, "_busy", 0.0), getattr(self, "_busy_cpu", 0.0),
-             getattr(self, "_busy_asm", 0.0))
-        self._busy = self._busy_cpu = self._busy_asm = 0.0
+        """Cumulative write_round (wall, cpu) work time."""
+        b = (getattr(self, "_busy", 0.0), getattr(self, "_busy_cpu", 0.0))
+        self._busy = self._busy_cpu = 0.0
         return b
 
     def seed_slice(self, seeds: pa.Table, lo: int, hi: int,
@@ -448,19 +428,6 @@ class CrawlWorker:
                        _t.perf_counter() - _p3)}
 
 
-def _split_by_worker(emit: pa.Table, n_buckets: int, n_workers: int):
-    """bucket % n_workers slices, preserving deterministic row order."""
-    import numpy as np
-
-    emit = add_bucket_column(emit, n_buckets)
-    wid = emit["bucket"].to_numpy(zero_copy_only=False) % n_workers
-    out = []
-    for w in range(n_workers):
-        mask = wid == w
-        out.append(emit.filter(pa.array(mask)) if mask.any() else None)
-    return out
-
-
 def run_crawl(corpus_dir: str, out_dir: str, *,
               config: FrontierConfig | None = None,
               write_warc: bool = True,
@@ -598,7 +565,6 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
                 seeds_ref, bounds[i], bounds[i + 1], shards, cfg.num_shards)
             for i in range(k) if bounds[i + 1] > bounds[i]
         ])
-        _phase["seed_slices"] = _time.perf_counter() - _pt
         _phase["seed"] = _time.perf_counter() - _pt
         _pt = _time.perf_counter()
 
@@ -749,7 +715,6 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         wb = ray.get([w.busy_seconds.remote() for w in writers])
         _phase["writer_busy"] = sum(b[0] for b in wb)
         _phase["writer_busy_cpu"] = sum(b[1] for b in wb)
-        _phase["writer_busy_asm"] = sum(b[2] for b in wb)
     stats = ray.get([s.stats.remote() for s in shards])
     filters = ray.get([s.filter_table_bytes.remote() for s in shards])
     for a in shards:          # workers/writers stay warm (_POOL_CACHE)

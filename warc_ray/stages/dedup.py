@@ -47,14 +47,6 @@ def _hash64_str(s: str) -> int:
     return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
 
 
-def word_set_hashes(text: str) -> np.ndarray:
-    """Stable 64-bit hashes of the distinct word tokens of ``text``."""
-    words = set(_WORD_RE.findall(text.lower()))
-    if not words:
-        return np.zeros(0, dtype=np.uint64)
-    return np.array(sorted(_hash64_str(w) for w in words), dtype=np.uint64)
-
-
 def shingles(text: str, n: int = 3) -> set[str]:
     """Distinct word n-gram shingles (the dedup unit: unigram sets are
     useless under a small vocabulary — n-grams restore diversity)."""

@@ -11,9 +11,15 @@ exchange at identical results).  The bucket exchange instead:
   1. the caller pre-aggregates per batch with vectorized Arrow
      ``Table.group_by`` (the classic combiner),
   2. ``with_part`` appends ``part = hash(key) % npart`` (vectorized),
-  3. one Ray groupby on the tiny int key domain co-locates buckets,
-  4. ``combine_buckets`` runs ONE vectorized Arrow group_by per bucket
-     (npart Python calls total — not per-key).
+  3. ``combine_buckets`` materializes the partials once and picks the
+     path by their size: when they fit in one Ray block
+     (``DataContext.target_max_block_size``, 128 MiB by default) it
+     folds them on the driver with ONE Arrow group_by over the union of
+     buckets — exact, because ``with_part`` puts every key in exactly
+     one bucket — and skips the exchange;
+  4. otherwise one Ray groupby on the tiny int key domain co-locates
+     buckets and ``combine_buckets`` runs ONE vectorized Arrow group_by
+     per bucket (npart Python calls total — not per-key).
 
 ``npart`` sizes the reduce parallelism and bounds per-task group state:
 at cluster scale set it to a few × total cores so each bucket's
@@ -101,20 +107,42 @@ def with_part(tab: pa.Table, key_col: str, npart: int,
 
 def combine_buckets(ds, key_cols, aggs: list[tuple[str, str]],
                     names: list[str] | None = None):
-    """One vectorized Arrow group_by per hash bucket.
+    """One vectorized Arrow group_by per hash bucket, or one in all.
 
     ``ds`` rows must carry a ``part`` column (see ``with_part``);
     ``aggs`` is the pyarrow ``Table.group_by(...).aggregate`` spec;
     ``names`` positionally renames the output (keys first, then the
-    aggregates — pyarrow's output order).
+    aggregates — pyarrow's output order).  Output row order is
+    unspecified.
+
+    Executes ``ds`` when called (callers must not run it again).  If
+    the materialized partials are at most one block
+    (``DataContext.target_max_block_size``), the combine runs once on
+    the driver over their concatenation and the result is a one-block
+    Dataset: the sort-shuffle's fixed cost (seconds per exchange) is
+    far above an Arrow group_by over result-sized rows.  Larger
+    partials, or an input with no schema, take the
+    ``groupby("part").map_groups`` exchange.
     """
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
+
     keys = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
     def combine(g: pa.Table) -> pa.Table:
         out = g.drop_columns(["part"]).group_by(keys).aggregate(aggs)
         return out.rename_columns(names) if names else out
 
-    return ds.groupby("part").map_groups(combine, batch_format="pyarrow")
+    mat = ds.materialize()
+    size, schema = mat.size_bytes(), mat.schema()
+    if (schema is not None and size is not None
+            and size <= DataContext.get_current().target_max_block_size):
+        parts = ray.get(mat.to_arrow_refs())
+        tab = (pa.concat_tables(parts, promote_options="default") if parts
+               else schema.base_schema.empty_table())
+        return rd.from_arrow(combine(tab))
+    return mat.groupby("part").map_groups(combine, batch_format="pyarrow")
 
 
 def hash_join(left_ds, right_ds, keys, how: str = "inner", *,

@@ -718,27 +718,3 @@ def media_index_from_corpus(corpus_dir: str,
     except OSError:  # concurrent builder won the rename; use theirs
         shutil.rmtree(tmp, ignore_errors=True)
     return rd.read_parquet(cache)
-
-
-def media_table_from_corpus(corpus_dir: str, n_hosts: int,
-                            limit_docs: int | None = None,
-                            npart: int = 64):
-    """Build a media Dataset from the corpus' media URLs (fetch stage
-    synthesizes the payloads) — the input for the decode pipeline.
-
-    The global distinct is a hash-bucket exchange over bare int64
-    media indices (stages/exchange.py rationale): per-block
-    ``pc.unique`` partials → ``part = midx % npart`` → one vectorized
-    ``np.unique`` per bucket.  Nothing but int64s enter the shuffle —
-    the URL is a pure function of the index
-    (corpus.doc_url_array(kind="media")) and is reconstructed after
-    the dedup, and payload synthesis also happens after, so blobs
-    never move.  Bucket outputs are sorted, so downstream row order is
-    deterministic (ordered by (part, midx)) without a global sort.
-
-    Prefer ``media_index_from_corpus`` + ``SynthesizedStage`` for new
-    pipelines — it keeps payload blocks out of the object store."""
-    distinct = media_index_from_corpus(corpus_dir, limit_docs=limit_docs,
-                                       npart=npart)
-    return distinct.map_batches(lambda b: synthesize_media(b, n_hosts),
-                                batch_format="pyarrow")

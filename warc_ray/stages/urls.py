@@ -20,8 +20,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import URL_SCHEMA
-
 DEFAULT_PORTS = {"http": "80", "https": "443"}
 _UNRESERVED = set(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"
@@ -210,9 +208,3 @@ def urls_from_seeds(seeds: pa.Table, offset0: int = 0) -> pa.Table:
         "depth": pa.array(np.zeros(n, dtype=np.int32)),
     })
     return canonicalize_batch(t)
-
-
-def finish_url_schema(batch: pa.Table) -> pa.Table:
-    """Project/cast to URL_SCHEMA column order."""
-    cols = {f.name: pc.cast(batch[f.name], f.type) for f in URL_SCHEMA}
-    return pa.table(cols, schema=URL_SCHEMA)
