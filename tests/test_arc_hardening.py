@@ -154,6 +154,19 @@ def test_dlq_truncated_gzip_salvages_prefix(tmp_path):
         _read_via_datasource(tmp_path, gz[:cut], "trunc2.arc.gz", "raise")
 
 
+def test_dlq_bad_first_member_yields_one_gzip_tail_row(tmp_path):
+    """A bad FIRST member salvages an empty prefix: exactly one
+    quarantine row, the gzip tail holding every byte — no empty
+    core-path row beside it."""
+    gz, offs = _gz_member_per_record(_make_arc(3))
+    bad = gz[:offs[1] - 5] + gz[offs[1]:]        # truncate member 0
+    t = _read_via_datasource(tmp_path, bad, "bad0.arc.gz", "dlq")
+    d = t.to_pydict()
+    assert d["url"] == [DLQ_URL]
+    assert "gzip" in d["location"][0]
+    assert d["payload"][0] == bad
+
+
 @settings(max_examples=40, deadline=None)
 @given(cut=st.integers(min_value=1, max_value=4095))
 def test_salvage_every_byte_cut_never_raises(cut):

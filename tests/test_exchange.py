@@ -1,12 +1,43 @@
 """Bucket exchange (stages/exchange.py): equivalence with the built-in
 per-key aggregate, hash determinism, and skew balance."""
 
+import contextlib
+
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from warc_ray.stages.exchange import (combine_buckets, hash64_strings,
-                                      with_part)
+from warc_ray.stages.exchange import (bucket_exchange, combine_buckets,
+                                      hash64_strings, with_part)
+
+PATHS = ["fold", "exchange"]
+
+
+@contextlib.contextmanager
+def _path(path):
+    """Run a ``bucket_exchange`` caller on ``path``: "exchange" lowers
+    the block ceiling below any input so the sort-shuffle runs; "fold"
+    keeps the default ceiling, above these tests' inputs.  Build input
+    Datasets before entering: a Dataset made inside keeps the one-byte
+    ceiling and splits its output into one-row blocks."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    ceiling = ctx.target_max_block_size
+    if path == "exchange":
+        ctx.target_max_block_size = 1
+    try:
+        yield
+    finally:
+        ctx.target_max_block_size = ceiling
+
+
+def _ran(ds, path):
+    """Materialize a ``bucket_exchange`` result and assert which path
+    produced it: only the exchange emits a Sort operator."""
+    ds = ds.materialize()
+    assert ("Sort" in ds.stats()) == (path == "exchange")
+    return ds
 
 
 def _rand_table(n=5000, nkeys=700, seed=7):
@@ -87,6 +118,105 @@ def test_combine_buckets_matches_builtin_aggregate(ray_session, path, keys):
     assert got_t.equals(want.sort_by(order))
 
 
+@pytest.mark.parametrize("path", PATHS)
+def test_bucket_exchange_buckets_equal_on_both_paths(ray_session, path):
+    """Each call sees exactly one part's rows, all of them, on either
+    path."""
+    import ray.data as rd
+
+    t = with_part(_rand_table(), "k", 8)
+
+    def summary(g: pa.Table) -> pa.Table:
+        parts = set(g["part"].to_pylist())
+        assert len(parts) == 1
+        return pa.table({"part": [parts.pop()], "n": [g.num_rows],
+                         "v": [pa.compute.sum(g["v"]).as_py()]})
+
+    ds = rd.from_arrow(t).repartition(5)
+    with _path(path):
+        got = _ran(bucket_exchange(ds, summary), path)
+    want = t.group_by("part").aggregate([("v", "count"), ("v", "sum")]) \
+        .select(["part", "v_count", "v_sum"]).sort_by("part")
+    got = got.to_pandas().sort_values("part").reset_index(drop=True)
+    assert got.values.tolist() == want.to_pandas().values.tolist()
+
+
+@pytest.mark.parametrize("with_schema", [True, False])
+def test_bucket_exchange_empty_input_never_calls_bucket_fn(ray_session,
+                                                           with_schema):
+    import ray.data as rd
+
+    empty = with_part(_rand_table().slice(0, 0), "k", 8)
+    ds = rd.from_arrow([empty] * 4)
+    if not with_schema:     # an empty exchange's schema-less blocks
+        ds = ds.groupby("part").map_groups(lambda g: g,
+                                           batch_format="pyarrow")
+
+    def never(g: pa.Table) -> pa.Table:
+        raise AssertionError("bucket_fn called on empty input")
+
+    assert bucket_exchange(ds, never).count() == 0
+
+
+def _logged_blocks(tmp_path, name, tables):
+    """A Dataset of ``tables`` (one block each) whose every execution
+    appends one line per block to a log file."""
+    import ray.data as rd
+
+    log = tmp_path / name
+
+    def note(b: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("x\n")
+        return b
+
+    ds = rd.from_arrow(tables).map_batches(note, batch_format="pyarrow",
+                                           batch_size=None)
+    return ds, lambda: len(log.read_text().splitlines())
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("prim", ["range_sort", "skew_join", "hash_join",
+                                  "host_link_stats"])
+def test_each_input_executes_once(ray_session, tmp_path, prim, path):
+    """Every input of a bucket_exchange caller executes exactly once —
+    no schema probe, detection pre-pass or extra pass re-runs it."""
+    from warc_ray.stages.exchange import hash_join, range_sort, skew_join
+    from warc_ray.stages.hoststats import host_link_stats
+
+    rng = np.random.default_rng(5)
+    keys = np.where(rng.random(3000) < 0.5, 0, rng.integers(1, 60, 3000))
+    fact = pa.table({"k": pa.array(keys, type=pa.int64()),
+                     "v": pa.array(np.arange(3000), type=pa.int64())})
+    dim = pa.table({"k": pa.array(np.arange(60), type=pa.int64()),
+                    "w": pa.array(np.arange(60), type=pa.int64())})
+    if prim == "host_link_stats":
+        urls = [f"http://h{k % 7}.example/{i}" for i, k in enumerate(keys)]
+        fact = pa.table({"url": urls,
+                         "src_doc": [f"d{i:05d}" for i in range(3000)]})
+    left, n_left = _logged_blocks(tmp_path, "left", [
+        fact.slice(i, 500) for i in range(0, 3000, 500)])
+    right, n_right = _logged_blocks(tmp_path, "right", [
+        dim.slice(0, 30), dim.slice(30)])
+    with _path(path):
+        if prim == "range_sort":
+            out = range_sort(left, lambda b: b["k"].to_numpy().astype(
+                np.uint64), lambda b: b["v"].to_numpy().astype(np.uint64),
+                npart=4)
+        elif prim == "skew_join":       # hot-key detection on
+            out = skew_join(left, right, "k", n_salt=4,
+                            hot_share_ppm=100_000)
+        elif prim == "hash_join":
+            out = hash_join(left, right, "k", npart=4)
+        else:
+            out = host_link_stats(left, target_per_group=100)
+        out = _ran(out, path)
+    assert out.count() == (7 if prim == "host_link_stats" else 3000)
+    assert n_left() == 6
+    if prim in ("skew_join", "hash_join"):
+        assert n_right() == 2
+
+
 def test_with_part_rejects_nothing_and_is_int32():
     t = _rand_table(n=10)
     out = with_part(t, "k", 4)
@@ -95,7 +225,8 @@ def test_with_part_rejects_nothing_and_is_int32():
     assert set(out["part"].to_pylist()) <= set(range(4))
 
 
-def test_hash_join_vs_duckdb(ray_session):
+@pytest.mark.parametrize("path", PATHS)
+def test_hash_join_vs_duckdb(ray_session, path):
     """Generic bucket-exchange join: inner and left-outer results match
     DuckDB joins on the same parquet inputs (including unmatched left
     rows and the suffix on clashing right columns)."""
@@ -113,8 +244,9 @@ def test_hash_join_vs_duckdb(ray_session):
         .map_batches(lambda b: b.rename_columns(
             ["o_custkey", "c_mktsegment"]), batch_format="pyarrow")
 
-    got = hash_join(orders, cust, "o_custkey", how="inner") \
-        .to_pandas().sort_values(["o_orderkey"]).reset_index(drop=True)
+    with _path(path):
+        got = _ran(hash_join(orders, cust, "o_custkey", how="inner"), path)
+    got = got.to_pandas().sort_values(["o_orderkey"]).reset_index(drop=True)
     con = duckdb.connect()
     want = con.execute(f"""
         SELECT o.o_custkey, o.o_orderkey, o.o_totalprice, c.c_mktsegment
@@ -132,8 +264,9 @@ def test_hash_join_vs_duckdb(ray_session):
     small = rd.from_arrow(pa.table({
         "o_custkey": pa.array([1, 2, 3], type=pa.int64()),
         "tag": pa.array(["a", "b", "c"])}))
-    lo = hash_join(orders, small, "o_custkey", how="left outer") \
-        .to_pandas()
+    with _path(path):
+        lo = _ran(hash_join(orders, small, "o_custkey", how="left outer"),
+                  path).to_pandas()
     assert len(lo) == orders.count()
     matched = lo[lo.o_custkey.isin([1, 2, 3])]
     assert len(matched) > 0 and matched.tag.notna().all()
@@ -155,8 +288,10 @@ def _sortable_ds(n=4000, seed=11, nblocks=8):
     return rd.from_arrow(t).repartition(nblocks), t
 
 
-@pytest.mark.parametrize("npart", [1, 5, 32])
-def test_range_sort_exact_ranks(ray_session, npart):
+@pytest.mark.parametrize(
+    "npart,path", [(n, p) for p in PATHS for n in (1, 5, 32)],
+    ids=["1", "5", "32", "exchange-1", "exchange-5", "exchange-32"])
+def test_range_sort_exact_ranks(ray_session, npart, path):
     from warc_ray.stages.exchange import range_sort
 
     def u64(a):
@@ -164,8 +299,9 @@ def test_range_sort_exact_ranks(ray_session, npart):
             ^ np.uint64(1 << 63)
 
     ds, t = _sortable_ds()
-    out = range_sort(ds, lambda b: u64(b["val"]),
-                     lambda b: u64(b["id"]), npart=npart)
+    with _path(path):
+        out = _ran(range_sort(ds, lambda b: u64(b["val"]),
+                              lambda b: u64(b["id"]), npart=npart), path)
     got = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
     got = got.take(pa.array(np.argsort(got["rank"].to_numpy())))
     order = np.lexsort((t["id"].to_numpy(), t["val"].to_numpy()))
@@ -248,7 +384,8 @@ def test_mg_heavy_hitters_exact_vs_bruteforce(ray_session):
     assert len(want) >= 3  # the law test must actually exercise hitters
 
 
-def test_skew_join_parity_with_hash_join(ray_session):
+@pytest.mark.parametrize("path", PATHS)
+def test_skew_join_parity_with_hash_join(ray_session, path):
     """Salted and unsalted joins are VALUE-equal on skewed input —
     the skew_join contract (salting only moves work)."""
     import ray.data as rd
@@ -270,11 +407,12 @@ def test_skew_join_parity_with_hash_join(ray_session):
         df = t.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
         return df
 
-    a = norm(skew_join(f, d, "k", how="inner", n_salt=4,
-                       hot_keys={0}))
-    b = norm(hash_join(rd.from_arrow(fact).repartition(8),
-                       rd.from_arrow(dim).repartition(4), "k",
-                       how="inner"))
+    f2, d2 = rd.from_arrow(fact).repartition(8), \
+        rd.from_arrow(dim).repartition(4)
+    with _path(path):
+        a = norm(_ran(skew_join(f, d, "k", how="inner", n_salt=4,
+                                hot_keys={0}), path))
+        b = norm(_ran(hash_join(f2, d2, "k", how="inner"), path))
     assert len(a) == len(b) == 20_000          # every fact row matched
     assert (a.k.to_numpy() == b.k.to_numpy()).all()
     assert (a.v.to_numpy() == b.v.to_numpy()).all()
@@ -304,7 +442,8 @@ def test_skew_join_left_outer_and_detection(ray_session):
     assert df[df.k > 2].w.isna().all()         # unmatched → null
 
 
-def test_clustered_join_parity_and_pruning(ray_session, tmp_path):
+@pytest.mark.parametrize("path", PATHS)
+def test_clustered_join_parity_and_pruning(ray_session, tmp_path, path):
     """clustered_join == plain inner join, over a multi-row-group
     sorted dimension; out-of-range fact keys drop; >1 part is real."""
     import pyarrow as pa
@@ -314,16 +453,18 @@ def test_clustered_join_parity_and_pruning(ray_session, tmp_path):
 
     rng = np.arange(1000, dtype=np.int64)
     dim = pa.table({"k": pa.array(rng), "w": pa.array(rng * 7)})
-    path = str(tmp_path / "dim.parquet")
-    pq.write_table(dim, path, row_group_size=100)      # 10 row groups
-    assert pq.read_metadata(path).num_row_groups == 10
+    dim_path = str(tmp_path / "dim.parquet")
+    pq.write_table(dim, dim_path, row_group_size=100)  # 10 row groups
+    assert pq.read_metadata(dim_path).num_row_groups == 10
 
     keys = np.array([5, 105, 205, 999, 1500, -3, 0, 205], np.int64)
     fact = pa.table({"k": pa.array(keys),
                      "v": pa.array(np.arange(len(keys), dtype=np.int64))})
-    out = clustered_join(rd.from_arrow(fact).repartition(4), path,
-                         fact_key="k", dim_key="k", dim_columns=["w"],
-                         npart=8)
+    fact_ds = rd.from_arrow(fact).repartition(4)
+    with _path(path):
+        out = _ran(clustered_join(fact_ds, dim_path, fact_key="k",
+                                  dim_key="k", dim_columns=["w"], npart=8),
+                   path)
     got = pa.concat_tables(out.iter_batches(batch_format="pyarrow")) \
         .sort_by([("k", "ascending"), ("v", "ascending")])
     want = fact.join(dim, keys="k", join_type="inner") \

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the engine's hash/state
 primitives — the round-3 additions md5vec and the U64Set
-probe/deferred-insert API, plus the exchange fallback hash.
+probe/deferred-insert API.
 
 These are the primitives every exchange, dedup and crawl pipeline sits
 on; example-based tests pin known vectors, hypothesis hunts the
@@ -90,40 +90,3 @@ def test_u64set_probe_then_add_round_snapshot(batches):
         ref.update(int(k) for k in batch)
         assert u.contains(arr).all()
     assert len(u) == len(ref)
-
-
-# -- exchange fallback hash (polars-free path) -------------------------------
-
-def test_exchange_fallback_hash_properties():
-    """The numpy fallback must be deterministic, null==empty, seed-
-    sensitive and collision-free on a realistic key population —
-    verified by importing exchange with polars masked."""
-    import builtins
-    import sys
-
-    real_import = builtins.__import__
-
-    def no_polars(name, *a, **k):
-        if name == "polars":
-            raise ImportError("masked")
-        return real_import(name, *a, **k)
-
-    saved = {m: sys.modules.pop(m) for m in list(sys.modules)
-             if m.startswith("warc_ray")}
-    builtins.__import__ = no_polars
-    try:
-        import warc_ray.stages.exchange as ex
-        arr = pa.array(["a", None, "", "b", "a"])
-        h = ex.hash64_strings(arr)
-        assert h[0] == h[4] and h[1] == h[2]
-        assert (ex.hash64_strings(arr) == h).all()
-        assert h[0] != ex.hash64_strings(arr, seed=7)[0]
-        big = pa.array([f"url-{i}" for i in range(50_000)])
-        hb = ex.hash64_strings(big)
-        assert len(set(hb.tolist())) == 50_000       # no collisions
-    finally:
-        builtins.__import__ = real_import
-        for m in list(sys.modules):
-            if m.startswith("warc_ray"):
-                sys.modules.pop(m)
-        sys.modules.update(saved)

@@ -10420,10 +10420,6 @@ def product_profit(sf_dir: str, p_type: str = "LARGE", npart: int = 16):
         return pa.table({"l_orderkey": j["l_orderkey"],
                          "s_nat": j["s_nat"], "profit": profit})
 
-    # materialized: hash_join's schema() probe on an exchange-ended
-    # input otherwise EXECUTES the whole part-join once (an all-to-all
-    # cannot yield one block without the full sort) and the real run
-    # re-executes it — the lazy-double-execution class from round 3
     lines = clustered_join(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_partkey", "l_orderkey", "l_suppkey",
@@ -10432,7 +10428,7 @@ def product_profit(sf_dir: str, p_type: str = "LARGE", npart: int = 16):
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
         dim_columns=["p_type", "p_retailprice"], npart=npart,
-        bucket_finish=part_screen).materialize()
+        bucket_finish=part_screen)
 
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_orderkey", "o_orderdate"]) \
@@ -11956,10 +11952,10 @@ def mutual_best(sf_dir: str, npart: int = 16):
     # guard bounds cardinality, not magnitude.  The bp side's maxes
     # come FREE from the table the broadcast already pulls (4 extra
     # mini-dataset max folds here cost ~0.8 s fixed wall EACH — a
-    # measured 3 s regression, reverted); the bc side is checked
-    # fail-loud inside the batch filter (md5_hex's discipline: a key
-    # ≥ 2^32 there would pack-wrap and could FALSELY match, so it
-    # raises rather than silently corrupting).
+    # measured 3 s regression, reverted).  The bc side needs no check:
+    # bp holds every p of cp, so bc's p fit too, and a bc row whose
+    # c ≥ 2^32 cannot be in bp (all bp c fit), so it is masked out
+    # before its wrapped pack could falsely match.
     import ray as _ray
 
     if best_p.count() <= 4_000_000:
@@ -11981,17 +11977,13 @@ def mutual_best(sf_dir: str, npart: int = 16):
         def keep_mutual(b: pa.Table) -> pa.Table:
             c_i = b["c"].to_numpy(zero_copy_only=False)
             p_i = b["p"].to_numpy(zero_copy_only=False)
-            if len(c_i) and max(int(c_i.max()), int(p_i.max())) >= (1 << 32):
-                raise ValueError(
-                    "mutual_best: argmax key >= 2^32 — uint64 pack "
-                    "would wrap; rerun via the exchange-join path")
             pack = ((p_i.astype(np.uint64) << np.uint64(32))
                     | c_i.astype(np.uint64))
             ref = np.asarray(_ray.get(pairs_ref))
             pos = np.searchsorted(ref, pack)
             pos[pos >= len(ref)] = 0
             m = ref[pos] == pack if len(ref) else np.zeros(len(pack), bool)
-            return b.filter(pa.array(m))
+            return b.filter(pa.array(m & (c_i < (1 << 32))))
 
         mutual = best_c.map_batches(keep_mutual, batch_format="pyarrow")
     else:  # pragma: no cover - web-scale fallback

@@ -268,14 +268,17 @@ class ArcDatasource(FileBasedDatasource):
             gz_tail, gz_err = b"", None
             if path.endswith(".gz"):
                 data, gz_tail, gz_err = _decompress_salvage(data)
-            try:
-                # the columnar scan builds ALL batches before
-                # returning, so falling back after any complaint
-                # (framing OR a strict parse error it replicates)
-                # never duplicates rows
-                yield from _scan_columnar(data, path, self._batch_rows)
-            except Exception:
-                yield from _scan_core_dlq(data, path, self._batch_rows)
+            if data or gz_err is None:
+                # an empty salvaged prefix has nothing to quarantine:
+                # the gzip-tail row below holds every byte
+                try:
+                    # the columnar scan builds ALL batches before
+                    # returning, so falling back after any complaint
+                    # (framing OR a strict parse error it replicates)
+                    # never duplicates rows
+                    yield from _scan_columnar(data, path, self._batch_rows)
+                except Exception:
+                    yield from _scan_core_dlq(data, path, self._batch_rows)
             if gz_err is not None:
                 yield _arc_dlq_table(
                     path, gz_tail,

@@ -1,5 +1,5 @@
-"""Hash-bucket exchange: high-cardinality aggregates without the
-per-key shuffle machinery.
+"""Hash-bucket exchange: high-cardinality aggregates and joins without
+the per-key shuffle machinery.
 
 Ray Data's ``groupby(key).aggregate(...)`` sort-shuffles on the full
 key domain and runs its per-key combine at the reduce; for
@@ -11,15 +11,19 @@ exchange at identical results).  The bucket exchange instead:
   1. the caller pre-aggregates per batch with vectorized Arrow
      ``Table.group_by`` (the classic combiner),
   2. ``with_part`` appends ``part = hash(key) % npart`` (vectorized),
-  3. ``combine_buckets`` materializes the partials once and picks the
-     path by their size: when they fit in one Ray block
-     (``DataContext.target_max_block_size``, 128 MiB by default) it
-     folds them on the driver with ONE Arrow group_by over the union of
-     buckets — exact, because ``with_part`` puts every key in exactly
-     one bucket — and skips the exchange;
-  4. otherwise one Ray groupby on the tiny int key domain co-locates
-     buckets and ``combine_buckets`` runs ONE vectorized Arrow group_by
-     per bucket (npart Python calls total — not per-key).
+  3. ``bucket_exchange`` runs one ``bucket_fn`` per part — exact,
+     because ``with_part`` puts every key in exactly one bucket.
+
+``bucket_exchange`` is the module's one exchange: ``combine_buckets``,
+``hash_join``, ``skew_join``, ``range_sort`` and ``clustered_join``
+only build its input and its ``bucket_fn``.  It materializes its
+input once and picks the path by size.  At most one Ray block
+(``DataContext.target_max_block_size``, 128 MiB by default) folds on
+the driver: concatenate, stable-sort by ``part``, one ``bucket_fn``
+call per part.  Anything larger takes one Ray
+``groupby("part").map_groups`` on the tiny int key domain (npart
+Python calls total — not per-key).  Every primitive executes each of
+its inputs exactly once.
 
 ``npart`` sizes the reduce parallelism and bounds per-task group state:
 at cluster scale set it to a few × total cores so each bucket's
@@ -31,70 +35,16 @@ in step 1's partials).
 from __future__ import annotations
 
 import numpy as np
+import polars as pl
 import pyarrow as pa
 
-try:  # vectorized 64-bit hash; polars ships in the target environment
-    import polars as _pl
 
-    def hash64_strings(arr: pa.Array | pa.ChunkedArray,
-                       seed: int = 42) -> np.ndarray:
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        return _pl.from_arrow(arr).hash(seed=seed).to_numpy()
-except ImportError:  # pragma: no cover - vectorized numpy fallback
-    _FB_GOLD = np.uint64(0x9E3779B97F4A7C15)
-    _FB_C1 = np.uint64(0xBF58476D1CE4E5B9)
-    _FB_C2 = np.uint64(0x94D049BB133111EB)
-
-    def _fb_mix(x: np.ndarray) -> np.ndarray:
-        x = x ^ (x >> np.uint64(30))
-        x = x * _FB_C1
-        x = x ^ (x >> np.uint64(27))
-        x = x * _FB_C2
-        return x ^ (x >> np.uint64(31))
-
-    def hash64_strings(arr, seed: int = 42) -> np.ndarray:
-        """Polynomial byte hash + splitmix64 finalizer, fully
-        vectorized over the Arrow data buffer — the exchange fabric
-        must never degrade to per-row Python hashing (the hash need
-        not match polars', only be a deterministic uniform uint64)."""
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        arr = arr.cast(pa.large_binary())
-        n = len(arr)
-        if n == 0:
-            return np.empty(0, dtype=np.uint64)
-        validity, offbuf, databuf = arr.buffers()
-        o = arr.offset
-        off = np.frombuffer(offbuf, dtype=np.int64, count=n + 1 + o)[o:]
-        starts, ends = off[:-1], off[1:]
-        if validity is not None:
-            valid = np.unpackbits(
-                np.frombuffer(validity, dtype=np.uint8),
-                bitorder="little")[o:o + n].astype(bool)
-            ends = np.where(valid, ends, starts)  # nulls hash as ""
-        lens = (ends - starts).astype(np.int64)
-        base = np.zeros(n, dtype=np.uint64)
-        total = int(lens.sum())
-        if total:
-            data = np.frombuffer(databuf, dtype=np.uint8)
-            row = np.repeat(np.arange(n, dtype=np.int64), lens)
-            csum = np.cumsum(lens) - lens       # flat start per row
-            pos = np.arange(total, dtype=np.int64) - csum[row]
-            byts = data[starts[row] + pos].astype(np.uint64)
-            maxlen = int(lens.max())
-            powr = np.concatenate((
-                [np.uint64(1)],
-                np.multiply.accumulate(
-                    np.full(maxlen - 1, np.uint64(0x100000001B3),
-                            dtype=np.uint64)))) if maxlen > 1 else \
-                np.ones(1, dtype=np.uint64)
-            terms = byts * powr[lens[row] - 1 - pos]
-            nz = lens > 0
-            base[nz] = np.add.reduceat(terms, csum[nz])
-        h = base ^ (lens.astype(np.uint64) + _FB_GOLD)
-        smix = _fb_mix(np.array([seed], dtype=np.uint64) + _FB_GOLD)
-        return _fb_mix(h ^ smix[0])
+def hash64_strings(arr: pa.Array | pa.ChunkedArray,
+                   seed: int = 42) -> np.ndarray:
+    """Vectorized, deterministic 64-bit hash (polars) of an Arrow column."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    return pl.from_arrow(arr).hash(seed=seed).to_numpy()
 
 
 def with_part(tab: pa.Table, key_col: str, npart: int,
@@ -105,28 +55,60 @@ def with_part(tab: pa.Table, key_col: str, npart: int,
     return tab.append_column("part", pa.array(part))
 
 
+def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
+    """Run ``bucket_fn`` once per bucket of ``ds``, picking the path by
+    size — the one exchange every primitive in this module routes
+    through.
+
+    ``ds`` rows carry an int ``part_col``; ``bucket_fn(pa.Table) ->
+    pa.Table`` sees all of one part's rows (``part_col`` included)
+    either way.  Executes ``ds`` once, when called.  If the
+    materialized input is at most one block
+    (``DataContext.target_max_block_size``) the driver concatenates it,
+    stable-sorts by ``part_col``, calls ``bucket_fn`` per non-empty
+    part and returns the concatenated outputs as a one-block Dataset:
+    the sort-shuffle's fixed cost (seconds per exchange) is far above
+    a driver pass over result-sized rows.  Larger inputs take
+    ``groupby(part_col).map_groups(bucket_fn)``.  Empty input never
+    calls ``bucket_fn`` and yields an empty Dataset.  Output row order
+    is unspecified.
+    """
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
+
+    mat = ds.materialize()
+    size = mat.size_bytes()
+    if mat.count() and (
+            size is None
+            or size > DataContext.get_current().target_max_block_size):
+        return mat.groupby(part_col).map_groups(bucket_fn,
+                                                batch_format="pyarrow")
+    blocks = [b for b in ray.get(mat.to_arrow_refs()) if b.num_rows]
+    if not blocks:
+        return rd.from_arrow(pa.table({}))
+    tab = pa.concat_tables(blocks, promote_options="default")
+    part = tab[part_col].to_numpy(zero_copy_only=False)
+    order = np.argsort(part, kind="stable")
+    tab, part = tab.take(pa.array(order)), part[order]
+    cuts = np.flatnonzero(part[1:] != part[:-1]) + 1
+    outs = [bucket_fn(tab.slice(s, e - s))
+            for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(part)])]
+    return rd.from_arrow(pa.concat_tables(outs, promote_options="default"))
+
+
 def combine_buckets(ds, key_cols, aggs: list[tuple[str, str]],
                     names: list[str] | None = None):
-    """One vectorized Arrow group_by per hash bucket, or one in all.
+    """One vectorized Arrow group_by per hash bucket (``bucket_exchange``).
 
     ``ds`` rows must carry a ``part`` column (see ``with_part``);
     ``aggs`` is the pyarrow ``Table.group_by(...).aggregate`` spec;
     ``names`` positionally renames the output (keys first, then the
     aggregates — pyarrow's output order).  Output row order is
-    unspecified.
-
-    Executes ``ds`` when called (callers must not run it again).  If
-    the materialized partials are at most one block
-    (``DataContext.target_max_block_size``), the combine runs once on
-    the driver over their concatenation and the result is a one-block
-    Dataset: the sort-shuffle's fixed cost (seconds per exchange) is
-    far above an Arrow group_by over result-sized rows.  Larger
-    partials, or an input with no schema, take the
-    ``groupby("part").map_groups`` exchange.
+    unspecified; empty input keeps the combine's output schema.
+    Executes ``ds`` when called (callers must not run it again).
     """
-    import ray
     import ray.data as rd
-    from ray.data import DataContext
 
     keys = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
@@ -135,14 +117,62 @@ def combine_buckets(ds, key_cols, aggs: list[tuple[str, str]],
         return out.rename_columns(names) if names else out
 
     mat = ds.materialize()
-    size, schema = mat.size_bytes(), mat.schema()
-    if (schema is not None and size is not None
-            and size <= DataContext.get_current().target_max_block_size):
-        parts = ray.get(mat.to_arrow_refs())
-        tab = (pa.concat_tables(parts, promote_options="default") if parts
-               else schema.base_schema.empty_table())
-        return rd.from_arrow(combine(tab))
-    return mat.groupby("part").map_groups(combine, batch_format="pyarrow")
+    if mat.count() == 0 and mat.schema() is not None:
+        return rd.from_arrow(combine(mat.schema().base_schema.empty_table()))
+    return bucket_exchange(mat, combine)
+
+
+def _join_exchange(left_ds, right_ds, keys: list[str], how: str,
+                   right_suffix: str, bucket_finish, route_left,
+                   route_right):
+    """The padded-union bucket join under ``hash_join`` and
+    ``skew_join``.  Each side executes once: it is materialized before
+    its schema is read.  Both sides are padded to one union schema
+    (each side's non-key columns null on the other side, plus a
+    ``side`` flag) so ONE ``bucket_exchange`` moves everything; each
+    bucket runs a single vectorized pyarrow ``Table.join``.
+    ``route_*(batch) -> (row indices | None, part)`` picks each padded
+    row's bucket; indices, when given, first replicate rows."""
+    left_ds, right_ds = left_ds.materialize(), right_ds.materialize()
+    l_schema, r_schema = left_ds.schema(), right_ds.schema()
+    l_extra = [n for n in l_schema.names if n not in keys]
+    r_extra = [n for n in r_schema.names if n not in keys]
+    r_out = [n + right_suffix if n in l_schema.names else n
+             for n in r_extra]
+    l_cols, r_cols = keys + l_extra, keys + r_out
+    l_types = dict(zip(l_schema.names, l_schema.types))
+    r_types = dict(zip(r_schema.names, r_schema.types))
+
+    def pad(side: int, route):
+        def fn(b: pa.Table) -> pa.Table:
+            idx, part = route(b)
+            if idx is not None:
+                b = b.take(pa.array(idx))
+            n = b.num_rows
+            cols = [b[k] for k in keys]
+            cols += [b[c] if side == 0 else pa.nulls(n, type=l_types[c])
+                     for c in l_extra]
+            cols += [b[c] if side == 1 else pa.nulls(n, type=r_types[c])
+                     for c in r_extra]
+            cols += [pa.array(np.full(n, side, dtype=np.int8)),
+                     pa.array(part)]
+            return pa.table(cols, names=l_cols + r_out + ["side", "part"])
+        return fn
+
+    def bucket(g: pa.Table) -> pa.Table:
+        side = g["side"].to_numpy(zero_copy_only=False)
+        lt = g.filter(pa.array(side == 0)).select(l_cols)
+        rt = g.filter(pa.array(side == 1)).select(r_cols)
+        j = lt.join(rt, keys=keys, join_type=how)
+        # join→consumer fusion: a key's rows are COMPLETE inside this
+        # bucket, so a per-key finish (aggregate, top-k partial, dedup)
+        # applied here needs no second exchange downstream
+        return bucket_finish(j) if bucket_finish is not None else j
+
+    u = left_ds.map_batches(pad(0, route_left), batch_format="pyarrow") \
+        .union(right_ds.map_batches(pad(1, route_right),
+                                    batch_format="pyarrow"))
+    return bucket_exchange(u, bucket)
 
 
 def hash_join(left_ds, right_ds, keys, how: str = "inner", *,
@@ -152,15 +182,13 @@ def hash_join(left_ds, right_ds, keys, how: str = "inner", *,
     both-sides-large path (for fact ⋈ small-dim, broadcast a dict
     instead; see pipelines/relational.revenue_by_nation).
 
-    Both sides are padded to one union schema (each side's non-key
-    columns null on the other side, plus a ``side`` flag) so a plain
-    ``union`` moves everything through ONE hash exchange on the join
-    key; each bucket then runs a single vectorized pyarrow
-    ``Table.join``.  Compared with Ray's built-in join this avoids the
-    shuffle-actor spawn cost that dominates at small-to-medium
-    cardinalities, and it composes with the `with_part` fabric the
-    rest of the engine uses.  Right-side non-key columns that clash
-    with left names get ``right_suffix``.
+    Both sides move through ONE hash ``bucket_exchange`` on the join
+    key (see ``_join_exchange``); each side executes once.  Compared
+    with Ray's built-in join this avoids the shuffle-actor spawn cost
+    that dominates at small-to-medium cardinalities, and it composes
+    with the `with_part` fabric the rest of the engine uses.
+    Right-side non-key columns that clash with left names get
+    ``right_suffix``.
 
     Partitioning assumption: one key's rows (both sides) fit a
     bucket's worker — salt hot keys upstream if that breaks.
@@ -170,20 +198,9 @@ def hash_join(left_ds, right_ds, keys, how: str = "inner", *,
     (grouped aggregate, top-k partial, keep-first) fused here avoids a
     second exchange (q100 uses this for join→aggregate→top-k).
     """
-    import pyarrow as pa
-
     keys = [keys] if isinstance(keys, str) else list(keys)
-    l_schema = left_ds.schema()
-    r_schema = right_ds.schema()
-    l_names = list(l_schema.names)
-    r_extra = [n for n in r_schema.names if n not in keys]
-    r_out = {n: (n + right_suffix if n in l_names else n) for n in r_extra}
-    l_types = dict(zip(l_schema.names, l_schema.types))
-    r_types = dict(zip(r_schema.names, r_schema.types))
-    pad_cols = (keys + [n for n in l_names if n not in keys]
-                + [r_out[n] for n in r_extra] + ["side", "part"])
 
-    def _key_part(b: pa.Table) -> np.ndarray:
+    def route(b: pa.Table):
         h = np.zeros(b.num_rows, dtype=np.uint64)
         for k in keys:
             col = b[k]
@@ -195,45 +212,10 @@ def hash_join(left_ds, right_ds, keys, how: str = "inner", *,
             else:
                 kv = hash64_strings(col)
             h ^= kv
-        return (h % np.uint64(npart)).astype(np.int32)
+        return None, (h % np.uint64(npart)).astype(np.int32)
 
-    def pad_left(b: pa.Table) -> pa.Table:
-        cols = {k: b[k] for k in keys}
-        for n in l_names:
-            if n not in keys:
-                cols[n] = b[n]
-        for n in r_extra:
-            cols[r_out[n]] = pa.nulls(b.num_rows, type=r_types[n])
-        cols["side"] = pa.array(np.zeros(b.num_rows, dtype=np.int8))
-        cols["part"] = pa.array(_key_part(b))
-        return pa.table({c: cols[c] for c in pad_cols})
-
-    def pad_right(b: pa.Table) -> pa.Table:
-        cols = {k: b[k] for k in keys}
-        for n in l_names:
-            if n not in keys:
-                cols[n] = pa.nulls(b.num_rows, type=l_types[n])
-        for n in r_extra:
-            cols[r_out[n]] = b[n]
-        cols["side"] = pa.array(np.ones(b.num_rows, dtype=np.int8))
-        cols["part"] = pa.array(_key_part(b))
-        return pa.table({c: cols[c] for c in pad_cols})
-
-    def bucket(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy(zero_copy_only=False)
-        lt = g.filter(pa.array(side == 0)) \
-            .select(keys + [n for n in l_names if n not in keys])
-        rt = g.filter(pa.array(side == 1)) \
-            .select(keys + [r_out[n] for n in r_extra])
-        j = lt.join(rt, keys=keys, join_type=how)
-        # join→consumer fusion: a key's rows are COMPLETE inside this
-        # bucket, so a per-key finish (aggregate, top-k partial, dedup)
-        # applied here needs no second exchange downstream
-        return bucket_finish(j) if bucket_finish is not None else j
-
-    u = left_ds.map_batches(pad_left, batch_format="pyarrow") \
-        .union(right_ds.map_batches(pad_right, batch_format="pyarrow"))
-    return u.groupby("part").map_groups(bucket, batch_format="pyarrow")
+    return _join_exchange(left_ds, right_ds, keys, how, right_suffix,
+                          bucket_finish, route, route)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +240,10 @@ def range_sort(ds, key_fn, tiebreak_fn, *, npart: int = 32,
          come from per-batch ``bincount`` partials (npart ints per
          block — the shuffle never carries rows).  Their prefix sum is
          each bucket's global rank offset.
-      3. EXCHANGE pass — one range exchange co-locates each key range;
-         each bucket sorts vectorized (``np.lexsort`` on tiebreak-then-key)
-         and emits ``rank = offset[part] + local position`` (1-based).
+      3. EXCHANGE pass — one range ``bucket_exchange`` co-locates
+         each key range; each bucket sorts vectorized (``np.lexsort``
+         on tiebreak-then-key) and emits ``rank = offset[part] + local
+         position`` (1-based).
 
     ``key_fn(batch) -> np.uint64`` must encode the PRIMARY sort order
     as ascending unsigned bits (use ``_ordered_bits_*`` encoders;
@@ -270,12 +253,16 @@ def range_sort(ds, key_fn, tiebreak_fn, *, npart: int = 32,
     land in the same bucket (``searchsorted`` side='right'), so ranks
     are exact even when ties straddle a splitter value.
 
-    Scale shape: three pruned scans of the key column, one scan of the
-    payload; per-bucket memory = rows/npart — size ``npart`` so a
-    bucket fits a worker's heap.  No driver materialization beyond the
-    sample and the npart-int histogram.
+    Scale shape: ``ds`` executes once (materialized); the three passes
+    read those blocks, and only the sample and the npart-int histogram
+    reach the driver before the exchange.  On ``bucket_exchange``'s
+    fold path (input ≤ one block) the driver then holds the whole
+    input; otherwise per-bucket memory = rows/npart — size ``npart`` so
+    a bucket fits a worker's heap.
     """
     import ray
+
+    ds = ds.materialize()
 
     # -- pass 1: strided key sample → splitters --------------------------
     def sample_keys(b: pa.Table) -> pa.Table:
@@ -330,8 +317,8 @@ def range_sort(ds, key_fn, tiebreak_fn, *, npart: int = 32,
         rank = np.arange(1, g.num_rows + 1, dtype=np.int64) + base
         return g.append_column(rank_col, pa.array(rank))
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow")
+    return bucket_exchange(ds.map_batches(tag, batch_format="pyarrow"),
+                           bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -393,30 +380,21 @@ def skew_join(left_ds, right_ds, key: str, how: str = "inner", *,
     tests/test_exchange.py.
 
     ``hot_keys``: pass a precomputed set to skip the detection
-    pre-pass (e.g. from a Misra-Gries sketch over yesterday's run).
+    pre-pass (e.g. from a Misra-Gries sketch over yesterday's run);
+    detection reads the materialized left side, so each side still
+    executes once.
     ``bucket_finish`` fuses a per-key consumer exactly as in
     ``hash_join`` — valid because a key's rows (left×replicated-right)
     are complete within each salted sub-bucket only for PER-ROW
     finishes; per-KEY aggregates of hot keys span salts, so fuse only
     per-row work when salting is active."""
-    import pyarrow as pa
-
     assert how in ("inner", "left outer")
+    left_ds = left_ds.materialize()
     if hot_keys is None:
         hot_keys = detect_hot_keys(left_ds, key,
                                    hot_share_ppm=hot_share_ppm)
     hot_arr = np.sort(np.array(sorted(hot_keys), dtype=np.int64)) \
         if hot_keys else np.zeros(0, dtype=np.int64)
-
-    l_schema = left_ds.schema()
-    r_schema = right_ds.schema()
-    l_names = list(l_schema.names)
-    r_extra = [n for n in r_schema.names if n != key]
-    r_out = {n: (n + right_suffix if n in l_names else n) for n in r_extra}
-    l_types = dict(zip(l_schema.names, l_schema.types))
-    r_types = dict(zip(r_schema.names, r_schema.types))
-    pad_cols = ([key] + [n for n in l_names if n != key]
-                + [r_out[n] for n in r_extra] + ["side", "part"])
 
     def _part(kv: np.ndarray, salt: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -426,53 +404,23 @@ def skew_join(left_ds, right_ds, key: str, how: str = "inner", *,
             h = h + salt.astype(np.uint64) * _GOLD2
         return (h % np.uint64(npart)).astype(np.int32)
 
-    def pad_left(b: pa.Table) -> pa.Table:
+    def route_left(b: pa.Table):
         kv = b[key].to_numpy(zero_copy_only=False)
-        is_hot = np.isin(kv, hot_arr)
-        salt = np.where(is_hot, np.arange(len(kv)) % n_salt, 0)
-        cols = {key: b[key]}
-        for n in l_names:
-            if n != key:
-                cols[n] = b[n]
-        for n in r_extra:
-            cols[r_out[n]] = pa.nulls(b.num_rows, type=r_types[n])
-        cols["side"] = pa.array(np.zeros(b.num_rows, dtype=np.int8))
-        cols["part"] = pa.array(_part(kv, salt))
-        return pa.table({c: cols[c] for c in pad_cols})
+        salt = np.where(np.isin(kv, hot_arr), np.arange(len(kv)) % n_salt, 0)
+        return None, _part(kv, salt)
 
-    def pad_right(b: pa.Table) -> pa.Table:
+    def route_right(b: pa.Table):
         kv = b[key].to_numpy(zero_copy_only=False)
-        is_hot = np.isin(kv, hot_arr)
         # replicate hot rows once per salt; cold rows once (salt 0)
-        reps = np.where(is_hot, n_salt, 1).astype(np.int64)
+        reps = np.where(np.isin(kv, hot_arr), n_salt, 1).astype(np.int64)
         idx = np.repeat(np.arange(len(kv)), reps)
         cs = np.concatenate(([0], np.cumsum(reps)[:-1])) \
             if len(reps) else np.zeros(0, dtype=np.int64)
         salt = np.arange(int(reps.sum())) - np.repeat(cs, reps)
-        bb = b.take(pa.array(idx))
-        kv2 = kv[idx]
-        cols = {key: bb[key]}
-        for n in l_names:
-            if n != key:
-                cols[n] = pa.nulls(bb.num_rows, type=l_types[n])
-        for n in r_extra:
-            cols[r_out[n]] = bb[n]
-        cols["side"] = pa.array(np.ones(bb.num_rows, dtype=np.int8))
-        cols["part"] = pa.array(_part(kv2, salt))
-        return pa.table({c: cols[c] for c in pad_cols})
+        return idx, _part(kv[idx], salt)
 
-    def bucket(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy(zero_copy_only=False)
-        lt = g.filter(pa.array(side == 0)) \
-            .select([key] + [n for n in l_names if n != key])
-        rt = g.filter(pa.array(side == 1)) \
-            .select([key] + [r_out[n] for n in r_extra])
-        j = lt.join(rt, keys=[key], join_type=how)
-        return bucket_finish(j) if bucket_finish is not None else j
-
-    u = left_ds.map_batches(pad_left, batch_format="pyarrow") \
-        .union(right_ds.map_batches(pad_right, batch_format="pyarrow"))
-    return u.groupby("part").map_groups(bucket, batch_format="pyarrow")
+    return _join_exchange(left_ds, right_ds, [key], how, right_suffix,
+                          bucket_finish, route_left, route_right)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +495,8 @@ def clustered_join(fact_ds, dim_path: str, *, fact_key: str,
                                           join_type="inner")
         return bucket_finish(j) if bucket_finish is not None else j
 
-    return fact_ds.map_batches(route, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow")
+    return bucket_exchange(fact_ds.map_batches(route, batch_format="pyarrow"),
+                           bucket)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The synthetic web is deliberately Zipf-skewed: host-0 owns ~20% of all
 documents (corpus.py host_index), so any groupby-on-host sends a fifth
-of the data to one reducer.  The classic fix: a COUNT pre-pass picks a
-salt factor k per hot key, stage 1 groups by ``host#(hash % k)``
-(parallel partial aggregates), stage 2 merges the k salted partials —
-two small shuffles instead of one skewed one.
+of the data to one reducer.  The classic fix: a Misra-Gries count
+over the per-block partials picks a salt factor k per hot key, stage 1
+groups by ``host#(hash % k)`` (parallel partial aggregates), stage 2
+merges the k salted partials — two small exchanges instead of one
+skewed one, and one scan of the input.
 
 Used on the link table (millions of rows at bench scale); the same
 pattern applies to any host-keyed reduce over fetched records.
@@ -28,64 +29,75 @@ def add_host_column(batch: pa.Table, url_col: str = "url") -> pa.Table:
     return batch.append_column("host", pc.cast(host, pa.string()))
 
 
+def _host_partials(ds: rd.Dataset, url_col: str) -> rd.Dataset:
+    """Per-block exact ``(host, n_links, min_src, max_src)`` partials,
+    materialized — the one scan both the hot-host fold and the
+    aggregate read."""
+    def partial(b: pa.Table) -> pa.Table:
+        g = add_host_column(b, url_col).group_by("host").aggregate(
+            [("host", "count"), ("src_doc", "min"), ("src_doc", "max")])
+        return g.rename_columns(["host", "n_links", "min_src", "max_src"])
+
+    return ds.map_batches(partial, batch_format="pyarrow",
+                          batch_size=None).materialize()
+
+
+def _mg_fold(parts: rd.Dataset, target_per_group: int,
+             cells: int) -> tuple[dict[str, int], int]:
+    """Misra-Gries hot hosts from per-block partials: each block's exact
+    host counts prune to ≤``cells`` counters, the driver folds them one
+    block at a time (re-pruning an oversized fold buffer) and keeps the
+    hosts whose count UPPER bound clears ``target_per_group``."""
+    from .sketch import mg_prune
+
+    def prune(acc: dict[str, int]) -> dict[str, int]:
+        ks, cs = mg_prune(np.asarray(list(acc), dtype=object),
+                          np.fromiter(acc.values(), dtype=np.int64,
+                                      count=len(acc)), cells)
+        return dict(zip(ks.tolist(), cs.tolist()))
+
+    acc: dict[str, int] = {}
+    total = 0
+    for ref in parts.to_arrow_refs():
+        t = ray.get(ref)
+        t = t.filter(pc.is_valid(t["host"]))
+        counts = t["n_links"].to_numpy(zero_copy_only=False).astype(np.int64)
+        total += int(counts.sum())
+        idx, counts = mg_prune(np.arange(t.num_rows), counts, cells)
+        for h, n in zip(t["host"].take(pa.array(idx)).to_pylist(),
+                        counts.tolist()):
+            acc[h] = acc.get(h, 0) + n
+        if len(acc) > 4 * cells:
+            acc = prune(acc)
+    if len(acc) > cells:
+        acc = prune(acc)
+    err = total // (cells + 1)
+    return {h: c + err for h, c in acc.items()
+            if c + err > target_per_group}, total
+
+
 def mg_hot_hosts(ds: rd.Dataset, url_col: str = "url",
                  target_per_group: int = 50_000,
                  cells: int = 4096) -> tuple[dict[str, int], int]:
     """Bounded hot-host pre-pass: per-block exact host counts pruned to
-    a ≤``cells``-row Misra-Gries summary (plus one null-host row
-    carrying the block total); the driver folds the tiny summaries and
-    keeps only hosts whose count UPPER bound clears the salt threshold.
+    a ≤``cells``-row Misra-Gries summary; the driver folds the
+    summaries and keeps only hosts whose count UPPER bound clears the
+    salt threshold.
 
-    Replaces the round-2 all-hosts driver dict (VERDICT item 3): driver
-    state is O(cells), independent of host cardinality (10⁸ hosts at
-    web scale).  The MG guarantee (under-count ≤ n/(cells+1), merge-
-    preserved — Agarwal et al., "Mergeable Summaries") means every host
-    with true count > target survives whenever target ≥ n/(cells+1);
-    below that the host was ≤ 1/(cells+1) of the data and could not
-    skew a ≥cells-way reduce in the first place.  Upper-bound counts
-    (est + fold error) only OVER-salt — salting is semantically
+    Driver state is O(cells), independent of host cardinality (10⁸
+    hosts at web scale).  The MG guarantee (under-count ≤ n/(cells+1),
+    merge-preserved — Agarwal et al., "Mergeable Summaries") means
+    every host with true count > target survives whenever target ≥
+    n/(cells+1); below that the host was ≤ 1/(cells+1) of the data and
+    could not skew a ≥cells-way reduce in the first place.  Upper-bound
+    counts (est + fold error) only OVER-salt — salting is semantically
     transparent, so results are unchanged either way (the
     salted-vs-unsalted parity test pins this).
 
-    Returns ``(hot_host → upper-bound count, total_rows)``.
+    Returns ``(hot_host → upper-bound count, n)``, n = links with a
+    host.
     """
-    from .sketch import mg_prune
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = add_host_column(b, url_col)
-        g = t.group_by("host").aggregate([("host", "count")])
-        hosts = np.asarray(g["host"].to_pylist(), dtype=object)
-        counts = g["host_count"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        hosts, counts = mg_prune(hosts, counts, cells)
-        return pa.table({
-            "host": pa.array(hosts.tolist() + [None], type=pa.string()),
-            "n": pa.array(np.append(counts, b.num_rows), type=pa.int64())})
-
-    acc: dict[str, int] = {}
-    total = 0
-    summaries = ds.map_batches(partial, batch_format="pyarrow",
-                               batch_size=None)
-    for t in summaries.iter_batches(batch_format="pyarrow"):
-        for h, n in zip(t["host"].to_pylist(), t["n"].to_pylist()):
-            if h is None:
-                total += int(n)
-            else:
-                acc[h] = acc.get(h, 0) + int(n)
-        if len(acc) > 4 * cells:        # re-prune the fold buffer
-            ks, cs = mg_prune(np.asarray(list(acc), dtype=object),
-                              np.fromiter(acc.values(), dtype=np.int64,
-                                          count=len(acc)), cells)
-            acc = dict(zip(ks.tolist(), cs.tolist()))
-    if len(acc) > cells:
-        ks, cs = mg_prune(np.asarray(list(acc), dtype=object),
-                          np.fromiter(acc.values(), dtype=np.int64,
-                                      count=len(acc)), cells)
-        acc = dict(zip(ks.tolist(), cs.tolist()))
-    err = total // (cells + 1)
-    hot = {h: c + err for h, c in acc.items()
-           if c + err > target_per_group}
-    return hot, total
+    return _mg_fold(_host_partials(ds, url_col), target_per_group, cells)
 
 
 def salt_factors(counts: dict[str, int], target_per_group: int = 50_000,
@@ -97,41 +109,6 @@ def salt_factors(counts: dict[str, int], target_per_group: int = 50_000,
     }
 
 
-class AddSaltedHost:
-    """map_batches stage: host → ``host#<hash%k>`` for hot hosts.
-
-    The (small) salt map is broadcast once via ray.put and resolved in
-    ``__init__`` — once per actor, never per batch."""
-
-    def __init__(self, salts_ref, url_col: str = "url"):
-        self.salts = (salts_ref if isinstance(salts_ref, dict)
-                      else ray.get(salts_ref))
-        self.url_col = url_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        batch = add_host_column(batch, self.url_col)
-        host = batch["host"].combine_chunks()
-        if not self.salts:
-            return batch.append_column("host_salted", host)
-        # deterministic spread (value hash of the url — row position is
-        # not stable across runs, value hashes are), fully vectorized:
-        # k per row via index_in against the (small) hot-host list,
-        # salt digit via hash64 % k, suffix joined only where hot.
-        from .exchange import hash64_strings
-
-        hot = list(self.salts)
-        idx = pc.fill_null(pc.index_in(host, value_set=pa.array(hot)), -1) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        k = np.array([self.salts[h] for h in hot] + [1], dtype=np.uint64)[idx]
-        d = hash64_strings(batch[self.url_col]) % k
-        salted = pc.if_else(
-            pa.array(idx >= 0),
-            pc.binary_join_element_wise(
-                host, pa.array(d.astype(np.str_)), "#"),
-            host)
-        return batch.append_column("host_salted", salted)
-
-
 def host_link_stats(ds: rd.Dataset, url_col: str = "url",
                     target_per_group: int = 50_000,
                     cells: int = 4096) -> rd.Dataset:
@@ -139,46 +116,54 @@ def host_link_stats(ds: rd.Dataset, url_col: str = "url",
     (host, n_links, n_src_docs is NOT computed — count + min/max src).
 
     Output columns: host, n_links, min_src, max_src — named identically
-    in the SQL oracle.  The salt map comes from the bounded
-    Misra-Gries pre-pass (≤``cells`` driver rows, any host
-    cardinality) — upper-bound counts may over-salt a warm host, which
-    costs one extra stage-2 merge row and changes no results."""
-    hot, _ = mg_hot_hosts(ds, url_col, target_per_group, cells)
-    salts = salt_factors(hot, target_per_group)
-    salts_ref = ray.put(salts)
+    in the SQL oracle.  One scan: ``ds`` executes once into per-block
+    exact partials.  The Misra-Gries fold over those partials' counts
+    (≤``cells`` driver rows, any host cardinality) picks k per hot
+    host; a hot host's partial rows become ``host#d`` with
+    ``d = hash64(min_src) % k``, stage 1 combines on the salted key
+    and stage 2 strips the salt and merges the ≤k rows per host.
+    Upper-bound counts may over-salt a warm host, which costs one
+    extra stage-2 merge row and changes no results."""
+    from .exchange import combine_buckets, hash64_strings, with_part
 
-    from .exchange import combine_buckets, with_part
+    parts = _host_partials(ds, url_col)
+    salts = salt_factors(_mg_fold(parts, target_per_group, cells)[0],
+                         target_per_group)
+    hot = pa.array(list(salts), type=pa.string())
+    ks = np.array(list(salts.values()) + [1], dtype=np.uint64)
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = AddSaltedHost(salts_ref, url_col)(b)
-        g = t.group_by("host_salted").aggregate(
-            [("host_salted", "count"), ("src_doc", "min"), ("src_doc", "max")])
-        return with_part(
-            g.rename_columns(["host_salted", "n_links", "min_src", "max_src"]),
-            "host_salted", 16)
+    def salt(b: pa.Table) -> pa.Table:
+        # vectorized: k per row via index_in against the (small)
+        # hot-host list, digit via hash64(min_src) % k, suffix only
+        # where hot
+        idx = pc.fill_null(pc.index_in(b["host"], value_set=hot), -1) \
+            .to_numpy(zero_copy_only=False).astype(np.int64)
+        d = hash64_strings(b["min_src"]) % ks[idx]
+        salted = pc.if_else(
+            pa.array(idx >= 0),
+            pc.binary_join_element_wise(
+                b["host"], pa.array(d.astype(np.str_)), "#"),
+            b["host"])
+        return with_part(b.drop_columns(["host"])
+                         .add_column(0, "host_salted", salted),
+                         "host_salted", 16)
 
-    # stage 1: reduce on the SALTED key (skew split across k groups;
-    # bucket exchange — the per-batch partials already collapsed rows
-    # to host-cardinality, the combine is one Arrow group_by per bucket)
+    aggs = [("n_links", "sum"), ("min_src", "min"), ("max_src", "max")]
+    # stage 1: reduce on the SALTED key (skew split across k buckets);
+    # the batch size bundles the host-sized per-block partials into a
+    # few tasks instead of one task per input block
     stage1 = combine_buckets(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
-        "host_salted",
-        [("n_links", "sum"), ("min_src", "min"), ("max_src", "max")],
+        parts.map_batches(salt, batch_format="pyarrow", batch_size=1 << 16),
+        "host_salted", aggs,
         names=["host_salted", "n_links", "min_src", "max_src"])
 
     # stage 2: strip the salt (vectorized), merge the k partials per
     # hot host
     def strip(b: pa.Table) -> pa.Table:
         hosts = pc.replace_substring_regex(b["host_salted"], r"#\d+$", "")
-        return with_part(pa.table({
-            "host": pc.cast(hosts, pa.string()),
-            "n_links": b["n_links"],
-            "min_src": b["min_src"],
-            "max_src": b["max_src"],
-        }), "host", 8)
+        return with_part(b.drop_columns(["host_salted"]).add_column(
+            0, "host", pc.cast(hosts, pa.string())), "host", 8)
 
     return combine_buckets(
-        stage1.map_batches(strip, batch_format="pyarrow"),
-        "host",
-        [("n_links", "sum"), ("min_src", "min"), ("max_src", "max")],
+        stage1.map_batches(strip, batch_format="pyarrow"), "host", aggs,
         names=["host", "n_links", "min_src", "max_src"])
