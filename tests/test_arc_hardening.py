@@ -91,6 +91,17 @@ def test_dlq_malformed_record_quarantines_tail(tmp_path):
     assert b"2026FEB1000000" in tail
 
 
+def test_dlq_bad_first_record_keeps_file_header(tmp_path):
+    """The filedesc header parses, the first record does not: the
+    quarantine row still carries the header's org and date."""
+    bad = _make_arc(3).replace(b"10.0.0.0 20260101000000",
+                               b"10.0.0.0 2026FEB1000000", 1)
+    d = _read_via_datasource(tmp_path, bad, "bad0.arc", "dlq").to_pydict()
+    assert d["url"] == [DLQ_URL]
+    assert d["file_org"] == ["dlq-test"]
+    assert d["file_date"] == ["20260101000000"]
+
+
 def test_dlq_clean_file_has_no_quarantine(tmp_path):
     data = _make_arc(5)
     t = _read_via_datasource(tmp_path, data, "ok.arc", "dlq")

@@ -118,27 +118,92 @@ def test_combine_buckets_matches_builtin_aggregate(ray_session, path, keys):
     assert got_t.equals(want.sort_by(order))
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_bucket_exchange_buckets_equal_on_both_paths(ray_session, path):
+@pytest.mark.parametrize("path,part_col", [
+    ("fold", "part"), ("exchange", "part"), ("fold", "s"), ("exchange", "s")],
+    ids=["fold", "exchange", "fold-str", "exchange-str"])
+def test_bucket_exchange_buckets_equal_on_both_paths(ray_session, path,
+                                                     part_col):
     """Each call sees exactly one part's rows, all of them, on either
-    path."""
+    path — for an int bucket and for a string part column."""
     import ray.data as rd
 
     t = with_part(_rand_table(), "k", 8)
 
     def summary(g: pa.Table) -> pa.Table:
-        parts = set(g["part"].to_pylist())
+        parts = set(g[part_col].to_pylist())
         assert len(parts) == 1
-        return pa.table({"part": [parts.pop()], "n": [g.num_rows],
+        return pa.table({part_col: [parts.pop()], "n": [g.num_rows],
                          "v": [pa.compute.sum(g["v"]).as_py()]})
 
     ds = rd.from_arrow(t).repartition(5)
     with _path(path):
-        got = _ran(bucket_exchange(ds, summary), path)
-    want = t.group_by("part").aggregate([("v", "count"), ("v", "sum")]) \
-        .select(["part", "v_count", "v_sum"]).sort_by("part")
-    got = got.to_pandas().sort_values("part").reset_index(drop=True)
+        got = _ran(bucket_exchange(ds, summary, part_col=part_col), path)
+    want = t.group_by(part_col).aggregate([("v", "count"), ("v", "sum")]) \
+        .select([part_col, "v_count", "v_sum"]).sort_by(part_col)
+    got = got.to_pandas().sort_values(part_col).reset_index(drop=True)
     assert got.values.tolist() == want.to_pandas().values.tolist()
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_bucket_exchange_result_is_materialized(ray_session, tmp_path,
+                                                path):
+    """Consuming the result twice executes neither the input nor any
+    ``bucket_fn`` call again: the result is materialized on both
+    paths."""
+    from ray.data.dataset import MaterializedDataset
+
+    t = with_part(_rand_table(), "k", 4)
+    ds, n_in = _logged_blocks(tmp_path, "in", [t.slice(i, 1000)
+                                               for i in range(0, 5000, 1000)])
+    calls = tmp_path / "calls"
+
+    def note(g: pa.Table) -> pa.Table:
+        with open(calls, "a") as f:
+            f.write("x\n")
+        return g.slice(0, 1)
+
+    with _path(path):
+        out = bucket_exchange(ds, note)
+    assert out.count() == 4 and len(out.take_all()) == 4
+    assert n_in() == 5
+    assert len(calls.read_text().splitlines()) == 4
+    assert isinstance(out, MaterializedDataset)
+    assert ("Sort" in out.stats()) == (path == "exchange")
+
+
+def test_engine_has_one_map_groups_call():
+    """Every bucket exchange in the engine goes through
+    ``bucket_exchange``: it holds the only ``map_groups`` call."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "warc_ray"
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_groups"):
+                owner = max((d for d in defs
+                             if d.lineno <= node.lineno <= d.end_lineno),
+                            key=lambda d: d.lineno, default=None)
+                sites.append((path.relative_to(root).as_posix(),
+                              owner.name if owner else None))
+    assert sites == [("stages/exchange.py", "bucket_exchange")]
+
+
+def test_segment_bounds():
+    from warc_ray.stages.exchange import segment_bounds
+
+    starts, rank = segment_bounds(np.array([3, 3, 5, 7, 7, 7]))
+    assert starts.tolist() == [0, 2, 3]
+    assert rank.tolist() == [0, 1, 0, 0, 1, 2]
+    starts, rank = segment_bounds(np.array(["a", "b", "b"], dtype=object))
+    assert starts.tolist() == [0, 1] and rank.tolist() == [0, 0, 1]
+    starts, rank = segment_bounds(np.array([], dtype=np.int64))
+    assert len(starts) == 0 and len(rank) == 0
 
 
 @pytest.mark.parametrize("with_schema", [True, False])

@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Max, Sum
 
-from ..stages.exchange import with_part
+from ..stages.exchange import bucket_exchange, segment_bounds, with_part
 
 INT64 = pa.int64()
 
@@ -216,12 +216,11 @@ def funnel(sf_dir: str, npart: int = 32):
             "n_purchase": pa.array([len(u3)], type=INT64),
         })
 
-    parts = rd.read_parquet(_pq(sf_dir, "events"),
-                            columns=["user_id", "ts", "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow")
+    parts = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "event_type"])
+        .map_batches(partial, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"])))
     t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
     return pa.table({
         "n_view": pa.array([int(pc.sum(t["n_view"]).as_py())], type=INT64),
@@ -296,13 +295,12 @@ def debounce_events(sf_dir: str, gap_us: int = 300_000_000,
             [("one", "sum"), ("kept", "sum")])
         return p.rename_columns(["event_type", "n_total", "n_kept"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_id", "user_id", "ts",
-                                   "event_type"]) \
-        .map_batches(tag, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["event_id", "user_id", "ts",
+                                 "event_type"])
+        .map_batches(tag, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("event_type").aggregate(Sum("n_total", alias_name="n_total"),
                                          Sum("n_kept", alias_name="n_kept"))
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
@@ -364,9 +362,7 @@ def bigram_topk(sf_dir: str, k: int = 3, npart: int = 32):
         n = t["n"].to_numpy(zero_copy_only=False)
         order = np.lexsort((tl, -n, h))
         h, tl, n = h[order], tl[order], n[order]
-        starts = np.flatnonzero(np.concatenate(([True], h[1:] != h[:-1])))
-        rank = np.arange(len(h)) - np.repeat(
-            starts, np.diff(np.concatenate((starts, [len(h)]))))
+        _, rank = segment_bounds(h)
         keep = rank < k
         return pa.table({
             "head": pa.array(h[keep].tolist(), type=pa.string()),
@@ -375,9 +371,9 @@ def bigram_topk(sf_dir: str, k: int = 3, npart: int = 32):
             "rank": pa.array(rank[keep] + 1, type=INT64),
         })
 
-    return _docs(sf_dir, columns=["text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow")
+    return bucket_exchange(
+        _docs(sf_dir, columns=["text"])
+        .map_batches(partial, batch_format="pyarrow"), bucket)
 
 
 BIGRAM_TOPK_SQL = """
@@ -435,12 +431,11 @@ def cumulative_users(sf_dir: str, npart: int = 32):
         return t.group_by(["day"]).aggregate([("day", "count")]) \
             .rename_columns(["day", "n_new"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "ts"]) \
-        .map_batches(pairs, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts"])
+        .map_batches(pairs, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("day").aggregate(Sum("n_new", alias_name="n_new"))
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     d = t["day"].to_numpy(zero_copy_only=False)
@@ -616,13 +611,12 @@ def session_trigrams(sf_dir: str, topk: int = 10, gap_minutes: int = 30,
         return t.group_by(["trigram"]).aggregate([("trigram", "count")]) \
             .rename_columns(["trigram", "n"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_id", "user_id", "ts",
-                                   "event_type"]) \
-        .map_batches(tag, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["event_id", "user_id", "ts",
+                                 "event_type"])
+        .map_batches(tag, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("trigram").aggregate(Sum("n", alias_name="n"))
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     tri = np.asarray(t["trigram"].to_pylist(), dtype=object)
@@ -817,9 +811,9 @@ def degree_histogram(docs_path: str, npart: int = 32):
             "side": pa.array(["in"] * len(hd), type=pa.string()),
         })
 
-    agg = _read_capped(docs_path, columns=["doc_id", "spans"]) \
-        .map_batches(scan, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        _read_capped(docs_path, columns=["doc_id", "spans"])
+        .map_batches(scan, batch_format="pyarrow"), bucket) \
         .groupby(["side", "degree"]).aggregate(Sum("n", alias_name="n"))
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     return pa.table({"side": t["side"],
@@ -1254,9 +1248,9 @@ def event_mad(sf_dir: str):
         # q15's per-type histogram EXCHANGE: the shuffle carries the
         # (type × distinct value) histogram, the driver sees one row
         # per type
-        out = ev().map_batches(fn, batch_format="pyarrow") \
-            .groupby("event_type") \
-            .map_groups(_bucket_median, batch_format="pyarrow")
+        out = bucket_exchange(
+            ev().map_batches(fn, batch_format="pyarrow"),
+            _bucket_median, part_col="event_type")
         t = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
         return dict(zip(t["event_type"].to_pylist(),
                         t["median"].to_pylist()))
@@ -1375,9 +1369,9 @@ def normalized_dedup(sf_dir: str, npart: int = 32):
             "n_copies": pc.cast(p["n_copies_sum"], INT64),
         })
 
-    return _docs(sf_dir, columns=["doc_id", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow")
+    return bucket_exchange(
+        _docs(sf_dir, columns=["doc_id", "text"])
+        .map_batches(partial, batch_format="pyarrow"), bucket)
 
 
 NORMALIZED_DEDUP_SQL = r"""
@@ -1432,9 +1426,9 @@ def table_fingerprints(sf_dir: str):
             "checksum": pa.array([ck], type=INT64),
         })
 
-    agg = _docs(sf_dir, columns=["doc_id", "source", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("source").map_groups(fold, batch_format="pyarrow")
+    agg = bucket_exchange(
+        _docs(sf_dir, columns=["doc_id", "source", "text"])
+        .map_batches(partial, batch_format="pyarrow"), fold, part_col="source")
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     return t.sort_by("source")
 
@@ -1785,13 +1779,12 @@ def last_touch_attribution(sf_dir: str, npart: int = 32):
         return t.group_by(["channel"]).aggregate([("channel", "count")]) \
             .rename_columns(["channel", "n_purchases"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_id", "user_id", "ts",
-                                   "event_type"]) \
-        .map_batches(tag, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["event_id", "user_id", "ts",
+                                 "event_type"])
+        .map_batches(tag, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("channel").aggregate(
             Sum("n_purchases", alias_name="n_purchases"))
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
@@ -2103,12 +2096,11 @@ def median_interarrival(sf_dir: str, npart: int = 32):
             "median_gap_us": pa.array((lo + hi) / 2.0),
         })
 
-    out = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "event_id", "ts"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow")
+    out = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "event_id", "ts"])
+        .map_batches(partial, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"])))
     return pa.concat_tables(out.iter_batches(batch_format="pyarrow")) \
         .sort_by("user_id")
 
@@ -2210,9 +2202,9 @@ def top_user_per_type(sf_dir: str):
     abuse-triage query over any activity stream.
 
     Per-batch (type, user) count partials fold through one int64
-    groupby; the argmax itself runs per event_type via map_groups —
-    a handful of LARGE groups (one per type), the shape where
-    map_groups is right (contrast VERDICT round-1: per-tiny-group)."""
+    groupby; the argmax itself runs per event_type via
+    ``bucket_exchange(part_col="event_type")`` — a handful of LARGE
+    groups (one per type), never one call per tiny group."""
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({"event_type": b["event_type"],
@@ -2233,12 +2225,12 @@ def top_user_per_type(sf_dir: str):
             "n": pc.cast(g["n"].slice(best, 1), INT64),
         })
 
-    out = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_type", "user_id"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    out = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["event_type", "user_id"])
+        .map_batches(partial, batch_format="pyarrow")
         .groupby(["event_type", "user_id"]).aggregate(
-            Sum("n", alias_name="n")) \
-        .groupby("event_type").map_groups(argmax, batch_format="pyarrow")
+            Sum("n", alias_name="n")), argmax, part_col="event_type")
     return pa.concat_tables(out.iter_batches(batch_format="pyarrow")) \
         .sort_by("event_type")
 
@@ -2405,13 +2397,12 @@ def event_transitions(sf_dir: str, npart: int = 32):
             [("one", "sum")]).rename_columns(
                 ["prev_type", "next_type", "n"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "event_id", "ts",
-                                   "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "event_id", "ts",
+                                 "event_type"])
+        .map_batches(partial, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby(["prev_type", "next_type"]).aggregate(
             Sum("n", alias_name="n"))
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
@@ -2488,9 +2479,7 @@ def sliding_distinct_users(sf_dir: str, window_days: int = 7,
     ev = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["user_id", "ts"]) \
         .map_batches(partial, batch_format="pyarrow")
-    agg = ev.groupby("part").map_groups(
-        lambda g: bucket(g.drop_columns(["part"])),
-        batch_format="pyarrow") \
+    agg = bucket_exchange(ev, lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("window_day").aggregate(Sum("u7", alias_name="u7"))
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
 
@@ -2619,14 +2608,14 @@ def above_avg_orders(sf_dir: str):
     value — the classic correlated subquery (``WHERE o_totalprice >
     (SELECT AVG(..) .. WHERE same customer)``), decorrelated into the
     two-phase shape a distributed engine wants: one groupby builds
-    (customer → n, Σcents), one broadcast-dict pass re-scans orders
-    and filters.
+    (customer → n, Σcents), one stateless broadcast-join pass re-scans
+    orders and filters.
 
     Exactness: the predicate ``price > Σ/n`` is evaluated as the
     integer cross-multiplication ``cents·n > Σcents`` — no float
     average ever exists, so both engines agree on every boundary case.
-    Output is per-mktsegment counts, so a second small join brings in
-    the customer dimension as a broadcast dict too."""
+    Output is per-mktsegment counts, so a second vectorized join brings
+    in the broadcast customer dimension too."""
     import ray as _ray
 
     def part_sums(b: pa.Table) -> pa.Table:
@@ -2642,43 +2631,28 @@ def above_avg_orders(sf_dir: str):
         .map_batches(part_sums, batch_format="pyarrow") \
         .groupby("o_custkey").aggregate(Sum("s", alias_name="s"),
                                         Sum("n", alias_name="n"))
-    pc_t = pa.concat_tables(per_cust.iter_batches(batch_format="pyarrow"))
-    stats_ref = _ray.put({int(k): (int(s), int(n)) for k, s, n in
-                          zip(pc_t["o_custkey"].to_pylist(),
-                              pc_t["s"].to_pylist(),
-                              pc_t["n"].to_pylist())})
-    cust = pa.concat_tables(
+    stats_ref = _ray.put(pa.concat_tables(
+        per_cust.iter_batches(batch_format="pyarrow")))
+    seg_ref = _ray.put(pa.concat_tables(
         rd.read_parquet(_pq(sf_dir, "customer"),
                         columns=["c_custkey", "c_mktsegment"])
-        .iter_batches(batch_format="pyarrow"))
-    seg_ref = _ray.put(dict(zip(cust["c_custkey"].to_pylist(),
-                                cust["c_mktsegment"].to_pylist())))
+        .iter_batches(batch_format="pyarrow")))
 
-    class Filt:
-        def __init__(self):
-            self.stats = _ray.get(stats_ref)
-            self.seg = _ray.get(seg_ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            ck = b["o_custkey"].to_pylist()
-            cents = pc.cast(pc.round(pc.multiply(
-                b["o_totalprice"], 100.0)), INT64).to_numpy()
-            sn = [self.stats[k] for k in ck]
-            s = np.array([x[0] for x in sn], np.int64)
-            n = np.array([x[1] for x in sn], np.int64)
-            keep = cents * n > s          # cents > s/n, exact
-            seg = np.asarray([self.seg[k] for k in ck], dtype=object)
-            t = pa.table({
-                "c_mktsegment": pa.array(seg[keep], type=pa.string()),
-                "cents": pa.array(cents[keep]),
-            })
-            return t.group_by("c_mktsegment").aggregate(
+    def filt(b: pa.Table) -> pa.Table:
+        cents = pc.cast(pc.round(pc.multiply(
+            b["o_totalprice"], 100.0)), INT64)
+        t = pa.table({"o_custkey": b["o_custkey"], "cents": cents}) \
+            .join(_ray.get(stats_ref), "o_custkey") \
+            .join(_ray.get(seg_ref), "o_custkey", right_keys="c_custkey")
+        keep = pc.greater(pc.multiply(t["cents"], t["n"]), t["s"])
+        return t.filter(keep).select(["c_mktsegment", "cents"]) \
+            .group_by("c_mktsegment").aggregate(
                 [("cents", "count"), ("cents", "sum")]) \
-                .rename_columns(["c_mktsegment", "n_orders", "cents"])
+            .rename_columns(["c_mktsegment", "n_orders", "cents"])
 
     agg = rd.read_parquet(_pq(sf_dir, "orders"),
                           columns=["o_custkey", "o_totalprice"]) \
-        .map_batches(Filt, batch_format="pyarrow", concurrency=(1, 2)) \
+        .map_batches(filt, batch_format="pyarrow") \
         .groupby("c_mktsegment").aggregate(
             Sum("n_orders", alias_name="n_orders"),
             Sum("cents", alias_name="cents"))
@@ -3145,9 +3119,9 @@ def host_reciprocity(docs_path: str, n_hosts: int):
             "n_recip_pairs": pa.array([int((cnt == 2).sum())],
                                       type=INT64)})
 
-    parts = _read_capped(docs_path, columns=["doc_id", "spans"]) \
-        .map_batches(edges, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow")
+    parts = bucket_exchange(
+        _read_capped(docs_path, columns=["doc_id", "spans"])
+        .map_batches(edges, batch_format="pyarrow"), bucket)
     # per-bucket counters only — the driver never sees an edge table
     n_edges = n_self = n_recip = 0
     for b in parts.iter_batches(batch_format="pyarrow"):
@@ -3206,9 +3180,9 @@ def vocab_build(sf_dir: str, v: int = 16, npart: int = 32):
             "bucket_total": pa.array([total] * t.num_rows, type=INT64),
         })
 
-    tops = _docs(sf_dir, columns=["text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket_top, batch_format="pyarrow")
+    tops = bucket_exchange(
+        _docs(sf_dir, columns=["text"])
+        .map_batches(partial, batch_format="pyarrow"), bucket_top)
     t = pa.concat_tables(tops.iter_batches(batch_format="pyarrow"))
     totals: dict[int, int] = {}
     for p, bt in zip(t["part"].to_pylist(), t["bucket_total"].to_pylist()):
@@ -3267,9 +3241,8 @@ def containment_pairs(sf_dir: str, threshold_ppm: int = 600_000,
     exploded = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
         lambda b: dd.shingle_explode(b, n=n, npart=npart),
         batch_format="pyarrow")
-    pairs = exploded.groupby("part").map_groups(
-        lambda g: dd.posting_pairs(g.drop_columns(["part"])),
-        batch_format="pyarrow")
+    pairs = bucket_exchange(
+        exploded, lambda g: dd.posting_pairs(g.drop_columns(["part"])))
 
     def pair_part(t: pa.Table) -> pa.Table:
         k = (t["doc_a"].to_numpy().astype(np.uint64) * np.uint64(2654435761)
@@ -3298,8 +3271,8 @@ def containment_pairs(sf_dir: str, threshold_ppm: int = 600_000,
             "contain_ppm": pa.array(inter * 1_000_000 // small, type=INT64),
         })
 
-    return pairs.map_batches(pair_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(finish, batch_format="pyarrow")
+    return bucket_exchange(
+        pairs.map_batches(pair_part, batch_format="pyarrow"), finish)
 
 
 CONTAINMENT_SQL = """
@@ -3504,7 +3477,7 @@ def merge_upsert(sf_dir: str, npart: int = 32,
         ds = ds.map_batches(
             lambda b: b.filter(pc.less_equal(b["version"], v)),
             batch_format="pyarrow")
-    return ds.groupby("part").map_groups(bucket, batch_format="pyarrow")
+    return bucket_exchange(ds, bucket)
 
 
 def time_travel_orders(sf_dir: str, version: int = 2):
@@ -3781,12 +3754,11 @@ def retention_cohorts(sf_dir: str, npart: int = 32):
             [("week_offset", "count")])
         return p.rename_columns(["cohort_week", "week_offset", "n_users"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "ts"]) \
-        .map_batches(pairs, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts"])
+        .map_batches(pairs, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby(["cohort_week", "week_offset"]) \
         .aggregate(Sum("n_users", alias_name="n_users"))
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
@@ -4084,13 +4056,12 @@ def scd2_user_state(sf_dir: str, npart: int = 32):
             "first_event_id": pa.array(re.astype(np.int64)),
         })
 
-    return rd.read_parquet(_pq(sf_dir, "events"),
-                           columns=["user_id", "event_id", "ts",
-                                    "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "event_id", "ts",
+                                 "event_type"])
+        .map_batches(partial, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .sort(["user_id", "valid_from_us"])
 
 
@@ -4347,9 +4318,9 @@ def lineitem_profile(sf_dir: str):
             [([], "count_all")]).rename_columns(["col_name", "nd"])
 
     dd_t = pa.concat_tables(
-        partials.map_batches(route, batch_format="pyarrow")
-        .groupby("part").map_groups(bucket_distinct,
-                                    batch_format="pyarrow")
+        bucket_exchange(
+            partials.map_batches(route, batch_format="pyarrow"),
+            bucket_distinct)
         .iter_batches(batch_format="pyarrow"))
     dd = dd_t.group_by(["col_name"]).aggregate([("nd", "sum")]) \
         .rename_columns(["col_name", "n_distinct"]) \
@@ -4476,11 +4447,11 @@ def trimmed_mean_value(sf_dir: str, trim_pct: int = 5):
             "trimmed_mean": pa.array([mean], type=pa.float64()),
         })
 
-    return rd.read_parquet(_pq(sf_dir, "events"),
-                           columns=["event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("event_type").map_groups(combine,
-                                          batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["event_type", "value"])
+        .map_batches(partial, batch_format="pyarrow"),
+        combine, part_col="event_type") \
         .sort("event_type")
 
 
@@ -4568,15 +4539,15 @@ def triangle_count(docs_path: str, nparts: int = 16,
     # ONE part exchange dedups (16 buckets — far cheaper than a
     # per-key sort-aggregate over millions of distinct edges) and the
     # kpart column is reused verbatim for the closure routing below
-    edges = _read_capped(docs_path, columns=["doc_id", "spans"]) \
-        .map_batches(edge_partial, batch_format="pyarrow") \
+    edges = bucket_exchange(
+        _read_capped(docs_path, columns=["doc_id", "spans"])
+        .map_batches(edge_partial, batch_format="pyarrow")
         .map_batches(lambda b: b.append_column(
             "kpart", pc.cast(pc.bit_wise_and(
                 b["key"], np.int64(nparts - 1)), pa.int32())),
-            batch_format="pyarrow") \
-        .groupby("kpart").map_groups(
-            lambda g: dedup_bucket(g.drop_columns(["kpart"])),
-            batch_format="pyarrow").materialize()
+            batch_format="pyarrow"),
+        lambda g: dedup_bucket(g.drop_columns(["kpart"])),
+        part_col="kpart")
 
     # degrees: NODE-keyed exchange (the q201 pattern).  Per-batch
     # sparse partials (unique node, count) route by node hash; each
@@ -4599,10 +4570,10 @@ def triangle_count(docs_path: str, nparts: int = 16,
         d = np.bincount(inv, weights=c).astype(np.int64)
         return pa.table({"node": pa.array(u), "deg": pa.array(d)})
 
-    degs = edges.map_batches(deg_partial, batch_format="pyarrow") \
-        .groupby("dpart").map_groups(
-            lambda g: deg_bucket(g.drop_columns(["dpart"])),
-            batch_format="pyarrow").materialize()
+    degs = bucket_exchange(
+        edges.map_batches(deg_partial, batch_format="pyarrow"),
+        lambda g: deg_bucket(g.drop_columns(["dpart"])),
+        part_col="dpart")
 
     # key-sized scalars fold on the driver: wedge count as vectorized
     # per-bucket np.sum(d*(d-1)//2) partials, plus max node id for the
@@ -4733,20 +4704,20 @@ def triangle_count(docs_path: str, nparts: int = 16,
                 return pa.table(cols)
             return f
 
-        with_dl = edges.map_batches(edge_by("lo"),
-                                    batch_format="pyarrow") \
+        with_dl = bucket_exchange(
+            edges.map_batches(edge_by("lo"),
+                              batch_format="pyarrow")
             .union(degs.map_batches(deg_side(False),
-                                    batch_format="pyarrow")) \
-            .groupby("jpart").map_groups(
-                lambda g: _attach("lo")(g.drop_columns(["jpart"])),
-                batch_format="pyarrow")
-        with_both = with_dl.map_batches(edge_by("hi"),
-                                        batch_format="pyarrow") \
+                                    batch_format="pyarrow")),
+            lambda g: _attach("lo")(g.drop_columns(["jpart"])),
+            part_col="jpart")
+        with_both = bucket_exchange(
+            with_dl.map_batches(edge_by("hi"),
+                                batch_format="pyarrow")
             .union(degs.map_batches(deg_side(True),
-                                    batch_format="pyarrow")) \
-            .groupby("jpart").map_groups(
-                lambda g: _attach("hi")(g.drop_columns(["jpart"])),
-                batch_format="pyarrow")
+                                    batch_format="pyarrow")),
+            lambda g: _attach("hi")(g.drop_columns(["jpart"])),
+            part_col="jpart")
 
         def orient(b: pa.Table) -> pa.Table:
             k = b["key"].to_numpy()
@@ -4793,9 +4764,8 @@ def triangle_count(docs_path: str, nparts: int = 16,
                          "cnt": pa.array(c.astype(np.int64)),
                          "is_edge": pa.array(np.zeros(len(u), np.int64))})
 
-    wedge_ds = oriented.groupby("part").map_groups(
-        lambda g: wedges(g.drop_columns(["part"])),
-        batch_format="pyarrow")
+    wedge_ds = bucket_exchange(
+        oriented, lambda g: wedges(g.drop_columns(["part"])))
 
     def tag_edges(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -4814,13 +4784,12 @@ def triangle_count(docs_path: str, nparts: int = 16,
 
     both = wedge_ds.union(edges.map_batches(tag_edges,
                                             batch_format="pyarrow"))
-    closed = both.map_batches(
-        lambda b: b.append_column("kpart", pc.cast(pc.bit_wise_and(
-            b["key"], np.int64(nparts - 1)), pa.int32())),
-        batch_format="pyarrow") \
-        .groupby("kpart").map_groups(
-            lambda g: close_bucket(g.drop_columns(["kpart"])),
-            batch_format="pyarrow")
+    closed = bucket_exchange(
+        both.map_batches(
+            lambda b: b.append_column("kpart", pc.cast(pc.bit_wise_and(
+                b["key"], np.int64(nparts - 1)), pa.int32())),
+            batch_format="pyarrow"),
+        lambda g: close_bucket(g.drop_columns(["kpart"])), part_col="kpart")
     n_tri = 0
     for b in closed.iter_batches(batch_format="pyarrow"):
         n_tri += int(pc.sum(b["tri"]).as_py() or 0)
@@ -5391,12 +5360,11 @@ def replica_repair(sf_dir: str, npart: int = 32):
             "n_all_diff": pa.array([int(all_diff.sum())], type=INT64),
         })
 
-    agg = rd.read_parquet(_pq(sf_dir, "orders"),
-                          columns=["o_orderkey", "o_totalprice"]) \
-        .map_batches(explode, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_orderkey", "o_totalprice"])
+        .map_batches(explode, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .sum(["n_keys", "bad_r0", "bad_r1", "bad_r2", "n_all_diff"])
     return pa.table({
         "n_keys": pa.array([int(agg["sum(n_keys)"])], type=INT64),
@@ -5693,11 +5661,12 @@ def weighted_median_price(sf_dir: str):
             "wmedian_cents": pa.array([int(c_u[pos])], type=INT64),
         })
 
-    return rd.read_parquet(_pq(sf_dir, "lineitem"),
-                           columns=["l_returnflag", "l_extendedprice",
-                                    "l_quantity"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("flag").map_groups(combine, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_returnflag", "l_extendedprice",
+                                 "l_quantity"])
+        .map_batches(partial, batch_format="pyarrow"),
+        combine, part_col="flag") \
         .sort("l_returnflag")
 
 
@@ -6030,11 +5999,11 @@ def basket_pairs(sf_dir: str, k: int = 50, npart: int = 16):
             ("pb", "ascending")])).slice(0, k)
         return pa.concat_tables([pairs, rest])
 
-    parts = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_orderkey", "l_partkey"]) \
-        .map_batches(op_distinct, batch_format="pyarrow") \
-        .groupby("part").map_groups(baskets, batch_format="pyarrow") \
-        .groupby("part2").map_groups(pair_totals, batch_format="pyarrow")
+    bask = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_orderkey", "l_partkey"])
+        .map_batches(op_distinct, batch_format="pyarrow"), baskets)
+    parts = bucket_exchange(bask, pair_totals, part_col="part2")
     t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
     kind = t["kind"].to_numpy(zero_copy_only=False)
     A = t["pa"].to_numpy(zero_copy_only=False)
@@ -6176,10 +6145,10 @@ def spatial_radius_join(sf_dir: str, npart: int = 16):
                          "c2": pa.array(B, type=INT64),
                          "dist2": pa.array(D, type=INT64)})
 
-    pairs = rd.read_parquet(_pq(sf_dir, "customer"),
-                            columns=["c_custkey"]) \
-        .map_batches(scatter, batch_format="pyarrow") \
-        .groupby("part").map_groups(pair_cells, batch_format="pyarrow")
+    pairs = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_custkey"])
+        .map_batches(scatter, batch_format="pyarrow"), pair_cells)
     t = pa.concat_tables(pairs.iter_batches(batch_format="pyarrow"))
     return t.take(pc.sort_indices(t, sort_keys=[
         ("c1", "ascending"), ("c2", "ascending")]))
@@ -6481,11 +6450,11 @@ def rle_advisor(sf_dir: str, npart: int = 16):
         return pa.table({k2: pa.array([r[k2] for r in rows])
                          for k2 in rows[0]})
 
-    parts = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
-        columns=["l_orderkey", "l_linenumber"] + RLE_COLS) \
-        .map_batches(scatter, batch_format="pyarrow") \
-        .groupby("part").map_groups(runs, batch_format="pyarrow")
+    parts = bucket_exchange(
+        rd.read_parquet(
+            _pq(sf_dir, "lineitem"),
+            columns=["l_orderkey", "l_linenumber"] + RLE_COLS)
+        .map_batches(scatter, batch_format="pyarrow"), runs)
     t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
     out = []
     for col in RLE_COLS:
@@ -6720,10 +6689,9 @@ def bpe_merges(sf_dir: str, npart: int = 32):
 
     out = []
     for rnd in range(BPE_ROUNDS):
-        cand = _docs(sf_dir, columns=["text"]) \
-            .map_batches(pair_counts, batch_format="pyarrow") \
-            .groupby("part").map_groups(bucket_top,
-                                        batch_format="pyarrow")
+        cand = bucket_exchange(
+            _docs(sf_dir, columns=["text"])
+            .map_batches(pair_counts, batch_format="pyarrow"), bucket_top)
         t = pa.concat_tables(cand.iter_batches(batch_format="pyarrow"))
         rows = sorted(zip((-x for x in t["n"].to_pylist()),
                           t["pair"].to_pylist()))
@@ -7046,10 +7014,9 @@ def hierarchy_rollup(sf_dir: str, npart: int = 16):
     rounds = max(1, math.ceil(math.log2(depth_bound)))
     done = False
     for r in range(rounds + 64):
-        state = state.map_batches(pad, batch_format="pyarrow") \
-            .groupby("part") \
-            .map_groups(lambda g: bucket(g.drop_columns(["part"])),
-                        batch_format="pyarrow").materialize()
+        state = bucket_exchange(
+            state.map_batches(pad, batch_format="pyarrow"),
+            lambda g: bucket(g.drop_columns(["part"])))
         if r + 1 >= rounds:
             n_active = int(state.map_batches(
                 lambda b: pa.table({"n": pa.array(
@@ -7673,12 +7640,11 @@ def windowed_pair_join(sf_dir: str, npart: int = 32,
             "sum_lag_us": pa.array(lsum[nz], type=INT64),
         })
 
-    out = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "ts", "event_type"]) \
-        .map_batches(scan, batch_format="pyarrow") \
-        .groupby("part") \
-        .map_groups(lambda g: bucket(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    out = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "event_type"])
+        .map_batches(scan, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("day") \
         .aggregate(_Sum("n_pairs", alias_name="n_pairs"),
                    _Sum("sum_lag_us", alias_name="sum_lag_us"))
@@ -7835,31 +7801,29 @@ def join_advisor(sf_dir: str):
                 .rename_columns(["key", "n"])
             return with_part(t, "key", npart)
 
-        def bucket_stats(g: pa.Table) -> pa.Table:
-            t = g.drop_columns(["part"]).group_by(["key"]) \
-                .aggregate([("n", "sum")])
-            n = t["n_sum"]
-            return pa.table({
-                "rows": pa.array([int(pc.sum(n).as_py() or 0)],
-                                 type=INT64),
-                "keys": pa.array([t.num_rows], type=INT64),
-                "mx": pa.array([int(pc.max(n).as_py() or 0)
-                                if t.num_rows else 0], type=INT64)})
-
-        parts = rd.read_parquet(_pq(sf_dir, fact), columns=[key]) \
-            .map_batches(partial, batch_format="pyarrow") \
-            .groupby("part").map_groups(bucket_stats,
-                                        batch_format="pyarrow")
+        facts = rd.read_parquet(_pq(sf_dir, fact), columns=[key]) \
+            .map_batches(partial, batch_format="pyarrow")
         dims = rd.read_parquet(_pq(sf_dir, dim))
-        return (name, parts, dims)
+        return (name, facts, dims)
+
+    def bucket_stats(g: pa.Table) -> pa.Table:
+        t = g.drop_columns(["part"]).group_by(["key"]) \
+            .aggregate([("n", "sum")])
+        n = t["n_sum"]
+        return pa.table({
+            "rows": pa.array([int(pc.sum(n).as_py() or 0)], type=INT64),
+            "keys": pa.array([t.num_rows], type=INT64),
+            "mx": pa.array([int(pc.max(n).as_py() or 0)
+                            if t.num_rows else 0], type=INT64)})
 
     # plans build SERIALLY (lazy-import races inside read_parquet are
     # not thread-safe); only execution fans out across threads
     plans = [build_plan(c) for c in _JOIN_CANDS]
 
     def run_plan(plan):
-        name, parts, dims = plan
+        name, facts, dims = plan
         fact_rows = n_keys = max_freq = 0
+        parts = bucket_exchange(facts, bucket_stats)
         for bb in parts.iter_batches(batch_format="pyarrow"):
             for r in bb.to_pylist():
                 fact_rows += r["rows"]
@@ -7966,12 +7930,11 @@ def activity_streaks(sf_dir: str, npart: int = 32):
         return pa.table({"streak_len": pa.array(nz, type=INT64),
                          "n_users": pa.array(hist[nz], type=INT64)})
 
-    out = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "ts"]) \
-        .map_batches(scan, batch_format="pyarrow") \
-        .groupby("part") \
-        .map_groups(lambda g: bucket(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    out = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts"])
+        .map_batches(scan, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("streak_len") \
         .aggregate(_Sum("n_users", alias_name="n_users"))
 
@@ -8051,10 +8014,9 @@ def fd_discovery(sf_dir: str, npart: int = 16):
                 "n_viol": pa.array([int((cnt > 1).sum())], type=INT64),
             })
 
-        parts = rd.read_parquet(_pq(sf_dir, tbl), columns=[lhs, rhs]) \
-            .map_batches(scan, batch_format="pyarrow") \
-            .groupby("part") \
-            .map_groups(lambda g: bucket(g), batch_format="pyarrow")
+        parts = bucket_exchange(
+            rd.read_parquet(_pq(sf_dir, tbl), columns=[lhs, rhs])
+            .map_batches(scan, batch_format="pyarrow"), lambda g: bucket(g))
         n_lhs = n_pairs = n_viol = 0
         for bb in parts.iter_batches(batch_format="pyarrow"):
             for r in bb.to_pylist():
@@ -8332,9 +8294,8 @@ def late_orders(sf_dir: str, npart: int = 32):
         _pq(sf_dir, "orders"),
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"]) \
         .map_batches(o_scan, batch_format="pyarrow")
-    out = li.union(orders).groupby("part") \
-        .map_groups(lambda g: bucket(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    out = bucket_exchange(
+        li.union(orders), lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("o_orderpriority") \
         .aggregate(_Sum("n_orders", alias_name="n_orders"),
                    _Sum("n_late", alias_name="n_late"))
@@ -8443,9 +8404,8 @@ def reconciliation_audit(sf_dir: str, npart: int = 32):
     orders = rd.read_parquet(
         _pq(sf_dir, "orders"), columns=["o_orderkey", "o_totalprice"]) \
         .map_batches(o_scan, batch_format="pyarrow")
-    out = li.union(orders).groupby("part") \
-        .map_groups(lambda g: bucket(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    out = bucket_exchange(
+        li.union(orders), lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("bucket") \
         .aggregate(_Sum("n_orders", alias_name="n_orders"),
                    _Sum("sum_abs_diff", alias_name="sum_abs_diff"))
@@ -8520,11 +8480,10 @@ def pareto_cut(sf_dir: str, npart: int = 32, target_ppm: int = 800_000):
         return pa.table({"c": pa.array(classes, type=INT64),
                          "m": pa.array(m, type=INT64)})
 
-    hist = rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id"]) \
-        .map_batches(scan, batch_format="pyarrow") \
-        .groupby("part") \
-        .map_groups(lambda g: bucket(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    hist = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id"])
+        .map_batches(scan, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("c").aggregate(_Sum("m", alias_name="m")) \
         .take_all()
     cls = sorted(((int(r["c"]), int(r["m"])) for r in hist),
@@ -8684,10 +8643,9 @@ def bom_explosion(sf_dir: str, npart: int = 16):
     rounds = max(1, math.ceil(math.log2(depth_bound)))
     done = False
     for r in range(rounds + 64):
-        state = state.map_batches(pad, batch_format="pyarrow") \
-            .groupby("part") \
-            .map_groups(lambda g: bucket(g.drop_columns(["part"])),
-                        batch_format="pyarrow").materialize()
+        state = bucket_exchange(
+            state.map_batches(pad, batch_format="pyarrow"),
+            lambda g: bucket(g.drop_columns(["part"])))
         if r + 1 >= rounds:
             n_active = int(state.map_batches(
                 lambda b: pa.table({"n": pa.array(
@@ -8819,10 +8777,10 @@ def apportioned_sample(sf_dir: str):
         return pa.table({"lang": g["lang"].take(pa.array(sel)),
                          "doc_id": pa.array(ids[sel], type=INT64)})
 
-    return _docs(sf_dir, columns=["doc_id", "lang"]) \
-        .map_batches(local_topq, batch_format="pyarrow") \
-        .groupby("lang") \
-        .map_groups(final_pick, batch_format="pyarrow") \
+    return bucket_exchange(
+        _docs(sf_dir, columns=["doc_id", "lang"])
+        .map_batches(local_topq, batch_format="pyarrow"),
+        final_pick, part_col="lang") \
         .sort(["lang", "doc_id"])
 
 
@@ -9092,13 +9050,12 @@ def time_weighted_avg(sf_dir: str, npart: int = 32):
             .rename_columns(["event_type", "n_intervals",
                              "total_dur_s", "sum_cents_dur"])
 
-    out = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "event_id", "ts",
-                                   "event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    out = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "event_id", "ts",
+                                 "event_type", "value"])
+        .map_batches(partial, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("event_type") \
         .aggregate(_Sum("n_intervals", alias_name="n_intervals"),
                    _Sum("total_dur_s", alias_name="total_dur_s"),
@@ -9358,12 +9315,11 @@ def lifecycle_audit(sf_dir: str, npart: int = 32):
             "n_violations": pa.array([r[2] for r in rows], type=INT64),
         })
 
-    out = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "event_type", "ts"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part") \
-        .map_groups(lambda g: bucket(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    out = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "event_type", "ts"])
+        .map_batches(partial, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("rule") \
         .aggregate(_Sum("n_both", alias_name="n_both"),
                    _Sum("n_violations", alias_name="n_violations"))
@@ -10143,12 +10099,11 @@ def small_quantity_revenue(sf_dir: str, brand: str = "Brand#23",
             "sum_pc": pa.array([int(pcents[keep].sum())], type=INT64),
             "n_rows": pa.array([int(keep.sum())], type=INT64)})
 
-    g = rows.map_batches(
-        lambda b: with_part(b, "l_partkey", npart),
-        batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    g = bucket_exchange(
+        rows.map_batches(
+            lambda b: with_part(b, "l_partkey", npart),
+            batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .sum(["sum_pc", "n_rows"])
 
     return pa.table({
@@ -10618,16 +10573,15 @@ def stockout_crossing(sf_dir: str, threshold_qty: int = 500,
             "cross_date": pa.array(iso, type=pa.string()),
             "cum_qc": pa.array(cum[fi], type=INT64)})
 
-    return rd.read_parquet(_pq(sf_dir, "lineitem"),
-                           columns=["l_partkey", "l_shipdate",
-                                    "l_orderkey", "l_linenumber",
-                                    "l_quantity"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_partkey", "l_shipdate",
+                                 "l_orderkey", "l_linenumber",
+                                 "l_quantity"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "l_partkey", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .sort("l_partkey")
 
 
@@ -10735,15 +10689,14 @@ def ushape_attribution(sf_dir: str, npart: int = 32):
             [("one", "sum"), ("credit_u", "sum")]) \
             .rename_columns(["hour", "n_touches", "credit_u"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "ts", "event_id",
-                                   "event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "event_id",
+                                 "event_type", "value"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("hour").aggregate(Sum("n_touches",
                                        alias_name="n_touches"),
                                    Sum("credit_u",
@@ -10831,9 +10784,7 @@ def ewma_anomalies(sf_dir: str, npart: int = 32):
         u, v = u[order], v[order]
         et = g["event_type"].take(pa.array(order))
         n = len(u)
-        starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
-        sizes = np.diff(np.concatenate((starts, [n])))
-        pos = np.arange(n) - np.repeat(starts, sizes)   # 0-based in user
+        _, pos = segment_bounds(u)                     # 0-based in user
         d = np.zeros(n, dtype=np.int64)
         for k in range(1, _EWMA_DEPTH + 1):
             d[k:] += v[:-k] << (_EWMA_DEPTH - k)
@@ -10847,15 +10798,14 @@ def ewma_anomalies(sf_dir: str, npart: int = 32):
             [("n_scored", "sum"), ("n_flagged", "sum")]) \
             .rename_columns(["event_type", "n_scored", "n_flagged"])
 
-    return rd.read_parquet(_pq(sf_dir, "events"),
-                           columns=["user_id", "ts", "event_id",
-                                    "event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "event_id",
+                                 "event_type", "value"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("event_type") \
         .aggregate(Sum("n_scored", alias_name="n_scored"),
                    Sum("n_flagged", alias_name="n_flagged")) \
@@ -11072,11 +11022,10 @@ def brand_triples(sf_dir: str, minsup: int = 40, npart: int = 16):
             .group_by(["key"]).aggregate([("n", "sum")]) \
             .rename_columns(["key", "n"])
 
-    agg = ob.map_batches(lambda t: with_part(t, "o", npart),
-                         batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: triples(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    agg = bucket_exchange(
+        ob.map_batches(lambda t: with_part(t, "o", npart),
+                       batch_format="pyarrow"),
+        lambda g: triples(g.drop_columns(["part"]))) \
         .groupby("key").aggregate(Sum("n", alias_name="support"))
 
     def finish(t: pa.Table) -> pa.Table:
@@ -11264,8 +11213,8 @@ def watermark_audit(sf_dir: str, npart: int = 32):
             .rename_columns(["event_type", "n_with_pred", "n_late",
                              "max_lag_us", "sum_lag_us"])
 
-    agg = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        ds.map_batches(tag, batch_format="pyarrow"), bucket) \
         .groupby("event_type") \
         .aggregate(Sum("n_with_pred", alias_name="n_with_pred"),
                    Sum("n_late", alias_name="n_late"),
@@ -11378,8 +11327,8 @@ def monetary_unit_sample(sf_dir: str, npart: int = 32):
             "cum_cents": pa.array(cum[sel], type=INT64),
             "n_probes": pa.array(probes[sel], type=INT64)})
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow") \
+    return bucket_exchange(
+        ds.map_batches(tag, batch_format="pyarrow"), bucket) \
         .sort("o_orderkey")
 
 
@@ -11474,15 +11423,14 @@ def interval_union(sf_dir: str, npart: int = 32):
             "n_intervals": pa.array(sizes.astype(np.int64))})
         return isl.join(cnt, keys="user_id", join_type="inner")
 
-    return rd.read_parquet(_pq(sf_dir, "events"),
-                           columns=["user_id", "event_id", "ts",
-                                    "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "event_id", "ts",
+                                 "value"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .map_batches(lambda b: b.select(
             ["user_id", "n_intervals", "n_islands", "covered_us"]),
             batch_format="pyarrow") \
@@ -11567,16 +11515,14 @@ def degree_assortativity(sf_dir: str, npart: int = 16):
             "sxx": pa.array([int((x * x).sum())], type=INT64),
             "syy": pa.array([int((y * y).sum())], type=INT64)})
 
-    g = edges.map_batches(lambda b: with_part(b, "l_orderkey", npart),
-                          batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket_do(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
-        .map_batches(lambda b: with_part(b, "l_partkey", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket_moments(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    do = bucket_exchange(
+        edges.map_batches(lambda b: with_part(b, "l_orderkey", npart),
+                          batch_format="pyarrow"),
+        lambda g: bucket_do(g.drop_columns(["part"])))
+    g = bucket_exchange(
+        do.map_batches(lambda b: with_part(b, "l_partkey", npart),
+                       batch_format="pyarrow"),
+        lambda g: bucket_moments(g.drop_columns(["part"]))) \
         .sum(["n", "sx", "sy", "sxy", "sxx", "syy"])
 
     import math
@@ -11664,14 +11610,13 @@ def burst_audit(sf_dir: str, npart: int = 32):
             .group_by(["peak_60s"]).aggregate([("n_users", "sum")]) \
             .rename_columns(["peak_60s", "n_users"])
 
-    return rd.read_parquet(_pq(sf_dir, "events"),
-                           columns=["user_id", "ts"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("peak_60s").aggregate(Sum("n_users",
                                            alias_name="n_users")) \
         .map_batches(lambda b: pa.table({
@@ -11740,15 +11685,14 @@ def journey_paths(sf_dir: str, k: int = 5, topn: int = 20,
             .group_by(["path"]).aggregate([("n_users", "sum")]) \
             .rename_columns(["path", "n_users"])
 
-    top = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "ts", "event_id",
-                                   "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    top = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "event_id",
+                                 "event_type"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("path").aggregate(Sum("n_users", alias_name="n_users")) \
         .sort(["n_users", "path"], descending=[True, False]).limit(topn)
 
@@ -11824,14 +11768,13 @@ def collision_detector(sf_dir: str, npart: int = 32):
             "pairs": pa.array(pairs[hit], type=INT64),
             "n_keys": pa.array(np.ones(int(hit.sum()), dtype=np.int64))})
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "ts", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "value"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "key", npart)
-                     .drop_columns(["key"]), batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     .drop_columns(["key"]), batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("pairs").aggregate(Sum("n_keys", alias_name="n_keys"))
 
     return agg.map_batches(lambda b: pa.table({
@@ -11930,14 +11873,13 @@ def mutual_best(sf_dir: str, npart: int = 16):
                              other: pa.array(o[first], type=INT64),
                              "r": pa.array(r[first], type=INT64)})
 
-        return cp.map_batches(lambda b: with_part(b, key, npart),
-                              batch_format="pyarrow") \
-            .groupby("part").map_groups(
-                lambda g: bucket(g.drop_columns(["part"])),
-                batch_format="pyarrow")
+        return bucket_exchange(
+            cp.map_batches(lambda b: with_part(b, key, npart),
+                           batch_format="pyarrow"),
+            lambda g: bucket(g.drop_columns(["part"])))
 
-    best_c = argmax_by("c", "p").materialize()   # key-sized; avoids
-    best_p = argmax_by("p", "c").materialize()   # schema() re-execution
+    best_c = argmax_by("c", "p")   # key-sized, materialized
+    best_p = argmax_by("p", "c")
 
     # mutual set = inner join of two KEY-SIZED argmax tables.  Both
     # are tiny relative to the fact (one row per customer / per
@@ -12210,16 +12152,15 @@ def cheapest_supplier(sf_dir: str, npart: int = 32):
             "s_suppkey": pa.array(s[first], type=INT64),
             "unit_price": pa.array(up[first], type=pa.float64())})
 
-    return rd.read_parquet(_pq(sf_dir, "lineitem"),
-                           columns=["l_partkey", "l_suppkey",
-                                    "l_orderkey", "l_extendedprice",
-                                    "l_quantity"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_partkey", "l_suppkey",
+                                 "l_orderkey", "l_extendedprice",
+                                 "l_quantity"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "l_partkey", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .sort("p_partkey")
 
 
@@ -12280,15 +12221,14 @@ def order_cadence(sf_dir: str, min_orders: int = 5, npart: int = 32):
                 [("n", "sum"), ("sg", "sum"), ("sgg", "sum")])
         return t.rename_columns(["c", "n", "sg", "sgg"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "orders"),
-                          columns=["o_custkey", "o_orderdate",
-                                   "o_orderkey"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_orderdate",
+                                 "o_orderkey"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow")
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"])))
 
     def finish(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy(zero_copy_only=False)
@@ -12425,8 +12365,8 @@ def abc_classification(sf_dir: str, npart: int = 32):
                 [("n_parts", "sum"), ("r", "sum")]) \
             .rename_columns(["cls", "n_parts", "r"])
 
-    agg = pr.map_batches(tag, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        pr.map_batches(tag, batch_format="pyarrow"), bucket) \
         .groupby("cls").aggregate(Sum("n_parts", alias_name="n_parts"),
                                   Sum("r", alias_name="r"))
 
@@ -12515,15 +12455,14 @@ def bounce_rate(sf_dir: str, gap_minutes: int = 30, npart: int = 32):
             .rename_columns(["entry_type", "sessions", "bounces",
                              "events"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "ts", "event_id",
-                                   "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "event_id",
+                                 "event_type"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("entry_type") \
         .aggregate(Sum("sessions", alias_name="sessions"),
                    Sum("bounces", alias_name="bounces"),
@@ -12624,14 +12563,13 @@ def linenumber_audit(sf_dir: str, npart: int = 32):
             .group_by(["status"]).aggregate([("n_orders", "sum")]) \
             .rename_columns(["status", "n_orders"])
 
-    return rd.read_parquet(_pq(sf_dir, "lineitem"),
-                           columns=["l_orderkey", "l_linenumber"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_orderkey", "l_linenumber"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "o", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("status").aggregate(Sum("n_orders",
                                          alias_name="n_orders")) \
         .map_batches(lambda b: pa.table({
@@ -12710,14 +12648,13 @@ def presence_census(sf_dir: str, npart: int = 32):
             "n_years": pa.array(n_years, type=INT64),
             "n_customers": pc.cast(b["n_customers"], INT64)})
 
-    return rd.read_parquet(_pq(sf_dir, "orders"),
-                           columns=["o_custkey", "o_orderdate"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_orderdate"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("presence_mask") \
         .aggregate(Sum("n_customers", alias_name="n_customers")) \
         .map_batches(finish, batch_format="pyarrow") \
@@ -13075,14 +13012,13 @@ def basket_width(sf_dir: str, npart: int = 32):
             .group_by(["width"]).aggregate([("n_orders", "sum")]) \
             .rename_columns(["width", "n_orders"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                          columns=["l_orderkey", "l_partkey"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_orderkey", "l_partkey"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "o", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("width").aggregate(Sum("n_orders",
                                         alias_name="n_orders"))
 
@@ -13250,9 +13186,8 @@ def brand_cr3(sf_dir: str, k: int = 3, npart: int = 16):
         order = np.lexsort((pk, -r, br))
         br, r = br[order], r[order]
         n = len(br)
-        starts = np.flatnonzero(np.concatenate(([True], br[1:] != br[:-1])))
+        starts, pos = segment_bounds(br)
         sizes = np.diff(np.append(starts, n))
-        pos = np.arange(n) - np.repeat(starts, sizes)
         total = np.zeros(len(starts), dtype=np.int64)
         np.add.at(total, np.repeat(np.arange(len(starts)), sizes), r)
         topk = np.zeros(len(starts), dtype=np.int64)
@@ -13264,11 +13199,10 @@ def brand_cr3(sf_dir: str, k: int = 3, npart: int = 16):
             "top3_rev": pa.array(topk, type=INT64),
             "total_rev": pa.array(total, type=INT64)})
 
-    agg = bp.map_batches(lambda b: with_part(b, "p_brand", npart),
-                         batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow")
+    agg = bucket_exchange(
+        bp.map_batches(lambda b: with_part(b, "p_brand", npart),
+                       batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"])))
 
     def finish(b: pa.Table) -> pa.Table:
         t3 = b["top3_rev"].to_numpy(zero_copy_only=False)
@@ -13358,15 +13292,14 @@ def first_ship_share(sf_dir: str, npart: int = 32):
             .group_by(["band"]).aggregate([("n_orders", "sum")]) \
             .rename_columns(["band", "n_orders"])
 
-    return rd.read_parquet(_pq(sf_dir, "lineitem"),
-                           columns=["l_orderkey", "l_shipdate",
-                                    "l_extendedprice", "l_discount"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_orderkey", "l_shipdate",
+                                 "l_extendedprice", "l_discount"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "o", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("band").aggregate(Sum("n_orders",
                                        alias_name="n_orders")) \
         .map_batches(lambda b: pa.table({
@@ -13437,15 +13370,14 @@ def type_run_lengths(sf_dir: str, npart: int = 32):
             .aggregate([("n_runs", "sum")]) \
             .rename_columns(["event_type", "run_len", "n_runs"])
 
-    return rd.read_parquet(_pq(sf_dir, "events"),
-                           columns=["user_id", "ts", "event_id",
-                                    "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "event_id",
+                                 "event_type"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby(["event_type", "run_len"]) \
         .aggregate(Sum("n_runs", alias_name="n_runs")) \
         .map_batches(lambda b: pa.table({
@@ -13845,14 +13777,13 @@ def supplier_fanout(sf_dir: str, npart: int = 32):
             .group_by(["fanout"]).aggregate([("n_parts", "sum")]) \
             .rename_columns(["fanout", "n_parts"])
 
-    return rd.read_parquet(_pq(sf_dir, "lineitem"),
-                           columns=["l_partkey", "l_suppkey"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_partkey", "l_suppkey"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "p", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("fanout") \
         .aggregate(Sum("n_parts", alias_name="n_parts")) \
         .map_batches(lambda b: pa.table({
@@ -13906,10 +13837,10 @@ def spend_trajectory(sf_dir: str, min_orders: int = 3,
         order = np.lexsort((k, d, c))
         c, y = c[order], y[order]
         n = len(c)
-        starts = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
+        starts, x = segment_bounds(c)
+        x += 1                                             # rank 1..n
         sizes = np.diff(np.append(starts, n))
         gi = np.repeat(np.arange(len(starts)), sizes)
-        x = np.arange(n) - np.repeat(starts, sizes) + 1    # rank 1..n
         sy = np.zeros(len(starts), dtype=np.int64)
         sxy = np.zeros(len(starts), dtype=np.int64)
         np.add.at(sy, gi, y)
@@ -13927,15 +13858,14 @@ def spend_trajectory(sf_dir: str, min_orders: int = 3,
             .group_by(["trend"]).aggregate([("n_customers", "sum")]) \
             .rename_columns(["trend", "n_customers"])
 
-    return rd.read_parquet(_pq(sf_dir, "orders"),
-                           columns=["o_custkey", "o_orderdate",
-                                    "o_orderkey", "o_totalprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_orderdate",
+                                 "o_orderkey", "o_totalprice"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("trend") \
         .aggregate(Sum("n_customers", alias_name="n_customers")) \
         .map_batches(lambda b: pa.table({
@@ -14195,14 +14125,13 @@ def whale_orders(sf_dir: str, npart: int = 32):
                 [("n_customers", "sum"), ("n_dominated", "sum")]) \
             .rename_columns(["n_orders", "n_customers", "n_dominated"])
 
-    return rd.read_parquet(_pq(sf_dir, "orders"),
-                           columns=["o_custkey", "o_totalprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_totalprice"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("n_orders") \
         .aggregate(Sum("n_customers", alias_name="n_customers"),
                    Sum("n_dominated", alias_name="n_dominated")) \
@@ -14280,9 +14209,9 @@ def hapax_rate(sf_dir: str, npart: int = 32):
                 [("n_distinct", "sum"), ("n_hapax", "sum")]) \
             .rename_columns(["lang", "n_distinct", "n_hapax"])
 
-    agg = _docs(sf_dir, columns=["lang", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        _docs(sf_dir, columns=["lang", "text"])
+        .map_batches(partial, batch_format="pyarrow"), bucket) \
         .groupby("lang") \
         .aggregate(Sum("n_distinct", alias_name="n_distinct"),
                    Sum("n_hapax", alias_name="n_hapax"))
@@ -14474,15 +14403,14 @@ def session_handoff(sf_dir: str, gap_minutes: int = 30,
             .aggregate([("n_sessions", "sum")]) \
             .rename_columns(["entry_type", "exit_type", "n_sessions"])
 
-    return rd.read_parquet(_pq(sf_dir, "events"),
-                           columns=["user_id", "ts", "event_id",
-                                    "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "event_id",
+                                 "event_type"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby(["entry_type", "exit_type"]) \
         .aggregate(Sum("n_sessions", alias_name="n_sessions")) \
         .map_batches(lambda b: pa.table({
@@ -14587,22 +14515,20 @@ def reorder_rate(sf_dir: str, k: int = 20, npart: int = 32,
     cpm = hash_join(lines, orders, "l_orderkey", npart=npart,
                     bucket_finish=partial)
 
-    agg = cpm.map_batches(
-        lambda b: with_part(
-            b.append_column("cp", pc.binary_join_element_wise(
-                pc.cast(b["c"], pa.string()),
-                pc.cast(b["p"], pa.string()), "|")), "cp", npart)
-        .drop_columns(["cp"]), batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
-        .map_batches(lambda b: with_part(b, "p", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: g.drop_columns(["part"]).group_by(["p"])
+    per_cp = bucket_exchange(
+        cpm.map_batches(
+            lambda b: with_part(
+                b.append_column("cp", pc.binary_join_element_wise(
+                    pc.cast(b["c"], pa.string()),
+                    pc.cast(b["p"], pa.string()), "|")), "cp", npart)
+            .drop_columns(["cp"]), batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"])))
+    agg = bucket_exchange(
+        per_cp.map_batches(lambda b: with_part(b, "p", npart),
+                           batch_format="pyarrow"),
+        lambda g: g.drop_columns(["part"]).group_by(["p"])
             .aggregate([("buyers", "sum"), ("reorderers", "sum")])
-            .rename_columns(["p", "buyers", "reorderers"]),
-            batch_format="pyarrow")
+            .rename_columns(["p", "buyers", "reorderers"]))
 
     def block_topk(b: pa.Table) -> pa.Table:
         buyers = b["buyers"].to_numpy(zero_copy_only=False)
@@ -14850,11 +14776,10 @@ def ltv_transition(sf_dir: str, year_a: int = 1996,
             .aggregate([("n_customers", "sum")]) \
             .rename_columns(["from_q", "to_q", "n_customers"])
 
-    return cy.map_batches(lambda b: with_part(b, "c", npart),
-                          batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    return bucket_exchange(
+        cy.map_batches(lambda b: with_part(b, "c", npart),
+                       batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby(["from_q", "to_q"]) \
         .aggregate(Sum("n_customers", alias_name="n_customers")) \
         .map_batches(lambda b: pa.table({
@@ -14970,15 +14895,14 @@ def survival_table(sf_dir: str, npart: int = 32):
                 [("d", "sum"), ("c", "sum")]) \
             .rename_columns(["hour", "d", "c"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "ts", "event_id",
-                                   "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "event_id",
+                                 "event_type"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("hour").aggregate(Sum("d", alias_name="d"),
                                    Sum("c", alias_name="c"))
 
@@ -15405,14 +15329,13 @@ def price_laddering(sf_dir: str, npart: int = 32):
             .group_by(["band"]).aggregate([("n_parts", "sum")]) \
             .rename_columns(["band", "n_parts"])
 
-    return rd.read_parquet(_pq(sf_dir, "lineitem"),
-                           columns=["l_partkey", "l_extendedprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_partkey", "l_extendedprice"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "p", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("band").aggregate(Sum("n_parts",
                                        alias_name="n_parts")) \
         .map_batches(lambda b: pa.table({
@@ -15490,15 +15413,14 @@ def error_recovery(sf_dir: str, npart: int = 32):
                 [("n", "sum"), ("sum_lag_s", "sum")]) \
             .rename_columns(["next_type", "n", "sum_lag_s"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "ts", "event_id",
-                                   "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "ts", "event_id",
+                                 "event_type"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+                     batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("next_type").aggregate(Sum("n", alias_name="n"),
                                         Sum("sum_lag_s",
                                             alias_name="sum_lag_s"))
@@ -15784,9 +15706,8 @@ def returnclass_priority(sf_dir: str, npart: int = 32):
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_orderkey", "o_orderpriority"]) \
         .map_batches(o_scan, batch_format="pyarrow")
-    out = li.union(orders).groupby("part") \
-        .map_groups(lambda g: bucket(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    out = bucket_exchange(
+        li.union(orders), lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("l_returnflag") \
         .aggregate(_Sum("high_line_count", alias_name="high_line_count"),
                    _Sum("low_line_count", alias_name="low_line_count"))
@@ -15953,13 +15874,12 @@ def sole_latest_supplier(sf_dir: str, npart: int = 32, k: int = 10):
             .group_by(["supp"]).aggregate([("n", "sum")]) \
             .rename_columns(["supp", "n"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                          columns=["l_orderkey", "l_suppkey",
-                                   "l_shipdate"]) \
-        .map_batches(li_scan, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    agg = bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_orderkey", "l_suppkey",
+                                 "l_shipdate"])
+        .map_batches(li_scan, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("supp").aggregate(_Sum("n", alias_name="numwait"))
 
     names = _pq2.read_table(_pq(sf_dir, "supplier"),
@@ -16081,9 +16001,8 @@ def rich_idle_customers(sf_dir: str, npart: int = 32):
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_custkey", "o_orderdate"]) \
         .map_batches(o_scan, batch_format="pyarrow")
-    agg = cust.union(orders).groupby("part") \
-        .map_groups(lambda g2: bucket(g2.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    agg = bucket_exchange(
+        cust.union(orders), lambda g2: bucket(g2.drop_columns(["part"]))) \
         .groupby("nat") \
         .aggregate(_Sum("numcust", alias_name="numcust"),
                    _Sum("totacctbal_c", alias_name="totacctbal_c"))
@@ -16188,12 +16107,11 @@ def volume_drawdown(sf_dir: str, npart: int = 8):
             "max_drawdown": pa.array(out_dd, type=INT64),
             "n_days": pa.array(out_days, type=INT64)})
 
-    return rd.read_parquet(_pq(sf_dir, "orders"),
-                           columns=["o_orderpriority", "o_orderdate"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow") \
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_orderpriority", "o_orderdate"])
+        .map_batches(partial, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"]))) \
         .sort("o_orderpriority")
 
 

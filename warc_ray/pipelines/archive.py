@@ -13,6 +13,7 @@ import ray.data as rd
 
 from ..sinks.warc_sink import write_warc_shards
 from ..stages.assemble import fused_doc_records
+from ..stages.exchange import bucket_exchange
 
 
 def archive_docs(docs_ds: "rd.Dataset", out_dir: str, *,
@@ -194,9 +195,8 @@ def revisit_decisions(archive_dir: str, corpus_docs_path: str,
         .map_batches(recrawl_side, batch_format="pyarrow")
     import pyarrow as _pa
 
-    agg = cdx.union(snap).groupby("part") \
-        .map_groups(lambda g: bucket(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    agg = bucket_exchange(
+        cdx.union(snap), lambda g: bucket(g.drop_columns(["part"]))) \
         .groupby("decision") \
         .aggregate(Sum("n_records", alias_name="n_records"),
                    Sum("payload_bytes", alias_name="payload_bytes"))

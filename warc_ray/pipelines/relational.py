@@ -33,6 +33,8 @@ import pyarrow.parquet as pq
 import ray.data as rd
 from ray.data.aggregate import Max, Sum
 
+from ..stages.exchange import bucket_exchange, segment_bounds
+
 INT64 = pa.int64()
 
 
@@ -281,7 +283,7 @@ def filter_orders(sf_dir: str, min_price: float = 100_000.0):
 
 
 # ---------------------------------------------------------------------------
-# Q: per-user event sessions (groupby.map_groups window pattern)
+# Q: per-user event sessions (bucket_exchange window pattern)
 # ---------------------------------------------------------------------------
 
 def _ordered_bits_i64(x: "np.ndarray") -> "np.ndarray":
@@ -439,8 +441,8 @@ def user_event_stats(sf_dir: str):
             "delta_milli": pa.array(last - first),
         })
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(combine, batch_format="pyarrow") \
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), combine) \
         .sort("user_id")
 
 
@@ -478,12 +480,7 @@ def moving_average(sf_dir: str, window: int = 3, npart: int = 32):
                              "event_id": pa.array([], type=pa.int64()),
                              "value_milli": pa.array([], type=pa.int64()),
                              "ma_milli": pa.array([], type=pa.int64())})
-        new_u = np.empty(n, dtype=bool)
-        new_u[0] = True
-        np.not_equal(u_s[1:], u_s[:-1], out=new_u[1:])
-        starts = np.flatnonzero(new_u)
-        seg_start = np.repeat(starts, np.diff(np.append(starts, n)))
-        pos = np.arange(n) - seg_start            # rank within user
+        _, pos = segment_bounds(u_s)              # rank within user
         w = np.minimum(pos + 1, window)
         cum = np.concatenate(([0], np.cumsum(v_s)))
         wsum = cum[np.arange(1, n + 1)] - cum[np.arange(1, n + 1) - w]
@@ -500,10 +497,9 @@ def moving_average(sf_dir: str, window: int = 3, npart: int = 32):
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["user_id", "event_id", "ts", "value"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part") \
-        .map_groups(lambda g: combine(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        lambda g: combine(g.drop_columns(["part"]))) \
         .sort(["user_id", "event_id"])
 
 
@@ -567,8 +563,8 @@ def sessionize(sf_dir: str, gap_minutes: int = 30):
         })
 
     ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id", "ts"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(combine, batch_format="pyarrow") \
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), combine) \
         .sort(["user_id", "session_id"])
 
 
@@ -636,22 +632,9 @@ def asof_prior_event(sf_dir: str, right_type: str = "view"):
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "event_type"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(combine, batch_format="pyarrow") \
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), combine) \
         .sort("event_id")
-
-
-def _group_bounds(sorted_keys: "np.ndarray"):
-    """(group starts, per-row 0-based rank within group) for a SORTED
-    key array — the vectorized backbone of grouped top-k / windows."""
-    n = len(sorted_keys)
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, n))
-    rank = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
-    return starts, rank
 
 
 def grouped_topk_events(sf_dir: str, k: int = 3):
@@ -680,7 +663,7 @@ def grouped_topk_events(sf_dir: str, k: int = 3):
                 cols["part"] = pa.array([], type=pa.int32())
             return pa.table(cols)
         order = np.lexsort((eid, ~_ordered_bits_f64(val), u))
-        _, rank = _group_bounds(u[order])
+        _, rank = segment_bounds(u[order])
         keep = order[rank < k]
         out = pa.table({"user_id": pa.array(u[keep]),
                         "event_id": pa.array(eid[keep]),
@@ -693,10 +676,9 @@ def grouped_topk_events(sf_dir: str, k: int = 3):
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["user_id", "event_id", "value"])
-    return ds.map_batches(lambda b: topk(b, False), batch_format="pyarrow") \
-        .groupby("part") \
-        .map_groups(lambda g: topk(g.drop_columns(["part"]), True),
-                    batch_format="pyarrow") \
+    return bucket_exchange(
+        ds.map_batches(lambda b: topk(b, False), batch_format="pyarrow"),
+        lambda g: topk(g.drop_columns(["part"]), True)) \
         .sort(["user_id", "rank"])
 
 
@@ -800,7 +782,7 @@ def event_quantiles(sf_dir: str):
         # partials from different batches repeat milli values: re-sum
         order = np.argsort(m)
         m_s, c_s = m[order], c[order]
-        starts, _ = _group_bounds(m_s)
+        starts, _ = segment_bounds(m_s)
         m_u = m_s[starts]
         cum = np.cumsum(c_s)[np.append(starts[1:] - 1, len(c_s) - 1)]
         n = int(cum[-1])
@@ -814,8 +796,9 @@ def event_quantiles(sf_dir: str):
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_type", "value"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("event_type").map_groups(combine, batch_format="pyarrow") \
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        combine, part_col="event_type") \
         .sort("event_type")
 
 
@@ -890,8 +873,8 @@ def range_join_views(sf_dir: str, window_minutes: int = 10,
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "event_type"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(combine, batch_format="pyarrow") \
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), combine) \
         .sort("event_id")
 
 
@@ -939,8 +922,7 @@ def customers_without_orders(sf_dir: str, priority: str = "1-URGENT"):
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_custkey", "o_orderpriority"]) \
         .map_batches(order_part, batch_format="pyarrow")
-    return cust.union(orders) \
-        .groupby("part").map_groups(combine, batch_format="pyarrow") \
+    return bucket_exchange(cust.union(orders), combine) \
         .sort("c_custkey")
 
 
@@ -1078,9 +1060,9 @@ def bloom_semi_join(sf_dir: str, segment: str = "BUILDING", npart: int = 16):
                              pc.greater(t["n_items"], 0)))
         return t.drop_columns(["is_key"])
 
-    return probe_ds.union(key_ds) \
-        .map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(confirm, batch_format="pyarrow") \
+    return bucket_exchange(
+        probe_ds.union(key_ds)
+        .map_batches(add_part, batch_format="pyarrow"), confirm) \
         .sort("l_orderkey")
 
 

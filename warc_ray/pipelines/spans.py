@@ -14,7 +14,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from ..stages.exchange import with_part
+from ..stages.exchange import bucket_exchange, with_part
 
 INT64 = pa.int64()
 
@@ -142,11 +142,10 @@ def anchor_text_index(docs_path: str, k: int = 50, npart: int = 32):
                                               ("target", "ascending")])
         return out.take(idx.slice(0, k))
 
-    ds = rd.read_parquet(docs_path, columns=["spans"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: bucket(g.drop_columns(["part"])),
-            batch_format="pyarrow")
+    ds = bucket_exchange(
+        rd.read_parquet(docs_path, columns=["spans"])
+        .map_batches(partial, batch_format="pyarrow"),
+        lambda g: bucket(g.drop_columns(["part"])))
     merged = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
     idx = pc.sort_indices(merged, sort_keys=[("n_refs", "descending"),
                                              ("target", "ascending")])

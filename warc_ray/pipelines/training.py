@@ -17,6 +17,7 @@ import ray.data as rd
 from ray.data.aggregate import Min, Sum
 
 from ..stages import dedup as dd
+from ..stages.exchange import bucket_exchange, segment_bounds
 from ..stages import similarity as sim
 from ..stages import textstats as ts
 
@@ -370,8 +371,7 @@ def frame_samples(sf_dir: str):
                          "frame_bytes": b["frame_bytes"],
                          "midx": b["midx"]})
 
-    return partial \
-        .groupby("part").map_groups(combine, batch_format="pyarrow") \
+    return bucket_exchange(partial, combine) \
         .map_batches(with_media_id, batch_format="pyarrow") \
         .sort("midx").drop_columns(["midx"])
 
@@ -440,7 +440,6 @@ def tfidf_topk(sf_dir: str, k: int = 3, npart: int = 32):
     vectorized re-rank.  Shuffle volume: O(distinct (doc, term)) then
     O(docs · k) — never the token stream.
     """
-    from .relational import _group_bounds
     from ..stages.exchange import with_part
 
     def tf_batch(b: pa.Table) -> pa.Table:
@@ -476,7 +475,7 @@ def tfidf_topk(sf_dir: str, k: int = 3, npart: int = 32):
             ("doc_id", "ascending"), ("score", "descending"),
             ("term", "ascending")]))
         d = t["doc_id"].to_numpy(zero_copy_only=False)
-        _, rank = _group_bounds(d)
+        _, rank = segment_bounds(d)
         keep = rank < k
         out = t.filter(pa.array(keep))
         if with_rank:
@@ -486,15 +485,14 @@ def tfidf_topk(sf_dir: str, k: int = 3, npart: int = 32):
             "part", pa.array((d[keep] % 16).astype(np.int32)))
 
     docs = _docs(sf_dir, columns=["doc_id", "text"])
-    scored = docs.map_batches(tf_batch, batch_format="pyarrow") \
+    scored = bucket_exchange(
+        docs.map_batches(tf_batch, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "term", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(score_bucket, batch_format="pyarrow")
-    return scored.map_batches(lambda b: topk(b, False),
-                              batch_format="pyarrow") \
-        .groupby("part") \
-        .map_groups(lambda g: topk(g.drop_columns(["part"]), True),
-                    batch_format="pyarrow") \
+                     batch_format="pyarrow"), score_bucket)
+    return bucket_exchange(
+        scored.map_batches(lambda b: topk(b, False),
+                           batch_format="pyarrow"),
+        lambda g: topk(g.drop_columns(["part"]), True)) \
         .sort(["doc_id", "rank"])
 
 
@@ -583,7 +581,6 @@ def inverted_index(sf_dir: str, npart: int = 32):
     scale hot stopword terms need posting-list sharding (term, shard)
     — the bucket exchange already spreads TERMS; a per-term cap/shard
     split would bolt on here."""
-    from .relational import _group_bounds
     from ..stages.exchange import with_part
 
     def pairs_batch(b: pa.Table) -> pa.Table:
@@ -609,7 +606,7 @@ def inverted_index(sf_dir: str, npart: int = 32):
         terms = t["term"].combine_chunks()
         codes = terms.dictionary_encode().indices.to_numpy(
             zero_copy_only=False)
-        starts, _ = _group_bounds(codes)
+        starts, _ = segment_bounds(codes)
         offsets = np.append(starts, t.num_rows).astype(np.int32)
         doc_str = pc.cast(t["doc_id"], pa.string()).combine_chunks()
         lists = pa.ListArray.from_arrays(pa.array(offsets), doc_str)
@@ -620,10 +617,10 @@ def inverted_index(sf_dir: str, npart: int = 32):
         })
 
     docs = _docs(sf_dir, columns=["doc_id", "text"])
-    return docs.map_batches(pairs_batch, batch_format="pyarrow") \
+    return bucket_exchange(
+        docs.map_batches(pairs_batch, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "term", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(build_bucket, batch_format="pyarrow") \
+                     batch_format="pyarrow"), build_bucket) \
         .sort("term")
 
 
@@ -736,8 +733,7 @@ def pack_chunks(sf_dir: str, budget: int = 2048, npart: int = 16):
         return pa.table({"doc_id": t["doc_id"], "n_tokens": t["n_tokens"],
                          "pack_id": pa.array(before // budget)})
 
-    return toks.groupby("part").map_groups(pack_part,
-                                           batch_format="pyarrow") \
+    return bucket_exchange(toks, pack_part) \
         .sort("doc_id")
 
 
@@ -882,7 +878,6 @@ def stratified_sample(sf_dir: str, k: int = 20):
     Scale shape: per-batch partial top-k (≤k rows per lang survive any
     batch), then ONE tiny final pass over langs×k rows — the shuffle
     never carries the corpus."""
-    from .relational import _group_bounds
 
     def partial(b: pa.Table) -> pa.Table:
         h = _splitmix64(b["doc_id"].to_numpy(zero_copy_only=False))
@@ -895,26 +890,25 @@ def stratified_sample(sf_dir: str, k: int = 20):
             ("doc_id", "ascending")]))
         codes = t["lang"].combine_chunks().dictionary_encode() \
             .indices.to_numpy(zero_copy_only=False)
-        _, rank = _group_bounds(codes)
+        _, rank = segment_bounds(codes)
         return t.filter(pa.array(rank < k))
 
     def final(g: pa.Table) -> pa.Table:
         t = partial(g)
         codes = t["lang"].combine_chunks().dictionary_encode() \
             .indices.to_numpy(zero_copy_only=False)
-        _, rank = _group_bounds(codes)
+        _, rank = segment_bounds(codes)
         return t.drop_columns(["h"]).append_column(
             "rank", pa.array(rank + 1, type=pa.int64()))
 
     # langs are a handful: one global group is langs*k*nblocks rows max
-    return _docs(sf_dir, columns=["doc_id", "lang"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    return bucket_exchange(
+        _docs(sf_dir, columns=["doc_id", "lang"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: b.append_column(
             "part", pa.array(np.zeros(b.num_rows, dtype=np.int32))),
-            batch_format="pyarrow") \
-        .groupby("part") \
-        .map_groups(lambda g: final(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+            batch_format="pyarrow"),
+        lambda g: final(g.drop_columns(["part"]))) \
         .sort(["lang", "rank"])
 
 
@@ -952,11 +946,10 @@ def weighted_sample(sf_dir: str, k: int = 20):
         return t.drop_columns(["ky"]).append_column(
             "rank", pa.array(np.arange(1, t.num_rows + 1, dtype=np.int64)))
 
-    return _docs(sf_dir, columns=["doc_id", "n_chars"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part") \
-        .map_groups(lambda g: final(g.drop_columns(["part"])),
-                    batch_format="pyarrow") \
+    return bucket_exchange(
+        _docs(sf_dir, columns=["doc_id", "n_chars"])
+        .map_batches(partial, batch_format="pyarrow"),
+        lambda g: final(g.drop_columns(["part"]))) \
         .sort("rank")
 
 
@@ -990,15 +983,15 @@ def ngram_counts(sf_dir: str, topn: int = 50, npart: int = 32):
         return t.append_column(
             "rank", pa.array(np.arange(1, t.num_rows + 1)))
 
-    return _docs(sf_dir, columns=["doc_id", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
+    tops = bucket_exchange(
+        _docs(sf_dir, columns=["doc_id", "text"])
+        .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "trigram", npart),
-                     batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket_top, batch_format="pyarrow") \
-        .map_batches(lambda b: b.append_column(
+                     batch_format="pyarrow"), bucket_top)
+    return bucket_exchange(
+        tops.map_batches(lambda b: b.append_column(
             "part", pa.array(np.zeros(b.num_rows, dtype=np.int32))),
-            batch_format="pyarrow") \
-        .groupby("part").map_groups(final, batch_format="pyarrow") \
+            batch_format="pyarrow"), final) \
         .sort("rank")
 
 
@@ -1052,9 +1045,9 @@ def bottomk_distinct(sf_dir: str, k: int = 16):
             "est_distinct": pa.array(ests, type=pa.int64()),
         })
 
-    return _docs(sf_dir, columns=["lang", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(final, batch_format="pyarrow") \
+    return bucket_exchange(
+        _docs(sf_dir, columns=["lang", "text"])
+        .map_batches(partial, batch_format="pyarrow"), final) \
         .sort("lang")
 
 
@@ -1073,18 +1066,16 @@ def segment_dedup(sf_dir: str, seg_len: int = 16, npart: int = 64):
     ex = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
         lambda b: sg.segment_explode(b, seg_len=seg_len, npart=npart),
         batch_format="pyarrow")
-    kept = ex.groupby("part").map_groups(
-        sg.bucket_keep_first, batch_format="pyarrow")
+    kept = bucket_exchange(ex, sg.bucket_keep_first)
 
     def with_dpart(b: pa.Table) -> pa.Table:
         d = b["doc_id"].to_numpy(zero_copy_only=False)
         return b.append_column(
             "part", pa.array((d % npart).astype(np.int32)))
 
-    return kept.map_batches(with_dpart, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: sg.bucket_reassemble(g.drop_columns(["part"])),
-            batch_format="pyarrow")
+    return bucket_exchange(
+        kept.map_batches(with_dpart, batch_format="pyarrow"),
+        lambda g: sg.bucket_reassemble(g.drop_columns(["part"])))
 
 
 def contamination(sf_dir: str, n: int = 3, npart: int = 64,
@@ -1100,13 +1091,12 @@ def contamination(sf_dir: str, n: int = 3, npart: int = 64,
 
     from ..stages import segments as sg
 
-    partials = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        lambda b: sg.ngram_explode(b, n=n, npart=npart,
-                                   bench_mod=bench_mod),
-        batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: sg.bucket_contamination(g.drop_columns(["part"])),
-            batch_format="pyarrow")
+    partials = bucket_exchange(
+        _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
+            lambda b: sg.ngram_explode(b, n=n, npart=npart,
+                                       bench_mod=bench_mod),
+            batch_format="pyarrow"),
+        lambda g: sg.bucket_contamination(g.drop_columns(["part"])))
     return partials.groupby("doc_id").aggregate(
         Max("n_grams", alias_name="n_grams"),
         Sum("n_hits", alias_name="n_hits")).sort("doc_id")
@@ -1268,9 +1258,9 @@ def duplicate_spans(sf_dir: str, win: int = 16, npart: int = 32):
             "max_doc": pa.array(ids[e]),
         })
 
-    return _docs(sf_dir, columns=["doc_id", "text"]) \
-        .map_batches(spans, batch_format="pyarrow") \
-        .groupby("part").map_groups(bucket, batch_format="pyarrow")
+    return bucket_exchange(
+        _docs(sf_dir, columns=["doc_id", "text"])
+        .map_batches(spans, batch_format="pyarrow"), bucket)
 
 
 # ---------------------------------------------------------------------------

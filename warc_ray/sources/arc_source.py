@@ -166,6 +166,14 @@ def _decompress_salvage(raw: bytes) -> tuple[bytes, bytes, str | None]:
     return b"".join(out), b"", None
 
 
+def _file_fields(af: ARCFile | None) -> tuple[str, str]:
+    """(file_org, file_date) of ``af``'s filedesc header; empty until
+    the header has parsed."""
+    fh = af.file_headers if af is not None else {}
+    return (fh.get("org", ""),
+            fh["date"].strftime("%Y%m%d%H%M%S") if fh.get("date") else "")
+
+
 def _scan_core_dlq(data: bytes, path: str,
                    batch_rows: int) -> Iterator[pa.Table]:
     """Core cursor with the dead-letter discipline: rows stream out
@@ -176,20 +184,13 @@ def _scan_core_dlq(data: bytes, path: str,
     buf = io.BytesIO(data)
     rows: list[dict] = []
     pos_ok = 0
-    file_org = file_date = ""
+    af = None
     err: str | None = None
     try:
         af = ARCFile(fileobj=buf)
-        it = iter(af)
-        while True:
-            try:
-                rec = next(it)
-            except StopIteration:
-                break
+        for rec in af:
             h = rec.header
-            file_org = af.file_headers.get("org", "")
-            file_date = (af.file_headers["date"].strftime("%Y%m%d%H%M%S")
-                         if af.file_headers.get("date") else "")
+            file_org, file_date = _file_fields(af)
             rows.append({
                 "url": h["url"], "ip_address": h["ip_address"],
                 "date": h["date"], "content_type": h["content_type"],
@@ -209,8 +210,9 @@ def _scan_core_dlq(data: bytes, path: str,
     if rows:
         yield pa.Table.from_pylist(rows, schema=READ_SCHEMA)
     if err is not None:
-        yield _arc_dlq_table(path, data[pos_ok:], err,
-                             file_org, file_date)
+        # the filedesc header may have parsed before the first record
+        # failed: the quarantine row still carries its org and date
+        yield _arc_dlq_table(path, data[pos_ok:], err, *_file_fields(af))
 
 
 def _scan_core(data: bytes, path: str, batch_rows: int) -> Iterator[pa.Table]:
@@ -219,6 +221,7 @@ def _scan_core(data: bytes, path: str, batch_rows: int) -> Iterator[pa.Table]:
     rows: list[dict] = []
     for rec in af:
         h = rec.header
+        file_org, file_date = _file_fields(af)
         rows.append({
             "url": h["url"], "ip_address": h["ip_address"], "date": h["date"],
             "content_type": h["content_type"], "result_code": h["result_code"],
@@ -226,10 +229,7 @@ def _scan_core(data: bytes, path: str, batch_rows: int) -> Iterator[pa.Table]:
             "offset": h["offset"], "filename": h["filename"],
             "length": h["length"], "arc_version": af.version,
             "payload": rec.payload or b"",
-            "shard": path,
-            "file_org": af.file_headers.get("org", ""),
-            "file_date": af.file_headers["date"].strftime("%Y%m%d%H%M%S")
-            if af.file_headers.get("date") else "",
+            "shard": path, "file_org": file_org, "file_date": file_date,
         })
         if len(rows) >= batch_rows:
             yield pa.Table.from_pylist(rows, schema=READ_SCHEMA)

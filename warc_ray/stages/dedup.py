@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import bucket_exchange
 from .md5vec import md5_prefix64
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
@@ -514,9 +515,9 @@ def ngram_jaccard_pairs(docs_ds, *, threshold_ppm: int = 500_000,
     exploded = docs_ds.map_batches(
         lambda b: shingle_explode(b, n=n, npart=npart),
         batch_format="pyarrow")
-    pairs = exploded.groupby("part").map_groups(
-        lambda g: posting_pairs(g.drop_columns(["part"]), max_df=max_df),
-        batch_format="pyarrow")
+    pairs = bucket_exchange(
+        exploded,
+        lambda g: posting_pairs(g.drop_columns(["part"]), max_df=max_df))
 
     def pair_part(t: pa.Table) -> pa.Table:
         with np.errstate(over="ignore"):
@@ -539,8 +540,8 @@ def ngram_jaccard_pairs(docs_ds, *, threshold_ppm: int = 500_000,
         return pa.table({"doc_a": kept["doc_a"], "doc_b": kept["doc_b"],
                          "jaccard_ppm": pa.array(ppm, type=pa.int64())})
 
-    return pairs.map_batches(pair_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(finish, batch_format="pyarrow")
+    return bucket_exchange(
+        pairs.map_batches(pair_part, batch_format="pyarrow"), finish)
 
 
 def jaccard(text_a: str, text_b: str) -> tuple[int, int]:
@@ -670,8 +671,7 @@ def attach_docs(pairs_ds, docs_ds, key_col: str, other_col: str,
 
     both = pairs_ds.map_batches(pair_side, batch_format="pyarrow").union(
         docs_ds.map_batches(doc_side, batch_format="pyarrow"))
-    return both.groupby("part").map_groups(bucket_join,
-                                           batch_format="pyarrow")
+    return bucket_exchange(both, bucket_join)
 
 
 def minhash_dedup_pairs(docs_ds, docs_parquet: str | None = None, *,
@@ -704,9 +704,8 @@ def minhash_dedup_pairs(docs_ds, docs_parquet: str | None = None, *,
     # one vectorized pair expansion per hash PARTITION, not one Python
     # call per (band,key) bucket — n_docs x bands tiny groups otherwise.
     bands_ds = docs_ds.map_batches(bands_with_part, batch_format="pyarrow")
-    cand = bands_ds.groupby("part").map_groups(
-        lambda g: bucket_pairs(g.drop_columns(["part"])),
-        batch_format="pyarrow")
+    cand = bucket_exchange(
+        bands_ds, lambda g: bucket_pairs(g.drop_columns(["part"])))
     if verify == "broadcast":
         from ray.data.aggregate import Count
 
@@ -735,7 +734,6 @@ def minhash_dedup_pairs(docs_ds, docs_parquet: str | None = None, *,
 
         from .sketch import BLOOM_BITS, bloom_contains, bloom_partial
 
-        cand = cand.materialize()    # candidate pairs only — tiny
         acc = np.zeros(BLOOM_BITS >> 3, dtype=np.uint8)
         for bt in cand.iter_batches(batch_format="pyarrow"):
             ids = np.concatenate(

@@ -14,16 +14,19 @@ exchange at identical results).  The bucket exchange instead:
   3. ``bucket_exchange`` runs one ``bucket_fn`` per part — exact,
      because ``with_part`` puts every key in exactly one bucket.
 
-``bucket_exchange`` is the module's one exchange: ``combine_buckets``,
+``bucket_exchange`` is the engine's only exchange: ``combine_buckets``,
 ``hash_join``, ``skew_join``, ``range_sort`` and ``clustered_join``
-only build its input and its ``bucket_fn``.  It materializes its
+only build its input and its ``bucket_fn``, and every per-bucket plan
+in ``pipelines`` and ``stages`` calls it directly.  It materializes its
 input once and picks the path by size.  At most one Ray block
 (``DataContext.target_max_block_size``, 128 MiB by default) folds on
-the driver: concatenate, stable-sort by ``part``, one ``bucket_fn``
-call per part.  Anything larger takes one Ray
-``groupby("part").map_groups`` on the tiny int key domain (npart
-Python calls total — not per-key).  Every primitive executes each of
-its inputs exactly once.
+the driver: concatenate, stable-sort by the part column, one
+``bucket_fn`` call per part.  Anything larger takes one Ray
+``groupby(part_col).map_groups`` (one Python call per distinct part —
+not per key).  Either way the result is a materialized Dataset.  The
+part column is usually ``with_part``'s int bucket, but may be any
+non-null sortable column.  Every primitive executes each of its inputs
+exactly once.
 
 ``npart`` sizes the reduce parallelism and bounds per-task group state:
 at cluster scale set it to a few × total cores so each bucket's
@@ -55,20 +58,33 @@ def with_part(tab: pa.Table, key_col: str, npart: int,
     return tab.append_column("part", pa.array(part))
 
 
-def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
-    """Run ``bucket_fn`` once per bucket of ``ds``, picking the path by
-    size — the one exchange every primitive in this module routes
-    through.
+def segment_bounds(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(segment starts, per-row 0-based rank within its segment) of a
+    SORTED key array — the vectorized backbone of the grouped top-k,
+    window and per-bucket rank kernels that ``bucket_fn``s run."""
+    n = len(sorted_keys)
+    new = np.ones(n, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    rank = np.arange(n, dtype=np.int64) - np.repeat(
+        starts, np.diff(np.append(starts, n)))
+    return starts, rank
 
-    ``ds`` rows carry an int ``part_col``; ``bucket_fn(pa.Table) ->
-    pa.Table`` sees all of one part's rows (``part_col`` included)
-    either way.  Executes ``ds`` once, when called.  If the
-    materialized input is at most one block
-    (``DataContext.target_max_block_size``) the driver concatenates it,
-    stable-sorts by ``part_col``, calls ``bucket_fn`` per non-empty
-    part and returns the concatenated outputs as a one-block Dataset:
-    the sort-shuffle's fixed cost (seconds per exchange) is far above
-    a driver pass over result-sized rows.  Larger inputs take
+
+def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
+    """Run ``bucket_fn`` once per distinct ``part_col`` value of ``ds``,
+    picking the path by size.
+
+    ``part_col`` may be any non-null sortable column; ``bucket_fn(
+    pa.Table) -> pa.Table`` sees all of one part's rows (``part_col``
+    included) either way.  Executes ``ds`` once, when called, and
+    returns a materialized Dataset.  If the materialized input is at
+    most one block (``DataContext.target_max_block_size``) the driver
+    concatenates it (blocks whose types differ, e.g. int32 vs int64,
+    promote as they do in the sort-shuffle), stable-sorts by
+    ``part_col`` and calls ``bucket_fn`` per part: the sort-shuffle's
+    fixed cost (seconds per exchange) is far above a driver pass over
+    result-sized rows.  Larger inputs take
     ``groupby(part_col).map_groups(bucket_fn)``.  Empty input never
     calls ``bucket_fn`` and yields an empty Dataset.  Output row order
     is unspecified.
@@ -82,19 +98,20 @@ def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
     if mat.count() and (
             size is None
             or size > DataContext.get_current().target_max_block_size):
-        return mat.groupby(part_col).map_groups(bucket_fn,
-                                                batch_format="pyarrow")
+        return mat.groupby(part_col).map_groups(
+            bucket_fn, batch_format="pyarrow").materialize()
     blocks = [b for b in ray.get(mat.to_arrow_refs()) if b.num_rows]
     if not blocks:
         return rd.from_arrow(pa.table({}))
-    tab = pa.concat_tables(blocks, promote_options="default")
+    tab = pa.concat_tables(blocks, promote_options="permissive")
     part = tab[part_col].to_numpy(zero_copy_only=False)
     order = np.argsort(part, kind="stable")
     tab, part = tab.take(pa.array(order)), part[order]
     cuts = np.flatnonzero(part[1:] != part[:-1]) + 1
     outs = [bucket_fn(tab.slice(s, e - s))
             for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(part)])]
-    return rd.from_arrow(pa.concat_tables(outs, promote_options="default"))
+    return rd.from_arrow(pa.concat_tables(outs,
+                                          promote_options="permissive"))
 
 
 def combine_buckets(ds, key_cols, aggs: list[tuple[str, str]],

@@ -10,11 +10,13 @@ deterministically reconstructs the document from the corpus table:
                      stand-in), no out-links;
   * anything else  → HTTP 404, empty body.
 
-Scale design: URLs are grouped by **corpus bucket** (doc_index mod
-n_buckets) and fetched with ``groupby("bucket").map_groups`` — each
-group reads exactly one bucket file of the corpus (locality), with a
-small per-worker LRU cache.  Nothing holds the whole corpus in memory;
-at 100 TB the bucket files are the unit of co-partitioning.
+Scale design: each crawl worker actor holds one ``FetchGroup`` and
+calls it directly, once per frontier slice
+(``CrawlWorker.process_round``).  Inside a call URLs group by **corpus
+bucket** (doc_index mod n_buckets) and each bucket reads exactly one
+bucket file of the corpus (locality), with a small per-worker LRU
+cache.  Nothing holds the whole corpus in memory; at 100 TB the bucket
+files are the unit of co-partitioning.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ _MISS = ("", 404, "text/plain")
 
 
 class FetchGroup:
-    """``map_groups`` callable over one worker's URL slice.
+    """Per-worker fetcher, called once per URL slice.
 
     Vectorized: doc hits resolve to row indices in the (cached) bucket
     tables and their spans/payload columns are gathered with Arrow

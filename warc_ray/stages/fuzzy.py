@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .exchange import hash64_strings
+from .exchange import bucket_exchange, hash64_strings
 
 
 def is_lev1(a: str, b: str) -> bool:
@@ -137,6 +137,5 @@ def lev1_join(ds, key_col: str, id_col: str, npart: int = 32):
     exploded = ds.map_batches(
         lambda b: deletion_variants(b, key_col, id_col, npart),
         batch_format="pyarrow")
-    return exploded.groupby("part").map_groups(
-        lambda g: lev1_bucket_pairs(g, key_col, id_col),
-        batch_format="pyarrow")
+    return bucket_exchange(
+        exploded, lambda g: lev1_bucket_pairs(g, key_col, id_col))

@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import bucket_exchange
+
 # elements per gather window (see ResizeMedia.__init__): bounds the
 # actor-persistent index scratch so first-touch faults stay one-time
 # and tiny instead of scaling with batch byte volume
@@ -706,8 +708,7 @@ def media_index_from_corpus(corpus_dir: str,
         ds = ds.limit(limit_docs)
     idx = ds.map_batches(to_media_idx, batch_format="pyarrow",
                          batch_size=None)  # whole block = best pre-dedup
-    out = idx.groupby("part").map_groups(bucket_unique,
-                                         batch_format="pyarrow")
+    out = bucket_exchange(idx, bucket_unique)
     if limit_docs is not None:
         return out
     tmp = cache + ".tmp"

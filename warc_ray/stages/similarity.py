@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .exchange import bucket_exchange, segment_bounds
+
 
 def _matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
     """(n, d) float64 matrix from a list<float> column."""
@@ -83,9 +85,7 @@ def _merge_candidate_heads(cand_ds, score_col: str, k: int, *,
         q, v, s = q[m], v[m], s[m]
     order = np.lexsort((v, -s if descending else s, q))
     qs, vs = q[order], v[order]
-    starts = np.concatenate(([0], np.flatnonzero(qs[1:] != qs[:-1]) + 1))
-    sizes = np.diff(np.append(starts, len(qs)))
-    rank = np.arange(len(qs), dtype=np.int64) - np.repeat(starts, sizes)
+    _, rank = segment_bounds(qs)
     keep = rank < k
     return pa.table({
         "query_id": pa.array(qs[keep], type=pa.int64()),
@@ -190,8 +190,7 @@ def neardup_pairs_blocked(embeddings_ds, threshold: float,
         })
 
     exploded = embeddings_ds.map_batches(explode, batch_format="pyarrow")
-    return exploded.groupby("pair_key").map_groups(
-        compute, batch_format="pyarrow")
+    return bucket_exchange(exploded, compute, part_col="pair_key")
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +382,8 @@ def lsh_neardup_pairs(emb_ds, threshold: float = 0.4, *,
                                 include_emb=True),
         batch_format="pyarrow")
 
-    ver = sig.groupby("part").map_groups(
-        lambda g: lsh_bucket_verify(g.drop_columns(["part"]), threshold),
-        batch_format="pyarrow")
+    ver = bucket_exchange(
+        sig, lambda g: lsh_bucket_verify(g.drop_columns(["part"]), threshold))
     # cross-band duplicates → one tiny distinct exchange (verified
     # pairs only, orders of magnitude below candidate count)
     return ver.groupby(["vec_a", "vec_b"]) \
@@ -548,9 +546,8 @@ def semdedup_keep(emb_ds, centroids: np.ndarray, threshold: float = 0.4,
 
     rows = emb_ds.select_columns(["vec_id", "embedding"]) \
         .map_batches(assign_rows, batch_format="pyarrow")
-    ver = rows.groupby("part").map_groups(
-        lambda g: lsh_bucket_verify(g.drop_columns(["part"]), threshold),
-        batch_format="pyarrow")
+    ver = bucket_exchange(
+        rows, lambda g: lsh_bucket_verify(g.drop_columns(["part"]), threshold))
 
     parts = [bt["vec_b"].to_numpy(zero_copy_only=False)
              for bt in ver.iter_batches(batch_format="pyarrow")]

@@ -27,6 +27,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from .exchange import bucket_exchange, segment_bounds
+
 P = 12
 M = 1 << P
 _ALPHA = 0.7213 / (1.0 + 1.079 / M)     # standard alpha_m for m >= 128
@@ -169,8 +171,8 @@ def hll_distinct(ds, key_col: str, group_col: str, npart: int = 16,
             est_name: pa.array(estimate(merged)),
         })
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(combine, batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), combine)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +271,7 @@ def bottomk_partial(group_codes: np.ndarray, hashes: np.ndarray,
     order = order[first]
     g = g[first]
     # rank within group (after dedup), keep rank < k
-    starts = np.flatnonzero(np.concatenate(
-        ([True], g[1:] != g[:-1]))) if len(g) else np.empty(0, np.int64)
-    rank = np.arange(len(g)) - np.repeat(
-        starts, np.diff(np.append(starts, len(g))))
+    _, rank = segment_bounds(g)
     return order[rank < k]
 
 
