@@ -298,6 +298,7 @@ def _host_link_stats_q(sf_dir: str):
     host-0 owns ~20% of the corpus, the exact skew the salting splits."""
     import ray.data as rd
 
+    from warc_ray.stages.exchange import sort_result
     from warc_ray.stages.hoststats import host_link_stats
     from warc_ray.stages.urls import extract_links
 
@@ -305,7 +306,9 @@ def _host_link_stats_q(sf_dir: str):
     links = rd.read_parquet(corpus_mod.docs_path(cdir),
                             override_num_blocks=64).map_batches(
         lambda b: extract_links(b), batch_format="pyarrow", batch_size=None)
-    return host_link_stats(links, target_per_group=2_000).sort("host")
+    # one row per host: sorted on the driver, not by a Ray sort
+    return sort_result(host_link_stats(links, target_per_group=2_000),
+                       ["host"])
 
 
 def _heavy_hitter_hosts_q(sf_dir: str):

@@ -1935,3 +1935,53 @@ def test_q5_revenue_includes_first_day_of_window(ray_session, tmp_path):
     # CHINA: orders 1 and 6 (the first-day order included)
     assert got.revenue.tolist() == want.revenue.tolist()
     assert want.revenue[0] == pytest.approx((100.25 + 600.25) * 0.95)
+
+
+# the queries whose dimension joins go through exchange.lookup_join:
+# query -> (function, oracle SQL)
+LOOKUP_JOIN_QUERIES = {
+    "q163": ("local_supplier_revenue", "Q5_SQL"),
+    "q183": ("volume_shipping", "Q7_SQL"),
+    "q184": ("national_market_share", "Q8_SQL"),
+    "q185": ("returned_items", "Q10_SQL"),
+    "q189": ("large_volume_customers", "Q18_SQL"),
+    "q206": ("mutual_best", "MUTUAL_SQL"),
+}
+
+
+@pytest.mark.parametrize("path", ["broadcast", "exchange"])
+@pytest.mark.parametrize("query", sorted(LOOKUP_JOIN_QUERIES))
+def test_broadcast_join_queries_match_oracle(ray_session, monkeypatch,
+                                             query, path):
+    """Each ``lookup_join`` query equals its DuckDB oracle on both
+    paths: "broadcast" keeps the size rule (sf0.001 dims fit one
+    block), "exchange" patches ``fits_one_block`` to False, which also
+    sends every bucket exchange down its sort-shuffle.  A spy on the
+    broadcast kernel proves which path ran."""
+    import duckdb
+
+    from warc_ray.pipelines import analytics
+    from warc_ray.stages import exchange
+
+    calls = []
+    kernel = exchange._broadcast_join
+    monkeypatch.setattr(exchange, "_broadcast_join",
+                        lambda *a: calls.append(1) or kernel(*a))
+    if path == "exchange":
+        monkeypatch.setattr(exchange, "fits_one_block", lambda n: False)
+    fn, sql = LOOKUP_JOIN_QUERIES[query]
+    got = getattr(analytics, fn)(SF).to_pandas()
+    assert bool(calls) == (path == "broadcast")
+
+    con = duckdb.connect()
+    for t in ("region", "nation", "customer", "supplier", "part", "orders",
+              "lineitem"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{SF}/{t}.parquet')")
+    want = con.execute(getattr(analytics, sql)).fetchdf()
+    assert len(want) > 0
+    assert list(got.columns) == list(want.columns)
+    cols = sorted(got.columns)
+    got = got[cols].sort_values(cols).reset_index(drop=True)
+    want = want[cols].sort_values(cols).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)

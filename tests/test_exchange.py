@@ -194,6 +194,35 @@ def test_engine_has_one_map_groups_call():
     assert sites == [("stages/exchange.py", "bucket_exchange")]
 
 
+def test_one_broadcast_size_rule():
+    """Every broadcast-or-exchange choice uses one size rule:
+    ``target_max_block_size`` is read only in ``fits_one_block``, and
+    no pipeline keeps an untested (``pragma: no cover``) fallback."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "warc_ray"
+    readers, pragmas = [], []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        rel = path.relative_to(root).as_posix()
+        tree = ast.parse(text)
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr == "target_max_block_size"):
+                owner = max((d for d in defs
+                             if d.lineno <= node.lineno <= d.end_lineno),
+                            key=lambda d: d.lineno, default=None)
+                readers.append((rel, owner.name if owner else None))
+        if rel.startswith("pipelines/"):
+            pragmas += [(rel, i) for i, line in
+                        enumerate(text.splitlines(), 1)
+                        if "pragma: no cover" in line]
+    assert readers == [("stages/exchange.py", "fits_one_block")]
+    assert pragmas == []
+
+
 def test_segment_bounds():
     from warc_ray.stages.exchange import segment_bounds
 
@@ -242,11 +271,16 @@ def _logged_blocks(tmp_path, name, tables):
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("prim", ["range_sort", "skew_join", "hash_join",
-                                  "host_link_stats"])
+                                  "host_link_stats", "lookup_join",
+                                  "sort_result"])
 def test_each_input_executes_once(ray_session, tmp_path, prim, path):
     """Every input of a bucket_exchange caller executes exactly once —
-    no schema probe, detection pre-pass or extra pass re-runs it."""
-    from warc_ray.stages.exchange import hash_join, range_sort, skew_join
+    no schema probe, detection pre-pass or extra pass re-runs it.
+    ``lookup_join`` and ``sort_result`` take their broadcast / driver
+    path on "fold" and their exchange / Ray sort on "exchange"."""
+    from warc_ray.stages.exchange import (hash_join, lookup_join,
+                                          range_sort, skew_join,
+                                          sort_result)
     from warc_ray.stages.hoststats import host_link_stats
 
     rng = np.random.default_rng(5)
@@ -273,13 +307,21 @@ def test_each_input_executes_once(ray_session, tmp_path, prim, path):
                             hot_share_ppm=100_000)
         elif prim == "hash_join":
             out = hash_join(left, right, "k", npart=4)
+        elif prim == "lookup_join":
+            out = lookup_join(left, right, "k", npart=4)
+        elif prim == "sort_result":
+            out = sort_result(left, ["k", "v"])
         else:
             out = host_link_stats(left, target_per_group=100)
         out = _ran(out, path)
     assert out.count() == (7 if prim == "host_link_stats" else 3000)
     assert n_left() == 6
-    if prim in ("skew_join", "hash_join"):
+    if prim in ("skew_join", "hash_join", "lookup_join"):
         assert n_right() == 2
+    if prim == "sort_result":
+        got = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
+        assert got.equals(fact.sort_by([("k", "ascending"),
+                                        ("v", "ascending")]))
 
 
 def test_with_part_rejects_nothing_and_is_int32():
@@ -555,15 +597,17 @@ def test_clustered_join_rejects_unsorted(ray_session, tmp_path):
         clustered_join(fact, path, fact_key="k", dim_key="k")
 
 
-def test_auto_join_three_paths_value_equal(ray_session, tmp_path):
+def test_auto_join_three_paths_value_equal(ray_session, tmp_path,
+                                           monkeypatch):
     """auto_join must pick broadcast / clustered / hash from parquet
     stats and produce IDENTICAL rows on every path (the strategy only
-    moves work)."""
+    moves work).  Each tier is forced by patching the size rule."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
 
+    from warc_ray.stages import exchange
     from warc_ray.stages.exchange import auto_join
 
     rng = np.random.RandomState(7)
@@ -584,17 +628,17 @@ def test_auto_join_three_paths_value_equal(ray_session, tmp_path):
     pq.write_table(dim_sorted.take(pa.array(perm)), du_path,
                    row_group_size=8)
 
-    def run(dim_path, limit):
+    def run(dim_path, fits):
+        monkeypatch.setattr(exchange, "fits_one_block", lambda n: fits)
         ds, strat = auto_join(rd.read_parquet(fact_path), dim_path,
                               fact_key="k", dim_key="k",
-                              dim_columns=["w"], npart=4,
-                              broadcast_row_limit=limit)
+                              dim_columns=["w"], npart=4)
         df = ds.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
         return df, strat
 
-    base, s1 = run(ds_path, 1000)       # small dim → broadcast
-    clus, s2 = run(ds_path, 10)        # big + sorted → clustered
-    hashj, s3 = run(du_path, 10)       # big + unsorted → hash
+    base, s1 = run(ds_path, True)       # small dim → broadcast
+    clus, s2 = run(ds_path, False)      # big + sorted → clustered
+    hashj, s3 = run(du_path, False)     # big + unsorted → hash
     assert (s1, s2, s3) == ("broadcast", "clustered", "hash")
     assert len(base) == 300 * 0 + int((fact["k"].to_numpy() < 40).sum())
     for other in (clus, hashj):
@@ -602,7 +646,8 @@ def test_auto_join_three_paths_value_equal(ray_session, tmp_path):
 
 
 def test_auto_join_broadcast_duplicate_and_empty_dim(ray_session,
-                                                     tmp_path):
+                                                     tmp_path,
+                                                     monkeypatch):
     """Broadcast path edge cases that round-2 ADVICE flagged: a dim
     with DUPLICATE keys must expand matches (N:M parity with the hash
     path), and an EMPTY dim must yield an empty result with the joined
@@ -612,7 +657,10 @@ def test_auto_join_broadcast_duplicate_and_empty_dim(ray_session,
     import pyarrow.parquet as pq
     import ray.data as rd
 
+    from warc_ray.stages import exchange
     from warc_ray.stages.exchange import auto_join
+
+    monkeypatch.setattr(exchange, "fits_one_block", lambda n: True)
 
     fact = pa.table({
         "k": pa.array([0, 1, 2, 3, 1], type=pa.int64()),
@@ -630,7 +678,7 @@ def test_auto_join_broadcast_duplicate_and_empty_dim(ray_session,
 
     ds, strat = auto_join(rd.read_parquet(fact_path), dim_path,
                           fact_key="k", dim_key="k",
-                          dim_columns=["w"], broadcast_row_limit=1000)
+                          dim_columns=["w"])
     assert strat == "broadcast"
     got = ds.to_pandas().sort_values(["k", "v", "w"]) \
         .reset_index(drop=True)
@@ -642,10 +690,71 @@ def test_auto_join_broadcast_duplicate_and_empty_dim(ray_session,
     pq.write_table(dim.slice(0, 0), empty_path)
     ds2, strat2 = auto_join(rd.read_parquet(fact_path), empty_path,
                             fact_key="k", dim_key="k",
-                            dim_columns=["w"], broadcast_row_limit=1000)
+                            dim_columns=["w"])
     assert strat2 == "broadcast"
     assert ds2.count() == 0
     assert ds2.schema().names == ["k", "v", "w"]
+
+
+def _lookup_case(case):
+    """(fact, dim, keys) for the ``lookup_join`` edge cases."""
+    fact = pa.table({"k": pa.array([0, 1, 2, 3, 1, 2], type=pa.int64()),
+                     "v": pa.array(np.arange(6) * 10)})
+    if case == "dup_keys":          # k=1 three times, k=2 twice, 9 misses
+        dim = pa.table({"k": pa.array([0, 1, 1, 1, 2, 2, 9], pa.int64()),
+                        "w": pa.array([100, 201, 202, 203, 301, 302, 900])})
+        return fact, dim, "k"
+    if case == "empty_dim":
+        dim = pa.table({"k": pa.array([], pa.int64()),
+                        "w": pa.array([], pa.int64())})
+        return fact, dim, "k"
+    if case == "two_keys":
+        fact = fact.append_column("p", pa.array([5, 5, 6, 6, 7, 6]))
+        dim = pa.table({"k": pa.array([1, 1, 2, 3], pa.int64()),
+                        "p": pa.array([5, 7, 6, 9]),
+                        "w": pa.array([1, 2, 3, 4])})
+        return fact, dim, ["k", "p"]
+    fact = fact.set_column(0, "k", pa.array(["a", "b", "c", "d", "b", "c"]))
+    dim = pa.table({"k": ["b", "c", "c", "x"], "w": [1, 2, 3, 4]})
+    return fact, dim, "k"
+
+
+@pytest.mark.parametrize("path", ["broadcast", "exchange"])
+@pytest.mark.parametrize("case", ["dup_keys", "empty_dim", "two_keys",
+                                  "string_key"])
+def test_lookup_join_matches_hash_join(ray_session, monkeypatch, case,
+                                       path):
+    """``lookup_join`` is an inner join equal to ``hash_join`` on both
+    of its paths: duplicate dim keys expand, an empty dim gives no rows
+    (with the joined columns when broadcast), and two-column and string
+    keys join."""
+    import ray.data as rd
+
+    from warc_ray.stages import exchange
+
+    fact, dim, keys = _lookup_case(case)
+    fact_ds = rd.from_arrow([fact.slice(0, 3), fact.slice(3)])
+    want = exchange.hash_join(fact_ds, rd.from_arrow(dim), keys, npart=3)
+    calls = []
+    kernel = exchange._broadcast_join
+    monkeypatch.setattr(exchange, "_broadcast_join",
+                        lambda *a: calls.append(1) or kernel(*a))
+    if path == "exchange":
+        monkeypatch.setattr(exchange, "fits_one_block", lambda n: False)
+    got = exchange.lookup_join(fact_ds, rd.from_arrow(dim), keys, npart=3)
+    assert len(calls) == (path == "broadcast")
+    cols = ["k", "v", "p", "w"] if case == "two_keys" else ["k", "v", "w"]
+    if case == "empty_dim":
+        assert got.count() == 0 and want.count() == 0
+        if path == "broadcast":
+            assert got.schema().names == cols
+        return
+    got, want = got.to_pandas(), want.to_pandas()
+    assert sorted(got.columns) == sorted(want.columns) == sorted(cols)
+    got = got[cols].sort_values(cols).reset_index(drop=True)
+    want = want[cols].sort_values(cols).reset_index(drop=True)
+    assert len(got) == {"dup_keys": 11, "two_keys": 4, "string_key": 6}[case]
+    assert got.equals(want)
 
 
 def test_distributed_select_matches_sort(ray_session):

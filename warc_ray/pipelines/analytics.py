@@ -7326,7 +7326,7 @@ def local_supplier_revenue(sf_dir: str, region: str = "ASIA",
 
     Plan: nation/region and supplier→nationkey broadcast as dicts
     (catalog-sized at any scale); orders (date-range filtered, column
-    pruned) exchange-joins customer on custkey to pick up
+    pruned) lookup-join the region's customers on custkey to pick up
     c_nationkey; the result exchange-joins lineitem on orderkey with
     the supplier-nation equality CHECK and the per-nation revenue
     partial FUSED into the join bucket (bucket_finish), so the second
@@ -7335,7 +7335,7 @@ def local_supplier_revenue(sf_dir: str, region: str = "ASIA",
     (q100's discipline)."""
     import pyarrow.parquet as _pq2
 
-    from ..stages.exchange import hash_join
+    from ..stages.exchange import hash_join, lookup_join
 
     nat = _pq2.read_table(_pq(sf_dir, "nation"))
     reg = _pq2.read_table(_pq(sf_dir, "region"))
@@ -7366,53 +7366,24 @@ def local_supplier_revenue(sf_dir: str, region: str = "ASIA",
                              columns=["o_orderkey", "o_custkey",
                                       "o_orderdate"]) \
         .map_batches(orders_side, batch_format="pyarrow")
+
+    def cust_side(b: pa.Table) -> pa.Table:
+        cn = pc.cast(b["c_nationkey"], INT64)
+        keep = np.isin(cn.to_numpy(zero_copy_only=False), nat_keys)
+        return pa.table({"c_custkey": b["c_custkey"], "c_nationkey": cn}) \
+            .filter(pa.array(keep))
+
+    # region customers only: the custkey → nationkey slice is
+    # broadcast-small (round-4: the custkey exchange was half of
+    # q163's ~10 s wall)
     cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_nationkey"])
-
-    # custkey → nationkey is 8 bytes per customer — broadcast it as a
-    # dense array instead of exchanging every order row against the
-    # customer dim (round-4: the custkey hash_join was half of q163's
-    # ~10 s wall).  Guard: past 16M customers (128 MB) fall back to
-    # the exchange join, the arbitrary-scale path.
-    import ray as _ray
-
-    n_cust_total = rd.read_parquet(_pq(sf_dir, "customer"),
-                                   columns=["c_custkey"]).count()
-    if n_cust_total <= 16_000_000:
-        cust_tbl = _pq2.read_table(_pq(sf_dir, "customer"),
-                                   columns=["c_custkey", "c_nationkey"])
-        ck = cust_tbl["c_custkey"].to_numpy(zero_copy_only=False)
-        cn = cust_tbl["c_nationkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        cust_nat = np.full(int(ck.max()) + 1, -1, dtype=np.int64)
-        keep = np.isin(cn, nat_keys)       # region customers only
-        cust_nat[ck[keep]] = cn[keep]
-        cust_nat_ref = _ray.put(cust_nat)
-
-        def attach_nat(b: pa.Table) -> pa.Table:
-            dense = np.asarray(_ray.get(cust_nat_ref))
-            c = b["c_custkey"].to_numpy(zero_copy_only=False)
-            c_nat = np.where(c < len(dense),
-                             dense[np.minimum(c, len(dense) - 1)], -1)
-            m = c_nat >= 0
-            b = b.filter(pa.array(m))
-            return pa.table({"l_orderkey": b["o_orderkey"],
-                             "c_nationkey": pa.array(c_nat[m],
-                                                     type=INT64)})
-
-        ord_nat = orders.map_batches(attach_nat,
-                                     batch_format="pyarrow") \
-            .materialize()
-    else:  # pragma: no cover - web-scale fallback (exchange join)
-        def cust_finish(j: pa.Table) -> pa.Table:
-            keep = np.isin(
-                j["c_nationkey"].to_numpy(zero_copy_only=False), nat_keys)
-            j = j.filter(pa.array(keep))
-            return pa.table({"l_orderkey": j["o_orderkey"],
-                             "c_nationkey": j["c_nationkey"]})
-
-        ord_nat = hash_join(orders, cust, "c_custkey", npart=npart,
-                            bucket_finish=cust_finish).materialize()
+                           columns=["c_custkey", "c_nationkey"]) \
+        .map_batches(cust_side, batch_format="pyarrow")
+    ord_nat = lookup_join(
+        orders, cust, "c_custkey", npart=npart,
+        bucket_finish=lambda j: pa.table({
+            "l_orderkey": j["o_orderkey"],
+            "c_nationkey": j["c_nationkey"]})).materialize()
 
     def line_side(b: pa.Table) -> pa.Table:
         s = b["l_suppkey"].to_numpy(zero_copy_only=False)
@@ -9367,7 +9338,7 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_3",
 
     Plan (q163's shape): supplier→nationkey as a broadcast dense
     int array (catalog-sized); customers FILTERED to the two nations
-    before the orders⋈customer exchange, so the materialized
+    before the orders⋈customer lookup_join, so the materialized
     (orderkey, cust_nation) intermediate only carries ~2/25 of orders;
     lineitem (shipdate-pruned, supplier-nation-pruned) joins it on
     orderkey with the cross-nation check and the (s_nat, c_nat, year)
@@ -9376,7 +9347,7 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_3",
     cents×(100-disc) ints, one double division at the end."""
     import pyarrow.parquet as _pq2
 
-    from ..stages.exchange import hash_join
+    from ..stages.exchange import hash_join, lookup_join
 
     nat = _pq2.read_table(_pq(sf_dir, "nation"))
     name_of = dict(zip(nat["n_nationkey"].to_pylist(),
@@ -9413,45 +9384,11 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_3",
         .map_batches(orders_side, batch_format="pyarrow")
 
     # the two-nation customer slice is broadcast-small (2/|nations| of
-    # the dim): sorted-key searchsorted gather in the orders scan
-    # replaces the custkey exchange (q163's round-4 treatment); guard
-    # + exchange fallback for web scale
-    import ray as _ray
-
-    # materialize so the guard count and the broadcast pull share ONE
-    # execution of the filtered scan (the count alone re-ran it)
-    cust = cust.materialize()
-    n_cust2 = cust.count()
-    if n_cust2 <= 16_000_000:
-        ct = pa.concat_tables(
-            cust.iter_batches(batch_format="pyarrow", batch_size=None))
-        ck2 = ct["c_custkey"].to_numpy(zero_copy_only=False)
-        cn2 = ct["c_nat"].to_numpy(zero_copy_only=False)
-        o2 = np.argsort(ck2)
-        ck_ref = _ray.put(ck2[o2])
-        cn_ref = _ray.put(cn2[o2])
-
-        def attach_cnat(b: pa.Table) -> pa.Table:
-            keys = np.asarray(_ray.get(ck_ref))
-            ok = b["c_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, ok)
-            pos_c = np.minimum(pos, len(keys) - 1) if len(keys) \
-                else np.zeros(len(ok), np.int64)
-            m = keys[pos_c] == ok if len(keys) \
-                else np.zeros(len(ok), bool)
-            b = b.filter(pa.array(m))
-            cnat = np.asarray(_ray.get(cn_ref))[pos_c[m]]
-            return pa.table({"l_orderkey": b["l_orderkey"],
-                             "c_nat": pa.array(cnat, type=INT64)})
-
-        ord_nat = orders.map_batches(attach_cnat,
-                                     batch_format="pyarrow") \
-            .materialize()
-    else:  # pragma: no cover - web-scale fallback
-        ord_nat = hash_join(
-            orders, cust, "c_custkey", npart=npart,
-            bucket_finish=lambda j: j.select(["l_orderkey", "c_nat"])) \
-            .materialize()
+    # the dim): the orders scan joins it in place of a custkey exchange
+    ord_nat = lookup_join(
+        orders, cust, "c_custkey", npart=npart,
+        bucket_finish=lambda j: j.select(["l_orderkey", "c_nat"])) \
+        .materialize()
 
     def line_side(b: pa.Table) -> pa.Table:
         d = pc.cast(b["l_shipdate"], INT64)
@@ -9545,13 +9482,13 @@ def national_market_share(sf_dir: str, region: str = "ASIA",
     key-sorted part table (dimension never shuffles — each bucket
     reads only its own row groups, q139's zone-map idea applied to a
     join); customer pre-filters to the region before the custkey
-    exchange (q183's trick); the orderkey join bucket fuses per-year
+    lookup_join (q183's trick); the orderkey join bucket fuses per-year
     (den, num) integer partials so the final groupby sees
     years×buckets rows.  Supplier nation rides as a broadcast dense
     array; the share is ONE final double division."""
     import pyarrow.parquet as _pq2
 
-    from ..stages.exchange import clustered_join, hash_join
+    from ..stages.exchange import clustered_join, hash_join, lookup_join
 
     nat = _pq2.read_table(_pq(sf_dir, "nation"))
     reg = _pq2.read_table(_pq(sf_dir, "region"))
@@ -9570,8 +9507,6 @@ def national_market_share(sf_dir: str, region: str = "ASIA",
     sup_nat = np.full(int(sk.max()) + 1, -1, dtype=np.int64)
     sup_nat[sk] = sn
 
-    import ray
-
     def cust_side(b: pa.Table) -> pa.Table:
         cn = b["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = b.filter(pa.array(np.isin(cn, region_keys)))
@@ -9581,62 +9516,27 @@ def national_market_share(sf_dir: str, region: str = "ASIA",
                            columns=["c_custkey", "c_nationkey"]) \
         .map_batches(cust_side, batch_format="pyarrow")
 
+    def orders_side(b: pa.Table) -> pa.Table:
+        d = pc.cast(b["o_orderdate"], INT64)
+        b = b.filter(pc.and_(
+            pc.greater_equal(d, pa.scalar(_Q7_LO_US, type=INT64)),
+            pc.less(d, pa.scalar(_Q7_HI_US, type=INT64))))
+        return pa.table({
+            "c_custkey": b["o_custkey"],
+            "l_orderkey": b["o_orderkey"],
+            "o_year": pc.cast(pc.year(b["o_orderdate"]), INT64)})
+
+    orders = rd.read_parquet(_pq(sf_dir, "orders"),
+                             columns=["o_orderkey", "o_custkey",
+                                      "o_orderdate"]) \
+        .map_batches(orders_side, batch_format="pyarrow")
+
     # region customers are a ~1/|regions| slice of the customer
-    # dimension — the broadcast semi-join side (q183's trick, now
-    # without the custkey exchange: the former hash_join moved every
-    # order row through an all-to-all to drop 80% of them).  Guard:
-    # past 16M keys (128 MB) fall back to the exchange join.
-    cust = cust.materialize()   # one execution for guard + pull
-    n_cust = cust.count()
-    if n_cust <= 16_000_000:
-        ckeys = np.sort(np.concatenate([
-            b["c_custkey"].to_numpy(zero_copy_only=False)
-            for b in cust.iter_batches(batch_format="pyarrow",
-                                       batch_size=None)]))
-        ckeys_ref = ray.put(ckeys)
-
-        def orders_side_bcast(b: pa.Table) -> pa.Table:
-            d = pc.cast(b["o_orderdate"], INT64)
-            b = b.filter(pc.and_(
-                pc.greater_equal(d, pa.scalar(_Q7_LO_US, type=INT64)),
-                pc.less(d, pa.scalar(_Q7_HI_US, type=INT64))))
-            keys = np.asarray(ray.get(ckeys_ref))
-            ok = b["o_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, ok)
-            pos_c = np.minimum(pos, len(keys) - 1) if len(keys) \
-                else np.zeros(len(ok), np.int64)
-            m = keys[pos_c] == ok if len(keys) \
-                else np.zeros(len(ok), bool)
-            b = b.filter(pa.array(m))
-            return pa.table({
-                "l_orderkey": b["o_orderkey"],
-                "o_year": pc.cast(pc.year(b["o_orderdate"]), INT64)})
-
-        ord_year = rd.read_parquet(
-            _pq(sf_dir, "orders"),
-            columns=["o_orderkey", "o_custkey", "o_orderdate"]) \
-            .map_batches(orders_side_bcast, batch_format="pyarrow") \
-            .materialize()
-    else:  # pragma: no cover - web-scale fallback (exchange join)
-        def orders_side(b: pa.Table) -> pa.Table:
-            d = pc.cast(b["o_orderdate"], INT64)
-            b = b.filter(pc.and_(
-                pc.greater_equal(d, pa.scalar(_Q7_LO_US, type=INT64)),
-                pc.less(d, pa.scalar(_Q7_HI_US, type=INT64))))
-            return pa.table({
-                "c_custkey": b["o_custkey"],
-                "l_orderkey": b["o_orderkey"],
-                "o_year": pc.cast(pc.year(b["o_orderdate"]), INT64)})
-
-        orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                                 columns=["o_orderkey", "o_custkey",
-                                          "o_orderdate"]) \
-            .map_batches(orders_side, batch_format="pyarrow")
-
-        ord_year = hash_join(
-            orders, cust, "c_custkey", npart=npart,
-            bucket_finish=lambda j: j.select(["l_orderkey", "o_year"])) \
-            .materialize()
+    # dimension — the broadcast semi-join side: orders never move
+    ord_year = lookup_join(
+        orders, cust, "c_custkey", npart=npart,
+        bucket_finish=lambda j: j.select(["l_orderkey", "o_year"])) \
+        .materialize()
 
     def line_side(b: pa.Table) -> pa.Table:
         s = b["l_suppkey"].to_numpy(zero_copy_only=False)
@@ -9740,7 +9640,7 @@ def returned_items(sf_dir: str, npart: int = 16, k: int = 20):
     engines."""
     import pyarrow.parquet as _pq2
 
-    from ..stages.exchange import hash_join
+    from ..stages.exchange import hash_join, lookup_join
 
     nat = _pq2.read_table(_pq(sf_dir, "nation"))
     nat_name = dict(zip(nat["n_nationkey"].to_pylist(),
@@ -9780,50 +9680,14 @@ def returned_items(sf_dir: str, npart: int = 16, k: int = 20):
     # custkey lands in that join's bucket — merge + top-k fuse into
     # bucket_finish (removed a Ray-native custkey Aggregate, ~5 s).
     # The lineitem⋈orders leg: quarter-filtered orders are ~1/32 of
-    # the fact (3 months of 8 years) — broadcast the (orderkey →
-    # custkey) slice into the lineitem scan instead of exchanging
-    # both sides (round-4 second pass); 4M-order guard falls back to
-    # the exchange join for web scale.
-    import ray as _ray
+    # the fact (3 months of 8 years), a broadcast-small dimension.
+    def cust_partial(j: pa.Table) -> pa.Table:
+        return j.select(["c_custkey", "rev"]) \
+            .group_by(["c_custkey"]).aggregate([("rev", "sum")]) \
+            .rename_columns(["c_custkey", "rev"])
 
-    orders = orders.materialize()  # one execution for guard + pull
-    n_q_orders = orders.count()
-    if n_q_orders <= 4_000_000:
-        ot = pa.concat_tables(
-            orders.iter_batches(batch_format="pyarrow", batch_size=None))
-        ok_arr = ot["l_orderkey"].to_numpy(zero_copy_only=False)
-        o_ord = np.argsort(ok_arr)
-        okeys_ref = _ray.put(ok_arr[o_ord])
-        ocust_ref = _ray.put(
-            ot["c_custkey"].to_numpy(zero_copy_only=False)[o_ord])
-
-        def line_partial(b: pa.Table) -> pa.Table:
-            keys = np.asarray(_ray.get(okeys_ref))
-            lk = b["l_orderkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, lk)
-            pos_c = np.minimum(pos, len(keys) - 1) if len(keys) \
-                else np.zeros(len(lk), np.int64)
-            m = keys[pos_c] == lk if len(keys) \
-                else np.zeros(len(lk), bool)
-            b = b.filter(pa.array(m))
-            cust = np.asarray(_ray.get(ocust_ref))[pos_c[m]]
-            return pa.table({
-                "c_custkey": pa.array(cust, type=INT64),
-                "rev": b["rev"],
-            }).group_by(["c_custkey"]).aggregate([("rev", "sum")]) \
-                .rename_columns(["c_custkey", "rev"])
-
-        cust_rev = lines.map_batches(line_partial,
-                                     batch_format="pyarrow")
-    else:  # pragma: no cover - web-scale fallback (exchange join)
-        def cust_partial(j: pa.Table) -> pa.Table:
-            j = j.filter(pc.is_valid(j["c_custkey"]))
-            return j.select(["c_custkey", "rev"]) \
-                .group_by(["c_custkey"]).aggregate([("rev", "sum")]) \
-                .rename_columns(["c_custkey", "rev"])
-
-        cust_rev = hash_join(lines, orders, "l_orderkey", npart=npart,
-                             bucket_finish=cust_partial)
+    cust_rev = lookup_join(lines, orders, "l_orderkey", npart=npart,
+                           bucket_finish=cust_partial)
 
     cust = rd.read_parquet(_pq(sf_dir, "customer"),
                            columns=["c_custkey", "c_name", "c_acctbal",
@@ -10143,15 +10007,12 @@ def large_volume_customers(sf_dir: str, min_qty: int = 250,
 
     Plan: lineitem folds per-batch (orderkey, Σqty-centi) partials →
     one orderkey groupby → integer HAVING filter; the surviving
-    ~0.1% of orders join orders on orderkey and customer on custkey
-    through the bucket exchange, each bucket keeping its local top-k
-    by the pinned (totalprice-cents DESC, orderkey ASC) order.  Dates
-    leave as ISO strings so both engines hash identical bytes."""
-    from ..stages.exchange import hash_join
-
-    import ray
-
-    from ..stages.exchange import combine_buckets, with_part
+    ~0.1% of orders lookup-join orders on orderkey, each joined batch
+    keeping its local top-k by the pinned (totalprice-cents DESC,
+    orderkey ASC) order; the ≤ k winners' custkeys lookup-join the
+    customer scan for c_name.  Dates leave as ISO strings so both
+    engines hash identical bytes."""
+    from ..stages.exchange import combine_buckets, lookup_join, with_part
 
     def qty_partial(b: pa.Table) -> pa.Table:
         t = pa.table({
@@ -10176,124 +10037,52 @@ def large_volume_customers(sf_dir: str, min_qty: int = 250,
             batch_format="pyarrow") \
         .materialize()
 
-    # the HAVING survivors are ~0.1% of orders — the textbook
-    # broadcast semi-join side.  Pull them once (driver), ray.put the
-    # sorted keymap, and let the orders scan filter + gather qc with
-    # searchsorted; the former orderkey hash_join moved every order
-    # row through an exchange to discard 99.9% of them.  Guard: past
-    # ~4M survivors fall back to the exchange join (web-scale path).
-    n_big = big.count()
-    if n_big <= 4_000_000:
-        big_tbl = pa.concat_tables(
-            big.iter_batches(batch_format="pyarrow", batch_size=None))
-        okeys = big_tbl["o_orderkey"].to_numpy(zero_copy_only=False)
-        order = np.argsort(okeys)
-        keys_ref = ray.put(okeys[order])
-        qc_ref = ray.put(
-            big_tbl["qc"].to_numpy(zero_copy_only=False)[order])
-
-        def attach_qc(b: pa.Table) -> pa.Table:
-            keys = np.asarray(ray.get(keys_ref))
-            ok = b["o_orderkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, ok)
-            pos_c = np.minimum(pos, len(keys) - 1) if len(keys) \
-                else np.zeros(len(ok), np.int64)
-            m = keys[pos_c] == ok if len(keys) \
-                else np.zeros(len(ok), bool)
-            b = b.filter(pa.array(m))
-            qc = np.asarray(ray.get(qc_ref))[pos_c[m]]
-            return pa.table({
-                "o_orderkey": b["o_orderkey"],
-                "c_custkey": b["o_custkey"],
-                "tp_cents": pc.cast(pc.round(pc.multiply(
-                    b["o_totalprice"], 100.0)), INT64),
-                "o_date_us": pc.cast(b["o_orderdate"], INT64),
-                "qc": pa.array(qc, type=INT64)})
-
-        with_orders = rd.read_parquet(
-            _pq(sf_dir, "orders"),
-            columns=["o_orderkey", "o_custkey", "o_totalprice",
-                     "o_orderdate"]) \
-            .map_batches(attach_qc, batch_format="pyarrow")
-        # qualified-sized result: global top-k on the driver
-        wo = pa.concat_tables(
-            with_orders.iter_batches(batch_format="pyarrow",
-                                     batch_size=None))
-        order = np.lexsort((
-            wo["o_orderkey"].to_numpy(zero_copy_only=False),
-            -wo["tp_cents"].to_numpy(zero_copy_only=False)))
-        top_tbl = wo.take(pa.array(order[:k]))
-        # c_name lookup: broadcast the ≤k custkeys into the customer
-        # scan — no exchange for a 100-row enrichment
-        want = np.unique(
-            top_tbl["c_custkey"].to_numpy(zero_copy_only=False))
-        want_ref = ray.put(want)
-
-        def cust_filter(b: pa.Table) -> pa.Table:
-            w = np.asarray(ray.get(want_ref))
-            m = np.isin(b["c_custkey"].to_numpy(zero_copy_only=False), w)
-            return b.filter(pa.array(m))
-
-        cust_tbl = pa.concat_tables(
-            rd.read_parquet(_pq(sf_dir, "customer"),
-                            columns=["c_custkey", "c_name"])
-            .map_batches(cust_filter, batch_format="pyarrow")
-            .iter_batches(batch_format="pyarrow", batch_size=None))
-        top_tbl = top_tbl.join(cust_tbl, keys="c_custkey",
-                               join_type="inner")
-        order = np.lexsort((
-            top_tbl["o_orderkey"].to_numpy(zero_copy_only=False),
-            -top_tbl["tp_cents"].to_numpy(zero_copy_only=False)))
-        top = rd.from_arrow(top_tbl.take(pa.array(order)))
-    else:  # pragma: no cover - web-scale fallback (exchange joins)
-        def orders_side(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "o_orderkey": b["o_orderkey"],
-                "c_custkey": b["o_custkey"],
-                "tp_cents": pc.cast(pc.round(pc.multiply(
-                    b["o_totalprice"], 100.0)), INT64),
-                "o_date_us": pc.cast(b["o_orderdate"], INT64)})
-
-        orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                                 columns=["o_orderkey", "o_custkey",
-                                          "o_totalprice", "o_orderdate"]) \
-            .map_batches(orders_side, batch_format="pyarrow")
-
-        with_orders = hash_join(
-            big, orders, "o_orderkey", npart=npart,
-            bucket_finish=lambda j: j.filter(pc.is_valid(j["c_custkey"])))
-
-        cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                               columns=["c_custkey", "c_name"])
-
-        def topk_bucket(j: pa.Table) -> pa.Table:
-            j = j.filter(pc.is_valid(j["qc"]))
-            order = np.lexsort((
-                j["o_orderkey"].to_numpy(zero_copy_only=False),
-                -j["tp_cents"].to_numpy(zero_copy_only=False)))
-            return j.take(pa.array(order[:k]))
-
-        top = hash_join(with_orders, cust, "c_custkey", npart=npart,
-                        bucket_finish=topk_bucket) \
-            .sort(["tp_cents", "o_orderkey"], descending=[True, False]) \
-            .limit(k)
-
-    def finish(b: pa.Table) -> pa.Table:
-        d = b["o_date_us"].to_numpy(zero_copy_only=False)
-        iso = [str(np.datetime64(int(x), "us"))[:10] for x in d]
+    def orders_side(b: pa.Table) -> pa.Table:
         return pa.table({
-            "c_name": b["c_name"],
-            "c_custkey": b["c_custkey"],
             "o_orderkey": b["o_orderkey"],
-            "o_orderdate": pa.array(iso, type=pa.string()),
-            "o_totalprice": pc.divide(pc.cast(b["tp_cents"],
-                                              pa.float64()), 100.0),
-            "sum_qty": pc.divide(pc.cast(b["qc"], pa.float64()), 100.0)})
+            "c_custkey": b["o_custkey"],
+            "tp_cents": pc.cast(pc.round(pc.multiply(
+                b["o_totalprice"], 100.0)), INT64),
+            "o_date_us": pc.cast(b["o_orderdate"], INT64)})
 
-    # ≤ k rows: present-sort on the driver, not one more all-to-all
-    out = pa.concat_tables(
-        top.map_batches(finish, batch_format="pyarrow")
+    orders = rd.read_parquet(_pq(sf_dir, "orders"),
+                             columns=["o_orderkey", "o_custkey",
+                                      "o_totalprice", "o_orderdate"]) \
+        .map_batches(orders_side, batch_format="pyarrow")
+
+    def topk_partial(j: pa.Table) -> pa.Table:
+        order = np.lexsort((
+            j["o_orderkey"].to_numpy(zero_copy_only=False),
+            -j["tp_cents"].to_numpy(zero_copy_only=False)))
+        return j.take(pa.array(order[:k]))
+
+    # the HAVING survivors are ~0.1% of orders — the textbook
+    # broadcast semi-join side.  Each joined batch keeps its local
+    # top-k, so ≤ k rows per batch reach the driver's global top-k.
+    wo = pa.concat_tables(
+        lookup_join(orders, big, "o_orderkey", npart=npart,
+                    bucket_finish=topk_partial)
         .iter_batches(batch_format="pyarrow", batch_size=None))
+    top_tbl = topk_partial(wo)
+    # c_name lookup: the ≤ k wanted custkeys filter the customer scan
+    want = rd.from_arrow(pa.table({"c_custkey": pa.array(np.unique(
+        top_tbl["c_custkey"].to_numpy(zero_copy_only=False)), type=INT64)}))
+    cust_tbl = pa.concat_tables(
+        lookup_join(rd.read_parquet(_pq(sf_dir, "customer"),
+                                    columns=["c_custkey", "c_name"]),
+                    want, "c_custkey", npart=npart)
+        .iter_batches(batch_format="pyarrow", batch_size=None))
+    b = top_tbl.join(cust_tbl, keys="c_custkey", join_type="inner")
+    iso = [str(np.datetime64(int(x), "us"))[:10]
+           for x in b["o_date_us"].to_numpy(zero_copy_only=False)]
+    out = pa.table({
+        "c_name": b["c_name"],
+        "c_custkey": b["c_custkey"],
+        "o_orderkey": b["o_orderkey"],
+        "o_orderdate": pa.array(iso, type=pa.string()),
+        "o_totalprice": pc.divide(pc.cast(b["tp_cents"],
+                                          pa.float64()), 100.0),
+        "sum_qty": pc.divide(pc.cast(b["qc"], pa.float64()), 100.0)})
     return rd.from_arrow(out.sort_by([
         ("o_totalprice", "descending"), ("o_orderkey", "ascending")]))
 
@@ -11815,9 +11604,9 @@ def mutual_best(sf_dir: str, npart: int = 16):
     fact; each DIRECTION is an argmax over a different key — two
     exchanges over the SAME materialized fact, per-bucket argmax via
     lexsort + first-row-per-group with pinned (spend DESC, key ASC)
-    ties; the mutual set is the two argmax tables' inner join on BOTH
-    keys.  Spend stays integer through every compare."""
-    from ..stages.exchange import hash_join
+    ties; the mutual set is the two argmax tables' ``lookup_join`` on
+    BOTH keys.  Spend stays integer through every compare."""
+    from ..stages.exchange import hash_join, lookup_join
 
     def orders_side(b: pa.Table) -> pa.Table:
         return pa.table({"l_orderkey": b["o_orderkey"],
@@ -11881,57 +11670,13 @@ def mutual_best(sf_dir: str, npart: int = 16):
     best_c = argmax_by("c", "p")   # key-sized, materialized
     best_p = argmax_by("p", "c")
 
-    # mutual set = inner join of two KEY-SIZED argmax tables.  Both
-    # are tiny relative to the fact (one row per customer / per
-    # part), so a third full exchange + a final distributed sort cost
-    # ~4.4 s of pure fixed all-to-all overhead at sf0.1 for 35k rows
-    # (round-4 profiler).  Broadcast-intersect instead: pack best_p's
-    # (c, p) pairs into uint64, ray.put once, filter best_c batches
-    # with np.isin — the canonical broadcast-small-side shape.  Guard:
-    # above ~4M pairs (64 MB per actor in the worst case) fall back
-    # to the pair-hash exchange, which is the arbitrary-scale path.
-    # The uint64 pack needs BOTH key domains < 2^32 — the row-count
-    # guard bounds cardinality, not magnitude.  The bp side's maxes
-    # come FREE from the table the broadcast already pulls (4 extra
-    # mini-dataset max folds here cost ~0.8 s fixed wall EACH — a
-    # measured 3 s regression, reverted).  The bc side needs no check:
-    # bp holds every p of cp, so bc's p fit too, and a bc row whose
-    # c ≥ 2^32 cannot be in bp (all bp c fit), so it is masked out
-    # before its wrapped pack could falsely match.
-    import ray as _ray
-
-    if best_p.count() <= 4_000_000:
-        bp_tbl = pa.concat_tables(
-            best_p.iter_batches(batch_format="pyarrow", batch_size=None))
-        bp_c = bp_tbl["c"].to_numpy(zero_copy_only=False)
-        bp_p = bp_tbl["p"].to_numpy(zero_copy_only=False)
-        keys_fit_u32 = (len(bp_c) == 0
-                        or (max(int(bp_c.max()), int(bp_p.max()))
-                            < (1 << 32)))
-    else:
-        keys_fit_u32 = False
-
-    if best_p.count() <= 4_000_000 and keys_fit_u32:
-        bp_pack = ((bp_p.astype(np.uint64) << np.uint64(32))
-                   | bp_c.astype(np.uint64))
-        pairs_ref = _ray.put(np.sort(bp_pack))
-
-        def keep_mutual(b: pa.Table) -> pa.Table:
-            c_i = b["c"].to_numpy(zero_copy_only=False)
-            p_i = b["p"].to_numpy(zero_copy_only=False)
-            pack = ((p_i.astype(np.uint64) << np.uint64(32))
-                    | c_i.astype(np.uint64))
-            ref = np.asarray(_ray.get(pairs_ref))
-            pos = np.searchsorted(ref, pack)
-            pos[pos >= len(ref)] = 0
-            m = ref[pos] == pack if len(ref) else np.zeros(len(pack), bool)
-            return b.filter(pa.array(m & (c_i < (1 << 32))))
-
-        mutual = best_c.map_batches(keep_mutual, batch_format="pyarrow")
-    else:  # pragma: no cover - web-scale fallback
-        mutual = hash_join(best_c, best_p, ["c", "p"], npart=npart,
-                           bucket_finish=lambda j: j.filter(
-                               pc.is_valid(j["r_r"])).select(["c", "p", "r"]))
+    # mutual set = inner join of two KEY-SIZED argmax tables on both
+    # keys.  Both are tiny relative to the fact (one row per customer
+    # / per part): a third full exchange + a final distributed sort
+    # cost ~4.4 s of fixed all-to-all overhead at sf0.1 for 35k rows
+    # (round-4 profiler), so best_p's pairs broadcast when they fit.
+    mutual = lookup_join(best_c, best_p.select_columns(["c", "p"]),
+                         ["c", "p"], npart=npart)
 
     # result is mutual-match-sized (≤ min(|c|,|p|)) — sort it on the
     # driver instead of paying one more all-to-all for presentation
@@ -12689,9 +12434,9 @@ def churn_report(sf_dir: str, horizon_days: int = 365,
     through ``exchange.auto_join``, the planner rule that picks
     broadcast / clustered / hash joins from parquet FOOTER stats
     instead of a hard-coded strategy (the engine decision q168 only
-    reports).  At sf0.01 the customer dim broadcasts; at a scale
-    where it outgrows the limit the SAME call hash-exchanges, rows
-    identical.
+    reports).  At sf0.01 the customer dim broadcasts; once its footer
+    bytes outgrow one block (``exchange.fits_one_block``) the SAME
+    call range-routes or hash-exchanges, rows identical.
 
     Exactness: day arithmetic in integer epoch days; the rate is one
     closing double."""

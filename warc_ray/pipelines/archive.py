@@ -13,7 +13,7 @@ import ray.data as rd
 
 from ..sinks.warc_sink import write_warc_shards
 from ..stages.assemble import fused_doc_records
-from ..stages.exchange import bucket_exchange
+from ..stages.exchange import bucket_exchange, sort_result
 
 
 def archive_docs(docs_ds: "rd.Dataset", out_dir: str, *,
@@ -257,12 +257,7 @@ def wet_extraction(archive_dir: str) -> "rd.Dataset":
             "text_md5": pa.array(digs, type=pa.string()),
         })
 
-    from .training import _present_sorted
-
-    # presentation sort on the driver under the 4M guard: the
-    # distributed .sort() costs ~2-3 s of fixed all-to-all wall for a
-    # result-sized table (round-5 profiler, q258)
-    return _present_sorted(
+    return sort_result(
         read_warc(archive_dir).map_batches(extract,
                                            batch_format="pyarrow"),
         ["doc_id"])
@@ -357,12 +352,7 @@ def wat_extraction(archive_dir: str) -> "rd.Dataset":
             "outlinks_md5": md5_hex(joined),
         })
 
-    from .training import _present_sorted
-
-    # presentation sort on the driver under the 4M guard: the
-    # distributed .sort() costs ~2-3 s of fixed all-to-all wall for a
-    # result-sized table (round-5 profiler, q258)
-    return _present_sorted(
+    return sort_result(
         read_warc(archive_dir).map_batches(extract,
                                            batch_format="pyarrow"),
         ["doc_id"])

@@ -17,7 +17,7 @@ import ray.data as rd
 from ray.data.aggregate import Min, Sum
 
 from ..stages import dedup as dd
-from ..stages.exchange import bucket_exchange, segment_bounds
+from ..stages.exchange import bucket_exchange, segment_bounds, sort_result
 from ..stages import similarity as sim
 from ..stages import textstats as ts
 
@@ -130,28 +130,10 @@ def exact_dedup(sf_dir: str):
     return out.drop_columns(["text_hash"]).sort("keep_doc")
 
 
-def _present_sorted(ds, keys: list[str], guard: int = 4_000_000):
-    """Presentation sort for RESULT-sized tables: a distributed
-    ``.sort()`` costs ~1.5-2 s of fixed all-to-all wall regardless of
-    row count (round-4 finding) — fold ≤``guard`` rows on the driver
-    and ``sort_by`` instead; past the guard (a genuinely huge result)
-    pay the distributed sort."""
-    ds = ds.materialize()
-    if ds.count() <= guard:
-        batches = list(ds.iter_batches(batch_format="pyarrow",
-                                       batch_size=None))
-        if not batches:
-            return ds
-        t = pa.concat_tables(batches)
-        return rd.from_arrow(
-            t.sort_by([(k, "ascending") for k in keys]))
-    return ds.sort(keys)  # pragma: no cover - web-scale fallback
-
-
 def minhash_pairs(sf_dir: str, threshold_ppm: int = 500_000):
     """MinHash-LSH near-dup candidate pairs, exact-Jaccard verified via
     the hash-partitioned pairs⋈docs join (no whole-table actor load)."""
-    return _present_sorted(
+    return sort_result(
         dd.minhash_dedup_pairs(_docs(sf_dir, columns=["doc_id", "text"]),
                                threshold_ppm=threshold_ppm),
         ["doc_a", "doc_b"])
@@ -160,7 +142,7 @@ def minhash_pairs(sf_dir: str, threshold_ppm: int = 500_000):
 def ngram_jaccard(sf_dir: str, threshold_ppm: int = 500_000):
     """EXACT 3-gram Jaccard near-dup pairs (inverted-index path — the
     100%-recall complement to q21's MinHash sketch)."""
-    return _present_sorted(
+    return sort_result(
         dd.ngram_jaccard_pairs(_docs(sf_dir, columns=["doc_id", "text"]),
                                threshold_ppm=threshold_ppm),
         ["doc_a", "doc_b"])
@@ -174,7 +156,7 @@ def simhash(sf_dir: str):
 def embedding_neardup(sf_dir: str, threshold: float = 0.4):
     """Cosine-threshold pairs (a<b), integer ids only — EXACT, via the
     triangle block join (no driver read, no full-matrix broadcast)."""
-    return _present_sorted(
+    return sort_result(
         sim.neardup_pairs_blocked(_emb(sf_dir), threshold),
         ["vec_a", "vec_b"])
 
@@ -194,8 +176,8 @@ def embedding_lsh_pairs(sf_dir: str, threshold: float = 0.4):
     the cosine is integer-exact (fixed-point quantize + int
     hyperplanes) so the q47 oracle reproduces candidates bit-for-bit.
     Recall 1-(1-p^4)^16 at sign-agreement p."""
-    return _present_sorted(sim.lsh_neardup_pairs(_emb(sf_dir), threshold),
-                           ["vec_a", "vec_b"])
+    return sort_result(sim.lsh_neardup_pairs(_emb(sf_dir), threshold),
+                       ["vec_a", "vec_b"])
 
 
 # -- similarity search ------------------------------------------------------

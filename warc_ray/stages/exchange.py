@@ -18,8 +18,7 @@ exchange at identical results).  The bucket exchange instead:
 ``hash_join``, ``skew_join``, ``range_sort`` and ``clustered_join``
 only build its input and its ``bucket_fn``, and every per-bucket plan
 in ``pipelines`` and ``stages`` calls it directly.  It materializes its
-input once and picks the path by size.  At most one Ray block
-(``DataContext.target_max_block_size``, 128 MiB by default) folds on
+input once and picks the path by size.  At most one Ray block folds on
 the driver: concatenate, stable-sort by the part column, one
 ``bucket_fn`` call per part.  Anything larger takes one Ray
 ``groupby(part_col).map_groups`` (one Python call per distinct part —
@@ -27,6 +26,15 @@ not per key).  Either way the result is a materialized Dataset.  The
 part column is usually ``with_part``'s int bucket, but may be any
 non-null sortable column.  Every primitive executes each of its inputs
 exactly once.
+
+One size rule decides every broadcast-or-exchange choice:
+``fits_one_block`` (bytes ≤ ``DataContext.target_max_block_size``,
+128 MiB by default).  ``bucket_exchange`` applies it to its input,
+``lookup_join`` to its dimension (fits → ``ray.put`` it and join each
+fact batch with Arrow, no exchange; else ``hash_join``),
+``auto_join`` to the dimension's parquet footer bytes, and
+``sort_result`` to a result it sorts (fits → sort on the driver; else
+Ray's distributed sort).
 
 ``npart`` sizes the reduce parallelism and bounds per-task group state:
 at cluster scale set it to a few × total cores so each bucket's
@@ -71,6 +79,17 @@ def segment_bounds(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, rank
 
 
+def fits_one_block(nbytes: int | None) -> bool:
+    """The engine's one size rule: ``nbytes`` (None = unknown) is at
+    most one Ray block, ``DataContext.target_max_block_size``.  Inputs
+    that fit are handled whole on the driver or broadcast; larger ones
+    take an exchange."""
+    from ray.data import DataContext
+
+    return (nbytes is not None
+            and nbytes <= DataContext.get_current().target_max_block_size)
+
+
 def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
     """Run ``bucket_fn`` once per distinct ``part_col`` value of ``ds``,
     picking the path by size.
@@ -78,26 +97,21 @@ def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
     ``part_col`` may be any non-null sortable column; ``bucket_fn(
     pa.Table) -> pa.Table`` sees all of one part's rows (``part_col``
     included) either way.  Executes ``ds`` once, when called, and
-    returns a materialized Dataset.  If the materialized input is at
-    most one block (``DataContext.target_max_block_size``) the driver
-    concatenates it (blocks whose types differ, e.g. int32 vs int64,
-    promote as they do in the sort-shuffle), stable-sorts by
-    ``part_col`` and calls ``bucket_fn`` per part: the sort-shuffle's
-    fixed cost (seconds per exchange) is far above a driver pass over
-    result-sized rows.  Larger inputs take
-    ``groupby(part_col).map_groups(bucket_fn)``.  Empty input never
-    calls ``bucket_fn`` and yields an empty Dataset.  Output row order
-    is unspecified.
+    returns a materialized Dataset.  If the materialized input
+    ``fits_one_block`` the driver concatenates it (blocks whose types
+    differ, e.g. int32 vs int64, promote as they do in the
+    sort-shuffle), stable-sorts by ``part_col`` and calls
+    ``bucket_fn`` per part: the sort-shuffle's fixed cost (seconds per
+    exchange) is far above a driver pass over result-sized rows.
+    Larger inputs take ``groupby(part_col).map_groups(bucket_fn)``.
+    Empty input never calls ``bucket_fn`` and yields an empty Dataset.
+    Output row order is unspecified.
     """
     import ray
     import ray.data as rd
-    from ray.data import DataContext
 
     mat = ds.materialize()
-    size = mat.size_bytes()
-    if mat.count() and (
-            size is None
-            or size > DataContext.get_current().target_max_block_size):
+    if mat.count() and not fits_one_block(mat.size_bytes()):
         return mat.groupby(part_col).map_groups(
             bucket_fn, batch_format="pyarrow").materialize()
     blocks = [b for b in ray.get(mat.to_arrow_refs()) if b.num_rows]
@@ -112,6 +126,26 @@ def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
             for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(part)])]
     return rd.from_arrow(pa.concat_tables(outs,
                                           promote_options="permissive"))
+
+
+def sort_result(ds, keys: list[str]):
+    """Ascending sort of a RESULT-sized Dataset by ``keys``.  Ray's
+    distributed ``.sort()`` costs seconds of fixed all-to-all wall
+    whatever the row count, so a materialized result that
+    ``fits_one_block`` is concatenated and sorted on the driver; a
+    larger one takes ``.sort()``.  Executes ``ds`` once."""
+    import ray
+    import ray.data as rd
+
+    mat = ds.materialize()
+    if not fits_one_block(mat.size_bytes()):
+        return mat.sort(keys)
+    blocks = [b for b in ray.get(mat.to_arrow_refs()) if b.num_rows]
+    if not blocks:
+        return mat
+    return rd.from_arrow(
+        pa.concat_tables(blocks, promote_options="permissive")
+        .sort_by([(k, "ascending") for k in keys]))
 
 
 def combine_buckets(ds, key_cols, aggs: list[tuple[str, str]],
@@ -196,8 +230,8 @@ def hash_join(left_ds, right_ds, keys, how: str = "inner", *,
               npart: int = 32, right_suffix: str = "_r",
               bucket_finish=None):
     """General bucket-exchange join for two Datasets — the
-    both-sides-large path (for fact ⋈ small-dim, broadcast a dict
-    instead; see pipelines/relational.revenue_by_nation).
+    both-sides-large path (for fact ⋈ dim, ``lookup_join`` broadcasts
+    a dim that fits one block and falls back to this join).
 
     Both sides move through ONE hash ``bucket_exchange`` on the join
     key (see ``_join_exchange``); each side executes once.  Compared
@@ -233,6 +267,50 @@ def hash_join(left_ds, right_ds, keys, how: str = "inner", *,
 
     return _join_exchange(left_ds, right_ds, keys, how, right_suffix,
                           bucket_finish, route, route)
+
+
+def _broadcast_join(fact_ds, dim: pa.Table, keys, bucket_finish):
+    """The broadcast kernel: ``ray.put`` ``dim`` once and inner-join it
+    into every fact batch with Arrow (N:M keys expand; an empty ``dim``
+    gives zero rows with the joined schema), then ``bucket_finish``.
+    Clashing dim columns get ``_r`` as in ``hash_join``."""
+    import ray
+
+    ref = ray.put(dim)
+
+    def probe(b: pa.Table) -> pa.Table:
+        j = b.join(ray.get(ref), keys=keys, join_type="inner",
+                   right_suffix="_r")
+        return bucket_finish(j) if bucket_finish is not None else j
+
+    return fact_ds.map_batches(probe, batch_format="pyarrow")
+
+
+def lookup_join(fact_ds, dim_ds, keys, *, npart: int = 32,
+                bucket_finish=None):
+    """Inner join of a fact Dataset with a dimension Dataset, broadcast
+    when the dimension is small and exchanged otherwise.
+
+    ``dim_ds`` executes once (materialized).  If it ``fits_one_block``
+    its table is broadcast and each fact batch joins it with Arrow:
+    the fact never moves, and the result is a lazy Dataset that runs
+    the fact when consumed.  Otherwise this is ``hash_join(fact_ds,
+    dim_ds, keys, npart=npart, bucket_finish=bucket_finish)``.  Key
+    columns must have the same types on both sides.
+
+    ``bucket_finish`` runs once per FACT BATCH on the broadcast path,
+    not once per key bucket, so it must be row-wise (select, filter)
+    or a partial the caller re-reduces (a per-key sum, a local top-k).
+    """
+    import ray
+
+    dim_ds = dim_ds.materialize()
+    if not fits_one_block(dim_ds.size_bytes()):
+        return hash_join(fact_ds, dim_ds, keys, npart=npart,
+                         bucket_finish=bucket_finish)
+    dim = pa.concat_tables(ray.get(dim_ds.to_arrow_refs()),
+                           promote_options="permissive")
+    return _broadcast_join(fact_ds, dim, keys, bucket_finish)
 
 
 # ---------------------------------------------------------------------------
@@ -520,21 +598,17 @@ def clustered_join(fact_ds, dim_path: str, *, fact_key: str,
 # Stats-driven join strategy selection (the planner's join rule)
 # ---------------------------------------------------------------------------
 
-BROADCAST_ROW_LIMIT = 2_000_000        # dim rows a worker can hold (~tens of MB)
-
-
 def auto_join(fact_ds, dim_path: str, *, fact_key: str, dim_key: str,
-              dim_columns=None, npart: int = 32, bucket_finish=None,
-              broadcast_row_limit: int | None = None):
+              dim_columns=None, npart: int = 32, bucket_finish=None):
     """Join a fact Dataset against a parquet dimension choosing the
     strategy FROM STORAGE STATISTICS — the rule a query planner runs,
     exposed as an engine primitive (q168 reports these costs; this
     acts on them):
 
-      1. dim rows ≤ broadcast_row_limit → BROADCAST: read the dim
-         once driver-side, ship via the task closure, join per batch
-         with np.searchsorted against the sorted key column — no
-         exchange AT ALL, the fact never moves.
+      1. the footer's row-group bytes ``fits_one_block`` → BROADCAST:
+         read the dim once driver-side and join each fact batch with
+         ``lookup_join``'s kernel — no exchange AT ALL, the fact never
+         moves.
       2. dim key-sorted (row-group min stats monotone) → CLUSTERED:
          range-route only the fact; each bucket reads its own row
          groups (``clustered_join``).
@@ -547,58 +621,18 @@ def auto_join(fact_ds, dim_path: str, *, fact_key: str, dim_key: str,
     finish or any per-key aggregate whose downstream re-reduces)."""
     import pyarrow.parquet as pq
 
-    limit = (BROADCAST_ROW_LIMIT if broadcast_row_limit is None
-             else broadcast_row_limit)
     md = pq.read_metadata(dim_path)
     cols = [dim_key] + [c for c in (dim_columns or []) if c != dim_key]
 
-    if md.num_rows <= limit:
-        dim = pq.read_table(dim_path, columns=cols)
-        order = pa.compute.sort_indices(dim[dim_key])
-        dim = dim.take(order)
-        keys = dim[dim_key].to_numpy(zero_copy_only=False)
-        dim_cols = {c: dim[c] for c in cols if c != dim_key}
+    def rename(b: pa.Table) -> pa.Table:
+        return b.rename_columns(
+            [fact_key if c == dim_key else c for c in b.column_names])
 
-        def probe(b: pa.Table) -> pa.Table:
-            if len(keys) == 0:
-                # empty dim: inner join is empty — emit the joined
-                # SCHEMA (fact cols + dim cols) with zero rows; the
-                # old `(len(keys) > 0) & ...` guard never ran because
-                # `&` is eager and keys[pos_c] raised first.
-                out = b.slice(0, 0)
-                for c, col in dim_cols.items():
-                    name = c + ("_r" if c in b.column_names else "")
-                    out = out.append_column(name, col.slice(0, 0))
-                return bucket_finish(out) if bucket_finish is not None \
-                    else out
-            fk = b[fact_key].to_numpy(zero_copy_only=False)
-            lo = np.searchsorted(keys, fk, side="left")
-            hi = np.searchsorted(keys, fk, side="right")
-            cnt = hi - lo                    # 0 = miss, >1 = dup dim keys
-            if cnt.max(initial=0) <= 1:      # unique-key fast path
-                hit = cnt == 1
-                out = b.filter(pa.array(hit))
-                take = pa.array(lo[hit])
-                for c, col in dim_cols.items():
-                    name = c + ("_r" if c in b.column_names else "")
-                    out = out.append_column(name, col.take(take))
-            else:
-                # expand duplicate matches so all three strategies
-                # produce identical rows (hash/clustered join N:M)
-                fact_take = np.repeat(
-                    np.arange(len(fk), dtype=np.int64), cnt)
-                csum = np.cumsum(cnt) - cnt
-                pos = (np.arange(int(cnt.sum()), dtype=np.int64)
-                       - csum[fact_take] + lo[fact_take])
-                out = b.take(pa.array(fact_take))
-                for c, col in dim_cols.items():
-                    name = c + ("_r" if c in b.column_names else "")
-                    out = out.append_column(name, col.take(pa.array(pos)))
-            return bucket_finish(out) if bucket_finish is not None \
-                else out
-
-        return fact_ds.map_batches(probe, batch_format="pyarrow"), \
-            "broadcast"
+    if fits_one_block(sum(md.row_group(i).total_byte_size
+                          for i in range(md.num_row_groups))):
+        dim = rename(pq.read_table(dim_path, columns=cols))
+        return _broadcast_join(fact_ds, dim, fact_key,
+                               bucket_finish), "broadcast"
 
     key_idx = next(j for j in range(md.row_group(0).num_columns)
                    if md.row_group(0).column(j).path_in_schema == dim_key)
@@ -613,9 +647,6 @@ def auto_join(fact_ds, dim_path: str, *, fact_key: str, dim_key: str,
     import ray.data as rd
     dim_ds = rd.read_parquet(dim_path, columns=cols)
     if dim_key != fact_key:
-        def rename(b: pa.Table) -> pa.Table:
-            return b.rename_columns(
-                [fact_key if c == dim_key else c for c in b.column_names])
         dim_ds = dim_ds.map_batches(rename, batch_format="pyarrow")
     return hash_join(fact_ds, dim_ds, fact_key, npart=npart,
                      bucket_finish=bucket_finish), "hash"
