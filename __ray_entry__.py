@@ -7,6 +7,10 @@
 ``oracle_sql()`` — DuckDB-equivalent SQL for every value-checkable
                 query (same column names; integer-exact measures).
 
+Both are built from ``registry()``, which declares each query once:
+its name, its engine function and its oracle, held by reference in the
+``warc_ray.oracle_sql`` package (which no engine module imports).
+
 Ray is initialised by the driver BEFORE importing this module; nothing
 here calls ray.init/ray.shutdown.  The synthetic interleaved corpus
 (BASELINE.json input_hint) is generated deterministically under /tmp at
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from typing import Any
+from typing import Any, NamedTuple
 
 from warc_ray import corpus as corpus_mod
 
@@ -874,383 +878,347 @@ def _arc_roundtrip_q(sf_dir: str):
                                           alias_name="payload_bytes"))
 
 
-# The correctness driver samples the FIRST ~50 queries() entries.
-# Round-3 VERDICT item 1: rotate this head each round to a NEVER-
-# driver-sampled, family-spanning set so cumulative driver-hard
-# coverage grows (rounds 1-4 verified 159 distinct queries; this
-# round-5 head adds 50 more, none of which appear in
-# CORRECTNESS_r01-r04 — cumulative 209/259 if sampled).  Every key
-# here has a full DuckDB oracle (rows+schema+value-hash);
-# rows-only-by-design queries (q31/q40-43/q60/q64/q75/q114/q179/q255
-# — k-means, media codecs, zlib, KLL, eigh, PQ: non-SQL-expressible,
-# each pytest-gated) deliberately sit AFTER this block so the sampled
-# window is 100% value-checked.  The round 1-4 sampled set is pinned
-# in tests/test_registry.py (PREVIOUSLY_SAMPLED) with a disjointness
-# invariant.
-_DRIVER_SAMPLE_ORDER = [
-    # graph / hierarchy (iterative + semiring pointer doubling)
-    "q29_pagerank", "q201_assortativity", "q176_bom_explosion",
-    "q159_hierarchy_rollup",
-    # engine primitives (window / sample / quantile / interval shapes)
-    "q16_doc_sample", "q66_rollup_lineitem", "q73_quality_deciles",
-    "q77_outlier_events", "q133_lineitem_profile", "q134_trimmed_mean",
-    "q136_equidepth_histogram", "q141_big_spenders",
-    "q145_weighted_median", "q144_max_concurrent", "q164_pit_snapshot",
-    "q165_windowed_pairs", "q200_interval_union",
-    # storage layout / anti-entropy
-    "q139_zorder_range", "q142_replica_repair",
-    # text / training-data prep
-    "q36_repetition", "q61_window_chunks", "q80_mode_lang_by_source",
-    "q151_naive_bayes", "q153_logreg_train", "q196_brand_triples",
-    "q204_journey_paths", "q208_quantized_retrieval",
-    # exact / privacy statistics
-    "q140_private_count", "q146_drift_psi", "q147_ab_experiment",
-    "q155_benford", "q166_bootstrap_ci", "q178_mi_table",
-    "q231_kendall_tau", "q242_discount_response", "q191_gini_spend",
-    # business / operational censuses and audits
-    "q143_revenue_rollup_geo", "q148_basket_pairs", "q149_spatial_join",
-    "q156_gdpr_cascade", "q161_lpm_enrich", "q169_activity_streaks",
-    "q170_fd_discovery", "q171_changepoint", "q172_period_movers",
-    "q174_reconcile", "q175_pareto_cut", "q177_apportioned_sample",
-    "q180_time_weighted_avg", "q182_lifecycle_audit",
-]
+# ---------------------------------------------------------------------------
+# the query registry
+# ---------------------------------------------------------------------------
+
+class Query(NamedTuple):
+    """One registry row.  ``fn`` takes ``sf_dir`` and returns a Dataset
+    or pyarrow Table.  ``sql`` is its DuckDB oracle (same column names,
+    integer-exact measures): the text, or a function of
+    ``oracle_sql.corpus.CorpusPaths`` for an oracle that reads corpus
+    artifacts.  A query with no SQL twin has ``sql=None`` and says why
+    in ``rows_only``; its laws are pytest-gated instead."""
+    name: str
+    fn: Callable[[str], Any]
+    sql: str | Callable[[Any], str] | None
+    rows_only: str = ""
 
 
-def queries() -> dict[str, Callable[[str], Any]]:
+def registry() -> list[Query]:
+    """Every query, declared once, in driver order.
+
+    The correctness driver samples the FIRST 50 rows.  Round-3 VERDICT
+    item 1: rotate this head each round to a NEVER-driver-sampled,
+    family-spanning set so cumulative driver-hard coverage grows
+    (rounds 1-4 verified 159 distinct queries; the round-5 head adds 50
+    more, none of which appear in CORRECTNESS_r01-r04).  Every head row
+    has a full DuckDB oracle, and the rows-only queries sit after it,
+    so the sampled window is 100% value-checked.  The round 1-4 sampled
+    set is pinned in tests/test_registry.py (PREVIOUSLY_SAMPLED) with a
+    disjointness invariant."""
+    from warc_ray.oracle_sql import analytics as oa
+    from warc_ray.oracle_sql import corpus as oc
+    from warc_ray.oracle_sql import relational as orl
+    from warc_ray.oracle_sql import training as otr
     from warc_ray.pipelines import analytics as an
     from warc_ray.pipelines import relational as rel
     from warc_ray.pipelines import training as tr
 
-    q = {
+    Q = Query
+    return [
+        # graph / hierarchy (iterative + semiring pointer doubling)
+        Q("q29_pagerank", rel.part_supplier_pagerank, orl.PAGERANK_SQL),
+        Q("q201_assortativity", an.degree_assortativity, oa.ASSORT_SQL),
+        Q("q176_bom_explosion", an.bom_explosion, oa.BOM_SQL),
+        Q("q159_hierarchy_rollup", an.hierarchy_rollup, oa.HIERARCHY_SQL),
+        # engine primitives (window / sample / quantile / interval shapes)
+        Q("q16_doc_sample", rel.sample_documents, orl.DOC_SAMPLE_SQL),
+        Q("q66_rollup_lineitem", rel.rollup_lineitem, orl.ROLLUP_LINEITEM_SQL),
+        Q("q73_quality_deciles", rel.quality_deciles, orl.QUALITY_DECILES_SQL),
+        Q("q77_outlier_events", rel.outlier_events, orl.OUTLIER_EVENTS_SQL),
+        Q("q133_lineitem_profile", an.lineitem_profile, oa.LINEITEM_PROFILE_SQL),
+        Q("q134_trimmed_mean", an.trimmed_mean_value, oa.TRIMMED_MEAN_SQL),
+        Q("q136_equidepth_histogram", an.equidepth_histogram, oa.EQUIDEPTH_SQL),
+        Q("q141_big_spenders", an.big_spenders, oa.BIG_SPENDERS_SQL),
+        Q("q145_weighted_median", an.weighted_median_price, oa.WEIGHTED_MEDIAN_SQL),
+        Q("q144_max_concurrent", an.max_concurrent_sessions, oa.MAX_CONCURRENT_SQL),
+        Q("q164_pit_snapshot", an.pit_state_snapshot, oa.PIT_SNAPSHOT_SQL),
+        Q("q165_windowed_pairs", an.windowed_pair_join, oa.WINDOWED_PAIR_SQL),
+        Q("q200_interval_union", an.interval_union, oa.INTERVAL_UNION_SQL),
+        # storage layout / anti-entropy
+        Q("q139_zorder_range", an.zorder_range_scan, oa.ZORDER_RANGE_SQL),
+        Q("q142_replica_repair", an.replica_repair, oa.REPLICA_REPAIR_SQL),
+        # text / training-data prep
+        Q("q36_repetition", tr.repetition_stats, otr.REPETITION_SQL),
+        Q("q61_window_chunks", tr.window_chunks, otr.WINDOW_CHUNKS_SQL),
+        Q("q80_mode_lang_by_source", tr.mode_lang_by_source, otr.MODE_LANG_BY_SOURCE_SQL),
+        Q("q151_naive_bayes", an.naive_bayes, oa.NAIVE_BAYES_SQL),
+        Q("q153_logreg_train", an.logreg_train, oa.LOGREG_SQL),
+        Q("q196_brand_triples", an.brand_triples, oa.TRIPLES_SQL),
+        Q("q204_journey_paths", an.journey_paths, oa.JOURNEY_SQL),
+        Q("q208_quantized_retrieval", an.quantized_retrieval, oa.QUANT_RETRIEVAL_SQL),
+        # exact / privacy statistics
+        Q("q140_private_count", an.private_purchase_count, oa.PRIVATE_COUNT_SQL),
+        Q("q146_drift_psi", an.drift_psi, oa.DRIFT_PSI_SQL),
+        Q("q147_ab_experiment", an.ab_experiment, oa.AB_EXPERIMENT_SQL),
+        Q("q155_benford", an.benford_audit, oa.BENFORD_SQL),
+        Q("q166_bootstrap_ci", an.bootstrap_ci, oa.BOOTSTRAP_SQL),
+        Q("q178_mi_table", an.mi_contributions, oa.MI_SQL),
+        Q("q231_kendall_tau", an.kendall_tau, oa.KENDALL_SQL),
+        Q("q242_discount_response", an.discount_response, oa.DISCOUNT_RESPONSE_SQL),
+        Q("q191_gini_spend", an.gini_spend, oa.GINI_SQL),
+        # business / operational censuses and audits
+        Q("q143_revenue_rollup_geo", an.revenue_rollup_geo, oa.REVENUE_ROLLUP_GEO_SQL),
+        Q("q148_basket_pairs", an.basket_pairs, oa.BASKET_PAIRS_SQL),
+        Q("q149_spatial_join", an.spatial_radius_join, oa.SPATIAL_JOIN_SQL),
+        Q("q156_gdpr_cascade", an.gdpr_cascade, oa.GDPR_CASCADE_SQL),
+        Q("q161_lpm_enrich", an.lpm_enrich, oa.LPM_ENRICH_SQL),
+        Q("q169_activity_streaks", an.activity_streaks, oa.STREAKS_SQL),
+        Q("q170_fd_discovery", an.fd_discovery, oa.FD_DISCOVERY_SQL),
+        Q("q171_changepoint", an.cusum_changepoint, oa.CUSUM_SQL),
+        Q("q172_period_movers", an.period_movers, oa.MOVERS_SQL),
+        Q("q174_reconcile", an.reconciliation_audit, oa.RECONCILE_SQL),
+        Q("q175_pareto_cut", an.pareto_cut, oa.PARETO_SQL),
+        Q("q177_apportioned_sample", an.apportioned_sample, oa.APPORTION_SQL),
+        Q("q180_time_weighted_avg", an.time_weighted_avg, oa.TWA_SQL),
+        Q("q182_lifecycle_audit", an.lifecycle_audit, oa.LIFECYCLE_SQL),
+        # ---- end of the driver-sampled head ----
         # relational / wide operators (G11/G15/G17 patterns)
-        "q01_agg_lineitem": rel.agg_lineitem,
+        Q("q01_agg_lineitem", rel.agg_lineitem, orl.AGG_LINEITEM_SQL),
         # session-5 analytics / lakehouse operators
-        "q81_merge_upsert": an.merge_upsert,
-        "q82_group_concat": an.group_concat,
-        "q83_feature_corr": an.feature_corr,
-        "q84_json_props": an.json_props_stats,
-        "q85_retention_cohorts": an.retention_cohorts,
-        "q86_vocab_build": an.vocab_build,
-        "q87_containment_pairs": an.containment_pairs,
-        "q88_source_mixture": an.source_mixture,
-        "q89_pivot_events": an.pivot_events,
-        "q90_funnel": an.funnel,
-        "q91_degree_histogram": _degree_histogram_q,
-        "q92_debounce_events": an.debounce_events,
-        "q93_bigram_topk": an.bigram_topk,
-        "q94_cumulative_users": an.cumulative_users,
-        "q95_cooccurrence": an.cooccurrence,
-        "q97_session_trigrams": an.session_trigrams,
-        "q98_incremental_agg": an.incremental_agg,
-        "q100_shipping_priority": an.shipping_priority,
-        "q101_bucketed_dedup": an.bucketed_dedup,
-        "q102_compact_files": an.compact_files,
-        "q103_skewed_user_join": an.skewed_user_join,
-        "q104_unpivot_lineitem": an.unpivot_lineitem,
-        "q105_percent_rank": an.percent_rank_orders,
-        "q106_event_mad": an.event_mad,
-        "q107_weighted_avg": an.weighted_avg_chars,
-        "q108_normalized_dedup": an.normalized_dedup,
-        "q109_table_fingerprints": an.table_fingerprints,
-        "q110_zscore_outliers": an.zscore_outliers,
-        "q111_streaming_windows": an.streaming_windows,
-        "q113_last_touch": an.last_touch_attribution,
-        "q114_ivf_recall": an.ivf_recall,
-        "q115_integrity_audit": an.integrity_audit,
-        "q116_point_lookup": an.point_lookup,
-        "q117_dense_event_grid": an.dense_event_grid,
-        "q118_charclass_entropy": an.charclass_entropy,
-        "q119_median_interarrival": an.median_interarrival,
-        "q120_audience_overlap": an.audience_overlap,
-        "q121_top_user_per_type": an.top_user_per_type,
-        "q122_bm25_topk": an.bm25_topk,
-        "q123_event_transitions": an.event_transitions,
-        "q124_sliding_distinct": an.sliding_distinct_users,
-        "q125_pruned_join": an.pruned_join_revenue,
-        "q126_above_avg_orders": an.above_avg_orders,
-        "q127_discount_revenue": an.discount_revenue,
-        "q128_source_lang_lift": an.source_lang_lift,
-        "q129_part_skyline": an.part_skyline,
-        "q130_lineitem_regression": an.lineitem_regression,
-        "q131_scd2_user_state": an.scd2_user_state,
-        "q132_embedding_covariance": an.embedding_covariance,
-        "q133_lineitem_profile": an.lineitem_profile,
-        "q134_trimmed_mean": an.trimmed_mean_value,
-        "q136_equidepth_histogram": an.equidepth_histogram,
-        "q137_time_travel": an.time_travel_orders,
-        "q138_join_cardinality": an.join_cardinality,
-        "q139_zorder_range": an.zorder_range_scan,
-        "q140_private_count": an.private_purchase_count,
-        "q141_big_spenders": an.big_spenders,
-        "q142_replica_repair": an.replica_repair,
-        "q143_revenue_rollup_geo": an.revenue_rollup_geo,
-        "q144_max_concurrent": an.max_concurrent_sessions,
-        "q145_weighted_median": an.weighted_median_price,
-        "q146_drift_psi": an.drift_psi,
-        "q147_ab_experiment": an.ab_experiment,
-        "q148_basket_pairs": an.basket_pairs,
-        "q149_spatial_join": an.spatial_radius_join,
-        "q150_custdist": an.custdist,
-        "q151_naive_bayes": an.naive_bayes,
-        "q152_rle_advisor": an.rle_advisor,
-        "q153_logreg_train": an.logreg_train,
-        "q154_bpe_merges": an.bpe_merges,
-        "q155_benford": an.benford_audit,
-        "q156_gdpr_cascade": an.gdpr_cascade,
-        "q159_hierarchy_rollup": an.hierarchy_rollup,
-        "q160_bloom_join": an.bloom_pruned_join,
-        "q161_lpm_enrich": an.lpm_enrich,
-        "q163_tpch_q5": an.local_supplier_revenue,
-        "q164_pit_snapshot": an.pit_state_snapshot,
-        "q165_windowed_pairs": an.windowed_pair_join,
-        "q166_bootstrap_ci": an.bootstrap_ci,
-        "q168_join_advisor": an.join_advisor,
-        "q169_activity_streaks": an.activity_streaks,
-        "q170_fd_discovery": an.fd_discovery,
-        "q171_changepoint": an.cusum_changepoint,
-        "q172_period_movers": an.period_movers,
-        "q173_late_orders": an.late_orders,
-        "q174_reconcile": an.reconciliation_audit,
-        "q175_pareto_cut": an.pareto_cut,
-        "q176_bom_explosion": an.bom_explosion,
-        "q177_apportioned_sample": an.apportioned_sample,
-        "q178_mi_table": an.mi_contributions,
-        "q179_pca_label_map": an.pca_label_map,
-        "q180_time_weighted_avg": an.time_weighted_avg,
-        "q181_merkle_diff": an.merkle_diff,
-        "q182_lifecycle_audit": an.lifecycle_audit,
-        "q183_volume_shipping": an.volume_shipping,
-        "q184_market_share": an.national_market_share,
-        "q185_returned_items": an.returned_items,
-        "q186_promo_effect": an.promo_effect,
-        "q187_top_supplier": an.top_supplier,
-        "q188_small_qty_revenue": an.small_quantity_revenue,
-        "q189_large_orders": an.large_volume_customers,
-        "q190_product_profit": an.product_profit,
-        "q191_gini_spend": an.gini_spend,
-        "q192_stockout_crossing": an.stockout_crossing,
-        "q193_ushape_attribution": an.ushape_attribution,
-        "q194_ewma_anomalies": an.ewma_anomalies,
-        "q195_split_scan": an.split_scan,
-        "q196_brand_triples": an.brand_triples,
-        "q197_simpson_diversity": an.simpson_diversity,
-        "q198_watermark_audit": an.watermark_audit,
-        "q199_monetary_sample": an.monetary_unit_sample,
-        "q200_interval_union": an.interval_union,
-        "q201_assortativity": an.degree_assortativity,
-        "q203_burst_audit": an.burst_audit,
-        "q204_journey_paths": an.journey_paths,
-        "q205_collision_detector": an.collision_detector,
-        "q206_mutual_best": an.mutual_best,
-        "q207_k_anonymity": an.k_anonymity,
-        "q208_quantized_retrieval": an.quantized_retrieval,
-        "q209_cheapest_supplier": an.cheapest_supplier,
-        "q210_order_cadence": an.order_cadence,
-        "q211_abc_classes": an.abc_classification,
-        "q212_bounce_rate": an.bounce_rate,
-        "q213_linenumber_audit": an.linenumber_audit,
-        "q214_presence_census": an.presence_census,
-        "q216_churn_report": an.churn_report,
-        "q217_radix_percentiles": an.radix_percentiles,
-        "q218_weekday_seasonality": an.weekday_seasonality,
-        "q219_priority_mix_shift": an.priority_mix_shift,
-        "q220_basket_width": an.basket_width,
-        "q221_supplier_balance": an.supplier_balance,
-        "q222_brand_cr3": an.brand_cr3,
-        "q223_first_ship_share": an.first_ship_share,
-        "q224_type_run_lengths": an.type_run_lengths,
-        "q225_ks_distance": an.ks_distance,
-        "q226_fulfillment_sla": an.fulfillment_sla,
-        "q227_mann_whitney": an.mann_whitney_u,
-        "q228_round_bias": an.round_number_bias,
-        "q229_supplier_fanout": an.supplier_fanout,
-        "q230_spend_trajectory": an.spend_trajectory,
-        "q231_kendall_tau": an.kendall_tau,
-        "q232_stickiness": an.stickiness,
-        "q233_whale_orders": an.whale_orders,
-        "q234_hapax_rate": an.hapax_rate,
-        "q236_revenue_volatility": an.revenue_volatility,
-        "q237_session_handoff": an.session_handoff,
-        "q238_reorder_rate": an.reorder_rate,
-        "q239_hhi_index": an.hhi_index,
-        "q240_ltv_transition": an.ltv_transition,
-        "q241_survival_table": an.survival_table,
-        "q242_discount_response": an.discount_response,
-        "q243_calendar_gaps": an.calendar_gaps,
-        "q244_coactivity": an.coactivity_correlation,
-        "q245_tax_incidence": an.tax_incidence,
-        "q246_price_laddering": an.price_laddering,
-        "q247_error_recovery": an.error_recovery,
-        "q248_region_matrix": an.region_trade_matrix,
-        "q249_volume_discount": an.volume_discount,
-        "q250_returnclass_priority": an.returnclass_priority,
-        "q251_bracket_revenue": an.bracket_revenue,
-        "q252_sole_latest_supplier": an.sole_latest_supplier,
-        "q253_rich_idle_customers": an.rich_idle_customers,
-        "q254_volume_drawdown": an.volume_drawdown,
-        # q255: PQ-ADC ANN retrieval — approximate by construction
-        # (quantization error), rows-only like q31/q60; recall@k vs
-        # exact q30, determinism, code-range laws are pytest-pinned
-        "q255_pq_retrieval": tr.pq_retrieval,
-        "q66_rollup_lineitem": rel.rollup_lineitem,
-        "q67_moving_average": rel.moving_average,
-        "q68_segment_order_stats": rel.segment_order_stats,
-        "q69_cube_lineitem": rel.cube_lineitem,
-        "q71_snapshot_diff": tr.snapshot_diff,
-        "q70_global_sort_orders": rel.global_sort_orders,
-        "q73_quality_deciles": rel.quality_deciles,
-        "q74_fuzzy_name_pairs": rel.fuzzy_name_pairs,
-        "q75_compression_signal": tr.compression_signal,
-        "q76_duplicate_spans": tr.duplicate_spans,
-        "q79_export_partitioned": tr.export_partitioned,
-        "q80_mode_lang_by_source": tr.mode_lang_by_source,
-        "q77_outlier_events": rel.outlier_events,
-        "q02_revenue_by_nation": rel.revenue_by_nation,
-        "q03_topk_events": rel.topk_events,
-        "q04_events_by_type": rel.events_by_type,
-        "q05_filter_orders": rel.filter_orders,
-        "q06_user_event_stats": rel.user_event_stats,
-        "q07_windowed_events": rel.windowed_events,
-        "q08_sessionize": rel.sessionize,
-        "q09_asof_join": rel.asof_prior_event,
-        "q14_grouped_topk": rel.grouped_topk_events,
-        "q15_event_quantiles": rel.event_quantiles,
-        "q64_quantile_sketch": rel.event_quantile_sketch,
-        "q16_doc_sample": rel.sample_documents,
-        "q17_range_join": rel.range_join_views,
-        "q18_anti_join": rel.customers_without_orders,
-        "q19_bloom_semi_join": rel.bloom_semi_join,
+        Q("q81_merge_upsert", an.merge_upsert, oa.MERGE_UPSERT_SQL),
+        Q("q82_group_concat", an.group_concat, oa.GROUP_CONCAT_SQL),
+        Q("q83_feature_corr", an.feature_corr, oa.FEATURE_CORR_SQL),
+        Q("q84_json_props", an.json_props_stats, oa.JSON_PROPS_SQL),
+        Q("q85_retention_cohorts", an.retention_cohorts, oa.RETENTION_SQL),
+        Q("q86_vocab_build", an.vocab_build, oa.VOCAB_BUILD_SQL),
+        Q("q87_containment_pairs", an.containment_pairs, oa.CONTAINMENT_SQL),
+        Q("q88_source_mixture", an.source_mixture, oa.SOURCE_MIXTURE_SQL),
+        Q("q89_pivot_events", an.pivot_events, oa.PIVOT_EVENTS_SQL),
+        Q("q90_funnel", an.funnel, oa.FUNNEL_SQL),
+        Q("q91_degree_histogram", _degree_histogram_q, oc.degree_histogram),
+        Q("q92_debounce_events", an.debounce_events, oa.DEBOUNCE_SQL),
+        Q("q93_bigram_topk", an.bigram_topk, oa.BIGRAM_TOPK_SQL),
+        Q("q94_cumulative_users", an.cumulative_users, oa.CUMULATIVE_USERS_SQL),
+        Q("q95_cooccurrence", an.cooccurrence, oa.COOCCURRENCE_SQL),
+        Q("q97_session_trigrams", an.session_trigrams, oa.SESSION_TRIGRAMS_SQL),
+        Q("q98_incremental_agg", an.incremental_agg, oa.INCREMENTAL_AGG_SQL),
+        Q("q100_shipping_priority", an.shipping_priority, oa.SHIPPING_PRIORITY_SQL),
+        Q("q101_bucketed_dedup", an.bucketed_dedup, oa.BUCKETED_DEDUP_SQL),
+        Q("q102_compact_files", an.compact_files, oa.COMPACT_FILES_SQL),
+        Q("q103_skewed_user_join", an.skewed_user_join, oa.SKEWED_USER_JOIN_SQL),
+        Q("q104_unpivot_lineitem", an.unpivot_lineitem, oa.UNPIVOT_SQL),
+        Q("q105_percent_rank", an.percent_rank_orders, oa.PERCENT_RANK_SQL),
+        Q("q106_event_mad", an.event_mad, oa.EVENT_MAD_SQL),
+        Q("q107_weighted_avg", an.weighted_avg_chars, oa.WEIGHTED_AVG_SQL),
+        Q("q108_normalized_dedup", an.normalized_dedup, oa.NORMALIZED_DEDUP_SQL),
+        Q("q109_table_fingerprints", an.table_fingerprints, oa.TABLE_FINGERPRINTS_SQL),
+        Q("q110_zscore_outliers", an.zscore_outliers, oa.ZSCORE_SQL),
+        Q("q111_streaming_windows", an.streaming_windows, oa.STREAMING_WINDOWS_SQL),
+        Q("q113_last_touch", an.last_touch_attribution, oa.LAST_TOUCH_SQL),
+        Q("q114_ivf_recall", an.ivf_recall, None,
+          rows_only="IVF recall over k-means lists: no SQL twin"),
+        Q("q115_integrity_audit", an.integrity_audit, oa.INTEGRITY_AUDIT_SQL),
+        Q("q116_point_lookup", an.point_lookup, oa.POINT_LOOKUP_SQL),
+        Q("q117_dense_event_grid", an.dense_event_grid, oa.DENSE_GRID_SQL),
+        Q("q118_charclass_entropy", an.charclass_entropy, oa.CHARCLASS_ENTROPY_SQL),
+        Q("q119_median_interarrival", an.median_interarrival, oa.MEDIAN_INTERARRIVAL_SQL),
+        Q("q120_audience_overlap", an.audience_overlap, oa.AUDIENCE_OVERLAP_SQL),
+        Q("q121_top_user_per_type", an.top_user_per_type, oa.TOP_USER_PER_TYPE_SQL),
+        Q("q122_bm25_topk", an.bm25_topk, oa.BM25_SQL),
+        Q("q123_event_transitions", an.event_transitions, oa.EVENT_TRANSITIONS_SQL),
+        Q("q124_sliding_distinct", an.sliding_distinct_users, oa.SLIDING_DISTINCT_SQL),
+        Q("q125_pruned_join", an.pruned_join_revenue, oa.PRUNED_JOIN_SQL),
+        Q("q126_above_avg_orders", an.above_avg_orders, oa.ABOVE_AVG_SQL),
+        Q("q127_discount_revenue", an.discount_revenue, oa.DISCOUNT_REVENUE_SQL),
+        Q("q128_source_lang_lift", an.source_lang_lift, oa.SOURCE_LANG_LIFT_SQL),
+        Q("q129_part_skyline", an.part_skyline, oa.PART_SKYLINE_SQL),
+        Q("q130_lineitem_regression", an.lineitem_regression, oa.LINEITEM_REGRESSION_SQL),
+        Q("q131_scd2_user_state", an.scd2_user_state, oa.SCD2_USER_STATE_SQL),
+        Q("q132_embedding_covariance", an.embedding_covariance, oa.EMBEDDING_COVARIANCE_SQL),
+        Q("q137_time_travel", an.time_travel_orders, oa.TIME_TRAVEL_SQL),
+        Q("q138_join_cardinality", an.join_cardinality, oa.JOIN_CARDINALITY_SQL),
+        Q("q150_custdist", an.custdist, oa.CUSTDIST_SQL),
+        Q("q152_rle_advisor", an.rle_advisor, oa.RLE_ADVISOR_SQL),
+        Q("q154_bpe_merges", an.bpe_merges, oa.BPE_MERGES_SQL),
+        Q("q160_bloom_join", an.bloom_pruned_join, oa.BLOOM_JOIN_SQL),
+        Q("q163_tpch_q5", an.local_supplier_revenue, oa.Q5_SQL),
+        Q("q168_join_advisor", an.join_advisor, oa.JOIN_ADVISOR_SQL),
+        Q("q173_late_orders", an.late_orders, oa.LATE_ORDERS_SQL),
+        Q("q179_pca_label_map", an.pca_label_map, None,
+          rows_only="PCA eigenvectors (eigh): no SQL twin"),
+        Q("q181_merkle_diff", an.merkle_diff, oa.MERKLE_SQL),
+        Q("q183_volume_shipping", an.volume_shipping, oa.Q7_SQL),
+        Q("q184_market_share", an.national_market_share, oa.Q8_SQL),
+        Q("q185_returned_items", an.returned_items, oa.Q10_SQL),
+        Q("q186_promo_effect", an.promo_effect, oa.Q14_SQL),
+        Q("q187_top_supplier", an.top_supplier, oa.Q15_SQL),
+        Q("q188_small_qty_revenue", an.small_quantity_revenue, oa.Q17_SQL),
+        Q("q189_large_orders", an.large_volume_customers, oa.Q18_SQL),
+        Q("q190_product_profit", an.product_profit, oa.Q9_SQL),
+        Q("q192_stockout_crossing", an.stockout_crossing, oa.STOCKOUT_SQL),
+        Q("q193_ushape_attribution", an.ushape_attribution, oa.USHAPE_SQL),
+        Q("q194_ewma_anomalies", an.ewma_anomalies, oa.EWMA_SQL),
+        Q("q195_split_scan", an.split_scan, oa.SPLIT_SCAN_SQL),
+        Q("q197_simpson_diversity", an.simpson_diversity, oa.SIMPSON_SQL),
+        Q("q198_watermark_audit", an.watermark_audit, oa.WATERMARK_SQL),
+        Q("q199_monetary_sample", an.monetary_unit_sample, oa.MUS_SQL),
+        Q("q203_burst_audit", an.burst_audit, oa.BURST_SQL),
+        Q("q205_collision_detector", an.collision_detector, oa.COLLISION_SQL),
+        Q("q206_mutual_best", an.mutual_best, oa.MUTUAL_SQL),
+        Q("q207_k_anonymity", an.k_anonymity, oa.KANON_SQL),
+        Q("q209_cheapest_supplier", an.cheapest_supplier, oa.CHEAPEST_SQL),
+        Q("q210_order_cadence", an.order_cadence, oa.CADENCE_SQL),
+        Q("q211_abc_classes", an.abc_classification, oa.ABC_SQL),
+        Q("q212_bounce_rate", an.bounce_rate, oa.BOUNCE_SQL),
+        Q("q213_linenumber_audit", an.linenumber_audit, oa.LINENUM_SQL),
+        Q("q214_presence_census", an.presence_census, oa.PRESENCE_SQL),
+        Q("q216_churn_report", an.churn_report, oa.CHURN_SQL),
+        Q("q217_radix_percentiles", an.radix_percentiles, oa.RADIX_PCTL_SQL),
+        Q("q218_weekday_seasonality", an.weekday_seasonality, oa.SEASONALITY_SQL),
+        Q("q219_priority_mix_shift", an.priority_mix_shift, oa.MIX_SHIFT_SQL),
+        Q("q220_basket_width", an.basket_width, oa.BASKET_WIDTH_SQL),
+        Q("q221_supplier_balance", an.supplier_balance, oa.SUPPLIER_BALANCE_SQL),
+        Q("q222_brand_cr3", an.brand_cr3, oa.BRAND_CR3_SQL),
+        Q("q223_first_ship_share", an.first_ship_share, oa.FIRST_SHIP_SQL),
+        Q("q224_type_run_lengths", an.type_run_lengths, oa.RUN_LENGTH_SQL),
+        Q("q225_ks_distance", an.ks_distance, oa.KS_SQL),
+        Q("q226_fulfillment_sla", an.fulfillment_sla, oa.SLA_SQL),
+        Q("q227_mann_whitney", an.mann_whitney_u, oa.MWU_SQL),
+        Q("q228_round_bias", an.round_number_bias, oa.ROUND_BIAS_SQL),
+        Q("q229_supplier_fanout", an.supplier_fanout, oa.SUPPLIER_FANOUT_SQL),
+        Q("q230_spend_trajectory", an.spend_trajectory, oa.TRAJECTORY_SQL),
+        Q("q232_stickiness", an.stickiness, oa.STICKINESS_SQL),
+        Q("q233_whale_orders", an.whale_orders, oa.WHALE_SQL),
+        Q("q234_hapax_rate", an.hapax_rate, oa.HAPAX_SQL),
+        Q("q236_revenue_volatility", an.revenue_volatility, oa.VOLATILITY_SQL),
+        Q("q237_session_handoff", an.session_handoff, oa.HANDOFF_SQL),
+        Q("q238_reorder_rate", an.reorder_rate, oa.REORDER_SQL),
+        Q("q239_hhi_index", an.hhi_index, oa.HHI_SQL),
+        Q("q240_ltv_transition", an.ltv_transition, oa.LTV_TRANSITION_SQL),
+        Q("q241_survival_table", an.survival_table, oa.SURVIVAL_SQL),
+        Q("q243_calendar_gaps", an.calendar_gaps, oa.CALENDAR_SQL),
+        Q("q244_coactivity", an.coactivity_correlation, oa.COACTIVITY_SQL),
+        Q("q245_tax_incidence", an.tax_incidence, oa.TAX_SQL),
+        Q("q246_price_laddering", an.price_laddering, oa.LADDER_SQL),
+        Q("q247_error_recovery", an.error_recovery, oa.RECOVERY_SQL),
+        Q("q248_region_matrix", an.region_trade_matrix, oa.REGION_MATRIX_SQL),
+        Q("q249_volume_discount", an.volume_discount, oa.VOLUME_DISCOUNT_SQL),
+        Q("q250_returnclass_priority", an.returnclass_priority, oa.RETURNCLASS_PRIORITY_SQL),
+        Q("q251_bracket_revenue", an.bracket_revenue, oa.BRACKET_REVENUE_SQL),
+        Q("q252_sole_latest_supplier", an.sole_latest_supplier, oa.SOLE_LATEST_SQL),
+        Q("q253_rich_idle_customers", an.rich_idle_customers, oa.RICH_IDLE_SQL),
+        Q("q254_volume_drawdown", an.volume_drawdown, oa.VOLUME_DRAWDOWN_SQL),
+        Q("q255_pq_retrieval", tr.pq_retrieval, None,
+          rows_only="PQ-ADC retrieval: approximate by construction "
+                    "(quantization error)"),
+        Q("q67_moving_average", rel.moving_average, orl.MOVING_AVERAGE_SQL),
+        Q("q68_segment_order_stats", rel.segment_order_stats, orl.SEGMENT_ORDER_STATS_SQL),
+        Q("q69_cube_lineitem", rel.cube_lineitem, orl.CUBE_LINEITEM_SQL),
+        Q("q71_snapshot_diff", tr.snapshot_diff, otr.SNAPSHOT_DIFF_SQL),
+        Q("q70_global_sort_orders", rel.global_sort_orders, orl.GLOBAL_SORT_ORDERS_SQL),
+        Q("q74_fuzzy_name_pairs", rel.fuzzy_name_pairs, orl.FUZZY_NAME_PAIRS_SQL),
+        Q("q75_compression_signal", tr.compression_signal, None,
+          rows_only="zlib compression ratios: no SQL twin"),
+        Q("q76_duplicate_spans", tr.duplicate_spans, otr.DUPLICATE_SPANS_SQL),
+        Q("q79_export_partitioned", tr.export_partitioned, otr.EXPORT_PARTITIONED_SQL),
+        Q("q02_revenue_by_nation", rel.revenue_by_nation, orl.REVENUE_BY_NATION_SQL),
+        Q("q03_topk_events", rel.topk_events, orl.TOPK_EVENTS_SQL),
+        Q("q04_events_by_type", rel.events_by_type, orl.EVENTS_BY_TYPE_SQL),
+        Q("q05_filter_orders", rel.filter_orders, orl.FILTER_ORDERS_SQL),
+        Q("q06_user_event_stats", rel.user_event_stats, orl.USER_EVENT_STATS_SQL),
+        Q("q07_windowed_events", rel.windowed_events, orl.WINDOWED_EVENTS_SQL),
+        Q("q08_sessionize", rel.sessionize, orl.SESSIONIZE_SQL),
+        Q("q09_asof_join", rel.asof_prior_event, orl.ASOF_JOIN_SQL),
+        Q("q14_grouped_topk", rel.grouped_topk_events, orl.GROUPED_TOPK_SQL),
+        Q("q15_event_quantiles", rel.event_quantiles, orl.EVENT_QUANTILES_SQL),
+        Q("q64_quantile_sketch", rel.event_quantile_sketch, None,
+          rows_only="KLL sketch: approximate by construction"),
+        Q("q17_range_join", rel.range_join_views, orl.RANGE_JOIN_SQL),
+        Q("q18_anti_join", rel.customers_without_orders, orl.ANTI_JOIN_SQL),
+        Q("q19_bloom_semi_join", rel.bloom_semi_join, orl.BLOOM_SEMI_JOIN_SQL),
         # text analysis
-        "q10_token_counts": tr.token_counts,
-        "q11_quality_scores": tr.quality_scores,
-        "q12_lang_id": tr.lang_id,
-        "q13_doc_fingerprints": tr.doc_fingerprints,
-        "q62_quality_model": tr.quality_model_scores,
+        Q("q10_token_counts", tr.token_counts, otr.TOKEN_COUNTS_SQL),
+        Q("q11_quality_scores", tr.quality_scores, otr.QUALITY_SCORES_SQL),
+        Q("q12_lang_id", tr.lang_id, otr.LANG_ID_SQL),
+        Q("q13_doc_fingerprints", tr.doc_fingerprints, otr.DOC_FINGERPRINTS_SQL),
+        Q("q62_quality_model", tr.quality_model_scores, otr.QUALITY_MODEL_SQL),
         # dedup family
-        "q20_exact_dedup": tr.exact_dedup,
-        "q21_minhash_pairs": tr.minhash_pairs,
-        "q22_simhash": tr.simhash,
-        "q23_embedding_neardup": tr.embedding_neardup,
-        "q24_curation": tr.curation,
-        "q25_ngram_jaccard": tr.ngram_jaccard,
-        "q26_hll_host_distinct": _hll_host_distinct_q,
-        "q49_cms_url_refs": _cms_url_refs_q,
+        Q("q20_exact_dedup", tr.exact_dedup, otr.EXACT_DEDUP_SQL),
+        Q("q21_minhash_pairs", tr.minhash_pairs, otr.MINHASH_PAIRS_SQL),
+        Q("q22_simhash", tr.simhash, otr.SIMHASH_SQL),
+        Q("q23_embedding_neardup", tr.embedding_neardup, otr.EMBEDDING_NEARDUP_SQL),
+        Q("q24_curation", tr.curation, otr.CURATION_SQL),
+        Q("q25_ngram_jaccard", tr.ngram_jaccard, otr.NGRAM_JACCARD_SQL),
+        Q("q26_hll_host_distinct", _hll_host_distinct_q, oc.hll_host_distinct),
+        Q("q49_cms_url_refs", _cms_url_refs_q, oc.cms_url_refs),
         # iterative graph ops (BSP fabric, pipelines/graph.py)
-        "q27_dup_clusters": tr.dup_clusters,
-        "q59_neardup_curation": tr.neardup_curation,
-        "q61_window_chunks": tr.window_chunks,
-        "q28_tfidf_topterms": tr.tfidf_topk,
-        "q29_pagerank": rel.part_supplier_pagerank,
+        Q("q27_dup_clusters", tr.dup_clusters, otr.DUP_CLUSTERS_SQL),
+        Q("q59_neardup_curation", tr.neardup_curation, otr.NEARDUP_CURATION_SQL),
+        Q("q28_tfidf_topterms", tr.tfidf_topk, otr.TFIDF_TOPTERMS_SQL),
         # similarity search
-        "q30_knn_topk": tr.knn_topk,
-        "q31_knn_topk_ivf": tr.knn_topk_ivf,
-        "q60_semdedup": tr.semdedup,
+        Q("q30_knn_topk", tr.knn_topk, otr.KNN_TOPK_SQL),
+        Q("q31_knn_topk_ivf", tr.knn_topk_ivf, None,
+          rows_only="IVF probes k-means lists: approximate by construction"),
+        Q("q60_semdedup", tr.semdedup, None,
+          rows_only="k-means cluster assignment: no SQL twin"),
         # training-loader prep (index / packing / scrubbing / splits)
-        "q32_inverted_index": tr.inverted_index,
-        "q33_pack_chunks": tr.pack_chunks,
-        "q34_pii_scrub": tr.pii_scrub,
-        "q35_split_assign": tr.split_assign,
-        "q36_repetition": tr.repetition_stats,
-        "q37_stratified_sample": tr.stratified_sample,
-        "q63_weighted_sample": tr.weighted_sample,
-        "q38_ngram_counts": tr.ngram_counts,
-        "q39_bottomk_distinct": tr.bottomk_distinct,
+        Q("q32_inverted_index", tr.inverted_index, otr.INVERTED_INDEX_SQL),
+        Q("q33_pack_chunks", tr.pack_chunks, otr.PACK_CHUNKS_SQL),
+        Q("q34_pii_scrub", tr.pii_scrub, otr.PII_SCRUB_SQL),
+        Q("q35_split_assign", tr.split_assign, otr.SPLIT_ASSIGN_SQL),
+        Q("q37_stratified_sample", tr.stratified_sample, otr.STRATIFIED_SAMPLE_SQL),
+        Q("q63_weighted_sample", tr.weighted_sample, otr.WEIGHTED_SAMPLE_SQL),
+        Q("q38_ngram_counts", tr.ngram_counts, otr.NGRAM_COUNTS_SQL),
+        Q("q39_bottomk_distinct", tr.bottomk_distinct, otr.BOTTOMK_DISTINCT_SQL),
         # multimodal (stubbed codec, real plumbing)
-        "q40_media_features": tr.media_features,
-        "q41_frame_samples": tr.frame_samples,
-        "q42_media_resize": tr.media_resize,
-        "q43_audio_features": tr.audio_features,
+        Q("q40_media_features", tr.media_features, None,
+          rows_only="media codec output (stub codec): no SQL twin"),
+        Q("q41_frame_samples", tr.frame_samples, None,
+          rows_only="media codec output (stub codec): no SQL twin"),
+        Q("q42_media_resize", tr.media_resize, None,
+          rows_only="media codec output (stub codec): no SQL twin"),
+        Q("q43_audio_features", tr.audio_features, None,
+          rows_only="media codec output (stub codec): no SQL twin"),
         # corpus hygiene (segment dedup / contamination / centroids)
-        "q44_segment_dedup": tr.segment_dedup,
-        "q45_contamination": tr.contamination,
-        "q46_group_centroids": tr.group_centroids,
+        Q("q44_segment_dedup", tr.segment_dedup, otr.SEGMENT_DEDUP_SQL),
+        Q("q45_contamination", tr.contamination, otr.CONTAMINATION_SQL),
+        Q("q46_group_centroids", tr.group_centroids, otr.GROUP_CENTROIDS_SQL),
         # sign-LSH embedding near-dup (sub-quadratic scale path)
-        "q47_embedding_lsh": tr.embedding_lsh_pairs,
+        Q("q47_embedding_lsh", tr.embedding_lsh_pairs, otr.EMBEDDING_LSH_SQL),
         # int8 scalar quantization of the embedding table
-        "q48_embedding_quantize": tr.embedding_quantize,
+        Q("q48_embedding_quantize", tr.embedding_quantize, otr.EMBEDDING_QUANTIZE_SQL),
         # crawl substrate over the interleaved corpus
-        "q50_extract_links": _extract_links_q,
-        "q51_seen_dedup": _seen_dedup_q,
-        "q52_crawl_frontier": _crawl_q,
-        "q53_warc_roundtrip": _warc_roundtrip_q,
-        "q65_cdx_lookup": _cdx_lookup_q,
-        "q157_wet_extract": _wet_extract_q,
-        "q158_jsonl_ingest": _jsonl_ingest_q,
-        "q202_csv_ingest": _csv_ingest_q,
-        "q215_fixedwidth_ingest": _fixedwidth_ingest_q,
-        "q235_format_consistency": _format_consistency_q,
-        "q162_evolved_scan": _evolved_scan_q,
-        "q167_dlq_ingest": _jsonl_dlq_q,
+        Q("q50_extract_links", _extract_links_q, oc.extract_links),
+        Q("q51_seen_dedup", _seen_dedup_q, oc.seen_dedup),
+        Q("q52_crawl_frontier", _crawl_q, oc.crawl_frontier),
+        Q("q53_warc_roundtrip", _warc_roundtrip_q, oc.warc_roundtrip),
+        Q("q65_cdx_lookup", _cdx_lookup_q, oc.cdx_lookup),
+        Q("q157_wet_extract", _wet_extract_q, oc.wet_extract),
+        Q("q158_jsonl_ingest", _jsonl_ingest_q, oc.JSONL_INGEST_SQL),
+        Q("q202_csv_ingest", _csv_ingest_q, oc.CSV_INGEST_SQL),
+        Q("q215_fixedwidth_ingest", _fixedwidth_ingest_q, oc.FIXEDWIDTH_INGEST_SQL),
+        Q("q235_format_consistency", _format_consistency_q, oc.FORMAT_CONSISTENCY_SQL),
+        Q("q162_evolved_scan", _evolved_scan_q, oc.EVOLVED_SCAN_SQL),
+        Q("q167_dlq_ingest", _jsonl_dlq_q, oc.DLQ_INGEST_SQL),
         # reports (G17) + metrics (G15) over the crawl fetch log
-        "q54_hottest_hosts": _hottest_hosts_q,
-        "q55_crawl_metrics": _crawl_metrics_q,
+        Q("q54_hottest_hosts", _hottest_hosts_q, oc.hottest_hosts),
+        Q("q55_crawl_metrics", _crawl_metrics_q, oc.crawl_metrics),
         # skew-salted wide aggregation (G11) + span invariant (G13)
-        "q56_host_link_stats": _host_link_stats_q,
-        "q72_heavy_hitter_hosts": _heavy_hitter_hosts_q,
-        "q57_verify_spans": _verify_spans_q,
+        Q("q56_host_link_stats", _host_link_stats_q, oc.host_link_stats),
+        Q("q72_heavy_hitter_hosts", _heavy_hitter_hosts_q, oc.heavy_hitter_hosts),
+        Q("q57_verify_spans", _verify_spans_q, oc.verify_spans),
         # ARC write/read slice (reference ops #13-19)
-        "q58_arc_roundtrip": _arc_roundtrip_q,
-        "q78_arc_to_warc": _arc_to_warc_q,
-        "q96_revisit_dedup": _revisit_dedup_q,
-        "q99_host_reciprocity": _host_reciprocity_q,
-        "q112_seed_distance": _seed_distance_q,
-        "q135_triangle_count": _triangle_count_q,
-        "q256_span_census": _span_census_q,
-        "q257_anchor_index": _anchor_index_q,
-        "q258_wat_extract": _wat_extract_q,
-        "q259_robots_audit": _robots_audit_q,
-    }
-    out = {k: q[k] for k in _DRIVER_SAMPLE_ORDER}
-    out.update({k: v for k, v in q.items() if k not in out})
-    return out
+        Q("q58_arc_roundtrip", _arc_roundtrip_q, oc.arc_roundtrip),
+        Q("q78_arc_to_warc", _arc_to_warc_q, oc.arc_to_warc),
+        Q("q96_revisit_dedup", _revisit_dedup_q, oc.revisit_dedup),
+        Q("q99_host_reciprocity", _host_reciprocity_q, oc.host_reciprocity),
+        Q("q112_seed_distance", _seed_distance_q, oc.seed_distance),
+        Q("q135_triangle_count", _triangle_count_q, oc.triangle_count),
+        Q("q256_span_census", _span_census_q, oc.span_census),
+        Q("q257_anchor_index", _anchor_index_q, oc.anchor_index),
+        Q("q258_wat_extract", _wat_extract_q, oc.wat_extract),
+        Q("q259_robots_audit", _robots_audit_q, oc.robots_audit),
+    ]
 
 
-# ---------------------------------------------------------------------------
-# oracle SQL (DuckDB; testdata tables pre-registered as views)
-# ---------------------------------------------------------------------------
-
-# 64-bit big-endian md5-PREFIX hash of a string column, as a HUGEINT —
-# the SQL twin of warc_ray.stages.dedup._hash64_str (q39's hex fold)
-_MD5H = ("list_sum(list_transform(range(1, 17), "
-         "i -> CAST(strpos('0123456789abcdef', "
-         "substr(md5({col}), CAST(i AS INTEGER), 1)) - 1 AS HUGEINT) "
-         "<< (4 * (16 - i))))")
-
-
-def _perms_sql() -> str:
-    """The minhash permutation constants (dedup._A/_B) as SQL VALUES
-    literals, so the q21 oracle runs the IDENTICAL hash family."""
-    from warc_ray.stages import dedup as _dd
-
-    return ", ".join(f"({i}, {int(a)}, {int(b)})"
-                     for i, (a, b) in enumerate(zip(_dd._A, _dd._B)))
-
-
-_HLL_M = 4096  # stages/sketch.py M (P=12)
-
-
-def _hll_est_num() -> int:
-    """The q26 integer-estimator numerator ALPHA_PPB * M^2 * 2^53 (one
-    literal in the SQL so the division is a single exact floor div)."""
-    from warc_ray.stages.sketch import ALPHA_PPB, M
-
-    assert M == _HLL_M
-    return ALPHA_PPB * M * M * (1 << 53)
-
-
-def _lsh_planes_sql(dim: int = 64) -> str:
-    """The sign-LSH hyperplane matrix (similarity.lsh_planes) as SQL
-    VALUES literals for the q47 oracle."""
-    from warc_ray.stages import similarity as _sim
-
-    planes = _sim.lsh_planes(dim)
-    return ", ".join(
-        f"({j}, [{', '.join(str(int(v)) for v in planes[j])}])"
-        for j in range(planes.shape[0]))
+def queries() -> dict[str, Callable[[str], Any]]:
+    return {q.name: q.fn for q in registry()}
 
 
 def oracle_sql() -> dict[str, str]:
-    from warc_ray.pipelines import analytics as _an
+    from warc_ray.oracle_sql.corpus import CorpusPaths
 
     _nh = corpus_mod.PROFILES["t2"].n_hosts   # q99 host-domain literal
 
@@ -1264,1722 +1232,6 @@ def oracle_sql() -> dict[str, str]:
     sim_log = _ensure_sim_log("t2")
     # q65's CDX parquet (persisted by _ensure_archive beside the shards)
     warc_cdx = _ensure_archive("/root/testdata/sf0.01") + "-cdx"
-
-    spans_src = (
-        "SELECT doc_id, UNNEST(spans) AS s FROM read_parquet('%s')" % docs_glob
-    )
-    links_src = (
-        "SELECT s.media_ref AS url,"
-        " CASE WHEN s.kind='link' THEN 5 ELSE 1 END AS priority,"
-        " doc_id AS src_doc, s.\"offset\" AS src_offset"
-        " FROM (%s) WHERE s.kind IN ('link','image','video')" % spans_src
-    )
-    span_census_sql = f"""
-        SELECT s.kind AS kind, CAST(COUNT(*) AS BIGINT) AS n_spans,
-               CAST(SUM(length(s.text)) AS BIGINT) AS text_chars,
-               CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS n_docs
-        FROM ({spans_src}) GROUP BY s.kind ORDER BY s.kind"""
-    anchor_index_sql = f"""
-        WITH pairs AS (
-          SELECT s.media_ref AS target, s.text AS anchor,
-                 CAST(COUNT(*) AS BIGINT) AS n
-          FROM ({spans_src}) WHERE s.kind = 'link'
-          GROUP BY 1, 2),
-        tops AS (
-          SELECT target, anchor,
-                 row_number() OVER (PARTITION BY target
-                                    ORDER BY n DESC, anchor) AS rn
-          FROM pairs),
-        agg AS (
-          SELECT target, SUM(n) AS n_refs,
-                 CAST(COUNT(*) AS BIGINT) AS n_anchors
-          FROM pairs GROUP BY target)
-        SELECT a.target, CAST(a.n_refs AS BIGINT) AS n_refs,
-               a.n_anchors, t.anchor AS top_anchor
-        FROM agg a JOIN tops t ON t.target = a.target AND t.rn = 1
-        ORDER BY n_refs DESC, a.target LIMIT 50"""
-
-    # q29: integer PageRank, the 5 iterations UNROLLED as CTEs (same
-    # floor-division recurrence the BSP fabric runs — bit-equal)
-    pr_base = "(15 * (1000000000000 // (SELECT n FROM n))) // 100"
-    pr_iters = "".join(
-        f""", r{i} AS (
-              SELECT e.dst AS id,
-                     CAST({pr_base} + (85 * SUM(r.rank // d.outdeg)) // 100
-                          AS BIGINT) AS rank
-              FROM edges e
-              JOIN r{i - 1} r ON r.id = e.src
-              JOIN deg d ON d.src = e.src
-              GROUP BY e.dst)"""
-        for i in range(1, 6))
-    pagerank_sql = f"""
-        WITH edges AS (
-              SELECT DISTINCT l_partkey AS src, 1000000 + l_suppkey AS dst
-              FROM lineitem
-              UNION
-              SELECT DISTINCT 1000000 + l_suppkey AS src, l_partkey AS dst
-              FROM lineitem),
-             deg AS (SELECT src, COUNT(*) AS outdeg FROM edges GROUP BY src),
-             n AS (SELECT COUNT(*) AS n FROM deg),
-             r0 AS (SELECT src AS id,
-                           1000000000000 // (SELECT n FROM n) AS rank
-                    FROM deg){pr_iters}
-        SELECT id AS node_id, rank FROM r5 ORDER BY node_id"""
-
-    return {
-        "q01_agg_lineitem": """
-            SELECT l_returnflag, l_linestatus,
-                   CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty,
-                   CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)
-                        * (100 - CAST(ROUND(l_discount*100) AS BIGINT))) AS BIGINT) AS sum_rev_c2,
-                   COUNT(*) AS n_rows
-            FROM lineitem WHERE l_shipdate < TIMESTAMP '1998-09-01'
-            GROUP BY l_returnflag, l_linestatus
-            ORDER BY l_returnflag, l_linestatus""",
-        # q68: the general shuffle-join path (q02 covers the same
-        # tables via broadcast dims)
-        "q68_segment_order_stats": """
-            SELECT c.c_mktsegment,
-                   CAST(SUM(CAST(ROUND(o.o_totalprice*100) AS BIGINT)) AS BIGINT)
-                     AS revenue_cents,
-                   COUNT(*) AS n_orders
-            FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-            GROUP BY c.c_mktsegment ORDER BY c.c_mktsegment""",
-        # q67: trailing 3-row window per user, (ts, event_id) order;
-        # milli values + DuckDB // (truncating) division.  The outer
-        # CAST matters: SUM(BIGINT) OVER w is HUGEINT in DuckDB, and a
-        # decimal128 ma_milli hash-mismatches the engine's int64 under
-        # dtype-sensitive canonicalization even when values are equal
-        # (the round-4 driver red row).
-        "q67_moving_average": """
-            SELECT user_id, event_id,
-                   CAST(FLOOR(value*1000) AS BIGINT) AS value_milli,
-                   CAST(SUM(CAST(FLOOR(value*1000) AS BIGINT)) OVER w
-                     // COUNT(*) OVER w AS BIGINT) AS ma_milli
-            FROM events
-            WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
-                         ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)
-            ORDER BY user_id, event_id""",
-        # q69: CUBE — all four grouping sets derived from the finest
-        # level's partials, same integer measures as q66
-        "q69_cube_lineitem": """
-            SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
-                   COALESCE(l_linestatus, 'ALL') AS l_linestatus,
-                   CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty,
-                   CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)
-                        * (100 - CAST(ROUND(l_discount*100) AS BIGINT))) AS BIGINT) AS sum_rev_c2,
-                   COUNT(*) AS n_rows
-            FROM lineitem WHERE l_shipdate < TIMESTAMP '1998-09-01'
-            GROUP BY CUBE(l_returnflag, l_linestatus)
-            ORDER BY 1, 2""",
-        # q71: incremental re-crawl delta — two deterministic snapshots
-        # full-outer joined on doc_id, unchanged rows filtered in-bucket
-        "q71_snapshot_diff": """
-            WITH a AS (SELECT doc_id, md5(text) AS fp
-                       FROM documents WHERE doc_id % 97 != 3),
-                 b AS (SELECT doc_id,
-                              md5(CASE WHEN doc_id % 89 = 5
-                                       THEN text || '!' ELSE text END) AS fp
-                       FROM documents WHERE doc_id % 101 != 7)
-            SELECT COALESCE(a.doc_id, b.doc_id) AS doc_id,
-                   CASE WHEN a.fp IS NULL THEN 'added'
-                        WHEN b.fp IS NULL THEN 'removed'
-                        ELSE 'changed' END AS status
-            FROM a FULL OUTER JOIN b ON a.doc_id = b.doc_id
-            WHERE a.fp IS NULL OR b.fp IS NULL OR a.fp != b.fp
-            ORDER BY doc_id""",
-        # q70: distributed global sort — rank must bit-match
-        # ROW_NUMBER over the same total order (ties broken by key)
-        "q70_global_sort_orders": """
-            SELECT o_orderkey, o_totalprice,
-                   ROW_NUMBER() OVER (ORDER BY o_totalprice DESC, o_orderkey)
-                     AS rank
-            FROM orders""",
-        # q81-q88: session-5 analytics — SQL twins live beside their
-        # pipelines in warc_ray/pipelines/analytics.py (house rule:
-        # exactness notes in the module docstring)
-        "q81_merge_upsert": _an.MERGE_UPSERT_SQL,
-        "q82_group_concat": _an.GROUP_CONCAT_SQL,
-        "q83_feature_corr": _an.FEATURE_CORR_SQL,
-        "q84_json_props": _an.JSON_PROPS_SQL,
-        "q85_retention_cohorts": _an.RETENTION_SQL,
-        "q86_vocab_build": _an.VOCAB_BUILD_SQL,
-        "q87_containment_pairs": _an.CONTAINMENT_SQL,
-        "q88_source_mixture": _an.SOURCE_MIXTURE_SQL,
-        "q89_pivot_events": _an.PIVOT_EVENTS_SQL,
-        "q90_funnel": _an.FUNNEL_SQL,
-        "q92_debounce_events": _an.DEBOUNCE_SQL,
-        "q93_bigram_topk": _an.BIGRAM_TOPK_SQL,
-        "q94_cumulative_users": _an.CUMULATIVE_USERS_SQL,
-        "q95_cooccurrence": _an.COOCCURRENCE_SQL,
-        "q97_session_trigrams": _an.SESSION_TRIGRAMS_SQL,
-        "q98_incremental_agg": _an.INCREMENTAL_AGG_SQL,
-        "q100_shipping_priority": _an.SHIPPING_PRIORITY_SQL,
-        "q101_bucketed_dedup": _an.BUCKETED_DEDUP_SQL,
-        "q103_skewed_user_join": _an.SKEWED_USER_JOIN_SQL,
-        "q104_unpivot_lineitem": _an.UNPIVOT_SQL,
-        "q105_percent_rank": _an.PERCENT_RANK_SQL,
-        "q106_event_mad": _an.EVENT_MAD_SQL,
-        "q107_weighted_avg": _an.WEIGHTED_AVG_SQL,
-        "q108_normalized_dedup": _an.NORMALIZED_DEDUP_SQL,
-        "q109_table_fingerprints": _an.TABLE_FINGERPRINTS_SQL.format(
-            MD5H=_MD5H.format(
-                col="concat(CAST(doc_id AS VARCHAR), ':', text)")),
-        "q110_zscore_outliers": _an.ZSCORE_SQL,
-        "q111_streaming_windows": _an.STREAMING_WINDOWS_SQL,
-        "q113_last_touch": _an.LAST_TOUCH_SQL,
-        "q115_integrity_audit": _an.INTEGRITY_AUDIT_SQL,
-        "q116_point_lookup": _an.POINT_LOOKUP_SQL.format(
-            MD5H=_MD5H.format(col="CAST(doc_id AS VARCHAR)")),
-        "q117_dense_event_grid": _an.DENSE_GRID_SQL,
-        "q118_charclass_entropy": _an.CHARCLASS_ENTROPY_SQL,
-        "q119_median_interarrival": _an.MEDIAN_INTERARRIVAL_SQL,
-        "q120_audience_overlap": _an.AUDIENCE_OVERLAP_SQL,
-        "q121_top_user_per_type": _an.TOP_USER_PER_TYPE_SQL,
-        "q122_bm25_topk": _an.BM25_SQL,
-        "q123_event_transitions": _an.EVENT_TRANSITIONS_SQL,
-        "q124_sliding_distinct": _an.SLIDING_DISTINCT_SQL,
-        "q125_pruned_join": _an.PRUNED_JOIN_SQL,
-        "q126_above_avg_orders": _an.ABOVE_AVG_SQL,
-        "q127_discount_revenue": _an.DISCOUNT_REVENUE_SQL,
-        "q128_source_lang_lift": _an.SOURCE_LANG_LIFT_SQL,
-        "q129_part_skyline": _an.PART_SKYLINE_SQL,
-        "q130_lineitem_regression": _an.LINEITEM_REGRESSION_SQL,
-        "q131_scd2_user_state": _an.SCD2_USER_STATE_SQL,
-        "q132_embedding_covariance": _an.EMBEDDING_COVARIANCE_SQL,
-        "q133_lineitem_profile": _an.LINEITEM_PROFILE_SQL,
-        "q134_trimmed_mean": _an.TRIMMED_MEAN_SQL,
-        "q136_equidepth_histogram": _an.EQUIDEPTH_SQL,
-        "q137_time_travel": _an.TIME_TRAVEL_SQL,
-        "q138_join_cardinality": _an.JOIN_CARDINALITY_SQL,
-        "q139_zorder_range": _an.ZORDER_RANGE_SQL,
-        "q140_private_count": _an.PRIVATE_COUNT_SQL,
-        "q141_big_spenders": _an.BIG_SPENDERS_SQL,
-        "q142_replica_repair": _an.REPLICA_REPAIR_SQL,
-        "q143_revenue_rollup_geo": _an.REVENUE_ROLLUP_GEO_SQL,
-        "q144_max_concurrent": _an.MAX_CONCURRENT_SQL,
-        "q145_weighted_median": _an.WEIGHTED_MEDIAN_SQL,
-        "q146_drift_psi": _an.DRIFT_PSI_SQL,
-        "q147_ab_experiment": _an.AB_EXPERIMENT_SQL,
-        "q148_basket_pairs": _an.BASKET_PAIRS_SQL,
-        "q149_spatial_join": _an.SPATIAL_JOIN_SQL,
-        "q150_custdist": _an.CUSTDIST_SQL,
-        "q151_naive_bayes": _an.NAIVE_BAYES_SQL,
-        "q152_rle_advisor": _an.RLE_ADVISOR_SQL,
-        "q153_logreg_train": _an.LOGREG_SQL,
-        "q154_bpe_merges": _an.BPE_MERGES_SQL,
-        "q155_benford": _an.BENFORD_SQL,
-        "q156_gdpr_cascade": _an.GDPR_CASCADE_SQL,
-        "q159_hierarchy_rollup": _an.HIERARCHY_SQL,
-        "q160_bloom_join": _an.BLOOM_JOIN_SQL,
-        "q161_lpm_enrich": _an.LPM_ENRICH_SQL,
-        "q163_tpch_q5": _an.Q5_SQL,
-        "q164_pit_snapshot": _an.PIT_SNAPSHOT_SQL,
-        "q165_windowed_pairs": _an.WINDOWED_PAIR_SQL,
-        "q166_bootstrap_ci": _an.BOOTSTRAP_SQL,
-        "q168_join_advisor": _an.JOIN_ADVISOR_SQL,
-        "q169_activity_streaks": _an.STREAKS_SQL,
-        "q170_fd_discovery": _an.FD_DISCOVERY_SQL,
-        "q171_changepoint": _an.CUSUM_SQL,
-        "q172_period_movers": _an.MOVERS_SQL,
-        "q173_late_orders": _an.LATE_ORDERS_SQL,
-        "q174_reconcile": _an.RECONCILE_SQL,
-        "q175_pareto_cut": _an.PARETO_SQL,
-        "q176_bom_explosion": _an.BOM_SQL,
-        "q177_apportioned_sample": _an.APPORTION_SQL,
-        "q178_mi_table": _an.MI_SQL,
-        "q180_time_weighted_avg": _an.TWA_SQL,
-        "q181_merkle_diff": _an.MERKLE_SQL,
-        "q182_lifecycle_audit": _an.LIFECYCLE_SQL,
-        "q183_volume_shipping": _an.Q7_SQL,
-        "q184_market_share": _an.Q8_SQL,
-        "q185_returned_items": _an.Q10_SQL,
-        "q186_promo_effect": _an.Q14_SQL,
-        "q187_top_supplier": _an.Q15_SQL,
-        "q188_small_qty_revenue": _an.Q17_SQL,
-        "q189_large_orders": _an.Q18_SQL,
-        "q190_product_profit": _an.Q9_SQL,
-        "q191_gini_spend": _an.GINI_SQL,
-        "q192_stockout_crossing": _an.STOCKOUT_SQL,
-        "q193_ushape_attribution": _an.USHAPE_SQL,
-        "q194_ewma_anomalies": _an.EWMA_SQL,
-        "q195_split_scan": _an.SPLIT_SCAN_SQL,
-        "q196_brand_triples": _an.TRIPLES_SQL,
-        "q197_simpson_diversity": _an.SIMPSON_SQL,
-        "q198_watermark_audit": _an.WATERMARK_SQL,
-        "q199_monetary_sample": _an.MUS_SQL,
-        "q200_interval_union": _an.INTERVAL_UNION_SQL,
-        "q201_assortativity": _an.ASSORT_SQL,
-        "q203_burst_audit": _an.BURST_SQL,
-        "q204_journey_paths": _an.JOURNEY_SQL,
-        "q205_collision_detector": _an.COLLISION_SQL,
-        "q206_mutual_best": _an.MUTUAL_SQL,
-        "q207_k_anonymity": _an.KANON_SQL,
-        "q208_quantized_retrieval": _an.QUANT_RETRIEVAL_SQL,
-        "q209_cheapest_supplier": _an.CHEAPEST_SQL,
-        "q210_order_cadence": _an.CADENCE_SQL,
-        "q211_abc_classes": _an.ABC_SQL,
-        "q212_bounce_rate": _an.BOUNCE_SQL,
-        "q213_linenumber_audit": _an.LINENUM_SQL,
-        "q214_presence_census": _an.PRESENCE_SQL,
-        "q216_churn_report": _an.CHURN_SQL,
-        "q217_radix_percentiles": _an.RADIX_PCTL_SQL,
-        "q218_weekday_seasonality": _an.SEASONALITY_SQL,
-        "q219_priority_mix_shift": _an.MIX_SHIFT_SQL,
-        "q220_basket_width": _an.BASKET_WIDTH_SQL,
-        "q221_supplier_balance": _an.SUPPLIER_BALANCE_SQL,
-        "q222_brand_cr3": _an.BRAND_CR3_SQL,
-        "q223_first_ship_share": _an.FIRST_SHIP_SQL,
-        "q224_type_run_lengths": _an.RUN_LENGTH_SQL,
-        "q225_ks_distance": _an.KS_SQL,
-        "q226_fulfillment_sla": _an.SLA_SQL,
-        "q227_mann_whitney": _an.MWU_SQL,
-        "q228_round_bias": _an.ROUND_BIAS_SQL,
-        "q229_supplier_fanout": _an.SUPPLIER_FANOUT_SQL,
-        "q230_spend_trajectory": _an.TRAJECTORY_SQL,
-        "q231_kendall_tau": _an.KENDALL_SQL,
-        "q232_stickiness": _an.STICKINESS_SQL,
-        "q233_whale_orders": _an.WHALE_SQL,
-        "q234_hapax_rate": _an.HAPAX_SQL,
-        "q236_revenue_volatility": _an.VOLATILITY_SQL,
-        "q237_session_handoff": _an.HANDOFF_SQL,
-        "q238_reorder_rate": _an.REORDER_SQL,
-        "q239_hhi_index": _an.HHI_SQL,
-        "q240_ltv_transition": _an.LTV_TRANSITION_SQL,
-        "q241_survival_table": _an.SURVIVAL_SQL,
-        "q242_discount_response": _an.DISCOUNT_RESPONSE_SQL,
-        "q243_calendar_gaps": _an.CALENDAR_SQL,
-        "q244_coactivity": _an.COACTIVITY_SQL,
-        "q245_tax_incidence": _an.TAX_SQL,
-        "q246_price_laddering": _an.LADDER_SQL,
-        "q247_error_recovery": _an.RECOVERY_SQL,
-        "q248_region_matrix": _an.REGION_MATRIX_SQL,
-        "q249_volume_discount": _an.VOLUME_DISCOUNT_SQL,
-        "q250_returnclass_priority": _an.RETURNCLASS_PRIORITY_SQL,
-        "q251_bracket_revenue": _an.BRACKET_REVENUE_SQL,
-        "q252_sole_latest_supplier": _an.SOLE_LATEST_SQL,
-        "q253_rich_idle_customers": _an.RICH_IDLE_SQL,
-        "q254_volume_drawdown": _an.VOLUME_DRAWDOWN_SQL,
-        "q102_compact_files": _an.COMPACT_FILES_SQL.format(
-            MD5H=_MD5H.format(col="CAST(doc_id AS VARCHAR)")),
-        # q91: degree histograms over the corpus link graph — distinct
-        # (src_doc, url) edges; zero-outlink docs land in out-degree 0
-        "q91_degree_histogram": f"""
-            WITH links AS ({links_src}),
-            e AS (SELECT DISTINCT src_doc, url FROM links),
-            od AS (
-              SELECT d.doc_id, COUNT(e.url) AS deg
-              FROM read_parquet('{docs_glob}') d
-              LEFT JOIN e ON e.src_doc = d.doc_id GROUP BY d.doc_id
-            ),
-            idg AS (SELECT url, COUNT(*) AS deg FROM e GROUP BY url),
-            h AS (
-              SELECT 'out' AS side, deg, COUNT(*) AS n FROM od GROUP BY deg
-              UNION ALL
-              SELECT 'in', deg, COUNT(*) FROM idg GROUP BY deg
-            )
-            SELECT side, CAST(deg AS BIGINT) AS degree,
-                   CAST(n AS BIGINT) AS n
-            FROM h ORDER BY side, degree""",
-        # q80: grouped MODE, ties broken by smallest lang — ROW_NUMBER
-        # over (n DESC, lang) reproduces the deterministic argmax
-        "q80_mode_lang_by_source": """
-            WITH c AS (SELECT source, lang, COUNT(*) AS n
-                       FROM documents GROUP BY 1, 2),
-                 r AS (SELECT source, lang, n,
-                              ROW_NUMBER() OVER (PARTITION BY source
-                                  ORDER BY n DESC, lang) AS rn
-                       FROM c)
-            SELECT source, lang AS mode_lang, n AS n_docs
-            FROM r WHERE rn = 1 ORDER BY source""",
-        # q79: the export manifest must survive the hive write→read
-        # round trip; expected values = routing computed on the source
-        "q79_export_partitioned": r"""
-            SELECT CASE WHEN CAST(len(regexp_extract_all(text, '\b(the|a|of|and|in)\b')) AS BIGINT) * 1000000
-                     // GREATEST(CAST(len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS BIGINT), 1) >= 50000
-                        THEN 'en' ELSE 'unk' END AS lang_pred,
-                   COUNT(*) AS n_docs,
-                   CAST(SUM(strlen(text)) AS BIGINT) AS n_bytes
-            FROM documents GROUP BY 1 ORDER BY lang_pred""",
-        # q76: stride-1 rolling 16-token windows, distinct per doc,
-        # spans claimed by >= 2 docs (substring-dedup granularity)
-        "q76_duplicate_spans": """
-            WITH toks AS (
-              SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS t
-              FROM documents
-            ), w AS (
-              SELECT DISTINCT doc_id,
-                     md5(array_to_string(
-                         list_slice(t, CAST(i AS BIGINT),
-                                    CAST(i + 15 AS BIGINT)), ' ')) AS fp
-              FROM toks, UNNEST(range(1, len(t) - 16 + 2)) AS u(i)
-              WHERE len(t) >= 16)
-            SELECT fp, COUNT(*) AS n_docs, MIN(doc_id) AS min_doc,
-                   MAX(doc_id) AS max_doc
-            FROM w GROUP BY fp HAVING COUNT(*) >= 2 ORDER BY fp""",
-        # q77: exact per-type p99 threshold (percentile_disc semantics,
-        # integer milli) then a strict-above filter
-        "q77_outlier_events": """
-            WITH q AS (
-              SELECT event_type,
-                     percentile_disc(0.99) WITHIN GROUP (
-                       ORDER BY CAST(FLOOR(value*1000) AS BIGINT)) AS p99
-              FROM events GROUP BY event_type)
-            SELECT e.event_id, e.event_type,
-                   CAST(FLOOR(e.value*1000) AS BIGINT) AS value_milli
-            FROM events e JOIN q USING (event_type)
-            WHERE CAST(FLOOR(e.value*1000) AS BIGINT) > q.p99
-            ORDER BY e.event_id""",
-        # q74: entity-resolution fuzzy join — the SQL twin does the
-        # quadratic compare the deletion-variant blocking avoids
-        "q74_fuzzy_name_pairs": """
-            SELECT a.c_custkey AS a_custkey, b.c_custkey AS b_custkey
-            FROM customer a JOIN customer b
-              ON a.c_custkey < b.c_custkey
-             AND levenshtein(a.c_name, b.c_name) = 1
-            ORDER BY 1, 2""",
-        # q73: NTILE(10) over (alpha_ppm, doc_id) — decile is pure
-        # arithmetic on q70's exact global rank
-        "q73_quality_deciles": r"""
-            SELECT doc_id,
-                   CAST(len(regexp_extract_all(text, '[A-Za-z]')) AS BIGINT) * 1000000
-                     // GREATEST(CAST(length(text) AS BIGINT), 1) AS alpha_ppm,
-                   CAST(NTILE(10) OVER (
-                       ORDER BY CAST(len(regexp_extract_all(text, '[A-Za-z]')) AS BIGINT) * 1000000
-                                  // GREATEST(CAST(length(text) AS BIGINT), 1),
-                                doc_id) AS BIGINT) AS decile
-            FROM documents""",
-        # q66: ROLLUP with NULL subtotal keys coalesced to 'ALL' so
-        # the ordering is engine-independent
-        "q66_rollup_lineitem": """
-            SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
-                   COALESCE(l_linestatus, 'ALL') AS l_linestatus,
-                   CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty,
-                   CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)
-                        * (100 - CAST(ROUND(l_discount*100) AS BIGINT))) AS BIGINT) AS sum_rev_c2,
-                   COUNT(*) AS n_rows
-            FROM lineitem WHERE l_shipdate < TIMESTAMP '1998-09-01'
-            GROUP BY ROLLUP(l_returnflag, l_linestatus)
-            ORDER BY 1, 2""",
-        "q02_revenue_by_nation": """
-            SELECT n.n_name,
-                   CAST(SUM(CAST(ROUND(o.o_totalprice*100) AS BIGINT)) AS BIGINT) AS revenue_cents,
-                   COUNT(*) AS n_orders
-            FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-                          JOIN nation n ON c.c_nationkey = n.n_nationkey
-            GROUP BY n.n_name ORDER BY n.n_name""",
-        "q03_topk_events": """
-            SELECT event_id, user_id, event_type, value
-            FROM events ORDER BY value DESC, event_id LIMIT 20""",
-        "q04_events_by_type": """
-            SELECT event_type,
-                   CAST(SUM(CAST(FLOOR(value*1000) AS BIGINT)) AS BIGINT) AS sum_value_milli,
-                   COUNT(*) AS n_events,
-                   MAX(value) AS max_value
-            FROM events GROUP BY event_type ORDER BY event_type""",
-        "q05_filter_orders": """
-            SELECT o_orderkey, o_custkey, o_totalprice, o_orderpriority,
-                   CAST(FLOOR(o_totalprice/1000) AS BIGINT) AS price_k
-            FROM orders WHERE o_totalprice > 100000 ORDER BY o_orderkey""",
-        "q06_user_event_stats": """
-            WITH f AS (SELECT user_id, CAST(FLOOR(value*1000) AS BIGINT) AS v FROM (
-                         SELECT user_id, value,
-                                ROW_NUMBER() OVER (PARTITION BY user_id ORDER BY ts, value) AS rn
-                         FROM events) WHERE rn = 1),
-                 l AS (SELECT user_id, CAST(FLOOR(value*1000) AS BIGINT) AS v FROM (
-                         SELECT user_id, value,
-                                ROW_NUMBER() OVER (PARTITION BY user_id ORDER BY ts DESC, value DESC) AS rn
-                         FROM events) WHERE rn = 1),
-                 s AS (SELECT user_id, COUNT(*) AS n_events,
-                              COUNT(DISTINCT event_type) AS n_types
-                       FROM events GROUP BY user_id)
-            SELECT s.user_id, s.n_events, s.n_types, l.v - f.v AS delta_milli
-            FROM s JOIN f USING (user_id) JOIN l USING (user_id)
-            ORDER BY s.user_id""",
-        "q07_windowed_events": """
-            SELECT DATE_TRUNC('hour', ts) AS window_start, event_type,
-                   COUNT(*) AS n_events,
-                   CAST(SUM(CAST(FLOOR(value*1000) AS BIGINT)) AS BIGINT) AS sum_value_milli,
-                   CAST(MAX(CAST(FLOOR(value*1000) AS BIGINT)) AS BIGINT) AS max_value_milli
-            FROM events GROUP BY 1, 2 ORDER BY 1, 2""",
-        "q08_sessionize": """
-            WITH e AS (
-              SELECT user_id, ts,
-                     CASE WHEN LAG(ts) OVER w IS NULL
-                               OR ts - LAG(ts) OVER w > INTERVAL 30 MINUTE
-                          THEN 1 ELSE 0 END AS new_s
-              FROM events
-              WINDOW w AS (PARTITION BY user_id ORDER BY ts)
-            ),
-            s AS (
-              SELECT user_id, ts,
-                     CAST(SUM(new_s) OVER (PARTITION BY user_id ORDER BY ts
-                          ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id
-              FROM e
-            )
-            SELECT user_id, session_id,
-                   CAST(COUNT(*) AS BIGINT) AS n_events,
-                   MIN(ts) AS start_ts, MAX(ts) AS end_ts
-            FROM s GROUP BY 1, 2 ORDER BY 1, 2""",
-        "q09_asof_join": """
-            SELECT e.user_id, e.event_id, e.ts, v.ts AS prior_ts
-            FROM events e
-            ASOF LEFT JOIN (SELECT user_id, ts FROM events
-                            WHERE event_type = 'view') v
-              ON e.user_id = v.user_id AND e.ts > v.ts
-            ORDER BY e.event_id""",
-        "q14_grouped_topk": """
-            SELECT user_id, event_id, value, rank FROM (
-                SELECT user_id, event_id, value,
-                       ROW_NUMBER() OVER (PARTITION BY user_id
-                                          ORDER BY value DESC, event_id) AS rank
-                FROM events)
-            WHERE rank <= 3 ORDER BY user_id, rank""",
-        "q15_event_quantiles": """
-            SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_events,
-                   CAST(percentile_disc(0.50) WITHIN GROUP
-                        (ORDER BY CAST(FLOOR(value*1000) AS BIGINT)) AS BIGINT) AS p50_milli,
-                   CAST(percentile_disc(0.90) WITHIN GROUP
-                        (ORDER BY CAST(FLOOR(value*1000) AS BIGINT)) AS BIGINT) AS p90_milli,
-                   CAST(percentile_disc(0.99) WITHIN GROUP
-                        (ORDER BY CAST(FLOOR(value*1000) AS BIGINT)) AS BIGINT) AS p99_milli
-            FROM events GROUP BY event_type ORDER BY event_type""",
-        "q16_doc_sample": """
-            SELECT doc_id, lang, n_chars FROM documents
-            WHERE substr(md5(CAST(doc_id AS VARCHAR)), 1, 2) <= '28'
-            ORDER BY doc_id""",
-        "q17_range_join": """
-            SELECT e.event_id, e.user_id,
-                   CAST(COUNT(v.ts) AS BIGINT) AS n_views_10m
-            FROM events e LEFT JOIN events v
-              ON v.user_id = e.user_id AND v.event_type = 'view'
-             AND v.ts >= e.ts - INTERVAL 10 MINUTE AND v.ts < e.ts
-            GROUP BY 1, 2 ORDER BY e.event_id""",
-        "q18_anti_join": """
-            SELECT c_custkey, c_name FROM customer
-            WHERE c_custkey NOT IN (SELECT o_custkey FROM orders
-                                    WHERE o_orderpriority = '1-URGENT')
-            ORDER BY c_custkey""",
-        "q19_bloom_semi_join": """
-            SELECT l_orderkey,
-                   CAST(SUM(CAST(ROUND(l_extendedprice * 100) AS BIGINT)
-                        * (100 - CAST(ROUND(l_discount * 100) AS BIGINT)))
-                        AS BIGINT) AS rev_units,
-                   COUNT(*) AS n_items
-            FROM lineitem
-            WHERE l_orderkey IN (
-                SELECT o_orderkey FROM orders o
-                JOIN customer c ON o.o_custkey = c.c_custkey
-                WHERE c.c_mktsegment = 'BUILDING')
-            GROUP BY l_orderkey ORDER BY l_orderkey""",
-        "q27_dup_clusters": """
-            WITH RECURSIVE toks AS (
-              SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS t
-              FROM documents
-            ), sh AS (
-              SELECT DISTINCT doc_id, UNNEST(
-                CASE WHEN len(t) = 0 THEN CAST([] AS VARCHAR[])
-                     WHEN len(t) < 3 THEN [array_to_string(t, ' ')]
-                     ELSE list_transform(range(1, len(t) - 1),
-                            i -> array_to_string(list_slice(t, i, i + 2), ' '))
-                END) AS s
-              FROM toks
-            ), sizes AS (
-              SELECT doc_id, COUNT(*) AS n FROM sh GROUP BY doc_id
-            ), inter AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS i
-              FROM sh a JOIN sh b USING (s)
-              WHERE a.doc_id < b.doc_id
-              GROUP BY 1, 2
-            ), pairs AS (
-              SELECT doc_a, doc_b FROM inter
-              JOIN sizes sa ON sa.doc_id = doc_a
-              JOIN sizes sb ON sb.doc_id = doc_b
-              WHERE i * 1000000 >= 500000 * (sa.n + sb.n - i)
-            ), e AS (
-              SELECT doc_a AS a, doc_b AS b FROM pairs
-              UNION SELECT doc_b, doc_a FROM pairs
-            ), reach(a, b) AS (
-              SELECT a, b FROM e
-              UNION
-              SELECT r.a, e.b FROM reach r JOIN e ON e.a = r.b
-            )
-            SELECT a AS doc_id, LEAST(a, MIN(b)) AS cluster
-            FROM reach GROUP BY a ORDER BY doc_id""",
-        # q59 = q27's families reduced to the curation decision: drop
-        # every non-canonical member (min reachable doc_id < self)
-        "q59_neardup_curation": """
-            WITH RECURSIVE toks AS (
-              SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS t
-              FROM documents
-            ), sh AS (
-              SELECT DISTINCT doc_id, UNNEST(
-                CASE WHEN len(t) = 0 THEN CAST([] AS VARCHAR[])
-                     WHEN len(t) < 3 THEN [array_to_string(t, ' ')]
-                     ELSE list_transform(range(1, len(t) - 1),
-                            i -> array_to_string(list_slice(t, i, i + 2), ' '))
-                END) AS s
-              FROM toks
-            ), sizes AS (
-              SELECT doc_id, COUNT(*) AS n FROM sh GROUP BY doc_id
-            ), inter AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS i
-              FROM sh a JOIN sh b USING (s)
-              WHERE a.doc_id < b.doc_id
-              GROUP BY 1, 2
-            ), pairs AS (
-              SELECT doc_a, doc_b FROM inter
-              JOIN sizes sa ON sa.doc_id = doc_a
-              JOIN sizes sb ON sb.doc_id = doc_b
-              WHERE i * 1000000 >= 500000 * (sa.n + sb.n - i)
-            ), e AS (
-              SELECT doc_a AS a, doc_b AS b FROM pairs
-              UNION SELECT doc_b, doc_a FROM pairs
-            ), reach(a, b) AS (
-              SELECT a, b FROM e
-              UNION
-              SELECT r.a, e.b FROM reach r JOIN e ON e.a = r.b
-            )
-            SELECT doc_id FROM documents
-            WHERE doc_id NOT IN (
-              SELECT a FROM reach GROUP BY a HAVING MIN(b) < a)
-            ORDER BY doc_id""",
-        "q28_tfidf_topterms": """
-            WITH words AS (
-              SELECT doc_id,
-                     UNNEST(regexp_extract_all(lower(text), '[a-z0-9]+')) AS term
-              FROM documents
-            ), tf AS (
-              SELECT doc_id, term, CAST(COUNT(*) AS BIGINT) AS tf
-              FROM words GROUP BY 1, 2
-            ), df AS (
-              SELECT term, CAST(COUNT(*) AS BIGINT) AS df FROM tf GROUP BY 1
-            ), ranked AS (
-              SELECT doc_id, tf.term, tf.tf * 1000000 // df.df AS score,
-                     ROW_NUMBER() OVER (PARTITION BY doc_id
-                                        ORDER BY tf.tf * 1000000 // df.df DESC,
-                                                 tf.term) AS rank
-              FROM tf JOIN df USING (term)
-            )
-            SELECT doc_id, term, score, rank FROM ranked
-            WHERE rank <= 3 ORDER BY doc_id, rank""",
-        "q29_pagerank": pagerank_sql,
-        "q10_token_counts": r"""
-            SELECT doc_id,
-                   CAST(len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS BIGINT) AS n_tokens
-            FROM documents ORDER BY doc_id""",
-        "q11_quality_scores": r"""
-            SELECT doc_id,
-                   CAST(len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS BIGINT) AS n_tokens,
-                   CAST(len(regexp_extract_all(text, '[A-Za-z]')) AS BIGINT) AS n_alpha,
-                   CAST(len(regexp_extract_all(text, '[A-Za-z]')) AS BIGINT) * 1000000
-                     // GREATEST(CAST(length(text) AS BIGINT), 1) AS alpha_ppm,
-                   CAST(len(regexp_extract_all(text, '\b(the|a|of|and|in)\b')) AS BIGINT) AS stop_hits,
-                   (CAST(len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS BIGINT) >= 10
-                    AND CAST(len(regexp_extract_all(text, '[A-Za-z]')) AS BIGINT) * 1000000
-                        // GREATEST(CAST(length(text) AS BIGINT), 1) >= 500000) AS is_quality
-            FROM documents ORDER BY doc_id""",
-        # q62: the same RE2 feature counts as q11/q12 folded through
-        # the FIXED integer weight vector (textstats.QUALITY_MODEL);
-        # all divisions on non-negative operands, the weighted sum has
-        # none — bit-equal logits
-        "q62_quality_model": r"""
-            WITH f AS (
-              SELECT doc_id,
-                CAST(len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS BIGINT) AS n_tok,
-                GREATEST(CAST(len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS BIGINT), 1) AS safe_t,
-                GREATEST(CAST(length(text) AS BIGINT), 1) AS safe_c,
-                CAST(len(regexp_extract_all(text, '[A-Za-z]')) AS BIGINT) AS alpha,
-                CAST(len(regexp_extract_all(text, '[0-9]')) AS BIGINT) AS digit,
-                CAST(len(regexp_extract_all(text, '[A-Za-z0-9]')) AS BIGINT) AS alnum,
-                CAST(len(regexp_extract_all(text, '\b(the|a|of|and|in)\b')) AS BIGINT) AS stop
-              FROM documents
-            ), lg AS (
-              SELECT doc_id,
-                2000 * LEAST(n_tok, 1000)
-                + 3 * (alpha * 1000000 // safe_c)
-                + 1 * (stop * 1000000 // safe_t)
-                - 5 * (digit * 1000000 // safe_c)
-                - 40 * (alnum * 1000 // safe_t)
-                - 2460000 AS logit_micro
-              FROM f
-            )
-            SELECT doc_id, logit_micro, logit_micro > 0 AS is_keep
-            FROM lg ORDER BY doc_id""",
-        "q12_lang_id": r"""
-            SELECT doc_id,
-                   CAST(len(regexp_extract_all(text, '\b(the|a|of|and|in)\b')) AS BIGINT) * 1000000
-                     // GREATEST(CAST(len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS BIGINT), 1) AS stop_ppm,
-                   CASE WHEN CAST(len(regexp_extract_all(text, '\b(the|a|of|and|in)\b')) AS BIGINT) * 1000000
-                     // GREATEST(CAST(len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS BIGINT), 1) >= 50000
-                        THEN 'en' ELSE 'unk' END AS lang_pred
-            FROM documents ORDER BY doc_id""",
-        "q13_doc_fingerprints": """
-            SELECT doc_id, md5(regexp_replace(lower(text), '[^a-z0-9]+', ' ', 'g')) AS fp
-            FROM documents ORDER BY doc_id""",
-        # q61: the same tokenizer as q27/q28; list_slice is 1-based
-        # inclusive, so window w covers tokens [w*stride+1, w*stride+win]
-        # = the Python slice [w*stride, w*stride+win); window count =
-        # ceil(n/stride) keeps every token covered (tail windows stay)
-        "q61_window_chunks": """
-            WITH toks AS (
-              SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS t
-              FROM documents
-            ), wins AS (
-              SELECT doc_id, CAST(w AS BIGINT) AS win_idx,
-                     list_slice(t, CAST(w*32 + 1 AS BIGINT),
-                                CAST(w*32 + 64 AS BIGINT)) AS wt
-              FROM toks, UNNEST(range(0, (len(t) + 31) // 32)) AS u(w)
-            )
-            SELECT doc_id, win_idx, CAST(len(wt) AS BIGINT) AS n_tok,
-                   md5(array_to_string(wt, ' ')) AS win_md5
-            FROM wins ORDER BY doc_id, win_idx""",
-        "q20_exact_dedup": """
-            SELECT MIN(doc_id) AS keep_doc, COUNT(*) AS n_copies
-            FROM documents GROUP BY text ORDER BY keep_doc""",
-        # exact SQL twin of the MinHash-LSH pipeline: md5-prefix-64
-        # shingle hashes (dedup._hash64_str), the SAME 64 (a,b) mod
-        # 2^61-1 permutations inlined as literals (HUGEINT arithmetic is
-        # exact: a < 2^61, hv < 2^64 → a*hv+b < 2^126), banding by
-        # direct slot equality (the Ray side folds the 2 slots to one
-        # key — identical up to a ~2^-64 fold collision), then the same
-        # integer-ppm exact-Jaccard verification as q25.
-        "q21_minhash_pairs": f"""
-            WITH perms(i, a, b) AS (VALUES {_perms_sql()}),
-            toks AS (
-              SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS t
-              FROM documents
-            ), sh AS (
-              SELECT DISTINCT doc_id, UNNEST(
-                CASE WHEN len(t) = 0 THEN CAST([] AS VARCHAR[])
-                     WHEN len(t) < 3 THEN [array_to_string(t, ' ')]
-                     ELSE list_transform(range(1, len(t) - 1),
-                            i -> array_to_string(list_slice(t, i, i + 2), ' '))
-                END) AS s
-              FROM toks
-            ), shh AS (
-              SELECT doc_id, s, {_MD5H.format(col='s')} AS hv FROM sh
-            ), sigs AS (
-              SELECT doc_id, p.i,
-                     MIN((CAST(p.a AS HUGEINT) * hv + p.b)
-                         % 2305843009213693951) AS sg
-              FROM shh CROSS JOIN perms p GROUP BY doc_id, p.i
-            ), bands AS (
-              SELECT doc_id, i // 2 AS band,
-                     MIN(CASE WHEN i % 2 = 0 THEN sg END) AS s0,
-                     MIN(CASE WHEN i % 2 = 1 THEN sg END) AS s1
-              FROM sigs GROUP BY doc_id, i // 2
-            ), cand AS (
-              SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
-              FROM bands a JOIN bands b
-                ON a.band = b.band AND a.s0 = b.s0 AND a.s1 = b.s1
-               AND a.doc_id < b.doc_id
-            ), sizes AS (SELECT doc_id, COUNT(*) AS n FROM sh GROUP BY doc_id),
-            inter AS (
-              SELECT c.doc_a, c.doc_b, COUNT(*) AS i
-              FROM cand c JOIN sh x ON x.doc_id = c.doc_a
-                          JOIN sh y ON y.doc_id = c.doc_b AND y.s = x.s
-              GROUP BY 1, 2
-            )
-            SELECT i.doc_a, i.doc_b,
-                   (i.i * 1000000) // (sa.n + sb.n - i.i) AS jaccard_ppm
-            FROM inter i
-            JOIN sizes sa ON sa.doc_id = i.doc_a
-            JOIN sizes sb ON sb.doc_id = i.doc_b
-            WHERE i.i * 1000000 >= 500000 * (sa.n + sb.n - i.i)
-            ORDER BY doc_a, doc_b""",
-        # exact SQL twin of the 64-bit token-multiset simhash: one vote
-        # row per (token occurrence, bit), sign-summed; bit set iff the
-        # vote is strictly positive (ties → 0, matching dedup.simhash64)
-        "q22_simhash": f"""
-            WITH toks AS (
-              SELECT doc_id,
-                     UNNEST(regexp_extract_all(lower(text), '[a-z0-9]+')) AS w
-              FROM documents
-            ), th AS (
-              SELECT doc_id, {_MD5H.format(col='w')} AS h FROM toks
-            ), votes AS (
-              SELECT doc_id, bit.b,
-                     SUM(CASE WHEN (h >> bit.b) & 1 = 1 THEN 1 ELSE -1 END) AS v
-              FROM th CROSS JOIN (SELECT UNNEST(range(64)) AS b) bit
-              GROUP BY doc_id, bit.b
-            ), val AS (
-              SELECT doc_id,
-                     SUM(CASE WHEN v > 0 THEN (CAST(1 AS HUGEINT) << b)
-                              ELSE CAST(0 AS HUGEINT) END) AS x
-              FROM votes GROUP BY doc_id
-            )
-            SELECT d.doc_id,
-                   COALESCE(printf('%08x%08x',
-                                   CAST(v.x >> 32 AS BIGINT),
-                                   CAST(v.x & 4294967295 AS BIGINT)),
-                            '0000000000000000') AS simhash
-            FROM documents d LEFT JOIN val v USING (doc_id)
-            ORDER BY doc_id""",
-        "q24_curation": r"""
-            WITH keep AS (SELECT MIN(doc_id) AS doc_id FROM documents GROUP BY text)
-            SELECT d.doc_id,
-                   CAST(len(regexp_extract_all(d.text, '[A-Za-z0-9]+')) AS BIGINT) AS n_tokens,
-                   CAST(len(regexp_extract_all(d.text, '[A-Za-z]')) AS BIGINT) * 1000000
-                     // GREATEST(CAST(length(d.text) AS BIGINT), 1) AS alpha_ppm
-            FROM documents d JOIN keep USING (doc_id)
-            WHERE CAST(len(regexp_extract_all(d.text, '[A-Za-z0-9]+')) AS BIGINT) >= 10
-              AND CAST(len(regexp_extract_all(d.text, '[A-Za-z]')) AS BIGINT) * 1000000
-                  // GREATEST(CAST(length(d.text) AS BIGINT), 1) >= 500000
-            ORDER BY d.doc_id""",
-        "q25_ngram_jaccard": """
-            WITH toks AS (
-              SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS t
-              FROM documents
-            ), sh AS (
-              SELECT DISTINCT doc_id, UNNEST(
-                CASE WHEN len(t) = 0 THEN CAST([] AS VARCHAR[])
-                     WHEN len(t) < 3 THEN [array_to_string(t, ' ')]
-                     ELSE list_transform(range(1, len(t) - 1),
-                            i -> array_to_string(list_slice(t, i, i + 2), ' '))
-                END) AS s
-              FROM toks
-            ), sizes AS (
-              SELECT doc_id, COUNT(*) AS n FROM sh GROUP BY doc_id
-            ), inter AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS i
-              FROM sh a JOIN sh b USING (s)
-              WHERE a.doc_id < b.doc_id
-              GROUP BY 1, 2
-            )
-            SELECT doc_a, doc_b,
-                   (i * 1000000) // (sa.n + sb.n - i) AS jaccard_ppm
-            FROM inter
-            JOIN sizes sa ON sa.doc_id = doc_a
-            JOIN sizes sb ON sb.doc_id = doc_b
-            WHERE i * 1000000 >= 500000 * (sa.n + sb.n - i)
-            ORDER BY doc_a, doc_b""",
-        "q23_embedding_neardup": """
-            SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
-            FROM embeddings a CROSS JOIN embeddings b
-            WHERE a.vec_id < b.vec_id
-              AND list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                         CAST(b.embedding AS DOUBLE[])) >= 0.4
-            ORDER BY vec_a, vec_b""",
-        # exact SQL twin of the int8 scalar quantizer: per-dim min/max
-        # over fixed-point values, round-half-up codes on NON-NEGATIVE
-        # offsets (numpy floor div == DuckDB truncating // there), and
-        # the integer reconstruction-error checksum
-        "q48_embedding_quantize": """
-            WITH x AS (
-              SELECT vec_id, k.k AS dim,
-                     CAST(floor(CAST(embedding[CAST(k.k AS INTEGER)] AS DOUBLE)
-                                * 1000000 + 0.5) AS BIGINT) AS xv
-              FROM embeddings CROSS JOIN (SELECT UNNEST(range(1, 65)) AS k) k
-            ), st AS (
-              SELECT dim, MIN(xv) AS mn, MAX(xv) AS mx FROM x GROUP BY dim
-            ), qq AS (
-              SELECT x.vec_id, x.dim,
-                     CASE WHEN mx = mn THEN 0
-                          ELSE ((xv - mn) * 510 + (mx - mn))
-                               // (2 * (mx - mn)) END AS q,
-                     xv - mn AS xp, mx - mn AS rng
-              FROM x JOIN st USING (dim)
-            )
-            SELECT vec_id,
-                   string_agg(lpad(lower(hex(q)), 2, '0'), ''
-                              ORDER BY dim) AS code_hex,
-                   CAST(SUM(CASE WHEN rng = 0 THEN 0
-                            ELSE (xp * 255 - q * rng) * (xp * 255 - q * rng)
-                            END) AS BIGINT) AS err_scaled
-            FROM qq GROUP BY vec_id ORDER BY vec_id""",
-        # exact SQL twin of the sign-LSH pipeline: fixed-point quantize
-        # (identical float64 multiply/add/floor), the SAME 64 int
-        # hyperplanes as literals, 4-bit band keys, candidates = pairs
-        # sharing >= 1 band, then the q23 cosine-threshold verify
-        "q47_embedding_lsh": f"""
-            WITH planes(j, p) AS (VALUES {_lsh_planes_sql()}),
-            q AS (
-              SELECT vec_id,
-                     list_transform(embedding,
-                       x -> CAST(floor(CAST(x AS DOUBLE) * 1000000 + 0.5)
-                                 AS HUGEINT)) AS qe
-              FROM embeddings
-            ), dots AS (
-              SELECT vec_id, pl.j,
-                     list_sum(list_transform(range(1, 65),
-                                             k -> q.qe[k] * pl.p[k])) AS d
-              FROM q CROSS JOIN planes pl
-            ), bands AS (
-              SELECT vec_id, j // 4 AS band,
-                     SUM(CASE WHEN d >= 0 THEN 1 << (j % 4) ELSE 0 END) AS key
-              FROM dots GROUP BY vec_id, j // 4
-            ), cand AS (
-              SELECT DISTINCT a.vec_id AS vec_a, b.vec_id AS vec_b
-              FROM bands a JOIN bands b
-                ON a.band = b.band AND a.key = b.key AND a.vec_id < b.vec_id
-            )
-            SELECT c.vec_a, c.vec_b
-            FROM cand c
-            JOIN embeddings ea ON ea.vec_id = c.vec_a
-            JOIN embeddings eb ON eb.vec_id = c.vec_b
-            WHERE list_cosine_similarity(CAST(ea.embedding AS DOUBLE[]),
-                                         CAST(eb.embedding AS DOUBLE[])) >= 0.4
-            ORDER BY vec_a, vec_b""",
-        "q30_knn_topk": """
-            WITH q AS (SELECT vec_id AS qid, CAST(embedding AS DOUBLE[]) AS qe
-                       FROM embeddings WHERE vec_id < 5),
-                 sims AS (SELECT q.qid AS query_id, e.vec_id,
-                                 list_cosine_similarity(q.qe, CAST(e.embedding AS DOUBLE[])) AS sim
-                          FROM q CROSS JOIN embeddings e WHERE e.vec_id <> q.qid)
-            SELECT query_id, vec_id, rank FROM (
-                SELECT query_id, vec_id,
-                       ROW_NUMBER() OVER (PARTITION BY query_id
-                                          ORDER BY sim DESC, vec_id) AS rank
-                FROM sims)
-            WHERE rank <= 10 ORDER BY query_id, rank""",
-        "q32_inverted_index": """
-            WITH pairs AS (
-              SELECT DISTINCT doc_id,
-                     UNNEST(regexp_extract_all(lower(text), '[a-z0-9]+')) AS term
-              FROM documents
-            )
-            SELECT term, CAST(COUNT(*) AS BIGINT) AS df,
-                   string_agg(CAST(doc_id AS VARCHAR), ','
-                              ORDER BY doc_id) AS postings
-            FROM pairs GROUP BY term ORDER BY term""",
-        "q33_pack_chunks": """
-            WITH t AS (
-              SELECT doc_id,
-                     CAST(len(regexp_extract_all(text, '[A-Za-z0-9]+')) AS BIGINT) AS n_tokens
-              FROM documents
-            )
-            SELECT doc_id, n_tokens,
-                   CAST((SUM(n_tokens) OVER (ORDER BY doc_id) - n_tokens)
-                        // 2048 AS BIGINT) AS pack_id
-            FROM t ORDER BY doc_id""",
-        "q34_pii_scrub": r"""
-            WITH r AS (
-              SELECT doc_id, text,
-                     regexp_replace(text,
-                       '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}',
-                       '[EMAIL]', 'g') AS red1
-              FROM documents
-            )
-            SELECT doc_id,
-                   CAST(len(regexp_extract_all(text,
-                     '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}')) AS BIGINT) AS n_emails,
-                   CAST(len(regexp_extract_all(red1, '[0-9]{3,}')) AS BIGINT) AS n_numbers,
-                   CAST(length(regexp_replace(red1, '[0-9]{3,}', '[NUM]', 'g')) AS BIGINT) AS clean_len
-            FROM r ORDER BY doc_id""",
-        # splitmix64 finalizer in HUGEINT: 64x64-bit products mod 2^64
-        # via 32-bit split (lo*M + ((hi*M) mod 2^32) << 32), exact
-        "q35_split_assign": """
-            WITH s0 AS (
-              SELECT doc_id,
-                     (CAST(doc_id AS HUGEINT) + 11400714819323198485)
-                       % 18446744073709551616 AS x
-              FROM documents
-            ), s1 AS (
-              SELECT doc_id, xor(x, x >> 30) AS x FROM s0
-            ), m1 AS (
-              SELECT doc_id,
-                ( (x % 4294967296) * 13787848793156543929
-                  + (((x // 4294967296) * 13787848793156543929)
-                     % 4294967296) * 4294967296
-                ) % 18446744073709551616 AS x
-              FROM s1
-            ), s2 AS (
-              SELECT doc_id, xor(x, x >> 27) AS x FROM m1
-            ), m2 AS (
-              SELECT doc_id,
-                ( (x % 4294967296) * 10723151780598845931
-                  + (((x // 4294967296) * 10723151780598845931)
-                     % 4294967296) * 4294967296
-                ) % 18446744073709551616 AS x
-              FROM s2
-            ), s3 AS (
-              SELECT doc_id, xor(x, x >> 31) AS x FROM m2
-            )
-            SELECT doc_id, CAST(x % 100 AS BIGINT) AS bucket,
-                   CASE WHEN x % 100 < 80 THEN 'train'
-                        WHEN x % 100 < 90 THEN 'val'
-                        ELSE 'test' END AS split
-            FROM s3 ORDER BY doc_id""",
-        "q36_repetition": """
-            WITH toks AS (
-              SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS t
-              FROM documents
-            ), tri AS (
-              SELECT doc_id, CAST(len(t) AS BIGINT) AS n_tokens,
-                CASE WHEN len(t) < 3 THEN CAST([] AS VARCHAR[])
-                     ELSE list_transform(range(1, len(t) - 1),
-                            i -> array_to_string(list_slice(t, i, i + 2), ' '))
-                END AS g
-              FROM toks
-            )
-            SELECT doc_id, n_tokens,
-                   CAST(len(g) AS BIGINT) AS n_tri,
-                   CAST((len(g) - len(list_distinct(g))) * 1000000
-                        // GREATEST(len(g), 1) AS BIGINT) AS dup_tri_ppm,
-                   ((len(g) - len(list_distinct(g))) * 1000000
-                        // GREATEST(len(g), 1)) >= 200000 AS is_repetitive
-            FROM tri ORDER BY doc_id""",
-        # q63: Efraimidis–Spirakis weighted sample — the same splitmix64
-        # chain as q37, then the float key -ln((x+0.5)/2^64)/w computed
-        # with the IDENTICAL IEEE ops (uint64→double rounding, libm ln)
-        # as numpy, so the sample is value-exact
-        "q63_weighted_sample": """
-            WITH s0 AS (
-              SELECT doc_id, n_chars,
-                     (CAST(doc_id AS HUGEINT) + 11400714819323198485)
-                       % 18446744073709551616 AS x
-              FROM documents
-            ), s1 AS (
-              SELECT doc_id, n_chars, xor(x, x >> 30) AS x FROM s0
-            ), m1 AS (
-              SELECT doc_id, n_chars,
-                ( (x % 4294967296) * 13787848793156543929
-                  + (((x // 4294967296) * 13787848793156543929)
-                     % 4294967296) * 4294967296
-                ) % 18446744073709551616 AS x
-              FROM s1
-            ), s2 AS (
-              SELECT doc_id, n_chars, xor(x, x >> 27) AS x FROM m1
-            ), m2 AS (
-              SELECT doc_id, n_chars,
-                ( (x % 4294967296) * 10723151780598845931
-                  + (((x // 4294967296) * 10723151780598845931)
-                     % 4294967296) * 4294967296
-                ) % 18446744073709551616 AS x
-              FROM s2
-            ), s3 AS (
-              SELECT doc_id, n_chars, xor(x, x >> 31) AS x FROM m2
-            ), ky AS (
-              SELECT doc_id, n_chars,
-                     -ln((CAST(x AS DOUBLE) + 0.5)
-                         / 18446744073709551616.0)
-                       / GREATEST(n_chars, 1) AS ky
-              FROM s3
-            )
-            SELECT doc_id, n_chars,
-                   CAST(ROW_NUMBER() OVER (ORDER BY ky, doc_id)
-                        AS BIGINT) AS rank
-            FROM ky ORDER BY ky, doc_id LIMIT 20""",
-        "q37_stratified_sample": """
-            WITH s0 AS (
-              SELECT doc_id, lang,
-                     (CAST(doc_id AS HUGEINT) + 11400714819323198485)
-                       % 18446744073709551616 AS x
-              FROM documents
-            ), s1 AS (
-              SELECT doc_id, lang, xor(x, x >> 30) AS x FROM s0
-            ), m1 AS (
-              SELECT doc_id, lang,
-                ( (x % 4294967296) * 13787848793156543929
-                  + (((x // 4294967296) * 13787848793156543929)
-                     % 4294967296) * 4294967296
-                ) % 18446744073709551616 AS x
-              FROM s1
-            ), s2 AS (
-              SELECT doc_id, lang, xor(x, x >> 27) AS x FROM m1
-            ), m2 AS (
-              SELECT doc_id, lang,
-                ( (x % 4294967296) * 10723151780598845931
-                  + (((x // 4294967296) * 10723151780598845931)
-                     % 4294967296) * 4294967296
-                ) % 18446744073709551616 AS x
-              FROM s2
-            ), s3 AS (
-              SELECT doc_id, lang, xor(x, x >> 31) AS x FROM m2
-            ), r AS (
-              SELECT lang, doc_id,
-                     ROW_NUMBER() OVER (PARTITION BY lang
-                                        ORDER BY x, doc_id) AS rank
-              FROM s3
-            )
-            SELECT lang, doc_id, rank FROM r
-            WHERE rank <= 20 ORDER BY lang, rank""",
-        "q38_ngram_counts": """
-            WITH toks AS (
-              SELECT regexp_extract_all(lower(text), '[a-z0-9]+') AS t
-              FROM documents
-            ), tri AS (
-              SELECT UNNEST(
-                CASE WHEN len(t) < 3 THEN CAST([] AS VARCHAR[])
-                     ELSE list_transform(range(1, len(t) - 1),
-                            i -> array_to_string(list_slice(t, i, i + 2), ' '))
-                END) AS trigram
-              FROM toks
-            ), c AS (
-              SELECT trigram, CAST(COUNT(*) AS BIGINT) AS n
-              FROM tri GROUP BY trigram
-            )
-            SELECT trigram, n,
-                   ROW_NUMBER() OVER (ORDER BY n DESC, trigram) AS rank
-            FROM c ORDER BY rank LIMIT 50""",
-        # bottom-k (KMV) distinct sketch: the estimate is a pure
-        # integer function of the 16 smallest md5-prefix64 hashes, so
-        # SQL reproduces it exactly (hex prefix -> HUGEINT via nibble
-        # shifts; (k-1)<<64 // h_k floor division)
-        "q39_bottomk_distinct": """
-            WITH d AS (
-              SELECT DISTINCT lang, md5(text) AS m FROM documents
-            ), h AS (
-              SELECT DISTINCT lang,
-                     list_sum(list_transform(range(1, 17),
-                       i -> CAST(strpos('0123456789abcdef',
-                                        substr(m, CAST(i AS INTEGER), 1))
-                                 - 1 AS HUGEINT)
-                            << (4 * (16 - i)))) AS hv
-              FROM d
-            ), r AS (
-              SELECT lang, hv,
-                     ROW_NUMBER() OVER (PARTITION BY lang
-                                        ORDER BY hv) AS rn,
-                     COUNT(*) OVER (PARTITION BY lang) AS cnt
-              FROM h
-            )
-            SELECT lang,
-                   CAST(CASE WHEN MAX(cnt) < 16 THEN MAX(cnt)
-                        ELSE LEAST((CAST(15 AS HUGEINT) << 64)
-                                   // GREATEST(MAX(CASE WHEN rn = 16
-                                                   THEN hv END), 1),
-                                   9223372036854775807)
-                        END AS BIGINT) AS est_distinct
-            FROM r GROUP BY lang ORDER BY lang""",
-        # segment-level exact dedup (CCNet/C4 line-dedup over 16-token
-        # segments): global keep-first per distinct segment string,
-        # first occurrence = min (doc_id, seg_idx)
-        "q44_segment_dedup": """
-            WITH toks AS (
-              SELECT doc_id,
-                     regexp_extract_all(lower(text), '[a-z0-9]+') AS t
-              FROM documents
-            ), seg AS (
-              SELECT doc_id, CAST((i-1)//16 AS BIGINT) AS seg_idx,
-                     array_to_string(
-                       list_slice(t, i, LEAST(i+15, len(t))), ' ') AS seg
-              FROM toks, UNNEST(range(1, len(t)+1, 16)) AS u(i)
-            ), firsts AS (
-              SELECT seg, MIN(doc_id * 1048576 + seg_idx) AS fk
-              FROM seg GROUP BY seg
-            ), kept AS (
-              SELECT s.doc_id, s.seg_idx, s.seg
-              FROM seg s JOIN firsts f
-                ON s.seg = f.seg
-               AND s.doc_id * 1048576 + s.seg_idx = f.fk
-            ), nseg AS (
-              SELECT doc_id, COUNT(*) AS n_seg FROM seg GROUP BY doc_id
-            )
-            SELECT k.doc_id, n.n_seg,
-                   CAST(COUNT(*) AS BIGINT) AS n_kept,
-                   string_agg(k.seg, ' ' ORDER BY k.seg_idx) AS text_kept
-            FROM kept k JOIN nseg n USING (doc_id)
-            GROUP BY k.doc_id, n.n_seg ORDER BY doc_id""",
-        # benchmark contamination: distinct word n-grams of each
-        # candidate doc ∩ the benchmark slice (doc_id % 97 == 0);
-        # n=3 because the synthetic vocabulary is tiny (prod uses 13)
-        "q45_contamination": """
-            WITH toks AS (
-              SELECT doc_id,
-                     regexp_extract_all(lower(text), '[a-z0-9]+') AS t
-              FROM documents
-            ), grams AS (
-              SELECT doc_id, list_distinct(
-                CASE WHEN len(t) < 3 THEN CAST([] AS VARCHAR[])
-                     ELSE list_transform(range(1, len(t) - 1),
-                       i -> array_to_string(list_slice(t, i, i+2), ' '))
-                END) AS g
-              FROM toks
-            ), bench AS (
-              SELECT DISTINCT u.g13 FROM grams, UNNEST(g) AS u(g13)
-              WHERE doc_id % 97 = 0
-            ), cand AS (
-              SELECT doc_id, len(g) AS n_grams, u.g13
-              FROM grams, UNNEST(g) AS u(g13) WHERE doc_id % 97 <> 0
-            )
-            SELECT doc_id, CAST(n_grams AS BIGINT) AS n_grams,
-                   CAST(COUNT(*) AS BIGINT) AS n_hits
-            FROM cand WHERE g13 IN (SELECT g13 FROM bench)
-            GROUP BY doc_id, n_grams ORDER BY doc_id""",
-        # per-label centroid sums in exact fixed-point (floor(v*2^20)
-        # int64) — order-free, so partials merge bit-identically
-        "q46_group_centroids": """
-            SELECT label, CAST(i AS BIGINT) AS pos,
-                   CAST(SUM(CAST(FLOOR(CAST(embedding[i] AS DOUBLE)
-                                       * 1048576) AS BIGINT))
-                        AS BIGINT) AS sum_q,
-                   CAST(COUNT(*) AS BIGINT) AS n_vecs
-            FROM embeddings, UNNEST(range(1, len(embedding)+1)) AS r(i)
-            GROUP BY label, pos ORDER BY label, pos""",
-        "q50_extract_links":
-            links_src + " ORDER BY src_doc, src_offset, url",
-        # exact SQL twin of the HyperLogLog sketch (stages/sketch.py):
-        # md5-prefix-64 key hash, register = top 12 bits, rho = 53 -
-        # bit_length of the low 52 bits, S = sum 2^(53-rho) over all
-        # 4096 registers (absent ones contribute 2^53), raw estimate =
-        # one exact HUGEINT floor division; only the rarely-hit
-        # linear-counting branch calls double ln (same libm)
-        "q26_hll_host_distinct": f"""
-            WITH links AS ({links_src}),
-            u AS (
-              SELECT DISTINCT
-                     regexp_extract(url, '^https?://([^/:]+)', 1) AS host,
-                     url
-              FROM links
-            ), h AS (
-              SELECT host, {_MD5H.format(col='url')} AS hv FROM u
-            ), rr AS (
-              SELECT host, CAST(hv >> 52 AS BIGINT) AS reg,
-                     CAST(hv & ((CAST(1 AS HUGEINT) << 52) - 1) AS BIGINT) AS w
-              FROM h
-            ), regs AS (
-              SELECT host, reg,
-                     MAX(CASE WHEN w = 0 THEN 53
-                         ELSE 53 - length(bin(w)) END) AS rho
-              FROM rr GROUP BY host, reg
-            ), stats AS (
-              SELECT host,
-                     SUM(CAST(1 AS HUGEINT) << (53 - rho)) AS s_present,
-                     COUNT(*) AS n_present
-              FROM regs GROUP BY host
-            ), est AS (
-              SELECT host,
-                     {_hll_est_num()} // ((s_present
-                        + ({_HLL_M} - n_present) * (CAST(1 AS HUGEINT) << 53))
-                        * 1000000000) AS raw,
-                     {_HLL_M} - n_present AS zeros
-              FROM stats
-            )
-            SELECT host,
-                   CAST(CASE WHEN raw * 2 <= 5 * {_HLL_M} AND zeros > 0
-                        THEN CAST(floor({_HLL_M}.0 * ln({_HLL_M}.0 / zeros)
-                                        + 0.5) AS HUGEINT)
-                        ELSE raw END AS BIGINT) AS est_distinct
-            FROM est ORDER BY host""",
-        # q49 count-min: row-r bucket = (hex chars [8r, 8r+8) of ONE
-        # md5(url), read as an integer) mod 8192; probe sample =
-        # (chunk0 * 2^32 + chunk1) mod 97 == 0 — exactly the numpy
-        # md5_chunks_u32 arithmetic, so counters and min-estimates are
-        # value-exact
-        "q49_cms_url_refs": f"""
-            WITH links AS ({links_src}),
-            cnt AS (
-              SELECT url, CAST(COUNT(*) AS HUGEINT) AS c
-              FROM links GROUP BY url
-            ), rs AS (SELECT * FROM (VALUES (0),(1),(2),(3)) t(r)),
-            hb AS (
-              SELECT url, r,
-                     list_sum(list_transform(range(1, 9),
-                       i -> CAST(strpos('0123456789abcdef',
-                            substr(md5(url), CAST(8*r + i AS INTEGER), 1))
-                            - 1 AS HUGEINT) << (4 * (8 - i)))) AS hv
-              FROM cnt CROSS JOIN rs
-            ),
-            cells AS (
-              SELECT hb.r, hb.hv % 8192 AS b, SUM(cnt.c) AS tot
-              FROM hb JOIN cnt USING (url) GROUP BY 1, 2
-            ),
-            probe AS (
-              SELECT h0.url FROM hb h0 JOIN hb h1
-                ON h1.url = h0.url AND h1.r = 1
-              WHERE h0.r = 0
-                AND (h0.hv * 4294967296 + h1.hv) % 97 = 0
-            ),
-            est AS (
-              SELECT p.url, MIN(cells.tot) AS est_refs
-              FROM probe p
-              JOIN hb ON hb.url = p.url
-              JOIN cells ON cells.r = hb.r AND cells.b = hb.hv % 8192
-              GROUP BY p.url
-            )
-            SELECT url, CAST(est_refs AS BIGINT) AS est_refs
-            FROM est ORDER BY url""",
-        "q51_seen_dedup": (
-            "SELECT url, MIN(src_doc) AS first_doc, COUNT(*) AS n_refs"
-            " FROM (%s) GROUP BY url ORDER BY url" % links_src
-        ),
-        # q72: exact heavy hitters — the MG candidate superset plus the
-        # exact confirm pass reduce to a plain HAVING threshold
-        "q72_heavy_hitter_hosts": (
-            "WITH h AS (SELECT regexp_extract(url, '^https?://([^/:]+)', 1)"
-            " AS host FROM (%s))"
-            " SELECT host, COUNT(*) AS n_links FROM h GROUP BY host"
-            " HAVING COUNT(*) * 64 > (SELECT COUNT(*) FROM h)"
-            " ORDER BY host" % links_src
-        ),
-        "q56_host_link_stats": (
-            "SELECT regexp_extract(url, '^https?://([^/:]+)', 1) AS host,"
-            " COUNT(*) AS n_links, MIN(src_doc) AS min_src,"
-            " MAX(src_doc) AS max_src"
-            " FROM (%s) GROUP BY 1 ORDER BY host" % links_src
-        ),
-        # crawl-order parity (north rule): the distributed crawl's
-        # fetch log / reports must equal SQL over the single-process
-        # simulator's independently produced log (same seeds + config)
-        "q52_crawl_frontier": f"""
-            SELECT url, host, doc_id, status, round, fetch_seq, depth
-            FROM read_parquet('{sim_log}')
-            ORDER BY round, host, fetch_seq, url""",
-        "q54_hottest_hosts": f"""
-            SELECT host, CAST(COUNT(*) AS BIGINT) AS n_fetched,
-                   CAST(SUM(CASE WHEN status = 200 THEN 1 ELSE 0 END) AS BIGINT) AS n_ok,
-                   MIN(round) AS first_round, MAX(round) AS last_round
-            FROM read_parquet('{sim_log}')
-            GROUP BY host ORDER BY n_fetched DESC, host LIMIT 20""",
-        "q55_crawl_metrics": f"""
-            SELECT round, CAST(COUNT(*) AS BIGINT) AS n_fetched,
-                   CAST(SUM(CASE WHEN status = 200 THEN 1 ELSE 0 END) AS BIGINT) AS n_ok,
-                   MIN(fetch_seq) AS min_seq, MAX(fetch_seq) AS max_seq,
-                   CAST(COUNT(DISTINCT host) AS BIGINT) AS n_hosts
-            FROM read_parquet('{sim_log}')
-            GROUP BY round ORDER BY round""",
-        # expected-value oracle: every corpus doc must round-trip the
-        # archive with its span sequence intact (n_ok == n_docs ==
-        # corpus row count); any archive corruption breaks the hash
-        "q57_verify_spans": (
-            "SELECT CAST(COUNT(*) AS BIGINT) AS n_docs,"
-            " CAST(COUNT(*) AS BIGINT) AS n_ok"
-            " FROM read_parquet('%s')" % docs_glob
-        ),
-        # expected-value oracle: the WARC roundtrip must return exactly
-        # one response + one metadata record per corpus doc, every
-        # payload digest verified (warcinfo excluded — shard-count
-        # dependent, pytest-pinned)
-        "q53_warc_roundtrip": f"""
-            WITH n AS (SELECT CAST(COUNT(*) AS BIGINT) AS c
-                       FROM read_parquet('{docs_glob}'))
-            SELECT t.rec_type, n.c AS n_records, n.c AS n_digest_ok
-            FROM (VALUES ('metadata'), ('response')) t(rec_type), n
-            ORDER BY t.rec_type""",
-        # q157: WET text extraction — expected plain text per doc
-        # rebuilt from the corpus spans (text + anchor text in span
-        # order, media spans dropped), md5 compared byte-for-byte, so
-        # any defect in archive framing, HTTP-head split, or the RE2
-        # tag-strip passes hash-mismatches; all-media docs surface via
-        # the LEFT JOIN with md5('')
-        "q256_span_census": span_census_sql,
-        "q257_anchor_index": anchor_index_sql,
-        # q259: robots audit — independent recomputation over the
-        # SIMULATOR log × the robots parquet: the distributed crawl's
-        # per-ruled-host fetch counts and (zero) violations must match
-        # q259: full REP rule matching re-implemented in plain SQL —
-        # a pattern is pre*suf with an optional trailing '$' anchor
-        # (the corpus plants at most one star; the engine matcher
-        # handles arbitrary patterns).  No star: prefix match, or
-        # exact-path when anchored.  Star: path starts with pre AND
-        # suf occurs after pre (unanchored) / path ends with suf
-        # beyond pre (anchored).
-        "q259_robots_audit": f"""
-            WITH ruled AS (
-              SELECT host, UNNEST(disallow_prefixes) AS pfx
-              FROM read_parquet('{t2}/robots.parquet')),
-            rule_hosts AS (
-              SELECT host, CAST(COUNT(*) AS BIGINT) AS n_rules
-              FROM ruled GROUP BY host),
-            rparse AS (
-              SELECT host, pfx, (pfx LIKE '%$') AS anch,
-                     CASE WHEN pfx LIKE '%$'
-                          THEN substr(pfx, 1, length(pfx) - 1)
-                          ELSE pfx END AS core
-              FROM ruled),
-            rr AS (
-              SELECT host, anch, (strpos(core, '*') > 0) AS has_star,
-                     CASE WHEN strpos(core, '*') > 0
-                          THEN substr(core, 1, strpos(core, '*') - 1)
-                          ELSE core END AS pre,
-                     CASE WHEN strpos(core, '*') > 0
-                          THEN substr(core, strpos(core, '*') + 1)
-                          ELSE '' END AS suf
-              FROM rparse),
-            log AS (
-              SELECT host, url,
-                     regexp_extract(url, '^https?://[^/]+(/.*)$', 1)
-                       AS path
-              FROM read_parquet('{sim_log}')),
-            f AS (SELECT host, CAST(COUNT(*) AS BIGINT) AS n_fetched
-                  FROM log GROUP BY host),
-            v AS (SELECT r.host, CAST(COUNT(*) AS BIGINT) AS n_violations
-                  FROM rr r JOIN log l
-                    ON l.host = r.host
-                   AND starts_with(l.path, r.pre)
-                   AND CASE
-                         WHEN NOT r.has_star AND NOT r.anch THEN TRUE
-                         WHEN NOT r.has_star AND r.anch
-                           THEN l.path = r.pre
-                         WHEN r.anch
-                           THEN length(l.path)
-                                  >= length(r.pre) + length(r.suf)
-                            AND substr(l.path, length(l.path)
-                                               - length(r.suf) + 1)
-                                  = r.suf
-                         ELSE r.suf = ''
-                           OR strpos(substr(l.path, length(r.pre) + 1),
-                                     r.suf) > 0
-                       END
-                  GROUP BY r.host)
-            SELECT rh.host, rh.n_rules,
-                   COALESCE(f.n_fetched, 0) AS n_fetched,
-                   COALESCE(v.n_violations, 0) AS n_violations
-            FROM rule_hosts rh
-            LEFT JOIN f USING (host)
-            LEFT JOIN v ON v.host = rh.host
-            ORDER BY rh.host""",
-        # q258: WAT derivative — outlinks are the link spans' targets
-        # in offset order; media count = image+video spans; the digest
-        # is md5 of the '|'-joined ordered target list
-        "q258_wat_extract": f"""
-            WITH spans AS (
-              SELECT doc_id, UNNEST(spans) AS s
-              FROM read_parquet('{docs_glob}')
-            ),
-            links AS (
-              SELECT doc_id,
-                     STRING_AGG(s.media_ref, '|'
-                                ORDER BY s."offset") AS outl,
-                     CAST(COUNT(*) AS BIGINT) AS n_outlinks
-              FROM spans WHERE s.kind = 'link' GROUP BY doc_id
-            ),
-            media AS (
-              SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_media
-              FROM spans WHERE s.kind IN ('image', 'video')
-              GROUP BY doc_id
-            )
-            SELECT d.doc_id,
-                   COALESCE(l.n_outlinks, 0) AS n_outlinks,
-                   COALESCE(m.n_media, 0) AS n_media,
-                   md5(COALESCE(l.outl, '')) AS outlinks_md5
-            FROM (SELECT doc_id FROM read_parquet('{docs_glob}')) d
-            LEFT JOIN links l USING (doc_id)
-            LEFT JOIN media m USING (doc_id)
-            ORDER BY d.doc_id""",
-        "q157_wet_extract": f"""
-            WITH spans AS (
-              SELECT doc_id, UNNEST(spans) AS s
-              FROM read_parquet('{docs_glob}')
-            ),
-            txt AS (
-              SELECT doc_id,
-                     STRING_AGG(s.text, chr(10) ORDER BY s."offset") AS wet,
-                     CAST(COUNT(*) AS BIGINT) AS n_lines
-              FROM spans WHERE s.kind IN ('text', 'link')
-              GROUP BY doc_id
-            )
-            SELECT d.doc_id,
-                   COALESCE(t.n_lines, 0) AS n_lines,
-                   CAST(COALESCE(strlen(t.wet), 0) AS BIGINT) AS text_len,
-                   md5(COALESCE(t.wet, '')) AS text_md5
-            FROM (SELECT doc_id FROM read_parquet('{docs_glob}')) d
-            LEFT JOIN txt t USING (doc_id)
-            ORDER BY d.doc_id""",
-        # q158: JSONL ingestion — oracle aggregates the ORIGINAL
-        # parquet; the Ray side must round-trip every value through
-        # the text format (ints, µs timestamps, cents, nested props)
-        # and fold the exact distinct-user count to match
-        "q158_jsonl_ingest": """
-            SELECT event_type,
-                   CAST(COUNT(*) AS BIGINT) AS n_events,
-                   CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users,
-                   CAST(SUM(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-                       AS sum_cents,
-                   CAST(MIN(epoch_us(ts)) AS BIGINT) AS min_ts_us,
-                   CAST(MAX(epoch_us(ts)) AS BIGINT) AS max_ts_us,
-                   CAST(SUM(TRY_CAST(regexp_extract(props, '(\\d+)', 1)
-                                     AS BIGINT)) AS BIGINT) AS sum_k
-            FROM events GROUP BY event_type ORDER BY event_type""",
-        # q202: CSV roundtrip — oracle over the ORIGINAL parquet; the
-        # props-derived columns (sum_k, props_bytes) pin quoting
-        # fidelity through the RFC-4180 sink + Arrow CSV parser
-        "q202_csv_ingest": """
-            SELECT event_type,
-                   CAST(COUNT(*) AS BIGINT) AS n_events,
-                   CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users,
-                   CAST(SUM(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-                       AS sum_cents,
-                   CAST(MIN(epoch_us(ts)) AS BIGINT) AS min_ts_us,
-                   CAST(MAX(epoch_us(ts)) AS BIGINT) AS max_ts_us,
-                   CAST(SUM(TRY_CAST(regexp_extract(props, '(\\d+)', 1)
-                                     AS BIGINT)) AS BIGINT) AS sum_k,
-                   CAST(SUM(length(props)) AS BIGINT) AS props_bytes
-            FROM events GROUP BY event_type ORDER BY event_type""",
-        # q215: fixed-width roundtrip — oracle over the ORIGINAL
-        # parquet; any slicing-offset defect shifts a value
-        "q215_fixedwidth_ingest": """
-            SELECT o_orderstatus AS status,
-                   o_orderpriority AS priority,
-                   CAST(COUNT(*) AS BIGINT) AS n_orders,
-                   CAST(SUM(CAST(round(o_totalprice * 100) AS BIGINT))
-                        AS BIGINT) AS sum_cents,
-                   CAST(MIN(CAST(strftime(o_orderdate, '%Y%m%d')
-                                 AS BIGINT)) AS BIGINT) AS min_date,
-                   CAST(MAX(CAST(strftime(o_orderdate, '%Y%m%d')
-                                 AS BIGINT)) AS BIGINT) AS max_date
-            FROM orders GROUP BY status, priority
-            ORDER BY status, priority""",
-        # q235: all three formats must reproduce the parquet totals
-        "q235_format_consistency": """
-            SELECT f.format,
-                   CAST(t.n AS BIGINT) AS n_events,
-                   CAST(t.c AS BIGINT) AS sum_cents,
-                   TRUE AS matches_parquet
-            FROM (SELECT COUNT(*) AS n,
-                         SUM(CAST(round(value * 100) AS BIGINT)) AS c
-                  FROM events) t,
-                 (VALUES ('csv'), ('jsonl'), ('parquet')) AS f(format)
-            ORDER BY f.format""",
-        # q162: schema-evolution read — oracle replays the generation
-        # split (even ids = gen-1 legacy, odd ids = gen-2 with source)
-        # on the original table; any defect in union-by-name, null
-        # materialization, or int32→int64 widening shifts a value
-        "q162_evolved_scan": """
-            SELECT event_type,
-                   CASE WHEN event_id % 2 = 1 THEN
-                     (CASE WHEN event_id % 3 = 0 THEN 'mobile'
-                           ELSE 'web' END)
-                   ELSE 'legacy' END AS source,
-                   CAST(COUNT(*) AS BIGINT) AS n_events,
-                   CAST(SUM(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-                       AS sum_cents
-            FROM events GROUP BY event_type, source
-            ORDER BY event_type, source""",
-        # q167: DLQ ingestion — oracle replays the torn-line rule
-        # (event_id % 97 == 13) on the original table; quarantined
-        # rows must reconcile exactly, valid rows aggregate
-        "q167_dlq_ingest": """
-            SELECT event_type,
-                   CAST(COUNT(*) AS BIGINT) AS n_events,
-                   CAST(SUM(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-                       AS sum_cents
-            FROM events WHERE event_id % 97 <> 13
-            GROUP BY event_type
-            UNION ALL
-            SELECT '_quarantined', CAST(COUNT(*) AS BIGINT),
-                   CAST(0 AS BIGINT)
-            FROM events WHERE event_id % 97 = 13
-            ORDER BY event_type""",
-        # q99: host-graph reciprocity — src host recomputed via the
-        # corpus host function (i%5==0 -> hot host 0, else 1 + splitmix64(i)
-        # % (n_hosts-1), the exact q35 HUGEINT chain), dst host parsed
-        # from the link url; DISTINCT host edges, then the self-join
-        # reciprocity count
-        "q99_host_reciprocity": f"""
-            WITH links AS ({links_src}),
-            ii AS (
-              SELECT DISTINCT CAST(regexp_extract(src_doc, '(\\d+)$', 1)
-                                   AS BIGINT) AS i
-              FROM links
-            ),
-            s0 AS (SELECT i, (CAST(i AS HUGEINT) + 11400714819323198485)
-                              % 18446744073709551616 AS x FROM ii),
-            s1 AS (SELECT i, xor(x, x >> 30) AS x FROM s0),
-            m1 AS (SELECT i,
-                ( (x % 4294967296) * 13787848793156543929
-                  + (((x // 4294967296) * 13787848793156543929)
-                     % 4294967296) * 4294967296
-                ) % 18446744073709551616 AS x FROM s1),
-            s2 AS (SELECT i, xor(x, x >> 27) AS x FROM m1),
-            m2 AS (SELECT i,
-                ( (x % 4294967296) * 10723151780598845931
-                  + (((x // 4294967296) * 10723151780598845931)
-                     % 4294967296) * 4294967296
-                ) % 18446744073709551616 AS x FROM s2),
-            s3 AS (SELECT i, xor(x, x >> 31) AS x FROM m2),
-            hosts AS (
-              SELECT i, CASE WHEN i % 5 = 0 THEN 0
-                             ELSE 1 + CAST(x % ({_nh} - 1) AS BIGINT)
-                        END AS h_src
-              FROM s3
-            ),
-            edges AS (
-              SELECT DISTINCT h.h_src,
-                     CAST(regexp_extract(l.url, 'host-(\\d+)', 1)
-                          AS BIGINT) AS h_dst
-              FROM links l
-              JOIN hosts h ON h.i = CAST(regexp_extract(l.src_doc,
-                                         '(\\d+)$', 1) AS BIGINT)
-            ),
-            e2 AS (SELECT * FROM edges WHERE h_src != h_dst),
-            stats AS (
-              SELECT (SELECT COUNT(*) FROM e2) AS n_edges,
-                     (SELECT COUNT(*) FROM edges WHERE h_src = h_dst)
-                       AS n_self,
-                     (SELECT COUNT(*) FROM e2 a JOIN e2 b
-                        ON a.h_src = b.h_dst AND a.h_dst = b.h_src
-                       WHERE a.h_src < a.h_dst) AS n_recip_pairs
-            )
-            SELECT CAST(n_edges AS BIGINT) AS n_edges,
-                   CAST(n_self AS BIGINT) AS n_self,
-                   CAST(n_recip_pairs AS BIGINT) AS n_recip_pairs,
-                   CAST(CASE WHEN n_edges > 0
-                        THEN 2 * n_recip_pairs * 1000000 // n_edges
-                        ELSE 0 END AS BIGINT) AS reciprocity_ppm
-            FROM stats""",
-        # q112: multi-source BFS — recursive-CTE shortest undirected
-        # link distance from the seed set over the doc link graph
-        # (priority=5 marks kind='link' rows of links_src); histogram
-        # over GRAPH NODES (docs with ≥1 link edge), -1 = unreachable
-        "q112_seed_distance": f"""
-            WITH RECURSIVE links AS ({links_src}),
-            e0 AS (
-              SELECT CAST(regexp_extract(src_doc, '(\\d+)$', 1) AS BIGINT)
-                       AS s,
-                     CAST(regexp_extract(url, '/doc/(\\d+)$', 1) AS BIGINT)
-                       AS d
-              FROM links
-              WHERE priority = 5 AND regexp_matches(url, '/doc/\\d+$')
-            ),
-            e AS (SELECT s, d FROM e0 UNION SELECT d, s FROM e0),
-            nodes AS (SELECT DISTINCT s AS n FROM e),
-            sd AS (
-              SELECT DISTINCT CAST(regexp_extract(
-                       replace(url, '%64', 'd'), '/doc/(\\d+)', 1)
-                     AS BIGINT) AS n
-              FROM read_parquet('{t2}/seeds.parquet')
-            ),
-            walk(n, dist) AS (
-              SELECT n, 0 FROM sd WHERE n IN (SELECT n FROM nodes)
-              UNION
-              SELECT e.d, walk.dist + 1
-              FROM walk JOIN e ON e.s = walk.n
-              WHERE walk.dist < 64
-            ),
-            best AS (SELECT n, MIN(dist) AS dist FROM walk GROUP BY n)
-            SELECT dist, CAST(COUNT(*) AS BIGINT) AS n_docs FROM (
-              SELECT COALESCE(b.dist, -1) AS dist
-              FROM nodes LEFT JOIN best b ON b.n = nodes.n
-            ) GROUP BY dist ORDER BY dist""",
-        # q135: exact triangles over the same distinct-edge CTE; a<b<c
-        # ordering makes each triangle one join row
-        "q135_triangle_count": f"""
-            WITH links AS ({links_src}),
-            p AS (
-              SELECT TRY_CAST(regexp_extract(src_doc, '(\\d+)$', 1)
-                       AS BIGINT) AS u,
-                     TRY_CAST(regexp_extract(url, '/doc/(\\d+)$', 1)
-                       AS BIGINT) AS v
-              FROM links
-              WHERE priority = 5 AND regexp_matches(url, '/doc/\\d+$')
-            ),
-            e AS (SELECT DISTINCT LEAST(u, v) AS lo, GREATEST(u, v) AS hi
-                  FROM p WHERE u <> v AND u IS NOT NULL
-                    AND v IS NOT NULL),
-            deg AS (
-              SELECT node, COUNT(*) AS d FROM (
-                SELECT lo AS node FROM e UNION ALL SELECT hi FROM e
-              ) GROUP BY node
-            ),
-            w AS (SELECT CAST(SUM(d * (d - 1) // 2) AS BIGINT) AS n
-                  FROM deg),
-            tri AS (
-              SELECT CAST(COUNT(*) AS BIGINT) AS n
-              FROM e e1
-              JOIN e e2 ON e2.lo = e1.lo AND e2.hi > e1.hi
-              JOIN e e3 ON e3.lo = e1.hi AND e3.hi = e2.hi
-            )
-            SELECT (SELECT CAST(COUNT(*) AS BIGINT) FROM e) AS n_edges,
-                   w.n AS n_wedges, tri.n AS n_triangles,
-                   CASE WHEN w.n > 0 THEN (3.0 * tri.n) / w.n
-                   END AS clustering
-            FROM w, tri""",
-        # q96: revisit-dedup decisions — expected values from the
-        # corpus body-length model (q58/q78) + the q71 re-crawl coin
-        # rules: i%101==7 gone, i%89==5 mutated (+1 byte); response
-        # bytes = bytes written (mutated), revisit bytes = bytes saved
-        "q96_revisit_dedup": f"""
-            WITH spans AS (
-              SELECT doc_id, UNNEST(spans) AS s
-              FROM read_parquet('{docs_glob}')
-            ),
-            doc_len AS (
-              SELECT CAST(regexp_extract(doc_id, '(\\d+)$', 1) AS BIGINT) AS i,
-                     SUM(CASE s.kind
-                           WHEN 'text' THEN strlen(s.text)
-                           WHEN 'link' THEN 15 + strlen(s.media_ref) + strlen(s.text)
-                           WHEN 'image' THEN 12 + strlen(s.media_ref)
-                           ELSE 14 + strlen(s.media_ref) END)
-                     + COUNT(*) - 1 AS body_len
-              FROM spans GROUP BY doc_id
-            ),
-            b AS (SELECT i, 58 + strlen(CAST(body_len AS VARCHAR))
-                            + 4 + body_len AS payload_len
-                  FROM doc_len WHERE i % 101 != 7)
-            SELECT * FROM (
-              SELECT 'response' AS decision,
-                     CAST(COUNT(*) AS BIGINT) AS n_records,
-                     CAST(SUM(payload_len + 1) AS BIGINT) AS payload_bytes
-              FROM b WHERE i % 89 = 5
-              UNION ALL
-              SELECT 'revisit', CAST(COUNT(*) AS BIGINT),
-                     CAST(SUM(payload_len) AS BIGINT)
-              FROM b WHERE i % 89 != 5
-            ) ORDER BY decision""",
-        # q65: expected-value in the q53 style — the same md5 1/97
-        # sample straight off the persisted CDX parquet, digest_ok
-        # asserted TRUE; any seek / gzip-member-framing / parse /
-        # digest defect in the Ray replay hash-mismatches
-        "q65_cdx_lookup": f"""
-            SELECT record_id, target_uri, rec_type, length,
-                   CAST(1 AS BOOLEAN) AS digest_ok
-            FROM read_parquet('{warc_cdx}/*.parquet')
-            WHERE rec_type <> 'warcinfo'
-              AND {_MD5H.format(col='record_id')} % 97 = 0
-            ORDER BY record_id""",
-        # expected-value oracle: reconstruct the ARC roundtrip's byte
-        # totals from first principles — seed URL → doc index (inverting
-        # the RFC-3986 variants the seed table plants), doc spans →
-        # rendered-body length (the span→HTML render is length-linear:
-        # text / <a href> / <img> / <video> templates), + the HTTP/1.1
-        # response head.  Any corruption in fetch, ARC write (v2
-        # filedesc quirk included), gzip member framing, or read-back
-        # shifts the byte sum and breaks the hash.
-        # q78: ARC→WARC migration — expected values derive from the
-        # same corpus body-length model as q58 (payload bytes are the
-        # ARC payloads verbatim); digests_ok is asserted TRUE and the
-        # Ray side recomputes every sha1 on the migrated read-back
-        "q78_arc_to_warc": f"""
-            WITH spans AS (
-              SELECT doc_id, UNNEST(spans) AS s
-              FROM read_parquet('{docs_glob}')
-            ),
-            doc_len AS (
-              SELECT CAST(regexp_extract(doc_id, '(\\d+)$', 1) AS BIGINT) AS i,
-                     SUM(CASE s.kind
-                           WHEN 'text' THEN strlen(s.text)
-                           WHEN 'link' THEN 15 + strlen(s.media_ref) + strlen(s.text)
-                           WHEN 'image' THEN 12 + strlen(s.media_ref)
-                           ELSE 14 + strlen(s.media_ref) END)
-                     + COUNT(*) - 1 AS body_len
-              FROM spans GROUP BY doc_id
-            ),
-            seed_docs AS (
-              SELECT CAST(regexp_extract(replace(url, '%64', 'd'),
-                                         '/doc/(\\d+)', 1) AS BIGINT) AS i
-              FROM read_parquet('{t2}/seeds.parquet')
-            )
-            SELECT CAST(COUNT(*) AS BIGINT) AS n_records,
-                   CAST(SUM(58 + strlen(CAST(d.body_len AS VARCHAR))
-                            + 4 + d.body_len) AS BIGINT) AS payload_bytes,
-                   TRUE AS digests_ok
-            FROM seed_docs sd JOIN doc_len d USING (i)""",
-        "q58_arc_roundtrip": f"""
-            WITH spans AS (
-              SELECT doc_id, UNNEST(spans) AS s
-              FROM read_parquet('{docs_glob}')
-            ),
-            doc_len AS (
-              SELECT CAST(regexp_extract(doc_id, '(\\d+)$', 1) AS BIGINT) AS i,
-                     SUM(CASE s.kind
-                           WHEN 'text' THEN strlen(s.text)
-                           WHEN 'link' THEN 15 + strlen(s.media_ref) + strlen(s.text)
-                           WHEN 'image' THEN 12 + strlen(s.media_ref)
-                           ELSE 14 + strlen(s.media_ref) END)
-                     + COUNT(*) - 1 AS body_len
-              FROM spans GROUP BY doc_id
-            ),
-            seed_docs AS (
-              SELECT CAST(regexp_extract(replace(url, '%64', 'd'),
-                                         '/doc/(\\d+)', 1) AS BIGINT) AS i
-              FROM read_parquet('{t2}/seeds.parquet')
-            )
-            SELECT CAST(2 AS BIGINT) AS version,
-                   CAST(COUNT(*) AS BIGINT) AS n_records,
-                   CAST(SUM(58 + strlen(CAST(d.body_len AS VARCHAR))
-                            + 4 + d.body_len) AS BIGINT) AS payload_bytes
-            FROM seed_docs sd JOIN doc_len d USING (i)""",
-    }
+    paths = CorpusPaths(docs_glob, t2, sim_log, warc_cdx, _nh)
+    return {q.name: q.sql(paths) if callable(q.sql) else q.sql
+            for q in registry() if q.sql is not None}

@@ -1887,7 +1887,8 @@ def test_q5_revenue_includes_first_day_of_window(ray_session, tmp_path):
     edges of the window."""
     import duckdb
 
-    from warc_ray.pipelines.analytics import Q5_SQL, local_supplier_revenue
+    from warc_ray.oracle_sql.analytics import Q5_SQL
+    from warc_ray.pipelines.analytics import local_supplier_revenue
 
     i32, i64, f64 = pa.int32(), pa.int64(), pa.float64()
     ts = pa.timestamp("us")
@@ -1960,6 +1961,7 @@ def test_broadcast_join_queries_match_oracle(ray_session, monkeypatch,
     broadcast kernel proves which path ran."""
     import duckdb
 
+    from warc_ray.oracle_sql import analytics as oracles
     from warc_ray.pipelines import analytics
     from warc_ray.stages import exchange
 
@@ -1978,7 +1980,7 @@ def test_broadcast_join_queries_match_oracle(ray_session, monkeypatch,
               "lineitem"):
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                     f"read_parquet('{SF}/{t}.parquet')")
-    want = con.execute(getattr(analytics, sql)).fetchdf()
+    want = con.execute(getattr(oracles, sql)).fetchdf()
     assert len(want) > 0
     assert list(got.columns) == list(want.columns)
     cols = sorted(got.columns)

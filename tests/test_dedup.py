@@ -2,8 +2,8 @@
 recall.
 
 The MinHash/SimHash operators are ALSO DuckDB-oracle-exact since the
-md5-prefix-64 hash switch (q21/q22 in __ray_entry__.py); these tests
-remain their structural gate:
+md5-prefix-64 hash switch (q21/q22 in warc_ray/oracle_sql/training.py);
+these tests remain their structural gate:
 
   * Mersenne-61 hash parity vs Python-int arithmetic (the universal
     hash the LSH recall formula relies on);

@@ -6,16 +6,38 @@ fully-oracle-backed entries, and round-3's VERDICT asked for the head
 to ROTATE each round to never-driver-sampled queries so cumulative
 driver-hard coverage grows.  These tests pin both contracts so future
 registry edits can't silently break them.  No Ray needed — the
-registry is plain dict construction.
+registry is plain list construction, and the two corpus-artifact
+builders ``oracle_sql()`` calls are stubbed the way perfbench stubs
+them.
+
+The registry declares each query once (name, engine function, oracle),
+and the oracle SQL lives apart from the engine in
+``warc_ray/oracle_sql/``; the invariants below pin both.
 """
 
+import ast
+import collections
+import glob
 import os
 import re
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 import __ray_entry__ as entry
+
+SF = "/root/testdata/sf0.001"
+HEAD = 50  # the driver samples the first HEAD queries() entries
+
+ROWS_ONLY = {
+    "q31_knn_topk_ivf", "q40_media_features", "q41_frame_samples",
+    "q42_media_resize", "q43_audio_features", "q60_semdedup",
+    "q64_quantile_sketch", "q75_compression_signal", "q114_ivf_recall",
+    "q179_pca_label_map", "q255_pq_retrieval",
+}
 
 # Union of CORRECTNESS_r01-r04 sampled keys (159 queries already
 # driver-verified in rounds 1-4).  The round-5 head must be DISJOINT
@@ -84,23 +106,40 @@ PREVIOUSLY_SAMPLED = {
 }
 
 
-def test_sample_head_is_fully_oracle_backed():
+def _unused(*_a, **_k):
+    return "/nonexistent"
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    """``oracle_sql()`` with perfbench's two stubs
+    (``perfbench/queries.oracle_sqls``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entry, "_ensure_sim_log", _unused)
+        mp.setattr(entry, "_ensure_archive", _unused)
+        return entry.oracle_sql()
+
+
+def _head():
+    return [q.name for q in entry.registry()[:HEAD]]
+
+
+def test_sample_head_is_fully_oracle_backed(oracles):
     qs = list(entry.queries())
-    oracles = entry.oracle_sql()
-    head = qs[:50]
-    assert head == entry._DRIVER_SAMPLE_ORDER
+    head = qs[:HEAD]
+    assert head == _head()
     missing = [k for k in head if k not in oracles]
     assert not missing, f"sampled head lacks oracles: {missing}"
 
 
 def test_sample_head_never_driver_sampled_before():
-    overlap = set(entry._DRIVER_SAMPLE_ORDER) & PREVIOUSLY_SAMPLED
+    overlap = set(_head()) & PREVIOUSLY_SAMPLED
     assert not overlap, f"head re-samples already-verified queries: {overlap}"
-    assert len(entry._DRIVER_SAMPLE_ORDER) == 50
+    assert len(_head()) == 50
 
 
 def test_sample_head_spans_families():
-    head = entry._DRIVER_SAMPLE_ORDER
+    head = _head()
     families = {
         "graph/hierarchy": {"q29_pagerank", "q201_assortativity",
                             "q176_bom_explosion", "q159_hierarchy_rollup"},
@@ -126,7 +165,124 @@ def test_every_query_key_unique_and_well_formed():
     assert not bad, bad
 
 
-def test_oracle_keys_subset_of_queries():
+def test_oracle_keys_subset_of_queries(oracles):
     qs = set(entry.queries())
-    orphans = [k for k in entry.oracle_sql() if k not in qs]
+    orphans = [k for k in oracles if k not in qs]
     assert not orphans, f"oracle entries with no query: {orphans}"
+
+
+def test_every_row_has_one_oracle_or_a_rows_only_reason():
+    rows = entry.registry()
+    for q in rows:
+        if q.sql is None:
+            assert q.rows_only.strip(), f"{q.name}: no oracle and no reason"
+        else:
+            assert not q.rows_only, f"{q.name}: an oracle AND rows_only"
+            assert isinstance(q.sql, str) or callable(q.sql), q.name
+    assert {q.name for q in rows if q.sql is None} == ROWS_ONLY
+
+
+def _engine_files():
+    return sorted(glob.glob(os.path.join(ROOT, "warc_ray", "**", "*.py"),
+                            recursive=True))
+
+
+def test_each_query_name_written_once():
+    """A name has one home, its registry row: a typo can no longer
+    leave an orphaned oracle or a second spelling."""
+    pat = re.compile(r"^q\d+_[a-z0-9_]+$")
+    seen = collections.Counter()
+    for f in _engine_files() + [os.path.join(ROOT, "__ray_entry__.py")]:
+        for n in ast.walk(ast.parse(open(f).read())):
+            if (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and pat.match(n.value)):
+                seen[n.value] += 1
+    assert set(seen) == {q.name for q in entry.registry()}
+    twice = {k: v for k, v in seen.items() if v != 1}
+    assert not twice, f"query names written more than once: {twice}"
+
+
+def test_oracle_sql_stays_out_of_the_engine():
+    pkg = os.path.join(ROOT, "warc_ray", "oracle_sql") + os.sep
+    bad = []
+    for f in _engine_files():
+        if f.startswith(pkg):
+            continue
+        rel = os.path.relpath(f, ROOT)
+        for n in ast.walk(ast.parse(open(f).read())):
+            if isinstance(n, ast.Assign):
+                bad += [f"{rel}: {t.id}" for t in n.targets
+                        if isinstance(t, ast.Name) and t.id.endswith("_SQL")]
+            elif isinstance(n, ast.Import):
+                bad += [f"{rel}: import {a.name}" for a in n.names
+                        if "oracle_sql" in a.name]
+            elif isinstance(n, ast.ImportFrom):
+                names = [n.module or ""] + [a.name for a in n.names]
+                if any("oracle_sql" in x for x in names):
+                    bad.append(f"{rel}: from {n.module} import ...")
+    assert not bad, bad
+
+
+def test_previously_sampled_names_still_exist():
+    missing = PREVIOUSLY_SAMPLED - {q.name for q in entry.registry()}
+    assert not missing, f"renamed or dropped queries: {missing}"
+
+
+def test_perfbench_stubs_replace_the_artifact_builders(monkeypatch):
+    """perfbench (``queries.oracle_sqls``) stubs ``_ensure_sim_log`` and
+    ``_ensure_archive`` on this module; ``oracle_sql()`` must reach them
+    through the module globals, so the stubs run and the real builders
+    (which always call ``_stamp_for`` / ``_corpus_for``) do not."""
+    calls = []
+
+    def stub(name):
+        def f(*a, **_k):
+            calls.append((name, a))
+            return "/nonexistent"
+        return f
+
+    def spy(name):
+        def f(*_a, **_k):
+            raise AssertionError(f"a real builder ran ({name})")
+        return f
+
+    monkeypatch.setattr(entry, "_stamp_for", spy("_stamp_for"))
+    monkeypatch.setattr(entry, "_corpus_for", spy("_corpus_for"))
+    monkeypatch.setattr(entry, "_ensure_sim_log", stub("sim_log"))
+    monkeypatch.setattr(entry, "_ensure_archive", stub("archive"))
+    sqls = entry.oracle_sql()
+    assert len(sqls) == 248
+    assert sorted(n for n, _ in calls) == ["archive", "sim_log"]
+
+
+def test_no_oracle_returns_wide_ints(monkeypatch, tmp_path):
+    """Every oracle binds on sf0.001 with no DECIMAL or HUGEINT column:
+    the engine returns int64, and the driver's dtype-sensitive hash
+    fails a wide column even when the values are equal."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from warc_ray.schema import CDX_SCHEMA
+
+    # the sim log is built for real (single process, ~1 s); the archive
+    # needs Ray, so its CDX index is an empty table of the same schema
+    (tmp_path / "warc-cdx").mkdir()
+    pq.write_table(CDX_SCHEMA.empty_table(),
+                   str(tmp_path / "warc-cdx" / "empty.parquet"))
+    monkeypatch.setattr(entry, "_ensure_archive",
+                        lambda _sf: str(tmp_path / "warc"))
+    sqls = entry.oracle_sql()
+    assert len(sqls) == 248
+    con = duckdb.connect()
+    for t in ("region nation customer supplier part orders lineitem "
+              "events documents embeddings").split():
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{SF}/{t}.parquet')")
+    wide = {}
+    for name, sql in sqls.items():
+        rel = con.sql(sql)   # binds; nothing runs
+        cols = [f"{c} {t}" for c, t in zip(rel.columns, rel.types)
+                if str(t).startswith(("DECIMAL", "HUGEINT"))]
+        if cols:
+            wide[name] = cols
+    assert not wide, wide

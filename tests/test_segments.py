@@ -2,7 +2,8 @@
 
 Kernel parity is pinned against per-row pure-Python references; the
 distributed pipelines are pinned against the single-bucket kernel path
-(and, in the driver, against the DuckDB oracles in __ray_entry__)."""
+(and, in the driver, against the DuckDB oracles in
+warc_ray/oracle_sql/training.py)."""
 
 import re
 

@@ -44,7 +44,8 @@ def _hash64_str(s: str) -> int:
     """64-bit token/shingle hash = big-endian md5 PREFIX (first 8
     bytes).  md5, not blake2b, so every DuckDB oracle can reproduce the
     exact value in SQL (md5(s) hex prefix folded to a HUGEINT — the
-    q39 trick; see __ray_entry__.py q21/q22 oracles)."""
+    q39 trick; see ``oracle_sql.md5h`` and the q21/q22 oracles in
+    ``oracle_sql/training.py``)."""
     return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
 
 

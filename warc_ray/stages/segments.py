@@ -1,7 +1,7 @@
 """Segment / n-gram corpus-hygiene operators (training-data graft).
 
 Three LLM-data-pipeline operators over the ``documents`` table, each
-DuckDB-oracle-exact (see ``__ray_entry__.oracle_sql``):
+DuckDB-oracle-exact (see ``warc_ray/oracle_sql/training.py``):
 
 * **segment-level exact dedup** (q44) — the CCNet/C4 "line dedup"
   shaped for a corpus whose documents carry no newlines: documents are
