@@ -116,7 +116,7 @@ def _seen_dedup_q(sf_dir: str):
 
     import pyarrow as pa
 
-    from warc_ray.stages.exchange import combine_buckets, with_part
+    from warc_ray.stages.exchange import combine_buckets
     from warc_ray.stages.urls import canonicalize_batch, extract_links
 
     cdir = _corpus_for(sf_dir)
@@ -129,19 +129,16 @@ def _seen_dedup_q(sf_dir: str):
         # string; sha1/hash64 would be computed for 14M links and
         # immediately dropped
         links = canonicalize_batch(extract_links(b), with_hashes=False)
-        t = pa.table({"url": links["url"], "src_doc": links["src_doc"]})
-        part = t.group_by("url").aggregate([("src_doc", "min"), ("src_doc", "count")])
-        return with_part(part.rename_columns(["url", "first_doc", "n_refs"]),
-                         "url", 32)
+        return pa.table({"url": links["url"], "first_doc": links["src_doc"]})
 
     # order-insensitive driver check → no final sort (see q50).
-    # Bucket exchange instead of groupby("url").aggregate(...): the
-    # built-in per-key reduce took ~30s for 1.8M distinct URLs where
-    # the 32-bucket vectorized combine takes ~5s (same results).
+    # combine_buckets reduces each block before its 32-bucket exchange,
+    # so one row per (block, URL) moves; Ray's built-in per-key reduce
+    # took ~30s for 1.8M distinct URLs where this takes ~5s (same
+    # results).
     return combine_buckets(
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
-        "url", [("first_doc", "min"), ("n_refs", "sum")],
-        names=["url", "first_doc", "n_refs"])
+        "url", [("first_doc", "min"), ("n_refs", "count")])
 
 
 def _hll_host_distinct_q(sf_dir: str):
@@ -427,29 +424,22 @@ def _warc_roundtrip_q(sf_dir: str):
 
     from warc_ray.core.warcrec import sha1_digest
     from warc_ray.sources import read_warc
+    from warc_ray.stages.exchange import combine_buckets, sort_result
 
     ds = read_warc(_ensure_archive(sf_dir))
 
     def check(b: pa.Table) -> pa.Table:
-        # per-batch combiner: the global aggregate sees <= 2 rows per
-        # block instead of every record (the built-in aggregate's
-        # per-row sort was ~40% of this query's wall)
         b = b.filter(pc.not_equal(b["rec_type"], "warcinfo"))
         ok = [int(sha1_digest(bytes(p)) == d)
               for p, d in zip(b["payload"].to_pylist(),
                               b["payload_digest"].to_pylist())]
-        part = pa.table({"rec_type": b["rec_type"],
-                         "digest_ok": pa.array(ok, type=pa.int64())}) \
-            .group_by(["rec_type"]) \
-            .aggregate([("digest_ok", "count"), ("digest_ok", "sum")])
-        return part.rename_columns(["rec_type", "n_records", "n_digest_ok"])
+        return pa.table({"rec_type": b["rec_type"],
+                         "n_digest_ok": pa.array(ok, type=pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    out_ds = ds.map_batches(check, batch_format="pyarrow") \
-        .groupby("rec_type").aggregate(Sum("n_records", alias_name="n_records"),
-                                       Sum("n_digest_ok", alias_name="n_digest_ok"))
-    return out_ds.sort("rec_type")
+    # combine_buckets reduces each block to <= 2 rows before the combine
+    return sort_result(combine_buckets(
+        ds.map_batches(check, batch_format="pyarrow"), "rec_type",
+        [("n_records", "count"), ("n_digest_ok", "sum")]), ["rec_type"])
 
 
 def _wet_extract_q(sf_dir: str):
@@ -756,13 +746,13 @@ def _arc_to_warc_q(sf_dir: str):
     digest column)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from warc_ray.core.warcrec import sha1_digest
     from warc_ray.sinks import write_warc_shards
     from warc_ray.sources import read_arc, read_warc
     from warc_ray.stages.assemble import (arc_rows_to_warc_records,
                                           serialize_records)
+    from warc_ray.stages.exchange import combine_buckets
 
     prof = corpus_mod.profile_for_sf_dir(sf_dir)
     arc_dir = _ensure_arc_src(sf_dir)
@@ -784,11 +774,10 @@ def _arc_to_warc_q(sf_dir: str):
                          "payload_bytes": pa.array([nb], type=pa.int64()),
                          "n_digest_ok": pa.array([ok], type=pa.int64())})
 
-    agg = read_warc(out).map_batches(check, batch_format="pyarrow") \
-        .groupby("k").aggregate(
-            Sum("n_records", alias_name="n_records"),
-            Sum("payload_bytes", alias_name="payload_bytes"),
-            Sum("n_digest_ok", alias_name="n_digest_ok"))
+    agg = combine_buckets(
+        read_warc(out).map_batches(check, batch_format="pyarrow"), "k",
+        [("n_records", "sum"), ("payload_bytes", "sum"),
+         ("n_digest_ok", "sum")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     return pa.table({
         "n_records": t["n_records"],
@@ -805,10 +794,10 @@ def _arc_roundtrip_q(sf_dir: str):
 
     import pyarrow as pa
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from warc_ray.sinks import write_arc_shards
     from warc_ray.sources import read_arc
+    from warc_ray.stages.exchange import combine_buckets
     from warc_ray.stages.fetch import FetchGroup, add_bucket_column
     from warc_ray.stages.urls import urls_from_seeds
 
@@ -864,18 +853,14 @@ def _arc_roundtrip_q(sf_dir: str):
     def lengths(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        # per-batch combiner (one row per version per block)
-        part = pa.table({
+        return pa.table({
             "version": b["arc_version"],
-            "n_bytes": pc.cast(pc.binary_length(b["payload"]), pa.int64()),
-        }).group_by(["version"]).aggregate([("n_bytes", "count"),
-                                            ("n_bytes", "sum")])
-        return part.rename_columns(["version", "n_records", "payload_bytes"])
+            "payload_bytes": pc.cast(pc.binary_length(b["payload"]),
+                                     pa.int64())})
 
-    return back.map_batches(lengths, batch_format="pyarrow") \
-        .groupby("version").aggregate(Sum("n_records", alias_name="n_records"),
-                                      Sum("payload_bytes",
-                                          alias_name="payload_bytes"))
+    return combine_buckets(
+        back.map_batches(lengths, batch_format="pyarrow"), "version",
+        [("n_records", "count"), ("payload_bytes", "sum")])
 
 
 # ---------------------------------------------------------------------------

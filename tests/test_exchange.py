@@ -1,7 +1,10 @@
 """Bucket exchange (stages/exchange.py): equivalence with the built-in
 per-key aggregate, hash determinism, and skew balance."""
 
+import ast
 import contextlib
+import glob
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -70,52 +73,117 @@ def test_hash64_deterministic_and_spread():
                          ids=["one_key", "two_keys"])
 @pytest.mark.parametrize("path", ["fold", "exchange", "empty"])
 def test_combine_buckets_matches_builtin_aggregate(ray_session, path, keys):
-    """Both combine_buckets paths equal one Arrow aggregate: the driver
-    fold (partials fit in one block), the bucket exchange (forced by
-    lowering the block ceiling below the partials' size), and empty
-    input, which keeps the combine's output schema."""
+    """combine_buckets over raw rows (no caller partial) equals Ray's own
+    ``groupby().aggregate`` on all four ops, on both paths: the driver
+    fold (partials fit in one block) and the bucket exchange (forced by
+    lowering the block ceiling below the partials' size).  The rows
+    include a null key and a group whose sums are all null (null on
+    both sides).  Empty input keeps the output schema."""
     import ray
     import ray.data as rd
     from ray.data import DataContext
+    from ray.data.aggregate import Count, Max, Min, Sum
 
     t = _rand_table()
+    v = t["v"].to_pylist()
+    k = t["k"].to_pylist()
+    k[:40] = [None] * 40                 # a null-key group
+    v[:3] = [None] * 3
+    for i, key in enumerate(k):          # an all-null sum group
+        if key == "key-0":
+            v[i] = None
+    t = pa.table({"k": pa.array(k, type=pa.string()), "s": t["s"],
+                  "v": pa.array(v, type=pa.int64()),
+                  "v_min": pa.array(v, type=pa.int64()),
+                  "s_max": t["s"]})
     if path == "empty":
         t = t.slice(0, 0)
-    aggs = [("v", "sum"), ("v", "min"), ("s", "max")]
-    names = keys + ["v_sum", "v_min", "s_max"]
-    # ground truth: single-table Arrow aggregate
-    want = t.group_by(keys).aggregate(aggs).rename_columns(names)
+    aggs = [("v", "sum"), ("v_min", "min"), ("s_max", "max"), ("n", "count")]
+    # ground truth: Ray's built-in aggregate over one block (its
+    # multi-block sort cannot order a null string key)
+    ref = rd.from_arrow(t).groupby(keys).aggregate(
+        Sum("v", alias_name="v"), Min("v_min", alias_name="v_min"),
+        Max("s_max", alias_name="s_max"), Count(alias_name="n"))
+    want = pa.concat_tables(
+        [b for b in ray.get(ref.materialize().to_arrow_refs())
+         if b.num_rows]) if t.num_rows else None
 
-    # distributed: per-batch partials + bucket combine over many blocks;
-    # buckets hash the first key only, which still puts every key
-    # tuple in exactly one bucket
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(keys).aggregate(aggs).rename_columns(names)
-        return with_part(g, "k", 8)
-
-    if path == "empty":
-        ds = rd.from_arrow([partial(t)] * 4)
-    else:
-        ds = rd.from_arrow(t).repartition(13) \
-            .map_batches(partial, batch_format="pyarrow", batch_size=None) \
-            .materialize()
+    ds = (rd.from_arrow([t] * 4) if path == "empty"
+          else rd.from_arrow(t).repartition(13)).materialize()
     ctx = DataContext.get_current()
     ceiling = ctx.target_max_block_size
     if path == "exchange":
-        ctx.target_max_block_size = ds.size_bytes() - 1
+        # the partials barely shrink (700 keys over 13 blocks), so half
+        # the raw size is below their total but above any one block
+        ctx.target_max_block_size = ds.size_bytes() // 2
     try:
-        got = combine_buckets(
-            ds, keys, [("v_sum", "sum"), ("v_min", "min"), ("s_max", "max")],
-            names=names).materialize()
+        got = combine_buckets(ds, keys, aggs).materialize()
     finally:
         ctx.target_max_block_size = ceiling
     assert ("Sort" in got.stats()) == (path == "exchange")
-    order = [(k, "ascending") for k in keys]
+    assert got.schema().names == keys + ["v", "v_min", "s_max", "n"]
+    order = [(c, "ascending") for c in keys]
     # the exchange may emit empty, schema-less blocks
-    got_t = pa.concat_tables(ray.get(got.to_arrow_refs()),
-                             promote_options="default").sort_by(order)
-    assert (got_t.num_rows == 0) == (path == "empty")
-    assert got_t.equals(want.sort_by(order))
+    got_t = pa.concat_tables([b for b in ray.get(got.to_arrow_refs())
+                              if b.num_rows] or
+                             [got.schema().base_schema.empty_table()])
+    if path == "empty":
+        assert got_t.num_rows == 0
+        return
+    assert got_t.sort_by(order).equals(
+        want.select(got_t.column_names).sort_by(order))
+    nul = got_t.filter(pa.compute.equal(got_t["k"], "key-0"))
+    assert nul.num_rows and nul["v"].null_count == nul.num_rows
+    assert got_t.filter(pa.compute.is_null(got_t["k"])).num_rows
+
+
+def test_engine_has_no_ray_grouped_aggregate():
+    """combine_buckets is the engine's only grouped aggregate: in
+    warc_ray/ and __ray_entry__.py no ``.groupby(`` call sits outside
+    bucket_exchange (whose one map_groups is the exchange itself) and
+    nothing imports ray.data.aggregate."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    files = sorted(glob.glob(os.path.join(root, "warc_ray", "**", "*.py"),
+                             recursive=True))
+    files.append(os.path.join(root, "__ray_entry__.py"))
+    bad = []
+    for f in files:
+        tree = ast.parse(open(f).read())
+        rel = os.path.relpath(f, root)
+        allowed = set()
+        if rel == os.path.join("warc_ray", "stages", "exchange.py"):
+            allowed = {id(n) for fn in ast.walk(tree)
+                       if isinstance(fn, ast.FunctionDef)
+                       and fn.name == "bucket_exchange"
+                       for n in ast.walk(fn)}
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "groupby" and id(n) not in allowed):
+                bad.append(f"{rel}:{n.lineno}: .groupby(")
+            elif isinstance(n, ast.ImportFrom) and (
+                    (n.module or "").startswith("ray.data.aggregate")
+                    or (n.module == "ray.data"
+                        and any(a.name == "aggregate" for a in n.names))):
+                bad.append(f"{rel}:{n.lineno}: from {n.module} import")
+            elif isinstance(n, ast.Import) and any(
+                    a.name.startswith("ray.data.aggregate") for a in n.names):
+                bad.append(f"{rel}:{n.lineno}: import ray.data.aggregate")
+    assert not bad, "Ray grouped aggregates left: " + ", ".join(bad)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_combine_buckets_empty_aggs_is_distinct(ray_session, path):
+    import ray.data as rd
+
+    t = _rand_table()
+    ds = rd.from_arrow(t).repartition(7).materialize()
+    with _path(path):
+        got = _ran(combine_buckets(ds, ["k", "s"], []), path)
+    got_t = pa.concat_tables(got.iter_batches(batch_format="pyarrow"))
+    assert got_t.column_names == ["k", "s"]
+    want = t.group_by(["k", "s"]).aggregate([])
+    order = [("k", "ascending"), ("s", "ascending")]
+    assert got_t.sort_by(order).equals(want.sort_by(order))
 
 
 @pytest.mark.parametrize("path,part_col", [
@@ -330,6 +398,26 @@ def test_with_part_rejects_nothing_and_is_int32():
     assert out.num_rows == t.num_rows
     assert out["part"].type == pa.int32()
     assert set(out["part"].to_pylist()) <= set(range(4))
+
+
+def test_with_part_key_lists():
+    """One key keeps the ``hash64_strings`` assignment; with several
+    keys each key tuple lands in exactly one part, however the rows are
+    split into blocks."""
+    t = _rand_table()
+    one = with_part(t, ["k"], 8)["part"].to_numpy()
+    assert np.array_equal(one, with_part(t, "k", 8)["part"].to_numpy())
+    assert np.array_equal(
+        one, (hash64_strings(t["k"]) % np.uint64(8)).astype(np.int32))
+    parts = pa.concat_tables([with_part(t.slice(i, 700), ["k", "s"], 8)
+                              for i in range(0, t.num_rows, 700)])
+    per_tuple = parts.group_by(["k", "s"]).aggregate(
+        [("part", "count_distinct")])
+    assert per_tuple["part_count_distinct"].to_pylist() == \
+        [1] * per_tuple.num_rows
+    # the tuple hash is not the first key's: rows of one k spread
+    assert parts.group_by("k").aggregate([("part", "count_distinct")])[
+        "part_count_distinct"].to_numpy().max() > 1
 
 
 @pytest.mark.parametrize("path", PATHS)

@@ -19,17 +19,15 @@ def estimate_host_counts(ds, url_col: str = "url") -> dict[str, int]:
     partials -> bucket combine -> driver dict."""
     import pyarrow as pa
 
-    from warc_ray.stages.exchange import combine_buckets, with_part
+    from warc_ray.stages.exchange import combine_buckets
     from warc_ray.stages.hoststats import add_host_column
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = add_host_column(b, url_col)
-        g = t.group_by("host").aggregate([("host", "count")])
-        return with_part(g.rename_columns(["host", "n"]), "host", 8)
+    def hosts(b: pa.Table) -> pa.Table:
+        return add_host_column(b, url_col).select(["host"])
 
     agg = combine_buckets(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
-        "host", [("n", "sum")], names=["host", "n"])
+        ds.map_batches(hosts, batch_format="pyarrow", batch_size=None),
+        "host", [("n", "count")], npart=8)
     t = pa.Table.from_pandas(agg.to_pandas())
     return dict(zip(t["host"].to_pylist(),
                     (int(n) for n in t["n"].to_pylist())))

@@ -41,6 +41,8 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    # one line per finished query even when the sweep is killed
+    sys.stdout.reconfigure(line_buffering=True)
 
     # the driver and the Ray workers both import this checkout
     sys.path.insert(0, ROOT)

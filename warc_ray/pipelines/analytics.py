@@ -24,9 +24,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.aggregate import Max, Sum
 
-from ..stages.exchange import bucket_exchange, segment_bounds, with_part
+from ..stages.exchange import (bucket_exchange, combine_buckets,
+                               segment_bounds, sort_result, with_part)
 
 INT64 = pa.int64()
 
@@ -91,6 +91,22 @@ def _read_capped(path: str, columns=None):
 _EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 
 
+def _day_type_counts(sf_dir: str) -> pa.Table:
+    """(day, event_type, n): event counts per (UTC day since the epoch,
+    type), in no particular order."""
+
+    def partial(b: pa.Table) -> pa.Table:
+        days = pc.cast(pc.floor(pc.divide(
+            pc.cast(b["ts"], INT64), 86_400_000_000)), INT64)
+        return pa.table({"day": days, "event_type": b["event_type"]})
+
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "event_type"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["day", "event_type"], [("n", "count")])
+    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+
+
 def pivot_events(sf_dir: str):
     """q89: reshape the event log into one row per day with one count
     column per event type — the PIVOT/crosstab operator (conditional
@@ -102,19 +118,7 @@ def pivot_events(sf_dir: str):
     a known column domain in any engine — DuckDB's PIVOT samples it,
     we declare it)."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor(pc.divide(
-            pc.cast(b["ts"], INT64), 86_400_000_000)), INT64)
-        t = pa.table({"day": days, "event_type": b["event_type"]})
-        return t.group_by(["day", "event_type"]).aggregate(
-            [("event_type", "count")]) \
-            .rename_columns(["day", "event_type", "n"])
-
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["ts", "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["day", "event_type"]).aggregate(Sum("n", alias_name="n"))
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = _day_type_counts(sf_dir)
     days = t["day"].to_numpy(zero_copy_only=False)
     et = np.asarray(t["event_type"].to_pylist(), dtype=object)
     n = t["n"].to_numpy(zero_copy_only=False)
@@ -256,26 +260,18 @@ def debounce_events(sf_dir: str, gap_us: int = 300_000_000,
         gap[0] = gap_us
         gap[1:] = ts[1:] - ts[:-1]
         keep = new_key | (gap >= gap_us)
-        tt = pa.table({"event_type": pa.array(ty.tolist()),
-                       "kept": pa.array(keep.astype(np.int64), type=INT64),
-                       "one": pa.array(np.ones(len(ty), np.int64),
-                                       type=INT64)})
-        p = tt.group_by(["event_type"]).aggregate(
-            [("one", "sum"), ("kept", "sum")])
-        return p.rename_columns(["event_type", "n_total", "n_kept"])
+        return pa.table({"event_type": pa.array(ty.tolist()),
+                         "n_kept": pa.array(keep.astype(np.int64),
+                                            type=INT64)})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["event_id", "user_id", "ts",
                                  "event_type"])
         .map_batches(tag, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("event_type").aggregate(Sum("n_total", alias_name="n_total"),
-                                         Sum("n_kept", alias_name="n_kept"))
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
-    return pa.table({"event_type": t["event_type"],
-                     "n_total": pc.cast(t["n_total"], INT64),
-                     "n_kept": pc.cast(t["n_kept"], INT64)}) \
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "event_type", [("n_total", "count"), ("n_kept", "sum")])
+    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
         .sort_by("event_type")
 
 
@@ -362,16 +358,14 @@ def cumulative_users(sf_dir: str, npart: int = 32):
         order = np.lexsort((d, u))
         u, d = u[order], d[order]
         first = np.concatenate(([True], u[1:] != u[:-1]))
-        t = pa.table({"day": pa.array(d[first], type=INT64)})
-        return t.group_by(["day"]).aggregate([("day", "count")]) \
-            .rename_columns(["day", "n_new"])
+        return pa.table({"day": pa.array(d[first], type=INT64)})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts"])
         .map_batches(pairs, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("day").aggregate(Sum("n_new", alias_name="n_new"))
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "day", [("n_new", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     d = t["day"].to_numpy(zero_copy_only=False)
     n = t["n_new"].to_numpy(zero_copy_only=False)
@@ -427,9 +421,10 @@ def cooccurrence(sf_dir: str, v: int = 16, topk: int = 20,
             "n": pa.array(cnt[nz], type=INT64),
         })
 
-    agg = _docs(sf_dir, columns=["text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["tok_a", "tok_b"]).aggregate(Sum("n", alias_name="n"))
+    agg = combine_buckets(
+        _docs(sf_dir, columns=["text"]).map_batches(partial,
+                                                    batch_format="pyarrow"),
+        ["tok_a", "tok_b"], [("n", "sum")])
     # total docs: cheap exact count (metadata-only on parquet)
     n_total = _docs(sf_dir, columns=["doc_id"]).count()
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
@@ -486,8 +481,7 @@ def session_trigrams(sf_dir: str, topk: int = 10, gap_minutes: int = 30,
         u, ts, ty = u[order], ts[order], ty[order]
         n = len(u)
         if n < 3:
-            return pa.table({"trigram": pa.array([], type=pa.string()),
-                             "n": pa.array([], type=INT64)})
+            return pa.table({"trigram": pa.array([], type=pa.string())})
         new_sess = np.empty(n, dtype=bool)
         new_sess[0] = True
         new_sess[1:] = (u[1:] != u[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
@@ -497,18 +491,16 @@ def session_trigrams(sf_dir: str, topk: int = 10, gap_minutes: int = 30,
         tri = np.char.add(np.char.add(
             np.char.add(ty[:-2].astype(str), ">"),
             np.char.add(ty[1:-1].astype(str), ">")), ty[2:].astype(str))
-        t = pa.table({"trigram": pa.array(tri[ok].tolist(),
-                                          type=pa.string())})
-        return t.group_by(["trigram"]).aggregate([("trigram", "count")]) \
-            .rename_columns(["trigram", "n"])
+        return pa.table({"trigram": pa.array(tri[ok].tolist(),
+                                             type=pa.string())})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["event_id", "user_id", "ts",
                                  "event_type"])
         .map_batches(tag, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("trigram").aggregate(Sum("n", alias_name="n"))
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "trigram", [("n", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     tri = np.asarray(t["trigram"].to_pylist(), dtype=object)
     n = t["n"].to_numpy(zero_copy_only=False)
@@ -549,38 +541,27 @@ def incremental_agg(sf_dir: str, state_dir: str | None = None):
         b = b.filter(pa.array(is_delta if want_delta else ~is_delta))
         cents = pc.cast(pc.round(pc.multiply(b["o_totalprice"], 100.0)),
                         INT64)
-        t = pa.table({"o_orderstatus": b["o_orderstatus"],
-                      "cents": cents,
-                      "one": pa.nulls(b.num_rows, INT64).fill_null(1)})
-        p = t.group_by(["o_orderstatus"]).aggregate(
-            [("one", "sum"), ("cents", "sum")])
-        return p.rename_columns(["o_orderstatus", "n_orders", "sum_cents"])
+        return pa.table({"o_orderstatus": b["o_orderstatus"],
+                         "n_orders": pa.nulls(b.num_rows, INT64).fill_null(1),
+                         "sum_cents": cents})
 
     orders = lambda: rd.read_parquet(  # noqa: E731
         _pq(sf_dir, "orders"),
         columns=["o_orderkey", "o_totalprice", "o_orderstatus"])
+    aggs = [("n_orders", "sum"), ("sum_cents", "sum")]
 
     if not os.path.isdir(out) or not os.listdir(out):
         shutil.rmtree(out, ignore_errors=True)
-        orders().map_batches(lambda b: split(b, False),
-                             batch_format="pyarrow") \
-            .groupby("o_orderstatus") \
-            .aggregate(Sum("n_orders", alias_name="n_orders"),
-                       Sum("sum_cents", alias_name="sum_cents")) \
-            .write_parquet(out)
+        combine_buckets(orders().map_batches(lambda b: split(b, False),
+                                             batch_format="pyarrow"),
+                        "o_orderstatus", aggs).write_parquet(out)
 
     state = rd.read_parquet(out)
     delta = orders().map_batches(lambda b: split(b, True),
                                  batch_format="pyarrow")
-    agg = state.union(delta).groupby("o_orderstatus") \
-        .aggregate(Sum("n_orders", alias_name="n_orders"),
-                   Sum("sum_cents", alias_name="sum_cents"))
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
-    return pa.table({
-        "o_orderstatus": t["o_orderstatus"],
-        "n_orders": pc.cast(t["n_orders"], INT64),
-        "sum_cents": pc.cast(t["sum_cents"], INT64),
-    }).sort_by("o_orderstatus")
+    agg = combine_buckets(state.union(delta), "o_orderstatus", aggs)
+    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
+        .sort_by("o_orderstatus")
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +625,10 @@ def degree_histogram(docs_path: str, npart: int = 32):
         a = g["a"].to_numpy(zero_copy_only=False)
         v = g["v"].to_numpy(zero_copy_only=False)
         if kind[0] == 1:                       # out-side histogram partials
-            t = pa.table({"degree": pa.array(a, type=INT64),
-                          "n": pa.array(v, type=INT64)})
-            p = t.group_by(["degree"]).aggregate([("n", "sum")])                 .rename_columns(["degree", "n"])
-            return p.append_column(
-                "side", pa.array(["out"] * p.num_rows, type=pa.string()))
+            return pa.table({"degree": pa.array(a, type=INT64),
+                             "n": pa.array(v, type=INT64),
+                             "side": pa.array(["out"] * len(a),
+                                              type=pa.string())})
         # in-side: global distinct (url_h, doc_h) then count per url
         order = np.lexsort((v, a))
         a, v = a[order], v[order]
@@ -666,14 +646,11 @@ def degree_histogram(docs_path: str, npart: int = 32):
             "side": pa.array(["in"] * len(hd), type=pa.string()),
         })
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         _read_capped(docs_path, columns=["doc_id", "spans"])
-        .map_batches(scan, batch_format="pyarrow"), bucket) \
-        .groupby(["side", "degree"]).aggregate(Sum("n", alias_name="n"))
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
-    return pa.table({"side": t["side"],
-                     "degree": pc.cast(t["degree"], INT64),
-                     "n": pc.cast(t["n"], INT64)}) \
+        .map_batches(scan, batch_format="pyarrow"), bucket),
+        ["side", "degree"], [("n", "sum")])
+    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
         .sort_by([("side", "ascending"), ("degree", "ascending")])
 
 
@@ -928,23 +905,17 @@ def unpivot_lineitem(sf_dir: str):
         qty = pc.cast(pc.round(b["l_quantity"]), INT64)
         cents = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100.0)),
                         INT64)
-        t = pa.table({"l_returnflag": b["l_returnflag"],
-                      "l_linestatus": b["l_linestatus"],
-                      "qty": qty, "cents": cents,
-                      "one": pa.nulls(b.num_rows, INT64).fill_null(1)})
-        p = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("cents", "sum"), ("one", "sum")])
-        return p.rename_columns(["l_returnflag", "l_linestatus",
-                                 "sum_qty", "sum_cents", "n_rows"])
+        return pa.table({"l_returnflag": b["l_returnflag"],
+                         "l_linestatus": b["l_linestatus"],
+                         "sum_qty": qty, "sum_cents": cents})
 
-    agg = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                          columns=["l_returnflag", "l_linestatus",
-                                   "l_quantity", "l_extendedprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["l_returnflag", "l_linestatus"]) \
-        .aggregate(Sum("sum_qty", alias_name="sum_qty"),
-                   Sum("sum_cents", alias_name="sum_cents"),
-                   Sum("n_rows", alias_name="n_rows"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_returnflag", "l_linestatus",
+                                 "l_quantity", "l_extendedprice"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        [("sum_qty", "sum"), ("sum_cents", "sum"), ("n_rows", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     rf, ls, out_m, out_v = [], [], [], []
     for i in range(t.num_rows):
@@ -1076,16 +1047,14 @@ def weighted_avg_chars(sf_dir: str):
         tc = ts.token_counts(b)
         x = b["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
         w = tc["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = pa.table({"lang": b["lang"],
-                      "wx": pa.array(x * w, type=INT64),
-                      "w": pa.array(w, type=INT64)})
-        p = t.group_by(["lang"]).aggregate([("wx", "sum"), ("w", "sum")])
-        return p.rename_columns(["lang", "wx", "w"])
+        return pa.table({"lang": b["lang"],
+                         "wx": pa.array(x * w, type=INT64),
+                         "w": pa.array(w, type=INT64)})
 
-    agg = _docs(sf_dir, columns=["doc_id", "lang", "text", "n_chars"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("lang").aggregate(Sum("wx", alias_name="wx"),
-                                   Sum("w", alias_name="w"))
+    agg = combine_buckets(
+        _docs(sf_dir, columns=["doc_id", "lang", "text", "n_chars"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "lang", [("wx", "sum"), ("w", "sum")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     wx = t["wx"].to_numpy(zero_copy_only=False)
     w = t["w"].to_numpy(zero_copy_only=False)
@@ -1214,20 +1183,14 @@ def zscore_outliers(sf_dir: str):
         milli = pc.cast(pc.floor(pc.multiply(b["value"], 1000.0)), INT64) \
             .to_numpy(zero_copy_only=False)
         et = b["event_type"]
-        t = pa.table({"event_type": et,
-                      "v": pa.array(milli, type=INT64),
-                      "vv": pa.array(milli * milli, type=INT64),
-                      "one": pa.nulls(len(milli), INT64).fill_null(1)})
-        p = t.group_by(["event_type"]).aggregate(
-            [("one", "sum"), ("v", "sum"), ("vv", "sum")])
-        return p.rename_columns(["event_type", "n", "s", "ss"])
+        return pa.table({"event_type": et,
+                         "s": pa.array(milli, type=INT64),
+                         "ss": pa.array(milli * milli, type=INT64)})
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_type", "value"]) \
-        .map_batches(moments, batch_format="pyarrow") \
-        .groupby("event_type").aggregate(Sum("n", alias_name="n"),
-                                         Sum("s", alias_name="s"),
-                                         Sum("ss", alias_name="ss"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
+        .map_batches(moments, batch_format="pyarrow"),
+        "event_type", [("n", "count"), ("s", "sum"), ("ss", "sum")])
     mt = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     thr: dict[str, tuple[int, int, int]] = {}
     for i in range(mt.num_rows):
@@ -1346,30 +1309,26 @@ def streaming_windows(sf_dir: str, window_s: int = 3600,
             wm = before - late_us               # watermark at arrival
             win = ts // win_us
             late = (win + 1) * win_us <= wm
-            tt = pa.table({
+            out.append(pa.table({
                 "window": pa.array(win, type=INT64),
                 "event_type": t["event_type"],
-                "on_time": pa.array((~late).astype(np.int64), type=INT64),
-                "late": pa.array(late.astype(np.int64), type=INT64),
-            })
-            out.append(tt.group_by(["window", "event_type"]).aggregate(
-                [("on_time", "sum"), ("late", "sum")]).rename_columns(
-                ["window", "event_type", "n_on_time", "n_late"]))
+                "n_on_time": pa.array((~late).astype(np.int64), type=INT64),
+                "n_late": pa.array(late.astype(np.int64), type=INT64),
+            }))
         return pa.concat_tables(out)
 
-    agg = rd.from_arrow(desc) \
-        .map_batches(panes, batch_format="pyarrow", batch_size=1) \
-        .groupby(["window", "event_type"]) \
-        .aggregate(Sum("n_on_time", alias_name="n_on_time"),
-                   Sum("n_late", alias_name="n_late"))
+    agg = combine_buckets(
+        rd.from_arrow(desc)
+        .map_batches(panes, batch_format="pyarrow", batch_size=1),
+        ["window", "event_type"], [("n_on_time", "sum"), ("n_late", "sum")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     w = t["window"].to_numpy(zero_copy_only=False)
     iso = [str(np.datetime64(int(x) * window_s, "s")) for x in w]
     return pa.table({
         "window_start": pa.array(iso, type=pa.string()),
         "event_type": t["event_type"],
-        "n_on_time": pc.cast(t["n_on_time"], INT64),
-        "n_late": pc.cast(t["n_late"], INT64),
+        "n_on_time": t["n_on_time"],
+        "n_late": t["n_late"],
     }).sort_by([("window_start", "ascending"),
                 ("event_type", "ascending")])
 
@@ -1482,24 +1441,18 @@ def last_touch_attribution(sf_dir: str, npart: int = 32):
         is_p = ty == "purchase"
         lp = last_pos[is_p]
         ch = np.where(lp >= 0, ty[np.maximum(lp, 0)], "none")
-        t = pa.table({"channel": pa.array(ch.astype(object).tolist(),
-                                          type=pa.string())})
-        return t.group_by(["channel"]).aggregate([("channel", "count")]) \
-            .rename_columns(["channel", "n_purchases"])
+        return pa.table({"channel": pa.array(ch.astype(object).tolist(),
+                                             type=pa.string())})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["event_id", "user_id", "ts",
                                  "event_type"])
         .map_batches(tag, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("channel").aggregate(
-            Sum("n_purchases", alias_name="n_purchases"))
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
-    return pa.table({
-        "channel": t["channel"],
-        "n_purchases": pc.cast(t["n_purchases"], INT64),
-    }).sort_by("channel")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "channel", [("n_purchases", "count")])
+    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
+        .sort_by("channel")
 
 
 # ---------------------------------------------------------------------------
@@ -1644,17 +1597,13 @@ def charclass_entropy(sf_dir: str):
         digits = pc.cast(pc.count_substring_regex(txt, "[0-9]"), INT64)
         spaces = pc.cast(pc.count_substring(txt, " "), INT64)
         total = pc.cast(pc.utf8_length(txt), INT64)
-        t = pa.table({"lang": b["lang"], "cl": letters, "cd": digits,
-                      "cs": spaces, "n": total})
-        return t.group_by("lang").aggregate(
-            [("cl", "sum"), ("cd", "sum"), ("cs", "sum"), ("n", "sum")]) \
-            .rename_columns(["lang", "cl", "cd", "cs", "n"])
+        return pa.table({"lang": b["lang"], "cl": letters, "cd": digits,
+                         "cs": spaces, "n": total})
 
-    agg = _docs(sf_dir, columns=["lang", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("lang").aggregate(
-            Sum("cl", alias_name="cl"), Sum("cd", alias_name="cd"),
-            Sum("cs", alias_name="cs"), Sum("n", alias_name="n"))
+    agg = combine_buckets(
+        _docs(sf_dir, columns=["lang", "text"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "lang", [("cl", "sum"), ("cd", "sum"), ("cs", "sum"), ("n", "sum")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
 
     def term(c: int) -> float:
@@ -1752,44 +1701,36 @@ def audience_overlap(sf_dir: str):
     segment count (both / events_only / orders_only): INTERSECT and
     EXCEPT expressed shuffle-once.
 
-    Each side emits per-batch DISTINCT keys tagged with a side bit
-    (1=events, 2=orders); one groupby on the key folds Min/Max of the
-    tag, so min+max encodes the segment (2=events_only, 4=orders_only,
-    3=both); a second tiny groupby counts segments.  No driver-side
-    key set, no NOT IN subquery materialization."""
-    from ray.data.aggregate import Max, Min
+    Each side's keys are tagged with a side bit (1=events, 2=orders);
+    one grouped aggregate on the key folds min/max of the tag, so
+    min+max encodes the segment (2=events_only, 4=orders_only,
+    3=both); a second tiny one counts segments.  No driver-side key
+    set, no NOT IN subquery materialization."""
 
     def tag(side: int):
         col = "user_id" if side == 1 else "o_custkey"
 
         def fn(b: pa.Table) -> pa.Table:
-            keys = pc.unique(b[col])
-            return pa.table({
-                "k": pc.cast(keys, INT64),
-                "m": pa.array(np.full(len(keys), side, np.int64)),
-            })
+            m = pa.array(np.full(b.num_rows, side, np.int64))
+            return pa.table({"k": pc.cast(b[col], INT64), "lo": m, "hi": m})
         return fn
 
     ev = rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id"]) \
         .map_batches(tag(1), batch_format="pyarrow")
     od = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_custkey"]) \
         .map_batches(tag(2), batch_format="pyarrow")
-    seg = ev.union(od).groupby("k").aggregate(
-        Min("m", alias_name="lo"), Max("m", alias_name="hi"))
+    seg = combine_buckets(ev.union(od), "k", [("lo", "min"), ("hi", "max")])
 
     def seg_name(b: pa.Table) -> pa.Table:
         code = (b["lo"].to_numpy(zero_copy_only=False)
                 + b["hi"].to_numpy(zero_copy_only=False))
         name = np.where(code == 2, "events_only",
                         np.where(code == 3, "both", "orders_only"))
-        t = pa.table({"segment": pa.array(name.astype(object),
-                                          type=pa.string()),
-                      "one": pa.array(np.ones(len(code), np.int64))})
-        return t.group_by("segment").aggregate([("one", "sum")]) \
-            .rename_columns(["segment", "n"])
+        return pa.table({"segment": pa.array(name.astype(object),
+                                             type=pa.string())})
 
-    out = seg.map_batches(seg_name, batch_format="pyarrow") \
-        .groupby("segment").aggregate(Sum("n", alias_name="n"))
+    out = combine_buckets(seg.map_batches(seg_name, batch_format="pyarrow"),
+                          "segment", [("n", "count")])
     t = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
     # report grid is fixed: emit all three segments, zero-filled
     got = dict(zip(t["segment"].to_pylist(), t["n"].to_pylist()))
@@ -1815,15 +1756,6 @@ def top_user_per_type(sf_dir: str):
     ``bucket_exchange(part_col="event_type")`` — a handful of LARGE
     groups (one per type), never one call per tiny group."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"event_type": b["event_type"],
-                      "user_id": b["user_id"]})
-        t = t.append_column("one", pa.array(
-            np.ones(t.num_rows, np.int64)))
-        return t.group_by(["event_type", "user_id"]).aggregate(
-            [("one", "sum")]).rename_columns(
-                ["event_type", "user_id", "n"])
-
     def argmax(g: pa.Table) -> pa.Table:
         n = g["n"].to_numpy(zero_copy_only=False)
         u = g["user_id"].to_numpy(zero_copy_only=False)
@@ -1834,12 +1766,11 @@ def top_user_per_type(sf_dir: str):
             "n": pc.cast(g["n"].slice(best, 1), INT64),
         })
 
-    out = bucket_exchange(
+    out = bucket_exchange(combine_buckets(
         rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["event_type", "user_id"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "user_id"]).aggregate(
-            Sum("n", alias_name="n")), argmax, part_col="event_type")
+                        columns=["event_type", "user_id"]),
+        ["event_type", "user_id"], [("n", "count")]), argmax,
+        part_col="event_type")
     return pa.concat_tables(out.iter_batches(batch_format="pyarrow")) \
         .sort_by("event_type")
 
@@ -1949,21 +1880,16 @@ def event_transitions(sf_dir: str, npart: int = 32):
         u_s, et_s = u[order], et[order]
         same = u_s[1:] == u_s[:-1]
         prev, nxt = et_s[:-1][same], et_s[1:][same]
-        t = pa.table({"prev_type": pa.array(prev, type=pa.string()),
-                      "next_type": pa.array(nxt, type=pa.string()),
-                      "one": pa.array(np.ones(len(prev), np.int64))})
-        return t.group_by(["prev_type", "next_type"]).aggregate(
-            [("one", "sum")]).rename_columns(
-                ["prev_type", "next_type", "n"])
+        return pa.table({"prev_type": pa.array(prev, type=pa.string()),
+                         "next_type": pa.array(nxt, type=pa.string())})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "event_id", "ts",
                                  "event_type"])
         .map_batches(partial, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby(["prev_type", "next_type"]).aggregate(
-            Sum("n", alias_name="n"))
+        lambda g: bucket(g.drop_columns(["part"]))),
+        ["prev_type", "next_type"], [("n", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     n = t["n"].to_numpy(zero_copy_only=False)
     prev = np.asarray(t["prev_type"].to_pylist(), dtype=object)
@@ -1974,7 +1900,7 @@ def event_transitions(sf_dir: str, npart: int = 32):
                   for pp, nn in zip(prev, n)])
     return pa.table({
         "prev_type": t["prev_type"], "next_type": t["next_type"],
-        "n": pc.cast(t["n"], INT64), "p": pa.array(p),
+        "n": t["n"], "p": pa.array(p),
     }).sort_by([("prev_type", "ascending"), ("next_type", "ascending")])
 
 
@@ -2013,16 +1939,14 @@ def sliding_distinct_users(sf_dir: str, window_days: int = 7,
         uu = np.repeat(u, window_days)
         key = np.unique(uu * np.int64(1 << 20) + w)
         win = key % np.int64(1 << 20)
-        t = pa.table({"window_day": pa.array(win.astype(np.int64)),
-                      "one": pa.array(np.ones(len(win), np.int64))})
-        return t.group_by("window_day").aggregate([("one", "sum")]) \
-            .rename_columns(["window_day", "u7"])
+        return pa.table({"window_day": pa.array(win.astype(np.int64))})
 
     ev = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["user_id", "ts"]) \
         .map_batches(partial, batch_format="pyarrow")
-    agg = bucket_exchange(ev, lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("window_day").aggregate(Sum("u7", alias_name="u7"))
+    agg = combine_buckets(
+        bucket_exchange(ev, lambda g: bucket(g.drop_columns(["part"]))),
+        "window_day", [("u7", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
 
     days = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts"]) \
@@ -2106,14 +2030,13 @@ def pruned_join_revenue(sf_dir: str, npart: int = 32):
     agg = clustered_join(fact, lay, fact_key="o_orderkey",
                          dim_key="o_orderkey",
                          dim_columns=["o_orderpriority"],
-                         npart=npart, bucket_finish=finish) \
-        .groupby("o_orderpriority").aggregate(
-            Sum("n_items", alias_name="n_items"),
-            Sum("rev", alias_name="rev"))
+                         npart=npart, bucket_finish=finish)
+    agg = combine_buckets(agg, "o_orderpriority",
+                          [("n_items", "sum"), ("rev", "sum")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     return pa.table({
         "o_orderpriority": t["o_orderpriority"],
-        "n_items": pc.cast(t["n_items"], INT64),
+        "n_items": t["n_items"],
         "revenue": pa.array([float(int(v)) / 10000.0
                              for v in t["rev"].to_pylist()],
                             type=pa.float64()),
@@ -2142,16 +2065,13 @@ def above_avg_orders(sf_dir: str):
     def part_sums(b: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(
             b["o_totalprice"], 100.0)), INT64)
-        t = pa.table({"o_custkey": b["o_custkey"], "cents": cents})
-        return t.group_by("o_custkey").aggregate(
-            [("cents", "sum"), ("cents", "count")]) \
-            .rename_columns(["o_custkey", "s", "n"])
+        return pa.table({"o_custkey": b["o_custkey"], "s": cents})
 
-    per_cust = rd.read_parquet(_pq(sf_dir, "orders"),
-                               columns=["o_custkey", "o_totalprice"]) \
-        .map_batches(part_sums, batch_format="pyarrow") \
-        .groupby("o_custkey").aggregate(Sum("s", alias_name="s"),
-                                        Sum("n", alias_name="n"))
+    per_cust = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_totalprice"])
+        .map_batches(part_sums, batch_format="pyarrow"),
+        "o_custkey", [("s", "sum"), ("n", "count")])
     stats_ref = _ray.put(pa.concat_tables(
         per_cust.iter_batches(batch_format="pyarrow")))
     seg_ref = _ray.put(pa.concat_tables(
@@ -2166,21 +2086,17 @@ def above_avg_orders(sf_dir: str):
             .join(_ray.get(stats_ref), "o_custkey") \
             .join(_ray.get(seg_ref), "o_custkey", right_keys="c_custkey")
         keep = pc.greater(pc.multiply(t["cents"], t["n"]), t["s"])
-        return t.filter(keep).select(["c_mktsegment", "cents"]) \
-            .group_by("c_mktsegment").aggregate(
-                [("cents", "count"), ("cents", "sum")]) \
-            .rename_columns(["c_mktsegment", "n_orders", "cents"])
+        return t.filter(keep).select(["c_mktsegment", "cents"])
 
-    agg = rd.read_parquet(_pq(sf_dir, "orders"),
-                          columns=["o_custkey", "o_totalprice"]) \
-        .map_batches(filt, batch_format="pyarrow") \
-        .groupby("c_mktsegment").aggregate(
-            Sum("n_orders", alias_name="n_orders"),
-            Sum("cents", alias_name="cents"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_totalprice"])
+        .map_batches(filt, batch_format="pyarrow"),
+        "c_mktsegment", [("n_orders", "count"), ("cents", "sum")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     return pa.table({
         "c_mktsegment": t["c_mktsegment"],
-        "n_orders": pc.cast(t["n_orders"], INT64),
+        "n_orders": t["n_orders"],
         "total": pa.array([float(int(v)) / 100.0
                            for v in t["cents"].to_pylist()],
                           type=pa.float64()),
@@ -2246,16 +2162,8 @@ def source_lang_lift(sf_dir: str):
     double expressions over exact integers (no float aggregation), so
     every cell bit-matches the SQL twin."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"source": b["source"], "lang": b["lang"]})
-        t = t.append_column("one", pa.array(
-            np.ones(t.num_rows, np.int64)))
-        return t.group_by(["source", "lang"]).aggregate(
-            [("one", "sum")]).rename_columns(["source", "lang", "n"])
-
-    agg = _docs(sf_dir, columns=["source", "lang"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["source", "lang"]).aggregate(Sum("n", alias_name="n"))
+    agg = combine_buckets(_docs(sf_dir, columns=["source", "lang"]),
+                          ["source", "lang"], [("n", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     src = np.asarray(t["source"].to_pylist(), dtype=object)
     lng = np.asarray(t["lang"].to_pylist(), dtype=object)
@@ -2270,7 +2178,7 @@ def source_lang_lift(sf_dir: str):
     lift = [float(int(n_)) / e for n_, e in zip(n, expected)]
     return pa.table({
         "source": t["source"], "lang": t["lang"],
-        "n": pc.cast(t["n"], INT64),
+        "n": t["n"],
         "expected": pa.array(expected, type=pa.float64()),
         "lift": pa.array(lift, type=pa.float64()),
     }).sort_by([("source", "ascending"), ("lang", "ascending")])
@@ -2373,19 +2281,7 @@ def dense_event_grid(sf_dir: str):
     grid is driver arithmetic over the spanned calendar — its size is
     the REPORT's, independent of row count."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor(pc.divide(
-            pc.cast(b["ts"], INT64), 86_400_000_000)), INT64)
-        t = pa.table({"day": days, "event_type": b["event_type"]})
-        return t.group_by(["day", "event_type"]).aggregate(
-            [("event_type", "count")]) \
-            .rename_columns(["day", "event_type", "n"])
-
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["ts", "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["day", "event_type"]).aggregate(Sum("n", alias_name="n"))
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = _day_type_counts(sf_dir)
     d = t["day"].to_numpy(zero_copy_only=False)
     et = np.asarray(t["event_type"].to_pylist(), dtype=object)
     n = t["n"].to_numpy(zero_copy_only=False)
@@ -2452,23 +2348,18 @@ def skewed_user_join(sf_dir: str, n_salt: int = 8):
         # per-ROW → per-nation partial (hot key 0 spans salts, so this
         # is a PARTIAL, finished by the global groupby below)
         t = pa.table({"c_nationkey": j["c_nationkey"],
-                      "milli": j["milli"],
+                      "sum_milli": j["milli"],
                       "one": pa.nulls(j.num_rows, INT64).fill_null(1)})
         p = t.group_by(["c_nationkey"]).aggregate(
-            [("one", "sum"), ("milli", "sum")])
+            [("one", "sum"), ("sum_milli", "sum")])
         return p.rename_columns(["c_nationkey", "n_events", "sum_milli"])
 
-    agg = skew_join(facts, dims, "c_custkey", how="inner",
-                    n_salt=n_salt, bucket_finish=finish) \
-        .groupby("c_nationkey") \
-        .aggregate(Sum("n_events", alias_name="n_events"),
-                   Sum("sum_milli", alias_name="sum_milli"))
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
-    return pa.table({
-        "c_nationkey": pc.cast(t["c_nationkey"], INT64),
-        "n_events": pc.cast(t["n_events"], INT64),
-        "sum_milli": pc.cast(t["sum_milli"], INT64),
-    }).sort_by("c_nationkey")
+    agg = combine_buckets(
+        skew_join(facts, dims, "c_custkey", how="inner",
+                  n_salt=n_salt, bucket_finish=finish),
+        "c_nationkey", [("n_events", "sum"), ("sum_milli", "sum")])
+    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
+        .sort_by("c_nationkey")
 
 
 # ---------------------------------------------------------------------------
@@ -2699,14 +2590,8 @@ def source_mixture(sf_dir: str):
     task closure and counts survivors — no shuffle in either pass
     beyond the domain-sized count reduce."""
 
-    def counts(b: pa.Table) -> pa.Table:
-        p = pa.table({"source": b["source"]}).group_by(["source"]) \
-            .aggregate([("source", "count")])
-        return p.rename_columns(["source", "n"])
-
-    agg = _docs(sf_dir, columns=["source"]) \
-        .map_batches(counts, batch_format="pyarrow") \
-        .groupby("source").aggregate(Sum("n", alias_name="n"))
+    agg = combine_buckets(_docs(sf_dir, columns=["source"]), "source",
+                          [("n", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     srcs = t["source"].to_pylist()
     ns = {s: int(x) for s, x in zip(srcs, t["n"].to_pylist())}
@@ -2721,30 +2606,21 @@ def source_mixture(sf_dir: str):
         hs = [int.from_bytes(
             hashlib.md5(str(d).encode()).digest()[:8], "big")
             for d in b["doc_id"].to_pylist()]
-        kept: dict[str, int] = {}
-        tot: dict[str, int] = {}
-        for s, h in zip(src, hs):
-            tot[s] = tot.get(s, 0) + 1
-            if h < thr[s]:
-                kept[s] = kept.get(s, 0) + 1
-        keys = sorted(tot)
-        return pa.table({
-            "source": pa.array(keys, type=pa.string()),
-            "n_total": pa.array([tot[k] for k in keys], type=INT64),
-            "n_kept": pa.array([kept.get(k, 0) for k in keys], type=INT64),
-        })
+        kept = [int(h < thr[s]) for s, h in zip(src, hs)]
+        return pa.table({"source": b["source"],
+                         "n_kept": pa.array(kept, type=INT64)})
 
-    out = _docs(sf_dir, columns=["doc_id", "source"]) \
-        .map_batches(keep_counts, batch_format="pyarrow") \
-        .groupby("source").aggregate(Sum("n_total", alias_name="n_total"),
-                                     Sum("n_kept", alias_name="n_kept"))
+    out = combine_buckets(
+        _docs(sf_dir, columns=["doc_id", "source"])
+        .map_batches(keep_counts, batch_format="pyarrow"),
+        "source", [("n_total", "count"), ("n_kept", "sum")])
     t2 = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
     tgt = pa.array([target[s] for s in t2["source"].to_pylist()], type=INT64)
     return pa.table({
         "source": t2["source"],
-        "n_total": pc.cast(t2["n_total"], INT64),
+        "n_total": t2["n_total"],
         "target_n": tgt,
-        "n_kept": pc.cast(t2["n_kept"], INT64),
+        "n_kept": t2["n_kept"],
     }).sort_by("source")
 
 
@@ -2916,31 +2792,14 @@ def feature_corr(sf_dir: str):
         tc = ts.token_counts(b)
         x = b["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
         y = tc["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lang = np.asarray(b["lang"].to_pylist(), dtype=object)
-        order = np.argsort(lang)
-        lang, x, y = lang[order], x[order], y[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], lang[1:] != lang[:-1], [True])))
-        segs = list(zip(starts[:-1], starts[1:]))
-        return pa.table({
-            "lang": pa.array([lang[s] for s, _ in segs], type=pa.string()),
-            "n": pa.array([e - s for s, e in segs], type=INT64),
-            "sx": pa.array([x[s:e].sum() for s, e in segs], type=INT64),
-            "sy": pa.array([y[s:e].sum() for s, e in segs], type=INT64),
-            "sxy": pa.array([(x[s:e] * y[s:e]).sum() for s, e in segs],
-                            type=INT64),
-            "sxx": pa.array([(x[s:e] * x[s:e]).sum() for s, e in segs],
-                            type=INT64),
-            "syy": pa.array([(y[s:e] * y[s:e]).sum() for s, e in segs],
-                            type=INT64),
-        })
+        return pa.table({"lang": b["lang"], "sx": x, "sy": y, "sxy": x * y,
+                         "sxx": x * x, "syy": y * y})
 
-    agg = _docs(sf_dir, columns=["doc_id", "lang", "text", "n_chars"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("lang").aggregate(
-            Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
-            Sum("sy", alias_name="sy"), Sum("sxy", alias_name="sxy"),
-            Sum("sxx", alias_name="sxx"), Sum("syy", alias_name="syy"))
+    agg = combine_buckets(
+        _docs(sf_dir, columns=["doc_id", "lang", "text", "n_chars"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "lang", [("n", "count")] + [(c, "sum") for c in
+                                    ("sx", "sy", "sxy", "sxx", "syy")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     corr = []
     for i in range(t.num_rows):
@@ -2977,14 +2836,12 @@ def json_props_stats(sf_dir: str):
 
     def partial(b: pa.Table) -> pa.Table:
         k = pc.cast(pc.utf8_trim(b["props"], '{"k: }'), INT64)
-        t = pa.table({"event_type": b["event_type"], "k": k})
-        p = t.group_by(["event_type", "k"]).aggregate([("k", "count")])
-        return p.rename_columns(["event_type", "k", "n"])
+        return pa.table({"event_type": b["event_type"], "k": k})
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_type", "props"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["event_type", "k"]).aggregate(Sum("n", alias_name="n"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "props"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["event_type", "k"], [("n", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     et = np.asarray(t["event_type"].to_pylist(), dtype=object)
     k = t["k"].to_numpy(zero_copy_only=False)
@@ -3047,19 +2904,15 @@ def retention_cohorts(sf_dir: str, npart: int = 32):
         u, w = u[uniq], w[uniq]
         first = np.concatenate(([True], u[1:] != u[:-1]))
         cohort = w[np.flatnonzero(first)][np.cumsum(first) - 1]
-        t = pa.table({"cohort_week": pa.array(cohort, type=INT64),
-                      "week_offset": pa.array(w - cohort, type=INT64)})
-        p = t.group_by(["cohort_week", "week_offset"]).aggregate(
-            [("week_offset", "count")])
-        return p.rename_columns(["cohort_week", "week_offset", "n_users"])
+        return pa.table({"cohort_week": pa.array(cohort, type=INT64),
+                         "week_offset": pa.array(w - cohort, type=INT64)})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts"])
         .map_batches(pairs, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby(["cohort_week", "week_offset"]) \
-        .aggregate(Sum("n_users", alias_name="n_users"))
+        lambda g: bucket(g.drop_columns(["part"]))),
+        ["cohort_week", "week_offset"], [("n_users", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     wk = t["cohort_week"].to_numpy(zero_copy_only=False)
     days = wk * 7 - _EPOCH_MONDAY_SHIFT
@@ -3068,8 +2921,8 @@ def retention_cohorts(sf_dir: str, npart: int = 32):
     iso = [str(np.datetime64(int(d), "s"))[:10] for d in dates]
     return pa.table({
         "cohort_week": pa.array(iso, type=pa.string()),
-        "week_offset": pc.cast(t["week_offset"], INT64),
-        "n_users": pc.cast(t["n_users"], INT64),
+        "week_offset": t["week_offset"],
+        "n_users": t["n_users"],
     }).sort_by([("cohort_week", "ascending"), ("week_offset", "ascending")])
 
 
@@ -3173,31 +3026,16 @@ def lineitem_regression(sf_dir: str):
         x = pc.cast(pc.round(b["l_quantity"]), INT64).to_numpy()
         y = pc.cast(pc.round(pc.multiply(
             b["l_extendedprice"], 100.0)), INT64).to_numpy()
-        flag = np.asarray(b["l_returnflag"].to_pylist(), dtype=object)
-        order = np.argsort(flag)
-        flag, x, y = flag[order], x[order], y[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], flag[1:] != flag[:-1], [True])))
-        segs = list(zip(starts[:-1], starts[1:]))
-        return pa.table({
-            "flag": pa.array([flag[s] for s, _ in segs], type=pa.string()),
-            "n": pa.array([e - s for s, e in segs], type=INT64),
-            "sx": pa.array([x[s:e].sum() for s, e in segs], type=INT64),
-            "sy": pa.array([y[s:e].sum() for s, e in segs], type=INT64),
-            "sxy": pa.array([(x[s:e] * y[s:e]).sum() for s, e in segs],
-                            type=INT64),
-            "sxx": pa.array([(x[s:e] * x[s:e]).sum() for s, e in segs],
-                            type=INT64),
-        })
+        return pa.table({"flag": b["l_returnflag"], "sx": x, "sy": y,
+                         "sxy": x * y, "sxx": x * x})
 
-    agg = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                          columns=["l_returnflag", "l_quantity",
-                                   "l_extendedprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("flag").aggregate(
-            Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
-            Sum("sy", alias_name="sy"), Sum("sxy", alias_name="sxy"),
-            Sum("sxx", alias_name="sxx"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_returnflag", "l_quantity",
+                                 "l_extendedprice"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "flag", [("n", "count")] + [(c, "sum") for c in
+                                    ("sx", "sy", "sxy", "sxx")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     slope, icept = [], []
     for i in range(t.num_rows):
@@ -3210,7 +3048,7 @@ def lineitem_regression(sf_dir: str):
                      if B != 0 else None)
     return pa.table({
         "l_returnflag": t["flag"],
-        "n": pc.cast(t["n"], INT64),
+        "n": t["n"],
         "slope_cents_per_qty": pa.array(slope, type=pa.float64()),
         "intercept_cents": pa.array(icept, type=pa.float64()),
     }).sort_by("l_returnflag")
@@ -3328,12 +3166,10 @@ def embedding_covariance(sf_dir: str):
             "n": pa.array(np.full(mask.sum(), len(xm), np.int64)),
         })
 
-    agg = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                          columns=["embedding"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["i", "j"]).aggregate(
-            Sum("sxy", alias_name="sxy"), Sum("sxi", alias_name="sxi"),
-            Sum("sxj", alias_name="sxj"), Sum("n", alias_name="n"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "embeddings"), columns=["embedding"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["i", "j"], [(c, "sum") for c in ("sxy", "sxi", "sxj", "n")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     cov = []
     for k in range(t.num_rows):
@@ -3341,7 +3177,7 @@ def embedding_covariance(sf_dir: str):
                             ("n", "sxy", "sxi", "sxj"))
         cov.append(float(n * sxy - sxi * sxj) / float(n * n))
     return pa.table({
-        "i": pc.cast(t["i"], INT64), "j": pc.cast(t["j"], INT64),
+        "i": t["i"], "j": t["j"],
         "cov_milli2": pa.array(cov, type=pa.float64()),
     }).sort_by([("i", "ascending"), ("j", "ascending")])
 
@@ -3361,10 +3197,10 @@ def lineitem_profile(sf_dir: str):
     stats-collection pass every query optimizer and data-quality gate
     runs over a new table.
 
-    Two bounded passes: (1) per-batch min/max/null partials fold
-    driver-side (tiny); (2) per-batch DISTINCT (column, value) partials
-    — the exchange carries each block's unique values only, never rows
-    — then one groupby dedups globally and a count per column lands.
+    One scan, two bounded folds: (1) per-batch min/max/null partials
+    fold to one row per column; (2) per-batch DISTINCT (column, value)
+    partials — the exchange carries each block's unique values only,
+    never rows — dedup globally, then a count per column lands.
     Numeric values travel as injective fixed-point int64 (the columns
     carry ≤3 decimals), so the distinct count equals the native one and
     the whole report is value-exact vs the UNION-ALL SQL twin."""
@@ -3417,8 +3253,6 @@ def lineitem_profile(sf_dir: str):
                 "vkey": u}))
         return pa.concat_tables(parts)
 
-    from ray.data.aggregate import Count
-
     def fused_partial(b: pa.Table) -> pa.Table:
         """ONE scan emits both partial kinds (stats rows carry a null
         vkey; distinct rows carry nulls in the stat columns) so the
@@ -3437,49 +3271,21 @@ def lineitem_profile(sf_dir: str):
     partials = rd.read_parquet(_pq(sf_dir, "lineitem"), columns=cols) \
         .map_batches(fused_partial, batch_format="pyarrow").materialize()
 
-    # stats fold (tiny driver reduce over the null-vkey rows)
-    st = pa.concat_tables(
-        partials.map_batches(
-            lambda b: b.filter(pc.is_null(b["vkey"]))
-            .drop_columns(["vkey"]), batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")).to_pandas()
-    folded = {}
-    for name, g in st.groupby("col_name"):
-        folded[name] = {
-            "n": int(g.n.sum()), "n_null": int(g.n_null.sum()),
-            "min_num": (None if g.min_num.isna().all()
-                        else float(g.min_num.min())),
-            "max_num": (None if g.max_num.isna().all()
-                        else float(g.max_num.max())),
-            "min_str": (None if g.min_str.isna().all()
-                        else g.min_str.dropna().min()),
-            "max_str": (None if g.max_str.isna().all()
-                        else g.max_str.dropna().max()),
-        }
+    # stats fold over the null-vkey rows (one row per column)
+    stats = combine_buckets(
+        partials.map_batches(lambda b: b.filter(pc.is_null(b["vkey"])),
+                             batch_format="pyarrow"),
+        "col_name", [("n", "sum"), ("n_null", "sum"), ("min_num", "min"),
+                     ("max_num", "max"), ("min_str", "min"),
+                     ("max_str", "max")])
+    folded = {r["col_name"]: r for r in stats.take_all()}
 
-    # exact distinct via ONE bucket exchange over the vkey rows:
-    # routing on hash(vkey) co-locates every copy of a (col, value)
-    # pair, so the in-bucket Arrow group_by dedups globally and only
-    # per-bucket per-column COUNTS reach the driver fold — the former
-    # two chained native Aggregates cost ~2× their fixed all-to-all
-    # wall for the same answer (round-4 native-Aggregate finding)
-    def route(b: pa.Table) -> pa.Table:
-        d = b.filter(pc.is_valid(b["vkey"])).select(["col_name", "vkey"])
-        return with_part(d, "vkey", 32)
-
-    def bucket_distinct(g: pa.Table) -> pa.Table:
-        u = g.drop_columns(["part"]).group_by(
-            ["col_name", "vkey"]).aggregate([])
-        return u.group_by(["col_name"]).aggregate(
-            [([], "count_all")]).rename_columns(["col_name", "nd"])
-
-    dd_t = pa.concat_tables(
-        bucket_exchange(
-            partials.map_batches(route, batch_format="pyarrow"),
-            bucket_distinct)
-        .iter_batches(batch_format="pyarrow"))
-    dd = dd_t.group_by(["col_name"]).aggregate([("nd", "sum")]) \
-        .rename_columns(["col_name", "n_distinct"]) \
+    # exact distinct: a (col, value) distinct, then a count per column
+    vkeys = partials.map_batches(
+        lambda b: b.filter(pc.is_valid(b["vkey"]))
+        .select(["col_name", "vkey"]), batch_format="pyarrow")
+    dd = combine_buckets(combine_buckets(vkeys, ["col_name", "vkey"], []),
+                         "col_name", [("n_distinct", "count")]) \
         .to_pandas().set_index("col_name")
 
     names = sorted(cols)
@@ -3916,16 +3722,13 @@ def equidepth_histogram(sf_dir: str, k: int = 8):
     arbitrary NTILE tie placement lands on identical stats)."""
 
     def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            b["l_extendedprice"], 100.0)), INT64)
-        t = pa.table({"cents": cents})
-        return t.group_by("cents").aggregate([("cents", "count")]) \
-            .rename_columns(["cents", "cnt"])
+        return pa.table({"cents": pc.cast(pc.round(pc.multiply(
+            b["l_extendedprice"], 100.0)), INT64)})
 
-    agg = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                          columns=["l_extendedprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("cents").aggregate(Sum("cnt", alias_name="cnt"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "lineitem"), columns=["l_extendedprice"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "cents", [("cnt", "count")])
     h = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     m = h["cents"].to_numpy()
     c = h["cnt"].to_numpy()
@@ -4018,8 +3821,8 @@ def join_cardinality(sf_dir: str):
                                                                 CMS_W)
 
     # exact Σ n(k)²: one key exchange over (key, count) partials
-    agg = ds.select_columns(["key", "c"]) \
-        .groupby("key").aggregate(Sum("c", alias_name="c"))
+    agg = combine_buckets(ds.select_columns(["key", "c"]), "key",
+                          [("c", "sum")])
     n_keys, exact = 0, 0
     for b in agg.iter_batches(batch_format="pyarrow"):
         c = b["c"].to_numpy()
@@ -4130,25 +3933,19 @@ def zorder_range_scan(sf_dir: str, day_lo: int = 19728,
             milli = pc.cast(pc.floor(pc.multiply(
                 t["value"], 1000.0)), INT64)
             parts.append(pa.table({"event_type": t["event_type"],
-                                   "milli": milli})
-                         .group_by("event_type")
-                         .aggregate([("milli", "count"),
-                                     ("milli", "sum")])
-                         .rename_columns(["event_type", "n", "s"]))
+                                   "s": milli}))
         return pa.concat_tables(parts) if parts else pa.table(
             {"event_type": pa.array([], type=pa.string()),
-             "n": pa.array([], type=INT64),
              "s": pa.array([], type=INT64)})
 
     empty = pa.table({"event_type": pa.array([], type=pa.string()),
                       "n": pa.array([], type=INT64),
                       "s": pa.array([], type=INT64)})
     if keep:
-        agg = rd.from_items([{"rg": r} for r in keep]) \
-            .map_batches(read_groups, batch_format="pyarrow",
-                         batch_size=4) \
-            .groupby("event_type").aggregate(Sum("n", alias_name="n"),
-                                             Sum("s", alias_name="s"))
+        agg = combine_buckets(
+            rd.from_items([{"rg": r} for r in keep])
+            .map_batches(read_groups, batch_format="pyarrow", batch_size=4),
+            "event_type", [("n", "count"), ("s", "sum")])
         t = pa.concat_tables(
             list(agg.iter_batches(batch_format="pyarrow")) or [empty])
     else:
@@ -4236,14 +4033,13 @@ def big_spenders(sf_dir: str):
     def order_partial(b: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(
             b["o_totalprice"], 100.0)), INT64)
-        t = pa.table({"c": b["o_custkey"], "cents": cents})
-        return t.group_by("c").aggregate([("cents", "sum")]) \
-            .rename_columns(["c", "cents"])
+        return pa.table({"c": b["o_custkey"], "cents": cents})
 
-    per_cust = rd.read_parquet(_pq(sf_dir, "orders"),
-                               columns=["o_custkey", "o_totalprice"]) \
-        .map_batches(order_partial, batch_format="pyarrow") \
-        .groupby("c").aggregate(Sum("cents", alias_name="cents"))
+    per_cust = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_totalprice"])
+        .map_batches(order_partial, batch_format="pyarrow"),
+        "c", [("cents", "sum")])
     pc_t = pa.concat_tables(per_cust.iter_batches(batch_format="pyarrow"))
     spend = dict(zip((int(x) for x in pc_t["c"].to_pylist()),
                      (int(x) for x in pc_t["cents"].to_pylist())))
@@ -4394,7 +4190,7 @@ def revenue_rollup_geo(sf_dir: str):
             cents = pc.cast(pc.round(pc.multiply(
                 b["o_totalprice"], 100.0)), INT64)
             nk = [self.c2n[k] for k in keys]
-            t = pa.table({
+            return pa.table({
                 "r_name": pa.array(
                     [self.r2name[self.n2r[n]] for n in nk],
                     type=pa.string()),
@@ -4402,16 +4198,12 @@ def revenue_rollup_geo(sf_dir: str):
                                    type=pa.string()),
                 "cents": cents,
             })
-            return t.group_by(["r_name", "n_name"]).aggregate(
-                [("cents", "sum"), ("cents", "count")]) \
-                .rename_columns(["r_name", "n_name", "cents", "n"])
 
-    leaf = rd.read_parquet(_pq(sf_dir, "orders"),
-                           columns=["o_custkey", "o_totalprice"]) \
-        .map_batches(Leaf, batch_format="pyarrow",
-                     concurrency=(1, 2)) \
-        .groupby(["r_name", "n_name"]).aggregate(
-            Sum("cents", alias_name="cents"), Sum("n", alias_name="n"))
+    leaf = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_totalprice"])
+        .map_batches(Leaf, batch_format="pyarrow", concurrency=(1, 2)),
+        ["r_name", "n_name"], [("cents", "sum"), ("n", "count")])
     t = pa.concat_tables(leaf.iter_batches(batch_format="pyarrow"))
     rows = []
     for i in range(t.num_rows):
@@ -4476,12 +4268,10 @@ def max_concurrent_sessions(sf_dir: str, gap_minutes: int = 30):
         net = np.concatenate((np.ones(len(s), np.int64),
                               np.full(len(e), -1, np.int64),
                               np.zeros(len(probes), np.int64)))
-        t = pa.table({"us": pa.array(us), "net": pa.array(net)})
-        return t.group_by("us").aggregate([("net", "sum")]) \
-            .rename_columns(["us", "net"])
+        return pa.table({"us": pa.array(us), "net": pa.array(net)})
 
-    agg = sess.map_batches(deltas, batch_format="pyarrow") \
-        .groupby("us").aggregate(Sum("net", alias_name="net"))
+    agg = combine_buckets(sess.map_batches(deltas, batch_format="pyarrow"),
+                          "us", [("net", "sum")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     us = t["us"].to_numpy()
     net = t["net"].to_numpy()
@@ -4579,15 +4369,12 @@ def drift_psi(sf_dir: str, split_day: int = 19738, nbins: int = 10):
         day = pc.divide(pc.cast(b["ts"], INT64),
                         np.int64(86_400_000_000))
         half = pc.cast(pc.greater_equal(day, split_day), INT64)
-        t = pa.table({"half": half, "milli": milli})
-        return t.group_by(["half", "milli"]).aggregate(
-            [("milli", "count")]) \
-            .rename_columns(["half", "milli", "n"])
+        return pa.table({"half": half, "milli": milli})
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["ts", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["half", "milli"]).aggregate(Sum("n", alias_name="n"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "value"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["half", "milli"], [("n", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     half = t["half"].to_numpy()
     milli = t["milli"].to_numpy()
@@ -4651,14 +4438,13 @@ def ab_experiment(sf_dir: str):
         u = b["user_id"].to_numpy(zero_copy_only=False)
         conv = pc.equal(b["event_type"], "purchase") \
             .to_numpy(zero_copy_only=False).astype(np.int64)
-        t = pa.table({"user_id": pa.array(u), "conv": pa.array(conv)})
-        return t.group_by("user_id").aggregate([("conv", "max")]) \
-            .rename_columns(["user_id", "conv"])
+        return pa.table({"user_id": pa.array(u), "conv": pa.array(conv)})
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["user_id", "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("user_id").aggregate(Max("conv", alias_name="conv"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"),
+                        columns=["user_id", "event_type"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "user_id", [("conv", "max")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     users = t["user_id"].to_pylist()
     conv = t["conv"].to_numpy()
@@ -4934,24 +4720,12 @@ def custdist(sf_dir: str):
     (customers with no orders) need no join at all: the zero bin is
     ``n_customers − Σ custdist``, one extra metadata-count scan."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({"c": b["o_custkey"]}) \
-            .group_by("c").aggregate([("c", "count")]) \
-            .rename_columns(["c", "n"])
-
-    def hist(b: pa.Table) -> pa.Table:
-        return pa.table({"c_count": b["n"]}) \
-            .group_by("c_count").aggregate([("c_count", "count")]) \
-            .rename_columns(["c_count", "custdist"])
-
-    per_cust = rd.read_parquet(_pq(sf_dir, "orders"),
-                               columns=["o_custkey"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("c").aggregate(Sum("n", alias_name="n")) \
-        .map_batches(hist, batch_format="pyarrow")
-    t = pa.concat_tables(per_cust.iter_batches(batch_format="pyarrow"))
-    t = t.group_by("c_count").aggregate([("custdist", "sum")]) \
-        .rename_columns(["c_count", "custdist"])
+    per_cust = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_custkey"]),
+        "o_custkey", [("c_count", "count")])
+    t = pa.concat_tables(
+        combine_buckets(per_cust, "c_count", [("custdist", "count")])
+        .iter_batches(batch_format="pyarrow"))
     import duckdb
     n_cust = duckdb.sql("SELECT COUNT(*) FROM read_parquet('%s')"
                         % _pq(sf_dir, "customer")).fetchone()[0]
@@ -4998,23 +4772,15 @@ def naive_bayes(sf_dir: str):
                 for t in NB_TERMS]
 
     def train_partial(b: pa.Table) -> pa.Table:
-        tfs = tf_cols(b)
         cols = {"lang": b["lang"]}
-        for i, tf in enumerate(tfs):
+        for i, tf in enumerate(tf_cols(b)):
             cols[f"c{i}"] = tf
-        t = pa.table(cols)
-        return t.group_by("lang").aggregate(
-            [(f"c{i}", "sum") for i in range(len(NB_TERMS))]
-            + [("lang", "count")]) \
-            .rename_columns(["lang"] + [f"c{i}" for i in
-                                        range(len(NB_TERMS))] + ["nd"])
+        return pa.table(cols)
 
-    g = _docs(sf_dir, columns=["lang", "text"]) \
-        .map_batches(train_partial, batch_format="pyarrow") \
-        .groupby("lang").aggregate(
-            *([Sum(f"c{i}", alias_name=f"c{i}")
-               for i in range(len(NB_TERMS))]
-              + [Sum("nd", alias_name="nd")]))
+    g = combine_buckets(
+        _docs(sf_dir, columns=["lang", "text"])
+        .map_batches(train_partial, batch_format="pyarrow"), "lang",
+        [(f"c{i}", "sum") for i in range(len(NB_TERMS))] + [("nd", "count")])
     gt = pa.concat_tables(g.iter_batches(batch_format="pyarrow"))
     stats = {gt["lang"][i].as_py():
              {"nd": int(gt["nd"][i].as_py()),
@@ -5547,17 +5313,11 @@ def hierarchy_rollup(sf_dir: str, npart: int = 16):
     if not done:
         raise RuntimeError("pointer doubling failed to converge")
 
-    out = state.map_batches(
-        lambda b: pa.table({"root": b["ptr"], "one": b["dist"],
-                            "dist": b["dist"], "cents": b["cents"]})
-        .group_by(["root"]).aggregate(
-            [("one", "count"), ("cents", "sum"), ("dist", "max")])
-        .rename_columns(["root", "n_nodes", "sum_cents", "max_depth"]),
-        batch_format="pyarrow") \
-        .groupby("root") \
-        .aggregate(Sum("n_nodes", alias_name="n_nodes"),
-                   Sum("sum_cents", alias_name="sum_cents"),
-                   Max("max_depth", alias_name="max_depth"))
+    out = combine_buckets(state.map_batches(
+        lambda b: pa.table({"root": b["ptr"], "sum_cents": b["cents"],
+                            "max_depth": b["dist"]}),
+        batch_format="pyarrow"), "root",
+        [("n_nodes", "count"), ("sum_cents", "sum"), ("max_depth", "max")])
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -5567,7 +5327,8 @@ def hierarchy_rollup(sf_dir: str, npart: int = 16):
             "max_depth": pc.cast(b["max_depth"], INT64),
         })
 
-    return out.map_batches(finish, batch_format="pyarrow").sort("root")
+    return sort_result(out.map_batches(finish, batch_format="pyarrow"),
+                       ["root"])
 
 
 def bloom_pruned_join(sf_dir: str, npart: int = 16, prune: bool = True):
@@ -5649,13 +5410,12 @@ def bloom_pruned_join(sf_dir: str, npart: int = 16, prune: bool = True):
         # months, not orderkeys
         return j.group_by(["month"]).aggregate(
             [("rev", "sum"), ("n", "sum")]) \
-            .rename_columns(["month", "rev", "n"])
+            .rename_columns(["month", "rev", "n_items"])
 
-    agg = hash_join(lines, orders, "l_orderkey", how="inner",
-                    npart=npart, bucket_finish=month_finish) \
-        .groupby("month") \
-        .aggregate(Sum("rev", alias_name="rev"),
-                   Sum("n", alias_name="n_items"))
+    agg = combine_buckets(
+        hash_join(lines, orders, "l_orderkey", how="inner",
+                  npart=npart, bucket_finish=month_finish),
+        "month", [("rev", "sum"), ("n_items", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -5664,7 +5424,8 @@ def bloom_pruned_join(sf_dir: str, npart: int = 16, prune: bool = True):
             "revenue": pc.divide(pc.cast(b["rev"], pa.float64()), 10_000.0),
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow").sort("month")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["month"])
 
 
 def lpm_enrich(sf_dir: str):
@@ -5685,7 +5446,6 @@ def lpm_enrich(sf_dir: str):
     never shuffle raw — the (region,user) exchange carries bounded
     partials for the exact distinct-user count (q158's two-level
     fold)."""
-    from ray.data.aggregate import Count
 
     from ..stages.sketch import md5_prefix64
 
@@ -5720,37 +5480,21 @@ def lpm_enrich(sf_dir: str):
             upd = np.where(todo)[0][hit]
             region[upd] = rid[pos_c[hit]]
         labels = np.array(["none"] + ["r%d" % x for x in range(64)])
-        t = pa.table({
+        return pa.table({
             "region": pa.array(labels[region + 1][inv]),
             "user_id": b["user_id"],
-            "cents": pc.cast(pc.round(pc.multiply(b["value"], 100.0)),
-                             INT64),
-            "one": pa.nulls(b.num_rows, INT64).fill_null(1),
-        })
-        return t.group_by(["region", "user_id"]).aggregate(
-            [("one", "sum"), ("cents", "sum")]) \
-            .rename_columns(["region", "user_id", "n", "cents"])
-
-    per_user = rd.read_parquet(_pq(sf_dir, "events"),
-                               columns=["user_id", "value"]) \
-        .map_batches(enrich, batch_format="pyarrow") \
-        .groupby(["region", "user_id"]) \
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("cents", alias_name="cents"))
-    out = per_user.groupby("region") \
-        .aggregate(Count(alias_name="n_users"),
-                   Sum("n", alias_name="n_events"),
-                   Sum("cents", alias_name="sum_cents"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "region": b["region"],
-            "n_users": pc.cast(b["n_users"], INT64),
-            "n_events": pc.cast(b["n_events"], INT64),
-            "sum_cents": pc.cast(b["sum_cents"], INT64),
+            "sum_cents": pc.cast(pc.round(pc.multiply(b["value"], 100.0)),
+                                 INT64),
         })
 
-    return out.map_batches(finish, batch_format="pyarrow").sort("region")
+    per_user = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id", "value"])
+        .map_batches(enrich, batch_format="pyarrow"),
+        ["region", "user_id"], [("n_events", "count"), ("sum_cents", "sum")])
+    out = combine_buckets(per_user, "region",
+                          [("n_users", "count"), ("n_events", "sum"),
+                           ("sum_cents", "sum")])
+    return sort_result(out, ["region"])
 
 
 _Q5_LO_US = _epoch_us("1995-01-01")
@@ -5886,7 +5630,6 @@ def pit_state_snapshot(sf_dir: str, npart: int = 32,
     (day,state) groupby; the only exchange is the user-hash bucket
     q131 already pays to build runs.  Oracle: the q131 runs CTE joined
     to the day grid with BETWEEN (value-exact)."""
-    from ray.data.aggregate import Sum as _Sum
 
     hist = scd2_user_state(sf_dir, npart=npart)
     US_DAY = np.int64(86_400_000_000)
@@ -5919,19 +5662,9 @@ def pit_state_snapshot(sf_dir: str, npart: int = 32,
             "n_users": pa.array(ns, type=INT64),
         })
 
-    out = hist.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["day", "state"]) \
-        .aggregate(_Sum("n_users", alias_name="n_users"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "day": pc.cast(b["day"], INT64),
-            "state": b["state"],
-            "n_users": pc.cast(b["n_users"], INT64),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort(["day", "state"])
+    out = combine_buckets(hist.map_batches(partial, batch_format="pyarrow"),
+                          ["day", "state"], [("n_users", "sum")])
+    return sort_result(out, ["day", "state"])
 
 
 def windowed_pair_join(sf_dir: str, npart: int = 32,
@@ -5948,7 +5681,6 @@ def windowed_pair_join(sf_dir: str, npart: int = 32,
     purchase timestamps turning per-click lag sums into two gathers —
     no pair list ever materializes, output is O(days) partials.
     Oracle: the quadratic self-join (value-exact)."""
-    from ray.data.aggregate import Sum as _Sum
 
     US_DAY = np.int64(86_400_000_000)
 
@@ -5999,23 +5731,13 @@ def windowed_pair_join(sf_dir: str, npart: int = 32,
             "sum_lag_us": pa.array(lsum[nz], type=INT64),
         })
 
-    out = bucket_exchange(
+    out = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts", "event_type"])
         .map_batches(scan, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("day") \
-        .aggregate(_Sum("n_pairs", alias_name="n_pairs"),
-                   _Sum("sum_lag_us", alias_name="sum_lag_us"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "day": pc.cast(b["day"], INT64),
-            "n_pairs": pc.cast(b["n_pairs"], INT64),
-            "sum_lag_us": pc.cast(b["sum_lag_us"], INT64),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow").sort("day")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "day", [("n_pairs", "sum"), ("sum_lag_us", "sum")])
+    return sort_result(out, ["day"])
 
 
 # Poisson(1) CDF thresholds scaled to 2^64, truncated at k=8 — PINNED
@@ -6058,11 +5780,10 @@ def bootstrap_ci(sf_dir: str):
                          "s": pa.array(ss, type=INT64),
                          "n": pa.array(ns, type=INT64)})
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_id", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("r").aggregate(Sum("s", alias_name="s"),
-                                Sum("n", alias_name="n"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_id", "value"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "r", [("s", "sum"), ("n", "sum")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     rows = {int(r): (int(s), int(n)) for r, s, n in
             zip(t["r"].to_pylist(), t["s"].to_pylist(),
@@ -6190,7 +5911,6 @@ def activity_streaks(sf_dir: str, npart: int = 32):
     streak) histogram partials fold through a tiny groupby.  No pair
     list, no window function, no per-user Python.
     Oracle: the textbook day - ROW_NUMBER() islands CTE."""
-    from ray.data.aggregate import Sum as _Sum
 
     US_DAY = 86_400_000_000
 
@@ -6232,22 +5952,13 @@ def activity_streaks(sf_dir: str, npart: int = 32):
         return pa.table({"streak_len": pa.array(nz, type=INT64),
                          "n_users": pa.array(hist[nz], type=INT64)})
 
-    out = bucket_exchange(
+    out = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts"])
         .map_batches(scan, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("streak_len") \
-        .aggregate(_Sum("n_users", alias_name="n_users"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "streak_len": pc.cast(b["streak_len"], INT64),
-            "n_users": pc.cast(b["n_users"], INT64),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort("streak_len")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "streak_len", [("n_users", "sum")])
+    return sort_result(out, ["streak_len"])
 
 
 # ---------------------------------------------------------------------------
@@ -6340,21 +6051,16 @@ def cusum_changepoint(sf_dir: str):
     Scale shape: per-batch (day,count) partials → one tiny day groupby
     (O(days) rows) → the series itself is driver-tiny; the scan is the
     only heavy stage."""
-    from ray.data.aggregate import Sum as _Sum
-
     US_DAY = 86_400_000_000
 
     def partial(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "day": pc.cast(pc.floor(pc.divide(
-                pc.cast(b["ts"], INT64), US_DAY)), INT64),
-        }).group_by(["day"]).aggregate([("day", "count")]) \
-            .rename_columns(["day", "n"])
+        return pa.table({"day": pc.cast(pc.floor(pc.divide(
+            pc.cast(b["ts"], INT64), US_DAY)), INT64)})
 
-    daily = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("day").aggregate(_Sum("n", alias_name="n")) \
-        .sort("day").take_all()
+    daily = sort_result(combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["ts"])
+        .map_batches(partial, batch_format="pyarrow"), "day",
+        [("n", "count")]), ["day"]).take_all()
     days = np.array([r["day"] for r in daily], dtype=np.int64)
     cnt = np.array([r["n"] for r in daily], dtype=np.int64)
     n = np.int64(days.size)
@@ -6397,7 +6103,6 @@ def period_movers(sf_dir: str, npart: int = 32):
     partkey groupby reduces them, then every reduce block keeps only
     its local top-20 by (delta, −partkey), so the driver merges
     K×blocks rows, never the part domain."""
-    from ray.data.aggregate import Sum as _Sum
 
     def partial(b: pa.Table) -> pa.Table:
         ep = b["l_extendedprice"].to_numpy(zero_copy_only=False)
@@ -6407,14 +6112,11 @@ def period_movers(sf_dir: str, npart: int = 32):
         ts = b["l_shipdate"].cast(pa.timestamp("us")).cast(INT64) \
             .to_numpy(zero_copy_only=False)
         in_b = ts >= _MOVER_SPLIT_US
-        t = pa.table({
+        return pa.table({
             "p": b["l_partkey"],
             "rev_a": pa.array(np.where(in_b, 0, rev), type=INT64),
             "rev_b": pa.array(np.where(in_b, rev, 0), type=INT64),
         })
-        return t.group_by(["p"]).aggregate(
-            [("rev_a", "sum"), ("rev_b", "sum")]) \
-            .rename_columns(["p", "rev_a", "rev_b"])
 
     def local_topk(b: pa.Table) -> pa.Table:
         if b.num_rows <= _MOVER_K:
@@ -6425,14 +6127,12 @@ def period_movers(sf_dir: str, npart: int = 32):
         order = np.lexsort((p, -delta))[:_MOVER_K]
         return b.take(pa.array(np.sort(order)))
 
-    parts = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
-        columns=["l_partkey", "l_shipdate", "l_extendedprice",
-                 "l_discount"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("p") \
-        .aggregate(_Sum("rev_a", alias_name="rev_a"),
-                   _Sum("rev_b", alias_name="rev_b")) \
+    parts = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_partkey", "l_shipdate",
+                                 "l_extendedprice", "l_discount"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "p", [("rev_a", "sum"), ("rev_b", "sum")]) \
         .map_batches(local_topk, batch_format="pyarrow") \
         .take_all()
     rows = sorted(parts, key=lambda r: (-(r["rev_b"] - r["rev_a"]),
@@ -6470,7 +6170,6 @@ def late_orders(sf_dir: str, npart: int = 32):
     left-joins orders, and emits per-priority (n_orders, n_late)
     partials — a 5-row groupby finishes.  No correlated lookup, no
     second exchange."""
-    from ray.data.aggregate import Sum as _Sum
 
     def li_scan(b: pa.Table) -> pa.Table:
         t = pa.table({
@@ -6508,12 +6207,8 @@ def late_orders(sf_dir: str, npart: int = 32):
             .to_numpy(zero_copy_only=False)
         od = j["odate_us"].to_numpy(zero_copy_only=False)
         late = pa.array(ms > od + _LATE_GRACE_US)
-        t = pa.table({"prio": j["prio"],
-                      "one": pa.nulls(j.num_rows, INT64).fill_null(1),
-                      "late": pc.cast(late, INT64)})
-        return t.group_by(["prio"]).aggregate(
-            [("one", "sum"), ("late", "sum")]) \
-            .rename_columns(["o_orderpriority", "n_orders", "n_late"])
+        return pa.table({"o_orderpriority": j["prio"],
+                         "n_late": pc.cast(late, INT64)})
 
     li = rd.read_parquet(_pq(sf_dir, "lineitem"),
                          columns=["l_orderkey", "l_shipdate"]) \
@@ -6522,21 +6217,11 @@ def late_orders(sf_dir: str, npart: int = 32):
         _pq(sf_dir, "orders"),
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"]) \
         .map_batches(o_scan, batch_format="pyarrow")
-    out = bucket_exchange(
-        li.union(orders), lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("o_orderpriority") \
-        .aggregate(_Sum("n_orders", alias_name="n_orders"),
-                   _Sum("n_late", alias_name="n_late"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderpriority": b["o_orderpriority"],
-            "n_orders": pc.cast(b["n_orders"], INT64),
-            "n_late": pc.cast(b["n_late"], INT64),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort("o_orderpriority")
+    out = combine_buckets(
+        bucket_exchange(li.union(orders),
+                        lambda g: bucket(g.drop_columns(["part"]))),
+        "o_orderpriority", [("n_orders", "count"), ("n_late", "sum")])
+    return sort_result(out, ["o_orderpriority"])
 
 
 # ---------------------------------------------------------------------------
@@ -6556,7 +6241,6 @@ def reconciliation_audit(sf_dir: str, npart: int = 32):
     pre-sum recomputed units per order, orders ride with their stored
     total, buckets classify vectorized and emit 4-row partials.
     sum_abs_diff stays int64 (≈6·10¹⁷ at sf1 — headroom checked)."""
-    from ray.data.aggregate import Sum as _Sum
 
     def li_scan(b: pa.Table) -> pa.Table:
         ep = np.rint(b["l_extendedprice"].to_numpy(
@@ -6602,14 +6286,10 @@ def reconciliation_audit(sf_dir: str, npart: int = 32):
                               np.where(diff * 100 <= tp, 2, 3)))
         names = np.array(["no_lineitems", "exact", "within_1pct",
                           "mismatch"])
-        t = pa.table({
+        return pa.table({
             "bucket": pa.array(names[bucket_id]),
-            "n_orders": pa.nulls(j.num_rows, INT64).fill_null(1),
             "sum_abs_diff": pa.array(diff, type=INT64),
         })
-        return t.group_by(["bucket"]).aggregate(
-            [("n_orders", "sum"), ("sum_abs_diff", "sum")]) \
-            .rename_columns(["bucket", "n_orders", "sum_abs_diff"])
 
     li = rd.read_parquet(
         _pq(sf_dir, "lineitem"),
@@ -6618,21 +6298,11 @@ def reconciliation_audit(sf_dir: str, npart: int = 32):
     orders = rd.read_parquet(
         _pq(sf_dir, "orders"), columns=["o_orderkey", "o_totalprice"]) \
         .map_batches(o_scan, batch_format="pyarrow")
-    out = bucket_exchange(
-        li.union(orders), lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("bucket") \
-        .aggregate(_Sum("n_orders", alias_name="n_orders"),
-                   _Sum("sum_abs_diff", alias_name="sum_abs_diff"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "bucket": b["bucket"],
-            "n_orders": pc.cast(b["n_orders"], INT64),
-            "sum_abs_diff": pc.cast(b["sum_abs_diff"], INT64),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort("bucket")
+    out = combine_buckets(
+        bucket_exchange(li.union(orders),
+                        lambda g: bucket(g.drop_columns(["part"]))),
+        "bucket", [("n_orders", "count"), ("sum_abs_diff", "sum")])
+    return sort_result(out, ["bucket"])
 
 
 # ---------------------------------------------------------------------------
@@ -6653,7 +6323,6 @@ def pareto_cut(sf_dir: str, npart: int = 32, target_ppm: int = 800_000):
     ceiling arithmetic (needed = ⌈total·target⌉, final class takes
     ⌈remaining/c⌉ users).  Nothing sorted, nothing big on the driver.
     Oracle: the same class walk as window sums over the histogram."""
-    from ray.data.aggregate import Sum as _Sum
 
     def scan(b: pa.Table) -> pa.Table:
         t = pa.table({"u": b["user_id"]}) \
@@ -6671,12 +6340,11 @@ def pareto_cut(sf_dir: str, npart: int = 32, target_ppm: int = 800_000):
         return pa.table({"c": pa.array(classes, type=INT64),
                          "m": pa.array(m, type=INT64)})
 
-    hist = bucket_exchange(
+    hist = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id"])
         .map_batches(scan, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("c").aggregate(_Sum("m", alias_name="m")) \
-        .take_all()
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "c", [("m", "sum")]).take_all()
     cls = sorted(((int(r["c"]), int(r["m"])) for r in hist),
                  reverse=True)
     total = sum(c * m for c, m in cls)
@@ -6825,19 +6493,14 @@ def bom_explosion(sf_dir: str, npart: int = 16):
         cents = b["cents"].to_numpy(zero_copy_only=False)
         return pa.table({
             "root": b["ptr"],
-            "one": pa.nulls(b.num_rows, INT64).fill_null(1),
-            "units": b["units"],
-            "ext": pa.array(units * cents, type=INT64),
-        }).group_by(["root"]).aggregate(
-            [("one", "sum"), ("units", "sum"), ("ext", "sum")]) \
-            .rename_columns(["root", "n_components", "total_units",
-                             "ext_cost_cents"])
+            "total_units": b["units"],
+            "ext_cost_cents": pa.array(units * cents, type=INT64),
+        })
 
-    out = state.map_batches(rollup, batch_format="pyarrow") \
-        .groupby("root") \
-        .aggregate(Sum("n_components", alias_name="n_components"),
-                   Sum("total_units", alias_name="total_units"),
-                   Sum("ext_cost_cents", alias_name="ext_cost_cents"))
+    out = combine_buckets(
+        state.map_batches(rollup, batch_format="pyarrow"), "root",
+        [("n_components", "count"), ("total_units", "sum"),
+         ("ext_cost_cents", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -6847,7 +6510,8 @@ def bom_explosion(sf_dir: str, npart: int = 16):
             "ext_cost_cents": pc.cast(b["ext_cost_cents"], INT64),
         })
 
-    return out.map_batches(finish, batch_format="pyarrow").sort("root")
+    return sort_result(out.map_batches(finish, batch_format="pyarrow"),
+                       ["root"])
 
 
 # ---------------------------------------------------------------------------
@@ -6870,14 +6534,8 @@ def apportioned_sample(sf_dir: str):
     driver arithmetic; each batch keeps only its local quota-smallest
     md5 keys per lang (the top-k combiner), so the final per-lang
     selection sees ≤ quota·blocks rows — the corpus never moves."""
-    lang_counts = _docs(sf_dir, columns=["lang"]) \
-        .map_batches(
-            lambda b: pa.table({"lang": b["lang"]})
-            .group_by(["lang"]).aggregate([("lang", "count")])
-            .rename_columns(["lang", "n"]),
-            batch_format="pyarrow") \
-        .groupby("lang").aggregate(Sum("n", alias_name="n")) \
-        .take_all()
+    lang_counts = combine_buckets(_docs(sf_dir, columns=["lang"]), "lang",
+                                  [("n", "count")]).take_all()
     counts = sorted((r["lang"], int(r["n"])) for r in lang_counts)
     total = sum(n for _, n in counts)
     base = {l: _APPORTION_N * n // total for l, n in counts}
@@ -6939,8 +6597,6 @@ def mi_contributions(sf_dir: str):
     arithmetic on the tiny table."""
     import math
 
-    from ray.data.aggregate import Sum as _Sum
-
     US_DAY = 86_400_000_000
 
     def partial(b: pa.Table) -> pa.Table:
@@ -6948,15 +6604,12 @@ def mi_contributions(sf_dir: str):
             pc.cast(b["ts"], INT64), US_DAY)), INT64)
         dow = pa.array(((days.to_numpy(zero_copy_only=False) + 4) % 7)
                        .astype(np.int64))
-        return pa.table({"x": b["event_type"], "dow": dow}) \
-            .group_by(["x", "dow"]).aggregate([("dow", "count")]) \
-            .rename_columns(["x", "dow", "n"])
+        return pa.table({"x": b["event_type"], "dow": dow})
 
-    cells = rd.read_parquet(_pq(sf_dir, "events"),
-                            columns=["event_type", "ts"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["x", "dow"]).aggregate(_Sum("n", alias_name="n")) \
-        .take_all()
+    cells = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "ts"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["x", "dow"], [("n", "count")]).take_all()
     n_x, n_y = {}, {}
     total = 0
     for r in cells:
@@ -7018,11 +6671,9 @@ def pca_label_map(sf_dir: str):
 
     emb = rd.read_parquet(_pq(sf_dir, "embeddings"),
                           columns=["embedding", "label"])
-    agg = emb.map_batches(gram_partial, batch_format="pyarrow") \
-        .groupby(["i", "j"]).aggregate(
-            Sum("sxy", alias_name="sxy"), Sum("sxi", alias_name="sxi"),
-            Sum("sxj", alias_name="sxj"), Sum("n", alias_name="n")) \
-        .take_all()
+    agg = combine_buckets(
+        emb.map_batches(gram_partial, batch_format="pyarrow"), ["i", "j"],
+        [(c, "sum") for c in ("sxy", "sxi", "sxj", "n")]).take_all()
     d = int(max(r["i"] for r in agg)) + 1
     n_total = int(agg[0]["n"])
     cov = np.zeros((d, d))
@@ -7058,10 +6709,9 @@ def pca_label_map(sf_dir: str):
             cols[f"s{dim}"] = pa.array(sums[:, dim], type=INT64)
         return pa.table(cols)
 
-    aggs = [Sum("n", alias_name="n")] + \
-        [Sum(f"s{dim}", alias_name=f"s{dim}") for dim in range(d)]
-    per_label = emb.map_batches(label_partial, batch_format="pyarrow") \
-        .groupby("label").aggregate(*aggs).take_all()
+    per_label = combine_buckets(
+        emb.map_batches(label_partial, batch_format="pyarrow"), "label",
+        [("n", "sum")] + [(f"s{dim}", "sum") for dim in range(d)]).take_all()
     rows = []
     for r in sorted(per_label, key=lambda r: int(r["label"])):
         n = int(r["n"])
@@ -7101,7 +6751,6 @@ def time_weighted_avg(sf_dir: str, npart: int = 32):
     per bucket, shifted compare pairs each event with its successor;
     per-type partials (n, Σdur, Σcents·dur) leave the bucket, a 5-row
     groupby finishes."""
-    from ray.data.aggregate import Sum as _Sum
 
     def partial(b: pa.Table) -> pa.Table:
         part = (b["user_id"].to_numpy(zero_copy_only=False)
@@ -7127,44 +6776,30 @@ def time_weighted_avg(sf_dir: str, npart: int = 32):
         same[-1] = False
         dur_s = np.zeros(len(u), dtype=np.int64)
         dur_s[:-1] = (ts[1:] - ts[:-1]) // 1_000_000
-        t = pa.table({
+        return pa.table({
             "event_type": et,
-            "one": pa.nulls(len(u), INT64).fill_null(1),
-            "dur_s": pa.array(np.where(same, dur_s, 0), type=INT64),
-            "cd": pa.array(np.where(same, dur_s * cents, 0),
-                           type=INT64),
+            "total_dur_s": pa.array(dur_s, type=INT64),
+            "sum_cents_dur": pa.array(dur_s * cents, type=INT64),
         }).filter(pa.array(same))
-        return t.group_by(["event_type"]).aggregate(
-            [("one", "sum"), ("dur_s", "sum"), ("cd", "sum")]) \
-            .rename_columns(["event_type", "n_intervals",
-                             "total_dur_s", "sum_cents_dur"])
 
-    out = bucket_exchange(
+    out = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "event_id", "ts",
                                  "event_type", "value"])
         .map_batches(partial, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("event_type") \
-        .aggregate(_Sum("n_intervals", alias_name="n_intervals"),
-                   _Sum("total_dur_s", alias_name="total_dur_s"),
-                   _Sum("sum_cents_dur", alias_name="sum_cents_dur"))
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "event_type", [("n_intervals", "count"), ("total_dur_s", "sum"),
+                       ("sum_cents_dur", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         dur = b["total_dur_s"].to_numpy(zero_copy_only=False)
         cd = b["sum_cents_dur"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_type": b["event_type"],
-            "n_intervals": pc.cast(b["n_intervals"], INT64),
-            "total_dur_s": pc.cast(b["total_dur_s"], INT64),
-            "sum_cents_dur": pc.cast(b["sum_cents_dur"], INT64),
-            "twa_cents": pa.array(
-                np.where(dur > 0, cd / np.maximum(dur, 1), np.nan),
-                type=pa.float64()),
-        })
+        return b.append_column("twa_cents", pa.array(
+            np.where(dur > 0, cd / np.maximum(dur, 1), np.nan),
+            type=pa.float64()))
 
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort("event_type")
+    return sort_result(out.map_batches(finish, batch_format="pyarrow"),
+                       ["event_type"])
 
 
 # ---------------------------------------------------------------------------
@@ -7297,7 +6932,6 @@ def lifecycle_audit(sf_dir: str, npart: int = 32):
     exchange → per bucket a single group_by folds cross-batch mins and
     one pivoted min-per-type array evaluates ALL rules vectorized →
     3-row (rule, n_both, n_violations) partials."""
-    from ray.data.aggregate import Sum as _Sum
 
     types = sorted({t for pair in _LIFECYCLE_RULES for t in pair})
     t_idx = {t: i for i, t in enumerate(types)}
@@ -7344,23 +6978,13 @@ def lifecycle_audit(sf_dir: str, npart: int = 32):
             "n_violations": pa.array([r[2] for r in rows], type=INT64),
         })
 
-    out = bucket_exchange(
+    out = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "event_type", "ts"])
         .map_batches(partial, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("rule") \
-        .aggregate(_Sum("n_both", alias_name="n_both"),
-                   _Sum("n_violations", alias_name="n_violations"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "rule": b["rule"],
-            "n_both": pc.cast(b["n_both"], INT64),
-            "n_violations": pc.cast(b["n_violations"], INT64),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow").sort("rule")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "rule", [("n_both", "sum"), ("n_violations", "sum")])
+    return sort_result(out, ["rule"])
 
 
 # ---------------------------------------------------------------------------
@@ -7783,9 +7407,8 @@ def promo_effect(sf_dir: str, npart: int = 16):
                                  "l_extendedprice", "l_discount"])
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
-        dim_columns=["p_type"], npart=npart, bucket_finish=bucket) \
-        .groupby("month").aggregate(Sum("num", alias_name="num"),
-                                    Sum("den", alias_name="den"))
+        dim_columns=["p_type"], npart=npart, bucket_finish=bucket)
+    agg = combine_buckets(agg, "month", [("num", "sum"), ("den", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -7794,7 +7417,8 @@ def promo_effect(sf_dir: str, npart: int = 16):
                 pc.divide(pc.cast(b["num"], pa.float64()),
                           pc.cast(b["den"], pa.float64())), 100.0)})
 
-    return agg.map_batches(finish, batch_format="pyarrow").sort("month")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["month"])
 
 
 # ---------------------------------------------------------------------------
@@ -7837,16 +7461,14 @@ def top_supplier(sf_dir: str, npart: int = 16):
         return pa.table({
             "s_suppkey": b["l_suppkey"],
             "rev": pc.multiply(cents, pc.subtract(
-                pa.scalar(100, type=INT64), disc))}) \
-            .group_by(["s_suppkey"]).aggregate([("rev", "sum")]) \
-            .rename_columns(["s_suppkey", "rev"])
+                pa.scalar(100, type=INT64), disc))})
 
-    rev = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                          columns=["l_suppkey", "l_shipdate",
-                                   "l_extendedprice", "l_discount"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("s_suppkey").aggregate(Sum("rev", alias_name="rev")) \
-        .materialize()
+    rev = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_suppkey", "l_shipdate",
+                                 "l_extendedprice", "l_discount"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "s_suppkey", [("rev", "sum")])
 
     mx = rev.max("rev")
 
@@ -7860,8 +7482,8 @@ def top_supplier(sf_dir: str, npart: int = 16):
             "total_revenue": pc.divide(pc.cast(b["rev"], pa.float64()),
                                        10_000.0)})
 
-    return rev.map_batches(finish, batch_format="pyarrow") \
-        .sort("s_suppkey")
+    return sort_result(rev.map_batches(finish, batch_format="pyarrow"),
+                       ["s_suppkey"])
 
 
 # ---------------------------------------------------------------------------
@@ -7950,16 +7572,13 @@ def large_volume_customers(sf_dir: str, min_qty: int = 250,
     orderkey ASC) order; the ≤ k winners' custkeys lookup-join the
     customer scan for c_name.  Dates leave as ISO strings so both
     engines hash identical bytes."""
-    from ..stages.exchange import combine_buckets, lookup_join, with_part
+    from ..stages.exchange import combine_buckets, lookup_join
 
     def qty_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "o_orderkey": b["l_orderkey"],
             "qc": pc.cast(pc.round(pc.multiply(b["l_quantity"], 100.0)),
-                          INT64)}) \
-            .group_by(["o_orderkey"]).aggregate([("qc", "sum")]) \
-            .rename_columns(["o_orderkey", "qc"])
-        return with_part(t, "o_orderkey", npart)
+                          INT64)})
 
     # orderkey fold through the repo's bucket exchange — Ray's native
     # 600k-row Aggregate here cost ~6 s wall at sf0.1 (round-4
@@ -7969,7 +7588,7 @@ def large_volume_customers(sf_dir: str, min_qty: int = 250,
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_orderkey", "l_quantity"])
         .map_batches(qty_partial, batch_format="pyarrow"),
-        "o_orderkey", [("qc", "sum")], names=["o_orderkey", "qc"]) \
+        "o_orderkey", [("qc", "sum")], npart=npart) \
         .map_batches(lambda b: b.filter(pc.greater(
             b["qc"], pa.scalar(min_qty * 100, type=INT64))),
             batch_format="pyarrow") \
@@ -8155,14 +7774,13 @@ def gini_spend(sf_dir: str, npart: int = 32):
         return pa.table({
             "c_custkey": b["o_custkey"],
             "cents": pc.cast(pc.round(pc.multiply(
-                b["o_totalprice"], 100.0)), INT64)}) \
-            .group_by(["c_custkey"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["c_custkey", "cents"])
+                b["o_totalprice"], 100.0)), INT64)})
 
-    spend = rd.read_parquet(_pq(sf_dir, "orders"),
-                            columns=["o_custkey", "o_totalprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("c_custkey").aggregate(Sum("cents", alias_name="cents"))
+    spend = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_totalprice"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "c_custkey", [("cents", "sum")])
 
     ranked = range_sort(
         spend,
@@ -8338,13 +7956,9 @@ def ushape_attribution(sf_dir: str, npart: int = 32):
         sel = touch
         hour = (ts[sel] // 3_600_000_000) % 24
         credit = conv_cents[sel] * ppm[sel]
-        t = pa.table({
+        return pa.table({
             "hour": pa.array(hour.astype(np.int64), type=INT64),
-            "one": pa.array(np.ones(int(sel.sum()), dtype=np.int64)),
             "credit_u": pa.array(credit.astype(np.int64), type=INT64)})
-        return t.group_by(["hour"]).aggregate(
-            [("one", "sum"), ("credit_u", "sum")]) \
-            .rename_columns(["hour", "n_touches", "credit_u"])
 
     agg = bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
@@ -8353,20 +7967,19 @@ def ushape_attribution(sf_dir: str, npart: int = 32):
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("hour").aggregate(Sum("n_touches",
-                                       alias_name="n_touches"),
-                                   Sum("credit_u",
-                                       alias_name="credit_u"))
+        lambda g: bucket(g.drop_columns(["part"])))
+    agg = combine_buckets(agg, "hour",
+                          [("n_touches", "count"), ("credit_u", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
             "hour": b["hour"],
-            "n_touches": pc.cast(b["n_touches"], INT64),
+            "n_touches": b["n_touches"],
             "credited_dollars": pc.divide(
                 pc.cast(b["credit_u"], pa.float64()), 100_000_000.0)})
 
-    return agg.map_batches(finish, batch_format="pyarrow").sort("hour")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["hour"])
 
 
 # ---------------------------------------------------------------------------
@@ -8415,31 +8028,21 @@ def ewma_anomalies(sf_dir: str, npart: int = 32):
             d[k:] += v[:-k] << (_EWMA_DEPTH - k)
         scored = pos >= _EWMA_DEPTH       # full same-user history
         flagged = scored & (v * _EWMA_W > 2 * d)
-        t = pa.table({
+        return pa.table({
             "event_type": et,
             "n_scored": pa.array(scored.astype(np.int64)),
             "n_flagged": pa.array(flagged.astype(np.int64))})
-        return t.group_by(["event_type"]).aggregate(
-            [("n_scored", "sum"), ("n_flagged", "sum")]) \
-            .rename_columns(["event_type", "n_scored", "n_flagged"])
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts", "event_id",
                                  "event_type", "value"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("event_type") \
-        .aggregate(Sum("n_scored", alias_name="n_scored"),
-                   Sum("n_flagged", alias_name="n_flagged")) \
-        .map_batches(lambda b: pa.table({
-            "event_type": b["event_type"],
-            "n_scored": pc.cast(b["n_scored"], INT64),
-            "n_flagged": pc.cast(b["n_flagged"], INT64)}),
-            batch_format="pyarrow") \
-        .sort("event_type")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "event_type", [("n_scored", "sum"), ("n_flagged", "sum")]),
+        ["event_type"])
 
 
 # ---------------------------------------------------------------------------
@@ -8470,18 +8073,12 @@ def split_scan(sf_dir: str):
             pc.divide(cents, pa.scalar(_STUMP_STEP, type=INT64)),
             pa.scalar(_STUMP_BINS - 1, type=INT64))
         pos = pc.cast(pc.equal(b["event_type"], "purchase"), INT64)
-        return pa.table({"bucket": bkt,
-                         "one": pa.nulls(b.num_rows, INT64).fill_null(1),
-                         "pos": pos}) \
-            .group_by(["bucket"]).aggregate(
-                [("one", "sum"), ("pos", "sum")]) \
-            .rename_columns(["bucket", "n", "pos"])
+        return pa.table({"bucket": bkt, "pos": pos})
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").aggregate(Sum("n", alias_name="n"),
-                                     Sum("pos", alias_name="pos"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "bucket", [("n", "count"), ("pos", "sum")])
 
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     order = np.argsort(t["bucket"].to_numpy(zero_copy_only=False))
@@ -8549,11 +8146,7 @@ def brand_triples(sf_dir: str, minsup: int = 40, npart: int = 16):
         bucket_finish=ob_distinct).materialize()
 
     # Apriori prune: brand support floor (tiny, driver-held)
-    sup = ob.map_batches(
-        lambda b: b.select(["b"]).group_by(["b"]).aggregate(
-            [([], "count_all")]).rename_columns(["b", "n"]),
-        batch_format="pyarrow") \
-        .groupby("b").aggregate(Sum("n", alias_name="n"))
+    sup = combine_buckets(ob.select_columns(["b"]), "b", [("n", "count")])
     sup_t = pa.concat_tables(sup.iter_batches(batch_format="pyarrow"))
     freq = set(sup_t.filter(pc.greater_equal(
         sup_t["n"], minsup))["b"].to_pylist())
@@ -8585,19 +8178,14 @@ def brand_triples(sf_dir: str, minsup: int = 40, npart: int = 16):
                     np.char.add(b[i], "|"), np.char.add(
                         b[i + j1], "|")), b[i + j2]))
         if not ks:
-            return pa.table({"key": pa.array([], type=pa.string()),
-                             "n": pa.array([], type=INT64)})
-        key = np.concatenate(ks)
-        return pa.table({"key": pa.array(key),
-                         "n": pa.array(np.ones(len(key), np.int64))}) \
-            .group_by(["key"]).aggregate([("n", "sum")]) \
-            .rename_columns(["key", "n"])
+            return pa.table({"key": pa.array([], type=pa.string())})
+        return pa.table({"key": pa.array(np.concatenate(ks))})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         ob.map_batches(lambda t: with_part(t, "o", npart),
                        batch_format="pyarrow"),
-        lambda g: triples(g.drop_columns(["part"]))) \
-        .groupby("key").aggregate(Sum("n", alias_name="support"))
+        lambda g: triples(g.drop_columns(["part"]))),
+        "key", [("support", "count")])
 
     def finish(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater_equal(t["support"],
@@ -8607,10 +8195,10 @@ def brand_triples(sf_dir: str, minsup: int = 40, npart: int = 16):
             "b1": pc.list_element(parts, 0),
             "b2": pc.list_element(parts, 1),
             "b3": pc.list_element(parts, 2),
-            "support": pc.cast(t["support"], INT64)})
+            "support": t["support"]})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort(["b1", "b2", "b3"])
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["b1", "b2", "b3"])
 
 
 # ---------------------------------------------------------------------------
@@ -8630,40 +8218,31 @@ def simpson_diversity(sf_dir: str):
     exact int64 — the diversity is ONE final double expression per
     source."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({"source": b["source"], "lang": b["lang"],
-                         "n": pa.nulls(b.num_rows, INT64).fill_null(1)}) \
-            .group_by(["source", "lang"]).aggregate([("n", "sum")]) \
-            .rename_columns(["source", "lang", "n"])
+    def langs(b: pa.Table) -> pa.Table:
+        n = b["n_docs"].to_numpy(zero_copy_only=False)
+        return pa.table({"source": b["source"], "n_docs": b["n_docs"],
+                         "sum_nn1": pa.array(n * (n - 1), type=INT64)})
 
-    agg = _docs(sf_dir, columns=["source", "lang"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["source", "lang"]).aggregate(Sum("n", alias_name="n"))
+    agg = combine_buckets(_docs(sf_dir, columns=["source", "lang"]),
+                          ["source", "lang"], [("n_docs", "count")])
+    agg = combine_buckets(agg.map_batches(langs, batch_format="pyarrow"),
+                          "source", [("n_langs", "count"), ("n_docs", "sum"),
+                                     ("sum_nn1", "sum")])
 
-    def finish(b: pa.Table) -> pa.Table:
-        n = b["n"].to_numpy(zero_copy_only=False)
-        t = pa.table({"source": b["source"],
-                      "one": pa.nulls(b.num_rows, INT64).fill_null(1),
-                      "n": b["n"],
-                      "nn1": pa.array(n * (n - 1), type=INT64)}) \
-            .group_by(["source"]).aggregate(
-                [("one", "sum"), ("n", "sum"), ("nn1", "sum")]) \
-            .rename_columns(["source", "n_langs", "n_docs", "sum_nn1"])
+    def finish(t: pa.Table) -> pa.Table:
         nd = t["n_docs"].to_numpy(zero_copy_only=False)
         s1 = t["sum_nn1"].to_numpy(zero_copy_only=False)
         return pa.table({
             "source": t["source"],
-            "n_langs": pc.cast(t["n_langs"], INT64),
-            "n_docs": pc.cast(t["n_docs"], INT64),
+            "n_langs": t["n_langs"],
+            "n_docs": t["n_docs"],
             "simpson": pa.array(
                 1.0 - s1.astype(np.float64)
                 / (nd.astype(np.float64) * (nd - 1).astype(np.float64)),
                 type=pa.float64())})
 
-    # the aggregated (source × lang) table is tiny — fold it in one
-    # block so each source's languages are complete in one pass
-    return agg.repartition(1).map_batches(
-        finish, batch_format="pyarrow").sort("source")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["source"])
 
 
 # ---------------------------------------------------------------------------
@@ -8716,16 +8295,14 @@ def watermark_audit(sf_dir: str, npart: int = 32):
             "event_type": b["event_type"]})
 
     # pass A: per-range max(ts) partials → driver carry-in fold
-    part_max = ds.map_batches(tag, batch_format="pyarrow") \
-        .map_batches(lambda b: b.select(["part", "t"])
-                     .group_by(["part"]).aggregate([("t", "max")])
-                     .rename_columns(["part", "mx"]),
-                     batch_format="pyarrow") \
-        .groupby("part").aggregate(Max("mx", alias_name="mx"))
+    part_max = combine_buckets(
+        ds.map_batches(tag, batch_format="pyarrow").map_batches(
+            lambda b: pa.table({"p": b["part"], "mx": b["t"]}),
+            batch_format="pyarrow"), "p", [("mx", "max")])
     pm = pa.concat_tables(part_max.iter_batches(batch_format="pyarrow"))
     mx = np.full(len(splitters) + 1, np.iinfo(np.int64).min,
                  dtype=np.int64)
-    mx[pm["part"].to_numpy(zero_copy_only=False)] = \
+    mx[pm["p"].to_numpy(zero_copy_only=False)] = \
         pm["mx"].to_numpy(zero_copy_only=False)
     carry = np.concatenate((
         [np.iinfo(np.int64).min],
@@ -8747,33 +8324,18 @@ def watermark_audit(sf_dir: str, npart: int = 32):
         has_pred = prevmax != np.iinfo(np.int64).min
         late = has_pred & (prevmax > t)
         lag = np.where(late, prevmax - t, 0)
-        out = pa.table({
+        return pa.table({
             "event_type": et,
             "n_with_pred": pa.array(has_pred.astype(np.int64)),
             "n_late": pa.array(late.astype(np.int64)),
             "max_lag_us": pa.array(lag, type=INT64),
             "sum_lag_us": pa.array(lag, type=INT64)})
-        return out.group_by(["event_type"]).aggregate(
-            [("n_with_pred", "sum"), ("n_late", "sum"),
-             ("max_lag_us", "max"), ("sum_lag_us", "sum")]) \
-            .rename_columns(["event_type", "n_with_pred", "n_late",
-                             "max_lag_us", "sum_lag_us"])
 
-    agg = bucket_exchange(
-        ds.map_batches(tag, batch_format="pyarrow"), bucket) \
-        .groupby("event_type") \
-        .aggregate(Sum("n_with_pred", alias_name="n_with_pred"),
-                   Sum("n_late", alias_name="n_late"),
-                   Max("max_lag_us", alias_name="max_lag_us"),
-                   Sum("sum_lag_us", alias_name="sum_lag_us"))
-
-    return agg.map_batches(lambda b: pa.table({
-        "event_type": b["event_type"],
-        "n_with_pred": pc.cast(b["n_with_pred"], INT64),
-        "n_late": pc.cast(b["n_late"], INT64),
-        "max_lag_us": pc.cast(b["max_lag_us"], INT64),
-        "sum_lag_us": pc.cast(b["sum_lag_us"], INT64)}),
-        batch_format="pyarrow").sort("event_type")
+    agg = combine_buckets(
+        bucket_exchange(ds.map_batches(tag, batch_format="pyarrow"), bucket),
+        "event_type", [("n_with_pred", "sum"), ("n_late", "sum"),
+                       ("max_lag_us", "max"), ("sum_lag_us", "sum")])
+    return sort_result(agg, ["event_type"])
 
 
 # ---------------------------------------------------------------------------
@@ -8826,15 +8388,13 @@ def monetary_unit_sample(sf_dir: str, npart: int = 32):
             "cents": pc.cast(pc.round(pc.multiply(
                 b["o_totalprice"], 100.0)), INT64)})
 
-    part_sum = ds.map_batches(tag, batch_format="pyarrow") \
-        .map_batches(lambda b: b.select(["part", "cents"])
-                     .group_by(["part"]).aggregate([("cents", "sum")])
-                     .rename_columns(["part", "s"]),
-                     batch_format="pyarrow") \
-        .groupby("part").aggregate(Sum("s", alias_name="s"))
+    part_sum = combine_buckets(
+        ds.map_batches(tag, batch_format="pyarrow").map_batches(
+            lambda b: pa.table({"p": b["part"], "s": b["cents"]}),
+            batch_format="pyarrow"), "p", [("s", "sum")])
     pm = pa.concat_tables(part_sum.iter_batches(batch_format="pyarrow"))
     sums = np.zeros(len(splitters) + 1, dtype=np.int64)
-    sums[pm["part"].to_numpy(zero_copy_only=False)] = \
+    sums[pm["p"].to_numpy(zero_copy_only=False)] = \
         pm["s"].to_numpy(zero_copy_only=False)
     carry = np.concatenate(([0], np.cumsum(sums)[:-1]))
     carry_ref = _ray.put(carry)
@@ -9065,26 +8625,17 @@ def burst_audit(sf_dir: str, npart: int = 32):
                 np.searchsorted(tp, tp + _BURST_WIN_US, side="left")
                 - np.searchsorted(tp, tp, side="left"))
         peak = np.maximum.reduceat(cnt, starts)
-        return pa.table({
-            "peak_60s": pa.array(peak.astype(np.int64), type=INT64),
-            "n_users": pa.array(np.ones(len(peak), dtype=np.int64))}) \
-            .group_by(["peak_60s"]).aggregate([("n_users", "sum")]) \
-            .rename_columns(["peak_60s", "n_users"])
+        return pa.table({"peak_60s": pa.array(peak.astype(np.int64),
+                                              type=INT64)})
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("peak_60s").aggregate(Sum("n_users",
-                                           alias_name="n_users")) \
-        .map_batches(lambda b: pa.table({
-            "peak_60s": b["peak_60s"],
-            "n_users": pc.cast(b["n_users"], INT64)}),
-            batch_format="pyarrow") \
-        .sort("peak_60s")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "peak_60s", [("n_users", "count")]), ["peak_60s"])
 
 
 # ---------------------------------------------------------------------------
@@ -9127,21 +8678,17 @@ def journey_paths(sf_dir: str, k: int = 5, topn: int = 20,
             has = sizes > j
             sep = np.where(path[has] == "", "", ">")
             path[has] = path[has] + sep + et[starts[has] + j]
-        return pa.table({
-            "path": pa.array(path.tolist(), type=pa.string()),
-            "n_users": pa.array(np.ones(len(starts), dtype=np.int64))}) \
-            .group_by(["path"]).aggregate([("n_users", "sum")]) \
-            .rename_columns(["path", "n_users"])
+        return pa.table({"path": pa.array(path.tolist(), type=pa.string())})
 
-    top = bucket_exchange(
+    top = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts", "event_id",
                                  "event_type"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("path").aggregate(Sum("n_users", alias_name="n_users")) \
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "path", [("n_users", "count")]) \
         .sort(["n_users", "path"], descending=[True, False]).limit(topn)
 
     return top.map_batches(lambda b: pa.table({
@@ -9197,23 +8744,17 @@ def collision_detector(sf_dir: str, npart: int = 32):
         m = np.add.reduceat(new_user.astype(np.int64), starts)
         pairs = m * (m - 1) // 2
         hit = pairs > 0
-        return pa.table({
-            "pairs": pa.array(pairs[hit], type=INT64),
-            "n_keys": pa.array(np.ones(int(hit.sum()), dtype=np.int64))})
+        return pa.table({"pairs_per_key": pa.array(pairs[hit], type=INT64)})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts", "value"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "key", npart)
                      .drop_columns(["key"]), batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("pairs").aggregate(Sum("n_keys", alias_name="n_keys"))
-
-    return agg.map_batches(lambda b: pa.table({
-        "pairs_per_key": pc.cast(b["pairs"], INT64),
-        "n_keys": pc.cast(b["n_keys"], INT64)}),
-        batch_format="pyarrow").sort("pairs_per_key")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "pairs_per_key", [("n_keys", "count")])
+    return sort_result(agg, ["pairs_per_key"])
 
 
 # ---------------------------------------------------------------------------
@@ -9342,41 +8883,26 @@ def k_anonymity(sf_dir: str):
         return pa.table({
             "nat": pc.cast(b["c_nationkey"], INT64),
             "seg": b["c_mktsegment"],
-            "bal_bin": pa.array(bal_bin, type=INT64),
-            "n": pa.nulls(b.num_rows, INT64).fill_null(1)}) \
-            .group_by(["nat", "seg", "bal_bin"]) \
-            .aggregate([("n", "sum")]) \
-            .rename_columns(["nat", "seg", "bal_bin", "n"])
+            "bal_bin": pa.array(bal_bin, type=INT64)})
 
-    classes = rd.read_parquet(_pq(sf_dir, "customer"),
-                              columns=["c_nationkey", "c_mktsegment",
-                                       "c_acctbal"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["nat", "seg", "bal_bin"]) \
-        .aggregate(Sum("n", alias_name="k"))
-
-    hist = classes.map_batches(
-        lambda b: pa.table({
-            "class_size": b["k"],
-            "n_classes": pa.nulls(b.num_rows, INT64).fill_null(1),
-            "n_customers": b["k"]}) .group_by(["class_size"])
-        .aggregate([("n_classes", "sum"), ("n_customers", "sum")])
-        .rename_columns(["class_size", "n_classes", "n_customers"]),
-        batch_format="pyarrow") \
-        .groupby("class_size") \
-        .aggregate(Sum("n_classes", alias_name="n_classes"),
-                   Sum("n_customers", alias_name="n_customers"))
+    classes = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_nationkey", "c_mktsegment",
+                                 "c_acctbal"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["nat", "seg", "bal_bin"], [("class_size", "count")])
+    hist = combine_buckets(
+        classes.map_batches(lambda b: pa.table({
+            "class_size": b["class_size"],
+            "n_customers": b["class_size"]}), batch_format="pyarrow"),
+        "class_size", [("n_classes", "count"), ("n_customers", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         k = b["class_size"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "class_size": pc.cast(b["class_size"], INT64),
-            "n_classes": pc.cast(b["n_classes"], INT64),
-            "n_customers": pc.cast(b["n_customers"], INT64),
-            "risky": pa.array(k < 5)})
+        return b.append_column("risky", pa.array(k < 5))
 
-    return hist.map_batches(finish, batch_format="pyarrow") \
-        .sort("class_size")
+    return sort_result(hist.map_batches(finish, batch_format="pyarrow"),
+                       ["class_size"])
 
 
 # ---------------------------------------------------------------------------
@@ -9578,16 +9104,14 @@ def abc_classification(sf_dir: str, npart: int = 32):
         return pa.table({
             "p": b["l_partkey"],
             "r": pc.multiply(cents, pc.subtract(
-                pa.scalar(100, type=INT64), disc))}) \
-            .group_by(["p"]).aggregate([("r", "sum")]) \
-            .rename_columns(["p", "r"])
+                pa.scalar(100, type=INT64), disc))})
 
-    pr = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_partkey", "l_extendedprice",
-                                  "l_discount"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("p").aggregate(Sum("r", alias_name="r")) \
-        .materialize()
+    pr = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_partkey", "l_extendedprice",
+                                 "l_discount"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "p", [("r", "sum")])
 
     big = np.int64(0x7FFFFFFFFFFFFFF0)
 
@@ -9613,15 +9137,13 @@ def abc_classification(sf_dir: str, npart: int = 32):
                                side="right").astype(np.int32)
         return b.append_column("part", pa.array(part))
 
-    part_sum = pr.map_batches(tag, batch_format="pyarrow") \
-        .map_batches(lambda b: b.select(["part", "r"])
-                     .group_by(["part"]).aggregate([("r", "sum")])
-                     .rename_columns(["part", "s"]),
-                     batch_format="pyarrow") \
-        .groupby("part").aggregate(Sum("s", alias_name="s"))
+    part_sum = combine_buckets(
+        pr.map_batches(tag, batch_format="pyarrow").map_batches(
+            lambda b: pa.table({"p": b["part"], "s": b["r"]}),
+            batch_format="pyarrow"), "p", [("s", "sum")])
     pm = pa.concat_tables(part_sum.iter_batches(batch_format="pyarrow"))
     sums = np.zeros(len(splitters) + 1, dtype=np.int64)
-    sums[pm["part"].to_numpy(zero_copy_only=False)] = \
+    sums[pm["p"].to_numpy(zero_copy_only=False)] = \
         pm["s"].to_numpy(zero_copy_only=False)
     total = int(sums.sum())
     carry = np.concatenate(([0], np.cumsum(sums)[:-1]))
@@ -9642,30 +9164,25 @@ def abc_classification(sf_dir: str, npart: int = 32):
         thr_b = min((19 * total) // 20, np.iinfo(np.int64).max)
         cls = np.where(cum <= thr_a, "A",
                        np.where(cum <= thr_b, "B", "C"))
-        return pa.table({
-            "cls": pa.array(cls.tolist(), type=pa.string()),
-            "n_parts": pa.array(np.ones(len(k), dtype=np.int64)),
-            "r": pa.array(r, type=INT64)}) \
-            .group_by(["cls"]).aggregate(
-                [("n_parts", "sum"), ("r", "sum")]) \
-            .rename_columns(["cls", "n_parts", "r"])
+        return pa.table({"cls": pa.array(cls.tolist(), type=pa.string()),
+                         "r": pa.array(r, type=INT64)})
 
-    agg = bucket_exchange(
-        pr.map_batches(tag, batch_format="pyarrow"), bucket) \
-        .groupby("cls").aggregate(Sum("n_parts", alias_name="n_parts"),
-                                  Sum("r", alias_name="r"))
+    agg = combine_buckets(
+        bucket_exchange(pr.map_batches(tag, batch_format="pyarrow"), bucket),
+        "cls", [("n_parts", "count"), ("r", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         r = b["r"].to_numpy(zero_copy_only=False)
         return pa.table({
             "cls": b["cls"],
-            "n_parts": pc.cast(b["n_parts"], INT64),
+            "n_parts": b["n_parts"],
             "revenue": pa.array(r.astype(np.float64) / 10_000.0,
                                 type=pa.float64()),
             "share": pa.array(r.astype(np.float64) / float(total),
                               type=pa.float64())})
 
-    return agg.map_batches(finish, batch_format="pyarrow").sort("cls")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["cls"])
 
 
 # ---------------------------------------------------------------------------
@@ -9709,27 +9226,19 @@ def bounce_rate(sf_dir: str, gap_minutes: int = 30, npart: int = 32):
         entry = et.take(pa.array(fpos))
         return pa.table({
             "entry_type": entry,
-            "sessions": pa.array(np.ones(len(fpos), dtype=np.int64)),
             "bounces": pa.array((slen == 1).astype(np.int64)),
-            "events": pa.array(slen.astype(np.int64))}) \
-            .group_by(["entry_type"]).aggregate(
-                [("sessions", "sum"), ("bounces", "sum"),
-                 ("events", "sum")]) \
-            .rename_columns(["entry_type", "sessions", "bounces",
-                             "events"])
+            "events": pa.array(slen.astype(np.int64))})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts", "event_id",
                                  "event_type"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("entry_type") \
-        .aggregate(Sum("sessions", alias_name="sessions"),
-                   Sum("bounces", alias_name="bounces"),
-                   Sum("events", alias_name="events"))
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "entry_type", [("sessions", "count"), ("bounces", "sum"),
+                       ("events", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         s = b["sessions"].to_numpy(zero_copy_only=False)
@@ -9743,8 +9252,8 @@ def bounce_rate(sf_dir: str, gap_minutes: int = 30, npart: int = 32):
                 bo.astype(np.float64) / s.astype(np.float64),
                 type=pa.float64())})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("entry_type")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["entry_type"])
 
 
 # ---------------------------------------------------------------------------
@@ -9787,26 +9296,17 @@ def linenumber_audit(sf_dir: str, npart: int = 32):
         ok = (~dup) & (mn == 1) & (mx == sizes)
         status = np.where(dup, "duplicated",
                           np.where(ok, "ok", "gapped"))
-        return pa.table({
-            "status": pa.array(status.tolist(), type=pa.string()),
-            "n_orders": pa.array(np.ones(len(starts), dtype=np.int64))}) \
-            .group_by(["status"]).aggregate([("n_orders", "sum")]) \
-            .rename_columns(["status", "n_orders"])
+        return pa.table({"status": pa.array(status.tolist(),
+                                            type=pa.string())})
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_orderkey", "l_linenumber"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "o", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("status").aggregate(Sum("n_orders",
-                                         alias_name="n_orders")) \
-        .map_batches(lambda b: pa.table({
-            "status": b["status"],
-            "n_orders": pc.cast(b["n_orders"], INT64)}),
-            batch_format="pyarrow") \
-        .sort("status")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "status", [("n_orders", "count")]), ["status"])
 
 
 # ---------------------------------------------------------------------------
@@ -9844,13 +9344,7 @@ def presence_census(sf_dir: str, npart: int = 32):
         starts = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
         bits = np.int64(1) << (y - _PRESENCE_BASE_YEAR)
         mask = np.add.reduceat(bits, starts)
-        return pa.table({
-            "presence_mask": pa.array(mask, type=INT64),
-            "n_customers": pa.array(np.ones(len(starts),
-                                            dtype=np.int64))}) \
-            .group_by(["presence_mask"]) \
-            .aggregate([("n_customers", "sum")]) \
-            .rename_columns(["presence_mask", "n_customers"])
+        return pa.table({"presence_mask": pa.array(mask, type=INT64)})
 
     def finish(b: pa.Table) -> pa.Table:
         m = b["presence_mask"].to_numpy(zero_copy_only=False)
@@ -9860,21 +9354,20 @@ def presence_census(sf_dir: str, npart: int = 32):
             n_years += mm & 1
             mm >>= 1
         return pa.table({
-            "presence_mask": pc.cast(b["presence_mask"], INT64),
+            "presence_mask": b["presence_mask"],
             "n_years": pa.array(n_years, type=INT64),
-            "n_customers": pc.cast(b["n_customers"], INT64)})
+            "n_customers": b["n_customers"]})
 
-    return bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "orders"),
                         columns=["o_custkey", "o_orderdate"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("presence_mask") \
-        .aggregate(Sum("n_customers", alias_name="n_customers")) \
-        .map_batches(finish, batch_format="pyarrow") \
-        .sort("presence_mask")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "presence_mask", [("n_customers", "count")])
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["presence_mask"])
 
 
 # ---------------------------------------------------------------------------
@@ -9900,18 +9393,15 @@ def churn_report(sf_dir: str, horizon_days: int = 365,
     def partial(b: pa.Table) -> pa.Table:
         return pa.table({
             "c_custkey": b["o_custkey"],
-            "d": pc.cast(pc.divide(pc.cast(b["o_orderdate"], INT64),
-                                   pa.scalar(86_400_000_000,
-                                             type=INT64)), INT64)}) \
-            .group_by(["c_custkey"]).aggregate([("d", "max")]) \
-            .rename_columns(["c_custkey", "last_day"])
+            "last_day": pc.cast(pc.divide(
+                pc.cast(b["o_orderdate"], INT64),
+                pa.scalar(86_400_000_000, type=INT64)), INT64)})
 
-    last = rd.read_parquet(_pq(sf_dir, "orders"),
-                           columns=["o_custkey", "o_orderdate"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("c_custkey") \
-        .aggregate(Max("last_day", alias_name="last_day")) \
-        .materialize()
+    last = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_orderdate"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "c_custkey", [("last_day", "max")])
     global_last = int(last.max("last_day"))
     cut = global_last - horizon_days
 
@@ -9931,9 +9421,8 @@ def churn_report(sf_dir: str, horizon_days: int = 365,
         dim_key="c_custkey", dim_columns=["c_nationkey"], npart=npart,
         bucket_finish=agg_nation)
 
-    agg = joined.groupby("c_nationkey") \
-        .aggregate(Sum("n_customers", alias_name="n_customers"),
-                   Sum("n_churned", alias_name="n_churned"))
+    agg = combine_buckets(joined, "c_nationkey",
+                          [("n_customers", "sum"), ("n_churned", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         n = b["n_customers"].to_numpy(zero_copy_only=False)
@@ -9946,8 +9435,8 @@ def churn_report(sf_dir: str, horizon_days: int = 365,
                 ch.astype(np.float64) / n.astype(np.float64),
                 type=pa.float64())})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("c_nationkey")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["c_nationkey"])
 
 
 # ---------------------------------------------------------------------------
@@ -10014,15 +9503,13 @@ def weekday_seasonality(sf_dir: str):
         return pa.table({
             "dow": pa.array((d + 3) % 7, type=INT64),  # 0 = Monday
             "day": pa.array(d, type=INT64),
-            "cents": cents}) \
-            .group_by(["dow", "day"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["dow", "day", "cents"])
+            "cents": cents})
 
-    per_day = rd.read_parquet(_pq(sf_dir, "orders"),
-                              columns=["o_orderdate", "o_totalprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["dow", "day"]).aggregate(Sum("cents",
-                                               alias_name="cents"))
+    per_day = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_orderdate", "o_totalprice"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["dow", "day"], [("cents", "sum")])
 
     t = pa.concat_tables(per_day.iter_batches(batch_format="pyarrow"))
     dow = t["dow"].to_numpy(zero_copy_only=False)
@@ -10074,16 +9561,13 @@ def priority_mix_shift(sf_dir: str, year_a: int = 1996,
         return pa.table({
             "priority": b["o_orderpriority"],
             "n_a": pc.cast(in_a, INT64),
-            "n_b": pc.cast(in_b, INT64)}) \
-            .group_by(["priority"]).aggregate(
-                [("n_a", "sum"), ("n_b", "sum")]) \
-            .rename_columns(["priority", "n_a", "n_b"])
+            "n_b": pc.cast(in_b, INT64)})
 
-    agg = rd.read_parquet(_pq(sf_dir, "orders"),
-                          columns=["o_orderpriority", "o_orderdate"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("priority").aggregate(Sum("n_a", alias_name="n_a"),
-                                       Sum("n_b", alias_name="n_b"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_orderpriority", "o_orderdate"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "priority", [("n_a", "sum"), ("n_b", "sum")])
 
     def finish(t: pa.Table) -> pa.Table:
         na = t["n_a"].to_numpy(zero_copy_only=False)
@@ -10100,9 +9584,9 @@ def priority_mix_shift(sf_dir: str, year_a: int = 1996,
             "share_b_ppm": sb,
             "delta_ppm": pc.subtract(sb, sa)})
 
-    # the aggregated table is <=|priorities| rows — close in one block
-    return agg.repartition(1).map_batches(
-        finish, batch_format="pyarrow").sort("priority")
+    # the aggregated table is <=|priorities| rows — close on the driver
+    return finish(pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))) \
+        .sort_by("priority")
 
 
 # ---------------------------------------------------------------------------
@@ -10136,22 +9620,17 @@ def basket_width(sf_dir: str, npart: int = 32):
         o = o[uniq]
         starts = np.flatnonzero(np.concatenate(([True], o[1:] != o[:-1])))
         width = np.diff(np.append(starts, len(o)))
-        return pa.table({
-            "width": pa.array(width.astype(np.int64), type=INT64),
-            "n_orders": pa.array(np.ones(len(starts),
-                                         dtype=np.int64))}) \
-            .group_by(["width"]).aggregate([("n_orders", "sum")]) \
-            .rename_columns(["width", "n_orders"])
+        return pa.table({"width": pa.array(width.astype(np.int64),
+                                           type=INT64)})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_orderkey", "l_partkey"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "o", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("width").aggregate(Sum("n_orders",
-                                        alias_name="n_orders"))
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "width", [("n_orders", "count")])
 
     def finish(t: pa.Table) -> pa.Table:
         n = t["n_orders"].to_numpy(zero_copy_only=False)
@@ -10162,8 +9641,8 @@ def basket_width(sf_dir: str, npart: int = 32):
             "share": pa.array(n.astype(np.float64) / float(total),
                               type=pa.float64())})
 
-    return agg.repartition(1).map_batches(
-        finish, batch_format="pyarrow").sort("width")
+    return finish(pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))) \
+        .sort_by("width")
 
 
 # ---------------------------------------------------------------------------
@@ -10190,16 +9669,11 @@ def supplier_balance(sf_dir: str):
     sup_nat = np.full(int(sk.max()) + 1, -1, dtype=np.int64)
     sup_nat[sk] = sn
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({"s": b["l_suppkey"],
-                         "c": pa.nulls(b.num_rows, INT64).fill_null(1)}) \
-            .group_by(["s"]).aggregate([("c", "sum")]) \
-            .rename_columns(["s", "c"])
-
-    per_sup = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                              columns=["l_suppkey"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("s").aggregate(Sum("c", alias_name="c"))
+    per_sup = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "lineitem"), columns=["l_suppkey"])
+        .map_batches(lambda b: pa.table({"s": b["l_suppkey"]}),
+                     batch_format="pyarrow"),
+        "s", [("c", "count")])
 
     def moments(b: pa.Table) -> pa.Table:
         s = b["s"].to_numpy(zero_copy_only=False)
@@ -10208,17 +9682,12 @@ def supplier_balance(sf_dir: str):
                        sup_nat[np.minimum(s, len(sup_nat) - 1)], -1)
         return pa.table({
             "nat": pa.array(nat, type=INT64),
-            "n": pa.nulls(b.num_rows, INT64).fill_null(1),
             "sc": pa.array(c, type=INT64),
-            "scc": pa.array(c * c, type=INT64)}) \
-            .group_by(["nat"]).aggregate(
-                [("n", "sum"), ("sc", "sum"), ("scc", "sum")]) \
-            .rename_columns(["nat", "n", "sc", "scc"])
+            "scc": pa.array(c * c, type=INT64)})
 
-    agg = per_sup.map_batches(moments, batch_format="pyarrow") \
-        .groupby("nat").aggregate(Sum("n", alias_name="n"),
-                                  Sum("sc", alias_name="sc"),
-                                  Sum("scc", alias_name="scc"))
+    agg = combine_buckets(per_sup.map_batches(moments, batch_format="pyarrow"),
+                          "nat", [("n", "count"), ("sc", "sum"),
+                                  ("scc", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy(zero_copy_only=False)
@@ -10232,8 +9701,8 @@ def supplier_balance(sf_dir: str):
             "n_lineitems": pc.cast(b["sc"], INT64),
             "load_cv": pa.array(cv, type=pa.float64())})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("n_nationkey")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["n_nationkey"])
 
 
 # ---------------------------------------------------------------------------
@@ -10276,9 +9745,8 @@ def brand_cr3(sf_dir: str, k: int = 3, npart: int = 16):
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
         dim_columns=["p_brand"], npart=npart,
-        bucket_finish=brand_partial) \
-        .groupby(["p_brand", "l_partkey"]) \
-        .aggregate(Sum("rev", alias_name="rev"))
+        bucket_finish=brand_partial)
+    bp = combine_buckets(bp, ["p_brand", "l_partkey"], [("rev", "sum")])
 
     def bucket(g: pa.Table) -> pa.Table:
         br = np.asarray(g["p_brand"])
@@ -10365,28 +9833,17 @@ def first_ship_share(sf_dir: str, npart: int = 32):
         np.add.at(first, gi[m], r[m])
         multi = sizes > 1
         band = (first[multi] * 10) // np.maximum(total[multi], 1)
-        return pa.table({
-            "band": pa.array(np.minimum(band, 9), type=INT64),
-            "n_orders": pa.array(np.ones(int(multi.sum()),
-                                         dtype=np.int64))}) \
-            .group_by(["band"]).aggregate([("n_orders", "sum")]) \
-            .rename_columns(["band", "n_orders"])
+        return pa.table({"band": pa.array(np.minimum(band, 9), type=INT64)})
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_orderkey", "l_shipdate",
                                  "l_extendedprice", "l_discount"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "o", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("band").aggregate(Sum("n_orders",
-                                       alias_name="n_orders")) \
-        .map_batches(lambda b: pa.table({
-            "band": pc.cast(b["band"], INT64),
-            "n_orders": pc.cast(b["n_orders"], INT64)}),
-            batch_format="pyarrow") \
-        .sort("band")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "band", [("n_orders", "count")]), ["band"])
 
 
 # ---------------------------------------------------------------------------
@@ -10426,33 +9883,47 @@ def type_run_lengths(sf_dir: str, npart: int = 32):
         rl = np.diff(np.append(fpos, n))
         return pa.table({
             "event_type": pa.array(et[fpos].tolist(), type=pa.string()),
-            "run_len": pa.array(rl.astype(np.int64), type=INT64),
-            "n_runs": pa.array(np.ones(len(fpos), dtype=np.int64))}) \
-            .group_by(["event_type", "run_len"]) \
-            .aggregate([("n_runs", "sum")]) \
-            .rename_columns(["event_type", "run_len", "n_runs"])
+            "run_len": pa.array(rl.astype(np.int64), type=INT64)})
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts", "event_id",
                                  "event_type"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby(["event_type", "run_len"]) \
-        .aggregate(Sum("n_runs", alias_name="n_runs")) \
-        .map_batches(lambda b: pa.table({
-            "event_type": b["event_type"],
-            "run_len": pc.cast(b["run_len"], INT64),
-            "n_runs": pc.cast(b["n_runs"], INT64)}),
-            batch_format="pyarrow") \
-        .sort(["event_type", "run_len"])
+        lambda g: bucket(g.drop_columns(["part"]))),
+        ["event_type", "run_len"], [("n_runs", "count")]),
+        ["event_type", "run_len"])
 
 
 # ---------------------------------------------------------------------------
 # Q225: exact two-sample Kolmogorov–Smirnov distance
 # ---------------------------------------------------------------------------
+
+
+def _cents_histograms(sf_dir: str, type_a: str, type_b: str):
+    """(c1, c2): per distinct value-in-cents (ascending) the event
+    counts of ``type_a`` and of ``type_b``."""
+
+    def partial(b: pa.Table) -> pa.Table:
+        et = b["event_type"]
+        b = b.filter(pc.or_(pc.equal(et, type_a), pc.equal(et, type_b)))
+        is_a = pc.cast(pc.equal(b["event_type"], type_a), INT64)
+        return pa.table({
+            "cents": pc.cast(pc.round(pc.multiply(b["value"], 100.0)),
+                             INT64),
+            "c1": is_a,
+            "c2": pc.subtract(pa.scalar(1, type=INT64), is_a)})
+
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "cents", [("c1", "sum"), ("c2", "sum")])
+    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    order = np.argsort(t["cents"].to_numpy(zero_copy_only=False))
+    return (t["c1"].to_numpy(zero_copy_only=False)[order],
+            t["c2"].to_numpy(zero_copy_only=False)[order])
 
 
 def ks_distance(sf_dir: str, type_a: str = "click",
@@ -10468,30 +9939,7 @@ def ks_distance(sf_dir: str, type_a: str = "click",
     on the BOUNDED value domain (cents ≤ 49102 regardless of scale) →
     driver cumsum walk over ≤49k rows."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        et = b["event_type"]
-        keep = pc.or_(pc.equal(et, type_a), pc.equal(et, type_b))
-        b = b.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100.0)), INT64)
-        is_a = pc.cast(pc.equal(b["event_type"], type_a), INT64)
-        return pa.table({
-            "cents": cents,
-            "c1": is_a,
-            "c2": pc.subtract(pa.scalar(1, type=INT64), is_a)}) \
-            .group_by(["cents"]).aggregate(
-                [("c1", "sum"), ("c2", "sum")]) \
-            .rename_columns(["cents", "c1", "c2"])
-
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("cents").aggregate(Sum("c1", alias_name="c1"),
-                                    Sum("c2", alias_name="c2"))
-
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
-    order = np.argsort(t["cents"].to_numpy(zero_copy_only=False))
-    c1 = t["c1"].to_numpy(zero_copy_only=False)[order]
-    c2 = t["c2"].to_numpy(zero_copy_only=False)[order]
+    c1, c2 = _cents_histograms(sf_dir, type_a, type_b)
     n1, n2 = int(c1.sum()), int(c2.sum())
     f1 = np.cumsum(c1)
     f2 = np.cumsum(c2)
@@ -10549,10 +9997,10 @@ def fulfillment_sla(sf_dir: str, sla_days: int = 60, npart: int = 16):
             .group_by(["priority", "lag"]).aggregate([("n", "sum")]) \
             .rename_columns(["priority", "lag", "n"])
 
-    agg = hash_join(lines, orders, "l_orderkey", npart=npart,
-                    bucket_finish=hist_partial) \
-        .groupby(["priority", "lag"]).aggregate(Sum("n",
-                                                    alias_name="n"))
+    agg = combine_buckets(
+        hash_join(lines, orders, "l_orderkey", npart=npart,
+                  bucket_finish=hist_partial),
+        ["priority", "lag"], [("n", "sum")])
 
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     pr = np.asarray(t["priority"])
@@ -10599,30 +10047,7 @@ def mann_whitney_u(sf_dir: str, type_a: str = "view",
     Scale shape: identical to q225 — bounded cents-domain histogram
     partials, one tiny groupby, driver cumsum walk."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        et = b["event_type"]
-        keep = pc.or_(pc.equal(et, type_a), pc.equal(et, type_b))
-        b = b.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100.0)), INT64)
-        is_a = pc.cast(pc.equal(b["event_type"], type_a), INT64)
-        return pa.table({
-            "cents": cents,
-            "c1": is_a,
-            "c2": pc.subtract(pa.scalar(1, type=INT64), is_a)}) \
-            .group_by(["cents"]).aggregate(
-                [("c1", "sum"), ("c2", "sum")]) \
-            .rename_columns(["cents", "c1", "c2"])
-
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("cents").aggregate(Sum("c1", alias_name="c1"),
-                                    Sum("c2", alias_name="c2"))
-
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
-    order = np.argsort(t["cents"].to_numpy(zero_copy_only=False))
-    c1 = t["c1"].to_numpy(zero_copy_only=False)[order]
-    c2 = t["c2"].to_numpy(zero_copy_only=False)[order]
+    c1, c2 = _cents_histograms(sf_dir, type_a, type_b)
     n1, n2 = int(c1.sum()), int(c2.sum())
     f2_before = np.concatenate(([0], np.cumsum(c2)[:-1]))
     u2 = int((c1 * (2 * f2_before + c2)).sum())     # = 2·U₁
@@ -10657,20 +10082,13 @@ def round_number_bias(sf_dir: str):
         frac = cents % 100
         return pa.table({
             "event_type": b["event_type"],
-            "n": pa.nulls(b.num_rows, INT64).fill_null(1),
             "whole": pa.array((frac == 0).astype(np.int64)),
-            "half": pa.array((frac == 50).astype(np.int64))}) \
-            .group_by(["event_type"]).aggregate(
-                [("n", "sum"), ("whole", "sum"), ("half", "sum")]) \
-            .rename_columns(["event_type", "n", "whole", "half"])
+            "half": pa.array((frac == 50).astype(np.int64))})
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("event_type") \
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("whole", alias_name="whole"),
-                   Sum("half", alias_name="half"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "event_type", [("n", "count"), ("whole", "sum"), ("half", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy(zero_copy_only=False)
@@ -10686,8 +10104,8 @@ def round_number_bias(sf_dir: str):
             "half_ppm": pa.array(h * 1_000_000 // np.maximum(n, 1),
                                  type=INT64)})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("event_type")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["event_type"])
 
 
 # ---------------------------------------------------------------------------
@@ -10719,27 +10137,17 @@ def supplier_fanout(sf_dir: str, npart: int = 32):
         p = p[uniq]
         starts = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
         sizes = np.diff(np.append(starts, len(p)))
-        return pa.table({
-            "fanout": pa.array(sizes.astype(np.int64), type=INT64),
-            "n_parts": pa.array(np.ones(len(starts),
-                                        dtype=np.int64))}) \
-            .group_by(["fanout"]).aggregate([("n_parts", "sum")]) \
-            .rename_columns(["fanout", "n_parts"])
+        return pa.table({"fanout": pa.array(sizes.astype(np.int64),
+                                            type=INT64)})
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_partkey", "l_suppkey"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "p", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("fanout") \
-        .aggregate(Sum("n_parts", alias_name="n_parts")) \
-        .map_batches(lambda b: pa.table({
-            "fanout": pc.cast(b["fanout"], INT64),
-            "n_parts": pc.cast(b["n_parts"], INT64)}),
-            batch_format="pyarrow") \
-        .sort("fanout")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "fanout", [("n_parts", "count")]), ["fanout"])
 
 
 # ---------------------------------------------------------------------------
@@ -10790,28 +10198,17 @@ def spend_trajectory(sf_dir: str, min_orders: int = 3,
         keep = nn >= min_orders
         cls = np.where(num[keep] > 0, "rising",
                        np.where(num[keep] < 0, "falling", "flat"))
-        return pa.table({
-            "trend": pa.array(cls.tolist(), type=pa.string()),
-            "n_customers": pa.array(np.ones(int(keep.sum()),
-                                            dtype=np.int64))}) \
-            .group_by(["trend"]).aggregate([("n_customers", "sum")]) \
-            .rename_columns(["trend", "n_customers"])
+        return pa.table({"trend": pa.array(cls.tolist(), type=pa.string())})
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "orders"),
                         columns=["o_custkey", "o_orderdate",
                                  "o_orderkey", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("trend") \
-        .aggregate(Sum("n_customers", alias_name="n_customers")) \
-        .map_batches(lambda b: pa.table({
-            "trend": b["trend"],
-            "n_customers": pc.cast(b["n_customers"], INT64)}),
-            batch_format="pyarrow") \
-        .sort("trend")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "trend", [("n_customers", "count")]), ["trend"])
 
 
 # ---------------------------------------------------------------------------
@@ -10836,17 +10233,13 @@ def kendall_tau(sf_dir: str):
         band = pc.divide(pc.cast(pc.round(pc.multiply(
             b["p_retailprice"], 100.0)), INT64),
             pa.scalar(1_000, type=INT64))
-        return pa.table({
-            "size": pc.cast(b["p_size"], INT64),
-            "band": band,
-            "n": pa.nulls(b.num_rows, INT64).fill_null(1)}) \
-            .group_by(["size", "band"]).aggregate([("n", "sum")]) \
-            .rename_columns(["size", "band", "n"])
+        return pa.table({"size": pc.cast(b["p_size"], INT64), "band": band})
 
-    agg = rd.read_parquet(_pq(sf_dir, "part"),
-                          columns=["p_size", "p_retailprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["size", "band"]).aggregate(Sum("n", alias_name="n"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "part"),
+                        columns=["p_size", "p_retailprice"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["size", "band"], [("n", "count")])
 
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     sz = t["size"].to_numpy(zero_copy_only=False)
@@ -10901,46 +10294,21 @@ def stickiness(sf_dir: str, npart: int = 32):
         day = pc.cast(pc.divide(pc.cast(b["ts"], INT64),
                                 pa.scalar(86_400_000_000, type=INT64)),
                       INT64)
-        return pa.table({"day": day, "user_id": b["user_id"]}) \
-            .group_by(["day", "user_id"]).aggregate([])
+        return pa.table({"day": day, "user_id": b["user_id"]})
 
-    from ray.data.aggregate import Count as _Count
-
-    du = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["ts", "user_id"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["day", "user_id"]) \
-        .aggregate(_Count(alias_name="_c")) \
-        .map_batches(lambda b: b.drop_columns(["_c"]),
-                     batch_format="pyarrow").materialize()
+    du = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "user_id"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["day", "user_id"], [])
+    weeks = du.map_batches(lambda b: pa.table({
+        "week": pa.array(b["day"].to_numpy(zero_copy_only=False) // 7,
+                         type=INT64),
+        "user_id": b["user_id"]}), batch_format="pyarrow").materialize()
 
     # (week, user) distinct for WAU needs its own exchange
-    wau = du.map_batches(
-        lambda b: pa.table({
-            "week": pa.array(
-                b["day"].to_numpy(zero_copy_only=False) // 7,
-                type=INT64),
-            "user_id": b["user_id"]}).group_by(
-                ["week", "user_id"]).aggregate([]),
-        batch_format="pyarrow") \
-        .groupby(["week", "user_id"]) \
-        .aggregate(_Count(alias_name="_c")) \
-        .map_batches(lambda b: pa.table({
-            "week": b["week"],
-            "wau": pa.nulls(b.num_rows, INT64).fill_null(1)}),
-            batch_format="pyarrow") \
-        .groupby("week").aggregate(Sum("wau", alias_name="wau"))
-
-    dau = du.map_batches(
-        lambda b: pa.table({
-            "week": pa.array(
-                b["day"].to_numpy(zero_copy_only=False) // 7,
-                type=INT64),
-            "n": pa.nulls(b.num_rows, INT64).fill_null(1)}).group_by(
-                ["week"]).aggregate([("n", "sum")]).rename_columns(
-                    ["week", "n"]),
-        batch_format="pyarrow") \
-        .groupby("week").aggregate(Sum("n", alias_name="day_user_rows"))
+    wau = combine_buckets(combine_buckets(weeks, ["week", "user_id"], []),
+                          "week", [("wau", "count")])
+    dau = combine_buckets(weeks, "week", [("day_user_rows", "count")])
 
     from ..stages.exchange import hash_join
     both = hash_join(dau.materialize(), wau.materialize(), "week",
@@ -10998,29 +10366,17 @@ def whale_orders(sf_dir: str, npart: int = 32):
         return pa.table({
             "n_orders": pa.array(sizes[multi].astype(np.int64),
                                  type=INT64),
-            "n_customers": pa.array(np.ones(int(multi.sum()),
-                                            dtype=np.int64)),
-            "n_dominated": pa.array(dom[multi].astype(np.int64))}) \
-            .group_by(["n_orders"]).aggregate(
-                [("n_customers", "sum"), ("n_dominated", "sum")]) \
-            .rename_columns(["n_orders", "n_customers", "n_dominated"])
+            "n_dominated": pa.array(dom[multi].astype(np.int64))})
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "orders"),
                         columns=["o_custkey", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("n_orders") \
-        .aggregate(Sum("n_customers", alias_name="n_customers"),
-                   Sum("n_dominated", alias_name="n_dominated")) \
-        .map_batches(lambda b: pa.table({
-            "n_orders": pc.cast(b["n_orders"], INT64),
-            "n_customers": pc.cast(b["n_customers"], INT64),
-            "n_dominated": pc.cast(b["n_dominated"], INT64)}),
-            batch_format="pyarrow") \
-        .sort("n_orders")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "n_orders", [("n_customers", "count"), ("n_dominated", "sum")]),
+        ["n_orders"])
 
 
 # ---------------------------------------------------------------------------
@@ -11067,33 +10423,21 @@ def hapax_rate(sf_dir: str, npart: int = 32):
             .rename_columns(["lang", "token", "n"])
         hap = pc.cast(pc.equal(t["n"], pa.scalar(1, type=INT64)),
                       INT64)
-        return pa.table({
-            "lang": t["lang"],
-            "n_distinct": pa.nulls(t.num_rows, INT64).fill_null(1),
-            "n_hapax": hap}) \
-            .group_by(["lang"]).aggregate(
-                [("n_distinct", "sum"), ("n_hapax", "sum")]) \
-            .rename_columns(["lang", "n_distinct", "n_hapax"])
+        return pa.table({"lang": t["lang"], "n_hapax": hap})
 
-    agg = bucket_exchange(
-        _docs(sf_dir, columns=["lang", "text"])
-        .map_batches(partial, batch_format="pyarrow"), bucket) \
-        .groupby("lang") \
-        .aggregate(Sum("n_distinct", alias_name="n_distinct"),
-                   Sum("n_hapax", alias_name="n_hapax"))
+    agg = combine_buckets(
+        bucket_exchange(_docs(sf_dir, columns=["lang", "text"])
+                        .map_batches(partial, batch_format="pyarrow"), bucket),
+        "lang", [("n_distinct", "count"), ("n_hapax", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         d = b["n_distinct"].to_numpy(zero_copy_only=False)
         h = b["n_hapax"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "lang": b["lang"],
-            "n_distinct": pc.cast(b["n_distinct"], INT64),
-            "n_hapax": pc.cast(b["n_hapax"], INT64),
-            "hapax_ppm": pa.array(h * 1_000_000 // np.maximum(d, 1),
-                                  type=INT64)})
+        return b.append_column("hapax_ppm", pa.array(
+            h * 1_000_000 // np.maximum(d, 1), type=INT64))
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("lang")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["lang"])
 
 
 # ---------------------------------------------------------------------------
@@ -11147,8 +10491,7 @@ def revenue_volatility(sf_dir: str, npart: int = 16):
         dim_key="c_custkey", dim_columns=["c_nationkey"], npart=npart,
         bucket_finish=nation_partial)
 
-    agg = joined.groupby(["nat", "month"]) \
-        .aggregate(Sum("cents", alias_name="cents"))
+    agg = combine_buckets(joined, ["nat", "month"], [("cents", "sum")])
 
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     nat = t["nat"].to_numpy(zero_copy_only=False)
@@ -11224,29 +10567,18 @@ def session_handoff(sf_dir: str, gap_minutes: int = 30,
         exit_ = et[fpos[multi] + slen[multi] - 1]
         return pa.table({
             "entry_type": pa.array(entry.tolist(), type=pa.string()),
-            "exit_type": pa.array(exit_.tolist(), type=pa.string()),
-            "n_sessions": pa.array(np.ones(int(multi.sum()),
-                                           dtype=np.int64))}) \
-            .group_by(["entry_type", "exit_type"]) \
-            .aggregate([("n_sessions", "sum")]) \
-            .rename_columns(["entry_type", "exit_type", "n_sessions"])
+            "exit_type": pa.array(exit_.tolist(), type=pa.string())})
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts", "event_id",
                                  "event_type"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby(["entry_type", "exit_type"]) \
-        .aggregate(Sum("n_sessions", alias_name="n_sessions")) \
-        .map_batches(lambda b: pa.table({
-            "entry_type": b["entry_type"],
-            "exit_type": b["exit_type"],
-            "n_sessions": pc.cast(b["n_sessions"], INT64)}),
-            batch_format="pyarrow") \
-        .sort(["entry_type", "exit_type"])
+        lambda g: bucket(g.drop_columns(["part"]))),
+        ["entry_type", "exit_type"], [("n_sessions", "count")]),
+        ["entry_type", "exit_type"])
 
 
 # ---------------------------------------------------------------------------
@@ -11290,11 +10622,7 @@ def reorder_rate(sf_dir: str, k: int = 20, npart: int = 32,
         months = np.diff(np.append(starts, len(c)))
         return pa.table({
             "p": pa.array(p[starts], type=INT64),
-            "buyers": pa.array(np.ones(len(starts), dtype=np.int64)),
-            "reorderers": pa.array((months >= 2).astype(np.int64))}) \
-            .group_by(["p"]).aggregate(
-                [("buyers", "sum"), ("reorderers", "sum")]) \
-            .rename_columns(["p", "buyers", "reorderers"])
+            "reorderers": pa.array((months >= 2).astype(np.int64))})
 
     from ..stages.exchange import hash_join
 
@@ -11313,19 +10641,12 @@ def reorder_rate(sf_dir: str, k: int = 20, npart: int = 32,
                     bucket_finish=partial)
 
     per_cp = bucket_exchange(
-        cpm.map_batches(
-            lambda b: with_part(
-                b.append_column("cp", pc.binary_join_element_wise(
-                    pc.cast(b["c"], pa.string()),
-                    pc.cast(b["p"], pa.string()), "|")), "cp", npart)
-            .drop_columns(["cp"]), batch_format="pyarrow"),
+        cpm.map_batches(lambda b: with_part(b, ["c", "p"], npart),
+                        batch_format="pyarrow"),
         lambda g: bucket(g.drop_columns(["part"])))
-    agg = bucket_exchange(
-        per_cp.map_batches(lambda b: with_part(b, "p", npart),
-                           batch_format="pyarrow"),
-        lambda g: g.drop_columns(["part"]).group_by(["p"])
-            .aggregate([("buyers", "sum"), ("reorderers", "sum")])
-            .rename_columns(["p", "buyers", "reorderers"]))
+    agg = combine_buckets(per_cp, "p",
+                          [("buyers", "count"), ("reorderers", "sum")],
+                          npart=npart)
 
     def block_topk(b: pa.Table) -> pa.Table:
         buyers = b["buyers"].to_numpy(zero_copy_only=False)
@@ -11386,30 +10707,24 @@ def hhi_index(sf_dir: str, npart: int = 16):
         return pa.table({
             "s": b["l_suppkey"],
             "rev": pc.multiply(cents, pc.subtract(
-                pa.scalar(100, type=INT64), disc))}) \
-            .group_by(["s"]).aggregate([("rev", "sum")]) \
-            .rename_columns(["s", "rev"])
+                pa.scalar(100, type=INT64), disc))})
 
-    per_sup = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                              columns=["l_suppkey", "l_extendedprice",
-                                       "l_discount"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("s").aggregate(Sum("rev", alias_name="rev")) \
-        .materialize()
+    per_sup = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "lineitem"),
+                        columns=["l_suppkey", "l_extendedprice",
+                                 "l_discount"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "s", [("rev", "sum")])
 
     # pass 1: per-nation totals (broadcast back for the share pass)
     def nat_total(b: pa.Table) -> pa.Table:
         s = b["s"].to_numpy(zero_copy_only=False)
         nat = sup_nat[np.minimum(s, len(sup_nat) - 1)]
-        return pa.table({"nat": pa.array(nat, type=INT64),
-                         "rev": b["rev"]}) \
-            .group_by(["nat"]).aggregate([("rev", "sum")]) \
-            .rename_columns(["nat", "tot"])
+        return pa.table({"nat": pa.array(nat, type=INT64), "tot": b["rev"]})
 
-    tot_t = pa.concat_tables(
-        per_sup.map_batches(nat_total, batch_format="pyarrow")
-        .groupby("nat").aggregate(Sum("tot", alias_name="tot"))
-        .iter_batches(batch_format="pyarrow"))
+    tot_t = pa.concat_tables(combine_buckets(
+        per_sup.map_batches(nat_total, batch_format="pyarrow"), "nat",
+        [("tot", "sum")]).iter_batches(batch_format="pyarrow"))
     tot_map = np.zeros(int(tot_t["nat"].to_numpy(
         zero_copy_only=False).max()) + 1, dtype=np.int64)
     tot_map[tot_t["nat"].to_numpy(zero_copy_only=False)] = \
@@ -11420,18 +10735,12 @@ def hhi_index(sf_dir: str, npart: int = 16):
         nat = sup_nat[np.minimum(s, len(sup_nat) - 1)]
         rev = b["rev"].to_numpy(zero_copy_only=False)
         ppm = rev * 1_000_000 // np.maximum(tot_map[nat], 1)
-        return pa.table({
-            "nat": pa.array(nat, type=INT64),
-            "n_suppliers": pa.array(np.ones(len(s), dtype=np.int64)),
-            "ppm2": pa.array(ppm * ppm, type=INT64)}) \
-            .group_by(["nat"]).aggregate(
-                [("n_suppliers", "sum"), ("ppm2", "sum")]) \
-            .rename_columns(["nat", "n_suppliers", "ppm2"])
+        return pa.table({"nat": pa.array(nat, type=INT64),
+                         "ppm2": pa.array(ppm * ppm, type=INT64)})
 
-    agg = per_sup.map_batches(share_fold, batch_format="pyarrow") \
-        .groupby("nat") \
-        .aggregate(Sum("n_suppliers", alias_name="n_suppliers"),
-                   Sum("ppm2", alias_name="ppm2"))
+    agg = combine_buckets(
+        per_sup.map_batches(share_fold, batch_format="pyarrow"), "nat",
+        [("n_suppliers", "count"), ("ppm2", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -11441,8 +10750,8 @@ def hhi_index(sf_dir: str, npart: int = 16):
                 b["ppm2"].to_numpy(zero_copy_only=False) // 1_000_000,
                 type=INT64)})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("n_nationkey")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["n_nationkey"])
 
 
 # ---------------------------------------------------------------------------
@@ -11483,17 +10792,14 @@ def ltv_transition(sf_dir: str, year_a: int = 1996,
             "c": b["o_custkey"],
             "is_a": yr,
             "cents": pc.cast(pc.round(pc.multiply(
-                b["o_totalprice"], 100.0)), INT64)}) \
-            .group_by(["c", "is_a"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["c", "is_a", "cents"])
+                b["o_totalprice"], 100.0)), INT64)})
 
-    cy = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_custkey", "o_orderdate",
-                                  "o_totalprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["c", "is_a"]).aggregate(Sum("cents",
-                                              alias_name="cents")) \
-        .materialize()
+    cy = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_orderdate",
+                                 "o_totalprice"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["c", "is_a"], [("cents", "sum")])
 
     def cuts_for(is_a: int):
         def make_ds():
@@ -11526,27 +10832,14 @@ def ltv_transition(sf_dir: str, year_a: int = 1996,
         starts = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
         from_q = np.maximum.reduceat(qa, starts)
         to_q = np.maximum.reduceat(qb, starts)
-        return pa.table({
-            "from_q": pa.array(from_q, type=INT64),
-            "to_q": pa.array(to_q, type=INT64),
-            "n_customers": pa.array(np.ones(len(starts),
-                                            dtype=np.int64))}) \
-            .group_by(["from_q", "to_q"]) \
-            .aggregate([("n_customers", "sum")]) \
-            .rename_columns(["from_q", "to_q", "n_customers"])
+        return pa.table({"from_q": pa.array(from_q, type=INT64),
+                         "to_q": pa.array(to_q, type=INT64)})
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         cy.map_batches(lambda b: with_part(b, "c", npart),
                        batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby(["from_q", "to_q"]) \
-        .aggregate(Sum("n_customers", alias_name="n_customers")) \
-        .map_batches(lambda b: pa.table({
-            "from_q": pc.cast(b["from_q"], INT64),
-            "to_q": pc.cast(b["to_q"], INT64),
-            "n_customers": pc.cast(b["n_customers"], INT64)}),
-            batch_format="pyarrow") \
-        .sort(["from_q", "to_q"])
+        lambda g: bucket(g.drop_columns(["part"]))),
+        ["from_q", "to_q"], [("n_customers", "count")]), ["from_q", "to_q"])
 
 
 # ---------------------------------------------------------------------------
@@ -11608,21 +10901,17 @@ def survival_table(sf_dir: str, npart: int = 32):
                  np.zeros(len(hr_cens), dtype=np.int64)))),
             "c": pa.array(np.concatenate(
                 (np.zeros(len(hr_conv), dtype=np.int64),
-                 np.ones(len(hr_cens), dtype=np.int64))))}) \
-            .group_by(["hour"]).aggregate(
-                [("d", "sum"), ("c", "sum")]) \
-            .rename_columns(["hour", "d", "c"])
+                 np.ones(len(hr_cens), dtype=np.int64))))})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts", "event_id",
                                  "event_type"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("hour").aggregate(Sum("d", alias_name="d"),
-                                   Sum("c", alias_name="c"))
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "hour", [("d", "sum"), ("c", "sum")])
 
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     order = np.argsort(t["hour"].to_numpy(zero_copy_only=False))
@@ -11686,13 +10975,9 @@ def discount_response(sf_dir: str, npart: int = 16):
                                  "l_quantity"])
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
-        dim_columns=["p_brand"], npart=npart, bucket_finish=moments) \
-        .groupby("p_brand") \
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("sx", alias_name="sx"),
-                   Sum("sy", alias_name="sy"),
-                   Sum("sxy", alias_name="sxy"),
-                   Sum("sxx", alias_name="sxx"))
+        dim_columns=["p_brand"], npart=npart, bucket_finish=moments)
+    agg = combine_buckets(agg, "p_brand", [
+        (c, "sum") for c in ("n", "sx", "sy", "sxy", "sxx")])
 
     def finish(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy(zero_copy_only=False)
@@ -11712,8 +10997,8 @@ def discount_response(sf_dir: str, npart: int = 16):
             "slope_den": pa.array(n * sxx - sx * sx, type=INT64),
             "slope_ppm": pa.array(ppm, type=INT64)})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("p_brand")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["p_brand"])
 
 
 # ---------------------------------------------------------------------------
@@ -11734,15 +11019,11 @@ def calendar_gaps(sf_dir: str):
     def partial(b: pa.Table) -> pa.Table:
         d = pc.cast(b["o_orderdate"], INT64).to_numpy(
             zero_copy_only=False) // 86_400_000_000
-        return pa.table({"day": pa.array(np.unique(d), type=INT64)})
+        return pa.table({"day": pa.array(d, type=INT64)})
 
-    # groupby with no aggs isn't expressible — count and drop
-    from ray.data.aggregate import Count as _Count
-
-    days = rd.read_parquet(_pq(sf_dir, "orders"),
-                           columns=["o_orderdate"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("day").aggregate(_Count(alias_name="_c"))
+    days = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_orderdate"])
+        .map_batches(partial, batch_format="pyarrow"), "day", [])
 
     t = pa.concat_tables(days.iter_batches(batch_format="pyarrow"))
     d = np.sort(t["day"].to_numpy(zero_copy_only=False))
@@ -11788,16 +11069,12 @@ def coactivity_correlation(sf_dir: str, type_a: str = "click",
         return pa.table({
             "minute": pa.array(minute, type=INT64),
             "ca": pa.array(is_a.astype(np.int64)),
-            "cb": pa.array((~is_a).astype(np.int64))}) \
-            .group_by(["minute"]).aggregate(
-                [("ca", "sum"), ("cb", "sum")]) \
-            .rename_columns(["minute", "ca", "cb"])
+            "cb": pa.array((~is_a).astype(np.int64))})
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_type", "ts"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("minute").aggregate(Sum("ca", alias_name="ca"),
-                                     Sum("cb", alias_name="cb"))
+    agg = combine_buckets(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "ts"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "minute", [("ca", "sum"), ("cb", "sum")])
 
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     mn = t["minute"].to_numpy(zero_copy_only=False)
@@ -11860,12 +11137,9 @@ def tax_incidence(sf_dir: str, npart: int = 16):
                                  "l_tax"])
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
-        dim_columns=["p_brand"], npart=npart, bucket_finish=moments) \
-        .groupby("p_brand") \
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("cents", alias_name="cents"),
-                   Sum("wtax", alias_name="wtax"),
-                   Sum("tax", alias_name="tax"))
+        dim_columns=["p_brand"], npart=npart, bucket_finish=moments)
+    agg = combine_buckets(agg, "p_brand", [
+        (c, "sum") for c in ("n", "cents", "wtax", "tax")])
 
     def finish(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy(zero_copy_only=False)
@@ -11880,8 +11154,8 @@ def tax_incidence(sf_dir: str, npart: int = 16):
             "naive_tax_ppm": pa.array(
                 tax * 10_000 // np.maximum(n, 1), type=INT64)})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("p_brand")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["p_brand"])
 
 
 # ---------------------------------------------------------------------------
@@ -11924,27 +11198,16 @@ def price_laddering(sf_dir: str, npart: int = 32):
             np.arange(len(starts)),
             np.diff(np.append(starts, len(p)))), n)
         band = np.minimum(mode_n * 10 // total, 9)
-        return pa.table({
-            "band": pa.array(band, type=INT64),
-            "n_parts": pa.array(np.ones(len(starts),
-                                        dtype=np.int64))}) \
-            .group_by(["band"]).aggregate([("n_parts", "sum")]) \
-            .rename_columns(["band", "n_parts"])
+        return pa.table({"band": pa.array(band, type=INT64)})
 
-    return bucket_exchange(
+    return sort_result(combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_partkey", "l_extendedprice"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "p", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("band").aggregate(Sum("n_parts",
-                                       alias_name="n_parts")) \
-        .map_batches(lambda b: pa.table({
-            "band": pc.cast(b["band"], INT64),
-            "n_parts": pc.cast(b["n_parts"], INT64)}),
-            batch_format="pyarrow") \
-        .sort("band")
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "band", [("n_parts", "count")]), ["band"])
 
 
 # ---------------------------------------------------------------------------
@@ -11991,24 +11254,18 @@ def error_recovery(sf_dir: str, npart: int = 32):
         sel = is_err
         return pa.table({
             "next_type": pa.array(nxt[sel].tolist(), type=pa.string()),
-            "n": pa.array(np.ones(int(sel.sum()), dtype=np.int64)),
             "sum_lag_s": pa.array(np.where(rec, lag_s, 0)[sel],
-                                  type=INT64)}) \
-            .group_by(["next_type"]).aggregate(
-                [("n", "sum"), ("sum_lag_s", "sum")]) \
-            .rename_columns(["next_type", "n", "sum_lag_s"])
+                                  type=INT64)})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["user_id", "ts", "event_id",
                                  "event_type"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "user_id", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("next_type").aggregate(Sum("n", alias_name="n"),
-                                        Sum("sum_lag_s",
-                                            alias_name="sum_lag_s"))
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "next_type", [("n", "count"), ("sum_lag_s", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy(zero_copy_only=False)
@@ -12019,8 +11276,8 @@ def error_recovery(sf_dir: str, npart: int = 32):
             "mean_recovery_s": pa.array(sl // np.maximum(n, 1),
                                         type=INT64)})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("next_type")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       ["next_type"])
 
 
 # ---------------------------------------------------------------------------
@@ -12097,10 +11354,10 @@ def region_trade_matrix(sf_dir: str, npart: int = 16):
             .group_by(["c_reg", "s_reg"]).aggregate([("rev", "sum")]) \
             .rename_columns(["c_reg", "s_reg", "rev"])
 
-    agg = hash_join(lines, orders, "l_orderkey", npart=npart,
-                    bucket_finish=cells) \
-        .groupby(["c_reg", "s_reg"]).aggregate(Sum("rev",
-                                                   alias_name="rev"))
+    agg = combine_buckets(
+        hash_join(lines, orders, "l_orderkey", npart=npart,
+                  bucket_finish=cells),
+        ["c_reg", "s_reg"], [("rev", "sum")])
 
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     rev = t["rev"].to_numpy(zero_copy_only=False)
@@ -12183,7 +11440,6 @@ def returnclass_priority(sf_dir: str, npart: int = 32):
     (flag, high, low) partials; a 3-row groupby finishes.
     Reference parity: the reference has no relational layer —
     file:line N/A (grafted operator family, SURVEY §2.C)."""
-    from ray.data.aggregate import Sum as _Sum
 
     lo_us = 788_918_400_000_000          # 1995-01-01 UTC in µs
     hi_us = 820_454_400_000_000          # 1996-01-01 UTC in µs
@@ -12215,13 +11471,9 @@ def returnclass_priority(sf_dir: str, npart: int = 32):
         j = li.join(orders, keys=["okey"], join_type="inner")
         high = pc.or_(pc.equal(j["prio"], "1-URGENT"),
                       pc.equal(j["prio"], "2-HIGH"))
-        t = pa.table({"flag": j["flag"],
-                      "high": pc.cast(high, INT64),
-                      "low": pc.cast(pc.invert(high), INT64)})
-        return t.group_by(["flag"]).aggregate(
-            [("high", "sum"), ("low", "sum")]) \
-            .rename_columns(["l_returnflag", "high_line_count",
-                             "low_line_count"])
+        return pa.table({"l_returnflag": j["flag"],
+                         "high_line_count": pc.cast(high, INT64),
+                         "low_line_count": pc.cast(pc.invert(high), INT64)})
 
     li = rd.read_parquet(_pq(sf_dir, "lineitem"),
                          columns=["l_orderkey", "l_returnflag",
@@ -12230,20 +11482,12 @@ def returnclass_priority(sf_dir: str, npart: int = 32):
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_orderkey", "o_orderpriority"]) \
         .map_batches(o_scan, batch_format="pyarrow")
-    out = bucket_exchange(
-        li.union(orders), lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("l_returnflag") \
-        .aggregate(_Sum("high_line_count", alias_name="high_line_count"),
-                   _Sum("low_line_count", alias_name="low_line_count"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_returnflag": b["l_returnflag"],
-            "high_line_count": pc.cast(b["high_line_count"], INT64),
-            "low_line_count": pc.cast(b["low_line_count"], INT64)})
-
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort("l_returnflag")
+    out = combine_buckets(
+        bucket_exchange(li.union(orders),
+                        lambda g: bucket(g.drop_columns(["part"]))),
+        "l_returnflag", [("high_line_count", "sum"),
+                         ("low_line_count", "sum")])
+    return sort_result(out, ["l_returnflag"])
 
 
 # ---------------------------------------------------------------------------
@@ -12336,8 +11580,6 @@ def sole_latest_supplier(sf_dir: str, npart: int = 32, k: int = 10):
     ties: (count DESC, s_name ASC)."""
     import pyarrow.parquet as _pq2
 
-    from ray.data.aggregate import Sum as _Sum
-
     def li_scan(b: pa.Table) -> pa.Table:
         t = pa.table({
             "okey": b["l_orderkey"],
@@ -12365,19 +11607,15 @@ def sole_latest_supplier(sf_dir: str, npart: int = 32, k: int = 10):
             is_max.astype(np.int64), starts), sizes)
         n_supp = np.repeat(sizes, sizes)
         win = is_max & (n_holders == 1) & (n_supp >= 2)
-        return pa.table({
-            "supp": pa.array(s[win], type=INT64),
-            "n": pa.array(np.ones(int(win.sum()), dtype=np.int64))}) \
-            .group_by(["supp"]).aggregate([("n", "sum")]) \
-            .rename_columns(["supp", "n"])
+        return pa.table({"supp": pa.array(s[win], type=INT64)})
 
-    agg = bucket_exchange(
+    agg = combine_buckets(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_orderkey", "l_suppkey",
                                  "l_shipdate"])
         .map_batches(li_scan, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("supp").aggregate(_Sum("n", alias_name="numwait"))
+        lambda g: bucket(g.drop_columns(["part"]))),
+        "supp", [("numwait", "count")])
 
     names = _pq2.read_table(_pq(sf_dir, "supplier"),
                             columns=["s_suppkey", "s_name"])
@@ -12416,8 +11654,6 @@ def rich_idle_customers(sf_dir: str, npart: int = 32):
     map finish.  The avg comparison is exact integer cross-multiply
     (cents · n > Σ) in BOTH engines — no double at the boundary."""
     import pyarrow.parquet as _pq2
-
-    from ray.data.aggregate import Sum as _Sum
 
     def bal_scan(b: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(b["c_acctbal"], 100.0)),
@@ -12464,12 +11700,7 @@ def rich_idle_customers(sf_dir: str, npart: int = 32):
             pc.is_in(cust["key"], value_set=okeys.combine_chunks()),
             False)
         idle = cust.filter(pc.invert(hit))
-        return pa.table({
-            "nat": idle["nat"],
-            "numcust": pa.nulls(idle.num_rows, INT64).fill_null(1),
-            "totacctbal_c": idle["cents"]}).group_by(["nat"]) \
-            .aggregate([("numcust", "sum"), ("totacctbal_c", "sum")]) \
-            .rename_columns(["nat", "numcust", "totacctbal_c"])
+        return pa.table({"nat": idle["nat"], "totacctbal_c": idle["cents"]})
 
     cust = rd.read_parquet(_pq(sf_dir, "customer"),
                            columns=["c_custkey", "c_acctbal",
@@ -12478,11 +11709,10 @@ def rich_idle_customers(sf_dir: str, npart: int = 32):
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_custkey", "o_orderdate"]) \
         .map_batches(o_scan, batch_format="pyarrow")
-    agg = bucket_exchange(
-        cust.union(orders), lambda g2: bucket(g2.drop_columns(["part"]))) \
-        .groupby("nat") \
-        .aggregate(_Sum("numcust", alias_name="numcust"),
-                   _Sum("totacctbal_c", alias_name="totacctbal_c"))
+    agg = combine_buckets(
+        bucket_exchange(cust.union(orders),
+                        lambda g2: bucket(g2.drop_columns(["part"]))),
+        "nat", [("numcust", "count"), ("totacctbal_c", "sum")])
 
     names = _pq2.read_table(_pq(sf_dir, "nation"),
                             columns=["n_nationkey", "n_name"])
@@ -12521,7 +11751,6 @@ def volume_drawdown(sf_dir: str, npart: int = 8):
     runs the segmented running max via the overflow-safe
     ``_grp_span_chunks`` composite-key cummax (the q200 primitive);
     a ≤5-row table returns.  Day range is data-derived per class."""
-    from ray.data.aggregate import Sum as _Sum
 
     def partial(b: pa.Table) -> pa.Table:
         day = pc.cast(pc.divide(

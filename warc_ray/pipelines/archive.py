@@ -13,7 +13,7 @@ import ray.data as rd
 
 from ..sinks.warc_sink import write_warc_shards
 from ..stages.assemble import fused_doc_records
-from ..stages.exchange import bucket_exchange, sort_result
+from ..stages.exchange import bucket_exchange, combine_buckets, sort_result
 
 
 def archive_docs(docs_ds: "rd.Dataset", out_dir: str, *,
@@ -109,7 +109,6 @@ def revisit_decisions(archive_dir: str, corpus_docs_path: str,
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from ..stages.assemble import render_payloads
     from ..stages.exchange import with_part
@@ -174,11 +173,8 @@ def revisit_decisions(archive_dir: str, corpus_docs_path: str,
                 [("same", "max"), ("body_len", "min")])
         dec = pc.if_else(pc.equal(hit["same_max"], 1),
                          "revisit", "response")
-        t = pa.table({"decision": dec, "body_len": hit["body_len_min"],
-                      "one": pa.nulls(hit.num_rows, INT64).fill_null(1)})
-        p = t.group_by(["decision"]).aggregate(
-            [("one", "sum"), ("body_len", "sum")])
-        return p.rename_columns(["decision", "n_records", "payload_bytes"])
+        return pa.table({"decision": dec,
+                         "payload_bytes": hit["body_len_min"]})
 
     # cap read block counts: Ray sizes blocks from file counts here
     # (200 cdx files + 256 doc splits), and the downstream all-to-all
@@ -195,17 +191,12 @@ def revisit_decisions(archive_dir: str, corpus_docs_path: str,
         .map_batches(recrawl_side, batch_format="pyarrow")
     import pyarrow as _pa
 
-    agg = bucket_exchange(
-        cdx.union(snap), lambda g: bucket(g.drop_columns(["part"]))) \
-        .groupby("decision") \
-        .aggregate(Sum("n_records", alias_name="n_records"),
-                   Sum("payload_bytes", alias_name="payload_bytes"))
-    t = _pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
-    return _pa.table({
-        "decision": t["decision"],
-        "n_records": pc.cast(t["n_records"], INT64),
-        "payload_bytes": pc.cast(t["payload_bytes"], INT64),
-    }).sort_by("decision")
+    agg = combine_buckets(
+        bucket_exchange(cdx.union(snap),
+                        lambda g: bucket(g.drop_columns(["part"]))),
+        "decision", [("n_records", "count"), ("payload_bytes", "sum")])
+    return _pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
+        .sort_by("decision")
 
 
 def wet_extraction(archive_dir: str) -> "rd.Dataset":

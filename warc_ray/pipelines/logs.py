@@ -32,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.exchange import combine_buckets, sort_result
+
 __all__ = ["export_events_jsonl", "ingest_events_jsonl"]
 
 
@@ -91,6 +93,11 @@ def export_events_jsonl(sf_dir: str, out_dir: str, *,
                for r in b.to_pylist())
 
 
+# per-(type,user) measures that the per-type roll-up folds again
+_USER_AGGS = [("sum_cents", "sum"), ("min_ts_us", "min"),
+              ("max_ts_us", "max"), ("sum_k", "sum")]
+
+
 def ingest_events_jsonl(jsonl_dir: str):
     """Distributed JSONL ingestion + per-type aggregate (q158).
 
@@ -99,55 +106,28 @@ def ingest_events_jsonl(jsonl_dir: str):
     scale — the exchange carries one row per (type,user) per block,
     never events), then the per-type roll-up."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Max, Min, Sum
 
     ds = rd.read_json(jsonl_dir)
 
     def flatten(b: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "event_type": pc.struct_field(b["event"], "type"),
             "user_id": pc.struct_field(b["user"], "id"),
-            "cents": pc.struct_field(b["event"], "value_cents"),
-            "ts_us": b["ts_us"],
-            "k": pc.struct_field(b["props"], "k"),
-            "one": pa.nulls(b.num_rows, pa.int64()).fill_null(1),
-        })
-        # per-batch (type,user) combiner: the global exchange sees
-        # bounded partials, not raw events
-        p = t.group_by(["event_type", "user_id"]).aggregate(
-            [("one", "sum"), ("cents", "sum"), ("ts_us", "min"),
-             ("ts_us", "max"), ("k", "sum")])
-        return p.rename_columns(
-            ["event_type", "user_id", "n", "cents", "ts_min", "ts_max", "k"])
-
-    per_user = ds.map_batches(flatten, batch_format="pyarrow") \
-        .groupby(["event_type", "user_id"]) \
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("cents", alias_name="cents"),
-                   Min("ts_min", alias_name="ts_min"),
-                   Max("ts_max", alias_name="ts_max"),
-                   Sum("k", alias_name="k"))
-    out = per_user.groupby("event_type") \
-        .aggregate(Sum("n", alias_name="n_events"),
-                   Count(alias_name="n_users"),
-                   Sum("cents", alias_name="sum_cents"),
-                   Min("ts_min", alias_name="min_ts_us"),
-                   Max("ts_max", alias_name="max_ts_us"),
-                   Sum("k", alias_name="sum_k"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": b["event_type"],
-            "n_events": pc.cast(b["n_events"], pa.int64()),
-            "n_users": pc.cast(b["n_users"], pa.int64()),
-            "sum_cents": pc.cast(b["sum_cents"], pa.int64()),
-            "min_ts_us": pc.cast(b["min_ts_us"], pa.int64()),
-            "max_ts_us": pc.cast(b["max_ts_us"], pa.int64()),
-            "sum_k": pc.cast(b["sum_k"], pa.int64()),
+            "sum_cents": pc.struct_field(b["event"], "value_cents"),
+            "min_ts_us": b["ts_us"],
+            "max_ts_us": b["ts_us"],
+            "sum_k": pc.struct_field(b["props"], "k"),
         })
 
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort("event_type")
+    # (type,user) groups first: the exchange sees one row per
+    # (type,user) per block, not raw events
+    per_user = combine_buckets(
+        ds.map_batches(flatten, batch_format="pyarrow"),
+        ["event_type", "user_id"], [("n_events", "count")] + _USER_AGGS)
+    return sort_result(combine_buckets(
+        per_user, "event_type",
+        [("n_events", "sum"), ("n_users", "count")] + _USER_AGGS),
+        ["event_type"])
 
 
 def export_events_evolved(sf_dir: str, out_dir: str) -> None:
@@ -203,7 +183,6 @@ def evolved_scan(evo_dir: str):
     the generation rules replayed."""
     import pyarrow as pa
     import ray.data as rd  # noqa: F401  (read via io.read_evolved)
-    from ray.data.aggregate import Sum
 
     from .. import io as wio
 
@@ -218,32 +197,17 @@ def evolved_scan(evo_dir: str):
     ds = wio.read_evolved(evo_dir, schema)
 
     def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({
-            "event_type": b["event_type"],
-            "source": pc.fill_null(b["source"], "legacy"),
-            "cents": pc.cast(pc.round(pc.multiply(b["value"], 100.0)),
-                             pa.int64()),
-            "one": pa.nulls(b.num_rows, pa.int64()).fill_null(1),
-        })
-        return t.group_by(["event_type", "source"]).aggregate(
-            [("one", "sum"), ("cents", "sum")]) \
-            .rename_columns(["event_type", "source", "n", "cents"])
-
-    out = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["event_type", "source"]) \
-        .aggregate(Sum("n", alias_name="n_events"),
-                   Sum("cents", alias_name="sum_cents"))
-
-    def finish(b: pa.Table) -> pa.Table:
         return pa.table({
             "event_type": b["event_type"],
-            "source": b["source"],
-            "n_events": pc.cast(b["n_events"], pa.int64()),
-            "sum_cents": pc.cast(b["sum_cents"], pa.int64()),
+            "source": pc.fill_null(b["source"], "legacy"),
+            "sum_cents": pc.cast(pc.round(pc.multiply(b["value"], 100.0)),
+                                 pa.int64()),
         })
 
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort(["event_type", "source"])
+    out = combine_buckets(ds.map_batches(partial, batch_format="pyarrow"),
+                          ["event_type", "source"],
+                          [("n_events", "count"), ("sum_cents", "sum")])
+    return sort_result(out, ["event_type", "source"])
 
 
 _LINE_RE = (r'^\{"event_id":\d+,"ts_us":\d+,"user":\{"id":\d+\},'
@@ -316,7 +280,6 @@ def ingest_events_jsonl_dlq(jsonl_dir: str, dlq_dir: str):
 
     import pyarrow.json as pj
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     os.makedirs(dlq_dir, exist_ok=True)
 
@@ -342,35 +305,21 @@ def ingest_events_jsonl_dlq(jsonl_dir: str, dlq_dir: str):
         if len(good):
             t = pj.read_json(_io.BytesIO(
                 ("\n".join(good.to_pylist()) + "\n").encode()))
-            p = pa.table({
+            out.append(pa.table({
                 "event_type": pc.struct_field(t["event"], "type"),
-                "cents": pc.struct_field(t["event"], "value_cents"),
-                "one": pa.nulls(t.num_rows, pa.int64()).fill_null(1),
-            }).group_by(["event_type"]).aggregate(
-                [("one", "sum"), ("cents", "sum")]) \
-                .rename_columns(["event_type", "n_events", "sum_cents"])
-            out.append(p)
+                "n_events": pa.nulls(t.num_rows, pa.int64()).fill_null(1),
+                "sum_cents": pc.struct_field(t["event"], "value_cents"),
+            }))
         if not out:
             return pa.table({"event_type": pa.array([], type=pa.string()),
                              "n_events": pa.array([], type=pa.int64()),
                              "sum_cents": pa.array([], type=pa.int64())})
         return pa.concat_tables(out)
 
-    out = rd.read_text(jsonl_dir) \
-        .map_batches(screen, batch_format="pyarrow") \
-        .groupby("event_type") \
-        .aggregate(Sum("n_events", alias_name="n_events"),
-                   Sum("sum_cents", alias_name="sum_cents"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": b["event_type"],
-            "n_events": pc.cast(b["n_events"], pa.int64()),
-            "sum_cents": pc.cast(b["sum_cents"], pa.int64()),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort("event_type")
+    out = combine_buckets(
+        rd.read_text(jsonl_dir).map_batches(screen, batch_format="pyarrow"),
+        "event_type", [("n_events", "sum"), ("sum_cents", "sum")])
+    return sort_result(out, ["event_type"])
 
 
 # ---------------------------------------------------------------------------
@@ -447,60 +396,29 @@ def ingest_events_csv(csv_dir: str):
     defect in either the sink or Arrow's CSV parser shifts a value
     and breaks the oracle hash.  Same two-exchange shape as q158."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Max, Min, Sum
 
     ds = rd.read_csv(csv_dir)
 
     def flatten(b: pa.Table) -> pa.Table:
         k = pc.cast(pc.struct_field(pc.extract_regex(
             b["props"], r'"k": (?P<k>\d+)'), "k"), pa.int64())
-        t = pa.table({
-            "event_type": b["event_type"],
-            "user_id": b["user_id"],
-            "cents": b["value_cents"],
-            "ts_us": b["ts_us"],
-            "k": k,
-            "plen": pc.cast(pc.utf8_length(b["props"]), pa.int64()),
-            "one": pa.nulls(b.num_rows, pa.int64()).fill_null(1),
-        })
-        p = t.group_by(["event_type", "user_id"]).aggregate(
-            [("one", "sum"), ("cents", "sum"), ("ts_us", "min"),
-             ("ts_us", "max"), ("k", "sum"), ("plen", "sum")])
-        return p.rename_columns(
-            ["event_type", "user_id", "n", "cents", "ts_min", "ts_max",
-             "k", "plen"])
-
-    per_user = ds.map_batches(flatten, batch_format="pyarrow") \
-        .groupby(["event_type", "user_id"]) \
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("cents", alias_name="cents"),
-                   Min("ts_min", alias_name="ts_min"),
-                   Max("ts_max", alias_name="ts_max"),
-                   Sum("k", alias_name="k"),
-                   Sum("plen", alias_name="plen"))
-    out = per_user.groupby("event_type") \
-        .aggregate(Sum("n", alias_name="n_events"),
-                   Count(alias_name="n_users"),
-                   Sum("cents", alias_name="sum_cents"),
-                   Min("ts_min", alias_name="min_ts_us"),
-                   Max("ts_max", alias_name="max_ts_us"),
-                   Sum("k", alias_name="sum_k"),
-                   Sum("plen", alias_name="props_bytes"))
-
-    def finish(b: pa.Table) -> pa.Table:
         return pa.table({
             "event_type": b["event_type"],
-            "n_events": pc.cast(b["n_events"], pa.int64()),
-            "n_users": pc.cast(b["n_users"], pa.int64()),
-            "sum_cents": pc.cast(b["sum_cents"], pa.int64()),
-            "min_ts_us": pc.cast(b["min_ts_us"], pa.int64()),
-            "max_ts_us": pc.cast(b["max_ts_us"], pa.int64()),
-            "sum_k": pc.cast(b["sum_k"], pa.int64()),
-            "props_bytes": pc.cast(b["props_bytes"], pa.int64()),
+            "user_id": b["user_id"],
+            "sum_cents": b["value_cents"],
+            "min_ts_us": b["ts_us"],
+            "max_ts_us": b["ts_us"],
+            "sum_k": k,
+            "props_bytes": pc.cast(pc.utf8_length(b["props"]), pa.int64()),
         })
 
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort("event_type")
+    aggs = _USER_AGGS + [("props_bytes", "sum")]
+    per_user = combine_buckets(
+        ds.map_batches(flatten, batch_format="pyarrow"),
+        ["event_type", "user_id"], [("n_events", "count")] + aggs)
+    return sort_result(combine_buckets(
+        per_user, "event_type",
+        [("n_events", "sum"), ("n_users", "count")] + aggs), ["event_type"])
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +494,6 @@ def ingest_orders_fixedwidth(fw_dir: str):
     layout offsets) — one misplaced offset shifts every value and
     breaks the oracle hash."""
     import ray.data as rd
-    from ray.data.aggregate import Max, Min, Sum
 
     ds = rd.read_text(fw_dir)
 
@@ -584,33 +501,15 @@ def ingest_orders_fixedwidth(fw_dir: str):
         line = b["text"]
         f = [pc.utf8_slice_codeunits(line, lo, hi)
              for lo, hi in _FW_LAYOUT]
-        t = pa.table({
+        date = pc.cast(f[4], pa.int64())
+        return pa.table({
             "status": f[2],
             "priority": pc.utf8_trim(f[5], " "),
-            "cents": pc.cast(f[3], pa.int64()),
-            "date_i": pc.cast(f[4], pa.int64()),
-            "one": pa.nulls(b.num_rows, pa.int64()).fill_null(1)})
-        p = t.group_by(["status", "priority"]).aggregate(
-            [("one", "sum"), ("cents", "sum"), ("date_i", "min"),
-             ("date_i", "max")])
-        return p.rename_columns(["status", "priority", "n", "cents",
-                                 "d_min", "d_max"])
+            "sum_cents": pc.cast(f[3], pa.int64()),
+            "min_date": date, "max_date": date})
 
-    out = ds.map_batches(parse, batch_format="pyarrow") \
-        .groupby(["status", "priority"]) \
-        .aggregate(Sum("n", alias_name="n_orders"),
-                   Sum("cents", alias_name="sum_cents"),
-                   Min("d_min", alias_name="min_date"),
-                   Max("d_max", alias_name="max_date"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "status": b["status"],
-            "priority": b["priority"],
-            "n_orders": pc.cast(b["n_orders"], pa.int64()),
-            "sum_cents": pc.cast(b["sum_cents"], pa.int64()),
-            "min_date": pc.cast(b["min_date"], pa.int64()),
-            "max_date": pc.cast(b["max_date"], pa.int64())})
-
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort(["status", "priority"])
+    out = combine_buckets(
+        ds.map_batches(parse, batch_format="pyarrow"), ["status", "priority"],
+        [("n_orders", "count"), ("sum_cents", "sum"), ("min_date", "min"),
+         ("max_date", "max")])
+    return sort_result(out, ["status", "priority"])

@@ -31,9 +31,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
-from ray.data.aggregate import Max, Sum
 
-from ..stages.exchange import bucket_exchange, segment_bounds
+from ..stages.exchange import (bucket_exchange, combine_buckets,
+                               segment_bounds, sort_result)
 
 INT64 = pa.int64()
 
@@ -60,29 +60,27 @@ def _q1_partial(batch: pa.Table) -> pa.Table:
     disc_pct = _i64(pc.round(pc.multiply(batch["l_discount"], 100.0)))
     # revenue in (cents × percent) integer units: exact, order-free
     rev = pc.multiply(cents, pc.subtract(pa.scalar(100, type=INT64), disc_pct))
-    t = pa.table({
+    return pa.table({
         "l_returnflag": batch["l_returnflag"],
         "l_linestatus": batch["l_linestatus"],
-        "qty": qty, "rev": rev,
+        "sum_qty": qty, "sum_rev_c2": rev,
     })
-    part = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-        [("qty", "sum"), ("rev", "sum"), ("qty", "count")])
-    return part.rename_columns(
-        ["l_returnflag", "l_linestatus", "sum_qty", "sum_rev_c2", "n_rows"])
+
+
+def _q1_fine(ds):
+    """The pricing summary's (flag, status) groups over lineitem ``ds``."""
+    return combine_buckets(
+        ds.map_batches(_q1_partial, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        [("sum_qty", "sum"), ("sum_rev_c2", "sum"), ("n_rows", "count")])
 
 
 def agg_lineitem(sf_dir: str):
-    """Pricing summary: per-batch partial agg, tiny global groupby."""
+    """Pricing summary: per-block combine, tiny bucket combine."""
     ds = rd.read_parquet(_pq(sf_dir, "lineitem"),
                          columns=["l_returnflag", "l_linestatus", "l_quantity",
                                   "l_extendedprice", "l_discount", "l_shipdate"])
-    partials = ds.map_batches(_q1_partial, batch_format="pyarrow")
-    out = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_rev_c2", alias_name="sum_rev_c2"),
-        Sum("n_rows", alias_name="n_rows"),
-    )
-    return out.sort(["l_returnflag", "l_linestatus"])
+    return sort_result(_q1_fine(ds), ["l_returnflag", "l_linestatus"])
 
 
 def segment_order_stats(sf_dir: str):
@@ -104,16 +102,12 @@ def segment_order_stats(sf_dir: str):
 
     def partial(b: pa.Table) -> pa.Table:
         cents = _i64(pc.round(pc.multiply(b["o_totalprice"], 100.0)))
-        t = pa.table({"c_mktsegment": b["c_mktsegment"], "cents": cents})
-        p = t.group_by(["c_mktsegment"]).aggregate(
-            [("cents", "sum"), ("cents", "count")])
-        return p.rename_columns(["c_mktsegment", "revenue_cents", "n_orders"])
+        return pa.table({"c_mktsegment": b["c_mktsegment"],
+                         "revenue_cents": cents})
 
-    return joined.map_batches(partial, batch_format="pyarrow") \
-        .groupby("c_mktsegment").aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"),
-            Sum("n_orders", alias_name="n_orders")) \
-        .sort("c_mktsegment")
+    return sort_result(combine_buckets(
+        joined.map_batches(partial, batch_format="pyarrow"), "c_mktsegment",
+        [("revenue_cents", "sum"), ("n_orders", "count")]), ["c_mktsegment"])
 
 
 def rollup_lineitem(sf_dir: str):
@@ -130,13 +124,7 @@ def rollup_lineitem(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "lineitem"),
                          columns=["l_returnflag", "l_linestatus", "l_quantity",
                                   "l_extendedprice", "l_discount", "l_shipdate"])
-    fine = ds.map_batches(_q1_partial, batch_format="pyarrow") \
-        .groupby(["l_returnflag", "l_linestatus"]).aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_rev_c2", alias_name="sum_rev_c2"),
-            Sum("n_rows", alias_name="n_rows"),
-        )
-    t = pa.concat_tables(fine.iter_batches(batch_format="pyarrow"))
+    t = pa.concat_tables(_q1_fine(ds).iter_batches(batch_format="pyarrow"))
     flags = t["l_returnflag"].to_pylist()
     stats = t["l_linestatus"].to_pylist()
     q = np.asarray(t["sum_qty"].to_pylist(), dtype=np.int64)
@@ -173,13 +161,7 @@ def cube_lineitem(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "lineitem"),
                          columns=["l_returnflag", "l_linestatus", "l_quantity",
                                   "l_extendedprice", "l_discount", "l_shipdate"])
-    fine = ds.map_batches(_q1_partial, batch_format="pyarrow") \
-        .groupby(["l_returnflag", "l_linestatus"]).aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_rev_c2", alias_name="sum_rev_c2"),
-            Sum("n_rows", alias_name="n_rows"),
-        )
-    t = pa.concat_tables(fine.iter_batches(batch_format="pyarrow"))
+    t = pa.concat_tables(_q1_fine(ds).iter_batches(batch_format="pyarrow"))
     flags = np.asarray(t["l_returnflag"].to_pylist(), dtype=object)
     stats = np.asarray(t["l_linestatus"].to_pylist(), dtype=object)
     meas = [np.asarray(t[c].to_pylist(), dtype=np.int64)
@@ -218,15 +200,14 @@ def revenue_by_nation(sf_dir: str):
         keys = batch["o_custkey"].to_numpy(zero_copy_only=False)
         names = [nation_name.get(cust_nation.get(int(k), -1), "") for k in keys]
         cents = _i64(pc.round(pc.multiply(batch["o_totalprice"], 100.0)))
-        t = pa.table({"n_name": pa.array(names, type=pa.string()), "cents": cents})
-        part = t.group_by("n_name").aggregate([("cents", "sum"), ("cents", "count")])
-        return part.rename_columns(["n_name", "revenue_cents", "n_orders"])
+        return pa.table({"n_name": pa.array(names, type=pa.string()),
+                         "revenue_cents": cents})
 
     ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"])
-    out = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("n_name").aggregate(Sum("revenue_cents", alias_name="revenue_cents"),
-                                     Sum("n_orders", alias_name="n_orders"))
-    return out.sort("n_name")
+    out = combine_buckets(ds.map_batches(partial, batch_format="pyarrow"),
+                          "n_name",
+                          [("revenue_cents", "sum"), ("n_orders", "count")])
+    return sort_result(out, ["n_name"])
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +228,15 @@ def events_by_type(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         milli = _i64(pc.floor(pc.multiply(batch["value"], 1000.0)))
-        t = pa.table({"event_type": batch["event_type"], "milli": milli,
-                      "value": batch["value"]})
-        part = t.group_by("event_type").aggregate(
-            [("milli", "sum"), ("milli", "count"), ("value", "max")])
-        return part.rename_columns(
-            ["event_type", "sum_value_milli", "n_events", "max_value"])
+        return pa.table({"event_type": batch["event_type"],
+                         "sum_value_milli": milli,
+                         "max_value": batch["value"]})
 
-    out = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("event_type").aggregate(
-            Sum("sum_value_milli", alias_name="sum_value_milli"),
-            Sum("n_events", alias_name="n_events"),
-            Max("max_value", alias_name="max_value"))
-    return out.sort("event_type")
+    out = combine_buckets(
+        ds.map_batches(partial, batch_format="pyarrow"), "event_type",
+        [("sum_value_milli", "sum"), ("n_events", "count"),
+         ("max_value", "max")])
+    return sort_result(out, ["event_type"])
 
 
 def filter_orders(sf_dir: str, min_price: float = 100_000.0):
@@ -930,14 +907,13 @@ def windowed_events(sf_dir: str, window: str = "hour"):
     """Tumbling-window aggregate over the events stream: per (window
     start, event_type) counts and integer-exact value sums.
 
-    Two-phase: per-batch partial aggregation inside map_batches (the
-    combiner — shrinks the shuffle to distinct (window, type) rows per
-    batch), then a small global groupby.  Columns named identically in
-    the SQL oracle (DATE_TRUNC equivalent)."""
+    Two-phase through ``combine_buckets``: its per-block combiner
+    shrinks the exchange to distinct (window, type) rows per block.
+    Columns named identically in the SQL oracle (DATE_TRUNC
+    equivalent)."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
-    from ray.data.aggregate import Max, Sum
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["ts", "event_type", "value"])
@@ -946,20 +922,16 @@ def windowed_events(sf_dir: str, window: str = "hour"):
         win = pc.floor_temporal(batch["ts"], unit=window)
         vmilli = pc.cast(pc.floor(pc.multiply(batch["value"], 1000.0)),
                          pa.int64())
-        t = pa.table({"window_start": win,
-                      "event_type": batch["event_type"],
-                      "v": vmilli})
-        g = t.group_by(["window_start", "event_type"]).aggregate(
-            [("v", "count"), ("v", "sum"), ("v", "max")])
-        return g.rename_columns(["window_start", "event_type",
-                                 "n_events", "sum_value_milli",
-                                 "max_value_milli"])
+        return pa.table({"window_start": win,
+                         "event_type": batch["event_type"],
+                         "sum_value_milli": vmilli,
+                         "max_value_milli": vmilli})
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["window_start", "event_type"]).aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("sum_value_milli", alias_name="sum_value_milli"),
-            Max("max_value_milli", alias_name="max_value_milli"))
+    return combine_buckets(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["window_start", "event_type"],
+        [("n_events", "count"), ("sum_value_milli", "sum"),
+         ("max_value_milli", "max")])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Crawl reports (G17) + metrics aggregation (G15) over the fetch log.
 
 All pure Ray Data over the round-keyed log parquet written by
-pipelines/crawl.py — pre-aggregate per batch, then a small groupby;
+pipelines/crawl.py — grouped aggregates go through
+``combine_buckets`` (per-block combine, then a small bucket combine);
 sorts only on already-aggregated (small) results (SURVEY.md §2.B G17:
 "sort shuffle" on report keys only, never the raw log).
 """
@@ -10,7 +11,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
+
+from ..stages.exchange import combine_buckets
 
 
 def hottest_hosts(log_ds: rd.Dataset, k: int = 20) -> pa.Table:
@@ -20,18 +22,13 @@ def hottest_hosts(log_ds: rd.Dataset, k: int = 20) -> pa.Table:
 
     def partial(b: pa.Table) -> pa.Table:
         ok = pc.cast(pc.equal(b["status"], 200), pa.int64())
-        t = pa.table({"host": b["host"], "ok": ok, "round": b["round"]})
-        g = t.group_by("host").aggregate(
-            [("ok", "count"), ("ok", "sum"), ("round", "min"), ("round", "max")])
-        return g.rename_columns(["host", "n_fetched", "n_ok",
-                                 "first_round", "last_round"])
+        return pa.table({"host": b["host"], "n_ok": ok,
+                         "first_round": b["round"], "last_round": b["round"]})
 
-    agg = log_ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("host").aggregate(
-            Sum("n_fetched", alias_name="n_fetched"),
-            Sum("n_ok", alias_name="n_ok"),
-            Min("first_round", alias_name="first_round"),
-            Max("last_round", alias_name="last_round"))
+    agg = combine_buckets(
+        log_ds.map_batches(partial, batch_format="pyarrow"), "host",
+        [("n_fetched", "count"), ("n_ok", "sum"), ("first_round", "min"),
+         ("last_round", "max")])
     top = agg.sort(["n_fetched", "host"], descending=[True, False]).limit(k)
     return _pull(top).select(
         ["host", "n_fetched", "n_ok", "first_round", "last_round"])
@@ -64,29 +61,19 @@ def crawl_metrics(log_ds: rd.Dataset) -> pa.Table:
 
     def partial(b: pa.Table) -> pa.Table:
         ok = pc.cast(pc.equal(b["status"], 200), pa.int64())
-        t = pa.table({"round": b["round"], "ok": ok,
-                      "fetch_seq": b["fetch_seq"]})
-        g = t.group_by("round").aggregate(
-            [("ok", "count"), ("ok", "sum"),
-             ("fetch_seq", "min"), ("fetch_seq", "max")])
-        return g.rename_columns(["round", "n_fetched", "n_ok",
-                                 "min_seq", "max_seq"])
+        return pa.table({"round": b["round"], "n_ok": ok,
+                         "min_seq": b["fetch_seq"], "max_seq": b["fetch_seq"]})
 
-    agg = log_ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("round").aggregate(
-            Sum("n_fetched", alias_name="n_fetched"),
-            Sum("n_ok", alias_name="n_ok"),
-            Min("min_seq", alias_name="min_seq"),
-            Max("max_seq", alias_name="max_seq"))
-    # distinct hosts per round: per-batch distinct shrinks the shuffle,
-    # then two vectorized aggregates (distinct → count) — no per-group
-    # Python (each (round, host) group would be a tiny Python call).
-    n_hosts = log_ds.map_batches(
-        lambda b: pa.table({"round": b["round"], "host": b["host"]})
-        .group_by(["round", "host"]).aggregate([]),
-        batch_format="pyarrow",
-    ).groupby(["round", "host"]).aggregate(Count(alias_name="_c")) \
-        .groupby("round").aggregate(Count(alias_name="n_hosts"))
+    agg = combine_buckets(
+        log_ds.map_batches(partial, batch_format="pyarrow"), "round",
+        [("n_fetched", "count"), ("n_ok", "sum"), ("min_seq", "min"),
+         ("max_seq", "max")])
+    # distinct hosts per round: two vectorized aggregates (distinct →
+    # count) — no per-group Python (each (round, host) group would be
+    # a tiny Python call).
+    hosts = log_ds.select_columns(["round", "host"])
+    n_hosts = combine_buckets(combine_buckets(hosts, ["round", "host"], []),
+                              "round", [("n_hosts", "count")])
     a = _pull(agg)
     h = _pull(n_hosts)
     return a.join(h, keys="round").sort_by("round")
@@ -107,7 +94,6 @@ def robots_audit(log_ds: rd.Dataset, robots: pa.Table) -> pa.Table:
     fold in a ≤hosts-row groupby; no exchange of log rows."""
     import numpy as np
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     hosts = robots["host"].to_pylist()
     prefs = robots["disallow_prefixes"].to_pylist()
@@ -145,10 +131,9 @@ def robots_audit(log_ds: rd.Dataset, robots: pa.Table) -> pa.Table:
             "n_fetched": pa.array(out_f, type=pa.int64()),
             "n_violations": pa.array(out_v, type=pa.int64())})
 
-    agg = log_ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("host") \
-        .aggregate(Sum("n_fetched", alias_name="n_fetched"),
-                   Sum("n_violations", alias_name="n_violations"))
+    agg = combine_buckets(
+        log_ds.map_batches(partial, batch_format="pyarrow"), "host",
+        [("n_fetched", "sum"), ("n_violations", "sum")])
     rows = _pull(agg)
     got = {h: (int(f), int(v)) for h, f, v in
            zip(rows["host"].to_pylist(),

@@ -122,10 +122,12 @@ def anchor_text_index(docs_path: str, k: int = 50, npart: int = 32):
         tgt = t["target"].combine_chunks().dictionary_encode()
         code = tgt.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         n = t["n_sum"].to_numpy(zero_copy_only=False)
-        anchors = t["anchor"].to_pylist()
+        anchor = t["anchor"].combine_chunks()
         names = tgt.dictionary.to_pylist()
-        # modal anchor: sort (target, -count, anchor); group head wins
-        order = np.lexsort((np.array(anchors, dtype=object), -n, code))
+        # modal anchor: sort (target, -count, anchor); group head wins.
+        # Dense ranks order the anchors exactly as the strings compare.
+        arank = pc.rank(anchor, tiebreaker="dense").to_numpy()
+        order = np.lexsort((arank, -n, code))
         code_s, n_s = code[order], n[order]
         starts = np.flatnonzero(np.concatenate(
             ([True], code_s[1:] != code_s[:-1])))
@@ -136,8 +138,7 @@ def anchor_text_index(docs_path: str, k: int = 50, npart: int = 32):
                                type=pa.string()),
             "n_refs": pa.array(np.add.reduceat(n_s, starts), type=INT64),
             "n_anchors": pa.array(sizes.astype(np.int64), type=INT64),
-            "top_anchor": pa.array([anchors[int(i)] for i in head],
-                                   type=pa.string())})
+            "top_anchor": anchor.take(pa.array(head))})
         idx = pc.sort_indices(out, sort_keys=[("n_refs", "descending"),
                                               ("target", "ascending")])
         return out.take(idx.slice(0, k))

@@ -14,10 +14,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
-from ray.data.aggregate import Min, Sum
 
 from ..stages import dedup as dd
-from ..stages.exchange import bucket_exchange, segment_bounds, sort_result
+from ..stages.exchange import (bucket_exchange, combine_buckets,
+                               segment_bounds, sort_result)
 from ..stages import similarity as sim
 from ..stages import textstats as ts
 
@@ -119,15 +119,14 @@ def quality_model_scores(sf_dir: str):
 # -- dedup ------------------------------------------------------------------
 
 def exact_dedup(sf_dir: str):
-    """Hash-partitioned exact dedup: per-batch combiner, global groupby,
-    output one surviving (keep_doc, n_copies) per distinct text."""
-    ds = _docs(sf_dir).map_batches(dd.add_text_hash, batch_format="pyarrow")
-    partial = ds.map_batches(dd.partial_dedup_agg, batch_format="pyarrow")
-    out = partial.groupby("text_hash").aggregate(
-        Min("keep_doc", alias_name="keep_doc"),
-        Sum("n_copies", alias_name="n_copies"),
-    )
-    return out.drop_columns(["text_hash"]).sort("keep_doc")
+    """Hash-partitioned exact dedup through ``combine_buckets``: one
+    surviving (keep_doc, n_copies) per distinct text."""
+    ds = _docs(sf_dir).map_batches(
+        lambda b: dd.add_text_hash(b).select(["text_hash", "doc_id"])
+        .rename_columns(["text_hash", "keep_doc"]), batch_format="pyarrow")
+    out = combine_buckets(ds, "text_hash",
+                          [("keep_doc", "min"), ("n_copies", "count")])
+    return sort_result(out.drop_columns(["text_hash"]), ["keep_doc"])
 
 
 def minhash_pairs(sf_dir: str, threshold_ppm: int = 500_000):
@@ -305,22 +304,15 @@ def media_resize(sf_dir: str):
 _FRAME_NPART = 64
 
 
-def _frame_partials(b: pa.Table) -> pa.Table:
-    """Per-batch combiner fused into the sampler actor: int group key
-    only, no frame bytes enter the shuffle — one row per (video, batch)
-    instead of one per frame."""
+def _frame_sizes(b: pa.Table) -> pa.Table:
+    """Sampler-actor post step: (video int key, frame size) per frame —
+    no frame bytes leave the actor."""
     import pyarrow.compute as pc
 
-    t = pa.table({
+    return pa.table({
         "midx": b["midx"],
         "frame_bytes": pc.cast(pc.binary_length(
-            pc.cast(b["frame"], pa.binary())), pa.int64()),
-    }).group_by(["midx"]).aggregate(
-        [("frame_bytes", "sum"), ("midx", "count")])
-    t = t.rename_columns(["midx", "frame_bytes", "n_frames"])
-    part = (t["midx"].to_numpy(zero_copy_only=False)
-            % _FRAME_NPART).astype(np.int32)
-    return t.append_column("part", pa.array(part))
+            pc.cast(b["frame"], pa.binary())), pa.int64())})
 
 
 def frame_samples(sf_dir: str):
@@ -335,16 +327,8 @@ def frame_samples(sf_dir: str):
     partial = _only_media(idx, "video").map_batches(
         SynthesizedStage,
         fn_constructor_args=(prof.n_hosts, FrameSampler),
-        fn_constructor_kwargs={"post": _frame_partials},
+        fn_constructor_kwargs={"post": _frame_sizes},
         batch_format="pyarrow", concurrency=(2, 24), batch_size=8192)
-
-    def combine(g: pa.Table) -> pa.Table:
-        # one vectorized Arrow group_by per hash bucket (exchange.py
-        # rationale: the built-in per-key aggregate's shuffle fabric
-        # dominates at this key cardinality)
-        out = g.group_by(["midx"]).aggregate(
-            [("frame_bytes", "sum"), ("n_frames", "sum")])
-        return out.rename_columns(["midx", "frame_bytes", "n_frames"])
 
     def with_media_id(b: pa.Table) -> pa.Table:
         mid = pc.binary_join_element_wise(
@@ -353,9 +337,12 @@ def frame_samples(sf_dir: str):
                          "frame_bytes": b["frame_bytes"],
                          "midx": b["midx"]})
 
-    return bucket_exchange(partial, combine) \
-        .map_batches(with_media_id, batch_format="pyarrow") \
-        .sort("midx").drop_columns(["midx"])
+    per_video = combine_buckets(
+        partial, "midx", [("frame_bytes", "sum"), ("n_frames", "count")],
+        npart=_FRAME_NPART)
+    return sort_result(per_video.map_batches(with_media_id,
+                                             batch_format="pyarrow"),
+                       ["midx"]).drop_columns(["midx"])
 
 
 def audio_features(sf_dir: str):
@@ -388,12 +375,11 @@ def curation(sf_dir: str):
         dd.add_text_hash, batch_format="pyarrow")
 
     # keep-min per distinct text as a VECTORIZED aggregate (not a
-    # per-group Python take): doc_id = Min over the group; text rides
-    # along via Min too, which is exact because every row in a
+    # per-group Python take): doc_id = min over the group; text rides
+    # along via min too, which is exact because every row in a
     # text_hash group has the identical text.
-    survivors = ds.groupby("text_hash").aggregate(
-        Min("doc_id", alias_name="doc_id"),
-        Min("text", alias_name="text"))
+    survivors = combine_buckets(ds, "text_hash",
+                                [("doc_id", "min"), ("text", "min")])
 
     def stats_and_gate(batch: pa.Table) -> pa.Table:
         q = ts.quality_scores(batch)
@@ -668,8 +654,6 @@ def pack_chunks(sf_dir: str, budget: int = 2048, npart: int = 16):
     each part independently cumsums its own sorted rows + its offset.
     Two passes over (doc_id, n_tokens) — the text column is read
     once, never shuffled."""
-    from ray.data.aggregate import Sum
-
     # range bounds from parquet stats (driver-side metadata only)
     meta = pq.read_metadata(os.path.join(sf_dir, "documents.parquet"))
     hi = 0
@@ -698,10 +682,13 @@ def pack_chunks(sf_dir: str, budget: int = 2048, npart: int = 16):
         .materialize()
 
     # pass 1: per-part subtotals -> exclusive offsets (npart rows)
-    sub = toks.groupby("part").aggregate(Sum("n_tokens", alias_name="s")) \
-        .to_pandas().sort_values("part")
+    sub = combine_buckets(
+        toks.map_batches(lambda b: pa.table({"p": b["part"],
+                                             "s": b["n_tokens"]}),
+                         batch_format="pyarrow"),
+        "p", [("s", "sum")]).to_pandas().sort_values("p")
     offs = np.zeros(npart, dtype=np.int64)
-    np.add.at(offs, sub["part"].to_numpy()[1:],
+    np.add.at(offs, sub["p"].to_numpy()[1:],
               sub["s"].to_numpy().cumsum()[:-1])
     offs = np.maximum.accumulate(offs)
 
@@ -1069,8 +1056,6 @@ def contamination(sf_dir: str, n: int = 3, npart: int = 64,
     the bucket's benchmark grams), and a tiny groupby merges per-doc
     partials.  Production n is 13; the synthetic corpus' vocabulary
     needs n=3 to produce overlap."""
-    from ray.data.aggregate import Max, Sum
-
     from ..stages import segments as sg
 
     partials = bucket_exchange(
@@ -1079,9 +1064,9 @@ def contamination(sf_dir: str, n: int = 3, npart: int = 64,
                                        bench_mod=bench_mod),
             batch_format="pyarrow"),
         lambda g: sg.bucket_contamination(g.drop_columns(["part"])))
-    return partials.groupby("doc_id").aggregate(
-        Max("n_grams", alias_name="n_grams"),
-        Sum("n_hits", alias_name="n_hits")).sort("doc_id")
+    return sort_result(combine_buckets(
+        partials, "doc_id", [("n_grams", "max"), ("n_hits", "sum")]),
+        ["doc_id"])
 
 
 def group_centroids(sf_dir: str, scale: int = 1 << 20):
@@ -1089,17 +1074,14 @@ def group_centroids(sf_dir: str, scale: int = 1 << 20):
     each batch folds to labels×dim partial rows (order-free int64
     sums), a tiny global groupby merges them — shuffle volume is
     independent of the row count."""
-    from ray.data.aggregate import Sum
-
     from ..stages import segments as sg
 
-    return _emb(sf_dir).map_batches(
-        lambda b: sg.centroid_partials(b, scale=scale),
-        batch_format="pyarrow") \
-        .groupby(["label", "pos"]).aggregate(
-            Sum("sum_q", alias_name="sum_q"),
-            Sum("n_vecs", alias_name="n_vecs")) \
-        .sort(["label", "pos"])
+    return sort_result(combine_buckets(
+        _emb(sf_dir).map_batches(
+            lambda b: sg.centroid_partials(b, scale=scale),
+            batch_format="pyarrow"),
+        ["label", "pos"], [("sum_q", "sum"), ("n_vecs", "sum")]),
+        ["label", "pos"])
 
 
 # -- incremental re-crawl (snapshot delta) -----------------------------------
@@ -1281,19 +1263,15 @@ def export_partitioned(sf_dir: str, out_dir: str | None = None):
     back = rd.read_parquet(out)
 
     def manifest(b: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "lang_pred": pc.cast(b["lang_pred"], pa.string()),
             "n_bytes": pc.cast(pc.binary_length(
                 pc.cast(b["text"], pa.string())), pa.int64()),
         })
-        p = t.group_by(["lang_pred"]).aggregate(
-            [("n_bytes", "count"), ("n_bytes", "sum")])
-        return p.rename_columns(["lang_pred", "n_docs", "n_bytes"])
 
-    return back.map_batches(manifest, batch_format="pyarrow") \
-        .groupby("lang_pred").aggregate(Sum("n_docs", alias_name="n_docs"),
-                                        Sum("n_bytes", alias_name="n_bytes")) \
-        .sort("lang_pred")
+    return sort_result(combine_buckets(
+        back.map_batches(manifest, batch_format="pyarrow"), "lang_pred",
+        [("n_docs", "count"), ("n_bytes", "sum")]), ["lang_pred"])
 
 
 def mode_lang_by_source(sf_dir: str):
@@ -1306,16 +1284,8 @@ def mode_lang_by_source(sf_dir: str):
     regardless of row count), then the argmax is driver arithmetic
     over the reduced table — the same partials-then-tiny-reduce shape
     as q01/q66."""
-    from ray.data.aggregate import Sum as _Sum
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"source": b["source"], "lang": b["lang"]})
-        p = t.group_by(["source", "lang"]).aggregate([("lang", "count")])
-        return p.rename_columns(["source", "lang", "n"])
-
-    fine = _docs(sf_dir, columns=["source", "lang"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby(["source", "lang"]).aggregate(_Sum("n", alias_name="n"))
+    fine = combine_buckets(_docs(sf_dir, columns=["source", "lang"]),
+                           ["source", "lang"], [("n", "count")])
     t = pa.concat_tables(fine.iter_batches(batch_format="pyarrow"))
     src = np.asarray(t["source"].to_pylist(), dtype=object)
     lang = np.asarray(t["lang"].to_pylist(), dtype=object)

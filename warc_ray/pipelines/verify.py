@@ -198,18 +198,18 @@ def verify_archive_spans(warc_dir: str, corpus_docs_path: str) -> rd.Dataset:
     Both sides reduce each doc to one 64-bit sequence hash, so the
     comparator is a single vectorized aggregate (Count/Sum/Min/Max) —
     no per-group Python.  False pass probability per doc ≈ 2^-64."""
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     from ..sources import read_warc
+    from ..stages.exchange import combine_buckets
+
+    def measures(b: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": b["doc_id"], "side_sum": b["side_flag"],
+                         "h_min": b["seq_hash"], "h_max": b["seq_hash"]})
 
     ref = rd.read_parquet(corpus_docs_path).map_batches(
         _corpus_side, batch_format="pyarrow")
     out = read_warc(warc_dir).map_batches(_warc_side, batch_format="pyarrow")
-    both = ref.union(out)
-    agg = both.groupby("doc_id").aggregate(
-        Count(alias_name="n_sides"),
-        Sum("side_flag", alias_name="side_sum"),
-        Min("seq_hash", alias_name="h_min"),
-        Max("seq_hash", alias_name="h_max"),
-    )
+    agg = combine_buckets(
+        ref.union(out).map_batches(measures, batch_format="pyarrow"),
+        "doc_id", [("n_sides", "count"), ("side_sum", "sum"),
+                   ("h_min", "min"), ("h_max", "max")])
     return agg.map_batches(_finish, batch_format="pyarrow")

@@ -91,16 +91,6 @@ ROBOTS_SCHEMA = pa.schema([
 # Frontier / crawl-loop tables
 # ---------------------------------------------------------------------------
 
-URL_SCHEMA = pa.schema([
-    ("url", pa.string()),             # canonical form
-    ("url_sha1", pa.binary(20)),
-    ("host", pa.string()),
-    ("priority", pa.int32()),
-    ("src_doc", pa.string()),         # discovering doc ("" for seeds)
-    ("src_offset", pa.int32()),       # span offset within the discovering doc
-    ("depth", pa.int32()),
-])
-
 FETCH_SCHEMA = pa.schema([
     ("url", pa.string()),
     ("host", pa.string()),

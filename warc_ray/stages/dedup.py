@@ -9,13 +9,13 @@
     column (see similarity.py for the matmul core).
 
 Scale notes (SURVEY.md §2.B / ray_guide "Aggregation at scale"):
-exact dedup pre-aggregates per batch (one row per hash per batch)
-before the global groupby, so the shuffle moves candidates, not
-documents.  MinHash bands explode to (band, key, doc_id) rows and
-group by band key — the classic shingle→minhash→band→bucket pipeline;
-verification joins candidate pairs back to token sets (broadcast side
-input at test scale; hash-partitioned join at 100 TB — documented at
-the call site).
+exact dedup goes through ``combine_buckets``, whose per-block combine
+(one row per hash per block) runs before the exchange, so the
+exchange moves candidates, not documents.  MinHash bands explode to
+(band, key, doc_id) rows and group by band key — the classic
+shingle→minhash→band→bucket pipeline; verification joins candidate
+pairs back to token sets (broadcast side input at test scale;
+hash-partitioned join at 100 TB — documented at the call site).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import bucket_exchange
+from .exchange import bucket_exchange, combine_buckets
 from .md5vec import md5_prefix64
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
@@ -318,13 +318,6 @@ def add_text_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
     h = [sha1(mv[s:e]).hexdigest()
          for s, e in zip(starts.tolist(), (starts + lens).tolist())]
     return batch.append_column("text_hash", pa.array(h, type=pa.string()))
-
-
-def partial_dedup_agg(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Per-batch combiner: one (text_hash, min_id, n) row per hash —
-    shrinks the shuffle to distinct hashes per batch."""
-    t = batch.group_by("text_hash").aggregate([(id_col, "min"), (id_col, "count")])
-    return t.rename_columns(["text_hash", "keep_doc", "n_copies"])
 
 
 # ---------------------------------------------------------------------------
@@ -708,11 +701,7 @@ def minhash_dedup_pairs(docs_ds, docs_parquet: str | None = None, *,
     cand = bucket_exchange(
         bands_ds, lambda g: bucket_pairs(g.drop_columns(["part"])))
     if verify == "broadcast":
-        from ray.data.aggregate import Count
-
-        uniq = cand.groupby(["doc_a", "doc_b"]) \
-            .aggregate(Count(alias_name="_c")).drop_columns(["_c"])
-        return uniq.map_batches(
+        return combine_buckets(cand, ["doc_a", "doc_b"], []).map_batches(
             VerifyJaccard, fn_constructor_args=(docs_parquet, threshold_ppm),
             batch_format="pyarrow", concurrency=(1, 2))
     docs = docs_ds.select_columns(["doc_id", "text"])

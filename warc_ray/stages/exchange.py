@@ -1,18 +1,17 @@
-"""Hash-bucket exchange: high-cardinality aggregates and joins without
-the per-key shuffle machinery.
+"""Hash-bucket exchange: every grouped aggregate and join of the engine,
+without a per-key shuffle.
 
-Ray Data's ``groupby(key).aggregate(...)`` sort-shuffles on the full
-key domain and runs its per-key combine at the reduce; for
-high-cardinality keys the exchange fabric dominates the actual
-aggregation (measured on the 1.2M-doc corpus: a 3.5M-row / 1.8M-key
-URL dedup took ~30s through the built-in aggregate vs ~5s through this
-exchange at identical results).  The bucket exchange instead:
+``combine_buckets`` is the engine's one grouped aggregate (no module
+calls Ray Data's ``groupby(key).aggregate(...)``, which sort-shuffles
+the full key domain and combines per key at the reduce: on the
+1.2M-doc corpus a 3.5M-row / 1.8M-key URL dedup took ~30s through it
+vs ~5s through this exchange at identical results).  It runs:
 
-  1. the caller pre-aggregates per batch with vectorized Arrow
-     ``Table.group_by`` (the classic combiner),
-  2. ``with_part`` appends ``part = hash(key) % npart`` (vectorized),
-  3. ``bucket_exchange`` runs one ``bucket_fn`` per part — exact,
-     because ``with_part`` puts every key in exactly one bucket.
+  1. per block, a vectorized Arrow ``Table.group_by`` (the classic
+     combiner, so row skew collapses before anything moves),
+  2. ``with_part``, which appends ``part = hash(keys) % npart``,
+  3. ``bucket_exchange``, one Arrow group_by per part — exact, because
+     ``with_part`` puts every key tuple in exactly one bucket.
 
 ``bucket_exchange`` is the engine's only exchange: ``combine_buckets``,
 ``hash_join``, ``skew_join``, ``range_sort`` and ``clustered_join``
@@ -58,10 +57,17 @@ def hash64_strings(arr: pa.Array | pa.ChunkedArray,
     return pl.from_arrow(arr).hash(seed=seed).to_numpy()
 
 
-def with_part(tab: pa.Table, key_col: str, npart: int,
+def with_part(tab: pa.Table, key_cols, npart: int,
               seed: int = 42) -> pa.Table:
-    """Append ``part = hash64(key) % npart`` (int32, vectorized)."""
-    h = hash64_strings(tab[key_col], seed=seed)
+    """Append ``part = hash64(key) % npart`` (int32, vectorized).
+    ``key_cols`` is one column name or a list: one key hashes with
+    ``hash64_strings``, several hash each row's key tuple (polars
+    ``DataFrame.hash_rows``)."""
+    keys = [key_cols] if isinstance(key_cols, str) else list(key_cols)
+    if len(keys) == 1:
+        h = hash64_strings(tab[keys[0]], seed=seed)
+    else:
+        h = pl.from_arrow(tab.select(keys)).hash_rows(seed=seed).to_numpy()
     part = (h % np.uint64(npart)).astype(np.int32)
     return tab.append_column("part", pa.array(part))
 
@@ -148,28 +154,51 @@ def sort_result(ds, keys: list[str]):
         .sort_by([(k, "ascending") for k in keys]))
 
 
-def combine_buckets(ds, key_cols, aggs: list[tuple[str, str]],
-                    names: list[str] | None = None):
-    """One vectorized Arrow group_by per hash bucket (``bucket_exchange``).
+_COMBINE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
-    ``ds`` rows must carry a ``part`` column (see ``with_part``);
-    ``aggs`` is the pyarrow ``Table.group_by(...).aggregate`` spec;
-    ``names`` positionally renames the output (keys first, then the
-    aggregates — pyarrow's output order).  Output row order is
-    unspecified; empty input keeps the combine's output schema.
-    Executes ``ds`` when called (callers must not run it again).
+
+def _group(tab: pa.Table, keys: list[str], aggs) -> pa.Table:
+    """Arrow ``group_by(keys)`` with each ``(col, op)`` written back
+    under ``col`` (``count`` counts rows)."""
+    out = tab.group_by(keys, use_threads=False).aggregate(
+        [([], "count_all") if op == "count" else (col, op)
+         for col, op in aggs])
+    return out.rename_columns(keys + [col for col, _ in aggs])
+
+
+def combine_buckets(ds, keys, aggs: list[tuple[str, str]], *,
+                    npart: int = 32):
+    """The engine's grouped aggregate: one row per distinct ``keys``
+    tuple of ``ds``, with each ``(col, op)`` of ``aggs`` in column
+    ``col``.
+
+    ``op`` is ``sum``, ``min``, ``max`` or ``count`` (rows per group,
+    like Ray's ``Count()``; ``col`` names the output and need not be
+    an input column).  ``aggs=[]`` is a distinct.  No key or output
+    column may be named ``part``.  Null keys form one group; a sum over
+    only nulls is null.  Each block is first reduced with an Arrow
+    ``group_by`` (the combiner), tagged by ``with_part(keys)`` and then
+    combined per part through ``bucket_exchange`` (counts are summed).
+    Output row order is unspecified — sort where order matters.
+    Executes ``ds`` when called (callers must not run it again); only
+    when no row comes out does it read ``ds.schema()`` (which may run
+    ``ds`` again), so that empty input keeps the output schema.
     """
     import ray.data as rd
 
-    keys = [key_cols] if isinstance(key_cols, str) else list(key_cols)
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    merge = [(col, _COMBINE_OP[op]) for col, op in aggs]
+
+    def partial(b: pa.Table) -> pa.Table:
+        return with_part(_group(b, keys, aggs), keys, npart)
 
     def combine(g: pa.Table) -> pa.Table:
-        out = g.drop_columns(["part"]).group_by(keys).aggregate(aggs)
-        return out.rename_columns(names) if names else out
+        return _group(g.drop_columns(["part"]), keys, merge)
 
-    mat = ds.materialize()
-    if mat.count() == 0 and mat.schema() is not None:
-        return rd.from_arrow(combine(mat.schema().base_schema.empty_table()))
+    mat = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    if mat.count() == 0 and ds.schema() is not None:
+        empty = partial(ds.schema().base_schema.empty_table())
+        return rd.from_arrow(combine(empty))
     return bucket_exchange(mat, combine)
 
 

@@ -124,7 +124,7 @@ def host_link_stats(ds: rd.Dataset, url_col: str = "url",
     and stage 2 strips the salt and merges the ≤k rows per host.
     Upper-bound counts may over-salt a warm host, which costs one
     extra stage-2 merge row and changes no results."""
-    from .exchange import combine_buckets, hash64_strings, with_part
+    from .exchange import combine_buckets, hash64_strings
 
     parts = _host_partials(ds, url_col)
     salts = salt_factors(_mg_fold(parts, target_per_group, cells)[0],
@@ -144,9 +144,7 @@ def host_link_stats(ds: rd.Dataset, url_col: str = "url",
             pc.binary_join_element_wise(
                 b["host"], pa.array(d.astype(np.str_)), "#"),
             b["host"])
-        return with_part(b.drop_columns(["host"])
-                         .add_column(0, "host_salted", salted),
-                         "host_salted", 16)
+        return b.drop_columns(["host"]).add_column(0, "host_salted", salted)
 
     aggs = [("n_links", "sum"), ("min_src", "min"), ("max_src", "max")]
     # stage 1: reduce on the SALTED key (skew split across k buckets);
@@ -154,16 +152,15 @@ def host_link_stats(ds: rd.Dataset, url_col: str = "url",
     # few tasks instead of one task per input block
     stage1 = combine_buckets(
         parts.map_batches(salt, batch_format="pyarrow", batch_size=1 << 16),
-        "host_salted", aggs,
-        names=["host_salted", "n_links", "min_src", "max_src"])
+        "host_salted", aggs, npart=16)
 
     # stage 2: strip the salt (vectorized), merge the k partials per
     # hot host
     def strip(b: pa.Table) -> pa.Table:
         hosts = pc.replace_substring_regex(b["host_salted"], r"#\d+$", "")
-        return with_part(b.drop_columns(["host_salted"]).add_column(
-            0, "host", pc.cast(hosts, pa.string())), "host", 8)
+        return b.drop_columns(["host_salted"]).add_column(
+            0, "host", pc.cast(hosts, pa.string()))
 
     return combine_buckets(
         stage1.map_batches(strip, batch_format="pyarrow"), "host", aggs,
-        names=["host", "n_links", "min_src", "max_src"])
+        npart=8)

@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .exchange import bucket_exchange, segment_bounds
+from .exchange import (bucket_exchange, combine_buckets, segment_bounds,
+                       sort_result)
 
 
 def _matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -375,8 +376,6 @@ def lsh_neardup_pairs(emb_ds, threshold: float = 0.4, *,
     the threshold is weak (at cos>=0.4 over near-orthogonal vectors
     ~64% of ALL pairs band-match; as entries of per-run matmuls they
     cost nanoseconds, as join rows they cost an exchange)."""
-    from ray.data.aggregate import Count
-
     sig = emb_ds.select_columns(["vec_id", "embedding"]).map_batches(
         lambda b: lsh_band_rows(b, bands=bands, rows=rows, npart=npart,
                                 include_emb=True),
@@ -386,8 +385,7 @@ def lsh_neardup_pairs(emb_ds, threshold: float = 0.4, *,
         sig, lambda g: lsh_bucket_verify(g.drop_columns(["part"]), threshold))
     # cross-band duplicates → one tiny distinct exchange (verified
     # pairs only, orders of magnitude below candidate count)
-    return ver.groupby(["vec_a", "vec_b"]) \
-        .aggregate(Count(alias_name="_c")).drop_columns(["_c"])
+    return combine_buckets(ver, ["vec_a", "vec_b"], [])
 
 
 def lsh_bucket_verify(part: pa.Table, threshold: float) -> pa.Table:
@@ -461,7 +459,6 @@ def quantize_embeddings(emb_ds):
     codes + the integer reconstruction-error checksum
     sum_d (x'_d*255 - q_d*range_d)^2 (exact; bounded by
     sum (range_d/2 + 1)^2)."""
-    from ray.data.aggregate import Max, Min
 
     def stats(b: pa.Table) -> pa.Table:
         X = _fixed_point(_matrix(b))
@@ -472,10 +469,9 @@ def quantize_embeddings(emb_ds):
             "mx": pa.array(X.max(axis=0)),
         })
 
-    st = emb_ds.map_batches(stats, batch_format="pyarrow") \
-        .groupby("dim").aggregate(Min("mn", alias_name="mn"),
-                                  Max("mx", alias_name="mx")) \
-        .sort("dim").take_all()                      # tiny: one row per dim
+    st = sort_result(combine_buckets(
+        emb_ds.map_batches(stats, batch_format="pyarrow"), "dim",
+        [("mn", "min"), ("mx", "max")]), ["dim"]).take_all()  # one row/dim
     mn = np.array([r["mn"] for r in st], dtype=np.int64)
     mx = np.array([r["mx"] for r in st], dtype=np.int64)
     rng = mx - mn

@@ -355,7 +355,7 @@ def cms_freq(ds, key_col: str, probe_mod: int = 97,
     import ray
     import pyarrow.compute as pc
 
-    from .exchange import hash64_strings, with_part
+    from .exchange import combine_buckets
 
     def partial(b: pa.Table) -> pa.Table:
         col = b[key_col]
@@ -391,19 +391,15 @@ def cms_freq(ds, key_col: str, probe_mod: int = 97,
         keys = sub[key_col].to_pylist()
         if not keys:
             return pa.table({key_col: pa.array([], type=pa.string()),
-                             est_name: pa.array([], type=pa.int64()),
-                             "part": pa.array([], type=pa.int32())})
+                             est_name: pa.array([], type=pa.int64())})
         est = cms_estimate(np.asarray(ray.get(sketch_ref)),
                            md5_chunks_u32(keys))
-        t = pa.table({key_col: sub[key_col],
-                      est_name: pa.array(est, type=pa.int64())})
-        return with_part(t, key_col, npart)
-
-    from .exchange import combine_buckets
+        return pa.table({key_col: sub[key_col],
+                         est_name: pa.array(est, type=pa.int64())})
 
     return combine_buckets(
         emitted.map_batches(probe_est, batch_format="pyarrow"),
-        key_col, [(est_name, "min")], names=[key_col, est_name]) \
+        key_col, [(est_name, "min")], npart=npart) \
         .sort(key_col)
 
 
