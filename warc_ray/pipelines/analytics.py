@@ -8295,15 +8295,13 @@ def watermark_audit(sf_dir: str, npart: int = 32):
             "event_type": b["event_type"]})
 
     # pass A: per-range max(ts) partials → driver carry-in fold
-    part_max = combine_buckets(
-        ds.map_batches(tag, batch_format="pyarrow").map_batches(
-            lambda b: pa.table({"p": b["part"], "mx": b["t"]}),
-            batch_format="pyarrow"), "p", [("mx", "max")])
+    part_max = combine_buckets(ds.map_batches(tag, batch_format="pyarrow"),
+                               "part", [("t", "max")])
     pm = pa.concat_tables(part_max.iter_batches(batch_format="pyarrow"))
     mx = np.full(len(splitters) + 1, np.iinfo(np.int64).min,
                  dtype=np.int64)
-    mx[pm["p"].to_numpy(zero_copy_only=False)] = \
-        pm["mx"].to_numpy(zero_copy_only=False)
+    mx[pm["part"].to_numpy(zero_copy_only=False)] = \
+        pm["t"].to_numpy(zero_copy_only=False)
     carry = np.concatenate((
         [np.iinfo(np.int64).min],
         np.maximum.accumulate(mx)[:-1]))        # carry[p] = max before p
@@ -8388,14 +8386,12 @@ def monetary_unit_sample(sf_dir: str, npart: int = 32):
             "cents": pc.cast(pc.round(pc.multiply(
                 b["o_totalprice"], 100.0)), INT64)})
 
-    part_sum = combine_buckets(
-        ds.map_batches(tag, batch_format="pyarrow").map_batches(
-            lambda b: pa.table({"p": b["part"], "s": b["cents"]}),
-            batch_format="pyarrow"), "p", [("s", "sum")])
+    part_sum = combine_buckets(ds.map_batches(tag, batch_format="pyarrow"),
+                               "part", [("cents", "sum")])
     pm = pa.concat_tables(part_sum.iter_batches(batch_format="pyarrow"))
     sums = np.zeros(len(splitters) + 1, dtype=np.int64)
-    sums[pm["p"].to_numpy(zero_copy_only=False)] = \
-        pm["s"].to_numpy(zero_copy_only=False)
+    sums[pm["part"].to_numpy(zero_copy_only=False)] = \
+        pm["cents"].to_numpy(zero_copy_only=False)
     carry = np.concatenate(([0], np.cumsum(sums)[:-1]))
     carry_ref = _ray.put(carry)
 
@@ -9137,14 +9133,12 @@ def abc_classification(sf_dir: str, npart: int = 32):
                                side="right").astype(np.int32)
         return b.append_column("part", pa.array(part))
 
-    part_sum = combine_buckets(
-        pr.map_batches(tag, batch_format="pyarrow").map_batches(
-            lambda b: pa.table({"p": b["part"], "s": b["r"]}),
-            batch_format="pyarrow"), "p", [("s", "sum")])
+    part_sum = combine_buckets(pr.map_batches(tag, batch_format="pyarrow"),
+                               "part", [("r", "sum")])
     pm = pa.concat_tables(part_sum.iter_batches(batch_format="pyarrow"))
     sums = np.zeros(len(splitters) + 1, dtype=np.int64)
-    sums[pm["p"].to_numpy(zero_copy_only=False)] = \
-        pm["s"].to_numpy(zero_copy_only=False)
+    sums[pm["part"].to_numpy(zero_copy_only=False)] = \
+        pm["r"].to_numpy(zero_copy_only=False)
     total = int(sums.sum())
     carry = np.concatenate(([0], np.cumsum(sums)[:-1]))
     carry_ref = _ray.put(carry)

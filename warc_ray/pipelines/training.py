@@ -304,15 +304,19 @@ def media_resize(sf_dir: str):
 _FRAME_NPART = 64
 
 
-def _frame_sizes(b: pa.Table) -> pa.Table:
-    """Sampler-actor post step: (video int key, frame size) per frame —
-    no frame bytes leave the actor."""
+def _frame_partials(b: pa.Table) -> pa.Table:
+    """Per-batch combiner fused into the sampler actor: int group key
+    only, no frame bytes leave the actor — one row per (video, batch)
+    instead of one per frame."""
     import pyarrow.compute as pc
 
-    return pa.table({
+    t = pa.table({
         "midx": b["midx"],
         "frame_bytes": pc.cast(pc.binary_length(
             pc.cast(b["frame"], pa.binary())), pa.int64())})
+    return t.group_by(["midx"]).aggregate(
+        [("frame_bytes", "sum"), ("midx", "count")]) \
+        .rename_columns(["midx", "frame_bytes", "n_frames"])
 
 
 def frame_samples(sf_dir: str):
@@ -327,7 +331,7 @@ def frame_samples(sf_dir: str):
     partial = _only_media(idx, "video").map_batches(
         SynthesizedStage,
         fn_constructor_args=(prof.n_hosts, FrameSampler),
-        fn_constructor_kwargs={"post": _frame_sizes},
+        fn_constructor_kwargs={"post": _frame_partials},
         batch_format="pyarrow", concurrency=(2, 24), batch_size=8192)
 
     def with_media_id(b: pa.Table) -> pa.Table:
@@ -338,7 +342,7 @@ def frame_samples(sf_dir: str):
                          "midx": b["midx"]})
 
     per_video = combine_buckets(
-        partial, "midx", [("frame_bytes", "sum"), ("n_frames", "count")],
+        partial, "midx", [("frame_bytes", "sum"), ("n_frames", "sum")],
         npart=_FRAME_NPART)
     return sort_result(per_video.map_batches(with_media_id,
                                              batch_format="pyarrow"),
@@ -682,14 +686,11 @@ def pack_chunks(sf_dir: str, budget: int = 2048, npart: int = 16):
         .materialize()
 
     # pass 1: per-part subtotals -> exclusive offsets (npart rows)
-    sub = combine_buckets(
-        toks.map_batches(lambda b: pa.table({"p": b["part"],
-                                             "s": b["n_tokens"]}),
-                         batch_format="pyarrow"),
-        "p", [("s", "sum")]).to_pandas().sort_values("p")
+    sub = combine_buckets(toks, "part", [("n_tokens", "sum")]) \
+        .to_pandas().sort_values("part")
     offs = np.zeros(npart, dtype=np.int64)
-    np.add.at(offs, sub["p"].to_numpy()[1:],
-              sub["s"].to_numpy().cumsum()[:-1])
+    np.add.at(offs, sub["part"].to_numpy()[1:],
+              sub["n_tokens"].to_numpy().cumsum()[:-1])
     offs = np.maximum.accumulate(offs)
 
     def pack_part(g: pa.Table) -> pa.Table:

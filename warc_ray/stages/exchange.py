@@ -1,17 +1,17 @@
 """Hash-bucket exchange: every grouped aggregate and join of the engine,
 without a per-key shuffle.
 
-``combine_buckets`` is the engine's one grouped aggregate (no module
+``combine_buckets`` is the engine's one grouped aggregate.  No module
 calls Ray Data's ``groupby(key).aggregate(...)``, which sort-shuffles
-the full key domain and combines per key at the reduce: on the
-1.2M-doc corpus a 3.5M-row / 1.8M-key URL dedup took ~30s through it
-vs ~5s through this exchange at identical results).  It runs:
+the full key domain and combines per key at the reduce, so for
+high-cardinality keys its exchange fabric dominates the aggregation
+itself.  ``combine_buckets`` instead runs:
 
-  1. per block, a vectorized Arrow ``Table.group_by`` (the classic
+  1. per Ray block, a vectorized Arrow ``Table.group_by`` (the classic
      combiner, so row skew collapses before anything moves),
-  2. ``with_part``, which appends ``part = hash(keys) % npart``,
-  3. ``bucket_exchange``, one Arrow group_by per part — exact, because
-     ``with_part`` puts every key tuple in exactly one bucket.
+  2. ``with_part``, which appends a bucket ``hash(keys) % npart``,
+  3. ``bucket_exchange``, one Arrow group_by per bucket — exact,
+     because ``with_part`` puts every key tuple in exactly one bucket.
 
 ``bucket_exchange`` is the engine's only exchange: ``combine_buckets``,
 ``hash_join``, ``skew_join``, ``range_sort`` and ``clustered_join``
@@ -57,9 +57,9 @@ def hash64_strings(arr: pa.Array | pa.ChunkedArray,
     return pl.from_arrow(arr).hash(seed=seed).to_numpy()
 
 
-def with_part(tab: pa.Table, key_cols, npart: int,
-              seed: int = 42) -> pa.Table:
-    """Append ``part = hash64(key) % npart`` (int32, vectorized).
+def with_part(tab: pa.Table, key_cols, npart: int, seed: int = 42, *,
+              part_col: str = "part") -> pa.Table:
+    """Append ``part_col = hash64(key) % npart`` (int32, vectorized).
     ``key_cols`` is one column name or a list: one key hashes with
     ``hash64_strings``, several hash each row's key tuple (polars
     ``DataFrame.hash_rows``)."""
@@ -69,7 +69,7 @@ def with_part(tab: pa.Table, key_cols, npart: int,
     else:
         h = pl.from_arrow(tab.select(keys)).hash_rows(seed=seed).to_numpy()
     part = (h % np.uint64(npart)).astype(np.int32)
-    return tab.append_column("part", pa.array(part))
+    return tab.append_column(part_col, pa.array(part))
 
 
 def segment_bounds(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,6 +155,9 @@ def sort_result(ds, keys: list[str]):
 
 
 _COMBINE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+# combine_buckets' bucket column: private, so keys and outputs may use
+# any other name, ``part`` included
+_PART = "_combine_part"
 
 
 def _group(tab: pa.Table, keys: list[str], aggs) -> pa.Table:
@@ -174,15 +177,16 @@ def combine_buckets(ds, keys, aggs: list[tuple[str, str]], *,
 
     ``op`` is ``sum``, ``min``, ``max`` or ``count`` (rows per group,
     like Ray's ``Count()``; ``col`` names the output and need not be
-    an input column).  ``aggs=[]`` is a distinct.  No key or output
-    column may be named ``part``.  Null keys form one group; a sum over
-    only nulls is null.  Each block is first reduced with an Arrow
-    ``group_by`` (the combiner), tagged by ``with_part(keys)`` and then
-    combined per part through ``bucket_exchange`` (counts are summed).
-    Output row order is unspecified — sort where order matters.
-    Executes ``ds`` when called (callers must not run it again); only
-    when no row comes out does it read ``ds.schema()`` (which may run
-    ``ds`` again), so that empty input keeps the output schema.
+    an input column).  ``aggs=[]`` is a distinct.  Null keys form one
+    group; a sum over only nulls is null.  Each whole Ray block is
+    first reduced with an Arrow ``group_by`` (the combiner), then
+    tagged by ``with_part(keys)`` and combined per bucket through
+    ``bucket_exchange`` (counts are summed).  Output row order is
+    unspecified — sort where order matters.  Executes ``ds`` once,
+    when called (callers must not run it again).  Empty input keeps
+    the output schema when ``ds`` knows its schema without running
+    (e.g. Arrow or materialized input); otherwise it yields an empty
+    Dataset, as ``bucket_exchange`` does.
     """
     import ray.data as rd
 
@@ -190,16 +194,20 @@ def combine_buckets(ds, keys, aggs: list[tuple[str, str]], *,
     merge = [(col, _COMBINE_OP[op]) for col, op in aggs]
 
     def partial(b: pa.Table) -> pa.Table:
-        return with_part(_group(b, keys, aggs), keys, npart)
+        return with_part(_group(b, keys, aggs), keys, npart,
+                         part_col=_PART)
 
     def combine(g: pa.Table) -> pa.Table:
-        return _group(g.drop_columns(["part"]), keys, merge)
+        return _group(g.drop_columns([_PART]), keys, merge)
 
-    mat = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    if mat.count() == 0 and ds.schema() is not None:
-        empty = partial(ds.schema().base_schema.empty_table())
-        return rd.from_arrow(combine(empty))
-    return bucket_exchange(mat, combine)
+    mat = ds.map_batches(partial, batch_format="pyarrow",
+                         batch_size=None).materialize()
+    if mat.count() == 0:
+        schema = ds.schema(fetch_if_missing=False)
+        if schema is not None:
+            return rd.from_arrow(
+                combine(partial(schema.base_schema.empty_table())))
+    return bucket_exchange(mat, combine, part_col=_PART)
 
 
 def _join_exchange(left_ds, right_ds, keys: list[str], how: str,
