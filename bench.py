@@ -93,9 +93,10 @@ def bench_crawl(sf_dir: str, num_cpus: int, *, write_warc: bool = True) -> dict:
                          num_shards=n_shards,
                          max_rounds=12, max_depth=16,
                          filter_capacity=cap)
-    # warmup: a 2-round crawl spins up Ray's worker-process pool and
-    # faults in the corpus page cache, so the measurement below times
-    # the engine, not process spawn + cold imports
+    # warmup: a 2-round crawl spawns the crawl's actor fleet (the
+    # measured runs rebind it, crawl._POOL_CACHE) and faults in the
+    # corpus page cache, so the measurement below times the engine,
+    # not process spawn + cold imports
     warm_cfg = FrontierConfig(rate=float(budget), burst=2 * budget,
                               per_round_host_budget=budget,
                               num_shards=cfg.num_shards, max_rounds=2,

@@ -21,7 +21,10 @@ runs, a 2-round warmup per cluster start (worker-pool spinup + page
 cache), ``_wait_quiet`` + ``host_probe`` before each measured run and
 after the pair, outputs on /dev/shm wiped between runs.  Pool sizing
 comes from ``tools/submit_crawl.py``'s cluster-CPU rules, identical to
-``bench_crawl``'s (shards = CPUs//2, measured-cost fetch split).
+``bench_crawl``'s (shards = CPUs//2, measured-cost fetch split).  Each
+arm is timed by the engine-internal elapsed ``run_crawl`` returns
+(``wall_sec``), not by the submit subprocess, whose interpreter start,
+imports and Ray connect are not the engine's.
 
 Prints one JSON line; record the reading in BASELINE.md.
 
@@ -94,16 +97,15 @@ def _start_cluster(n_raylets: int, cpus_each: int, env: dict) -> str:
 
 def _submit(corpus: str, out: str, addr: str, env: dict,
             rounds: int = 12) -> dict:
+    """One ``submit_crawl.py`` job; its stats' ``wall_sec`` is
+    ``run_crawl``'s own elapsed, actor spawn to return."""
     env = dict(env, RAY_ADDRESS=addr)
     shutil.rmtree(out, ignore_errors=True)
-    t0 = time.perf_counter()
     stdout = _sh([sys.executable, os.path.join(REPO, "tools",
                                                "submit_crawl.py"),
                   "--corpus", corpus, "--out", out,
                   "--rounds", str(rounds)], env=env)
-    stats = json.loads(stdout.strip().splitlines()[-1])
-    stats["wall_sec"] = round(time.perf_counter() - t0, 2)
-    return stats
+    return json.loads(stdout.strip().splitlines()[-1])
 
 
 def main() -> None:

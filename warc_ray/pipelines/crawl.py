@@ -28,6 +28,13 @@ one worker for the whole crawl (same co-partitioning a 256-node
 cluster would use).  The bulk, non-iterative paths (corpus → WARC
 archive, readers, reports) remain plain Ray Data pipelines
 (pipelines/archive.py, sources/).
+
+The whole fleet — frontier shards, fetch workers, WARC writers — is
+long-lived across crawls too (``_POOL_CACHE``): a repeat ``run_crawl``
+in one process rebinds the warm actors to its run (``bind_run``)
+instead of spawning new ones, and respawns the fleet when any pooled
+actor has died.  The spawn phase ends with every actor's bind
+acknowledgement, so the seed phase times seeding only.
 """
 
 from __future__ import annotations
@@ -64,9 +71,12 @@ LOG_COLS = ["url", "host", "doc_id", "status", "round", "fetch_seq", "depth"]
 WRITER_COLS = ["url", "host", "status", "round", "content_type", "body",
                "depth", "fetch_seq"]
 
-# (corpus_dir, n_buckets, num_shards, n_workers, n_writers) -> pools.
-# Worker/writer actors are stateless between runs (bind_run resets the
-# per-run bits) so they are reused across run_crawl calls in a process.
+# (session, corpus_dir, n_buckets, num_shards, n_workers, n_writers)
+# -> (workers, writers, shards): the warm actor fleet.  Every actor's
+# bind_run resets its per-run state (a shard gets a fresh or restored
+# FrontierCore), so a repeat run_crawl in a process reuses the fleet
+# instead of cold-starting it.  run_crawl takes the entry out for the
+# length of a crawl and puts it back only when the crawl returns.
 _POOL_CACHE: dict = {}
 
 
@@ -187,13 +197,11 @@ class WarcWriter:
             cdx_dir, f"part-{self.writer_id:03d}-r{upto:05d}.parquet"))
         return tbl.num_rows
 
-    def reset_run(self) -> float:
-        """Drop state from a previous (possibly aborted) run on pool
-        reuse; returns and clears the busy counter."""
+    def bind_run(self) -> None:
+        """Rebind to a new crawl run (pool reuse): drop the CDX buffer
+        and busy counters of the previous run."""
         self._cdx_buf = []
-        b = getattr(self, "_busy", 0.0)
         self._busy = self._busy_cpu = 0.0
-        return b
 
     def busy_seconds(self) -> tuple:
         """Cumulative write_round (wall, cpu) work time."""
@@ -441,7 +449,8 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
     os.makedirs(out_dir, exist_ok=True)
     ckpt_dir = os.path.join(out_dir, "checkpoint")
     manifest_path = os.path.join(out_dir, "CRAWL_MANIFEST.json")
-    if not (resume and os.path.exists(manifest_path)):
+    resuming = resume and os.path.exists(manifest_path)
+    if not resuming:
         # fresh run into a reused out_dir: drop ALL prior outputs.
         # Flushed log/cdx part names are keyed (worker_id, round) — a
         # rerun with a different pool size overwrites only ITS OWN
@@ -460,14 +469,12 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
 
     import time as _time
 
+    _t_start = _time.perf_counter()
     _phase = {}
-    _pt = _time.perf_counter()
-
-    Shard = make_frontier_shard_cls()
     robots_ref = ray.put(robots_to_shard_dict(corpus_mod.read_robots(corpus_dir)))
 
     start_round = 0
-    if resume and os.path.exists(manifest_path):
+    if resuming:
         with open(manifest_path) as f:
             m = json.load(f)
         start_round = m["next_round"]
@@ -482,15 +489,8 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
                     upto = int(name.rsplit("-r", 1)[1].split(".")[0])
                     if upto > start_round:
                         os.unlink(os.path.join(part_dir, name))
-        shards = [
-            Shard.remote(s, cfg, robots_ref,
-                         restore_path=os.path.join(ckpt_dir, f"shard-{s:03d}.pkl"))
-            for s in range(cfg.num_shards)
-        ]
-    else:
-        shards = [Shard.remote(s, cfg, robots_ref) for s in range(cfg.num_shards)]
-        _phase["spawn_shards"] = _time.perf_counter() - _pt
-    _pt = _time.perf_counter()
+    restore = [os.path.join(ckpt_dir, f"shard-{s:03d}.pkl") if resuming
+               else None for s in range(cfg.num_shards)]
 
     cpus = int(ray.cluster_resources().get("CPU", 8))
     # On small clusters don't reserve a whole core for the driver (it
@@ -523,31 +523,47 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         fetch_concurrency = max(1, min(profile.n_buckets, 32, frac))
     n_workers = fetch_concurrency
     n_writers = max(1, budget - n_workers) if write_warc else 0
-    pool_key = (corpus_dir, profile.n_buckets, cfg.num_shards,
-                n_workers, n_writers)
-    cached = _POOL_CACHE.get(pool_key)
-    if cached is not None:
-        workers, writers = cached
-        # rebind to this run's fresh frontier shards + output dir; the
-        # per-worker bucket caches survive across crawls (a long-lived
-        # fetch fleet, as a production crawler would keep)
-        ray.get([w.bind_run.remote(shards, out_dir) for w in workers])
-    else:
+    # the driver's node id names the Ray session: a new session has a
+    # new one, and actor handles from an older session are unusable
+    pool_key = (ray.get_runtime_context().get_node_id(), corpus_dir,
+                profile.n_buckets, cfg.num_shards, n_workers, n_writers)
+    _pt = _time.perf_counter()
+    # The pool leaves the cache for the length of this crawl and goes
+    # back only when the crawl returns, so an aborted crawl's in-flight
+    # calls never reach the next crawl's actors.
+    pool = _POOL_CACHE.pop(pool_key, None)
+    _POOL_CACHE.clear()  # a pool of another layout dies here
+    if pool is not None:
+        workers, writers, shards = pool
+        # rebind the warm fleet to this run: fresh (or restored)
+        # frontier state, output dir and counters; the worker bucket
+        # caches and every actor process survive across crawls (a
+        # long-lived fleet, as a production crawler would keep)
+        try:
+            _await_bound(
+                [s.bind_run.remote(i, cfg, robots_ref, restore[i])
+                 for i, s in enumerate(shards)],
+                [w.bind_run.remote(shards, out_dir) for w in workers]
+                + [w.bind_run.remote() for w in writers],
+                _phase, _pt)
+        except ray.exceptions.RayActorError:
+            pool = None  # an actor died between crawls: respawn all
+    if pool is None:
+        Shard = make_frontier_shard_cls()
+        shards = [Shard.remote(s, cfg, robots_ref, restore[s])
+                  for s in range(cfg.num_shards)]
         writers = [WarcWriter.remote(i) for i in range(n_writers)]
         workers = [
             CrawlWorker.remote(w, corpus_dir, profile.n_buckets,
                                shards, cfg.num_shards, out_dir, writers)
             for w in range(n_workers)
         ]
-        _POOL_CACHE.clear()  # previous pools (different key) die here
-        _POOL_CACHE[pool_key] = (workers, writers)
-
-    _phase["spawn_pools"] = _time.perf_counter() - _pt
+        _await_bound([s.__ray_ready__.remote() for s in shards],
+                     [a.__ray_ready__.remote() for a in workers + writers],
+                     _phase, _pt)
     _pt = _time.perf_counter()
-    if writers:  # drop stale buffers/counters (pool reuse across runs)
-        ray.get([w.reset_run.remote() for w in writers])
 
-    if start_round == 0 and not (resume and os.path.exists(manifest_path)):
+    if not resuming:
         # round -1: seed the frontier IN PARALLEL across the whole
         # actor fleet (writers are idle before round 0) — seed
         # canonicalization+sha1 was ~11 s of serial driver time at
@@ -571,7 +587,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
     round_log = os.environ.get("WARC_RAY_ROUND_LOG")
     t = start_round
     next_split = None  # (round, split_refs) from a combined seal+pop
-    if start_round == 0 and not (resume and os.path.exists(manifest_path)):
+    if not resuming:
         # seed seal FUSED with the round-0 pop (one actor call instead
         # of a seal barrier + a pop chain; the hot shard's seed seal
         # overlaps every other shard's round-0 pop)
@@ -704,7 +720,12 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
     if checkpoint_every:
         _checkpoint(shards, ckpt_dir, manifest_path, t, cfg)
     _phase["final_flush"] = _time.perf_counter() - _pt
-    shard_busy = ray.get([s.busy_seconds.remote() for s in shards])
+    # one end-of-run round over the fleet: each shard reads out and
+    # drops its run state (finish), each writer its busy counters
+    fin_refs = [s.finish.remote() for s in shards]
+    wb = ray.get([w.busy_seconds.remote() for w in writers])
+    fin = ray.get(fin_refs)
+    shard_busy = [f["busy"] for f in fin]
     _phase["seal_busy_max"] = max(b["seal"] for b in shard_busy)
     _phase["seal_busy_sum"] = sum(b["seal"] for b in shard_busy)
     _phase["pop_busy_max"] = max(b["pop"] for b in shard_busy)
@@ -712,23 +733,35 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
     for k in ("seal_sort", "seal_filter", "seal_queue"):
         _phase["hot_" + k] = hot.get(k, 0.0)
     if writers:
-        wb = ray.get([w.busy_seconds.remote() for w in writers])
         _phase["writer_busy"] = sum(b[0] for b in wb)
         _phase["writer_busy_cpu"] = sum(b[1] for b in wb)
-    stats = ray.get([s.stats.remote() for s in shards])
-    filters = ray.get([s.filter_table_bytes.remote() for s in shards])
-    for a in shards:          # workers/writers stay warm (_POOL_CACHE)
-        ray.kill(a)
+    # a clean finish: the fleet goes back to the warm pool
+    _POOL_CACHE[pool_key] = (workers, writers, shards)
     return {
         "rounds": rounds_run,
         "last_round": t,
         "total_fetched": total_fetched,
         "warc_records": total_warc_records,
-        "shard_stats": stats,
-        "filter_bytes": filters,
+        "shard_stats": [f["stats"] for f in fin],
+        "filter_bytes": [f["filter_bytes"] for f in fin],
         "out_dir": out_dir,
+        "wall_sec": round(_time.perf_counter() - _t_start, 3),
         "phase_sec": {k: round(v, 3) for k, v in _phase.items()},
     }
+
+
+def _await_bound(shard_acks: list, pool_acks: list, phase: dict,
+                 t0: float) -> None:
+    """Wait for the fleet's bind acknowledgements.  The spawn phases end
+    only when every actor holds this run's state, so a cold actor start
+    never shows up in the seed phase."""
+    import time as _time
+
+    ray.get(shard_acks)
+    t1 = _time.perf_counter()
+    ray.get(pool_acks)
+    phase["spawn_shards"] = t1 - t0
+    phase["spawn_pools"] = _time.perf_counter() - t1
 
 
 def _checkpoint(shards, ckpt_dir: str, manifest_path: str, next_round: int,

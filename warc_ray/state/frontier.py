@@ -19,9 +19,11 @@ Determinism (the crawl-order parity contract, BASELINE.json):
     class — parity by construction.
 
 The distributed wrapper ``FrontierShard`` is a Ray actor exchanging
-Arrow tables (zero-copy through the object store) and is restartable
-from checkpoint (its state is NOT re-derivable from lineage — SURVEY.md
-§4).
+Arrow tables (zero-copy through the object store).  The actor process
+is long-lived — the crawl keeps its shard fleet warm across runs — and
+``bind_run`` gives it one run's ``FrontierCore``: fresh, or loaded from
+a checkpoint (its state is NOT re-derivable from lineage — SURVEY.md
+§4).  ``finish`` reads the run out and drops the core.
 """
 
 from __future__ import annotations
@@ -477,10 +479,14 @@ def make_frontier_shard_cls():
 
     # max_restarts=0 on purpose: an auto-restarted shard would re-run
     # __init__ with EMPTY state (silent frontier loss).  Recovery is the
-    # explicit checkpoint+resume path (G16) — fail fast instead.
-    # num_cpus=0.25: a shard does queue/filter bookkeeping only (µs per
-    # URL) — full CPUs would starve the fetch workers on small nodes.
-    @ray.remote(max_restarts=0, num_cpus=0.25)
+    # explicit checkpoint+resume path (G16) — fail fast instead; the
+    # crawl pool respawns its whole fleet when a pooled shard is gone.
+    # Default actor resources (1 CPU to place, none held while alive),
+    # as CrawlWorker/WarcWriter: shards outlive a crawl in the warm
+    # pool (pipelines/crawl._POOL_CACHE), and a held fraction of a CPU
+    # per idle shard starved later Ray Data tasks on a 1-CPU node.
+    # run_crawl's pool budget keeps cores back for the shards' work.
+    @ray.remote(max_restarts=0)
     class FrontierShard:
         def __init__(self, shard_id: int, config: FrontierConfig,
                      robots_ref=None, restore_path: str | None = None):
@@ -501,15 +507,26 @@ def make_frontier_shard_cls():
                 os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
             except (AttributeError, OSError):
                 pass
+            self.core = None
+            self.bind_run(shard_id, config, robots_ref, restore_path)
+
+        def bind_run(self, shard_id: int, config: FrontierConfig,
+                     robots_ref=None, restore_path: str | None = None) -> int:
+            """Bind this process to one crawl run: a fresh FrontierCore,
+            or the one checkpointed at ``restore_path``.  Fresh runs,
+            resumes and pool reuse across crawls all take this path."""
+            self.core = None  # the previous run's state goes first
             # ray.put refs passed as task args arrive auto-resolved
             robots = robots_ref if isinstance(robots_ref, dict) else (
                 ray.get(robots_ref) if robots_ref is not None else {})
             # keep only this shard's hosts (host-hash ownership)
             mine = {h: r for h, r in robots.items()
                     if shard_of(h, config.num_shards) == shard_id}
-            self.core = FrontierCore(shard_id, config, mine)
+            core = FrontierCore(shard_id, config, mine)
             if restore_path and os.path.exists(restore_path):
-                self.core.load(restore_path)
+                core.load(restore_path)
+            self.core = core
+            return shard_id
 
         def offer(self, table: pa.Table) -> int:
             return self.core.offer(table)
@@ -517,15 +534,9 @@ def make_frontier_shard_cls():
         def count_suppressed(self, n: int) -> int:
             return self.core.count_suppressed(n)
 
-        def busy_seconds(self) -> dict:
-            return dict(self.core.busy)
-
         def seal_round(self) -> dict:
             self.core.seal_round()
             return self.core.counters
-
-        def pop_round(self, t: int) -> pa.Table:
-            return self.core.pop_round(t)
 
         def seal_then_pop_split(self, t: int, n_buckets: int,
                                 n_workers: int):
@@ -570,8 +581,14 @@ def make_frontier_shard_cls():
             self.core.save(path)
             return path
 
-        def filter_table_bytes(self) -> bytes:
-            """For seen-set parity checks: the raw cuckoo table."""
-            return self.core.filter.table.tobytes()
+        def finish(self) -> dict:
+            """End-of-run readout in one call — in-actor busy times,
+            counters and the raw cuckoo table (seen-set parity checks)
+            — then drop the run's state; the idle pooled process keeps
+            none of it until the next ``bind_run``."""
+            out = {"busy": dict(self.core.busy), "stats": self.stats(),
+                   "filter_bytes": self.core.filter.table.tobytes()}
+            self.core = None
+            return out
 
     return FrontierShard
