@@ -2,9 +2,9 @@
 
 Per logical round ``t``::
 
-    emit    = ray.get([shard.pop_round(t) ...])        # politeness-bounded
-    slices  = split emit by corpus bucket → worker (bucket % n_workers)
-    counts  = ray.get([worker.process_round(t, slice) ...])
+    slices  = [shard.pop_round_split(t) ...]   # politeness-bounded emit,
+              # split shard-side by corpus bucket → worker (bucket % n_workers)
+    counts  = ray.get([worker.process_round_refs(t, slices) ...])
               # each worker: fetch → log parquet → WARC shard + CDX →
               #              extract links → offer to frontier shards
     seal    = ray.get([shard.seal_round() ...])        # round barrier

@@ -507,7 +507,6 @@ def make_frontier_shard_cls():
                 os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
             except (AttributeError, OSError):
                 pass
-            self.core = None
             self.bind_run(shard_id, config, robots_ref, restore_path)
 
         def bind_run(self, shard_id: int, config: FrontierConfig,
