@@ -35,7 +35,6 @@ import os
 import shutil
 import subprocess
 import sys
-import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
@@ -85,17 +84,16 @@ def _wait_cluster_cpus(addr: str, want: int, env: dict,
 
 def _submit(corpus: str, out: str, addr: str, env: dict,
             shards: int, fetch_workers: int) -> dict:
+    """One ``submit_crawl.py`` job; its stats' ``wall_sec`` is
+    ``run_crawl``'s own elapsed, as in tools/cluster_scaling.py."""
     env = dict(env, RAY_ADDRESS=addr)
-    t0 = time.perf_counter()
     stdout = _sh([sys.executable, os.path.join(REPO, "tools",
                                                "submit_crawl.py"),
                   "--corpus", corpus, "--out", out,
                   "--shards", str(shards),
                   "--fetch-workers", str(fetch_workers)],
                  env=env, timeout=3600)
-    stats = json.loads(stdout.strip().splitlines()[-1])
-    stats["wall_sec"] = round(time.perf_counter() - t0, 2)
-    return stats
+    return json.loads(stdout.strip().splitlines()[-1])
 
 
 def _sha1_glob(root: str, pattern: str) -> dict[str, str]:

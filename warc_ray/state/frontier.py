@@ -510,7 +510,7 @@ def make_frontier_shard_cls():
             self.bind_run(shard_id, config, robots_ref, restore_path)
 
         def bind_run(self, shard_id: int, config: FrontierConfig,
-                     robots_ref=None, restore_path: str | None = None) -> int:
+                     robots_ref=None, restore_path: str | None = None) -> None:
             """Bind this process to one crawl run: a fresh FrontierCore,
             or the one checkpointed at ``restore_path``.  Fresh runs,
             resumes and pool reuse across crawls all take this path."""
@@ -525,7 +525,6 @@ def make_frontier_shard_cls():
             if restore_path and os.path.exists(restore_path):
                 core.load(restore_path)
             self.core = core
-            return shard_id
 
         def offer(self, table: pa.Table) -> int:
             return self.core.offer(table)
