@@ -163,6 +163,17 @@ def test_lineage_and_metrics(crawl_result):
         r["next_round"] for r in rows)
 
 
+def test_worker_phases_reported(crawl_result):
+    # every run_crawl reports the crawl workers' per-layer time, summed
+    # over rounds: fetch, WARC dispatch, link extraction, offer
+    from warc_ray.pipelines.crawl import WORKER_PHASES
+
+    _out, res = crawl_result
+    ph = res["phase_sec"]
+    assert all(ph[k] >= 0 for k in WORKER_PHASES)
+    assert ph["worker_fetch"] > 0 and ph["worker_links"] > 0
+
+
 def test_fresh_run_clears_stale_parts(ray_session, tmp_path):
     """A fresh (non-resume) run into a reused out_dir must not leave
     stale log/cdx parts from a previous run with a DIFFERENT pool

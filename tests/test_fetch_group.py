@@ -1,0 +1,134 @@
+"""FetchGroup output pinned to the oracle's per-row ``fetch_rows``.
+
+The vectorized fetcher must return, table for table, what a row-by-row
+build from ``fetch_rows`` returns: same rows in the documented order
+(stable bucket sort when a ``bucket`` column exists; then doc hits,
+media, misses, each in input order), same bytes, ``FETCH_SCHEMA``.
+"""
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from warc_ray import corpus
+from warc_ray.schema import FETCH_SCHEMA
+from warc_ray.stages.fetch import FetchGroup, add_bucket_column, fetch_rows
+
+P = corpus.PROFILES["t1"]
+
+
+@pytest.fixture(scope="module")
+def cdir(tmp_path_factory):
+    return corpus.ensure_corpus("t1", root=str(tmp_path_factory.mktemp("c")))
+
+
+def _group(urls: list[str], bucket: bool = True) -> pa.Table:
+    n = len(urls)
+    t = pa.table({
+        "url": pa.array(urls, type=pa.string()),
+        "host": pa.array(["h%d" % (i % 3) for i in range(n)]),
+        "priority": pa.array([1] * n, type=pa.int32()),
+        "depth": pa.array([i % 4 for i in range(n)], type=pa.int32()),
+        "round": pa.array([2] * n, type=pa.int32()),
+        "fetch_seq": pa.array(range(n), type=pa.int64()),
+    })
+    return add_bucket_column(t, P.n_buckets) if bucket else t
+
+
+def _reference(group: pa.Table, cdir: str) -> pa.Table:
+    """The fetch table built row by row from fetch_rows."""
+    if "bucket" in group.column_names:
+        group = group.take(pa.array(np.argsort(
+            group["bucket"].to_numpy(), kind="stable")))
+    rows = group.to_pylist()
+    res = fetch_rows([r["url"] for r in rows], cdir, P.n_buckets)
+
+    def rank(i):
+        doc_id = res[i][0]
+        return (0 if doc_id.startswith("doc-")
+                else 1 if doc_id.startswith("media-") else 2)
+
+    out = []
+    for i in sorted(range(len(rows)), key=rank):
+        doc_id, status, ctype, body, spans = res[i]
+        r = rows[i]
+        out.append({"url": r["url"], "host": r["host"], "doc_id": doc_id,
+                    "status": status, "round": r["round"],
+                    "fetch_seq": r["fetch_seq"], "content_type": ctype,
+                    "body": body, "spans": list(spans), "depth": r["depth"]})
+    return pa.Table.from_pylist(out, schema=FETCH_SCHEMA)
+
+
+def _check(fg: FetchGroup, group: pa.Table, cdir: str) -> pa.Table:
+    got = fg(group)
+    want = _reference(group, cdir)
+    assert got.schema.equals(FETCH_SCHEMA)
+    assert got.equals(want)
+    return got
+
+
+def test_mixed_slice_matches_fetch_rows(cdir):
+    h = P.n_hosts
+    urls = (
+        [corpus.doc_url(i, h) for i in range(0, P.n_docs, 7)]  # all buckets
+        + [corpus.media_url(i, h) for i in range(3, P.n_docs, 13)]
+        + [corpus.doc_url(P.n_docs + 5, h),          # absent from its bucket
+           "http://host-0.example/robots.txt",
+           "http://host-1.example/doc/12/",
+           "http://host-2.example/doc/1234567890123456789",    # 19 digits
+           "http://host-2.example/media/1234567890123456789",
+           "http://HOST-3.example/doc/3",            # fails the strict form
+           "http://host-4.example/doc/0007",         # leading zeros
+           "http://host-5.example/doc/-5"])          # below every key
+    rng = np.random.default_rng(5)
+    urls = [urls[i] for i in rng.permutation(len(urls))]
+    got = _check(FetchGroup(cdir, P.n_buckets), _group(urls), cdir)
+    assert set(got["status"].to_pylist()) == {200, 404}
+    assert "doc-3" in got["doc_id"].to_pylist()   # uppercase host resolves
+
+
+def test_group_without_bucket_and_one_row(cdir):
+    h = P.n_hosts
+    fg = FetchGroup(cdir, P.n_buckets)
+    urls = ([corpus.doc_url(i, h) for i in (9, 2, 401, 2, 17)]
+            + [corpus.media_url(4, h),
+               "http://host-0.example/media/12345678901234567890",  # > int64
+               corpus.doc_url(P.n_docs + 1, h)])
+    _check(fg, _group(urls, bucket=False), cdir)
+    for u in (corpus.doc_url(5, h), corpus.media_url(5, h),
+              "http://host-0.example/robots.txt"):
+        _check(fg, _group([u]), cdir)
+    _check(fg, _group([]).slice(0, 0), cdir)
+
+
+def test_incremental_loads_keep_several_chunks(cdir):
+    # Each call loads the buckets it newly touches as one store chunk;
+    # a later call whose hits span several chunks must still return the
+    # fetch_rows rows in order.
+    h, nb = P.n_hosts, P.n_buckets
+    fg = FetchGroup(cdir, nb)
+    docs = {b: [i for i in range(b, P.n_docs, nb)][:20] for b in range(nb)}
+    _check(fg, _group([corpus.doc_url(i, h) for i in docs[0]]), cdir)
+    _check(fg, _group([corpus.doc_url(i, h) for i in docs[1]]
+                      + [corpus.media_url(1, h)]), cdir)
+    mixed = [corpus.doc_url(i, h)
+             for row in zip(docs[2], docs[0], docs[3], docs[1]) for i in row]
+    _check(fg, _group(mixed, bucket=False), cdir)
+    assert len(fg._spans) == 3
+    # warm: no new bucket, hits from every chunk, with and without sort
+    _check(fg, _group(mixed[::-1]), cdir)
+    _check(fg, _group(mixed[::3] + [corpus.doc_url(P.n_docs + 2, h)],
+                      bucket=False), cdir)
+    assert len(fg._spans) == 3
+
+
+def test_render_payloads_on_a_slice():
+    # FetchGroup renders a loaded chunk a row range at a time, so
+    # render_payloads must honor a sliced spans column's offset
+    from warc_ray.stages.assemble import render_payloads
+
+    spans = corpus._gen_bucket(corpus.PROFILES["t2"], 3)["spans"] \
+        .combine_chunks()
+    whole = render_payloads(spans)
+    for lo, n in ((0, 7), (5, 40), (len(spans) - 3, 10)):
+        assert render_payloads(spans.slice(lo, n)).equals(whole.slice(lo, n))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warc_ray.stages.urls import (
+    _sha1_digests,
     canonicalize_batch,
     canonicalize_url,
     extract_links,
@@ -151,3 +152,62 @@ def test_canonical_fast_path():
             assert canonicalize_url(u) == u, u
 
     fuzz()
+
+
+_HASH_URL = st.one_of(
+    # already canonical: the fast path
+    st.from_regex(r"http://[a-z0-9]{1,6}\.example(/[a-z0-9_~-]{0,6}){1,3}",
+                  fullmatch=True),
+    # needs canonicalizing, or fails to: the mixed path
+    st.sampled_from(["http://H.example/doc/1", "http://h.example:80/a",
+                     "http://h.example/./b/../c", "http://h.example/%64x",
+                     "http://h.example/é/ü", "ftp://bad/x", "not a url"]),
+)
+
+
+def _assert_hashes_match(out):
+    urls = out["url"].to_pylist()
+    digests = [hashlib.sha1(u.encode()).digest() for u in urls]
+    assert out["url_sha1"].to_pylist() == digests
+    assert out["hash64"].to_pylist() == [
+        int.from_bytes(d[:8], "big") for d in digests]
+
+
+@settings(max_examples=150, deadline=None)
+@given(urls=st.lists(_HASH_URL, max_size=40),
+       lo=st.integers(0, 5), cut=st.integers(0, 40))
+def test_canonicalize_batch_buffer_hashes(urls, lo, cut):
+    # url_sha1 and hash64 are hashed from the Arrow buffers; each must
+    # equal hashlib over the canonical URL's utf-8 bytes, on the fast
+    # path, the mixed path, a sliced array and a chunked column
+    n = len(urls)
+    arr = pa.array(urls, type=pa.string())
+    prio = pa.array(range(n), type=pa.int32())
+    out = canonicalize_batch(pa.table({"url": arr, "priority": prio}))
+    assert out["url"].to_pylist() == [
+        c for c in map(canonicalize_url, urls) if c is not None]
+    _assert_hashes_match(out)
+
+    # sliced input array: non-zero offset into the shared buffers
+    lo = min(lo, n)
+    assert _sha1_digests(arr.slice(lo)) == b"".join(
+        hashlib.sha1(u.encode()).digest() for u in urls[lo:])
+    sliced = arr.slice(lo)
+    out = canonicalize_batch(
+        pa.table({"url": sliced, "priority": prio.slice(lo)}))
+    assert out["url"].to_pylist() == [
+        c for c in map(canonicalize_url, urls[lo:]) if c is not None]
+    _assert_hashes_match(out)
+
+    # chunked column: one sliced chunk (combine_chunks may keep it
+    # as is) or two chunks
+    cut = min(cut, n)
+    for chunks in ([arr.slice(lo)], [arr[:cut], arr[cut:]]):
+        col = pa.chunked_array(chunks, type=pa.string())
+        out = canonicalize_batch(pa.table(
+            {"url": col, "priority": pa.array(range(len(col)),
+                                              type=pa.int32())}))
+        assert out["url"].to_pylist() == [
+            c for c in map(canonicalize_url, col.to_pylist())
+            if c is not None]
+        _assert_hashes_match(out)

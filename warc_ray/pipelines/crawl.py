@@ -50,13 +50,8 @@ import ray
 import ray.data as rd
 
 from .. import corpus as corpus_mod
-from ..sinks.warc_sink import WriteWarcShard, write_fused_round
-from ..stages.assemble import (
-    fetch_to_warc_records,
-    fused_fetch_records,
-    logical_date,
-    serialize_records,
-)
+from ..sinks.warc_sink import write_fused_round
+from ..stages.assemble import logical_date
 from ..stages.fetch import FetchGroup
 from ..stages.urls import canonicalize_batch, extract_links
 from ..state.frontier import (
@@ -70,6 +65,11 @@ LOG_COLS = ["url", "host", "doc_id", "status", "round", "fetch_seq", "depth"]
 # exactly what fused_fetch_records reads — the writer-IPC payload
 WRITER_COLS = ["url", "host", "status", "round", "content_type", "body",
                "depth", "fetch_seq"]
+WRITE_CHUNK = 2048  # fetched rows per writer call
+# per-round CrawlWorker phase times (the ``tm`` tuple), summed over
+# rounds and workers into phase_sec under these names
+WORKER_PHASES = ("worker_fetch", "worker_warc", "worker_links",
+                 "worker_offer")
 
 # (session, corpus_dir, n_buckets, num_shards, n_workers, n_writers)
 # -> (workers, writers, shards): the warm actor fleet.  Every actor's
@@ -93,8 +93,8 @@ def _single_threaded_arrow() -> None:
     _pa.set_cpu_count(1)
     _pa.set_io_thread_count(1)
     # Stretch GC cadence ~20x: crawl actors hold large long-lived
-    # containers (bucket index maps, buffered log tables), and CPython's
-    # default cadence runs a full gen-2 scan over all of them every
+    # containers (buffered log tables), and CPython's default cadence
+    # runs a full gen-2 scan over all of them every
     # ~70k container allocations — a fixed multi-100ms tax per round at
     # full batch rate.  Almost all garbage here is refcount-freed, so
     # collections are purely cycle insurance.
@@ -224,9 +224,9 @@ class CrawlWorker:
     """Persistent per-round fetch/assemble/offer worker.
 
     Owns buckets ``{b : b % n_workers == worker_id}`` for the whole
-    crawl: the bucket→spans cache stays warm, and every output file the
-    worker writes is keyed ``(round, worker_id)`` → reruns of a round
-    overwrite their own files (idempotent, resumable).
+    crawl: its ``FetchGroup`` bucket store stays warm, and every output
+    file the worker writes is keyed ``(round, worker_id)`` → reruns of
+    a round overwrite their own files (idempotent, resumable).
     """
 
     # worker-side re-offer suppression set cap: above this the set is
@@ -252,7 +252,7 @@ class CrawlWorker:
 
     def bind_run(self, shards, out_dir: str) -> None:
         """Rebind to a new crawl run (pool reuse): fresh frontier shard
-        handles + output dir; the bucket cache stays warm."""
+        handles + output dir; the bucket store stays warm."""
         self.shards = shards
         self.out_dir = out_dir
         self._log_buf = []
@@ -362,11 +362,10 @@ class CrawlWorker:
             # (worker, SHARD, chunk): a pure function of round content,
             # so reruns/resumes regenerate byte-identical shard files.
             nwr = len(self.writers)
-            csz = int(os.environ.get("GRAFT_WRITE_CHUNK", "2048"))
             for sid, fp in fetched_parts:
                 to_write = fp.select(WRITER_COLS)
-                for c, lo in enumerate(range(0, fp.num_rows, csz)):
-                    chunk = to_write.slice(lo, min(csz, fp.num_rows - lo))
+                for c, lo in enumerate(range(0, fp.num_rows, WRITE_CHUNK)):
+                    chunk = to_write.slice(lo, WRITE_CHUNK)
                     w = self.writers[
                         (t * 131 + self.worker_id * 7 + sid * 17 + c)
                         % nwr]
@@ -502,9 +501,6 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
     # needs the lion's share of tiny budgets.
     driver_reserve = 1 if cpus >= 12 else 0
     shard_reserve = (cfg.num_shards + 3) // 4
-    env_r = os.environ.get("GRAFT_POOL_RESERVE")
-    if env_r is not None:  # packing experiments: total cores held back
-        driver_reserve, shard_reserve = 0, int(env_r)
     budget = max(1, cpus - shard_reserve - driver_reserve)
     if fetch_concurrency is None:
         # (A combined fetch+gzip pool with max_concurrency=2 was tried
@@ -599,6 +595,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
     rounds_run = 0
     total_fetched = 0
     total_warc_records = 0
+    worker_tm = [0.0] * len(WORKER_PHASES)
     pending_warc: list = []
     n_shards = len(shards)
 
@@ -668,6 +665,8 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         counts = [c for c in ray.get(refs) if c["fetched"]]
         _t2 = _time.perf_counter()
         total_fetched += sum(c["fetched"] for c in counts)
+        for c in counts:
+            worker_tm = [a + b for a, b in zip(worker_tm, c["tm"])]
         pending_warc.extend(r for c in counts for r in c["warc_refs"])
         # barrier: every offer must have LANDED in its shard before seal
         ray.get([r for c in counts for r in c["offer_refs"]])
@@ -712,6 +711,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
             _checkpoint(shards, ckpt_dir, manifest_path, t, cfg)
 
     _phase["rounds"] = _time.perf_counter() - _pt
+    _phase.update(zip(WORKER_PHASES, worker_tm))
     _pt = _time.perf_counter()
     total_warc_records += sum(ray.get(pending_warc))
     pending_warc = []

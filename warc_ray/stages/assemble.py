@@ -54,7 +54,11 @@ def render_payloads(spans: pa.ListArray) -> pa.Array:
     piece = pc.if_else(pc.equal(kind, "text"), text,
                        pc.if_else(pc.equal(kind, "link"), a,
                                   pc.if_else(pc.equal(kind, "image"), img, vid)))
-    rebuilt = pa.ListArray.from_arrays(spans.offsets, piece)
+    # a sliced column's offsets start past 0; flatten() does not
+    offsets = spans.offsets
+    if spans.offset:
+        offsets = pc.subtract(offsets, offsets[0])
+    rebuilt = pa.ListArray.from_arrays(offsets, piece)
     bodies = pc.binary_join(rebuilt, "\n")
     blen = pc.binary_length(pc.cast(bodies, pa.binary()))
     head = pc.binary_join_element_wise(

@@ -12,11 +12,19 @@ deterministically reconstructs the document from the corpus table:
 
 Scale design: each crawl worker actor holds one ``FetchGroup`` and
 calls it directly, once per frontier slice
-(``CrawlWorker.process_round``).  Inside a call URLs group by **corpus
-bucket** (doc_index mod n_buckets) and each bucket reads exactly one
-bucket file of the corpus (locality), with a small per-worker LRU
-cache.  Nothing holds the whole corpus in memory; at 100 TB the bucket
-files are the unit of co-partitioning.
+(``CrawlWorker.process_round``).  The bucket → worker assignment is
+stable (``bucket % n_workers``), so each worker reads only its own
+corpus buckets, each bucket file once, and keeps them for the life of
+the actor in a per-instance Arrow store: spans plus pre-rendered
+payloads, indexed by a sorted doc-index array.  A slice then costs one
+regex pass, one ``np.searchsorted`` and one ``take`` per column, not a
+Python step per URL or an Arrow call per bucket.  Nothing holds more
+than a worker's bucket share of the corpus; at 100 TB the bucket files
+are the unit of co-partitioning.
+
+``fetch_rows`` is the single-process oracle's per-row path, with a
+small module-level LRU of bucket dicts; ``FetchGroup`` returns row for
+row what it returns (pinned by tests/test_fetch_group.py).
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import corpus as corpus_mod
 from ..schema import FETCH_SCHEMA, SPAN_STRUCT
@@ -63,8 +72,6 @@ def add_bucket_column(batch: pa.Table, n_buckets: int) -> pa.Table:
 
     Vectorized (runs on the crawl driver every round): the doc index is
     the digit suffix after the last '/'; non-conforming URLs → 0."""
-    import pyarrow.compute as pc
-
     urls = batch["url"]
     if isinstance(urls, pa.ChunkedArray):
         urls = urls.combine_chunks()
@@ -98,132 +105,191 @@ def fetch_rows(urls: list[str], corpus_dir: str, n_buckets: int,
     return out
 
 
-def _load_bucket_arrow(corpus_dir: str, bucket: int, cache: OrderedDict,
-                       cap: int):
-    """Arrow-native bucket entry: (idx2row, spans ListArray, payload
-    large_binary) with payloads PRE-RENDERED once per bucket load —
-    the fetch hot path then only does zero-copy ``take``s, never
-    Python-dict span conversion (which cost ~200µs/URL)."""
-    from .assemble import render_payloads
-
-    key = (corpus_dir, bucket)
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
-    t = corpus_mod.read_bucket(corpus_dir, bucket)
-    spans = t["spans"].combine_chunks()
-    payload = render_payloads(spans)
-    ids = [int(d[4:]) for d in t["doc_id"].to_pylist()]  # strip "doc-"
-    entry = ({i: r for r, i in enumerate(ids)}, spans, payload)
-    cache[key] = entry
-    if len(cache) > cap:
-        cache.popitem(last=False)
-    return entry
+# A canonical synthetic doc/media URL, parsed in one Arrow call.  At
+# most 18 digits, so every match fits int64; any other row (a robots
+# path, a trailing slash, an uppercase host, a 19-digit index) takes
+# corpus.parse_synthetic_url row by row, the parse fetch_rows uses.
+_SYNTH_URL_RE = (r"^http://host-[0-9]+\.example/"
+                 r"(?P<kind>doc|media)/(?P<idx>[0-9]{1,18})$")
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_DOC, _MEDIA, _MISS = 0, 1, 2
+_CONTENT_TYPES = pa.array(["text/html", "application/octet-stream",
+                           "text/plain"], type=pa.string())
+_STATUS = np.array([200, 200, 404], dtype=np.int32)
+_RENDER_ROWS = 8192  # docs per render_payloads call when a bucket loads
 
 
-_MISS = ("", 404, "text/plain")
+def _empty_spans(n: int) -> pa.Array:
+    """``n`` empty span lists (media and 404 rows)."""
+    return pa.ListArray.from_arrays(
+        pa.array(np.zeros(n + 1, dtype=np.int32)),
+        pa.array([], type=SPAN_STRUCT))
+
+
+def _parse_urls(urls: pa.Array) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Per row: kind code (doc / media / miss), int64 index, and the
+    media rows whose index does not fit int64 (position -> index)."""
+    m = pc.extract_regex(urls, _SYNTH_URL_RE)
+    fast = m.is_valid().to_numpy(zero_copy_only=False)
+    is_doc = pc.equal(pc.struct_field(m, "kind"), "doc").fill_null(False)
+    kind = np.where(fast, np.where(is_doc.to_numpy(zero_copy_only=False),
+                                   _DOC, _MEDIA), _MISS).astype(np.int8)
+    idx = (pc.cast(pc.struct_field(m, "idx"), pa.int64()).fill_null(0)
+           .to_numpy(zero_copy_only=False).copy())
+    big_media: dict = {}
+    if not fast.all():
+        slow = np.flatnonzero(~fast)
+        for p, u in zip(slow.tolist(), urls.take(slow).to_pylist()):
+            k, i = corpus_mod.parse_synthetic_url(u)
+            if k is None:
+                continue
+            if _INT64_MIN <= i <= _INT64_MAX:
+                kind[p], idx[p] = (_DOC if k == "doc" else _MEDIA), i
+            elif k == "media":  # a doc index past int64 stays a miss
+                kind[p], big_media[p] = _MEDIA, i
+    return kind, idx, big_media
 
 
 class FetchGroup:
     """Per-worker fetcher, called once per URL slice.
 
-    Vectorized: doc hits resolve to row indices in the (cached) bucket
-    tables and their spans/payload columns are gathered with Arrow
-    ``take``; only media blobs and the (rare) misses touch Python.
-    Output row order = doc hits (bucket-contiguous), then media, then
-    misses — deterministic given the input slice."""
+    The instance keeps every corpus bucket it has loaded for its whole
+    life, as Arrow columns: the buckets' spans and their pre-rendered
+    HTTP payloads, one concatenated chunk per call that loaded buckets
+    (a crawl worker's first call usually loads all its buckets, so a
+    warm store is one chunk).  A sorted int64 doc-index key array and
+    a packed ``(chunk << 32) | row`` location array index the store;
+    only a call that loads buckets rebuilds them.  Memory is the loaded
+    buckets' spans plus their payloads, plus 16 bytes of index per doc.
+    Nothing is evicted: an instance holds every bucket its calls have
+    touched, which for a crawl worker is its own bucket share.
 
-    def __init__(self, corpus_dir: str, n_buckets: int,
-                 cache_cap: int | None = None):
+    A call parses the slice's URLs in one regex pass, loads the missing
+    buckets (``doc_index % n_buckets``), finds every doc row with one
+    ``np.searchsorted`` and gathers spans and payloads with one
+    ``take`` per column per chunk touched.  Only media blobs and URLs
+    outside the strict synthetic form touch Python per row.  Output
+    row order = doc hits (bucket-contiguous, input order within a
+    bucket), then media, then misses — deterministic given the input
+    slice, and row for row what ``fetch_rows`` returns."""
+
+    def __init__(self, corpus_dir: str, n_buckets: int):
         self.corpus_dir = corpus_dir
         self.n_buckets = n_buckets
-        # private LRU sized to THIS worker's bucket share (the memory
-        # budget knob at scale); default holds every bucket it owns
-        self.cache: OrderedDict = OrderedDict()
-        self.cache_cap = cache_cap or n_buckets + 1
+        self._loaded: set[int] = set()
+        self._spans: list[pa.Array] = []
+        self._payload: list[pa.Array] = []
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._loc = np.zeros(0, dtype=np.int64)
+
+    def _load(self, buckets: list[int]) -> None:
+        """Read ``buckets`` into one new store chunk and re-sort the
+        index.  Payloads render from the concatenated spans a bounded
+        row range at a time, so the render's transient arrays stay
+        small and the only transient copy is one column's worth (the
+        rendered pieces, while they are concatenated)."""
+        from .assemble import render_payloads
+
+        tables = [corpus_mod.read_bucket(self.corpus_dir, b) for b in buckets]
+        keys = np.concatenate([
+            pc.cast(pc.utf8_slice_codeunits(t["doc_id"], 4), pa.int64())
+            .to_numpy() for t in tables])  # strip "doc-"
+        spans = pa.concat_arrays(
+            [c for t in tables for c in t["spans"].chunks])
+        del tables
+        payload = pa.concat_arrays([
+            render_payloads(spans.slice(lo, _RENDER_ROWS))
+            for lo in range(0, len(spans), _RENDER_ROWS)]
+            or [pa.array([], type=pa.large_binary())])
+        chunk = len(self._spans)
+        self._spans.append(spans)
+        self._payload.append(payload)
+        self._loaded.update(buckets)
+        loc = (np.int64(chunk) << 32) | np.arange(len(keys), dtype=np.int64)
+        keys = np.concatenate([self._keys, keys])
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._loc = np.concatenate([self._loc, loc])[order]
+
+    def _gather(self, loc: np.ndarray) -> tuple[pa.Array, pa.Array]:
+        """(spans, payload) of the store rows at packed ``loc``, in
+        ``loc`` order: one take per column per chunk touched."""
+        if not len(loc):
+            return (_empty_spans(0), pa.array([], type=pa.large_binary()))
+        chunk = loc >> 32
+        row = loc & 0xFFFFFFFF
+        first = int(chunk[0])
+        if (chunk == first).all():
+            take = pa.array(row)
+            return (self._spans[first].take(take),
+                    self._payload[first].take(take))
+        order = np.argsort(chunk, kind="stable")
+        spans, payload = [], []
+        for c in np.unique(chunk).tolist():
+            take = pa.array(row[chunk == c])
+            spans.append(self._spans[c].take(take))
+            payload.append(self._payload[c].take(take))
+        back = pa.array(np.argsort(order))  # inverse permutation
+        return (pa.concat_arrays(spans).take(back),
+                pa.concat_arrays(payload).take(back))
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        # bucket-contiguous: a worker can own more buckets than the LRU
-        # holds, and interleaved access would reload per URL
+        # bucket-contiguous: fixes the output order of doc hits
         if "bucket" in group.column_names and group.num_rows > 1:
             order = np.argsort(
                 group["bucket"].to_numpy(zero_copy_only=False), kind="stable")
             if not np.array_equal(order, np.arange(len(order))):
                 group = group.take(pa.array(order))
-        urls = group["url"].to_pylist()
+        urls = group["url"]
+        if isinstance(urls, pa.ChunkedArray):
+            urls = urls.combine_chunks()
+        kind, idx, big_media = _parse_urls(urls)
 
-        doc_pos: list[int] = []      # positions in group (doc hits)
-        doc_ids: list[str] = []
-        seg: list[tuple] = []        # (bucket, [bucket rows]) segments
-        media_pos: list[int] = []
-        media_ids: list[str] = []
-        media_urls: list[str] = []
-        miss_pos: list[int] = []
-        cur_bucket = -1
-        cur_rows: list[int] = []
-        for p, u in enumerate(urls):
-            kind, idx = corpus_mod.parse_synthetic_url(u)
-            if kind == "doc":
-                b = idx % self.n_buckets
-                entry = _load_bucket_arrow(self.corpus_dir, b, self.cache,
-                                           self.cache_cap)
-                r = entry[0].get(idx)
-                if r is None:
-                    miss_pos.append(p)
-                    continue
-                if b != cur_bucket:
-                    if cur_rows:
-                        seg.append((cur_bucket, cur_rows))
-                    cur_bucket, cur_rows = b, []
-                cur_rows.append(r)
-                doc_pos.append(p)
-                doc_ids.append("doc-%d" % idx)
-            elif kind == "media":
-                media_pos.append(p)
-                media_ids.append("media-%d" % idx)
-                media_urls.append(u)
-            else:
-                miss_pos.append(p)
-        if cur_rows:
-            seg.append((cur_bucket, cur_rows))
+        doc = np.flatnonzero(kind == _DOC)
+        doc_idx = idx[doc]
+        missing = set(np.unique(doc_idx % self.n_buckets).tolist()) \
+            - self._loaded
+        if missing:
+            self._load(sorted(missing))
+        at = np.searchsorted(self._keys, doc_idx)
+        hit = at < len(self._keys)
+        hit[hit] = self._keys[at[hit]] == doc_idx[hit]
+        kind[doc[~hit]] = _MISS
+        doc_pos, doc_idx, at = doc[hit], doc_idx[hit], at[hit]
+        media_pos = np.flatnonzero(kind == _MEDIA)
+        miss_pos = np.flatnonzero(kind == _MISS)
+        n_med, n_miss = len(media_pos), len(miss_pos)
 
-        n_doc, n_med, n_miss = len(doc_pos), len(media_pos), len(miss_pos)
-        empty_spans_t = pa.list_(SPAN_STRUCT)
-
-        span_chunks, body_chunks = [], []
-        for b, rows in seg:
-            _idx2row, spans, payload = self.cache[(self.corpus_dir, b)]
-            take = pa.array(rows, type=pa.int32())
-            span_chunks.append(spans.take(take))
-            body_chunks.append(payload.take(take))
-        if n_med:
-            body_chunks.append(pa.array(media_bodies(media_urls),
-                                        type=pa.large_binary()))
-            span_chunks.append(pa.array([[]] * n_med, type=empty_spans_t))
-        if n_miss:
-            body_chunks.append(pa.array([b""] * n_miss, type=pa.large_binary()))
-            span_chunks.append(pa.array([[]] * n_miss, type=empty_spans_t))
-
-        perm = pa.array(doc_pos + media_pos + miss_pos, type=pa.int32())
-        g = group.take(perm)
-        body = (pa.concat_arrays(body_chunks) if body_chunks
-                else pa.array([], type=pa.large_binary()))
-        spans_col = (pa.concat_arrays(span_chunks) if span_chunks
-                     else pa.array([], type=empty_spans_t))
+        perm = np.concatenate([doc_pos, media_pos, miss_pos])
+        g = group.take(pa.array(perm))
+        doc_spans, doc_body = self._gather(self._loc[at])
+        media_urls = urls.take(pa.array(media_pos)).to_pylist()
+        body = pa.concat_arrays([doc_body, pa.array(
+            media_bodies(media_urls) + [b""] * n_miss,
+            type=pa.large_binary())])
+        media_ids = pc.cast(pa.array(idx[media_pos]), pa.string())
+        if big_media:
+            media_ids = pa.array(
+                [str(big_media.get(p, i))
+                 for p, i in zip(media_pos.tolist(), idx[media_pos].tolist())],
+                type=pa.string())
+        doc_id = pa.concat_arrays([
+            pc.binary_join_element_wise(
+                "doc-", pc.cast(pa.array(doc_idx), pa.string()), ""),
+            pc.binary_join_element_wise("media-", media_ids, ""),
+            pa.array([""] * n_miss, type=pa.string()),
+        ])
+        codes = kind[perm]
         return pa.table({
             "url": g["url"],
             "host": g["host"],
-            "doc_id": pa.array(doc_ids + media_ids + [""] * n_miss,
-                               type=pa.string()),
-            "status": pa.array([200] * (n_doc + n_med) + [404] * n_miss,
-                               type=pa.int32()),
+            "doc_id": doc_id,
+            "status": pa.array(_STATUS[codes]),
             "round": g["round"],
             "fetch_seq": g["fetch_seq"],
-            "content_type": pa.array(
-                ["text/html"] * n_doc
-                + ["application/octet-stream"] * n_med
-                + ["text/plain"] * n_miss, type=pa.string()),
+            "content_type": _CONTENT_TYPES.take(pa.array(codes)),
             "body": body,
-            "spans": spans_col,
+            "spans": pa.concat_arrays(
+                [doc_spans, _empty_spans(n_med + n_miss)]),
             "depth": g["depth"],
         }, schema=FETCH_SCHEMA)

@@ -104,11 +104,35 @@ _CANON_FAST_RE = (
 )
 
 
+def _sha1_digests(arr: pa.Array) -> bytes:
+    """The 20-byte SHA-1 digests of a string array's rows, concatenated.
+
+    Hashes memoryview slices of the Arrow offset and data buffers, as
+    ``dedup.add_text_hash`` does: no ``to_pylist()`` and no per-row
+    ``encode()``, so hashlib does only the hashing.  Honors a sliced
+    array's offset.  The caller passes an array without nulls."""
+    n = len(arr)
+    if not n:
+        return b""
+    _validity, offbuf, databuf = arr.buffers()
+    width = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    off = np.frombuffer(offbuf, dtype=width, count=arr.offset + n + 1)
+    bounds = off[arr.offset:].tolist()
+    mv = memoryview(databuf if databuf is not None else b"")
+    sha1 = hashlib.sha1
+    return b"".join(sha1(mv[s:e]).digest()
+                    for s, e in zip(bounds[:-1], bounds[1:]))
+
+
 def canonicalize_batch(batch: pa.Table, url_col: str = "url",
                        with_hashes: bool = True) -> pa.Table:
     """Add ``url`` (canonical) and — when ``with_hashes`` —
     ``url_sha1``, ``host`` and ``hash64`` columns; drops rows whose URL
     doesn't canonicalize.
+
+    Rows that match the already-canonical fast regex pass through as
+    they are; only the others run ``canonicalize_url`` in Python, and
+    one ``take`` puts them back in input order.
 
     ``with_hashes=False`` is for pure URL-dedup/report pipelines that
     group on the canonical string itself: sha1 over millions of links
@@ -117,39 +141,46 @@ def canonicalize_batch(batch: pa.Table, url_col: str = "url",
     url_arr = batch[url_col]
     if isinstance(url_arr, pa.ChunkedArray):
         url_arr = url_arr.combine_chunks()
-    fast = pc.match_substring_regex(
-        url_arr, _CANON_FAST_RE).to_numpy(zero_copy_only=False)
+    fast = pc.match_substring_regex(url_arr, _CANON_FAST_RE).fill_null(
+        False).to_numpy(zero_copy_only=False)
     if fast.all():
         canon_arr = url_arr
         batch = batch.drop_columns([url_col])
-        kept = None  # materialized lazily only if hashes are needed
     else:
-        urls = url_arr.to_pylist()
-        canon = [u if f else canonicalize_url(u)
-                 for u, f in zip(urls, fast)]
-        keep = np.array([c is not None for c in canon], dtype=bool)
+        slow = np.flatnonzero(~fast)
+        canon = [canonicalize_url(u)
+                 for u in url_arr.take(pa.array(slow)).to_pylist()]
+        ok = np.array([c is not None for c in canon], dtype=bool)
+        keep = fast.copy()
+        keep[slow] = ok
         batch = batch.drop_columns([url_col]).filter(pa.array(keep))
-        kept = [c for c in canon if c is not None]
-        canon_arr = pa.array(kept, type=pa.string())
+        # kept rows as [fast rows..., canonicalized slow rows...], then
+        # one take back into input order
+        n_fast = int(fast.sum())
+        src = np.empty(len(fast), dtype=np.int64)
+        src[fast] = np.arange(n_fast)
+        src[slow[ok]] = n_fast + np.arange(int(ok.sum()))
+        parts = pa.concat_arrays([
+            url_arr.filter(pa.array(fast)).cast(pa.string()),
+            pa.array([c for c in canon if c is not None], type=pa.string()),
+        ])
+        canon_arr = parts.take(pa.array(src[keep]))
     out = batch.add_column(0, "url", canon_arr)
     if not with_hashes:
         return out
-    if kept is None:
-        kept = canon_arr.to_pylist()
-    sha = [hashlib.sha1(c.encode()).digest() for c in kept]
+    digests = _sha1_digests(canon_arr)
+    n = len(canon_arr)
+    sha = pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(20), n, [None, pa.py_buffer(digests)])
     # host: vectorized regex (equals host_of on canonical URLs)
     m = pc.extract_regex(canon_arr, r"^https?://(?P<host>[^/:]+)")
     hosts = pc.cast(pc.struct_field(m, "host"), pa.string())
     # hash64 = first 8 digest bytes, big-endian — the cuckoo-filter key
     # (G4/G5).  Computed HERE (parallel map_batches workers), so the
     # serialized frontier shards never touch a hash function.
-    if sha:
-        h64 = (np.frombuffer(b"".join(sha), dtype=np.uint8)
-               .reshape(-1, 20)[:, :8].copy().view(">u8")
-               .astype(np.uint64).ravel())
-    else:
-        h64 = np.zeros(0, dtype=np.uint64)
-    return out.append_column("url_sha1", pa.array(sha, type=pa.binary(20))) \
+    h64 = (np.frombuffer(digests, dtype=np.uint8).reshape(n, 20)[:, :8]
+           .copy().view(">u8").astype(np.uint64).ravel())
+    return out.append_column("url_sha1", sha) \
         .append_column("host", hosts) \
         .append_column("hash64", pa.array(h64, type=pa.uint64()))
 
