@@ -107,21 +107,17 @@ _CANON_FAST_RE = (
 def _sha1_digests(arr: pa.Array) -> bytes:
     """The 20-byte SHA-1 digests of a string array's rows, concatenated.
 
-    Hashes memoryview slices of the Arrow offset and data buffers, as
+    Hashes memoryview slices of the Arrow data buffer, as
     ``dedup.add_text_hash`` does: no ``to_pylist()`` and no per-row
-    ``encode()``, so hashlib does only the hashing.  Honors a sliced
-    array's offset.  The caller passes an array without nulls."""
-    n = len(arr)
-    if not n:
-        return b""
-    _validity, offbuf, databuf = arr.buffers()
-    width = np.int64 if pa.types.is_large_string(arr.type) else np.int32
-    off = np.frombuffer(offbuf, dtype=width, count=arr.offset + n + 1)
-    bounds = off[arr.offset:].tolist()
-    mv = memoryview(databuf if databuf is not None else b"")
+    ``encode()``, so hashlib does only the hashing.  ``_buffers``
+    honors a sliced array's offset."""
+    from .md5vec import _buffers
+
+    data, starts, lens = _buffers(arr)
+    mv = memoryview(data)
     sha1 = hashlib.sha1
     return b"".join(sha1(mv[s:e]).digest()
-                    for s, e in zip(bounds[:-1], bounds[1:]))
+                    for s, e in zip(starts.tolist(), (starts + lens).tolist()))
 
 
 def canonicalize_batch(batch: pa.Table, url_col: str = "url",
