@@ -163,6 +163,107 @@ def test_lineage_and_metrics(crawl_result):
         r["next_round"] for r in rows)
 
 
+def _totals(stats) -> dict:
+    return {k: sum(s[k] for s in stats)
+            for k in ("offered", "dup", "robots_denied", "too_deep",
+                      "queued", "emitted")}
+
+
+def test_several_producers_per_shard(ray_session, t1_dir, oracle_result,
+                                     tmp_path, monkeypatch):
+    """Three fetch workers each hand every shard an offer object per
+    round, and the seeds arrive in seven slices, one from each worker
+    and shard: the fetch log, seen-set and counters still equal the
+    oracle's."""
+    from warc_ray.pipelines import crawl
+
+    monkeypatch.setattr(crawl, "SEED_SLICE_ROWS", 2)
+    out = str(tmp_path / "w3")
+    res = crawl.run_crawl(t1_dir, out, config=CFG, write_warc=False,
+                          fetch_concurrency=3)
+    assert res["seed_slices"] == 7
+    d, o = _logs(out, oracle_result)
+    assert len(d) == len(o) > 0 and d.equals(o)
+    assert res["filter_bytes"] == oracle_result["filter_bytes"]
+    assert _totals(res["shard_stats"]) == _totals(oracle_result["stats"])
+
+
+def test_single_shard_crawl(ray_session, t1_dir, tmp_path):
+    """One frontier shard: each seeding call returns its one offer
+    object as a bare ObjectRef, not a list."""
+    from warc_ray.pipelines.crawl import read_fetch_log, run_crawl
+    from warc_ray.pipelines.oracle import simulate
+
+    cfg = FrontierConfig(num_shards=1, max_rounds=30, filter_capacity=1 << 15)
+    out = str(tmp_path / "s1")
+    res = run_crawl(t1_dir, out, config=cfg, write_warc=False)
+    want = simulate(t1_dir, config=cfg)
+    d = read_fetch_log(out).to_pandas().sort_values(KEY).reset_index(drop=True)
+    o = want["log"].to_pandas().sort_values(KEY).reset_index(drop=True)
+    assert len(d) == len(o) > 0 and d.equals(o)
+    assert res["filter_bytes"] == want["filter_bytes"]
+    assert _totals(res["shard_stats"]) == _totals(want["stats"])
+
+
+def test_offer_counts_suppressed_repeats():
+    """``offer(empty, n)``: n re-offers the producer suppressed count as
+    offered and dup, and nothing is buffered for the seal."""
+    import pyarrow as pa
+
+    from warc_ray.state.frontier import FrontierCore
+
+    core = FrontierCore(0, CFG)
+    assert core.offer(pa.table({}), 7) == 7
+    assert core.counters["offered"] == core.counters["dup"] == 7
+    assert core.buffer == [] and not core.has_pending()
+
+
+def test_seed_offers_split_matches_serial():
+    """Seed slices canonicalized apart and concatenated per shard give
+    each shard the serial path's rows, keep only the offer columns, and
+    one shard gets its pair bare."""
+    import pyarrow as pa
+
+    from warc_ray.stages.urls import urls_from_seeds
+    from warc_ray.state.frontier import (OFFER_COLS, seed_offers,
+                                         split_by_host_shard)
+
+    seeds = corpus.read_seeds(corpus.ensure_corpus("t2"))
+    n = seeds.num_rows
+    bounds = [0, 7, 7, 30, n]
+    parts = [seed_offers(seeds, lo, hi, 3)
+             for lo, hi in zip(bounds, bounds[1:])]
+    serial = split_by_host_shard(urls_from_seeds(seeds), 3)
+    for s in range(3):
+        assert all(p[s][1] == 0 for p in parts)
+        got = pa.concat_tables([p[s][0] for p in parts])
+        assert got.column_names == OFFER_COLS
+        assert got.equals(serial[s].select(OFFER_COLS))
+    table, n_suppressed = seed_offers(seeds, 0, n, 1)
+    assert table.num_rows == n and n_suppressed == 0
+
+
+def test_shard_ids_memo_matches_shard_of(monkeypatch):
+    """``shard_ids_of`` remembers each host's shard per process; its ids
+    equal ``shard_of`` row for row across calls, also once the memo has
+    been cleared for size."""
+    import numpy as np
+    import pyarrow as pa
+
+    from warc_ray.state import frontier
+
+    monkeypatch.setattr(frontier, "_SHARD_MEMO", {})
+    monkeypatch.setattr(frontier, "_SHARD_MEMO_CAP", 8)
+    rng = np.random.default_rng(11)
+    for call in range(4):
+        hosts = [f"host-{i}.example" for i in rng.integers(0, 20, 60)]
+        t = pa.table({"host": pa.chunked_array([hosts[:25], hosts[25:]])})
+        for ns in (3, 4):
+            want = [frontier.shard_of(h, ns) for h in hosts]
+            assert frontier.shard_ids_of(t, ns).tolist() == want
+        assert all(len(m) <= 8 for m in frontier._SHARD_MEMO.values())
+
+
 def test_worker_phases_reported(crawl_result):
     # every run_crawl reports the crawl workers' per-layer time, summed
     # over rounds: fetch, WARC dispatch, link extraction, offer

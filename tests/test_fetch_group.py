@@ -77,6 +77,8 @@ def test_mixed_slice_matches_fetch_rows(cdir):
            "http://host-1.example/doc/12/",
            "http://host-2.example/doc/1234567890123456789",    # 19 digits
            "http://host-2.example/media/1234567890123456789",
+           "http://host-3.example/doc/12345678901234567890",   # > int64
+           "http://host-3.example/media/12345678901234567890",
            "http://HOST-3.example/doc/3",            # fails the strict form
            "http://host-4.example/doc/0007",         # leading zeros
            "http://host-5.example/doc/-5"])          # below every key
@@ -85,6 +87,18 @@ def test_mixed_slice_matches_fetch_rows(cdir):
     got = _check(FetchGroup(cdir, P.n_buckets), _group(urls), cdir)
     assert set(got["status"].to_pylist()) == {200, 404}
     assert "doc-3" in got["doc_id"].to_pylist()   # uppercase host resolves
+
+
+def test_bucket_of_a_digit_run_past_int64():
+    big = 12345678901234567890
+    t = _group([f"http://host-0.example/media/{big}",
+                f"http://host-1.example/doc/{big * 10 + 7}",
+                "http://host-2.example/doc/9223372036854775807",  # int64 max
+                "http://host-3.example/doc/5",
+                "http://host-4.example/robots.txt"])
+    assert t["bucket"].to_pylist() == [
+        big % P.n_buckets, (big * 10 + 7) % P.n_buckets,
+        ((1 << 63) - 1) % P.n_buckets, 5 % P.n_buckets, 0]
 
 
 def test_group_without_bucket_and_one_row(cdir):

@@ -2,12 +2,18 @@
 
 Per logical round ``t``::
 
-    slices  = [shard.pop_round_split(t) ...]   # politeness-bounded emit,
-              # split shard-side by corpus bucket → worker (bucket % n_workers)
-    counts  = ray.get([worker.process_round_refs(t, slices) ...])
-              # each worker: fetch → log parquet → WARC shard + CDX →
-              #              extract links → offer to frontier shards
-    seal    = ray.get([shard.seal_round() ...])        # round barrier
+    slices  = shard.seal_then_pop_split(t, *offers[t-1][shard])  # per shard
+              # seal the previous round's offers, then a politeness-
+              # bounded emit, split shard-side by corpus bucket → worker
+              # (bucket % n_workers)
+    stats, *offers[t] = worker.process_round_refs(t, slices)     # per worker
+              # fetch → log parquet → WARC shard + CDX → extract links →
+              # one (offer_table, n_suppressed) object per shard
+
+Each shard's seal takes every worker's offer object for it as an
+argument: Ray resolves the arguments before the seal runs, so they are
+the round barrier, and no offer RPC or ack wait exists.  The seeds take
+the same path into the round-0 seal (``frontier.seed_offers``).
 
 The barrier per round is REQUIRED for exact crawl-order parity with the
 single-process oracle (SURVEY.md §4 Ordering); throughput comes from
@@ -55,10 +61,12 @@ from ..stages.assemble import logical_date
 from ..stages.fetch import FetchGroup
 from ..stages.urls import canonicalize_batch, extract_links
 from ..state.frontier import (
+    OFFER_COLS,
     FrontierConfig,
     make_frontier_shard_cls,
     robots_to_shard_dict,
-    split_by_host_shard,
+    seed_offers,
+    shard_ids_of,
 )
 
 LOG_COLS = ["url", "host", "doc_id", "status", "round", "fetch_seq", "depth"]
@@ -66,6 +74,7 @@ LOG_COLS = ["url", "host", "doc_id", "status", "round", "fetch_seq", "depth"]
 WRITER_COLS = ["url", "host", "status", "round", "content_type", "body",
                "depth", "fetch_seq"]
 WRITE_CHUNK = 2048  # fetched rows per writer call
+SEED_SLICE_ROWS = 20_000  # seeds per parallel seeding call, at least
 # per-round CrawlWorker phase times (the ``tm`` tuple), summed over
 # rounds and workers into phase_sec under these names
 WORKER_PHASES = ("worker_fetch", "worker_warc", "worker_links",
@@ -108,21 +117,10 @@ def _single_threaded_arrow() -> None:
         pass
 
 
-def route_and_offer(table: pa.Table, shards, num_shards: int) -> int:
-    """Split a canonical-URL table by host-hash shard and push offers.
-
-    Runs on whatever process holds the batch (driver for seeds,
-    CrawlWorker actors in-crawl); acks are awaited so the caller's
-    barrier guarantees all offers landed before seal.
-    """
-    if table.num_rows == 0:
-        return 0
-    refs = [
-        shards[s].offer.remote(sub)
-        for s, sub in enumerate(split_by_host_shard(table, num_shards))
-        if sub is not None
-    ]
-    return sum(ray.get(refs))
+def _ref_list(refs) -> list:
+    """A multi-return call's refs as a list: with ``num_returns=1`` Ray
+    returns one bare ObjectRef."""
+    return refs if isinstance(refs, list) else [refs]
 
 
 @ray.remote
@@ -209,14 +207,10 @@ class WarcWriter:
         self._busy = self._busy_cpu = 0.0
         return b
 
-    def seed_slice(self, seeds: pa.Table, lo: int, hi: int,
-                   shards, num_shards: int) -> int:
-        """Canonicalize+route one seed row-range (parallel seeding —
-        writers are idle before round 0, so they seed too)."""
-        from ..stages.urls import urls_from_seeds
-
-        part = urls_from_seeds(seeds.slice(lo, hi - lo), offset0=lo)
-        return route_and_offer(part, shards, num_shards)
+    def seed_offers(self, seeds: pa.Table, lo: int, hi: int,
+                    num_shards: int):
+        # writers are idle before round 0, so they seed too
+        return seed_offers(seeds, lo, hi, num_shards)
 
 
 @ray.remote
@@ -235,11 +229,10 @@ class CrawlWorker:
     OFFERED_SET_CAP = 16_000_000
 
     def __init__(self, worker_id: int, corpus_dir: str, n_buckets: int,
-                 shards, num_shards: int, out_dir: str, writers=None):
+                 num_shards: int, out_dir: str, writers=None):
         _single_threaded_arrow()
         self.worker_id = worker_id
         self.fetch = FetchGroup(corpus_dir, n_buckets)
-        self.shards = shards
         self.num_shards = num_shards
         self.out_dir = out_dir
         self.writers = writers or []
@@ -247,18 +240,13 @@ class CrawlWorker:
         from ..state.u64set import U64Set
 
         self._offered = U64Set()
-        self._round_t: int | None = None
-        self._round_pending: list = []
 
-    def bind_run(self, shards, out_dir: str) -> None:
-        """Rebind to a new crawl run (pool reuse): fresh frontier shard
-        handles + output dir; the bucket store stays warm."""
-        self.shards = shards
+    def bind_run(self, out_dir: str) -> None:
+        """Rebind to a new crawl run (pool reuse): fresh output dir and
+        offer-suppression set; the bucket store stays warm."""
         self.out_dir = out_dir
         self._log_buf = []
         self._offered.clear()
-        self._round_t = None
-        self._round_pending = []
 
     def flush_log(self, upto: int) -> int:
         """Write buffered fetch-log rows (rounds < upto) as one parquet
@@ -284,15 +272,12 @@ class CrawlWorker:
             log_dir, f"part-{self.worker_id:03d}-r{upto:05d}.parquet"))
         return tbl.num_rows
 
-    def seed_slice(self, seeds: pa.Table, lo: int, hi: int,
-                   shards, num_shards: int) -> int:
-        from ..stages.urls import urls_from_seeds
-
-        part = urls_from_seeds(seeds.slice(lo, hi - lo), offset0=lo)
-        return route_and_offer(part, shards, num_shards)
+    def seed_offers(self, seeds: pa.Table, lo: int, hi: int,
+                    num_shards: int):
+        return seed_offers(seeds, lo, hi, num_shards)
 
     def process_round_refs(self, t: int, slice_refs: list,
-                           write_warc: bool) -> dict:
+                           write_warc: bool) -> tuple:
         """process_round over shard-side-split slices: the driver hands
         this worker the ObjectRefs of ITS slices only — emitted rows
         flow shard → worker through the object store, never the
@@ -305,11 +290,20 @@ class CrawlWorker:
         ``ray.wait`` return is concatenated into one call), so the
         vectorized fetch/extract/offer path keeps its batch width —
         typically two waves: the fast shards together, then the hot one.
-        The ``wave`` tag keeps WARC part ids unique per call."""
+        WARC chunk ids are (worker, shard, chunk), so the waves never
+        reach the output bytes.
+
+        Returns ``1 + num_shards`` objects (call it with
+        ``.options(num_returns=1 + num_shards)``): the round's stats,
+        then one ``(offer_table, n_suppressed)`` per shard, gathered
+        over all waves.  The driver passes shard ``s``'s object
+        straight to that shard's next seal."""
         sid_of = {r: i for i, r in enumerate(slice_refs)}
         pend = list(slice_refs)
-        agg = {"fetched": 0, "offer_refs": [], "warc_refs": [],
-               "tm": [0.0, 0.0, 0.0, 0.0]}
+        stats = {"fetched": 0, "warc_refs": [], "tm": (0.0,) * 4}
+        offers = [[] for _ in range(self.num_shards)]
+        n_sup = [0] * self.num_shards
+        fresh_keys: list = []
         while pend:
             done, pend = ray.wait(pend, num_returns=1)
             if pend:  # drain everything else that is already complete
@@ -323,19 +317,31 @@ class CrawlWorker:
                       if tb.num_rows]
             if not slices:
                 continue
-            one = self.process_round(t, slices, write_warc)
-            agg["fetched"] += one["fetched"]
-            agg["offer_refs"].extend(one["offer_refs"])
-            agg["warc_refs"].extend(one["warc_refs"])
-            agg["tm"] = [a + b for a, b in zip(agg["tm"], one["tm"])]
-        agg["tm"] = tuple(agg["tm"])
-        return agg
+            one = self.process_round(t, slices, write_warc,
+                                     offers, n_sup, fresh_keys)
+            stats["fetched"] += one["fetched"]
+            stats["warc_refs"].extend(one["warc_refs"])
+            stats["tm"] = tuple(a + b for a, b in zip(stats["tm"], one["tm"]))
+        # this round's offered keys join the suppression set only now,
+        # at the round boundary (see process_round)
+        if len(self._offered) > self.OFFERED_SET_CAP:
+            self._offered.clear()
+        for h in fresh_keys:
+            self._offered.add(h)
+        # a shard with no fresh link gets a zero-row table, which its
+        # offer() skips
+        return (stats, *[(pa.concat_tables(o) if o else pa.table({}), n)
+                         for o, n in zip(offers, n_sup)])
 
-    def process_round(self, t: int, slices: list, write_warc: bool) -> dict:
+    def process_round(self, t: int, slices: list, write_warc: bool,
+                      offers: list, n_sup: list, fresh_keys: list) -> dict:
         """``slices``: list of ``(shard_id, url_table)`` — fetch and
         extraction run over the concatenation (vector width), WARC
         dispatch runs per SLICE so chunk ids/file names are
-        deterministic (shard id, not arrival wave)."""
+        deterministic (shard id, not arrival wave).  The wave's fresh
+        links go to ``offers[s]`` (a list of tables per shard), its
+        suppressed re-offers to ``n_sup[s]`` and its fresh hash64 keys
+        to ``fresh_keys``."""
         import time as _t
         _p0 = _t.perf_counter()
         # fetch PER SLICE: FetchGroup re-sorts its input bucket-
@@ -383,12 +389,9 @@ class CrawlWorker:
         # every offered key), so repeats ship as per-shard COUNTS
         # instead of rows — ~7x less offer traffic / seal sort volume
         # on link-dense corpora, with counters exactly preserved
-        # (FrontierCore.count_suppressed).
+        # (FrontierCore.offer's n_suppressed).
         import numpy as np
 
-        from ..state.frontier import shard_ids_of
-
-        offer_refs = []
         if links.num_rows:
             # ROUND-SNAPSHOT suppression (determinism fix): slices are
             # consumed in ray.wait readiness order, so the SAME round's
@@ -404,33 +407,21 @@ class CrawlWorker:
             # checkpoint/resume exact: a resumed worker's emptier set
             # only re-offers prior-round URLs, which the shard filter
             # drops identically.
-            if t != self._round_t:
-                if len(self._offered) > self.OFFERED_SET_CAP:
-                    self._offered.clear()
-                for arr in self._round_pending:
-                    self._offered.add(arr)
-                self._round_pending = []
-                self._round_t = t
+            links = links.select(OFFER_COLS)  # url_sha1 stays behind
             h = links["hash64"].to_numpy(zero_copy_only=False)
             # GC-free vectorized set: a Python set[int] of millions of
             # offered keys made every gen-2 GC pass scan it — observed
             # as seconds of fixed stall per late crawl round
             fresh = ~self._offered.contains(h)
-            self._round_pending.append(h[fresh])
+            fresh_keys.append(h[fresh])
             sid = shard_ids_of(links, self.num_shards)
             sup = np.bincount(sid[~fresh], minlength=self.num_shards)
-            # fire-and-forget: the DRIVER awaits these acks before
-            # sealing the round, so this worker is free immediately
             for s in range(self.num_shards):
                 mask = fresh & (sid == s)
                 if mask.any():
-                    offer_refs.append(self.shards[s].offer.remote(
-                        links.filter(pa.array(mask))))
-                if sup[s]:
-                    offer_refs.append(
-                        self.shards[s].count_suppressed.remote(int(sup[s])))
-        return {"fetched": fetched.num_rows, "offer_refs": offer_refs,
-                "warc_refs": warc_refs,
+                    offers[s].append(links.filter(pa.array(mask)))
+                n_sup[s] += int(sup[s])
+        return {"fetched": fetched.num_rows, "warc_refs": warc_refs,
                 "tm": (_p1 - _p0, _p2 - _p1, _p3 - _p2,
                        _t.perf_counter() - _p3)}
 
@@ -539,7 +530,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
             _await_bound(
                 [s.bind_run.remote(i, cfg, robots_ref, restore[i])
                  for i, s in enumerate(shards)],
-                [w.bind_run.remote(shards, out_dir) for w in workers]
+                [w.bind_run.remote(out_dir) for w in workers]
                 + [w.bind_run.remote() for w in writers],
                 _phase, _pt)
         except ray.exceptions.RayActorError:
@@ -551,7 +542,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         writers = [WarcWriter.remote(i) for i in range(n_writers)]
         workers = [
             CrawlWorker.remote(w, corpus_dir, profile.n_buckets,
-                               shards, cfg.num_shards, out_dir, writers)
+                               cfg.num_shards, out_dir, writers)
             for w in range(n_workers)
         ]
         _await_bound([s.__ray_ready__.remote() for s in shards],
@@ -559,24 +550,32 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
                      _phase, _pt)
     _pt = _time.perf_counter()
 
+    n_shards = len(shards)
+    seed_slices = 0
     if not resuming:
         # round -1: seed the frontier IN PARALLEL across the whole
-        # actor fleet (writers are idle before round 0) — seed
-        # canonicalization+sha1 was ~11 s of serial driver time at
+        # actor fleet (writers and shards are idle before round 0) —
+        # seed canonicalization+sha1 was ~11 s of serial driver time at
         # bench scale, a fixed cost that capped scaling efficiency.
         # src_offset bases keep the ingestion order byte-identical to
         # the serial path (seal sorts offers deterministically).
         seeds_tbl = corpus_mod.read_seeds(corpus_dir)
-        seed_pool = list(workers) + list(writers)
+        seed_pool = list(workers) + list(writers) + list(shards)
         n_seeds = seeds_tbl.num_rows
-        k = max(1, min(len(seed_pool), n_seeds // 20_000 or 1))
+        seed_slices = max(1, min(len(seed_pool),
+                                 n_seeds // SEED_SLICE_ROWS or 1))
         seeds_ref = ray.put(seeds_tbl)
-        bounds = [n_seeds * i // k for i in range(k + 1)]
-        ray.get([
-            seed_pool[i % len(seed_pool)].seed_slice.remote(
-                seeds_ref, bounds[i], bounds[i + 1], shards, cfg.num_shards)
-            for i in range(k) if bounds[i + 1] > bounds[i]
-        ])
+        bounds = [n_seeds * i // seed_slices
+                  for i in range(seed_slices + 1)]
+        seeded = [
+            _ref_list(seed_pool[i % len(seed_pool)].seed_offers.options(
+                num_returns=n_shards).remote(
+                    seeds_ref, bounds[i], bounds[i + 1], n_shards))
+            for i in range(seed_slices) if bounds[i + 1] > bounds[i]
+        ]
+        # wait without pulling the tables here: they go to the shards
+        flat = [r for refs in seeded for r in refs]
+        ray.wait(flat, num_returns=len(flat), fetch_local=False)
         _phase["seed"] = _time.perf_counter() - _pt
         _pt = _time.perf_counter()
 
@@ -589,15 +588,15 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         # overlaps every other shard's round-0 pop)
         next_split = (0, [
             s.seal_then_pop_split.options(num_returns=n_workers + 1).remote(
-                0, profile.n_buckets, n_workers)
-            for s in shards
+                0, profile.n_buckets, n_workers,
+                *[refs[si] for refs in seeded])
+            for si, s in enumerate(shards)
         ])
     rounds_run = 0
     total_fetched = 0
     total_warc_records = 0
     worker_tm = [0.0] * len(WORKER_PHASES)
     pending_warc: list = []
-    n_shards = len(shards)
 
     # rounds already on disk when THIS run starts are stale (an
     # unfinished prior run) and safe to clear on resubmission; a round
@@ -615,8 +614,10 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         if rd_name in stale_rounds:          # rerun of an unfinished round
             stale_rounds.discard(rd_name)
             shutil.rmtree(rd_dir, ignore_errors=True)
+        # per worker: [stats_ref, offers_ref for shard 0, 1, ...]
         return [
-            workers[w].process_round_refs.remote(
+            workers[w].process_round_refs.options(
+                num_returns=1 + n_shards).remote(
                 t_sub, [split_refs_sub[si][w + 1] for si in range(n_shards)],
                 write_warc)
             for w in range(n_workers)
@@ -652,7 +653,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
             # drain the no-op calls AND any write tasks they dispatched
             # — discarding warc_refs here orphaned writers that could
             # outlive the run and collide with a later run's cleanup
-            for c in ray.get(refs):
+            for c in ray.get([r[0] for r in refs]):
                 pending_warc.extend(c["warc_refs"])
             if not any(ray.get([s.has_pending.remote() for s in shards])):
                 break
@@ -661,35 +662,38 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
             t = max(t + 1, min(nexts)) if nexts else t + 1
             continue
 
-        _t1 = _time.perf_counter()
-        counts = [c for c in ray.get(refs) if c["fetched"]]
-        _t2 = _time.perf_counter()
-        total_fetched += sum(c["fetched"] for c in counts)
-        for c in counts:
-            worker_tm = [a + b for a, b in zip(worker_tm, c["tm"])]
-        pending_warc.extend(r for c in counts for r in c["warc_refs"])
-        # barrier: every offer must have LANDED in its shard before seal
-        ray.get([r for c in counts for r in c["offer_refs"]])
-        if t + 1 < cfg.max_rounds and not checkpoint_every:
-            # combined seal + next-round pop in one actor call: the
-            # driver never awaits seal separately (the next iteration's
-            # counts read IS the barrier), saving an RPC round per
-            # crawl round.  The next round's fetch tasks are submitted
-            # HERE too, referencing the not-yet-ready pop slices — each
+        # shard si's seal takes every worker's offers for it: the
+        # workers' results ARE the round barrier, resolved by Ray
+        offers = [[r[1 + si] for r in refs] for si in range(n_shards)]
+        fused = t + 1 < cfg.max_rounds and not checkpoint_every
+        if fused:
+            # combined seal + next-round pop in one actor call, submitted
+            # before the workers finish: the driver never awaits seal
+            # separately (the next iteration's counts read IS the
+            # barrier).  The next round's fetch tasks are submitted HERE
+            # too, referencing the not-yet-ready pop slices — each
             # worker starts on a shard's slice the moment that pop
             # lands, so the slowest shard's seal+pop never gates the
-            # other 15 shards' fetch work.  Checkpointing runs need the
+            # other shards' fetch work.  Checkpointing runs need the
             # explicit seal barrier below (shard snapshots must be
             # post-seal).
             next_split = (t + 1, [
                 s.seal_then_pop_split.options(
                     num_returns=n_workers + 1).remote(
-                    t + 1, profile.n_buckets, n_workers)
-                for s in shards
+                    t + 1, profile.n_buckets, n_workers, *offers[si])
+                for si, s in enumerate(shards)
             ])
             next_work = _submit_work(t + 1, next_split[1])
-        else:
-            ray.get([s.seal_round.remote() for s in shards])
+        _t1 = _time.perf_counter()
+        counts = [c for c in ray.get([r[0] for r in refs]) if c["fetched"]]
+        _t2 = _time.perf_counter()
+        total_fetched += sum(c["fetched"] for c in counts)
+        for c in counts:
+            worker_tm = [a + b for a, b in zip(worker_tm, c["tm"])]
+        pending_warc.extend(r for c in counts for r in c["warc_refs"])
+        if not fused:
+            ray.get([s.seal_round.remote(*offers[si])
+                     for si, s in enumerate(shards)])
         if round_log:
             tmx = [max(c["tm"][i] for c in counts) for i in range(4)]
             with open(round_log, "a") as f:
@@ -745,6 +749,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         "shard_stats": [f["stats"] for f in fin],
         "filter_bytes": [f["filter_bytes"] for f in fin],
         "out_dir": out_dir,
+        "seed_slices": seed_slices,
         "wall_sec": round(_time.perf_counter() - _t_start, 3),
         "phase_sec": {k: round(v, 3) for k, v in _phase.items()},
     }

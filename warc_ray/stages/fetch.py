@@ -70,15 +70,22 @@ def _load_bucket(corpus_dir: str, bucket: int, cache: OrderedDict | None = None,
 def add_bucket_column(batch: pa.Table, n_buckets: int) -> pa.Table:
     """bucket = doc_index % n_buckets, parsed from the synthetic URL.
 
-    Vectorized (runs on the crawl driver every round): the doc index is
-    the digit suffix after the last '/'; non-conforming URLs → 0."""
+    Vectorized (runs shard-side on every emitted slice): the doc index
+    is the digit suffix after the last '/'; non-conforming URLs → 0.
+    A suffix of 19 or more digits may not fit int64; those rows take
+    Python's exact ``int(digits) % n_buckets``."""
     urls = batch["url"]
     if isinstance(urls, pa.ChunkedArray):
         urls = urls.combine_chunks()
     m = pc.extract_regex(urls, r"/(?P<idx>[0-9]+)$")
     digits = pc.if_else(pc.is_valid(m), pc.struct_field(m, "idx"), "0")
-    idx = pc.cast(digits, pa.int64()).to_numpy(zero_copy_only=False)
+    wide = pc.greater(pc.utf8_length(digits), 18)
+    pos = np.flatnonzero(wide.to_numpy(zero_copy_only=False))
+    big = [int(d) % n_buckets for d in digits.take(pa.array(pos)).to_pylist()]
+    idx = pc.cast(pc.if_else(wide, "0", digits),
+                  pa.int64()).to_numpy(zero_copy_only=False)
     buckets = (idx % n_buckets).astype(np.int32)
+    buckets[pos] = big
     return batch.append_column("bucket", pa.array(buckets))
 
 

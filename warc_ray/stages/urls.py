@@ -229,7 +229,7 @@ def urls_from_seeds(seeds: pa.Table, offset0: int = 0) -> pa.Table:
     t = pa.table({
         "url": seeds["url"],
         "priority": pc.cast(seeds["priority"], pa.int32()),
-        "src_doc": pa.array([""] * n),
+        "src_doc": pa.array([""] * n, type=pa.string()),
         "src_offset": pa.array(np.arange(offset0, offset0 + n,
                                          dtype=np.int32)),
         "depth": pa.array(np.zeros(n, dtype=np.int32)),

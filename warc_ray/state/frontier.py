@@ -143,24 +143,21 @@ class FrontierCore:
 
     # -- offer / seal ---------------------------------------------------
 
-    def offer(self, table: pa.Table) -> int:
+    def offer(self, table: pa.Table, n_suppressed: int = 0) -> int:
         """Buffer one offer table (columns per OFFER_COLS); processed
-        in deterministic sorted order at ``seal_round``."""
+        in deterministic sorted order at ``seal_round``.
+
+        ``n_suppressed`` counts the producer's suppressed re-offers: a
+        worker that already offered a URL ships only this count for the
+        repeat.  Any previously-offered URL is guaranteed in the cuckoo
+        filter (every offer passes contains_or_add at seal), so the
+        repeat would have been counted offered+dup here — the counters
+        stay EXACTLY equal to the no-suppression run."""
         if table.num_rows:
             self.buffer.append(table.select(OFFER_COLS))
-        return table.num_rows
-
-    def count_suppressed(self, n: int) -> int:
-        """Account worker-side-suppressed re-offers.
-
-        A worker that already offered a URL may suppress the repeat and
-        ship only this count: any previously-offered URL is guaranteed
-        in the cuckoo filter (every offer passes contains_or_add at
-        seal), so the repeat would have been counted offered+dup here —
-        the counters stay EXACTLY equal to the no-suppression run."""
-        self.counters["offered"] += n
-        self.counters["dup"] += n
-        return n
+        self.counters["offered"] += n_suppressed
+        self.counters["dup"] += n_suppressed
+        return table.num_rows + n_suppressed
 
     @staticmethod
     def _sort_offers(buf: pa.Table, n: int) -> pa.Array:
@@ -448,16 +445,30 @@ def robots_to_shard_dict(robots_table: pa.Table) -> dict:
     return out
 
 
+# num_shards -> {host: shard}: every process hashes a host once, not
+# once per call (a crawl round re-meets the same few thousand hosts).
+# A memo past _SHARD_MEMO_CAP hosts is cleared, which bounds its size.
+_SHARD_MEMO: dict[int, dict[str, int]] = {}
+_SHARD_MEMO_CAP = 1 << 20
+
+
 def shard_ids_of(table: pa.Table, num_shards: int) -> np.ndarray:
-    """Per-row owning shard id (sha1 computed once per *unique* host)."""
+    """Per-row owning shard id (``shard_of`` once per host per process)."""
     hosts = table["host"]
     if isinstance(hosts, pa.ChunkedArray):
         hosts = hosts.combine_chunks()
-    uniq = pc.unique(hosts)
-    mapping = np.array([shard_of(h, num_shards) for h in uniq.to_pylist()],
-                       dtype=np.int32)
-    idx = pc.index_in(hosts, value_set=uniq).to_numpy(zero_copy_only=False)
-    return mapping[idx]
+    enc = pc.dictionary_encode(hosts)
+    memo = _SHARD_MEMO.setdefault(num_shards, {})
+    ids = []
+    for h in enc.dictionary.to_pylist():
+        s = memo.get(h)
+        if s is None:
+            if len(memo) >= _SHARD_MEMO_CAP:
+                memo.clear()
+            s = memo[h] = shard_of(h, num_shards)
+        ids.append(s)
+    return np.array(ids, dtype=np.int32)[
+        enc.indices.to_numpy(zero_copy_only=False)]
 
 
 def split_by_host_shard(table: pa.Table, num_shards: int) -> list:
@@ -471,6 +482,24 @@ def split_by_host_shard(table: pa.Table, num_shards: int) -> list:
         mask = sid == s
         out.append(table.filter(pa.array(mask)) if mask.any() else None)
     return out
+
+
+def seed_offers(seeds: pa.Table, lo: int, hi: int, num_shards: int):
+    """Canonicalize seed rows ``[lo, hi)`` into one ``(offer_table, 0)``
+    per owning shard — the shape of a fetch worker's round offers, so
+    the seeds reach the round-0 seal as its arguments.  ``src_offset``
+    counts from ``lo``: any split of the seed list seals in the serial
+    order.  Every actor of the crawl fleet runs this (parallel seeding);
+    call it with ``num_returns=num_shards``.  Ray stores a
+    ``num_returns=1`` call's whole value as its one object, so a single
+    shard gets its pair bare, not in a 1-tuple."""
+    from ..stages.urls import urls_from_seeds
+
+    part = urls_from_seeds(seeds.slice(lo, hi - lo),
+                           offset0=lo).select(OFFER_COLS)
+    out = tuple((part.slice(0, 0) if sub is None else sub, 0)
+                for sub in split_by_host_shard(part, num_shards))
+    return out if num_shards > 1 else out[0]
 
 
 def make_frontier_shard_cls():
@@ -494,10 +523,11 @@ def make_frontier_shard_cls():
             # _single_threaded_arrow — shards sort/filter with Arrow)
             pa.set_cpu_count(1)
             pa.set_io_thread_count(1)
-            # stretch GC cadence: the priority queues hold millions of
-            # long-lived (seq, url, depth) tuples, and a default-cadence
-            # gen-2 pass rescans all of them — a fixed multi-100ms tax
-            # on the seal critical path (see crawl._single_threaded_arrow)
+            # stretch GC cadence: a shard holds many long-lived
+            # containers (per-host queue dicts and lists of Arrow
+            # slices), and a default-cadence gen-2 pass rescans all of
+            # them on the seal critical path (see
+            # crawl._single_threaded_arrow)
             import gc
 
             gc.set_threshold(50_000, 25, 25)
@@ -526,26 +556,33 @@ def make_frontier_shard_cls():
                 core.load(restore_path)
             self.core = core
 
-        def offer(self, table: pa.Table) -> int:
-            return self.core.offer(table)
+        def seed_offers(self, seeds: pa.Table, lo: int, hi: int,
+                        num_shards: int):
+            # an idle shard seeds too: it takes no offer calls, so its
+            # own seal never waits behind this one
+            return seed_offers(seeds, lo, hi, num_shards)
 
-        def count_suppressed(self, n: int) -> int:
-            return self.core.count_suppressed(n)
-
-        def seal_round(self) -> dict:
+        def seal_round(self, *offers) -> dict:
+            """Seal the round's offers: one ``(offer_table,
+            n_suppressed)`` per producer.  Ray resolves them before the
+            call runs, so the arguments are the round barrier; the seal
+            sorts, so their order never reaches the output."""
+            for table, n_suppressed in offers:
+                self.core.offer(table, n_suppressed)
             self.core.seal_round()
             return self.core.counters
 
         def seal_then_pop_split(self, t: int, n_buckets: int,
-                                n_workers: int):
-            """seal_round + pop_round_split(t) in ONE actor call: the
-            driver fires this after the offer-ack barrier and awaits
-            only the next round's counts — one fewer RPC round trip
-            per crawl round, and the hot shard's seal overlaps the
-            other shards' pops.  Token-bucket math is composition-
-            safe (min(B, tok+rΔ) telescopes), so an eager pop at an
-            empty round is behavior-identical to the skip path."""
-            self.core.seal_round()
+                                n_workers: int, *offers):
+            """seal_round(*offers) + pop_round_split(t) in ONE actor
+            call: the driver submits it with the producers' not-yet-
+            ready offer refs and awaits only the next round's counts —
+            no offer RPCs, no ack barrier, and the hot shard's seal
+            overlaps the other shards' pops.  Token-bucket math is
+            composition-safe (min(B, tok+rΔ) telescopes), so an eager
+            pop at an empty round is behavior-identical to the skip
+            path."""
+            self.seal_round(*offers)
             return self.pop_round_split(t, n_buckets, n_workers)
 
         def pop_round_split(self, t: int, n_buckets: int, n_workers: int):
