@@ -1836,6 +1836,87 @@ def test_watermark_audit_matches_bruteforce(ray_session):
             == (w.n_with_pred, w.n_late, w.max_lag_us, w.sum_lag_us)
 
 
+@pytest.mark.parametrize("npart", [3, 32])
+def test_monetary_unit_sample_matches_bruteforce(ray_session, npart):
+    from warc_ray.pipelines.analytics import _MUS_STEP, monetary_unit_sample
+
+    o = pq.read_table(f"{SF}/orders.parquet",
+                      columns=["o_orderkey", "o_totalprice"]) \
+        .to_pandas().sort_values("o_orderkey")
+    c = np.rint(o.o_totalprice.to_numpy() * 100).astype(np.int64)
+    cum = np.cumsum(c)
+    probes = cum // _MUS_STEP - (cum - c) // _MUS_STEP
+    sel = probes > 0
+    assert sel.sum() > 1                         # non-vacuous fixture
+    got = monetary_unit_sample(SF, npart=npart).to_pandas()
+    assert got.o_orderkey.tolist() == o.o_orderkey.to_numpy()[sel].tolist()
+    assert got.o_totalprice.tolist() == (c[sel] / 100.0).tolist()
+    assert got.cum_cents.tolist() == cum[sel].tolist()
+    assert got.n_probes.tolist() == probes[sel].tolist()
+
+
+@pytest.mark.parametrize("npart", [3, 32])
+def test_abc_classification_matches_bruteforce(ray_session, npart):
+    from warc_ray.pipelines.analytics import abc_classification
+
+    li = pq.read_table(f"{SF}/lineitem.parquet",
+                       columns=["l_partkey", "l_extendedprice",
+                                "l_discount"]).to_pandas()
+    cents = np.rint(li.l_extendedprice.to_numpy() * 100).astype(np.int64)
+    disc = np.rint(li.l_discount.to_numpy() * 100).astype(np.int64)
+    li["r"] = cents * (100 - disc)
+    pr = li.groupby("l_partkey", as_index=False).r.sum() \
+        .sort_values(["r", "l_partkey"], ascending=[False, True])
+    r = pr.r.to_numpy()
+    total = int(r.sum())
+    cum = np.cumsum(r)
+    cls = np.where(cum <= (4 * total) // 5, "A",
+                   np.where(cum <= (19 * total) // 20, "B", "C"))
+    want = pd.DataFrame({"cls": cls, "r": r}).groupby("cls") \
+        .agg(n_parts=("r", "size"), r=("r", "sum"))
+    assert list(want.index) == ["A", "B", "C"]   # every class is hit
+    got = abc_classification(SF, npart=npart).to_pandas().set_index("cls")
+    assert list(got.index) == ["A", "B", "C"]
+    for c, w in want.iterrows():
+        g = got.loc[c]
+        assert g.n_parts == w.n_parts
+        assert g.revenue == w.r / 10_000.0
+        assert g.share == w.r / float(total)
+
+
+def test_ordered_scans_and_doubling_route_through_one_primitive(
+        ray_session, monkeypatch):
+    """q111, q198, q199 and q211 run their scan through
+    ``exchange.range_scan``; q159 and q176 run their pointer doubling
+    through ``analytics._forest_doubling``."""
+    import collections
+
+    from warc_ray.pipelines import analytics
+    from warc_ray.stages import exchange
+
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(exchange, "range_scan",
+                        counting("range_scan", exchange.range_scan))
+    monkeypatch.setattr(analytics, "_forest_doubling",
+                        counting("doubling", analytics._forest_doubling))
+    for fn, prim in [(analytics.streaming_windows, "range_scan"),
+                     (analytics.watermark_audit, "range_scan"),
+                     (analytics.monetary_unit_sample, "range_scan"),
+                     (analytics.abc_classification, "range_scan"),
+                     (analytics.hierarchy_rollup, "doubling"),
+                     (analytics.bom_explosion, "doubling")]:
+        calls.clear()
+        fn(SF)
+        assert calls == {prim: 1}, fn.__name__
+
+
 def test_interval_union_matches_bruteforce(ray_session):
     from warc_ray.pipelines.analytics import interval_union
 

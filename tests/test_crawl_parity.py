@@ -344,3 +344,65 @@ def test_sort_offers_fast_path_exact():
                                            ("src_offset", "ascending"),
                                            ("url", "ascending")])
     assert FrontierCore._sort_offers(vd, n).to_pylist() == fullv.to_pylist()
+
+
+def test_offer_suppression_is_a_round_snapshot(ray_session, t1_dir,
+                                               tmp_path):
+    """Two docs that link to one URL, fetched in two waves of one round
+    (one slice ready, the other from a task that sleeps), offer what
+    they offer when both slices are ready at once: suppression answers
+    against the round-start set, and the round's keys join it only at
+    the round's end."""
+    import collections
+    import time
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from warc_ray.pipelines.crawl import CrawlWorker
+
+    prof = corpus.PROFILES["t1"]
+    linkers = collections.defaultdict(list)
+    for d in pq.read_table(corpus.docs_path(t1_dir),
+                           columns=["doc_id", "spans"]).to_pylist():
+        i = int(d["doc_id"].rsplit("-", 1)[1])
+        for s in d["spans"]:
+            if s["kind"] == "link" and s["media_ref"] != corpus.doc_url(
+                    i, prof.n_hosts) and i not in linkers[s["media_ref"]]:
+                linkers[s["media_ref"]].append(i)
+    common, (a, b) = next((u, ds[:2]) for u, ds in sorted(linkers.items())
+                          if len(ds) >= 2)
+
+    def one_slice(i: int) -> pa.Table:
+        url = corpus.doc_url(i, prof.n_hosts)
+        return pa.table({
+            "url": [url],
+            "host": [url.split("/")[2]],
+            "priority": pa.array([5], type=pa.int32()),
+            "depth": pa.array([0], type=pa.int32()),
+            "round": pa.array([0], type=pa.int32()),
+            "fetch_seq": pa.array([0], type=pa.int64())})
+
+    @ray.remote
+    def late(tb: pa.Table) -> pa.Table:
+        time.sleep(0.5)
+        return tb
+
+    num_shards = 2
+    w = CrawlWorker.remote(0, t1_dir, prof.n_buckets, num_shards,
+                           str(tmp_path))
+
+    def offers(refs) -> list:
+        w.bind_run.remote(str(tmp_path))      # empty suppression set
+        got = ray.get(w.process_round_refs.options(
+            num_returns=1 + num_shards).remote(0, refs, False))[1:]
+        return [(sorted(tuple(r.values()) for r in tb.to_pylist()), n)
+                for tb, n in got]
+
+    ready = offers([ray.put(one_slice(a)), ray.put(one_slice(b))])
+    waves = offers([ray.put(one_slice(a)), late.remote(one_slice(b))])
+    urls = [r[0] for rows, _ in ready for r in rows]
+    assert urls.count(common) == 2                # non-vacuous: both offer it
+    assert waves == ready
+    ray.kill(w)

@@ -532,6 +532,88 @@ def test_range_sort_descending_with_tie_leak_check(ray_session):
 
 
 # ---------------------------------------------------------------------------
+# range_scan (two-phase prefix scan over sampled key ranges)
+# ---------------------------------------------------------------------------
+
+def _scan_rows(op):
+    """A range_scan bucket_fn emitting each row's inclusive scan and
+    the grand total."""
+    def bucket(g: pa.Table, carry: int, total: int) -> pa.Table:
+        w = g["w"].to_numpy()
+        if op == "count":
+            inc = carry + np.arange(1, g.num_rows + 1, dtype=np.int64)
+        elif op == "sum":
+            inc = carry + np.cumsum(w)
+        else:
+            inc = np.maximum(np.maximum.accumulate(w), carry)
+        return g.append_column("scan", pa.array(inc, type=pa.int64())) \
+            .append_column("total", pa.array(
+                np.full(g.num_rows, total), type=pa.int64()))
+    return bucket
+
+
+@pytest.mark.parametrize("op", ["count", "sum", "max"])
+@pytest.mark.parametrize("npart", [1, 7, 32])
+@pytest.mark.parametrize("path", PATHS)
+def test_range_scan_matches_numpy(ray_session, monkeypatch, op, npart,
+                                  path):
+    """Every row's scan equals NumPy's cumsum / maximum.accumulate /
+    row count over the (key, tiebreak) order, with heavily tied keys
+    straddling the splitters, on both bucket_exchange paths."""
+    from warc_ray.stages import exchange
+
+    def u64(a):
+        return a.to_numpy(zero_copy_only=False).view(np.uint64) \
+            ^ np.uint64(1 << 63)
+
+    def weight(ids):                    # signed, scrambled by id
+        return ids * 7919 % 2_000_003 - 10**6
+
+    ds, t = _sortable_ds()
+    ds = ds.map_batches(lambda b: b.append_column(
+        "w", pa.array(weight(b["id"].to_numpy()), type=pa.int64())),
+        batch_format="pyarrow")
+    w = weight(t["id"].to_numpy())
+    monkeypatch.setattr(exchange, "fits_one_block",
+                        lambda n: path == "fold")
+    out = _ran(exchange.range_scan(
+        ds, lambda b: u64(b["val"]), lambda b: u64(b["id"]), "w", op,
+        _scan_rows(op), npart=npart), path)
+    got = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
+    order = np.lexsort((t["id"].to_numpy(), t["val"].to_numpy()))
+    got = got.take(pa.array(np.argsort(got["id"].to_numpy())))
+    ids = t["id"].to_numpy()[order]
+    ws = w[order]
+    want = {"count": np.arange(1, len(ws) + 1),
+            "sum": np.cumsum(ws),
+            "max": np.maximum.accumulate(ws)}[op]
+    total = {"count": len(ws), "sum": ws.sum(), "max": ws.max()}[op]
+    scan = np.empty(len(ws), dtype=np.int64)
+    scan[ids] = want                   # ids are a permutation of 0..n-1
+    assert got["id"].to_numpy().tolist() == list(range(len(ws)))
+    assert got["scan"].to_numpy().tolist() == scan.tolist()
+    assert set(got["total"].to_numpy().tolist()) == {int(total)}
+
+
+@pytest.mark.parametrize("op", ["count", "sum", "max"])
+def test_range_scan_empty_input(ray_session, op):
+    import ray.data as rd
+    from warc_ray.stages.exchange import range_scan
+
+    t = pa.table({"k": pa.array([], type=pa.int64()),
+                  "w": pa.array([], type=pa.int64())})
+
+    def u64(b):
+        return b["k"].to_numpy().view(np.uint64) ^ np.uint64(1 << 63)
+
+    def never(g, carry, total):
+        raise AssertionError("bucket_fn called on empty input")
+
+    out = range_scan(rd.from_arrow(t), u64, u64, "w", op, never, npart=4)
+    assert out.count() == 0
+
+
+# ---------------------------------------------------------------------------
 # Misra-Gries heavy hitters
 # ---------------------------------------------------------------------------
 

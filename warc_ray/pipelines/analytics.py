@@ -1235,91 +1235,50 @@ def streaming_windows(sf_dir: str, window_s: int = 3600,
     lists under custom streaming windows — made exact by replaying
     the same arrival order in both engines.
 
-    Scale shape: the running max is a classic two-phase parallel scan
-    on q64's explicit-row-range fabric: pass 1 reads only ``ts`` per
-    range and emits each range's max; the driver takes an EXCLUSIVE
-    prefix max over ranges (tiny); pass 2 re-reads each range with
-    its carry-in, computes the strictly-before running max vectorized
-    (shifted ``np.maximum.accumulate``), flags lateness, and reduces
-    to (window, type) pane counts.  No global sort, no sequential
-    pass over the log."""
-    import pyarrow.parquet as _pq2
-
-    path = _pq(sf_dir, "events")
-    meta = _pq2.read_metadata(path)
-    rg_rows = [meta.row_group(i).num_rows
-               for i in range(meta.num_row_groups)]
-    offs = np.concatenate([[0], np.cumsum(rg_rows)]).astype(np.int64)
-    n = int(offs[-1])
-    nparts = max(1, min(nparts, n // 1024 or 1))
-    lo = [p * n // nparts for p in range(nparts)]
-    hi = [(p + 1) * n // nparts for p in range(nparts)]
-    desc = pa.table({"part": pa.array(range(nparts), type=pa.int32()),
-                     "lo": pa.array(lo, type=INT64),
-                     "hi": pa.array(hi, type=INT64)})
-
-    def read_range(l: int, h: int, cols: list[str]) -> pa.Table:
-        pf = _pq2.ParquetFile(path)
-        rgs = [i for i in range(len(rg_rows))
-               if offs[i + 1] > l and offs[i] < h]
-        t = pf.read_row_groups(rgs, columns=cols)
-        return t.slice(l - int(offs[rgs[0]]), h - l)
+    Scale shape: the running max is a classic two-phase parallel scan,
+    ``exchange.range_scan`` keyed on event_id (the arrival order, so
+    file order never matters): per-range max partials, an EXCLUSIVE
+    prefix max over ranges on the driver (tiny), then each range
+    computes its strictly-before running max vectorized (shifted
+    ``np.maximum.accumulate``) from its carry-in, flags lateness, and
+    emits per-event pane rows that ``combine_buckets`` reduces to
+    (window, type) counts.  No global sort, no sequential pass over
+    the log; the md5 replay lag is computed once per event."""
+    from ..stages.exchange import i64_key, range_scan
 
     _DELAY_US = np.int64(2_700_000_000)       # 45 min replay lag
 
-    def eff_ts(t: pa.Table) -> np.ndarray:
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+    def eff_ts(b: pa.Table) -> pa.Table:
+        us = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         coin = np.array([h[0] == "0" for h in _md5_hex(
-            [str(e) for e in t["event_id"].to_pylist()])])
-        return us - coin * _DELAY_US
-
-    def part_max(b: pa.Table) -> pa.Table:
-        out_p, out_m = [], []
-        for p, l, h in zip(b["part"].to_pylist(), b["lo"].to_pylist(),
-                           b["hi"].to_pylist()):
-            t = read_range(l, h, ["event_id", "ts"])
-            out_p.append(p)
-            out_m.append(int(eff_ts(t).max()))
-        return pa.table({"part": pa.array(out_p, type=pa.int32()),
-                         "mx": pa.array(out_m, type=INT64)})
-
-    maxima = pa.concat_tables(
-        rd.from_arrow(desc)
-        .map_batches(part_max, batch_format="pyarrow", batch_size=1)
-        .iter_batches(batch_format="pyarrow")).sort_by("part")
-    mx = maxima["mx"].to_numpy(zero_copy_only=False)
-    # sentinel far below any timestamp but with headroom: iinfo.min
-    # would wrap under the later ``- late_us`` subtraction
-    carry = np.concatenate(([np.int64(-(1 << 62))],
-                            np.maximum.accumulate(mx)[:-1]))
-    carry_in = {int(p): int(c) for p, c in
-                zip(maxima["part"].to_pylist(), carry)}
+            [str(e) for e in b["event_id"].to_pylist()])], dtype=bool)
+        return b.append_column("t", pa.array(us - coin * _DELAY_US))
 
     win_us = np.int64(window_s) * 1_000_000
     late_us = np.int64(lateness_s) * 1_000_000
 
-    def panes(b: pa.Table) -> pa.Table:
-        out = []
-        for p, l, h in zip(b["part"].to_pylist(), b["lo"].to_pylist(),
-                           b["hi"].to_pylist()):
-            t = read_range(l, h, ["event_id", "ts", "event_type"])
-            ts = eff_ts(t)
-            run = np.maximum.accumulate(ts)
-            before = np.concatenate(([carry_in[int(p)]], run[:-1]))
-            wm = before - late_us               # watermark at arrival
-            win = ts // win_us
-            late = (win + 1) * win_us <= wm
-            out.append(pa.table({
-                "window": pa.array(win, type=INT64),
-                "event_type": t["event_type"],
-                "n_on_time": pa.array((~late).astype(np.int64), type=INT64),
-                "n_late": pa.array(late.astype(np.int64), type=INT64),
-            }))
-        return pa.concat_tables(out)
+    def panes(g: pa.Table, carry: int, total: int) -> pa.Table:
+        ts = g["t"].to_numpy(zero_copy_only=False)
+        run = np.maximum.accumulate(ts)
+        # sentinel far below any timestamp but with headroom: the scan's
+        # iinfo.min identity would wrap under the ``- late_us`` below
+        before = np.concatenate(([max(carry, -(1 << 62))], run[:-1]))
+        wm = before - late_us                   # watermark at arrival
+        win = ts // win_us
+        late = (win + 1) * win_us <= wm
+        return pa.table({
+            "window": pa.array(win, type=INT64),
+            "event_type": g["event_type"],
+            "n_on_time": pa.array((~late).astype(np.int64), type=INT64),
+            "n_late": pa.array(late.astype(np.int64), type=INT64),
+        })
 
+    events = rd.read_parquet(_pq(sf_dir, "events"),
+                             columns=["event_id", "ts", "event_type"]) \
+        .map_batches(eff_ts, batch_format="pyarrow")
     agg = combine_buckets(
-        rd.from_arrow(desc)
-        .map_batches(panes, batch_format="pyarrow", batch_size=1),
+        range_scan(events, i64_key("event_id"), i64_key("event_id"), "t",
+                   "max", panes, npart=nparts),
         ["window", "event_type"], [("n_on_time", "sum"), ("n_late", "sum")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     w = t["window"].to_numpy(zero_copy_only=False)
@@ -5192,29 +5151,15 @@ def gdpr_cascade(sf_dir: str):
     })
 
 
-def hierarchy_rollup(sf_dir: str, npart: int = 16):
-    """q159: forest resolution via POINTER DOUBLING + per-root rollup.
-
-    A planted md5 forest over the part table (k < 16 are roots;
-    parent(k) = md5h64(k) % k otherwise -- strictly decreasing, so
-    acyclic with data-dependent O(log n) depth).  Every node's (root,
-    depth) resolves by path doubling (ptr[k] <- ptr[ptr[k]], dist
-    accumulates) -- the tree-contraction primitive a recursive CTE
-    serializes: O(log depth) exchanges of O(n) pointer rows instead of
-    depth sequential steps.
-
-    Each round is EXACTLY ONE hash exchange: every node emits a lookup
-    row (keyed by its own id) and active nodes emit a query row (keyed
-    by their ptr); resolved nodes ride the same exchange as
-    passengers, so a round is one union -> one groupby -> one
-    vectorized per-bucket gather, with the state re-materialized
-    between rounds (bounded O(n) object-store footprint, nothing
-    driver-side but the 16-row report).  The round count is the
-    doubling bound for the whp max depth of a random recursive tree
-    (4*ln n + 16), followed by a hard convergence check that keeps
-    iterating if the bound was ever too tight.  Oracle: DuckDB
-    recursive-CTE walk of the same md5 parent function (value-exact).
-    """
+def _forest_doubling(sf_dir: str, npart: int, acc_col: str, acc_init,
+                     op):
+    """Resolve q159's planted md5 forest over the part table by pointer
+    doubling, folding ``acc_col`` along every compressed path with
+    ``op`` (``np.add``: path length; ``np.multiply``: path product).
+    ``acc_init(k, root) -> int64`` is each node's edge value (a root's
+    is the fold's identity).  Returns the materialized final state, one
+    row per part: ``key``, ``ptr`` (its root), ``acc_col`` and
+    ``cents``.  Rounds and convergence check: see ``hierarchy_rollup``."""
     import math
 
     from ..stages.sketch import md5_prefix64
@@ -5231,7 +5176,7 @@ def hierarchy_rollup(sf_dir: str, npart: int = 16):
         return pa.table({
             "key": pa.array(k, type=INT64),
             "ptr": pa.array(par, type=INT64),
-            "dist": pa.array((~root).astype(np.int64), type=INT64),
+            acc_col: pa.array(acc_init(k, root), type=INT64),
             "cents": cents,
         })
 
@@ -5262,7 +5207,7 @@ def hierarchy_rollup(sf_dir: str, npart: int = 16):
             np.full(int((~act).sum()), 2, dtype=np.int8)])
         t = pa.concat_tables([a, b, d])
         return pa.table({
-            "key": t["key"], "ptr": t["ptr"], "dist": t["dist"],
+            "key": t["key"], "ptr": t["ptr"], acc_col: t[acc_col],
             "cents": t["cents"], "side": pa.array(side),
             "part": pa.array((route % np.uint64(npart)).astype(np.int32),
                              type=P32),
@@ -5271,7 +5216,7 @@ def hierarchy_rollup(sf_dir: str, npart: int = 16):
     def bucket(g: pa.Table) -> pa.Table:
         side = g["side"].to_numpy(zero_copy_only=False)
         out = g.filter(pa.array(side == 2)) \
-            .select(["key", "ptr", "dist", "cents"])
+            .select(["key", "ptr", acc_col, "cents"])
         a = g.filter(pa.array(side == 0))
         if a.num_rows == 0:
             return out
@@ -5282,12 +5227,12 @@ def hierarchy_rollup(sf_dir: str, npart: int = 16):
                               sorter=order)
         idx = order[pos]             # a's ptr row inside lk (always hits)
         lk_ptr = lk["ptr"].to_numpy(zero_copy_only=False)[idx]
-        lk_dist = lk["dist"].to_numpy(zero_copy_only=False)[idx]
+        lk_acc = lk[acc_col].to_numpy(zero_copy_only=False)[idx]
         jumped = pa.table({
             "key": a["key"],
             "ptr": pa.array(lk_ptr, type=INT64),
-            "dist": pa.array(a["dist"].to_numpy(zero_copy_only=False)
-                             + lk_dist, type=INT64),
+            acc_col: pa.array(op(a[acc_col].to_numpy(zero_copy_only=False),
+                                 lk_acc), type=INT64),
             "cents": a["cents"],
         })
         return pa.concat_tables([out, jumped])
@@ -5296,22 +5241,47 @@ def hierarchy_rollup(sf_dir: str, npart: int = 16):
     # then keep going (1 exchange per extra check) if data beat the odds
     depth_bound = 4.0 * math.log(n_total + 2) + 16
     rounds = max(1, math.ceil(math.log2(depth_bound)))
-    done = False
     for r in range(rounds + 64):
         state = bucket_exchange(
             state.map_batches(pad, batch_format="pyarrow"),
             lambda g: bucket(g.drop_columns(["part"])))
-        if r + 1 >= rounds:
-            n_active = int(state.map_batches(
+        if r + 1 >= rounds and not int(state.map_batches(
                 lambda b: pa.table({"n": pa.array(
                     [int((b["ptr"].to_numpy(zero_copy_only=False) >= 16)
                          .sum())], type=INT64)}),
-                batch_format="pyarrow").sum("n") or 0)
-            if n_active == 0:
-                done = True
-                break
-    if not done:
-        raise RuntimeError("pointer doubling failed to converge")
+                batch_format="pyarrow").sum("n") or 0):
+            return state             # no active node left
+    raise RuntimeError("pointer doubling failed to converge")
+
+
+def hierarchy_rollup(sf_dir: str, npart: int = 16):
+    """q159: forest resolution via POINTER DOUBLING + per-root rollup.
+
+    A planted md5 forest over the part table (k < 16 are roots;
+    parent(k) = md5h64(k) % k otherwise -- strictly decreasing, so
+    acyclic with data-dependent O(log n) depth).  Every node's (root,
+    depth) resolves by path doubling (ptr[k] <- ptr[ptr[k]], dist
+    accumulates) -- the tree-contraction primitive a recursive CTE
+    serializes: O(log depth) exchanges of O(n) pointer rows instead of
+    depth sequential steps.
+
+    The doubling is ``_forest_doubling`` (q176 runs it too).  Each
+    round is EXACTLY ONE hash exchange: every node emits a lookup
+    row (keyed by its own id) and active nodes emit a query row (keyed
+    by their ptr); resolved nodes ride the same exchange as
+    passengers, so a round is one union -> one groupby -> one
+    vectorized per-bucket gather, with the state re-materialized
+    between rounds (bounded O(n) object-store footprint, nothing
+    driver-side but the 16-row report).  The round count is the
+    doubling bound for the whp max depth of a random recursive tree
+    (4*ln n + 16), followed by a hard convergence check that keeps
+    iterating if the bound was ever too tight.  Oracle: DuckDB
+    recursive-CTE walk of the same md5 parent function (value-exact).
+    """
+    # path length: a non-root's edge to its parent counts 1
+    state = _forest_doubling(
+        sf_dir, npart, "dist",
+        lambda k, root: (~root).astype(np.int64), np.add)
 
     out = combine_buckets(state.map_batches(
         lambda b: pa.table({"root": b["ptr"], "sum_cents": b["cents"],
@@ -6388,105 +6358,18 @@ def bom_explosion(sf_dir: str, npart: int = 16):
     DIFFERENT semiring: the accumulator multiplies (path products)
     instead of adding (path lengths) — doubling is correct for ANY
     associative fold along the compressed path, so the same one-
-    exchange-per-round machinery resolves quantity explosion in
+    exchange-per-round machinery (``_forest_doubling``, with
+    ``np.multiply`` for q159's ``np.add``) resolves quantity explosion in
     O(log depth) rounds.  int64 headroom: units ≤ 2^depth (whp
     ≤ 2^40 at sf1) × cents ≤ 2·10⁵ stays well under 2^63."""
-    import math
-
     from ..stages.sketch import md5_prefix64
 
-    def init(b: pa.Table) -> pa.Table:
-        k = b["p_partkey"].to_numpy(zero_copy_only=False)
-        cents = pc.cast(pc.round(pc.multiply(
-            b["p_retailprice"], 100.0)), INT64)
-        h = md5_prefix64([str(int(x)) for x in k])
+    def qty(k: np.ndarray, root: np.ndarray) -> np.ndarray:
         qh = md5_prefix64(["q|%d" % int(x) for x in k])
-        root = k < 16
-        par = np.where(root, k, (h % np.maximum(
-            k.astype(np.uint64), np.uint64(1)).astype(np.uint64))
-            .astype(np.int64))
-        qty = np.where(root, 1, 1 + (qh % np.uint64(2)).astype(np.int64))
-        return pa.table({
-            "key": pa.array(k, type=INT64),
-            "ptr": pa.array(par, type=INT64),
-            "units": pa.array(qty, type=INT64),
-            "cents": cents,
-        })
+        return np.where(root, 1, 1 + (qh % np.uint64(2)).astype(np.int64))
 
-    state = _read_capped(_pq(sf_dir, "part"),
-                         columns=["p_partkey", "p_retailprice"]) \
-        .map_batches(init, batch_format="pyarrow").materialize()
-    n_total = state.count()
-
-    P32 = pa.int32()
-
-    def pad(b: pa.Table) -> pa.Table:
-        key = b["key"].to_numpy(zero_copy_only=False)
-        ptr = b["ptr"].to_numpy(zero_copy_only=False)
-        act = ptr >= 16
-        a = b.filter(pa.array(act))
-        d = b.filter(pa.array(~act))
-        route = np.concatenate([
-            ptr[act], key, key[~act]]).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            route = (route ^ (route >> np.uint64(33))) \
-                * np.uint64(0xFF51AFD7ED558CCD)
-        side = np.concatenate([
-            np.zeros(int(act.sum()), dtype=np.int8),
-            np.ones(len(key), dtype=np.int8),
-            np.full(int((~act).sum()), 2, dtype=np.int8)])
-        t = pa.concat_tables([a, b, d])
-        return pa.table({
-            "key": t["key"], "ptr": t["ptr"], "units": t["units"],
-            "cents": t["cents"], "side": pa.array(side),
-            "part": pa.array((route % np.uint64(npart)).astype(np.int32),
-                             type=P32),
-        })
-
-    def bucket(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy(zero_copy_only=False)
-        out = g.filter(pa.array(side == 2)) \
-            .select(["key", "ptr", "units", "cents"])
-        a = g.filter(pa.array(side == 0))
-        if a.num_rows == 0:
-            return out
-        lk = g.filter(pa.array(side == 1))
-        lk_key = lk["key"].to_numpy(zero_copy_only=False)
-        order = np.argsort(lk_key)
-        pos = np.searchsorted(lk_key,
-                              a["ptr"].to_numpy(zero_copy_only=False),
-                              sorter=order)
-        idx = order[pos]
-        lk_ptr = lk["ptr"].to_numpy(zero_copy_only=False)[idx]
-        lk_units = lk["units"].to_numpy(zero_copy_only=False)[idx]
-        jumped = pa.table({
-            "key": a["key"],
-            "ptr": pa.array(lk_ptr, type=INT64),
-            # the semiring fold: path PRODUCT, not path length
-            "units": pa.array(a["units"].to_numpy(zero_copy_only=False)
-                              * lk_units, type=INT64),
-            "cents": a["cents"],
-        })
-        return pa.concat_tables([out, jumped])
-
-    depth_bound = 4.0 * math.log(n_total + 2) + 16
-    rounds = max(1, math.ceil(math.log2(depth_bound)))
-    done = False
-    for r in range(rounds + 64):
-        state = bucket_exchange(
-            state.map_batches(pad, batch_format="pyarrow"),
-            lambda g: bucket(g.drop_columns(["part"])))
-        if r + 1 >= rounds:
-            n_active = int(state.map_batches(
-                lambda b: pa.table({"n": pa.array(
-                    [int((b["ptr"].to_numpy(zero_copy_only=False) >= 16)
-                         .sum())], type=INT64)}),
-                batch_format="pyarrow").sum("n") or 0)
-            if n_active == 0:
-                done = True
-                break
-    if not done:
-        raise RuntimeError("pointer doubling failed to converge")
+    # the semiring fold: path PRODUCT, not path length
+    state = _forest_doubling(sf_dir, npart, "units", qty, np.multiply)
 
     def rollup(b: pa.Table) -> pa.Table:
         units = b["units"].to_numpy(zero_copy_only=False)
@@ -8257,64 +8140,20 @@ def watermark_audit(sf_dir: str, npart: int = 32):
     much (the watermark lag that sizes allowed-lateness windows).
     Needs a GLOBAL ORDERED PREFIX-MAX, which no groupby expresses.
 
-    Scale shape: the q191/range_sort recipe adapted to a running
-    aggregate — sampled event_id splitters cut arrival-order ranges;
-    pass A folds per-range max(ts) partials (npart ints to the
-    driver, never rows); the driver prefix-maxes them into each
-    range's CARRY-IN; pass B re-scans, and each bucket computes its
-    prefix-max locally (maximum.accumulate) seeded by the carry — so
-    the sequential dependency collapses to an npart-long driver fold.
+    Scale shape: ``exchange.range_scan`` with ``op="max"`` — sampled
+    event_id splitters cut arrival-order ranges; per-range max(ts)
+    partials (npart ints to the driver, never rows) fold into each
+    range's CARRY-IN; each bucket then computes its prefix-max
+    locally (maximum.accumulate) seeded by the carry — so the
+    sequential dependency collapses to an npart-long driver fold.
     All lateness arithmetic in exact int64 µs."""
-    import ray as _ray
+    from ..stages.exchange import i64_key, range_scan
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_id", "ts", "event_type"])
+    def cast_ts(b: pa.Table) -> pa.Table:
+        return b.append_column("t", pc.cast(b["ts"], INT64))
 
-    def sample(b: pa.Table) -> pa.Table:
-        e = np.sort(b["event_id"].to_numpy(zero_copy_only=False))
-        step = max(1, len(e) // 256)
-        return pa.table({"e": pa.array(e[::step])})
-
-    samp = np.sort(np.concatenate(
-        [b["e"].to_numpy() for b in
-         ds.map_batches(sample, batch_format="pyarrow")
-         .iter_batches(batch_format="pyarrow")]))
-    cuts = (np.arange(1, npart) * len(samp)) // npart
-    splitters = np.unique(samp[np.minimum(cuts, len(samp) - 1)])
-    spl_ref = _ray.put(splitters)
-
-    def tag(b: pa.Table) -> pa.Table:
-        part = np.searchsorted(
-            _ray.get(spl_ref),
-            b["event_id"].to_numpy(zero_copy_only=False),
-            side="right").astype(np.int32)
-        return pa.table({
-            "part": pa.array(part),
-            "event_id": b["event_id"],
-            "t": pc.cast(b["ts"], INT64),
-            "event_type": b["event_type"]})
-
-    # pass A: per-range max(ts) partials → driver carry-in fold
-    part_max = combine_buckets(ds.map_batches(tag, batch_format="pyarrow"),
-                               "part", [("t", "max")])
-    pm = pa.concat_tables(part_max.iter_batches(batch_format="pyarrow"))
-    mx = np.full(len(splitters) + 1, np.iinfo(np.int64).min,
-                 dtype=np.int64)
-    mx[pm["part"].to_numpy(zero_copy_only=False)] = \
-        pm["t"].to_numpy(zero_copy_only=False)
-    carry = np.concatenate((
-        [np.iinfo(np.int64).min],
-        np.maximum.accumulate(mx)[:-1]))        # carry[p] = max before p
-    carry_ref = _ray.put(carry)
-
-    def bucket(g: pa.Table) -> pa.Table:
-        p = int(g["part"][0].as_py())
-        e = g["event_id"].to_numpy(zero_copy_only=False)
+    def bucket(g: pa.Table, cin: int, total: int) -> pa.Table:
         t = g["t"].to_numpy(zero_copy_only=False)
-        order = np.argsort(e)
-        t = t[order]
-        et = g["event_type"].take(pa.array(order))
-        cin = int(_ray.get(carry_ref)[p])
         run = np.maximum.accumulate(t)
         prevmax = np.empty(len(t), dtype=np.int64)
         prevmax[0] = cin
@@ -8323,14 +8162,18 @@ def watermark_audit(sf_dir: str, npart: int = 32):
         late = has_pred & (prevmax > t)
         lag = np.where(late, prevmax - t, 0)
         return pa.table({
-            "event_type": et,
+            "event_type": g["event_type"],
             "n_with_pred": pa.array(has_pred.astype(np.int64)),
             "n_late": pa.array(late.astype(np.int64)),
             "max_lag_us": pa.array(lag, type=INT64),
             "sum_lag_us": pa.array(lag, type=INT64)})
 
+    ds = rd.read_parquet(_pq(sf_dir, "events"),
+                         columns=["event_id", "ts", "event_type"]) \
+        .map_batches(cast_ts, batch_format="pyarrow")
     agg = combine_buckets(
-        bucket_exchange(ds.map_batches(tag, batch_format="pyarrow"), bucket),
+        range_scan(ds, i64_key("event_id"), i64_key("event_id"), "t", "max",
+                   bucket, npart=npart),
         "event_type", [("n_with_pred", "sum"), ("n_late", "sum"),
                        ("max_lag_us", "max"), ("sum_lag_us", "sum")])
     return sort_result(agg, ["event_type"])
@@ -8356,52 +8199,21 @@ def monetary_unit_sample(sf_dir: str, npart: int = 32):
     An order is selected iff its cents interval (cum−price, cum]
     contains a multiple of the step — exact integer floor arithmetic
     in both engines; an order wider than the step yields its boundary
-    COUNT (PPS with multiplicity)."""
-    import ray as _ray
+    COUNT (PPS with multiplicity).
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderkey", "o_totalprice"])
+    Scale shape: ``exchange.range_scan`` with ``op="sum"`` over
+    orderkey ranges; each bucket's cumsum starts at its range's
+    carry-in."""
+    from ..stages.exchange import i64_key, range_scan
 
-    def sample_keys(b: pa.Table) -> pa.Table:
-        e = np.sort(b["o_orderkey"].to_numpy(zero_copy_only=False))
-        step = max(1, len(e) // 256)
-        return pa.table({"e": pa.array(e[::step])})
+    def to_cents(b: pa.Table) -> pa.Table:
+        return b.append_column("cents", pc.cast(pc.round(pc.multiply(
+            b["o_totalprice"], 100.0)), INT64))
 
-    samp = np.sort(np.concatenate(
-        [b["e"].to_numpy() for b in
-         ds.map_batches(sample_keys, batch_format="pyarrow")
-         .iter_batches(batch_format="pyarrow")]))
-    cuts = (np.arange(1, npart) * len(samp)) // npart
-    splitters = np.unique(samp[np.minimum(cuts, len(samp) - 1)])
-    spl_ref = _ray.put(splitters)
-
-    def tag(b: pa.Table) -> pa.Table:
-        part = np.searchsorted(
-            _ray.get(spl_ref),
-            b["o_orderkey"].to_numpy(zero_copy_only=False),
-            side="right").astype(np.int32)
-        return pa.table({
-            "part": pa.array(part),
-            "o_orderkey": b["o_orderkey"],
-            "cents": pc.cast(pc.round(pc.multiply(
-                b["o_totalprice"], 100.0)), INT64)})
-
-    part_sum = combine_buckets(ds.map_batches(tag, batch_format="pyarrow"),
-                               "part", [("cents", "sum")])
-    pm = pa.concat_tables(part_sum.iter_batches(batch_format="pyarrow"))
-    sums = np.zeros(len(splitters) + 1, dtype=np.int64)
-    sums[pm["part"].to_numpy(zero_copy_only=False)] = \
-        pm["cents"].to_numpy(zero_copy_only=False)
-    carry = np.concatenate(([0], np.cumsum(sums)[:-1]))
-    carry_ref = _ray.put(carry)
-
-    def bucket(g: pa.Table) -> pa.Table:
-        p = int(g["part"][0].as_py())
+    def bucket(g: pa.Table, carry: int, total: int) -> pa.Table:
         k = g["o_orderkey"].to_numpy(zero_copy_only=False)
         c = g["cents"].to_numpy(zero_copy_only=False)
-        order = np.argsort(k)
-        k, c = k[order], c[order]
-        cum = np.cumsum(c) + int(_ray.get(carry_ref)[p])
+        cum = np.cumsum(c) + carry
         probes = cum // _MUS_STEP - (cum - c) // _MUS_STEP
         sel = probes > 0
         return pa.table({
@@ -8411,9 +8223,11 @@ def monetary_unit_sample(sf_dir: str, npart: int = 32):
             "cum_cents": pa.array(cum[sel], type=INT64),
             "n_probes": pa.array(probes[sel], type=INT64)})
 
-    return bucket_exchange(
-        ds.map_batches(tag, batch_format="pyarrow"), bucket) \
-        .sort("o_orderkey")
+    ds = rd.read_parquet(_pq(sf_dir, "orders"),
+                         columns=["o_orderkey", "o_totalprice"]) \
+        .map_batches(to_cents, batch_format="pyarrow")
+    return range_scan(ds, i64_key("o_orderkey"), i64_key("o_orderkey"),
+                      "cents", "sum", bucket, npart=npart).sort("o_orderkey")
 
 
 # ---------------------------------------------------------------------------
@@ -9090,8 +8904,13 @@ def abc_classification(sf_dir: str, npart: int = 32):
 
     Class boundaries are exact integer comparisons (cum·5 ≤ 4·T,
     cum·20 ≤ 19·T) — no float share is ever compared; ties in revenue
-    order pinned by partkey."""
-    import ray as _ray
+    order pinned by partkey.
+
+    Scale shape: ``exchange.range_scan`` with ``op="sum"`` keyed on
+    inverted revenue bits (descending) with partkey ties: each
+    bucket's cumsum starts at its range's carry-in, and the grand
+    total comes with it."""
+    from ..stages.exchange import i64_key, ordered_bits_i64, range_scan
 
     def partial(b: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100.0)),
@@ -9109,47 +8928,12 @@ def abc_classification(sf_dir: str, npart: int = 32):
         .map_batches(partial, batch_format="pyarrow"),
         "p", [("r", "sum")])
 
-    big = np.int64(0x7FFFFFFFFFFFFFF0)
+    def revenue_desc(b: pa.Table) -> np.ndarray:
+        return ~ordered_bits_i64(b["r"].to_numpy(zero_copy_only=False))
 
-    def enc(b: pa.Table) -> np.ndarray:
-        return (big - b["r"].to_numpy(zero_copy_only=False)) \
-            .astype(np.uint64)
-
-    def sample(b: pa.Table) -> pa.Table:
-        k = np.sort(enc(b))
-        step = max(1, len(k) // 256)
-        return pa.table({"k": pa.array(k[::step])})
-
-    samp = np.sort(np.concatenate(
-        [x["k"].to_numpy() for x in
-         pr.map_batches(sample, batch_format="pyarrow")
-         .iter_batches(batch_format="pyarrow")]))
-    cuts = (np.arange(1, npart) * len(samp)) // npart
-    splitters = np.unique(samp[np.minimum(cuts, len(samp) - 1)])
-    spl_ref = _ray.put(splitters)
-
-    def tag(b: pa.Table) -> pa.Table:
-        part = np.searchsorted(_ray.get(spl_ref), enc(b),
-                               side="right").astype(np.int32)
-        return b.append_column("part", pa.array(part))
-
-    part_sum = combine_buckets(pr.map_batches(tag, batch_format="pyarrow"),
-                               "part", [("r", "sum")])
-    pm = pa.concat_tables(part_sum.iter_batches(batch_format="pyarrow"))
-    sums = np.zeros(len(splitters) + 1, dtype=np.int64)
-    sums[pm["part"].to_numpy(zero_copy_only=False)] = \
-        pm["r"].to_numpy(zero_copy_only=False)
-    total = int(sums.sum())
-    carry = np.concatenate(([0], np.cumsum(sums)[:-1]))
-    carry_ref = _ray.put(carry)
-
-    def bucket(g: pa.Table) -> pa.Table:
-        p = int(g["part"][0].as_py())
-        k = g["p"].to_numpy(zero_copy_only=False)
+    def bucket(g: pa.Table, carry: int, total: int) -> pa.Table:
         r = g["r"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((k, -r))
-        k, r = k[order], r[order]
-        cum = np.cumsum(r) + int(_ray.get(carry_ref)[p])
+        cum = np.cumsum(r) + carry
         # threshold form of cum*5 <= 4*total / cum*20 <= 19*total —
         # identical for integers (a*k <= b  <=>  a <= b//k) but the
         # products are Python-int only, so nothing wraps when total
@@ -9158,21 +8942,28 @@ def abc_classification(sf_dir: str, npart: int = 32):
         thr_b = min((19 * total) // 20, np.iinfo(np.int64).max)
         cls = np.where(cum <= thr_a, "A",
                        np.where(cum <= thr_b, "B", "C"))
+        # the grand total rides every row, so ``finish`` (a per-batch
+        # map over the class rows) reads it without a driver pass
         return pa.table({"cls": pa.array(cls.tolist(), type=pa.string()),
-                         "r": pa.array(r, type=INT64)})
+                         "r": pa.array(r, type=INT64),
+                         "total": pa.array(np.full(len(r), total),
+                                           type=INT64)})
 
     agg = combine_buckets(
-        bucket_exchange(pr.map_batches(tag, batch_format="pyarrow"), bucket),
-        "cls", [("n_parts", "count"), ("r", "sum")])
+        range_scan(pr, revenue_desc, i64_key("p"), "r", "sum", bucket,
+                   npart=npart),
+        "cls", [("n_parts", "count"), ("r", "sum"), ("total", "max")])
 
     def finish(b: pa.Table) -> pa.Table:
         r = b["r"].to_numpy(zero_copy_only=False)
+        total = b["total"].to_numpy(zero_copy_only=False)
         return pa.table({
             "cls": b["cls"],
             "n_parts": b["n_parts"],
             "revenue": pa.array(r.astype(np.float64) / 10_000.0,
                                 type=pa.float64()),
-            "share": pa.array(r.astype(np.float64) / float(total),
+            "share": pa.array(r.astype(np.float64)
+                              / total.astype(np.float64),
                               type=pa.float64())})
 
     return sort_result(agg.map_batches(finish, batch_format="pyarrow"),

@@ -67,6 +67,7 @@ from ..state.frontier import (
     robots_to_shard_dict,
     seed_offers,
     shard_ids_of,
+    single_threaded_actor,
 )
 
 LOG_COLS = ["url", "host", "doc_id", "status", "round", "fetch_seq", "depth"]
@@ -89,34 +90,6 @@ WORKER_PHASES = ("worker_fetch", "worker_warc", "worker_links",
 _POOL_CACHE: dict = {}
 
 
-def _single_threaded_arrow() -> None:
-    """Cap this process's Arrow kernel/IO pools at 1 thread.
-
-    Every actor process otherwise spins up an Arrow pool sized to the
-    MACHINE's core count — 13 actors x 32 threads oversubscribed an
-    8-CPU cluster ~50x and tripled wall time.  Parallelism here comes
-    from the actor pools, not intra-kernel threads."""
-    import gc
-    import pyarrow as _pa
-
-    _pa.set_cpu_count(1)
-    _pa.set_io_thread_count(1)
-    # Stretch GC cadence ~20x: crawl actors hold large long-lived
-    # containers (buffered log tables), and CPython's default cadence
-    # runs a full gen-2 scan over all of them every
-    # ~70k container allocations — a fixed multi-100ms tax per round at
-    # full batch rate.  Almost all garbage here is refcount-freed, so
-    # collections are purely cycle insurance.
-    gc.set_threshold(50_000, 25, 25)
-    # heal scheduling policy: this process may previously have hosted a
-    # SCHED_BATCH WarcWriter (Ray reuses worker processes); fetch and
-    # frontier actors are latency-critical
-    try:
-        os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
-    except (AttributeError, OSError):
-        pass
-
-
 def _ref_list(refs) -> list:
     """A multi-return call's refs as a list: with ``num_returns=1`` Ray
     returns one bare ObjectRef."""
@@ -135,7 +108,7 @@ class WarcWriter:
     flushes them before each checkpoint (durability) and at the end."""
 
     def __init__(self, writer_id: int = 0):
-        _single_threaded_arrow()
+        single_threaded_actor()
         self.writer_id = writer_id
         self._cdx_buf: list = []
         # Deprioritize the compressor pool with SCHED_BATCH, NOT
@@ -230,7 +203,7 @@ class CrawlWorker:
 
     def __init__(self, worker_id: int, corpus_dir: str, n_buckets: int,
                  num_shards: int, out_dir: str, writers=None):
-        _single_threaded_arrow()
+        single_threaded_actor()
         self.worker_id = worker_id
         self.fetch = FetchGroup(corpus_dir, n_buckets)
         self.num_shards = num_shards

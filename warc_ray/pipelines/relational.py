@@ -32,7 +32,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from ..stages.exchange import (bucket_exchange, combine_buckets,
+from ..stages.exchange import (bucket_exchange, combine_buckets, i64_key,
+                               ordered_bits_f64, ordered_bits_i64,
                                segment_bounds, sort_result)
 
 INT64 = pa.int64()
@@ -263,21 +264,6 @@ def filter_orders(sf_dir: str, min_price: float = 100_000.0):
 # Q: per-user event sessions (bucket_exchange window pattern)
 # ---------------------------------------------------------------------------
 
-def _ordered_bits_i64(x: "np.ndarray") -> "np.ndarray":
-    """int64 → uint64 preserving order (flip the sign bit)."""
-    return x.view(np.uint64) ^ np.uint64(1 << 63)
-
-
-def _ordered_bits_f64(v: "np.ndarray") -> "np.ndarray":
-    """float64 → uint64 with the IEEE total order (lexicographic bytes
-    compare == numeric compare, negatives included)."""
-    bits = v.view(np.uint64)
-    neg = (bits >> np.uint64(63)).astype(bool)
-    out = bits ^ np.uint64(1 << 63)
-    out[neg] = ~bits[neg]
-    return out
-
-
 def global_sort_orders(sf_dir: str):
     """q70: range-partitioned global sort with exact ranks — orders by
     (o_totalprice DESC, o_orderkey ASC) through the TeraSort-shaped
@@ -298,14 +284,10 @@ def global_sort_orders(sf_dir: str):
                          columns=["o_orderkey", "o_totalprice"])
 
     def key(b: pa.Table) -> np.ndarray:
-        return ~_ordered_bits_f64(
+        return ~ordered_bits_f64(
             b["o_totalprice"].to_numpy(zero_copy_only=False))
 
-    def tiebreak(b: pa.Table) -> np.ndarray:
-        return _ordered_bits_i64(
-            b["o_orderkey"].to_numpy(zero_copy_only=False))
-
-    return range_sort(ds, key, tiebreak, npart=32)
+    return range_sort(ds, key, i64_key("o_orderkey"), npart=32)
 
 
 def quality_deciles(sf_dir: str):
@@ -329,14 +311,8 @@ def quality_deciles(sf_dir: str):
         .map_batches(lambda b: b.select(["doc_id", "alpha_ppm"]),
                      batch_format="pyarrow")
 
-    def key(b: pa.Table) -> np.ndarray:
-        return _ordered_bits_i64(
-            b["alpha_ppm"].to_numpy(zero_copy_only=False))
-
-    def tiebreak(b: pa.Table) -> np.ndarray:
-        return _ordered_bits_i64(b["doc_id"].to_numpy(zero_copy_only=False))
-
-    ranked = range_sort(ds, key, tiebreak, npart=32)
+    ranked = range_sort(ds, i64_key("alpha_ppm"), i64_key("doc_id"),
+                        npart=32)
     size, rem = divmod(n_total, 10)
 
     def to_decile(b: pa.Table) -> pa.Table:
@@ -374,8 +350,8 @@ def user_event_stats(sf_dir: str):
         val = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
         n = len(ts)
         arr = np.empty((n, 2), dtype=">u8")
-        arr[:, 0] = _ordered_bits_i64(ts)
-        arr[:, 1] = _ordered_bits_f64(val)
+        arr[:, 0] = ordered_bits_i64(ts)
+        arr[:, 1] = ordered_bits_f64(val)
         # fixed-size binary straight from the buffer (pa.array over a
         # numpy S16 array would truncate at embedded NUL bytes), then
         # cast to variable binary for the min/max kernels
@@ -639,7 +615,7 @@ def grouped_topk_events(sf_dir: str, k: int = 3):
             else:
                 cols["part"] = pa.array([], type=pa.int32())
             return pa.table(cols)
-        order = np.lexsort((eid, ~_ordered_bits_f64(val), u))
+        order = np.lexsort((eid, ~ordered_bits_f64(val), u))
         _, rank = segment_bounds(u[order])
         keep = order[rank < k]
         out = pa.table({"user_id": pa.array(u[keep]),

@@ -14,7 +14,7 @@ itself.  ``combine_buckets`` instead runs:
      because ``with_part`` puts every key tuple in exactly one bucket.
 
 ``bucket_exchange`` is the engine's only exchange: ``combine_buckets``,
-``hash_join``, ``skew_join``, ``range_sort`` and ``clustered_join``
+``hash_join``, ``skew_join``, ``range_scan`` and ``clustered_join``
 only build its input and its ``bucket_fn``, and every per-bucket plan
 in ``pipelines`` and ``stages`` calls it directly.  It materializes its
 input once and picks the path by size.  At most one Ray block folds on
@@ -351,58 +351,89 @@ def lookup_join(fact_ds, dim_ds, keys, *, npart: int = 32,
 
 
 # ---------------------------------------------------------------------------
-# Range-partitioned global sort (terasort shape)
+# Range-partitioned prefix scan and global sort (terasort shape)
 # ---------------------------------------------------------------------------
 
-def range_sort(ds, key_fn, tiebreak_fn, *, npart: int = 32,
-               sample_per_block: int = 256, rank_col: str = "rank"):
-    """Distributed total-order sort with exact global ranks.
+# keys per block (about; evenly strided) in range_scan's splitter sample
+_SAMPLE_PER_BLOCK = 256
 
-    The classic sampled range partition (the TeraSort shape; Ray Data's
-    own ``Dataset.sort`` uses the same boundary-sampling idea but does
-    not expose ranks):
 
-      1. SAMPLE pass — each batch contributes a deterministic,
+def ordered_bits_i64(x: np.ndarray) -> np.ndarray:
+    """int64 → uint64 preserving order (flip the sign bit)."""
+    return x.view(np.uint64) ^ np.uint64(1 << 63)
+
+
+def i64_key(col: str):
+    """A ``range_scan`` key or tiebreak function: the int64 column
+    ``col`` ascending, as ``ordered_bits_i64``."""
+    return lambda b: ordered_bits_i64(b[col].to_numpy(zero_copy_only=False))
+
+
+def ordered_bits_f64(v: np.ndarray) -> np.ndarray:
+    """float64 → uint64 with the IEEE total order (lexicographic bytes
+    compare == numeric compare, negatives included)."""
+    bits = v.view(np.uint64)
+    neg = (bits >> np.uint64(63)).astype(bool)
+    out = bits ^ np.uint64(1 << 63)
+    out[neg] = ~bits[neg]
+    return out
+
+
+# op -> (identity, per-block ufunc, driver prefix fold)
+_SCAN_OP = {
+    "count": (0, np.add, np.cumsum),
+    "sum": (0, np.add, np.cumsum),
+    "max": (np.iinfo(np.int64).min, np.maximum, np.maximum.accumulate),
+}
+
+
+def range_scan(ds, key_fn, tiebreak_fn, value_col, op, bucket_fn, *,
+               npart: int = 32):
+    """Two-phase parallel prefix scan over sampled key ranges (Blelloch):
+    ``bucket_fn`` sees every row of one key range in (key, tiebreak)
+    order, with the scan of ``value_col`` over all EARLIER ranges.
+
+      1. SAMPLE pass — each block contributes a deterministic,
          evenly-strided sample of its primary sort keys; the driver
-         folds the tiny sample and cuts ``npart - 1`` splitters at even
-         quantiles.  Splitters are *data-adaptive*, so skewed key
-         distributions still yield balanced range buckets.
-      2. COUNT pass — ``part = searchsorted(splitters, key)`` is a pure
-         stateless function of the row, so exact per-part row counts
-         come from per-batch ``bincount`` partials (npart ints per
-         block — the shuffle never carries rows).  Their prefix sum is
-         each bucket's global rank offset.
-      3. EXCHANGE pass — one range ``bucket_exchange`` co-locates
-         each key range; each bucket sorts vectorized (``np.lexsort``
-         on tiebreak-then-key) and emits ``rank = offset[part] + local
-         position`` (1-based).
+         cuts ``npart - 1`` splitters at even quantiles.  Splitters are
+         *data-adaptive*, so skewed keys still yield balanced ranges.
+      2. PARTIAL pass — ``part = searchsorted(splitters, key)`` is a
+         pure stateless function of the row, so each block reduces to
+         one value per range (``np.add.at`` / ``np.maximum.at``; npart
+         ints per block — the shuffle never carries rows).  The driver
+         folds them into each range's EXCLUSIVE carry-in and the total.
+      3. EXCHANGE pass — one range ``bucket_exchange``; each bucket
+         sorts vectorized (``np.lexsort`` on tiebreak-then-key) and
+         calls ``bucket_fn(rows, carry, total)`` once (``rows`` without
+         the part column; ``carry`` and ``total`` Python ints).
 
-    ``key_fn(batch) -> np.uint64`` must encode the PRIMARY sort order
-    as ascending unsigned bits (use ``_ordered_bits_*`` encoders;
+    ``op`` is ``sum`` or ``max`` over the int64 ``value_col``, or
+    ``count`` (rows; ``value_col`` unused).  The identity — the first
+    range's carry, and an empty input's total — is 0 for ``sum`` /
+    ``count`` and ``iinfo(int64).min`` for ``max``; ``max`` callers
+    mask it.  ``key_fn(batch) -> np.uint64`` must encode the PRIMARY
+    order as ascending unsigned bits (``i64_key``, ``ordered_bits_*``;
     invert ``~bits`` for descending).  ``tiebreak_fn(batch) ->
-    np.uint64`` breaks ties (must be unique per row for a
-    deterministic total order).  Rows with EQUAL primary keys always
-    land in the same bucket (``searchsorted`` side='right'), so ranks
-    are exact even when ties straddle a splitter value.
+    np.uint64`` breaks ties (unique per row for a deterministic total
+    order).  Rows with EQUAL primary keys always land in the same range
+    (``searchsorted`` side='right'), so the scan is exact even when
+    ties straddle a splitter value.
 
     Scale shape: ``ds`` executes once (materialized); the three passes
-    read those blocks, and only the sample and the npart-int histogram
+    read those blocks, and only the sample and the npart-int partials
     reach the driver before the exchange.  On ``bucket_exchange``'s
     fold path (input ≤ one block) the driver then holds the whole
     input; otherwise per-bucket memory = rows/npart — size ``npart`` so
-    a bucket fits a worker's heap.
+    a bucket fits a worker's heap.  Returns a materialized Dataset.
     """
-    import ray
-
+    ident, ufunc, fold = _SCAN_OP[op]
     ds = ds.materialize()
 
     # -- pass 1: strided key sample → splitters --------------------------
     def sample_keys(b: pa.Table) -> pa.Table:
-        k = key_fn(b)
-        if len(k) == 0:
-            return pa.table({"k": pa.array([], type=pa.uint64())})
-        step = max(1, len(k) // sample_per_block)
-        return pa.table({"k": pa.array(np.sort(k)[::step])})
+        k = np.sort(key_fn(b))
+        step = max(1, len(k) // _SAMPLE_PER_BLOCK)
+        return pa.table({"k": pa.array(k[::step], type=pa.uint64())})
 
     samp = np.sort(np.concatenate(
         [b["k"].to_numpy() for b in
@@ -414,28 +445,32 @@ def range_sort(ds, key_fn, tiebreak_fn, *, npart: int = 32,
     else:
         cuts = (np.arange(1, npart) * len(samp)) // npart
         splitters = np.unique(samp[np.minimum(cuts, len(samp) - 1)])
-    spl_ref = ray.put(splitters)
+    nranges = len(splitters) + 1
 
     def _parts(b: pa.Table) -> np.ndarray:
-        return np.searchsorted(ray.get(spl_ref), key_fn(b),
+        return np.searchsorted(splitters, key_fn(b),
                                side="right").astype(np.int32)
 
-    # -- pass 2: exact per-part counts (npart ints per block) ------------
-    def count_parts(b: pa.Table) -> pa.Table:
-        c = np.bincount(_parts(b), minlength=len(splitters) + 1)
-        return pa.table({"part": pa.array(np.arange(len(c), dtype=np.int32)),
-                         "n": pa.array(c.astype(np.int64))})
+    # -- pass 2: per-range partials (npart ints per block) ---------------
+    def partial(b: pa.Table) -> pa.Table:
+        acc = np.full(nranges, ident, dtype=np.int64)
+        v = (np.ones(b.num_rows, dtype=np.int64) if op == "count" else
+             b[value_col].to_numpy(zero_copy_only=False).astype(np.int64))
+        ufunc.at(acc, _parts(b), v)
+        return pa.table({"part": pa.array(np.arange(nranges, dtype=np.int32)),
+                         "v": pa.array(acc)})
 
-    counts = np.zeros(len(splitters) + 1, dtype=np.int64)
-    for b in ds.map_batches(count_parts, batch_format="pyarrow") \
+    acc = np.full(nranges, ident, dtype=np.int64)
+    for b in ds.map_batches(partial, batch_format="pyarrow") \
             .iter_batches(batch_format="pyarrow"):
-        # np.add.at: iter_batches coalesces blocks, so part indices
-        # repeat within one yielded batch — fancy-index += would
-        # silently keep only one block's count per part
-        np.add.at(counts, b["part"].to_numpy(zero_copy_only=False),
-                  b["n"].to_numpy(zero_copy_only=False))
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    off_ref = ray.put(offsets)
+        # ufunc.at: iter_batches coalesces blocks, so part indices
+        # repeat within one yielded batch — fancy-index assignment
+        # would silently keep only one block's value per part
+        ufunc.at(acc, b["part"].to_numpy(zero_copy_only=False),
+                 b["v"].to_numpy(zero_copy_only=False))
+    run = fold(acc)
+    carry = [int(ident)] + run[:-1].tolist()  # carry[p] = scan before p
+    total = int(run[-1])
 
     # -- pass 3: range exchange + per-bucket vectorized sort -------------
     def tag(b: pa.Table) -> pa.Table:
@@ -445,12 +480,30 @@ def range_sort(ds, key_fn, tiebreak_fn, *, npart: int = 32,
         part = int(g["part"][0].as_py())
         order = np.lexsort((tiebreak_fn(g), key_fn(g)))
         g = g.drop_columns(["part"]).take(pa.array(order))
-        base = int(ray.get(off_ref)[part])
-        rank = np.arange(1, g.num_rows + 1, dtype=np.int64) + base
-        return g.append_column(rank_col, pa.array(rank))
+        return bucket_fn(g, carry[part], total)
 
     return bucket_exchange(ds.map_batches(tag, batch_format="pyarrow"),
                            bucket)
+
+
+def range_sort(ds, key_fn, tiebreak_fn, *, npart: int = 32):
+    """Distributed total-order sort with exact global ranks: ``ds``
+    with a 1-based ``rank`` column appended.
+
+    The classic sampled range partition (the TeraSort shape; Ray Data's
+    own ``Dataset.sort`` uses the same boundary-sampling idea but does
+    not expose ranks).  It is ``range_scan`` with ``op="count"``: the
+    per-range row counts' exclusive prefix sum is each range's global
+    rank offset, and each bucket emits ``rank = offset + local
+    position``.  ``key_fn``, ``tiebreak_fn``, the tie rule and the
+    scale shape are ``range_scan``'s.
+    """
+    def ranks(g: pa.Table, carry: int, total: int) -> pa.Table:
+        rank = np.arange(1, g.num_rows + 1, dtype=np.int64) + carry
+        return g.append_column("rank", pa.array(rank))
+
+    return range_scan(ds, key_fn, tiebreak_fn, None, "count", ranks,
+                      npart=npart)
 
 
 # ---------------------------------------------------------------------------

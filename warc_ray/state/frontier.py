@@ -502,6 +502,35 @@ def seed_offers(seeds: pa.Table, lo: int, hi: int, num_shards: int):
     return out if num_shards > 1 else out[0]
 
 
+def single_threaded_actor() -> None:
+    """Set up a crawl actor's process (frontier shards, fetch workers,
+    WARC writers): Arrow kernel/IO pools capped at 1 thread, a
+    stretched GC cadence and the default scheduling policy.
+
+    Every actor process otherwise spins up an Arrow pool sized to the
+    MACHINE's core count — 13 actors x 32 threads oversubscribed an
+    8-CPU cluster ~50x and tripled wall time.  Parallelism here comes
+    from the actor pools, not intra-kernel threads."""
+    import gc
+
+    pa.set_cpu_count(1)
+    pa.set_io_thread_count(1)
+    # Stretch GC cadence ~20x: crawl actors hold large long-lived
+    # containers (buffered log tables), and CPython's default cadence
+    # runs a full gen-2 scan over all of them every
+    # ~70k container allocations — a fixed multi-100ms tax per round at
+    # full batch rate.  Almost all garbage here is refcount-freed, so
+    # collections are purely cycle insurance.
+    gc.set_threshold(50_000, 25, 25)
+    # heal scheduling policy: this process may previously have hosted a
+    # SCHED_BATCH WarcWriter (Ray reuses worker processes); fetch and
+    # frontier actors are latency-critical
+    try:
+        os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
+
+
 def make_frontier_shard_cls():
     """Ray actor class for FrontierCore (import-time Ray optional)."""
     import ray
@@ -519,24 +548,11 @@ def make_frontier_shard_cls():
     class FrontierShard:
         def __init__(self, shard_id: int, config: FrontierConfig,
                      robots_ref=None, restore_path: str | None = None):
-            # cap Arrow's per-process thread pool (see crawl.py
-            # _single_threaded_arrow — shards sort/filter with Arrow)
-            pa.set_cpu_count(1)
-            pa.set_io_thread_count(1)
-            # stretch GC cadence: a shard holds many long-lived
+            # shards sort/filter with Arrow and hold many long-lived
             # containers (per-host queue dicts and lists of Arrow
-            # slices), and a default-cadence gen-2 pass rescans all of
-            # them on the seal critical path (see
-            # crawl._single_threaded_arrow)
-            import gc
-
-            gc.set_threshold(50_000, 25, 25)
-            # heal policy from a prior SCHED_BATCH writer incarnation
-            # of this reused worker process (see crawl.WarcWriter)
-            try:
-                os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
-            except (AttributeError, OSError):
-                pass
+            # slices) that a default-cadence gen-2 pass would rescan
+            # on the seal critical path
+            single_threaded_actor()
             self.bind_run(shard_id, config, robots_ref, restore_path)
 
         def bind_run(self, shard_id: int, config: FrontierConfig,
