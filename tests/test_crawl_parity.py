@@ -78,6 +78,24 @@ def test_robots_and_dedup_counters(crawl_result, oracle_result):
     assert dstats["dup"] > 0
 
 
+def test_frontier_depth_reported(crawl_result):
+    """Each shard's stats carry its frontier depth: ``pending`` rows
+    (queued and not yet emitted) on ``active_hosts`` hosts — at the
+    end of the crawl and in every checkpoint's lineage metrics."""
+    import json
+
+    out, res = crawl_result
+    stats = list(res["shard_stats"])
+    with open(os.path.join(out, "LINEAGE.jsonl")) as f:
+        for line in f:
+            stats.extend(json.loads(line)["metrics"])
+    for s in stats:
+        assert s["pending"] == s["queued"] - s["emitted"]
+        assert 0 < s["active_hosts"] <= s["pending"] or \
+            s["active_hosts"] == s["pending"] == 0
+    assert max(s["pending"] for s in stats) > 0
+
+
 def test_warc_output_per_round(crawl_result):
     out, res = crawl_result
     rounds = sorted(glob.glob(os.path.join(out, "round=*")))

@@ -146,3 +146,40 @@ def test_render_payloads_on_a_slice():
     whole = render_payloads(spans)
     for lo, n in ((0, 7), (5, 40), (len(spans) - 3, 10)):
         assert render_payloads(spans.slice(lo, n)).equals(whole.slice(lo, n))
+
+
+def test_media_body_bytes_pinned():
+    """The media bodies of 1,000 URLs (non-ASCII, empty and long ones
+    included), length-prefixed, hash to the value of the per-URL
+    generator they replaced; a sliced or chunked input, the scalar
+    wrapper and a call spanning several generation chunks give the
+    same bytes."""
+    import hashlib
+
+    from warc_ray.stages.assemble import (media_bodies, media_body,
+                                          media_body_array)
+
+    urls = [f"http://host-{i % 37}.example/media/{i * 7919}" for i in range(990)]
+    urls += ["http://h.example/media/é", "http://x/", "",
+             "http://ü.example/media/0", "http://h.example/media/" + "9" * 40,
+             "http://h.example/media/1?q=2", "a", "http://h.example/media/ä" * 3,
+             "http://e/media/ø", "http://e/media/1"]
+    bodies = media_bodies(urls)
+    h = hashlib.sha1()
+    for b in bodies:
+        h.update(len(b).to_bytes(4, "big"))
+        h.update(b)
+    assert h.hexdigest() == "dbd6820eae71b8b346e7b32591f8c423313b2007"
+    assert sum(map(len, bodies)) == 2_174_946
+    arr = pa.array(urls)
+    got = media_body_array(arr.slice(985, 10))
+    assert got.type == pa.large_binary() and got.to_pylist() == bodies[985:995]
+    chunked = pa.chunked_array([arr.slice(0, 7), arr.slice(7, 5)])
+    assert media_body_array(chunked).to_pylist() == bodies[:12]
+    assert media_body(urls[990]) == bodies[990]
+    assert len(media_body_array(pa.array([], type=pa.string()))) == 0
+    # past one 4,096-URL generation chunk: the chunks land back to back
+    many = pa.array([f"http://m.example/media/{i}" for i in range(5000)])
+    assert media_body_array(many).to_pylist() == (
+        media_body_array(many.slice(0, 2500)).to_pylist()
+        + media_body_array(many.slice(2500)).to_pylist())

@@ -106,37 +106,46 @@ def _splitmix64(z: "np.ndarray") -> "np.ndarray":
     return z
 
 
-def media_bodies(urls: list[str]) -> list[bytes]:
-    """Deterministic pseudo-binary blobs for /media/ URLs, batched.
+def media_body_array(urls) -> pa.LargeBinaryArray:
+    """Deterministic pseudo-binary blobs for /media/ URLs (an Arrow
+    string array or a list of str), as one ``large_binary`` array.
 
     Per URL: seed = sha1(url)[4:12], size = 256 + sha1[:2] % 3840, and
     the payload is the splitmix64 stream of (seed + word-index) — a
     vectorized uint64 pass (the previous per-URL PCG64 construction
     cost ~31 µs/URL and dominated media-heavy crawl rounds; media
-    rounds are 80-95% of late-round traffic).  Work is CHUNKED so peak
-    ephemeral allocation stays ~10 MB: many fetch actors synthesizing
-    media concurrently with unbounded batch-sized arrays (~1 GB of
-    allocator traffic per call) stalled each other on memory
-    bandwidth/page faults at full-node concurrency."""
-    out: list[bytes] = []
-    for lo in range(0, len(urls), 4096):
-        out.extend(_media_bodies_chunk(urls[lo:lo + 4096]))
-    return out
+    rounds are 80-95% of late-round traffic).  The URLs hash from the
+    Arrow buffer (``urls._sha1_digests``), and the blobs land in one
+    preallocated data buffer behind offsets summed from the sizes.
+    The stream is generated CHUNKED so peak ephemeral allocation stays
+    ~10 MB: many fetch actors synthesizing media concurrently with
+    unbounded batch-sized arrays (~1 GB of allocator traffic per call)
+    stalled each other on memory bandwidth/page faults at full-node
+    concurrency."""
+    from .urls import _sha1_digests
 
-
-def _media_bodies_chunk(urls: list[str]) -> list[bytes]:
-    if not urls:
-        return []
     n = len(urls)
-    seeds = np.empty(n, dtype=np.uint64)
-    sizes = np.empty(n, dtype=np.int64)
-    for i, u in enumerate(urls):
-        h = hashlib.sha1(u.encode()).digest()
-        sizes[i] = 256 + int.from_bytes(h[:2], "big") % 3840
-        seeds[i] = int.from_bytes(h[4:12], "big")
+    h = np.frombuffer(_sha1_digests(urls), dtype=np.uint8).reshape(n, 20)
+    sizes = 256 + ((h[:, 0].astype(np.int64) << 8) | h[:, 1]) % 3840
+    seeds = h[:, 4:12].copy().view(">u8").ravel().astype(np.uint64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    data = np.empty(int(offsets[-1]), dtype=np.uint8)
+    for lo in range(0, n, 4096):
+        hi = min(lo + 4096, n)
+        _media_stream(seeds[lo:hi], sizes[lo:hi],
+                      data[offsets[lo]:offsets[hi]])
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), n,
+        [None, pa.py_buffer(offsets), pa.py_buffer(data)])
+
+
+def _media_stream(seeds: np.ndarray, sizes: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write the blobs of ``seeds``/``sizes`` back to back into ``out``."""
     words = (sizes + 7) >> 3
     total = int(words.sum())
-    starts = np.concatenate(([0], np.cumsum(words)[:-1]))
+    starts = np.cumsum(words) - words
     # stream_i[j] = splitmix(seed_i + (j+1)*G) with j local to blob i;
     # folding the per-blob restart into ONE repeated adjustment term
     # (seed_i - start_i*G) lets the counter be a single global arange:
@@ -148,9 +157,16 @@ def _media_bodies_chunk(urls: list[str]) -> list[bytes]:
         np.multiply(z, G, out=z)
         np.add(z, np.repeat(adj, words), out=z)
         stream = _splitmix64(z)
-    buf = stream.tobytes()
-    offs = starts * 8
-    return [buf[o:o + s] for o, s in zip(offs.tolist(), sizes.tolist())]
+    # drop each blob's word padding: every word but its last is whole,
+    # and the last keeps the first ((size - 1) % 8 + 1) bytes
+    keep = np.ones((total, 8), dtype=bool)
+    keep[starts + words - 1] = np.arange(8) < ((sizes - 1) % 8 + 1)[:, None]
+    out[:] = stream.view(np.uint8)[keep.ravel()]
+
+
+def media_bodies(urls: list[str]) -> list[bytes]:
+    """``media_body_array`` as a list of ``bytes``."""
+    return media_body_array(urls).to_pylist()
 
 
 def media_body(url: str) -> bytes:

@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 
 from .. import corpus as corpus_mod
 from ..schema import FETCH_SCHEMA, SPAN_STRUCT
-from .assemble import (http_response_payload, media_bodies, media_body,
+from .assemble import (http_response_payload, media_body, media_body_array,
                        render_body)
 
 _EMPTY_SPANS: list = []
@@ -270,10 +270,9 @@ class FetchGroup:
         perm = np.concatenate([doc_pos, media_pos, miss_pos])
         g = group.take(pa.array(perm))
         doc_spans, doc_body = self._gather(self._loc[at])
-        media_urls = urls.take(pa.array(media_pos)).to_pylist()
-        body = pa.concat_arrays([doc_body, pa.array(
-            media_bodies(media_urls) + [b""] * n_miss,
-            type=pa.large_binary())])
+        body = pa.concat_arrays([
+            doc_body, media_body_array(urls.take(pa.array(media_pos))),
+            pa.array([b""] * n_miss, type=pa.large_binary())])
         media_ids = pc.cast(pa.array(idx[media_pos]), pa.string())
         if big_media:
             media_ids = pa.array(

@@ -606,7 +606,7 @@ def synthesize_media(batch: pa.Table, n_hosts: int) -> pa.Table:
     payload).  The payload synthesis stands in for the fetch/decode
     input at test scale (deterministic splitmix64 bytes)."""
     from .. import corpus as corpus_mod
-    from ..stages.fetch import media_bodies
+    from .assemble import media_body_array
 
     midx = batch["midx"].combine_chunks() \
         if isinstance(batch["midx"], pa.ChunkedArray) else batch["midx"]
@@ -615,12 +615,11 @@ def synthesize_media(batch: pa.Table, n_hosts: int) -> pa.Table:
     is_video = midx.to_numpy() % 3 == 0
     types = pa.array(np.where(is_video, "video", "image"))
     urls = corpus_mod.doc_url_array(midx.to_numpy(), n_hosts, "media")
-    payloads = media_bodies(urls.to_pylist())
     return pa.table({
         "media_id": ids,
         "url": urls,
         "media_type": types,
-        "payload": pa.array(payloads, type=pa.large_binary()),
+        "payload": media_body_array(urls),
         "midx": midx,
     }, schema=MEDIA_SCHEMA.append(pa.field("midx", pa.int64())))
 

@@ -11,10 +11,14 @@ Determinism (the crawl-order parity contract, BASELINE.json):
   * offers are buffered per round and **sealed in sorted order**
     ``(depth, src_doc, src_offset, url)`` — so the nondeterministic
     arrival order of distributed fetch tasks never leaks into filter
-    insertion order or queue sequence numbers;
-  * queue ordering is the total order ``(-priority, seq)`` with ``seq``
-    assigned at seal time; politeness uses the **logical round clock**,
-    never wall-clock;
+    insertion order or queue order;
+  * the queues are columnar: per-host state (tokens, last refill, next
+    allowed round, crawl delay, robots flag, name rank) in numpy arrays
+    by host id, and every pending URL one entry of a sorted int64 key
+    array ``(host id, -priority)``, FIFO within a key in seal order,
+    with a parallel reference into the seal's Arrow chunk of (url,
+    depth) rows; politeness uses the **logical round clock**, never
+    wall-clock;
   * the single-process oracle (pipelines/oracle.py) drives this same
     class — parity by construction.
 
@@ -64,9 +68,12 @@ def shard_of(host: str, num_shards: int) -> int:
     return int.from_bytes(hashlib.sha1(host.encode()).digest()[:4], "big") % num_shards
 
 
-def path_of(url: str) -> str:
-    rest = url.split("://", 1)[1]
-    return "/" + rest.split("/", 1)[1] if "/" in rest else "/"
+def url_paths(urls: pa.Array) -> pa.Array:
+    """Each URL's path: from the first '/' after the scheme's '://' on,
+    or '/' when there is none."""
+    paths = pc.replace_substring_regex(urls, pattern=r"(?s)^.*?://[^/]*",
+                                       replacement="")
+    return pc.if_else(pc.equal(paths, ""), "/", paths)
 
 
 def delay_rounds(crawl_delay_ms: int) -> int:
@@ -104,14 +111,29 @@ def compile_robots_rules(patterns) -> tuple:
     return tuple(plain), rx
 
 
+# Pending-row keys: the host id in the high 32 bits, _PRIO_TOP - priority
+# in the low 32 (0 for the top int32 priority, 2^32 - 1 for the bottom),
+# so ascending keys run host by host, highest priority first.
+_PRIO_TOP = (1 << 31) - 1
+_NONE = np.iinfo(np.int64).min  # "no entry" in the per-host int arrays
+
+
 def _robots_deny(path: str, plain: tuple, rx) -> bool:
     """True iff any disallow rule matches ``path``."""
-    return (any(path.startswith(p) for p in plain)
+    return (path.startswith(plain)
             or (rx is not None and rx.match(path) is not None))
 
 
 class FrontierCore:
-    """Single-shard frontier state machine (pure python + numpy)."""
+    """Single-shard frontier state machine (Arrow + numpy, columnar).
+
+    Hosts get a stable id at first sight; their politeness state lives
+    in numpy arrays indexed by that id (``_tokens``, ``_last_refill``,
+    ``_next_allowed``, ``_delay``, ``_ruled``, ``_rank``).  The pending
+    URLs are one sorted int64 key array, ``(host id, -priority)`` packed
+    so that equal keys keep their FIFO (insertion) order, with a
+    parallel array of packed ``(chunk, row)`` references into the
+    append-only Arrow chunks of (url, depth) rows, one chunk per seal."""
 
     def __init__(self, shard_id: int, config: FrontierConfig,
                  robots: dict[str, tuple[tuple[str, ...], int]] | None = None):
@@ -126,11 +148,7 @@ class FrontierCore:
                              for h, r in self.robots.items() if r[0]}
         self.filter = CuckooFilter(config.filter_capacity,
                                    seed=config.seed * 1000 + shard_id)
-        self.queues: dict[str, list] = {}
-        self.tokens: dict[str, float] = {}
-        self.last_refill: dict[str, int] = {}
-        self.next_allowed: dict[str, int] = {}
-        self.seq = 0
+        self._reset_queues()
         self.buffer: list[tuple] = []
         self.counters = {
             "offered": 0, "dup": 0, "robots_denied": 0, "too_deep": 0,
@@ -140,6 +158,66 @@ class FrontierCore:
         # are compared 1:1 against the single-process oracle's)
         self.busy = {"seal": 0.0, "pop": 0.0,
                      "seal_sort": 0.0, "seal_filter": 0.0, "seal_queue": 0.0}
+
+    def _reset_queues(self) -> None:
+        # host registry: the name of host id i is _host_arr[i]
+        # (pa.nulls, not pa.array: a process's first pa.array call
+        # imports pandas, ~0.4 s, which would land in the fleet spawn)
+        self._host_arr = pa.nulls(0, pa.string())
+        # per-host state by id; _NONE marks "no entry yet"
+        self._tokens = np.zeros(0, dtype=np.float64)
+        self._last_refill = np.zeros(0, dtype=np.int64)
+        self._next_allowed = np.zeros(0, dtype=np.int64)
+        self._delay = np.zeros(0, dtype=np.int64)
+        self._ruled = np.zeros(0, dtype=bool)
+        self._rank = np.zeros(0, dtype=np.int64)  # rank of the host name
+        # pending rows, sorted by key; FIFO within a key
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._refs = np.zeros(0, dtype=np.int64)
+        self._chunks: list = []   # per seal: (urls, depths), None once drained
+        self._live = np.zeros(0, dtype=np.int64)  # pending rows per chunk
+
+    def _register(self, names: list[str]) -> None:
+        """Give each new host name the next id and its per-host state."""
+        if not names:
+            return
+        self._host_arr = pa.concat_arrays(
+            [self._host_arr, pa.array(names, type=pa.string())])
+        m = len(names)
+        self._tokens = np.concatenate(
+            [self._tokens, np.full(m, float(self.config.burst))])
+        self._last_refill = np.concatenate(
+            [self._last_refill, np.full(m, _NONE, dtype=np.int64)])
+        self._next_allowed = np.concatenate(
+            [self._next_allowed, np.full(m, _NONE, dtype=np.int64)])
+        self._delay = np.concatenate([self._delay, np.array(
+            [self.robots.get(h, ((), 0))[1] for h in names], dtype=np.int64)])
+        self._ruled = np.concatenate([self._ruled, np.array(
+            [h in self.robots_match for h in names], dtype=bool)])
+        order = pc.sort_indices(self._host_arr).to_numpy()
+        self._rank = np.empty(len(order), dtype=np.int64)
+        self._rank[order] = np.arange(len(order))
+
+    def _host_ids_of(self, hosts) -> np.ndarray:
+        """Per-row host id (new hosts registered in first-seen order)."""
+        pos = pc.index_in(hosts, value_set=self._host_arr)
+        if pos.null_count:
+            self._register(pc.unique(hosts.filter(pc.is_null(pos))).to_pylist())
+            pos = pc.index_in(hosts, value_set=self._host_arr)
+        return pos.to_numpy().astype(np.int64)
+
+    def _insert(self, keys: np.ndarray, urls: pa.Array,
+                depths: pa.Array) -> None:
+        """Queue rows as one new chunk: a stable sort of their keys and
+        one merge, placing each row after the pending rows of its key."""
+        chunk = len(self._chunks)
+        self._chunks.append((urls, depths.cast(pa.int32())))
+        self._live = np.append(self._live, len(keys))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        at = np.searchsorted(self._keys, keys, side="right")
+        self._keys = np.insert(self._keys, at, keys)
+        self._refs = np.insert(self._refs, at, (chunk << 32) | order)
 
     # -- offer / seal ---------------------------------------------------
 
@@ -185,10 +263,13 @@ class FrontierCore:
     def seal_round(self) -> None:
         """Deterministically ingest this round's offers (sorted).
 
-        Arrow-native: multi-key sort + vectorized cuckoo batch; Python
-        touches only the rows that survive dedup/depth (the ones that
-        actually enter a queue).  URLs/hosts are ASCII, so Arrow utf8
-        ordering == Python str ordering (determinism vs the oracle)."""
+        Arrow-native: multi-key sort + vectorized cuckoo batch.  The
+        surviving candidates get host ids from one Arrow lookup (only
+        new hosts touch Python), the robots gate runs in Python over
+        the rows of ruled hosts only, and the rest is one stable key
+        sort and one merge into the pending keys (``_insert``).  Arrow
+        utf8 ordering == Python str ordering (determinism vs the
+        oracle)."""
         if not self.buffer:
             return
         import time as _time
@@ -221,192 +302,183 @@ class FrontierCore:
         cand = buf.filter(pa.array(cand_mask))
         self.busy["seal_filter"] += _time.perf_counter() - _b1
         _b2 = _time.perf_counter()
-        # Bulk insert, grouped by (host, priority): a stable sort on the
-        # already-globally-sorted candidates preserves FIFO order WITHIN
-        # each (host, priority) queue — the only ordering pop_round
-        # depends on.  Queues hold ZERO-COPY Arrow slices of the
-        # grouped candidate table, one chunk per (run, round): no
-        # per-row Python tuples (the ~6.5µs/URL deque fill was the
-        # dominant seal cost, and the millions of live queue tuples
-        # made every gen-2 GC pass seconds long on the hot shard).
-        prios = cand["priority"].to_numpy(zero_copy_only=False)
-        host_codes = pc.dictionary_encode(cand["host"]).combine_chunks()
-        codes = (host_codes.indices.to_numpy(zero_copy_only=False)
-                 if cand.num_rows else np.zeros(0, dtype=np.int32))
-        composite = codes.astype(np.int64) * (1 << 31) - prios.astype(np.int64)
-        order = np.argsort(composite, kind="stable")
-        g = cand.select(["url", "depth"]).take(
-            pa.array(order, type=pa.int64()))
-        g_urls = g["url"].combine_chunks()
-        g_depths = g["depth"].combine_chunks()
-        host_dict = host_codes.dictionary
-        codes_sorted = codes[order]
-        prios_sorted = prios[order]
-        matchers = self.robots_match
-        queues = self.queues
-        seq = self.seq
-        queued = 0
-        denied = 0
-        sorted_comp = composite[order]
-        bounds = np.flatnonzero(np.diff(sorted_comp)) + 1
-        starts = np.concatenate([[0], bounds]) if len(order) else []
-        ends = np.concatenate([bounds, [len(order)]]) if len(order) else []
-        for s, e in zip(starts, ends):
-            s, e = int(s), int(e)
-            host = host_dict[int(codes_sorted[s])].as_py()
-            prio = int(prios_sorted[s])
-            u_sl = g_urls.slice(s, e - s)
-            d_sl = g_depths.slice(s, e - s)
-            m = matchers.get(host)
-            if m:
-                plain, rx = m
-                ul = u_sl.to_pylist()
-                keep = [i for i, u in enumerate(ul)
-                        if not _robots_deny(path_of(u), plain, rx)]
-                denied += (e - s) - len(keep)
-                if not keep:
-                    continue
-                if len(keep) != e - s:
-                    ki = pa.array(keep, type=pa.int32())
-                    u_sl = u_sl.take(ki)
-                    d_sl = d_sl.take(ki)
-            q = queues.get(host)
-            if q is None:
-                q = queues[host] = {}
-            d = q.get(prio)
-            if d is None:
-                d = q[prio] = []
-            d.append([0, u_sl, d_sl])  # [cursor, urls, depths]
-            seq += len(u_sl)
-            queued += len(u_sl)
-        self.seq = seq
-        self.counters["robots_denied"] += denied
-        self.counters["queued"] += queued
+        hid = self._host_ids_of(cand["host"])
+        urls = cand["url"].combine_chunks()
+        depths = cand["depth"].combine_chunks()
+        prio = cand["priority"]
+        ruled = np.flatnonzero(self._ruled[hid])
+        if len(ruled):
+            rows, match = pa.array(ruled), self.robots_match
+            deny = np.array([
+                _robots_deny(path, *match[host]) for path, host in zip(
+                    url_paths(urls.take(rows)).to_pylist(),
+                    cand["host"].take(rows).to_pylist())], dtype=bool)
+            if deny.any():
+                self.counters["robots_denied"] += int(deny.sum())
+                keep = np.ones(len(hid), dtype=bool)
+                keep[ruled[deny]] = False
+                hid = hid[keep]
+                mask = pa.array(keep)
+                urls, depths = urls.filter(mask), depths.filter(mask)
+                prio = prio.filter(mask)
+        if len(hid):
+            prio = prio.to_numpy().astype(np.int64)
+            self._insert((hid << 32) | (_PRIO_TOP - prio), urls, depths)
+            self.counters["queued"] += len(hid)
         self.busy["seal_queue"] += _time.perf_counter() - _b2
         self.busy["seal"] += _time.perf_counter() - _b0
 
     # -- emission -------------------------------------------------------
 
+    def _host_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(host id, first pending position, pending count) of each host
+        with pending rows: one binary search per registered host."""
+        bounds = np.searchsorted(self._keys, np.arange(
+            len(self._host_arr) + 1, dtype=np.int64) << 32)
+        counts = np.diff(bounds)
+        hosts = np.flatnonzero(counts)
+        return hosts, bounds[hosts], counts[hosts]
+
     def pop_round(self, t: int) -> pa.Table:
         """Emit every eligible URL at logical time ``t`` (G9).
 
-        Chunk-slicing formulation over the Arrow-backed queues —
-        behavior-identical to the per-item reference loop (token bucket
-        decrements 1.0/URL, so the pop count per host is exactly
-        ``min(floor(tokens), per_round_host_budget, queued[, 1 if
-        crawl-delay])`` and the emission order is hosts sorted, then
-        priority desc, then FIFO)."""
+        A host with pending rows is eligible unless its crawl-delay
+        window (``next_allowed``) is still open.  Its token bucket
+        refills by ``rate`` per round up to ``burst``, and it emits
+        ``min(floor(tokens), per_round_host_budget, pending[, 1 if
+        crawl-delay])`` URLs, each costing one token.  Emission order
+        is hosts sorted by name, then priority desc, then FIFO.
+
+        Vectorized over the hosts with pending rows: each host's
+        emission is the head of its key range, so the emitted rows are
+        one gather of key positions, one ``take`` per chunk touched and
+        one delete."""
         import time as _time
 
         _b0 = _time.perf_counter()
         cfg = self.config
-        parts: list[tuple] = []     # (prio, url_slice, depth_slice)
-        host_rows: list[tuple] = []  # (host, n_emitted)
-        for host in sorted(h for h, q in self.queues.items() if q):
-            q = self.queues[host]  # {priority: [[cursor, urls, depths]..]}
-            if self.next_allowed.get(host, 0) > t:
-                continue
-            last = self.last_refill.get(host, t)
-            tok = min(float(cfg.burst),
-                      self.tokens.get(host, float(cfg.burst)) + cfg.rate * (t - last))
-            self.last_refill[host] = t
-            dly = self.robots.get(host, ((), 0))[1]
-            cap = min(int(tok), cfg.per_round_host_budget)
-            if dly:
-                cap = min(cap, 1)  # crawl-delay: one fetch per window
-            k = 0
-            if cap > 0:
-                # highest priority first; FIFO (chunk order) within one
-                for prio in sorted(q, reverse=True):
-                    chunks = q[prio]
-                    while chunks and k < cap:
-                        entry = chunks[0]
-                        pos, u_sl, d_sl = entry
-                        avail = len(u_sl) - pos
-                        n = min(avail, cap - k)
-                        parts.append((prio, u_sl.slice(pos, n),
-                                      d_sl.slice(pos, n)))
-                        k += n
-                        if n == avail:
-                            chunks.pop(0)
-                        else:
-                            entry[0] = pos + n
-                    if not chunks:
-                        del q[prio]
-                    if k >= cap:
-                        break
-                if dly and k:
-                    self.next_allowed[host] = t + dly
-            self.tokens[host] = tok - k
-            if not q:
-                del self.queues[host]
-            if k:
-                host_rows.append((host, k))
-        n_out = sum(k for _, k in host_rows)
+        hosts, starts, counts = self._host_runs()
+        nxt = self._next_allowed[hosts]
+        ok = np.where(nxt == _NONE, 0, nxt) <= t
+        hosts, starts, counts = hosts[ok], starts[ok], counts[ok]
+        last = self._last_refill[hosts]
+        tok = np.minimum(float(cfg.burst), self._tokens[hosts]
+                         + cfg.rate * (t - np.where(last == _NONE, t, last)))
+        dly = self._delay[hosts]
+        cap = np.minimum(np.trunc(tok).astype(np.int64),
+                         cfg.per_round_host_budget)
+        cap = np.where(dly != 0, np.minimum(cap, 1), cap)  # crawl-delay
+        k = np.minimum(np.maximum(cap, 0), counts)
+        self._last_refill[hosts] = t
+        self._tokens[hosts] = tok - k
+        wait = (dly != 0) & (k > 0)
+        self._next_allowed[hosts[wait]] = t + dly[wait]
+
+        emit = k > 0
+        order = np.argsort(self._rank[hosts[emit]])
+        hosts, starts, k = hosts[emit][order], starts[emit][order], k[emit][order]
+        n_out = int(k.sum())
         self.counters["emitted"] += n_out
         if n_out:
-            url_arr = pa.concat_arrays([p[1] for p in parts])
-            depth_arr = pa.concat_arrays(
-                [p[2].cast(pa.int32()) if p[2].type != pa.int32() else p[2]
-                 for p in parts])
-            host_col = np.repeat(
-                np.array([h for h, _ in host_rows], dtype=object),
-                [k for _, k in host_rows]).tolist()
-            prio_arr = np.concatenate(
-                [np.full(len(p[1]), p[0], dtype=np.int32) for p in parts])
-            seq_arr = np.concatenate(
-                [np.arange(k, dtype=np.int64) for _, k in host_rows])
+            first = np.repeat(np.cumsum(k) - k, k)
+            seq = np.arange(n_out, dtype=np.int64) - first
+            pos = np.repeat(starts, k) + seq
+            refs = self._refs[pos]
+            url_arr, depth_arr = self._take(refs)
+            prio = (_PRIO_TOP - (self._keys[pos] & 0xFFFFFFFF)).astype(np.int32)
+            host_arr = self._host_arr.take(pa.array(np.repeat(hosts, k)))
+            keep = np.ones(len(self._keys), dtype=bool)
+            keep[pos] = False
+            self._keys, self._refs = self._keys[keep], self._refs[keep]
+            # a chunk with no pending row left is dropped
+            self._live -= np.bincount(refs >> 32, minlength=len(self._live))
+            for c in np.unique(refs >> 32).tolist():
+                if not self._live[c]:
+                    self._chunks[c] = None
         else:
             url_arr = pa.array([], type=pa.string())
             depth_arr = pa.array([], type=pa.int32())
-            host_col = []
-            prio_arr = np.zeros(0, dtype=np.int32)
-            seq_arr = np.zeros(0, dtype=np.int64)
+            host_arr = pa.array([], type=pa.string())
+            prio = np.zeros(0, dtype=np.int32)
+            seq = np.zeros(0, dtype=np.int64)
         self.busy["pop"] += _time.perf_counter() - _b0
         return pa.table({
             "url": url_arr,
-            "host": pa.array(host_col, type=pa.string()),
-            "priority": pa.array(prio_arr),
+            "host": host_arr,
+            "priority": pa.array(prio),
             "depth": depth_arr,
-            "round": pa.array([t] * n_out, type=pa.int32()),
-            "fetch_seq": pa.array(seq_arr),
+            "round": pa.array(np.full(n_out, t, dtype=np.int32)),
+            "fetch_seq": pa.array(seq),
         })
 
+    def _take(self, refs: np.ndarray) -> tuple[pa.Array, pa.Array]:
+        """(urls, depths) of the chunk rows at packed ``refs``, in
+        ``refs`` order: one take per column per chunk touched."""
+        chunk = refs >> 32
+        row = refs & 0xFFFFFFFF
+        used = np.unique(chunk).tolist()
+        if len(used) == 1:
+            u, d = self._chunks[used[0]]
+            take = pa.array(row)
+            return u.take(take), d.take(take)
+        urls, depths = [], []
+        for c in used:
+            take = pa.array(row[chunk == c])
+            u, d = self._chunks[c]
+            urls.append(u.take(take))
+            depths.append(d.take(take))
+        # inverse permutation of the chunk-grouped order
+        back = pa.array(np.argsort(np.argsort(chunk, kind="stable")))
+        return (pa.concat_arrays(urls).take(back),
+                pa.concat_arrays(depths).take(back))
+
     def has_pending(self) -> bool:
-        return bool(self.buffer) or any(self.queues.values())
+        return bool(self.buffer) or len(self._keys) > 0
 
     def earliest_allowed(self, t: int) -> int | None:
         """Smallest future round at which a queued host becomes eligible
         (for skipping idle rounds under crawl-delay)."""
-        vals = [self.next_allowed.get(h, t) for h, q in self.queues.items() if q]
-        return min(vals) if vals else None
+        if not len(self._keys):
+            return None
+        nxt = self._next_allowed[self._host_runs()[0]]
+        return int(np.where(nxt == _NONE, t, nxt).min())
+
+    def frontier_depth(self) -> dict:
+        """Frontier depth: rows queued and not yet emitted, and the
+        number of hosts they belong to."""
+        return {"pending": len(self._keys),
+                "active_hosts": len(self._host_runs()[0])}
 
     # -- checkpoint (G16) ----------------------------------------------
 
     def state(self) -> dict:
         # queues serialize as plain (urls, depths) lists per (host,
-        # prio) — compact (pickling Arrow slices can drag whole parent
-        # buffers) and FIFO-preserving; load() rebuilds one Arrow chunk
-        # per queue.
-        qs = {}
-        for host, q in self.queues.items():
-            qp = {}
-            for prio, chunks in q.items():
-                us: list[str] = []
-                ds: list[int] = []
-                for pos, u_sl, d_sl in chunks:
-                    us.extend(u_sl.slice(pos).to_pylist())
-                    ds.extend(d_sl.slice(pos).to_pylist())
-                qp[prio] = (us, ds)
-            qs[host] = qp
+        # prio) — compact (pickling Arrow chunks can drag whole seal
+        # buffers) and FIFO-preserving; load() rebuilds one chunk.
+        # Hosts go in name order, so the layout is history-free.
+        names = self._host_arr.to_pylist()
+        qs: dict = {}
+        if len(self._keys):
+            us, ds = (a.to_pylist() for a in self._take(self._refs))
+            cut = (np.flatnonzero(np.diff(self._keys)) + 1).tolist()
+            for s, e in zip([0, *cut], [*cut, len(self._keys)]):
+                key = int(self._keys[s])
+                qs.setdefault(names[key >> 32], {})[
+                    _PRIO_TOP - (key & 0xFFFFFFFF)] = (us[s:e], ds[s:e])
+
+        def by_name(mask):
+            ids = np.flatnonzero(mask)
+            return ids[np.argsort(self._rank[ids])].tolist()
+
+        seen = by_name(self._last_refill != _NONE)
         return {
             "shard_id": self.shard_id,
             "filter": self.filter.state(),
-            "queues": qs,
-            "tokens": self.tokens,
-            "last_refill": self.last_refill,
-            "next_allowed": self.next_allowed,
-            "seq": self.seq,
+            "queues": dict(sorted(qs.items())),
+            "tokens": {names[h]: float(self._tokens[h]) for h in seen},
+            "last_refill": {names[h]: int(self._last_refill[h]) for h in seen},
+            "next_allowed": {names[h]: int(self._next_allowed[h])
+                             for h in by_name(self._next_allowed != _NONE)},
             "counters": self.counters,
         }
 
@@ -417,18 +489,32 @@ class FrontierCore:
         os.replace(tmp, path)
 
     def load(self, path: str) -> None:
+        """Restore a checkpoint written by ``save`` (one from before the
+        columnar queues, which also stores a ``seq`` count, loads the
+        same way)."""
         with open(path, "rb") as f:
             s = pickle.load(f)
         self.filter = CuckooFilter.from_state(s["filter"])
-        self.queues = {
-            host: {prio: [[0, pa.array(us, type=pa.string()),
-                           pa.array(ds, type=pa.int32())]]
-                   for prio, (us, ds) in qp.items() if us}
-            for host, qp in s["queues"].items()}
-        self.tokens = s["tokens"]
-        self.last_refill = s["last_refill"]
-        self.next_allowed = s["next_allowed"]
-        self.seq = s["seq"]
+        self._reset_queues()
+        self._register(list(dict.fromkeys(
+            [*s["queues"], *s["tokens"], *s["last_refill"],
+             *s["next_allowed"]])))
+        ids = {h: i for i, h in enumerate(self._host_arr.to_pylist())}
+        for col, d in ((self._tokens, s["tokens"]),
+                       (self._last_refill, s["last_refill"]),
+                       (self._next_allowed, s["next_allowed"])):
+            for h, v in d.items():
+                col[ids[h]] = v
+        keys, urls, depths = [], [], []
+        for host, qp in s["queues"].items():
+            for prio, (us, ds) in qp.items():
+                keys.append(np.full(len(us), (ids[host] << 32)
+                                    + _PRIO_TOP - prio, dtype=np.int64))
+                urls.extend(us)
+                depths.extend(ds)
+        if urls:
+            self._insert(np.concatenate(keys), pa.array(urls, type=pa.string()),
+                         pa.array(depths, type=pa.int32()))
         self.counters = s["counters"]
 
 
@@ -548,10 +634,9 @@ def make_frontier_shard_cls():
     class FrontierShard:
         def __init__(self, shard_id: int, config: FrontierConfig,
                      robots_ref=None, restore_path: str | None = None):
-            # shards sort/filter with Arrow and hold many long-lived
-            # containers (per-host queue dicts and lists of Arrow
-            # slices) that a default-cadence gen-2 pass would rescan
-            # on the seal critical path
+            # shards sort/filter with Arrow; the GC cadence matches
+            # the other crawl actors' (the queues themselves are numpy
+            # arrays and a few Arrow chunks, no per-host containers)
             single_threaded_actor()
             self.bind_run(shard_id, config, robots_ref, restore_path)
 
@@ -625,7 +710,10 @@ def make_frontier_shard_cls():
             return self.core.earliest_allowed(t)
 
         def stats(self) -> dict:
-            return dict(self.core.counters, shard_id=self.core.shard_id,
+            """Counters, plus the frontier depth (``pending`` rows and
+            ``active_hosts``) and the cuckoo fill."""
+            return dict(self.core.counters, **self.core.frontier_depth(),
+                        shard_id=self.core.shard_id,
                         filter_count=self.core.filter.count)
 
         def checkpoint(self, path: str) -> str:
