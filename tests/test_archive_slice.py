@@ -233,8 +233,9 @@ def test_serialize_fast_path_parity():
 
 
 def test_fused_writer_parity(tmp_path):
-    """fused_fetch_records (the writer hot path: one pass, fast uuid5)
-    must be byte-identical to serialize_records(fetch_to_warc_records)."""
+    """fused_fetch_records (one per-row pass, fast uuid5; the writer's
+    parity reference) must be byte-identical to
+    serialize_records(fetch_to_warc_records)."""
     import pyarrow as pa
 
     from warc_ray import corpus
@@ -295,10 +296,11 @@ def test_fused_doc_records_parity(tmp_path):
 
 
 def test_write_fused_round_parity(tmp_path):
-    """write_fused_round (assembly+gzip fused, bodies streamed from the
-    Arrow buffer) must produce byte-identical shard FILES and identical
-    CDX rows to WriteWarcShard(fused_fetch_records(batch)) — including
-    mixed rounds, 404s, and stored-member media hints."""
+    """write_fused_round (columnar assembly, one deflate loop) must
+    produce byte-identical shard FILES and identical CDX rows to
+    WriteWarcShard(fused_fetch_records(batch)) on real fetched rows —
+    including mixed rounds, 404s, and stored-member media hints
+    (tests/test_fused_writer_props.py covers the edge cases)."""
     import glob
 
     import pyarrow as pa
@@ -335,27 +337,73 @@ def test_write_fused_round_parity(tmp_path):
         cdx_new.drop_columns(["shard"]))
 
 
-def test_compress_member_parts_parity():
-    """Multi-part member compression must be byte-identical to the
-    single-buffer path for both deflate and stored framing."""
+def test_compress_members_parity():
+    """compress_members (the sinks' one member loop) == compress_member
+    / compress_member_stored of each record, byte for byte: binary,
+    large_binary and string columns, sliced and chunked, empty records,
+    mixed stored masks."""
     import numpy as np
 
-    from warc_ray.core.gzipm import (compress_member,
-                                     compress_member_parts,
-                                     compress_member_stored,
-                                     compress_member_stored_parts)
+    from warc_ray.core.gzipm import (compress_member, compress_member_stored,
+                                     compress_members, split_members)
 
     rng = np.random.default_rng(5)
-    for size in (0, 1, 57, 558, 4096):
-        data = bytes(rng.integers(0, 256, size=size, dtype=np.uint8)) \
-            + b"WARC/1.0 repeated text " * 20
-        cut1, cut2 = len(data) // 3, 2 * len(data) // 3
-        parts = (data[:cut1],
-                 np.frombuffer(data, dtype=np.uint8)[cut1:cut2],
-                 memoryview(data)[cut2:])
-        assert compress_member_parts(parts) == compress_member(data)
-        assert compress_member_stored_parts(parts) == \
-            compress_member_stored(data)
+    recs = [bytes(rng.integers(0, 256, size=int(k), dtype=np.uint8))
+            + b"WARC/1.0 repeated text " * int(k % 7)
+            for k in rng.integers(0, 700, size=40)]
+    recs[3] = recs[17] = b""
+    stored = rng.random(len(recs)) < 0.3
+
+    def check(col, rows, mask):
+        blob, lengths = compress_members(col, mask)
+        assert lengths.dtype == np.int64 and len(lengths) == len(rows)
+        want = [compress_member_stored(r) if s else compress_member(r)
+                for r, s in zip(rows, mask if mask is not None
+                                else [False] * len(rows))]
+        assert blob == b"".join(want)
+        assert lengths.tolist() == [len(w) for w in want]
+        assert [raw for _, _, raw in split_members(blob)] == list(rows)
+
+    for typ in (pa.binary(), pa.large_binary()):
+        arr = pa.array(recs, type=typ)
+        check(arr, recs, stored)
+        check(arr, recs, None)
+        check(arr.slice(5, 20), recs[5:25], stored[5:25])
+        check(arr.slice(40), [], stored[40:])
+        check(pa.chunked_array([arr.slice(0, 9), arr.slice(9)]), recs, stored)
+    text = ["", "a", "WARC/1.0\r\n" * 30, "é"]
+    check(pa.array(text).slice(1), [t.encode() for t in text[1:]],
+          np.array([True, False, True]))
+    check(pa.array(text, type=pa.large_string()),
+          [t.encode() for t in text], None)
+    with pytest.raises(ValueError):
+        compress_members(pa.array([b"x", None]))
+
+
+def test_uncompressed_shard_offsets(tmp_path):
+    """WriteWarcShard(compress=False): the .warc file is the warcinfo
+    record then every record's bytes, and each CDX row's offset/length
+    slices out exactly its record."""
+    import glob
+
+    from warc_ray.sinks.warc_sink import WriteWarcShard
+
+    recs = [b"WARC/1.0\r\nrecord %d\r\n\r\n" % i + b"x" * i
+            for i in range(5)] + [b""]
+    batch = pa.table({
+        "record_id": ["<urn:uuid:%d>" % i for i in range(6)],
+        "rec_type": ["response"] * 6,
+        "target_uri": ["http://h/%d" % i for i in range(6)],
+        "payload_digest": ["sha1:%d" % i for i in range(6)],
+        "record_bytes": pa.array(recs, type=pa.large_binary()),
+    }).slice(1)
+    cdx = WriteWarcShard(str(tmp_path), compress=False)(batch)
+    (shard,) = glob.glob(str(tmp_path / "*.warc"))
+    raw = open(shard, "rb").read()
+    offs, lens = cdx["offset"].to_pylist(), cdx["length"].to_pylist()
+    assert raw[offs[0]:offs[0] + lens[0]].startswith(b"WARC/1.0")
+    assert [raw[o:o + n] for o, n in zip(offs[1:], lens[1:])] == recs[1:]
+    assert offs[-1] + lens[-1] == len(raw)
 
 
 def test_cdx_replay_random_access_and_corruption(archive_out):

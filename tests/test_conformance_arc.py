@@ -342,6 +342,37 @@ def test_arc_gz_member_per_record(tmp_path):
             r.header["url"].encode())
 
 
+def test_arc_gz_member_bytes(tmp_path):
+    """Each .arc.gz member is compress_member of its record, or
+    compress_member_stored for an application/octet-stream row — the
+    per-record form the sink's one member loop must keep."""
+    import glob
+    import os
+
+    import pyarrow as pa
+
+    from warc_ray.core.gzipm import compress_member, compress_member_stored
+    from warc_ray.sinks.arc_sink import (WriteArcShard, filedesc_bytes,
+                                         serialize_arc_records)
+
+    batch = _sink_batch()
+    batch = batch.set_column(
+        3, "content_type",
+        pa.array(["text/html", "application/octet-stream", "text/html"]))
+    WriteArcShard(str(tmp_path))(batch)
+    (shard,) = glob.glob(str(tmp_path / "*.arc.gz"))
+    name = os.path.basename(shard)
+    head = filedesc_bytes(name, org="warc-ray", ip_address="127.0.0.1",
+                          date="20260101000000")
+    recs = serialize_arc_records(batch, name, len(head))
+    want = compress_member(head) + b"".join(
+        compress_member_stored(r) if ct == "application/octet-stream"
+        else compress_member(r)
+        for r, ct in zip(recs, batch["content_type"].to_pylist()))
+    with open(shard, "rb") as f:
+        assert f.read() == want
+
+
 def test_arcfile_fileobj_compress_write_roundtrip():
     """ARCFile(fileobj=buf, mode="wb", compress=True) wraps gzip for
     WRITING (the gzip mode used to be inferred unconditionally as "rb"

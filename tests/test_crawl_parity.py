@@ -293,6 +293,14 @@ def test_worker_phases_reported(crawl_result):
     assert ph["worker_fetch"] > 0 and ph["worker_links"] > 0
 
 
+def test_writer_deflate_reported(crawl_result):
+    # the writers' busy time splits into record building and the
+    # deflate loop; deflate is a part of busy, never more
+    _out, res = crawl_result
+    ph = res["phase_sec"]
+    assert 0 < ph["writer_deflate"] <= ph["writer_busy"]
+
+
 def test_fresh_run_clears_stale_parts(ray_session, tmp_path):
     """A fresh (non-resume) run into a reused out_dir must not leave
     stale log/cdx parts from a previous run with a DIFFERENT pool

@@ -6,8 +6,12 @@ by test_warc.py:100-109 — 10 records ⇒ 10 gzip magics) at compression
 level 9 (warc/gzip2.py:17,54).  Python 3's stdlib replaces the
 reference's hand-rolled ``gzip2`` module:
 
-  * write: ``gzip.compress(record_bytes, compresslevel=9)`` emits one
-    complete member; concatenating them yields the archive.
+  * write: ``compress_member`` emits one complete member (a
+    deterministic ``gzip.compress(record_bytes, compresslevel=9)``);
+    concatenating them yields the archive.  The sinks hand a whole
+    Arrow column of records to ``compress_members``, one tight deflate
+    loop over the column's buffer, which is the writer's only
+    per-record Python.
   * read: ``zlib.decompressobj(wbits=31)`` + ``unused_data`` recovers
     member boundaries (and hence per-record compressed offsets, the
     basis of ``browse()``/CDX indexing — warc/warc.py:284-313).
@@ -19,6 +23,7 @@ granularity for the distributed reader: member offsets are split points.
 from __future__ import annotations
 
 import gzip
+import struct
 import zlib
 from typing import BinaryIO, Iterator
 
@@ -48,32 +53,6 @@ def compress_member(data: bytes, mtime: int = 0) -> bytes:
             + (len(data) & 0xFFFFFFFF).to_bytes(4, "little"))
 
 
-def compress_member_parts(parts, level: int = COMPRESS_LEVEL) -> bytes:
-    """One gzip member over the CONCATENATION of ``parts`` (buffers) —
-    the record's payload bytes stream straight from their source
-    buffer (e.g. an Arrow column) into deflate, with no intermediate
-    joined copy.  Byte parity with ``compress_member(b"".join(parts))``
-    is pinned by tests/test_archive_slice.py."""
-    c = zlib.compressobj(level, zlib.DEFLATED, -15, 6)
-    crc = 0
-    ln = 0
-    out = [_MEMBER_HEADER]
-    for p in parts:
-        out.append(c.compress(p))
-        crc = zlib.crc32(p, crc)
-        ln += len(p)
-    out.append(c.flush())
-    out.append(crc.to_bytes(4, "little"))
-    out.append((ln & 0xFFFFFFFF).to_bytes(4, "little"))
-    return b"".join(out)
-
-
-def compress_member_stored_parts(parts) -> bytes:
-    """STORED-member variant of ``compress_member_parts`` (see
-    ``compress_member_stored`` for when stored framing is right)."""
-    return compress_member_parts(parts, level=0)
-
-
 def compress_member_stored(data: bytes) -> bytes:
     """One gzip member using STORED (level-0) deflate blocks.
 
@@ -90,6 +69,55 @@ def compress_member_stored(data: bytes) -> bytes:
     return (_MEMBER_HEADER + c.compress(data) + c.flush()
             + zlib.crc32(data).to_bytes(4, "little")
             + (len(data) & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
+_pack_trailer = struct.Struct("<II").pack
+
+
+def compress_members(records, stored=None) -> "tuple[bytes, np.ndarray]":
+    """One gzip member per row of ``records``, concatenated, and the
+    int64 length of each member.
+
+    ``records`` is an Arrow binary, large_binary, string or
+    large_string array (or chunked array) without nulls; ``stored`` is
+    an optional per-row bool mask.  Member ``i`` is byte-identical to
+    ``compress_member_stored(records[i])`` where ``stored[i]`` is true
+    and to ``compress_member(records[i])`` otherwise (pinned by
+    tests/test_archive_slice.py::test_compress_members_parity).  Rows
+    are deflated in place from the column's data buffer (a sliced
+    array's offset honoured), so the loop's only per-record work is
+    one ``compressobj``, one ``compress``, one ``flush`` and one
+    ``crc32``.  Every WARC and ARC sink writes its members here."""
+    import numpy as np
+    import pyarrow as pa
+
+    if isinstance(records, pa.ChunkedArray):
+        records = records.combine_chunks()
+    n = len(records)
+    if n == 0:
+        return b"", np.zeros(0, dtype=np.int64)
+    if records.null_count:
+        raise ValueError("compress_members: null record")
+    large = records.type in (pa.large_binary(), pa.large_string())
+    _, offbuf, databuf = records.buffers()
+    offs = np.frombuffer(offbuf, dtype=np.int64 if large else np.int32,
+                         count=records.offset + n + 1)[records.offset:]
+    mv = memoryview(databuf if databuf is not None else b"")
+    levels = (np.where(stored, 0, COMPRESS_LEVEL).tolist()
+              if stored is not None else [COMPRESS_LEVEL] * n)
+    compressobj, crc32, pack = zlib.compressobj, zlib.crc32, _pack_trailer
+    out: list = []
+    put = out.append
+    for s, e, level in zip(offs[:-1].tolist(), offs[1:].tolist(), levels):
+        rec = mv[s:e]
+        c = compressobj(level, zlib.DEFLATED, -15, 6)
+        put(_MEMBER_HEADER)
+        put(c.compress(rec))
+        put(c.flush())
+        put(pack(crc32(rec), (e - s) & 0xFFFFFFFF))
+    lengths = np.fromiter(map(len, out), dtype=np.int64,
+                          count=len(out)).reshape(n, 4).sum(axis=1)
+    return b"".join(out), lengths
 
 
 def iter_member_spans(data: bytes,

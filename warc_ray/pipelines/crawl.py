@@ -71,7 +71,8 @@ from ..state.frontier import (
 )
 
 LOG_COLS = ["url", "host", "doc_id", "status", "round", "fetch_seq", "depth"]
-# exactly what fused_fetch_records reads — the writer-IPC payload
+# exactly what write_fused_round (and its per-row parity reference,
+# fused_fetch_records) reads — the writer-IPC payload
 WRITER_COLS = ["url", "host", "status", "round", "content_type", "body",
                "depth", "fetch_seq"]
 WRITE_CHUNK = 2048  # fetched rows per writer call
@@ -111,6 +112,7 @@ class WarcWriter:
         single_threaded_actor()
         self.writer_id = writer_id
         self._cdx_buf: list = []
+        self._reset_busy()
         # Deprioritize the compressor pool with SCHED_BATCH, NOT
         # os.nice(): Ray reuses worker PROCESSES across actor
         # lifetimes, and nice can never be lowered back without
@@ -131,22 +133,22 @@ class WarcWriter:
 
         _b0 = _t.perf_counter()
         _c0 = _t.process_time()
-        # fused assembly+gzip (write_fused_round): the writer pool is
-        # memory-bandwidth-bound at full node occupancy, so the record
-        # bytes never materialize — bodies stream Arrow→sha1→deflate.
-        # Byte parity with the two-pass path is pytest-pinned.
+        # columnar assembly, then one deflate loop over the chunk's
+        # record column (write_fused_round); byte parity with the
+        # two-pass path is pytest-pinned.  ``timing`` collects the
+        # deflate loop's share of the call (writer_deflate).
         cdx = write_fused_round(fetched, os.path.join(round_dir, "warc"),
-                                date_str)
+                                date_str, self._timing)
         # CDX rows buffer in-actor and flush at checkpoint barriers /
         # crawl end (same durability granularity as the fetch log) —
         # a parquet file per 2048-row chunk was ~3k tiny files and a
         # measurable slice of writer busy time.  CDX is re-derivable
         # from the WARC shards themselves, so a crash loses nothing.
         self._cdx_buf.append(cdx)
-        self._busy = getattr(self, "_busy", 0.0) + (_t.perf_counter() - _b0)
+        self._busy += _t.perf_counter() - _b0
         # wall vs CPU split: busy-wall >> busy-cpu means the writer was
         # preempted mid-call (oversubscribed node), not doing more work
-        self._busy_cpu = getattr(self, "_busy_cpu", 0.0) + (_t.process_time() - _c0)
+        self._busy_cpu += _t.process_time() - _c0
         return cdx.num_rows
 
     def flush_cdx(self, out_dir: str, upto: int) -> int:
@@ -172,12 +174,18 @@ class WarcWriter:
         """Rebind to a new crawl run (pool reuse): drop the CDX buffer
         and busy counters of the previous run."""
         self._cdx_buf = []
+        self._reset_busy()
+
+    def _reset_busy(self) -> None:
         self._busy = self._busy_cpu = 0.0
+        self._timing = {"deflate": 0.0}
 
     def busy_seconds(self) -> tuple:
-        """Cumulative write_round (wall, cpu) work time."""
-        b = (getattr(self, "_busy", 0.0), getattr(self, "_busy_cpu", 0.0))
-        self._busy = self._busy_cpu = 0.0
+        """Cumulative write_round (wall, cpu, deflate) seconds since the
+        last call; deflate is the wall time of the deflate loop inside
+        write_round, a part of wall."""
+        b = (self._busy, self._busy_cpu, self._timing["deflate"])
+        self._reset_busy()
         return b
 
     def seed_offers(self, seeds: pa.Table, lo: int, hi: int,
@@ -472,13 +480,20 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         # blocking; split pools also mirror how a real cluster would
         # separate IO-politeness-bound fetchers from CPU-bound
         # compressors.)
-        # measured round-2 costs (benchxl2, after the GC/vectorization
-        # fixes): fetch+links ≈ 20µs/URL of pool CPU vs WARC
-        # assembly+gzip ≈ 165µs/URL → writer:fetch work ≈ 7:1.  Fetch
-        # still gets ~1/5 of the pool (above its work share) because
-        # the round-barrier chain rides on fetch latency — the writer
-        # pool drains asynchronously across barriers and only its
-        # TOTAL must fit inside the crawl's wall time.
+        # measured costs (crawl-archive config on the perfbench corpus,
+        # seed 3, nproc 1, affinity 4): fetch+links ≈ 9µs/URL of pool
+        # CPU (phase_sec worker_fetch + worker_links; all four worker_*
+        # phases ≈ 12) vs the writer's ≈ 115µs/URL (writer_busy, of
+        # which writer_deflate ≈ 97; tools/bench_writer.py reads
+        # write_fused_round at ≈ 95 in-process, ≈ 15 of it outside
+        # deflate) → writer:fetch work ≈ 10-13:1.  Fetch still gets
+        # ~1/5 of the pool (above its work share) because the
+        # round-barrier chain rides on fetch latency — the writer pool
+        # drains asynchronously across barriers and only its TOTAL
+        # must fit inside the crawl's wall time.  The 0.22 itself is
+        # not re-tuned: at one Ray CPU the fleet is 1 fetch worker and
+        # 1 writer whatever the fraction, so a change to it cannot be
+        # measured there.
         frac = max(1, round(budget * 0.22)) if write_warc else budget
         fetch_concurrency = max(1, min(profile.n_buckets, 32, frac))
     n_workers = fetch_concurrency
@@ -712,6 +727,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
     if writers:
         _phase["writer_busy"] = sum(b[0] for b in wb)
         _phase["writer_busy_cpu"] = sum(b[1] for b in wb)
+        _phase["writer_deflate"] = sum(b[2] for b in wb)
     # a clean finish: the fleet goes back to the warm pool
     _POOL_CACHE[pool_key] = (workers, writers, shards)
     return {

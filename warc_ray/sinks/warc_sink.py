@@ -20,20 +20,27 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 import uuid
 
 import numpy as np
 import pyarrow as pa
-
-
-def _as_array(col) -> pa.Array:
-    """Column → single contiguous Array (cheap for the 1-chunk case)."""
-    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+import pyarrow.compute as pc
 
 from ..core import gzipm
 from ..core.warcrec import WARCHeader, sha1_digest
 from ..schema import CDX_SCHEMA
-from ..stages.assemble import record_id_for
+from ..stages.assemble import _NS_BYTES, logical_date, record_id_for
+from ..stages.urls import _sha1_digests
+
+
+def _as_array(col) -> pa.Array:
+    """Column → one Array: a one-chunk column's chunk as it is (a slice
+    keeps its offset, no copy), several chunks combined."""
+    if not isinstance(col, pa.ChunkedArray):
+        return col
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
 
 WARCINFO_FIELDS = (
     "software: warc-ray/0.1\r\nformat: WARC File Format 1.0\r\n"
@@ -77,49 +84,55 @@ class WriteWarcShard:
         shard_name = f"part-{name_h}{ext}"
         shard_path = os.path.join(self.out_dir, shard_name)
 
-        blobs = batch["record_bytes"].to_pylist()
         info = warcinfo_bytes(shard_name, self.date)
-        compress = gzipm.compress_member if self.compress else (lambda b: b)
-        chunks = [compress(info)]
-        if self.compress and "entropy_hint" in batch.column_names:
+        records = batch["record_bytes"]
+        if self.compress:
             # content-type-driven effort: high-entropy media payloads
             # get STORED members (level-9 match search over them is
             # ~12x the CPU for zero ratio gain); text keeps level 9
-            stored = gzipm.compress_member_stored
-            hints = batch["entropy_hint"].to_pylist()
-            chunks.extend(stored(b) if h else compress(b)
-                          for b, h in zip(blobs, hints))
+            stored = (batch["entropy_hint"].to_numpy()
+                      if "entropy_hint" in batch.column_names else None)
+            head = gzipm.compress_member(info)
+            body, rec_lengths = gzipm.compress_members(records, stored)
         else:
-            chunks.extend(compress(blob) for blob in blobs)
-        lengths = np.fromiter((len(c) for c in chunks), dtype=np.int64,
-                              count=len(chunks))
-        offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+            head = info
+            body = b"".join(records.to_pylist())
+            rec_lengths = pc.binary_length(records).to_numpy()
+        return _land_shard(shard_path, head, body, rec_lengths,
+                           batch["target_uri"], batch["record_id"],
+                           batch["rec_type"], batch["payload_digest"])
 
-        tmp = shard_path + ".tmp-%s" % uuid.uuid4().hex[:8]
-        with open(tmp, "wb") as f:
-            f.write(b"".join(chunks))
-        os.replace(tmp, shard_path)  # idempotent overwrite on rerun
 
-        n = len(chunks)
-        return pa.table({
-            "target_uri": pa.concat_arrays(
-                [pa.array([""], type=pa.string()),
-                 _as_array(batch["target_uri"])]),
-            "record_id": pa.concat_arrays(
-                [pa.array([record_id_for("urn:warcinfo:" + shard_name,
-                                         "warcinfo")], type=pa.string()),
-                 _as_array(batch["record_id"])]),
-            "rec_type": pa.concat_arrays(
-                [pa.array(["warcinfo"], type=pa.string()),
-                 _as_array(batch["rec_type"])]),
-            "shard": [shard_path] * n,
-            "offset": offsets,
-            "length": lengths,
-            "payload_digest": pa.concat_arrays(
-                [pa.array([sha1_digest(WARCINFO_FIELDS.encode("ascii"))],
-                          type=pa.string()),
-                 _as_array(batch["payload_digest"])]),
-        }, schema=CDX_SCHEMA)
+def _land_shard(shard_path: str, head: bytes, body: bytes, rec_lengths,
+                uris, ids, types, digests) -> pa.Table:
+    """Write ``head`` (the warcinfo member) then ``body`` (the records'
+    members) to ``shard_path`` by temp-then-rename, and return the
+    shard's CDX rows: the warcinfo row, then one per record."""
+    tmp = shard_path + ".tmp-%s" % uuid.uuid4().hex[:8]
+    with open(tmp, "wb") as f:
+        f.write(head)
+        f.write(body)
+    os.replace(tmp, shard_path)  # idempotent overwrite on rerun
+
+    lengths = np.concatenate([[len(head)], rec_lengths]).astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    shard_name = os.path.basename(shard_path)
+
+    def lead(value: str, col) -> pa.Array:
+        return pa.concat_arrays([pa.array([value], type=pa.string()),
+                                 _as_array(col)])
+
+    return pa.table({
+        "target_uri": lead("", uris),
+        "record_id": lead(record_id_for("urn:warcinfo:" + shard_name,
+                                        "warcinfo"), ids),
+        "rec_type": lead("warcinfo", types),
+        "shard": pa.repeat(pa.scalar(shard_path, pa.string()), len(lengths)),
+        "offset": offsets,
+        "length": lengths,
+        "payload_digest": lead(
+            sha1_digest(WARCINFO_FIELDS.encode("ascii")), digests),
+    }, schema=CDX_SCHEMA)
 
 
 def write_warc_shards(records_ds, out_dir: str, *, compress: bool = True,
@@ -146,144 +159,187 @@ def write_warc_shards(records_ds, out_dir: str, *, compress: bool = True,
     )
 
 
-_TRAILER = b"\r\n\r\n"
-
-_REQ_HDR = (
-    "WARC/1.0\r\nWARC-Type: request\r\nWARC-Record-ID: %s\r\n"
-    "WARC-Date: %s\r\nWARC-Target-URI: %s\r\n"
-    "Content-Type: application/http; msgtype=request\r\n"
-    "Content-Length: %d\r\nWARC-Payload-Digest: %s\r\n\r\n")
-_RESP_HDR = (
-    "WARC/1.0\r\nWARC-Type: response\r\nWARC-Record-ID: %s\r\n"
-    "WARC-Date: %s\r\nWARC-Target-URI: %s\r\n"
-    "Content-Type: application/http; msgtype=response\r\n"
-    "Content-Length: %d\r\nWARC-Payload-Digest: %s\r\n"
-    "WARC-Concurrent-To: %s\r\n\r\n")
-_META_HDR = (
-    "WARC/1.0\r\nWARC-Type: metadata\r\nWARC-Record-ID: %s\r\n"
-    "WARC-Date: %s\r\nWARC-Target-URI: %s\r\n"
-    "Content-Type: application/warc-fields\r\n"
-    "Content-Length: %d\r\nWARC-Payload-Digest: %s\r\n"
-    "WARC-Concurrent-To: %s\r\n\r\n")
+_TYPES = ("request", "response", "metadata")
+_CRLF2 = "\r\n\r\n"
+# per record type: the header up to the record id, and the text between
+# the target URI and the Content-Length value
+_HEAD = pa.array(["WARC/1.0\r\nWARC-Type: %s\r\nWARC-Record-ID: " % t
+                  for t in _TYPES])
+_CTYPE = pa.array(["\r\nContent-Type: %s\r\nContent-Length: " % c for c in (
+    "application/http; msgtype=request",
+    "application/http; msgtype=response",
+    "application/warc-fields")])
+_KEY_MID = pa.array(["|%s|" % t for t in _TYPES], type=pa.binary())
+_DATES = pa.array([logical_date(r) for r in range(60)])
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
-def write_fused_round(batch: pa.Table, out_dir: str, date: str) -> pa.Table:
-    """Fetch-log rows → one ``.warc.gz`` shard, FUSED: assembly and
-    per-record gzip run in one pass and the response body streams from
-    its Arrow buffer straight into sha1 + deflate
-    (``compress_member_parts``) — no record-bytes table, no
-    ``to_pylist`` body copies, no joined payload bytes.
+def _join(*parts) -> pa.Array:
+    """Row-wise concatenation; plain ``str`` parts broadcast, in the
+    type of the first Arrow part."""
+    t = next(p.type for p in parts if not isinstance(p, str))
+    return pc.binary_join_element_wise(
+        *[pa.scalar(p, t) if isinstance(p, str) else p for p in parts],
+        pa.scalar("", t))
 
-    Byte-identical to ``WriteWarcShard(out_dir, date)(
-    fused_fetch_records(batch))`` — file bytes AND CDX rows — pinned by
-    tests/test_archive_slice.py::test_write_fused_round_parity.  The
-    writer pool is memory-bandwidth-bound at full node occupancy
-    (measured: +83% CPU/call under 10 bandwidth hogs), so the copies
-    this removes buy disproportionate wall on the 32-CPU arm."""
-    from ..stages.assemble import _record_id_fast, logical_date
-    from ..stages.multimodal import _binary_views
 
-    if batch.num_rows == 0:
+def _hex(d: np.ndarray) -> np.ndarray:
+    """Lower-case ASCII hex of each row of a ``(m, k)`` uint8 array."""
+    out = np.empty((d.shape[0], 2 * d.shape[1]), dtype=np.uint8)
+    out[:, 0::2] = _HEX[d >> 4]
+    out[:, 1::2] = _HEX[d & 15]
+    return out
+
+
+def _fixed_width(chars: np.ndarray) -> pa.Array:
+    """A string array whose rows are the rows of a ``(m, w)`` uint8 array."""
+    m, w = chars.shape
+    offs = np.arange(0, (m + 1) * w, w, dtype=np.int32)
+    return pa.StringArray.from_buffers(
+        m, pa.py_buffer(offs), pa.py_buffer(np.ascontiguousarray(chars)))
+
+
+def _record_ids(digests: bytes, m: int) -> np.ndarray:
+    """``(m, 47)`` ``<urn:uuid:...>`` rows from the SHA-1 digests of the
+    uuid5 names (namespace bytes + name): version 5 and the RFC 4122
+    variant set as ``uuid.uuid5`` sets them."""
+    d = np.frombuffer(digests, dtype=np.uint8).reshape(m, 20)[:, :16].copy()
+    d[:, 6] = (d[:, 6] & 0x0F) | 0x50
+    d[:, 8] = (d[:, 8] & 0x3F) | 0x80
+    h = _hex(d)
+    out = np.empty((m, 47), dtype=np.uint8)
+    out[:, :10] = np.frombuffer(b"<urn:uuid:", dtype=np.uint8)
+    out[:, 46] = ord(">")
+    pos = 10
+    for a, b in ((0, 8), (8, 12), (12, 16), (16, 20), (20, 32)):
+        out[:, pos:pos + b - a] = h[:, a:b]
+        pos += b - a
+        if pos < 46:
+            out[:, pos] = ord("-")
+            pos += 1
+    return out
+
+
+def write_fused_round(batch: pa.Table, out_dir: str, date: str,
+                      timing: dict | None = None) -> pa.Table:
+    """Fetch-log rows (``crawl.WRITER_COLS``) → one ``.warc.gz`` shard
+    and its CDX rows, built column-wise.
+
+    Every URL gives a request, a response and a metadata record, in
+    that order.  Paths, dates, salts, status lines, payloads and
+    Content-Length values are Arrow kernels over the chunk
+    (``replace_substring_regex``, a ``take`` from the 60 logical
+    dates, ``binary_join_element_wise``, ``binary_length``).  Record
+    ids (uuid5) and payload digests hash their bytes in place from the
+    Arrow buffers and are formatted as fixed-width rows with numpy.
+    Each record is one row of a single ``large_binary`` column
+    (header, payload, body, trailer) joined once: the small parts are
+    interleaved by ``take``, the bodies by an offsets array into their
+    own buffer, so a body is copied once, into that column.  ``gzipm.compress_members``
+    then deflates the column, with stored members for
+    ``application/octet-stream`` responses: the only per-record Python.
+
+    File bytes, shard name and CDX rows equal
+    ``WriteWarcShard(out_dir, date)(fused_fetch_records(batch))``, the
+    per-row parity reference (tests/test_archive_slice.py and
+    tests/test_fused_writer_props.py).  When ``timing`` is a dict, the
+    deflate loop's seconds are added to ``timing["deflate"]``."""
+    n = batch.num_rows
+    if n == 0:
         return pa.table({f.name: [] for f in CDX_SCHEMA}, schema=CDX_SCHEMA)
     os.makedirs(out_dir, exist_ok=True)
-    sha1 = hashlib.sha1
-    urls = batch["url"].to_pylist()
-    hosts = batch["host"].to_pylist()
-    statuses = batch["status"].to_pylist()
-    rounds = batch["round"].to_pylist()
-    ctypes = batch["content_type"].to_pylist()
-    n = batch.num_rows
-    depths = (batch["depth"].to_pylist()
-              if "depth" in batch.column_names else [0] * n)
-    seqs = (batch["fetch_seq"].to_pylist()
-            if "fetch_seq" in batch.column_names else [0] * n)
-    _, bstarts, bends, bdata = _binary_views(batch["body"])
 
-    ids: list = []
-    types_: list = []
-    uris: list = []
-    digs: list = []
-    chunks: list = []          # compressed members (warcinfo prepended)
-    deflate = gzipm.compress_member_parts
-    stored = gzipm.compress_member_stored_parts
-    for i in range(n):
-        url = urls[i]
-        rnd = rounds[i]
-        date_r = logical_date(rnd)
-        salt = "r%d" % rnd
-        rest = url.split("://", 1)[1]
-        path = "/" + rest.split("/", 1)[1] if "/" in rest else "/"
+    def col(name: str) -> pa.Array:
+        return _as_array(batch[name])
 
-        req_id = _record_id_fast(url, "request", salt)
-        req_payload = ("GET %s HTTP/1.1\r\nHost: %s\r\n"
-                       "User-Agent: warc-ray/0.1\r\n\r\n"
-                       % (path, hosts[i])).encode("ascii")
-        dig = "sha1:" + sha1(req_payload).hexdigest()
-        ids.append(req_id)
-        types_.append("request")
-        uris.append(url)
-        digs.append(dig)
-        chunks.append(deflate((
-            (_REQ_HDR % (req_id, date_r, url, len(req_payload), dig))
-            .encode("ascii"), req_payload, _TRAILER)))
+    def text(name: str) -> pa.Array:
+        # an int column as decimal text; "0" when the column is absent
+        if name not in batch.column_names:
+            return pa.repeat(pa.scalar("0"), n)
+        return col(name).cast(pa.string())
 
-        body = bdata[bstarts[i]:bends[i]]
-        status_line = ("HTTP/1.1 200 OK" if statuses[i] == 200
-                       else "HTTP/1.1 %d X" % statuses[i])
-        http_hdr = ("%s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n"
-                    % (status_line, ctypes[i], len(body))).encode("ascii")
-        h = sha1(http_hdr)
-        h.update(body)
-        dig = "sha1:" + h.hexdigest()
-        rid = _record_id_fast(url, "response", salt)
-        ids.append(rid)
-        types_.append("response")
-        uris.append(url)
-        digs.append(dig)
-        warc_hdr = (_RESP_HDR % (
-            rid, date_r, url, len(http_hdr) + len(body), dig, req_id)
-        ).encode("ascii")
-        member = (stored if ctypes[i] == "application/octet-stream"
-                  else deflate)
-        chunks.append(member((warc_hdr, http_hdr, body, _TRAILER)))
+    url, host, ctype = col("url"), col("host"), col("content_type")
+    status = col("status")
+    rnd = col("round")
+    body = col("body")
+    if body.null_count:
+        body = body.fill_null(b"")
+    if body.type != pa.large_binary():
+        body = body.cast(pa.large_binary())
 
-        meta_payload = ("hopsFromSeed: %d\r\nfetchSeq: %d\r\n"
-                        "fetchStatus: %d\r\nfetchRound: %d\r\n"
-                        % (depths[i], seqs[i], statuses[i], rnd)
-                        ).encode("ascii")
-        dig = "sha1:" + sha1(meta_payload).hexdigest()
-        rid = _record_id_fast(url, "metadata", salt)
-        ids.append(rid)
-        types_.append("metadata")
-        uris.append(url)
-        digs.append(dig)
-        chunks.append(deflate((
-            (_META_HDR % (rid, date_r, url, len(meta_payload), dig, req_id))
-            .encode("ascii"), meta_payload, _TRAILER)))
+    # per-URL parts (n rows)
+    path = pc.replace_substring_regex(url, pattern=r"^.*?://[^/]*(/|$)",
+                                      replacement="/", max_replacements=1)
+    rnd_s, status_s = text("round"), status.cast(pa.string())
+    req_payload = _join("GET ", path, " HTTP/1.1\r\nHost: ", host,
+                        "\r\nUser-Agent: warc-ray/0.1\r\n\r\n")
+    status_line = pc.if_else(pc.equal(status, 200), "HTTP/1.1 200 OK",
+                             _join("HTTP/1.1 ", status_s, " X"))
+    http_hdr = _join(status_line, "\r\nContent-Type: ", ctype,
+                     "\r\nContent-Length: ",
+                     pc.binary_length(body).cast(pa.string()), _CRLF2)
+    meta_payload = _join("hopsFromSeed: ", text("depth"),
+                         "\r\nfetchSeq: ", text("fetch_seq"),
+                         "\r\nfetchStatus: ", status_s,
+                         "\r\nfetchRound: ", rnd_s, "\r\n")
 
-    name_h = hashlib.sha1("|".join(ids).encode()).hexdigest()[:16]
-    shard_name = f"part-{name_h}.warc.gz"
-    shard_path = os.path.join(out_dir, shard_name)
-    chunks.insert(0, gzipm.compress_member(warcinfo_bytes(shard_name, date)))
-    lengths = np.fromiter((len(c) for c in chunks), dtype=np.int64,
-                          count=len(chunks))
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    tmp = shard_path + ".tmp-%s" % uuid.uuid4().hex[:8]
-    with open(tmp, "wb") as f:
-        f.write(b"".join(chunks))
-    os.replace(tmp, shard_path)
+    # per-record parts (3n rows, URL i at rows 3i, 3i+1, 3i+2)
+    m = 3 * n
+    row = np.repeat(np.arange(n), 3)
+    kind = np.tile(np.arange(3), n)
+    by_type = kind * n + row             # row of concat([req, resp, meta])
+    url3 = url.take(row)
+    payload = pa.concat_arrays([req_payload, http_hdr,
+                                meta_payload]).take(by_type)
+    # bodies at the response rows, addressed in place: no copy
+    bo = np.frombuffer(body.buffers()[1], dtype=np.int64,
+                       count=body.offset + n + 1)[body.offset:]
+    b3 = np.empty(m + 1, dtype=np.int64)
+    b3[0:m:3] = b3[1:m:3] = bo[:-1]
+    b3[2:m:3] = bo[1:]
+    b3[m] = bo[n]
+    body3 = pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), m,
+        [None, pa.py_buffer(b3), body.buffers()[2] or pa.py_buffer(b"")])
 
-    m = len(chunks)
-    return pa.table({
-        "target_uri": pa.array([""] + uris, type=pa.string()),
-        "record_id": pa.array(
-            [record_id_for("urn:warcinfo:" + shard_name, "warcinfo")] + ids,
-            type=pa.string()),
-        "rec_type": pa.array(["warcinfo"] + types_, type=pa.string()),
-        "shard": [shard_path] * m,
-        "offset": offsets,
-        "length": lengths,
-        "payload_digest": pa.array(
-            [sha1_digest(WARCINFO_FIELDS.encode("ascii"))] + digs,
-            type=pa.string()),
-    }, schema=CDX_SCHEMA)
+    key = _join(pa.scalar(_NS_BYTES, pa.binary()), url3.cast(pa.binary()),
+                _KEY_MID.take(kind),
+                _join("r", rnd_s).take(row).cast(pa.binary()))
+    ids = _record_ids(_sha1_digests(key), m)
+    ids_arr = _fixed_width(ids)
+    digs = np.empty((m, 45), dtype=np.uint8)
+    digs[:, :5] = np.frombuffer(b"sha1:", dtype=np.uint8)
+    digs[:, 5:] = _hex(np.frombuffer(_sha1_digests(payload, body3),
+                                     dtype=np.uint8).reshape(m, 20))
+    digs_arr = _fixed_width(digs)
+    length = (pc.binary_length(payload).to_numpy()
+              + np.diff(b3)).astype(np.int64)
+    concurrent = pc.if_else(
+        pa.array(kind == 0), _CRLF2,
+        _join("\r\nWARC-Concurrent-To: ",
+              _fixed_width(ids[0:m:3]).take(row), _CRLF2))
+    header = _join(_HEAD.take(kind), ids_arr, "\r\nWARC-Date: ",
+                   _DATES.take(np.minimum(rnd.to_numpy(), 59)).take(row),
+                   "\r\nWARC-Target-URI: ", url3, _CTYPE.take(kind),
+                   pa.array(length).cast(pa.string()),
+                   "\r\nWARC-Payload-Digest: ", digs_arr, concurrent)
+    lb = pa.large_binary()
+    records = _join(header.cast(lb), payload.cast(lb), body3, _CRLF2)
+    stored = np.zeros(m, dtype=bool)
+    stored[1::3] = pc.equal(ctype, "application/octet-stream").to_numpy(
+        zero_copy_only=False)
+
+    # content-addressed name: sha1 of the "|"-joined record ids
+    sep = np.full((m, 48), ord("|"), dtype=np.uint8)
+    sep[:, :47] = ids
+    name_h = hashlib.sha1(sep.tobytes()[:-1]).hexdigest()[:16]
+    shard_path = os.path.join(out_dir, f"part-{name_h}.warc.gz")
+    t0 = time.perf_counter()
+    members, rec_lengths = gzipm.compress_members(records, stored)
+    if timing is not None:
+        timing["deflate"] = (timing.get("deflate", 0.0)
+                             + time.perf_counter() - t0)
+    head = gzipm.compress_member(
+        warcinfo_bytes(os.path.basename(shard_path), date))
+    return _land_shard(shard_path, head, members, rec_lengths, url3,
+                       ids_arr, pa.array(_TYPES).take(kind), digs_arr)

@@ -384,8 +384,8 @@ _NS_BYTES = NAMESPACE.bytes
 
 
 def _record_id_fast(uri: str, rec_type: str, salt: str) -> str:
-    """uuid5 without the uuid.UUID object machinery (3 ids per URL on
-    the writer hot path) — bit-identical to record_id_for, pinned by
+    """uuid5 without the uuid.UUID object machinery (3 ids per URL in
+    fused_fetch_records) — bit-identical to record_id_for, pinned by
     tests/test_archive_slice.py::test_fused_writer_parity."""
     h = bytearray(hashlib.sha1(
         _NS_BYTES + ("%s|%s|%s" % (uri, rec_type, salt)).encode()).digest()[:16])
@@ -399,12 +399,15 @@ def _record_id_fast(uri: str, rec_type: str, salt: str) -> str:
 def fused_fetch_records(batch: pa.Table,
                         emit_metadata: bool = True) -> pa.Table:
     """Fetch-log rows → serialized request+response(+metadata) record
-    bytes in ONE pass — the writer hot path.
+    bytes in ONE per-row Python pass.
 
     Byte-identical to serialize_records(fetch_to_warc_records(batch))
     (pinned by test_fused_writer_parity) but skips the intermediate
-    WARC_RECORD_SCHEMA table: no per-record Arrow row materialization,
-    payload copies, or extra_headers list churn."""
+    WARC_RECORD_SCHEMA table.  ``WriteWarcShard`` over this table is
+    the parity reference of the crawl writers' columnar
+    ``sinks.warc_sink.write_fused_round`` (file bytes, shard name and
+    CDX rows; tests/test_fused_writer_props.py), so it stays a plain
+    row loop: each line maps to one header field."""
     sha1 = hashlib.sha1
     ids, types, uris, digs, blobs = [], [], [], [], []
     hints: list[bool] = []   # True = high-entropy payload (media) —

@@ -104,10 +104,12 @@ _CANON_FAST_RE = (
 )
 
 
-def _sha1_digests(arr: pa.Array) -> bytes:
-    """The 20-byte SHA-1 digests of a string array's rows, concatenated.
+def _sha1_digests(arr: pa.Array, tail: pa.Array | None = None) -> bytes:
+    """The 20-byte SHA-1 digests of a string or binary array's rows,
+    concatenated; with ``tail``, of each row followed by the same row
+    of ``tail``.
 
-    Hashes memoryview slices of the Arrow data buffer, as
+    Hashes memoryview slices of the Arrow data buffers, as
     ``dedup.add_text_hash`` does: no ``to_pylist()`` and no per-row
     ``encode()``, so hashlib does only the hashing.  ``_buffers``
     honors a sliced array's offset."""
@@ -116,8 +118,18 @@ def _sha1_digests(arr: pa.Array) -> bytes:
     data, starts, lens = _buffers(arr)
     mv = memoryview(data)
     sha1 = hashlib.sha1
-    return b"".join(sha1(mv[s:e]).digest()
-                    for s, e in zip(starts.tolist(), (starts + lens).tolist()))
+    if tail is None:
+        return b"".join(sha1(mv[s:e]).digest() for s, e in
+                        zip(starts.tolist(), (starts + lens).tolist()))
+    tdata, tstarts, tlens = _buffers(tail)
+    tmv = memoryview(tdata)
+    out = []
+    for s, e, ts, te in zip(starts.tolist(), (starts + lens).tolist(),
+                            tstarts.tolist(), (tstarts + tlens).tolist()):
+        h = sha1(mv[s:e])
+        h.update(tmv[ts:te])
+        out.append(h.digest())
+    return b"".join(out)
 
 
 def canonicalize_batch(batch: pa.Table, url_col: str = "url",
