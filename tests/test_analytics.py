@@ -1917,6 +1917,216 @@ def test_ordered_scans_and_doubling_route_through_one_primitive(
         assert calls == {prim: 1}, fn.__name__
 
 
+# ------------------------------------------- _user_timeline (q90, q92, ...)
+
+_DEFAULT = ("user_id", "ts", "event_id")
+_BY_TYPE = ("user_id", "event_type", "ts", "event_id")
+
+
+def _timeline_sf(tmp_path, n: int = 600, seed: int = 5):
+    """(sf dir, events frame): ``events`` has 40 users, 3 types and
+    only 4 distinct timestamps, so (user, ts) ties are everywhere;
+    several row groups."""
+    rng = np.random.default_rng(seed)
+    ev = pa.table({
+        "event_id": pa.array(rng.permutation(n), type=pa.int64()),
+        "ts": pa.array(rng.integers(0, 4, n) * 1_000_000,
+                       type=pa.timestamp("us")),
+        "user_id": pa.array(rng.integers(0, 40, n), type=pa.int64()),
+        "event_type": pa.array(rng.choice(["click", "error", "view"], n)),
+    })
+    pq.write_table(ev, tmp_path / "events.parquet", row_group_size=97)
+    df = ev.to_pandas()
+    df["ts"] = df["ts"].astype("int64")
+    return str(tmp_path), df
+
+
+def _echo():
+    """A bucket_fn that returns its rows with their position, a
+    user-start flag and an id of this call (a closure, so Ray workers
+    unpickle it without importing this module)."""
+    def echo(g: pa.Table, starts) -> pa.Table:
+        import uuid
+
+        flag = np.zeros(g.num_rows, dtype=bool)
+        if starts is not None:
+            flag[starts] = True
+        return g.append_column("pos", pa.array(np.arange(g.num_rows))) \
+            .append_column("is_start", pa.array(flag)) \
+            .append_column("call", pa.array([uuid.uuid4().hex] * g.num_rows))
+    return echo
+
+
+def _timeline_run(sf, monkeypatch, path, **kw) -> pd.DataFrame:
+    from warc_ray.pipelines.analytics import _user_timeline
+    from warc_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "fits_one_block",
+                        lambda n: path == "fold")
+    out = _user_timeline(sf, ["event_id", "ts", "user_id", "event_type"],
+                         _echo(), npart=3, **kw)
+    assert ("Sort" in out.stats()) == (path == "exchange")
+    return out.to_pandas()
+
+
+@pytest.mark.parametrize("order", [_DEFAULT, _BY_TYPE, None])
+@pytest.mark.parametrize("path", ["fold", "exchange"])
+def test_user_timeline_colocates_and_sorts(ray_session, monkeypatch,
+                                           tmp_path, order, path):
+    """Each user's rows reach exactly one bucket call, every row once
+    with ``ts`` as int64; with an order the rows arrive sorted by it
+    and ``starts`` marks each user's first row — on the driver fold
+    and on the groupby exchange."""
+    sf, ev = _timeline_sf(tmp_path)
+    got = _timeline_run(sf, monkeypatch, path, order=order)
+    assert sorted(got.event_id) == sorted(ev.event_id)
+    assert got.ts.dtype == np.int64
+    assert got.merge(ev, on="event_id", suffixes=("", "_in")) \
+        .eval("ts == ts_in and user_id == user_id_in").all()
+    assert (got.groupby("user_id").call.nunique() == 1).all()
+    assert got.call.nunique() <= 3
+    if order is None:
+        assert not got.is_start.any()
+        return
+    for _, call in got.groupby("call"):
+        call = call.sort_values("pos")
+        assert call.pos.tolist() == list(range(len(call)))
+        keys = call[list(order)].to_records(index=False).tolist()
+        assert keys == sorted(keys)
+        u = call.user_id.to_numpy()
+        first = np.concatenate(([True], u[1:] != u[:-1]))
+        assert call.is_start.tolist() == first.tolist()
+
+
+@pytest.mark.parametrize("path", ["fold", "exchange"])
+def test_user_timeline_reduce_runs_before_tagging(ray_session, monkeypatch,
+                                                  tmp_path, path):
+    """``reduce`` sees each untagged batch and the partition follows
+    its output: it drops the errors and merges user pairs (u // 2), and
+    the merged users — which ``% 3`` would split had the raw ids been
+    tagged — each still reach one call, sorted, with their starts."""
+    sf, ev = _timeline_sf(tmp_path)
+
+    def reduce(b: pa.Table) -> pa.Table:
+        assert "part" not in b.column_names
+        assert b["ts"].type == pa.int64()
+        b = b.filter(pa.compute.not_equal(b["event_type"], "error"))
+        return b.set_column(b.column_names.index("user_id"), "user_id",
+                            pa.compute.divide(b["user_id"], 2))
+
+    got = _timeline_run(sf, monkeypatch, path, reduce=reduce)
+    want = ev[ev.event_type != "error"]
+    assert sorted(got.event_id) == sorted(want.event_id)
+    assert (got.groupby("user_id").call.nunique() == 1).all()
+    assert sorted(got.user_id.unique()) == \
+        sorted((want.user_id // 2).unique())
+    for _, call in got.groupby("call"):
+        call = call.sort_values("pos")
+        u = call.user_id.to_numpy()
+        assert (np.diff(u) >= 0).all()
+        assert call.is_start.tolist() == \
+            np.concatenate(([True], u[1:] != u[:-1])).tolist()
+
+
+def test_user_timeline_empty_input(ray_session, tmp_path):
+    """No events: the bucket function never runs and the result is an
+    empty Dataset."""
+    from warc_ray.pipelines.analytics import _user_timeline
+
+    sf, ev = _timeline_sf(tmp_path)
+    pq.write_table(pq.read_table(f"{sf}/events.parquet").slice(0, 0),
+                   f"{sf}/events.parquet")
+
+    def never(g, starts):
+        raise AssertionError("bucket_fn called on empty input")
+
+    for order in (_DEFAULT, None):
+        out = _user_timeline(sf, ["event_id", "ts", "user_id"], never,
+                             npart=4, order=order)
+        assert out.count() == 0
+
+
+def test_no_user_partition_outside_user_timeline():
+    """``_user_timeline`` is the only analytics.py function that reads
+    ``events`` and tags a ``user_id`` partition (``% npart`` or
+    ``with_part(..., "user_id", ...)``)."""
+    import ast
+    import inspect
+
+    from warc_ray.pipelines import analytics
+
+    tree = ast.parse(inspect.getsource(analytics))
+    found = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        consts = {n.value for n in nodes if isinstance(n, ast.Constant)}
+        reads_events = any(
+            isinstance(n, ast.Call) and getattr(n.func, "id", "") == "_pq"
+            and ast.literal_eval(n.args[1]) == "events"
+            for n in nodes if isinstance(n, ast.Call) and len(n.args) > 1
+            and isinstance(n.args[1], ast.Constant))
+        mod_npart = any(isinstance(n, ast.BinOp)
+                        and isinstance(n.op, ast.Mod)
+                        and getattr(n.right, "id", "") == "npart"
+                        for n in nodes)
+        hash_user = any(isinstance(n, ast.Call)
+                        and getattr(n.func, "id", "") == "with_part"
+                        and any(isinstance(a, ast.Constant)
+                                and a.value == "user_id" for a in n.args)
+                        for n in nodes)
+        if reads_events and "user_id" in consts and (mod_npart or hash_user):
+            found.append(fn.name)
+    assert found == ["_user_timeline"]
+
+
+# query → the order its _user_timeline call passes (None: no sort)
+_TIMELINE_SITES = {
+    "funnel": _DEFAULT, "debounce_events": _BY_TYPE,
+    "cumulative_users": ("user_id", "day"),
+    "session_trigrams": _DEFAULT, "last_touch_attribution": _DEFAULT,
+    "median_interarrival": _DEFAULT, "event_transitions": _DEFAULT,
+    "sliding_distinct_users": None,
+    "retention_cohorts": ("user_id", "week"),
+    "scd2_user_state": _DEFAULT, "windowed_pair_join": None,
+    "activity_streaks": None, "pareto_cut": None,
+    "time_weighted_avg": _DEFAULT, "lifecycle_audit": None,
+    "ushape_attribution": _DEFAULT, "ewma_anomalies": _DEFAULT,
+    "interval_union": ("user_id", "s", "e", "event_id"),
+    "burst_audit": ("user_id", "ts"), "journey_paths": _DEFAULT,
+    "bounce_rate": _DEFAULT, "type_run_lengths": _DEFAULT,
+    "session_handoff": _DEFAULT, "survival_table": _DEFAULT,
+    "error_recovery": _DEFAULT,
+}
+
+
+def test_user_event_queries_route_through_user_timeline(ray_session,
+                                                        monkeypatch):
+    """Every per-user event query runs exactly one ``_user_timeline``
+    plan, with its own sort order (q92's by type, q200's by interval,
+    q169's none)."""
+    import inspect
+
+    from warc_ray.pipelines import analytics
+
+    real = analytics._user_timeline
+    default = inspect.signature(real).parameters["order"].default
+    orders = []
+
+    def counting(*args, **kwargs):
+        orders.append(kwargs.get("order", default))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "_user_timeline", counting)
+    for name, order in _TIMELINE_SITES.items():
+        orders.clear()
+        res = getattr(analytics, name)(SF)
+        if not isinstance(res, pa.Table):
+            res.materialize()
+        assert orders == [order], name
+
+
 def test_interval_union_matches_bruteforce(ray_session):
     from warc_ray.pipelines.analytics import interval_union
 

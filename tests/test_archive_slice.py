@@ -380,32 +380,6 @@ def test_compress_members_parity():
         compress_members(pa.array([b"x", None]))
 
 
-def test_uncompressed_shard_offsets(tmp_path):
-    """WriteWarcShard(compress=False): the .warc file is the warcinfo
-    record then every record's bytes, and each CDX row's offset/length
-    slices out exactly its record."""
-    import glob
-
-    from warc_ray.sinks.warc_sink import WriteWarcShard
-
-    recs = [b"WARC/1.0\r\nrecord %d\r\n\r\n" % i + b"x" * i
-            for i in range(5)] + [b""]
-    batch = pa.table({
-        "record_id": ["<urn:uuid:%d>" % i for i in range(6)],
-        "rec_type": ["response"] * 6,
-        "target_uri": ["http://h/%d" % i for i in range(6)],
-        "payload_digest": ["sha1:%d" % i for i in range(6)],
-        "record_bytes": pa.array(recs, type=pa.large_binary()),
-    }).slice(1)
-    cdx = WriteWarcShard(str(tmp_path), compress=False)(batch)
-    (shard,) = glob.glob(str(tmp_path / "*.warc"))
-    raw = open(shard, "rb").read()
-    offs, lens = cdx["offset"].to_pylist(), cdx["length"].to_pylist()
-    assert raw[offs[0]:offs[0] + lens[0]].startswith(b"WARC/1.0")
-    assert [raw[o:o + n] for o, n in zip(offs[1:], lens[1:])] == recs[1:]
-    assert offs[-1] + lens[-1] == len(raw)
-
-
 def test_cdx_replay_random_access_and_corruption(archive_out):
     """q65's replay kernel: every CDX row is independently readable at
     its compressed offset with a verified digest, and a flipped payload

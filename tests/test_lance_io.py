@@ -33,11 +33,6 @@ def _sample_docs() -> pa.Table:
     })
 
 
-def test_format_selects_by_environment():
-    assert wio.table_format() == ("lance" if wio.HAVE_LANCE
-                                  else "parquet")
-
-
 def test_parquet_fallback_roundtrip(ray_session, tmp_path):
     import ray.data as rd
 

@@ -36,16 +36,6 @@ def test_hottest_hosts(log_ds):
     assert got.to_dict("records") == exp.to_dict("records")
 
 
-def test_deepest_paths(log_ds):
-    from warc_ray.pipelines.reports import deepest_paths
-
-    got = deepest_paths(log_ds, k=5).to_pandas()
-    df = log_ds.to_pandas()
-    exp = df.sort_values(["depth", "url"], ascending=[False, True]).head(5)
-    assert got.url.tolist() == exp.url.tolist()
-    assert got.depth.tolist() == exp.depth.tolist()
-
-
 def test_crawl_metrics(log_ds):
     from warc_ray.pipelines.reports import crawl_metrics
 

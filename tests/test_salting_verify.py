@@ -15,7 +15,7 @@ def estimate_host_counts(ds, url_col: str = "url") -> dict[str, int]:
     """EXACT count pre-pass — TEST ORACLE ONLY (moved out of
     stages/hoststats per round-3 What's-wrong #4: it materializes a
     host-cardinality driver dict, which production salting must never
-    do; the engine path is the bounded ``mg_hot_hosts``).  Per-batch
+    do; the engine path is the bounded Misra-Gries fold).  Per-batch
     partials -> bucket combine -> driver dict."""
     import pyarrow as pa
 
@@ -61,12 +61,13 @@ def test_salted_host_stats_match_unsalted(ray_session, t1_dir):
 
 
 def test_mg_hot_hosts_bounded_and_complete(ray_session, t1_dir):
-    """The MG salting pre-pass must (a) keep driver state ≤ cells,
-    (b) surface every host whose true count clears the threshold, and
-    (c) never under-estimate a surviving host (upper-bound counts)."""
+    """The MG salting pre-pass ``host_link_stats`` runs must (a) keep
+    driver state ≤ cells, (b) surface every host whose true count
+    clears the threshold, and (c) never under-estimate a surviving
+    host (upper-bound counts)."""
     import ray.data as rd
 
-    from warc_ray.stages.hoststats import mg_hot_hosts
+    from warc_ray.stages.hoststats import _host_partials, _mg_fold
     from warc_ray.stages.urls import extract_links
 
     links = rd.read_parquet(corpus.docs_path(t1_dir)).map_batches(
@@ -80,8 +81,7 @@ def test_mg_hot_hosts_bounded_and_complete(ray_session, t1_dir):
     # whenever cells+1 >= total/target
     n_total = sum(exact.values())
     cells = n_total // target + 1
-    hot, total = mg_hot_hosts(links, target_per_group=target,
-                              cells=cells)
+    hot, total = _mg_fold(_host_partials(links, "url"), target, cells)
     assert total == n_total
     assert len(hot) <= cells
     assert true_hot <= set(hot)                 # completeness

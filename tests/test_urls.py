@@ -13,7 +13,6 @@ from warc_ray.stages.urls import (
     canonicalize_url,
     extract_links,
     host_of,
-    url_hash64,
     url_sha1,
 )
 
@@ -74,7 +73,9 @@ def test_property_idempotent_and_variant_invariant(host, path, query, upper, por
 def test_sha1_and_hash64():
     u = "http://example.com/a"
     assert url_sha1(u) == hashlib.sha1(u.encode()).digest()
-    assert url_hash64(u) == int.from_bytes(url_sha1(u)[:8], "big")
+    # the cuckoo-filter key: first 8 digest bytes, big-endian
+    h64 = canonicalize_batch(pa.table({"url": [u]}))["hash64"][0].as_py()
+    assert h64 == int.from_bytes(url_sha1(u)[:8], "big")
     assert host_of("http://h.example:81/x") == "h.example"
 
 

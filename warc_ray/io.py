@@ -22,10 +22,6 @@ except ImportError:
     HAVE_LANCE = False
 
 
-def table_format() -> str:
-    return "lance" if HAVE_LANCE else "parquet"
-
-
 def read_docs(path: str, **kwargs) -> "rd.Dataset":
     """Read a docs table (directory of bucket files or single file)."""
     if HAVE_LANCE and path.endswith(".lance"):

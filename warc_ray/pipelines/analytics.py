@@ -84,6 +84,44 @@ def _read_capped(path: str, columns=None):
                            override_num_blocks=nblocks)
 
 
+def _user_timeline(sf_dir: str, columns: list[str], bucket_fn, *,
+                   npart: int, order=("user_id", "ts", "event_id"),
+                   reduce=None):
+    """The per-user event plan: read ``columns`` of ``events`` (``ts``
+    cast to int64 epoch-µs), apply ``reduce(batch)`` per batch when
+    given (a filter, mapping or combiner that keeps ``user_id``), tag
+    ``part = user_id % npart`` and run ONE ``bucket_exchange``, which
+    co-locates each user's rows.  ``bucket_fn(t, starts)`` runs once
+    per bucket on the bucket's rows sorted by the ``order`` columns
+    (first key major, ``user_id`` first) with ``starts`` the first row
+    of each user; ``order=None`` skips the sort and passes ``starts=
+    None``.  Returns the materialized bucket outputs."""
+
+    def tag(b: pa.Table) -> pa.Table:
+        if "ts" in b.column_names:
+            b = b.set_column(b.column_names.index("ts"), "ts",
+                             pc.cast(b["ts"], INT64))
+        if reduce is not None:
+            b = reduce(b)
+        u = b["user_id"].to_numpy(zero_copy_only=False)
+        return b.append_column("part", pa.array((u % npart).astype(np.int32)))
+
+    def bucket(g: pa.Table) -> pa.Table:
+        g = g.drop_columns(["part"])
+        if order is None:
+            return bucket_fn(g, None)
+        g = g.take(np.lexsort([g[c].to_numpy(zero_copy_only=False)
+                               for c in reversed(order)]))
+        u = g["user_id"].to_numpy(zero_copy_only=False)
+        new = np.ones(len(u), dtype=bool)
+        np.not_equal(u[1:], u[:-1], out=new[1:])
+        return bucket_fn(g, np.flatnonzero(new))
+
+    return bucket_exchange(
+        rd.read_parquet(_pq(sf_dir, "events"), columns=columns)
+        .map_batches(tag, batch_format="pyarrow"), bucket)
+
+
 # ---------------------------------------------------------------------------
 # Q89: PIVOT (rows → typed count columns per day)
 # ---------------------------------------------------------------------------
@@ -145,73 +183,50 @@ def funnel(sf_dir: str, npart: int = 32):
     stage.  The sequential-pattern analytic (conversion funnels,
     session flows) that needs per-user EVENT ORDER, not just counts.
 
-    Scale shape: only (user, type, min-relevant-ts) partials shuffle
-    through ONE user-hash exchange; each bucket resolves its users'
-    stage times with three vectorized reduceat passes (first view →
-    first later click → first later purchase).  Output is one row."""
+    Scale shape: only view/click/purchase rows shuffle through ONE
+    user exchange (``_user_timeline``); each bucket, sorted by (user,
+    ts, event_id), resolves its users' stage times with three
+    vectorized first-of-user passes (first view → first later click →
+    first later purchase).  Output is one row."""
 
-    KINDS = {"view": 0, "click": 1, "purchase": 2}
+    KINDS = pa.array(["view", "click", "purchase"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        m = pc.is_in(b["event_type"],
-                     value_set=pa.array(list(KINDS)))
-        t = b.filter(m)
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        k = np.array([KINDS[x] for x in t["event_type"].to_pylist()],
-                     dtype=np.int32)
-        out = pa.table({"user_id": pa.array(u, type=INT64),
-                        "kind": pa.array(k, type=pa.int32()),
-                        "ts": pa.array(ts, type=INT64)})
-        part = (u % npart).astype(np.int32)
-        return out.append_column("part", pa.array(part))
+    def kinds(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.is_in(b["event_type"], value_set=KINDS))
+        return b.append_column(
+            "kind", pc.index_in(b["event_type"], value_set=KINDS))
 
-    def bucket(g: pa.Table) -> pa.Table:
+    def bucket(g: pa.Table, _starts) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False)
         k = g["kind"].to_numpy(zero_copy_only=False)
         ts = g["ts"].to_numpy(zero_copy_only=False)
 
-        def first_after(kind: int, users: np.ndarray,
-                        after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """users sorted; after[i] = strict lower bound for users[i].
-            Returns (users', t') where t' = min ts of `kind` events of
-            users' with ts > after."""
+        def first_after(kind: int, users=None, after=None):
+            """(users', t'): each user's first ``kind`` event, later
+            than ``after[i]`` for ``users[i]`` (sorted) when given."""
             m = k == kind
+            if users is not None:
+                if not len(users):
+                    return users, after
+                pos = np.minimum(np.searchsorted(users, u), len(users) - 1)
+                m &= (users[pos] == u) & (ts > after[pos])
             eu, ets = u[m], ts[m]
-            pos = np.searchsorted(users, eu)
-            ok = (pos < len(users)) & (users[np.minimum(
-                pos, len(users) - 1)] == eu)
-            ok &= ets > after[np.minimum(pos, len(users) - 1)]
-            eu, ets = eu[ok], ets[ok]
-            if not len(eu):
-                return eu, ets
-            order = np.lexsort((ets, eu))
-            eu, ets = eu[order], ets[order]
-            firsts = np.concatenate(([True], eu[1:] != eu[:-1]))
+            firsts = np.ones(len(eu), dtype=bool)
+            np.not_equal(eu[1:], eu[:-1], out=firsts[1:])
             return eu[firsts], ets[firsts]
 
-        mv = k == 0
-        if mv.any():
-            vu, vts = u[mv], ts[mv]
-            order = np.lexsort((vts, vu))
-            vu, vts = vu[order], vts[order]
-            firsts = np.concatenate(([True], vu[1:] != vu[:-1]))
-            u1, t1 = vu[firsts], vts[firsts]
-        else:
-            u1 = np.zeros(0, np.int64); t1 = np.zeros(0, np.int64)
-        u2, t2 = first_after(1, u1, t1) if len(u1) else (u1, t1)
-        u3, _ = first_after(2, u2, t2) if len(u2) else (u2, t2)
+        u1, t1 = first_after(0)
+        u2, t2 = first_after(1, u1, t1)
+        u3, _ = first_after(2, u2, t2)
         return pa.table({
             "n_view": pa.array([len(u1)], type=INT64),
             "n_click": pa.array([len(u2)], type=INT64),
             "n_purchase": pa.array([len(u3)], type=INT64),
         })
 
-    parts = bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "event_type"])
-        .map_batches(partial, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"])))
+    parts = _user_timeline(sf_dir, ["user_id", "ts", "event_id",
+                                    "event_type"], bucket,
+                           npart=npart, reduce=kinds)
     t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
     return pa.table({
         "n_view": pa.array([int(pc.sum(t["n_view"]).as_py())], type=INT64),
@@ -233,43 +248,23 @@ def debounce_events(sf_dir: str, gap_us: int = 300_000_000,
     semantics, the SQL-window-expressible debounce).  Ties at the
     same timestamp keep the smallest event_id and drop the rest.
 
-    Scale shape: one user-hash exchange, per-bucket lexsort + one
-    vectorized diff; output reduces to per-type totals."""
+    Scale shape: one user exchange (``_user_timeline``) with buckets
+    sorted by (user, type, ts, event_id) and one vectorized diff;
+    output reduces to per-type totals."""
 
-    def tag(b: pa.Table) -> pa.Table:
-        u = b["user_id"].to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "user_id": pa.array(u, type=INT64),
-            "event_id": b["event_id"],
-            "event_type": b["event_type"],
-            "ts": pc.cast(b["ts"], INT64),
-        })
-        return t.append_column(
-            "part", pa.array((u % npart).astype(np.int32)))
-
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        ty = np.asarray(g["event_type"].to_pylist(), dtype=object)
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        ty = g["event_type"].to_numpy(zero_copy_only=False)
         ts = g["ts"].to_numpy(zero_copy_only=False)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, ty, u))
-        u, ty, ts, eid = u[order], ty[order], ts[order], eid[order]
-        new_key = np.concatenate(
-            ([True], (u[1:] != u[:-1]) | (ty[1:] != ty[:-1])))
-        gap = np.empty(len(ts), dtype=np.int64)
-        gap[0] = gap_us
-        gap[1:] = ts[1:] - ts[:-1]
-        keep = new_key | (gap >= gap_us)
-        return pa.table({"event_type": pa.array(ty.tolist()),
+        keep = np.zeros(len(ts), dtype=bool)
+        keep[starts] = True             # first row of a (user, type) key
+        keep[1:] |= (ty[1:] != ty[:-1]) | (np.diff(ts) >= gap_us)
+        return pa.table({"event_type": g["event_type"],
                          "n_kept": pa.array(keep.astype(np.int64),
                                             type=INT64)})
 
-    agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["event_id", "user_id", "ts",
-                                 "event_type"])
-        .map_batches(tag, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    agg = combine_buckets(_user_timeline(
+        sf_dir, ["event_id", "user_id", "ts", "event_type"], bucket,
+        npart=npart, order=("user_id", "event_type", "ts", "event_id")),
         "event_type", [("n_total", "count"), ("n_kept", "sum")])
     return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
         .sort_by("event_type")
@@ -337,34 +332,21 @@ def cumulative_users(sf_dir: str, npart: int = 32):
     analytic, i.e. a windowed COUNT(DISTINCT) made exact by reducing
     it to first-touch attribution.
 
-    Scale shape: distinct (user, day) partials → ONE user-hash
-    exchange → per-bucket first day per user → tiny per-day count →
-    driver prefix sum over the days-sized table."""
+    Scale shape: distinct (user, day) partials → ONE user exchange
+    (``_user_timeline``, buckets sorted by (user, day)) → each user's
+    first day → tiny per-day count → driver prefix sum over the
+    days-sized table."""
 
     def pairs(b: pa.Table) -> pa.Table:
-        u = b["user_id"].to_numpy(zero_copy_only=False)
-        days = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-                // 86_400_000_000)
-        t = pa.table({"user_id": pa.array(u, type=INT64),
-                      "day": pa.array(days, type=INT64)})
-        t = t.group_by(["user_id", "day"]).aggregate([])
-        part = (t["user_id"].to_numpy(zero_copy_only=False)
-                % npart).astype(np.int32)
-        return t.append_column("part", pa.array(part))
+        days = b["ts"].to_numpy(zero_copy_only=False) // 86_400_000_000
+        return pa.table({"user_id": b["user_id"],
+                         "day": pa.array(days, type=INT64)}) \
+            .group_by(["user_id", "day"]).aggregate([])
 
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        d = g["day"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, u))
-        u, d = u[order], d[order]
-        first = np.concatenate(([True], u[1:] != u[:-1]))
-        return pa.table({"day": pa.array(d[first], type=INT64)})
-
-    agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts"])
-        .map_batches(pairs, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    agg = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts"],
+        lambda g, starts: g.select(["day"]).take(starts),
+        npart=npart, order=("user_id", "day"), reduce=pairs),
         "day", [("n_new", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     d = t["day"].to_numpy(zero_copy_only=False)
@@ -456,35 +438,22 @@ def session_trigrams(sf_dir: str, topk: int = 10, gap_minutes: int = 30,
     sequence mining over q08's gap-sessionization (what do users do in
     what order?), ordered by (ts, event_id) so ties are deterministic.
 
-    Scale shape: one user-hash exchange (q08's fabric); per bucket ONE
-    lexsort derives sessions AND emits all in-session trigrams
-    vectorized (three shifted views of the type array masked by
-    same-session); counts reduce over the tiny type³ domain; final
-    top-k is driver arithmetic."""
+    Scale shape: one user exchange (``_user_timeline``, q08's fabric);
+    per (user, ts, event_id)-sorted bucket the session cuts AND all
+    in-session trigrams come out vectorized (three shifted views of
+    the type array masked by same-session); counts reduce over the
+    tiny type³ domain; final top-k is driver arithmetic."""
     gap_us = np.int64(gap_minutes) * 60_000_000
 
-    def tag(b: pa.Table) -> pa.Table:
-        u = b["user_id"].to_numpy(zero_copy_only=False)
-        t = pa.table({"user_id": pa.array(u, type=INT64),
-                      "event_id": b["event_id"],
-                      "event_type": b["event_type"],
-                      "ts": pc.cast(b["ts"], INT64)})
-        return t.append_column(
-            "part", pa.array((u % npart).astype(np.int32)))
-
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
         ts = g["ts"].to_numpy(zero_copy_only=False)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        ty = np.asarray(g["event_type"].to_pylist(), dtype=object)
-        order = np.lexsort((eid, ts, u))
-        u, ts, ty = u[order], ts[order], ty[order]
-        n = len(u)
+        ty = g["event_type"].to_numpy(zero_copy_only=False)
+        n = len(ts)
         if n < 3:
             return pa.table({"trigram": pa.array([], type=pa.string())})
-        new_sess = np.empty(n, dtype=bool)
-        new_sess[0] = True
-        new_sess[1:] = (u[1:] != u[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
+        new_sess = np.zeros(n, dtype=bool)
+        new_sess[starts] = True
+        new_sess[1:] |= np.diff(ts) > gap_us
         # a trigram starting at i is valid iff rows i+1, i+2 are in the
         # same session (no new-session break inside the window)
         ok = ~(new_sess[1:-1] | new_sess[2:])
@@ -494,12 +463,9 @@ def session_trigrams(sf_dir: str, topk: int = 10, gap_minutes: int = 30,
         return pa.table({"trigram": pa.array(tri[ok].tolist(),
                                              type=pa.string())})
 
-    agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["event_id", "user_id", "ts",
-                                 "event_type"])
-        .map_batches(tag, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    agg = combine_buckets(_user_timeline(
+        sf_dir, ["event_id", "user_id", "ts", "event_type"], bucket,
+        npart=npart),
         "trigram", [("n", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     tri = np.asarray(t["trigram"].to_pylist(), dtype=object)
@@ -1364,32 +1330,19 @@ def last_touch_attribution(sf_dir: str, npart: int = 32):
     ``LAST_VALUE(... IGNORE NULLS) OVER (... 1 PRECEDING)`` segmented
     forward-fill window, the remaining big window-function family.
 
-    Scale shape: one user-hash exchange, then per bucket a single
-    vectorized pass — segmented forward-fill as one
-    ``np.maximum.accumulate`` over segment-offset position indices
-    (no per-user Python, no per-row loop)."""
-
-    def tag(b: pa.Table) -> pa.Table:
-        u = b["user_id"].to_numpy(zero_copy_only=False)
-        t = pa.table({"user_id": pa.array(u, type=INT64),
-                      "event_id": b["event_id"],
-                      "event_type": b["event_type"],
-                      "ts": pc.cast(b["ts"], INT64)})
-        return t.append_column(
-            "part", pa.array((u % npart).astype(np.int32)))
+    Scale shape: one user exchange (``_user_timeline``), then per
+    (user, ts, event_id)-sorted bucket a single vectorized pass —
+    segmented forward-fill as one ``np.maximum.accumulate`` over
+    segment-offset position indices (no per-user Python, no per-row
+    loop)."""
 
     BIG = np.int64(1) << 33
 
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        ts = g["ts"].to_numpy(zero_copy_only=False)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        ty = np.asarray(g["event_type"].to_pylist(), dtype=object)
-        order = np.lexsort((eid, ts, u))
-        u, ty = u[order], ty[order]
-        n = len(u)
-        new_user = np.concatenate(([True], u[1:] != u[:-1]))
-        seg = np.cumsum(new_user) - 1
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        ty = g["event_type"].to_numpy(zero_copy_only=False)
+        n = len(ty)
+        seg = np.repeat(np.arange(len(starts), dtype=np.int64),
+                        np.diff(np.append(starts, n)))
         is_ch = np.isin(ty, _CHANNELS)
         # segmented forward-fill of the last channel POSITION: offset
         # each segment by BIG so the running max cannot leak across
@@ -1403,12 +1356,9 @@ def last_touch_attribution(sf_dir: str, npart: int = 32):
         return pa.table({"channel": pa.array(ch.astype(object).tolist(),
                                              type=pa.string())})
 
-    agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["event_id", "user_id", "ts",
-                                 "event_type"])
-        .map_batches(tag, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    agg = combine_buckets(_user_timeline(
+        sf_dir, ["event_id", "user_id", "ts", "event_type"], bucket,
+        npart=npart),
         "channel", [("n_purchases", "count")])
     return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
         .sort_by("channel")
@@ -1593,46 +1543,30 @@ def median_interarrival(sf_dir: str, npart: int = 32):
     statistic rate-limiters and bot detectors key on, and a per-group
     exact order statistic the engine must co-locate to compute.
 
-    One bucket exchange (q08's fabric) co-locates each user's events;
-    per bucket a single vectorized pass lexsorts, diffs within user
-    segments, sorts the gaps per segment, and gathers the two middle
-    elements — ``(lo + hi) / 2.0`` over int64 gaps < 2^53 is exact in
-    IEEE double, so it bit-matches DuckDB's interpolated median."""
+    One user exchange (``_user_timeline``, q08's fabric) co-locates
+    each user's events; per (user, ts, event_id)-sorted bucket a single
+    vectorized pass diffs within user segments, sorts the gaps per
+    segment, and gathers the two middle elements — ``(lo + hi) / 2.0``
+    over int64 gaps < 2^53 is exact in IEEE double, so it bit-matches
+    DuckDB's interpolated median."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        part = (b["user_id"].to_numpy(zero_copy_only=False)
-                % npart).astype(np.int32)
-        return pa.table({"user_id": b["user_id"], "event_id": b["event_id"],
-                         "ts_us": pc.cast(b["ts"], INT64),
-                         "part": pa.array(part)})
-
-    def bucket(g: pa.Table) -> pa.Table:
+    def bucket(g: pa.Table, _starts) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False)
-        e = g["event_id"].to_numpy(zero_copy_only=False)
-        ts = g["ts_us"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, ts, u))
-        u_s, ts_s = u[order], ts[order]
-        n = len(u_s)
-        empty = pa.table({"user_id": pa.array([], type=pa.int64()),
-                          "n_gaps": pa.array([], type=pa.int64()),
-                          "median_gap_us": pa.array([], type=pa.float64())})
-        if n < 2:
-            return empty
-        same = u_s[1:] == u_s[:-1]
-        gaps = (ts_s[1:] - ts_s[:-1])[same]       # gap rows, user order
-        gu = u_s[1:][same]
+        ts = g["ts"].to_numpy(zero_copy_only=False)
+        same = u[1:] == u[:-1]
+        gaps = (ts[1:] - ts[:-1])[same]       # gap rows, user order
+        gu = u[1:][same]
         if len(gaps) == 0:
-            return empty
+            return pa.table({"user_id": pa.array([], type=pa.int64()),
+                             "n_gaps": pa.array([], type=pa.int64()),
+                             "median_gap_us": pa.array(
+                                 [], type=pa.float64())})
         # per-user segments over the (already user-ordered) gap array;
         # sort gaps within each segment, then gather the two middles
-        order2 = np.lexsort((gaps, gu))
-        gu_s, gp_s = gu[order2], gaps[order2]
-        new = np.empty(len(gu_s), dtype=bool)
-        new[0] = True
-        np.not_equal(gu_s[1:], gu_s[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(gu_s))
-        m = ends - starts
+        order = np.lexsort((gaps, gu))
+        gu_s, gp_s = gu[order], gaps[order]
+        starts, _ = segment_bounds(gu_s)
+        m = np.diff(np.append(starts, len(gu_s)))
         lo = gp_s[starts + (m - 1) // 2].astype(np.float64)
         hi = gp_s[starts + m // 2].astype(np.float64)
         return pa.table({
@@ -1641,11 +1575,8 @@ def median_interarrival(sf_dir: str, npart: int = 32):
             "median_gap_us": pa.array((lo + hi) / 2.0),
         })
 
-    out = bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "event_id", "ts"])
-        .map_batches(partial, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"])))
+    out = _user_timeline(sf_dir, ["user_id", "event_id", "ts"], bucket,
+                         npart=npart)
     return pa.concat_tables(out.iter_batches(batch_format="pyarrow")) \
         .sort_by("user_id")
 
@@ -1818,36 +1749,23 @@ def event_transitions(sf_dir: str, npart: int = 32):
     — the behavioral model table session-analysis and anomaly scoring
     read.
 
-    The bucket exchange co-locates users; each bucket emits a TINY
-    (prev, next, n) partial (|types|² rows max), one groupby folds
-    them, and p = n / Σ_prev n is a single exact-int division."""
+    The user exchange (``_user_timeline``) co-locates users; each
+    (user, ts, event_id)-sorted bucket emits a TINY (prev, next, n)
+    partial (|types|² rows max), one groupby folds them, and p = n /
+    Σ_prev n is a single exact-int division."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        part = (b["user_id"].to_numpy(zero_copy_only=False)
-                % npart).astype(np.int32)
-        return pa.table({"user_id": b["user_id"], "event_id": b["event_id"],
-                         "ts_us": pc.cast(b["ts"], INT64),
-                         "event_type": b["event_type"],
-                         "part": pa.array(part)})
-
-    def bucket(g: pa.Table) -> pa.Table:
+    def bucket(g: pa.Table, _starts) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False)
-        e = g["event_id"].to_numpy(zero_copy_only=False)
-        ts = g["ts_us"].to_numpy(zero_copy_only=False)
-        et = np.asarray(g["event_type"].to_pylist(), dtype=object)
-        order = np.lexsort((e, ts, u))
-        u_s, et_s = u[order], et[order]
-        same = u_s[1:] == u_s[:-1]
-        prev, nxt = et_s[:-1][same], et_s[1:][same]
-        return pa.table({"prev_type": pa.array(prev, type=pa.string()),
-                         "next_type": pa.array(nxt, type=pa.string())})
+        et = g["event_type"].to_numpy(zero_copy_only=False)
+        same = u[1:] == u[:-1]
+        return pa.table({"prev_type": pa.array(et[:-1][same],
+                                               type=pa.string()),
+                         "next_type": pa.array(et[1:][same],
+                                               type=pa.string())})
 
-    agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "event_id", "ts",
-                                 "event_type"])
-        .map_batches(partial, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    agg = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "event_id", "ts", "event_type"], bucket,
+        npart=npart),
         ["prev_type", "next_type"], [("n", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     n = t["n"].to_numpy(zero_copy_only=False)
@@ -1873,24 +1791,20 @@ def sliding_distinct_users(sf_dir: str, window_days: int = 7,
     active in the trailing 7 days — the WAU metric, i.e. a sliding
     windowed COUNT(DISTINCT) that a plain groupby cannot express.
 
-    Distributed shape: bucket by user; per user expand each active day
+    Distributed shape: distinct (user, day) pairs per batch, one user
+    exchange (``_user_timeline``); per user expand each active day
     into the window days it covers and dedup (user, window) pairs
     INSIDE the bucket — so the global shuffle carries (window, 1)
     partials, at most |users| × span rows, never raw events; one
     groupby sums.  Windows are then restricted to observed days (the
     tiny day set rides the driver)."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(
-            pc.cast(b["ts"], INT64), 86_400_000_000)), INT64)
-        part = (b["user_id"].to_numpy(zero_copy_only=False)
-                % npart).astype(np.int32)
-        t = pa.table({"user_id": b["user_id"], "day": day,
-                      "part": pa.array(part)})
-        return t.group_by(["part", "user_id", "day"]).aggregate([]) \
-            .select(["part", "user_id", "day"])
+    def pairs(b: pa.Table) -> pa.Table:
+        day = pc.cast(pc.floor(pc.divide(b["ts"], 86_400_000_000)), INT64)
+        return pa.table({"user_id": b["user_id"], "day": day}) \
+            .group_by(["user_id", "day"]).aggregate([])
 
-    def bucket(g: pa.Table) -> pa.Table:
+    def bucket(g: pa.Table, _starts) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False)
         d = g["day"].to_numpy(zero_copy_only=False)
         # each active day covers windows d .. d+6; dedup (user, window)
@@ -1900,11 +1814,9 @@ def sliding_distinct_users(sf_dir: str, window_days: int = 7,
         win = key % np.int64(1 << 20)
         return pa.table({"window_day": pa.array(win.astype(np.int64))})
 
-    ev = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts"]) \
-        .map_batches(partial, batch_format="pyarrow")
     agg = combine_buckets(
-        bucket_exchange(ev, lambda g: bucket(g.drop_columns(["part"]))),
+        _user_timeline(sf_dir, ["user_id", "ts"], bucket, npart=npart,
+                       order=None, reduce=pairs),
         "window_day", [("u7", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
 
@@ -2835,42 +2747,33 @@ def retention_cohorts(sf_dir: str, npart: int = 32):
     run over any event log.
 
     Scale shape: each batch reduces to distinct (user, week) pairs;
-    ONE hash exchange on user_id co-locates a user's weeks; each
-    bucket derives (cohort=min week, offset) pairs vectorized; the
-    final count groupby runs on the tiny (cohort × offset) domain.
-    The user table never materializes anywhere."""
+    ONE user exchange (``_user_timeline``, buckets sorted by (user,
+    week)) co-locates a user's weeks; each bucket derives
+    (cohort=min week, offset) pairs vectorized; the final count
+    groupby runs on the tiny (cohort × offset) domain.  The user table
+    never materializes anywhere."""
 
     def pairs(b: pa.Table) -> pa.Table:
-        us = b["user_id"].to_numpy(zero_copy_only=False)
-        days = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-                // 86_400_000_000)
+        days = b["ts"].to_numpy(zero_copy_only=False) // 86_400_000_000
         wk = (days + _EPOCH_MONDAY_SHIFT) // 7
-        t = pa.table({"user_id": pa.array(us, type=INT64),
-                      "week": pa.array(wk, type=INT64)})
-        t = t.group_by(["user_id", "week"]).aggregate([])
-        part = (t["user_id"].to_numpy(zero_copy_only=False)
-                % npart).astype(np.int32)
-        return t.append_column("part", pa.array(part))
+        return pa.table({"user_id": b["user_id"],
+                         "week": pa.array(wk, type=INT64)}) \
+            .group_by(["user_id", "week"]).aggregate([])
 
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
         w = g["week"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((w, u))
-        u, w = u[order], w[order]
+        cohort = np.repeat(w[starts], np.diff(np.append(starts, len(w))))
         # global distinct (user, week): batch partials overlap
-        uniq = np.concatenate(
-            ([True], (u[1:] != u[:-1]) | (w[1:] != w[:-1])))
-        u, w = u[uniq], w[uniq]
-        first = np.concatenate(([True], u[1:] != u[:-1]))
-        cohort = w[np.flatnonzero(first)][np.cumsum(first) - 1]
-        return pa.table({"cohort_week": pa.array(cohort, type=INT64),
-                         "week_offset": pa.array(w - cohort, type=INT64)})
+        uniq = np.ones(len(w), dtype=bool)
+        np.not_equal(w[1:], w[:-1], out=uniq[1:])
+        uniq[starts] = True
+        return pa.table({
+            "cohort_week": pa.array(cohort[uniq], type=INT64),
+            "week_offset": pa.array((w - cohort)[uniq], type=INT64)})
 
-    agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts"])
-        .map_batches(pairs, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    agg = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts"], bucket, npart=npart,
+        order=("user_id", "week"), reduce=pairs),
         ["cohort_week", "week_offset"], [("n_users", "count")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     wk = t["cohort_week"].to_numpy(zero_copy_only=False)
@@ -3025,42 +2928,33 @@ def scd2_user_state(sf_dir: str, npart: int = 32):
     sentinel + ``is_current`` flag on the last run.  The
     snapshot→interval build every warehouse dimension load runs.
 
-    Distributed shape: the q123 bucket fabric — hash-partition by user
-    so each user's stream co-locates, then ONE vectorized pass per
-    bucket (lexsort, run boundaries by shifted compare, interval edges
-    by shifted gather).  No per-user Python; output rows = number of
-    state changes, never events².  Timestamps travel as exact epoch-µs
-    int64 so the interval edges hash-match the SQL twin."""
+    Distributed shape: the q123 bucket fabric — one user exchange
+    (``_user_timeline``) co-locates each user's stream, then ONE
+    vectorized pass per (user, ts, event_id)-sorted bucket (run
+    boundaries by shifted compare, interval edges by shifted gather).
+    No per-user Python; output rows = number of state changes, never
+    events².  Timestamps travel as exact epoch-µs int64 so the
+    interval edges hash-match the SQL twin."""
 
     OPEN = np.int64(2**63 - 1)
 
-    def partial(b: pa.Table) -> pa.Table:
-        part = (b["user_id"].to_numpy(zero_copy_only=False)
-                % npart).astype(np.int32)
-        return pa.table({"user_id": b["user_id"], "event_id": b["event_id"],
-                         "ts_us": pc.cast(b["ts"], INT64),
-                         "event_type": b["event_type"],
-                         "part": pa.array(part)})
-
-    def bucket(g: pa.Table) -> pa.Table:
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False)
         e = g["event_id"].to_numpy(zero_copy_only=False)
-        ts = g["ts_us"].to_numpy(zero_copy_only=False)
-        et = np.asarray(g["event_type"].to_pylist(), dtype=object)
-        order = np.lexsort((e, ts, u))
-        u, e, ts, et = u[order], e[order], ts[order], et[order]
+        ts = g["ts"].to_numpy(zero_copy_only=False)
+        et = g["event_type"].to_numpy(zero_copy_only=False)
         n = len(u)
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (u[1:] != u[:-1]) | (et[1:] != et[:-1])
-        starts = np.flatnonzero(new_run)
-        ru, rt, rts, re = u[starts], et[starts], ts[starts], e[starts]
+        new_run = np.zeros(n, dtype=bool)
+        new_run[starts] = True
+        new_run[1:] |= et[1:] != et[:-1]
+        runs = np.flatnonzero(new_run)
+        ru, rt, rts, re = u[runs], et[runs], ts[runs], e[runs]
         # valid_to = next run's start ts when same user, else open
         nxt_user = np.append(ru[1:], np.int64(-1))
         nxt_from = np.append(rts[1:], OPEN)
         is_cur = nxt_user != ru
         valid_to = np.where(is_cur, OPEN, nxt_from)
-        run_len = np.diff(np.append(starts, n)).astype(np.int64)
+        run_len = np.diff(np.append(runs, n)).astype(np.int64)
         return pa.table({
             "user_id": pa.array(ru.astype(np.int64)),
             "event_type": pa.array(rt, type=pa.string()),
@@ -3071,12 +2965,8 @@ def scd2_user_state(sf_dir: str, npart: int = 32):
             "first_event_id": pa.array(re.astype(np.int64)),
         })
 
-    return bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "event_id", "ts",
-                                 "event_type"])
-        .map_batches(partial, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
+    return _user_timeline(sf_dir, ["user_id", "event_id", "ts",
+                                   "event_type"], bucket, npart=npart) \
         .sort(["user_id", "valid_from_us"])
 
 
@@ -5597,9 +5487,9 @@ def pit_state_snapshot(sf_dir: str, npart: int = 32,
     valid_from <= t < valid_to — a pure per-row predicate.  So the
     whole snapshot grid folds as map_batches count partials over the
     interval table (31 vectorized masks per batch) + one tiny
-    (day,state) groupby; the only exchange is the user-hash bucket
-    q131 already pays to build runs.  Oracle: the q131 runs CTE joined
-    to the day grid with BETWEEN (value-exact)."""
+    (day,state) groupby; the only exchange is the user bucket
+    (``_user_timeline``) q131 already pays to build runs.  Oracle: the
+    q131 runs CTE joined to the day grid with BETWEEN (value-exact)."""
 
     hist = scd2_user_state(sf_dir, npart=npart)
     US_DAY = np.int64(86_400_000_000)
@@ -5645,30 +5535,25 @@ def windowed_pair_join(sf_dir: str, npart: int = 32,
     Reported per click day: pair count and exact lag sum.
 
     Scale shape: the scan prunes to the two event types and ships only
-    (user, ts) rows through ONE user-hash exchange; each bucket pairs
-    via composite-key searchsorted (user_rank·2^43 + ts-offset — the
-    1h window can never cross a user boundary) with a prefix-sum over
-    purchase timestamps turning per-click lag sums into two gathers —
-    no pair list ever materializes, output is O(days) partials.
+    (user, ts) rows through ONE user exchange (``_user_timeline``);
+    each bucket pairs via composite-key searchsorted (user_rank·2^43 +
+    ts-offset — the 1h window can never cross a user boundary) with a
+    prefix-sum over purchase timestamps turning per-click lag sums into
+    two gathers — no pair list ever materializes, output is O(days)
+    partials.
     Oracle: the quadratic self-join (value-exact)."""
 
     US_DAY = np.int64(86_400_000_000)
 
     def scan(b: pa.Table) -> pa.Table:
-        m = pc.or_(pc.equal(b["event_type"], "click"),
-                   pc.equal(b["event_type"], "purchase"))
-        b = b.filter(m)
-        u = b["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "user_id": b["user_id"],
-            "ts_us": pc.cast(b["ts"], INT64),
-            "is_click": pc.equal(b["event_type"], "click"),
-            "part": pa.array((u % npart).astype(np.int32)),
-        })
+        b = b.filter(pc.or_(pc.equal(b["event_type"], "click"),
+                            pc.equal(b["event_type"], "purchase")))
+        return pa.table({"user_id": b["user_id"], "ts": b["ts"],
+                         "is_click": pc.equal(b["event_type"], "click")})
 
-    def bucket(g: pa.Table) -> pa.Table:
+    def bucket(g: pa.Table, _starts) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False)
-        ts = g["ts_us"].to_numpy(zero_copy_only=False)
+        ts = g["ts"].to_numpy(zero_copy_only=False)
         isc = g["is_click"].to_numpy(zero_copy_only=False)
         lo_ts = ts.min()
         _, rank = np.unique(u, return_inverse=True)
@@ -5701,11 +5586,9 @@ def windowed_pair_join(sf_dir: str, npart: int = 32,
             "sum_lag_us": pa.array(lsum[nz], type=INT64),
         })
 
-    out = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "event_type"])
-        .map_batches(scan, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    out = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts", "event_type"], bucket, npart=npart,
+        order=None, reduce=scan),
         "day", [("n_pairs", "sum"), ("sum_lag_us", "sum")])
     return sort_result(out, ["day"])
 
@@ -5873,7 +5756,8 @@ def activity_streaks(sf_dir: str, npart: int = 32):
 
     Scale shape: the scan reduces each batch to distinct (user, day)
     pairs (the combiner — a user active 50× a day ships once), ONE
-    user-hash exchange co-locates each user's days, and every bucket
+    user exchange (``_user_timeline``, unsorted buckets) co-locates
+    each user's days, and every bucket
     finds its runs with pure array ops: sort the composite user·span+
     day key, a run breaks where the key step != 1 (a +1 step is the
     SAME user AND the NEXT day — the composite makes one comparison do
@@ -5885,16 +5769,12 @@ def activity_streaks(sf_dir: str, npart: int = 32):
     US_DAY = 86_400_000_000
 
     def scan(b: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "user_id": b["user_id"],
-            "day": pc.cast(pc.floor(pc.divide(
-                pc.cast(b["ts"], INT64), US_DAY)), INT64),
+            "day": pc.cast(pc.floor(pc.divide(b["ts"], US_DAY)), INT64),
         }).group_by(["user_id", "day"]).aggregate([])
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "part", pa.array((u % npart).astype(np.int32)))
 
-    def bucket(g: pa.Table) -> pa.Table:
+    def bucket(g: pa.Table, _starts) -> pa.Table:
         if g.num_rows == 0:
             return pa.table({"streak_len": pa.array([], type=INT64),
                              "n_users": pa.array([], type=INT64)})
@@ -5922,12 +5802,9 @@ def activity_streaks(sf_dir: str, npart: int = 32):
         return pa.table({"streak_len": pa.array(nz, type=INT64),
                          "n_users": pa.array(hist[nz], type=INT64)})
 
-    out = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts"])
-        .map_batches(scan, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
-        "streak_len", [("n_users", "sum")])
+    out = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts"], bucket, npart=npart, order=None,
+        reduce=scan), "streak_len", [("n_users", "sum")])
     return sort_result(out, ["streak_len"])
 
 
@@ -6287,33 +6164,27 @@ def pareto_cut(sf_dir: str, npart: int = 32, target_ppm: int = 800_000):
 
     Scale shape: users with EQUAL counts are interchangeable, so the
     global sort the textbook query does is unnecessary — per-batch
-    user-count partials → one user-hash exchange → per-block
-    count-of-counts histogram partials → a tiny count-class groupby;
+    user-count partials → one user exchange (``_user_timeline``) →
+    per-block count-of-counts histogram partials → a tiny count-class
+    groupby;
     the driver walks O(distinct counts) classes with pure integer
     ceiling arithmetic (needed = ⌈total·target⌉, final class takes
     ⌈remaining/c⌉ users).  Nothing sorted, nothing big on the driver.
     Oracle: the same class walk as window sums over the histogram."""
 
     def scan(b: pa.Table) -> pa.Table:
-        t = pa.table({"u": b["user_id"]}) \
-            .group_by(["u"]).aggregate([("u", "count")]) \
-            .rename_columns(["u", "n"])
-        uu = t["u"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "part", pa.array((uu % npart).astype(np.int32)))
+        return b.group_by(["user_id"]).aggregate([("user_id", "count")]) \
+            .rename_columns(["user_id", "n"])
 
-    def bucket(g: pa.Table) -> pa.Table:
-        t = g.select(["u", "n"]).group_by(["u"]) \
-            .aggregate([("n", "sum")])
+    def bucket(g: pa.Table, _starts) -> pa.Table:
+        t = g.group_by(["user_id"]).aggregate([("n", "sum")])
         cnt = t["n_sum"].to_numpy(zero_copy_only=False)
         classes, m = np.unique(cnt, return_counts=True)
         return pa.table({"c": pa.array(classes, type=INT64),
                          "m": pa.array(m, type=INT64)})
 
-    hist = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id"])
-        .map_batches(scan, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    hist = combine_buckets(_user_timeline(
+        sf_dir, ["user_id"], bucket, npart=npart, order=None, reduce=scan),
         "c", [("m", "sum")]).take_all()
     cls = sorted(((int(r["c"]), int(r["m"])) for r in hist),
                  reverse=True)
@@ -6630,47 +6501,34 @@ def time_weighted_avg(sf_dir: str, npart: int = 32):
     (µs // 10⁶, pinned) so Σ cents·dur keeps int64 headroom past sf1;
     the TWA is a final int/int double.
 
-    Scale shape: q131's user-hash bucket — one exchange, one lexsort
-    per bucket, shifted compare pairs each event with its successor;
-    per-type partials (n, Σdur, Σcents·dur) leave the bucket, a 5-row
-    groupby finishes."""
+    Scale shape: q131's user bucket — one exchange
+    (``_user_timeline``), buckets sorted by (user, ts, event_id),
+    shifted compare pairs each event with its successor; per-type
+    partials (n, Σdur, Σcents·dur) leave the bucket, a 5-row groupby
+    finishes."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        part = (b["user_id"].to_numpy(zero_copy_only=False)
-                % npart).astype(np.int32)
-        return pa.table({
-            "user_id": b["user_id"], "event_id": b["event_id"],
-            "ts_us": pc.cast(b["ts"], INT64),
-            "event_type": b["event_type"],
-            "cents": pc.cast(pc.round(pc.multiply(b["value"], 100.0)),
-                             INT64),
-            "part": pa.array(part)})
+    def cents(b: pa.Table) -> pa.Table:
+        return b.set_column(
+            b.column_names.index("value"), "cents",
+            pc.cast(pc.round(pc.multiply(b["value"], 100.0)), INT64))
 
-    def bucket(g: pa.Table) -> pa.Table:
+    def bucket(g: pa.Table, _starts) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False)
-        e = g["event_id"].to_numpy(zero_copy_only=False)
-        ts = g["ts_us"].to_numpy(zero_copy_only=False)
-        cents = g["cents"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, ts, u))
-        u, e, ts, cents = u[order], e[order], ts[order], cents[order]
-        et = g["event_type"].take(pa.array(order))
-        same = np.empty(len(u), dtype=bool)
+        ts = g["ts"].to_numpy(zero_copy_only=False)
+        c = g["cents"].to_numpy(zero_copy_only=False)
+        same = np.zeros(len(u), dtype=bool)
         same[:-1] = u[1:] == u[:-1]
-        same[-1] = False
         dur_s = np.zeros(len(u), dtype=np.int64)
         dur_s[:-1] = (ts[1:] - ts[:-1]) // 1_000_000
         return pa.table({
-            "event_type": et,
+            "event_type": g["event_type"],
             "total_dur_s": pa.array(dur_s, type=INT64),
-            "sum_cents_dur": pa.array(dur_s * cents, type=INT64),
+            "sum_cents_dur": pa.array(dur_s * c, type=INT64),
         }).filter(pa.array(same))
 
-    out = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "event_id", "ts",
-                                 "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    out = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "event_id", "ts", "event_type", "value"],
+        bucket, npart=npart, reduce=cents),
         "event_type", [("n_intervals", "count"), ("total_dur_s", "sum"),
                        ("sum_cents_dur", "sum")])
 
@@ -6811,38 +6669,26 @@ def lifecycle_audit(sf_dir: str, npart: int = 32):
     bugs and clock skew show up in).  first-A/first-B compare on exact
     epoch-µs ints, ties (same µs) are conformant.
 
-    Scale shape: per-batch (user, type)-min partials → ONE user-hash
-    exchange → per bucket a single group_by folds cross-batch mins and
-    one pivoted min-per-type array evaluates ALL rules vectorized →
-    3-row (rule, n_both, n_violations) partials."""
+    Scale shape: per-batch (user, type)-min partials → ONE user
+    exchange (``_user_timeline``) → per bucket the same group_by folds
+    cross-batch mins and one pivoted min-per-type array evaluates ALL
+    rules vectorized → 3-row (rule, n_both, n_violations) partials."""
 
     types = sorted({t for pair in _LIFECYCLE_RULES for t in pair})
     t_idx = {t: i for i, t in enumerate(types)}
 
-    def partial(b: pa.Table) -> pa.Table:
-        m = pc.is_in(b["event_type"], value_set=pa.array(types))
-        b = b.filter(m)
-        t = pa.table({
-            "user_id": b["user_id"],
-            "event_type": b["event_type"],
-            "ts_us": pc.cast(b["ts"], INT64),
-        }).group_by(["user_id", "event_type"]) \
-            .aggregate([("ts_us", "min")])
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "user_id": t["user_id"], "event_type": t["event_type"],
-            "ts_us": t["ts_us_min"],
-            "part": pa.array((u % npart).astype(np.int32)),
-        })
+    def first_ts(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.is_in(b["event_type"], value_set=pa.array(types)))
+        return b.group_by(["user_id", "event_type"]) \
+            .aggregate([("ts", "min")]) \
+            .rename_columns(["user_id", "event_type", "ts"])
 
     SENT = np.int64(2**62)
 
-    def bucket(g: pa.Table) -> pa.Table:
-        t = g.select(["user_id", "event_type", "ts_us"]) \
-            .group_by(["user_id", "event_type"]) \
-            .aggregate([("ts_us", "min")])
+    def bucket(g: pa.Table, _starts) -> pa.Table:
+        t = first_ts(g)
         u = t["user_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts_us_min"].to_numpy(zero_copy_only=False)
+        ts = t["ts"].to_numpy(zero_copy_only=False)
         ti = np.array([t_idx[x] for x in t["event_type"].to_pylist()],
                       dtype=np.int64)
         users, inv = np.unique(u, return_inverse=True)
@@ -6861,11 +6707,9 @@ def lifecycle_audit(sf_dir: str, npart: int = 32):
             "n_violations": pa.array([r[2] for r in rows], type=INT64),
         })
 
-    out = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "event_type", "ts"])
-        .map_batches(partial, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    out = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "event_type", "ts"], bucket, npart=npart,
+        order=None, reduce=first_ts),
         "rule", [("n_both", "sum"), ("n_violations", "sum")])
     return sort_result(out, ["rule"])
 
@@ -7780,34 +7624,26 @@ def ushape_attribution(sf_dir: str, npart: int = 32):
     Exactness: credit in parts-per-million of the conversion's cents;
     the middle share uses floor division with the remainder ppm pinned
     to the EARLIEST middle touch, so Σppm = 10⁶ exactly per
-    conversion in both engines.  One user-hash exchange; per bucket a
-    single lexsort + reduceat machinery — no per-user Python."""
+    conversion in both engines.  One user exchange
+    (``_user_timeline``); per (user, ts, event_id)-sorted bucket a
+    single reduceat machinery — no per-user Python."""
 
     def partial(b: pa.Table) -> pa.Table:
         et = b["event_type"]
-        keep = pc.or_(pc.equal(et, "click"), pc.equal(et, "purchase"))
-        b = b.filter(keep)
+        b = b.filter(pc.or_(pc.equal(et, "click"), pc.equal(et, "purchase")))
         return pa.table({
             "user_id": b["user_id"],
-            "ts_us": pc.cast(b["ts"], INT64),
+            "ts": b["ts"],
             "event_id": b["event_id"],
-            "is_purchase": pc.cast(pc.equal(b["event_type"], "purchase"),
-                                   pa.int8()),
+            "is_purchase": pc.equal(b["event_type"], "purchase"),
             "cents": pc.cast(pc.round(pc.multiply(b["value"], 100.0)),
                              INT64)})
 
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        ts = g["ts_us"].to_numpy(zero_copy_only=False)
-        e = g["event_id"].to_numpy(zero_copy_only=False)
-        isp = g["is_purchase"].to_numpy(zero_copy_only=False) \
-            .astype(bool)
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = g["ts"].to_numpy(zero_copy_only=False)
+        isp = g["is_purchase"].to_numpy(zero_copy_only=False)
         cents = g["cents"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, ts, u))
-        u, ts, e, isp, cents = (u[order], ts[order], e[order],
-                                isp[order], cents[order])
-        n = len(u)
-        starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
+        n = len(ts)
         ends = np.concatenate((starts[1:], [n]))
         sizes = ends - starts
         idx = np.arange(n)
@@ -7843,16 +7679,11 @@ def ushape_attribution(sf_dir: str, npart: int = 32):
             "hour": pa.array(hour.astype(np.int64), type=INT64),
             "credit_u": pa.array(credit.astype(np.int64), type=INT64)})
 
-    agg = bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "event_id",
-                                 "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"])))
-    agg = combine_buckets(agg, "hour",
-                          [("n_touches", "count"), ("credit_u", "sum")])
+    agg = combine_buckets(
+        _user_timeline(sf_dir, ["user_id", "ts", "event_id", "event_type",
+                                "value"], bucket, npart=npart,
+                       reduce=partial),
+        "hour", [("n_touches", "count"), ("credit_u", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -7884,46 +7715,33 @@ def ewma_anomalies(sf_dir: str, npart: int = 32):
 
     The comparison is cross-multiplied (v·W > 2·D with W = 2¹⁶−2) so
     neither engine ever divides.  Only events with a full 16-deep
-    same-user history are scored; one user-hash exchange co-locates
-    each user's sequence."""
+    same-user history are scored; one user exchange
+    (``_user_timeline``) co-locates each user's (ts, event_id)-sorted
+    sequence."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b["user_id"],
-            "ts_us": pc.cast(b["ts"], INT64),
-            "event_id": b["event_id"],
-            "event_type": b["event_type"],
-            "v": pc.cast(pc.round(pc.multiply(b["value"], 100.0)),
-                         INT64)})
+    def cents(b: pa.Table) -> pa.Table:
+        return b.set_column(
+            b.column_names.index("value"), "v",
+            pc.cast(pc.round(pc.multiply(b["value"], 100.0)), INT64))
 
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        ts = g["ts_us"].to_numpy(zero_copy_only=False)
-        e = g["event_id"].to_numpy(zero_copy_only=False)
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
         v = g["v"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, ts, u))
-        u, v = u[order], v[order]
-        et = g["event_type"].take(pa.array(order))
-        n = len(u)
-        _, pos = segment_bounds(u)                     # 0-based in user
+        n = len(v)
+        sizes = np.diff(np.append(starts, n))
+        pos = np.arange(n) - np.repeat(starts, sizes)   # 0-based in user
         d = np.zeros(n, dtype=np.int64)
         for k in range(1, _EWMA_DEPTH + 1):
             d[k:] += v[:-k] << (_EWMA_DEPTH - k)
         scored = pos >= _EWMA_DEPTH       # full same-user history
         flagged = scored & (v * _EWMA_W > 2 * d)
         return pa.table({
-            "event_type": et,
+            "event_type": g["event_type"],
             "n_scored": pa.array(scored.astype(np.int64)),
             "n_flagged": pa.array(flagged.astype(np.int64))})
 
-    return sort_result(combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "event_id",
-                                 "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    return sort_result(combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts", "event_id", "event_type", "value"],
+        bucket, npart=npart, reduce=cents),
         "event_type", [("n_scored", "sum"), ("n_flagged", "sum")]),
         ["event_type"])
 
@@ -8242,7 +8060,8 @@ def interval_union(sf_dir: str, npart: int = 32):
     utilization/billing operator (machine uptime, ad exposure time)
     where double-counting overlaps is the classic bug.
 
-    Scale shape: one user-hash exchange; islands found with ZERO
+    Scale shape: one user exchange (``_user_timeline``, buckets sorted
+    by (user, start, end, event_id)); islands found with ZERO
     per-user Python via the offset-encoded SEGMENTED CUMMAX trick —
     cummax over (group·L + (e−base)) restarts per group for free
     because successive groups dominate by construction — then island
@@ -8252,7 +8071,7 @@ def interval_union(sf_dir: str, npart: int = 32):
     def partial(b: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(b["value"], 100.0)), INT64) \
             .to_numpy(zero_copy_only=False)
-        s = pc.cast(b["ts"], INT64).to_numpy(zero_copy_only=False)
+        s = b["ts"].to_numpy(zero_copy_only=False)
         dur = 60 + (cents % 3540)
         return pa.table({
             "user_id": b["user_id"],
@@ -8260,15 +8079,11 @@ def interval_union(sf_dir: str, npart: int = 32):
             "s": pa.array(s, type=INT64),
             "e": pa.array(s + dur * 1_000_000, type=INT64)})
 
-    def bucket(g: pa.Table) -> pa.Table:
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False)
-        ei = g["event_id"].to_numpy(zero_copy_only=False)
         s = g["s"].to_numpy(zero_copy_only=False)
         e = g["e"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ei, e, s, u))
-        u, s, e = u[order], s[order], e[order]
         n = len(u)
-        starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
         sizes = np.diff(np.append(starts, n))
         grp = np.repeat(np.arange(len(starts), dtype=np.int64), sizes)
         base = e.min()
@@ -8303,14 +8118,10 @@ def interval_union(sf_dir: str, npart: int = 32):
             "n_intervals": pa.array(sizes.astype(np.int64))})
         return isl.join(cnt, keys="user_id", join_type="inner")
 
-    return bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "event_id", "ts",
-                                 "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
+    return _user_timeline(
+        sf_dir, ["user_id", "event_id", "ts", "value"], bucket,
+        npart=npart, order=("user_id", "s", "e", "event_id"),
+        reduce=partial) \
         .map_batches(lambda b: b.select(
             ["user_id", "n_intervals", "n_islands", "covered_us"]),
             batch_format="pyarrow") \
@@ -8401,24 +8212,16 @@ def burst_audit(sf_dir: str, npart: int = 32):
     bursts straddling a boundary by up to 2×).  Output is the
     peak-burst histogram (peak → users at that peak).
 
-    Scale shape: one user exchange; the sliding count is TWO global
-    searchsorteds on the group-offset-encoded time axis (grp·L + t
-    keeps windows from leaking across users — q200's trick on a
-    different axis), per-user peaks via maximum.reduceat, and the
-    histogram folds as tiny (peak, n) partials."""
+    Scale shape: one user exchange (``_user_timeline``, buckets sorted
+    by (user, ts)); the sliding count is TWO global searchsorteds on
+    the group-offset-encoded time axis (grp·L + t keeps windows from
+    leaking across users — q200's trick on a different axis),
+    per-user peaks via maximum.reduceat, and the histogram folds as
+    tiny (peak, n) partials."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b["user_id"],
-            "t": pc.cast(b["ts"], INT64)})
-
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        t = g["t"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((t, u))
-        u, t = u[order], t[order]
-        n = len(u)
-        starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        t = g["ts"].to_numpy(zero_copy_only=False)
+        n = len(t)
         sizes = np.diff(np.append(starts, n))
         grp = np.repeat(np.arange(len(starts), dtype=np.int64), sizes)
         base = t.min()
@@ -8438,13 +8241,9 @@ def burst_audit(sf_dir: str, npart: int = 32):
         return pa.table({"peak_60s": pa.array(peak.astype(np.int64),
                                               type=INT64)})
 
-    return sort_result(combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    return sort_result(combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts"], bucket, npart=npart,
+        order=("user_id", "ts")),
         "peak_60s", [("n_users", "count")]), ["peak_60s"])
 
 
@@ -8461,28 +8260,15 @@ def journey_paths(sf_dir: str, k: int = 5, topn: int = 20,
     actually happen).  An ORDER-SENSITIVE per-key aggregate (positions
     matter), which plain groupbys cannot see.
 
-    Scale shape: one user exchange; inside a bucket the k path slots
-    fill VECTORIZED — slot j is a strided gather at starts+j masked by
+    Scale shape: one user exchange (``_user_timeline``); inside a
+    (user, ts, event_id)-sorted bucket the k path slots fill
+    VECTORIZED — slot j is a strided gather at starts+j masked by
     size>j — and join via np.char.add; path counts fold through a
     ≤|types|^k groupby with pinned (count DESC, path) top-n."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b["user_id"],
-            "t": pc.cast(b["ts"], INT64),
-            "event_id": b["event_id"],
-            "event_type": b["event_type"]})
-
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        t = g["t"].to_numpy(zero_copy_only=False)
-        ei = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ei, t, u))
-        u = u[order]
-        et = np.asarray(g["event_type"].take(pa.array(order)))
-        n = len(u)
-        starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
-        sizes = np.diff(np.append(starts, n))
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        et = g["event_type"].to_numpy(zero_copy_only=False)
+        sizes = np.diff(np.append(starts, len(et)))
         path = np.full(len(starts), "", dtype=object)
         for j in range(k):
             has = sizes > j
@@ -8490,14 +8276,9 @@ def journey_paths(sf_dir: str, k: int = 5, topn: int = 20,
             path[has] = path[has] + sep + et[starts[has] + j]
         return pa.table({"path": pa.array(path.tolist(), type=pa.string())})
 
-    top = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "event_id",
-                                 "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    top = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts", "event_id", "event_type"], bucket,
+        npart=npart),
         "path", [("n_users", "count")]) \
         .sort(["n_users", "path"], descending=[True, False]).limit(topn)
 
@@ -8981,47 +8762,32 @@ def bounce_rate(sf_dir: str, gap_minutes: int = 30, npart: int = 32):
     it contains exactly one event, and the report asks which entry
     types fail to engage: the landing-page quality metric.
 
-    Scale shape: one user exchange; session starts are the gap flags
-    (shifted diff), each session's length comes from the DISTANCE TO
-    THE NEXT FLAG (diff of flag positions — no second pass), its entry
-    type is the row AT the flag; (entry_type, bounces, sessions)
+    Scale shape: one user exchange (``_user_timeline``); session
+    starts are the user starts and the gap flags (shifted diff), each
+    session's length comes from the DISTANCE TO THE NEXT FLAG (diff of
+    flag positions — no second pass), its entry type is the row AT the
+    flag; (entry_type, bounces, sessions)
     partials close through a ≤|types| groupby with the rate as one
     final double."""
     gap_us = np.int64(gap_minutes) * 60_000_000
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b["user_id"],
-            "t": pc.cast(b["ts"], INT64),
-            "event_id": b["event_id"],
-            "event_type": b["event_type"]})
-
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        t = g["t"].to_numpy(zero_copy_only=False)
-        ei = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ei, t, u))
-        u, t = u[order], t[order]
-        et = g["event_type"].take(pa.array(order))
-        n = len(u)
-        new_sess = np.ones(n, dtype=bool)
-        new_sess[1:] = (u[1:] != u[:-1]) | ((t[1:] - t[:-1]) > gap_us)
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        t = g["ts"].to_numpy(zero_copy_only=False)
+        n = len(t)
+        new_sess = np.zeros(n, dtype=bool)
+        new_sess[starts] = True
+        new_sess[1:] |= np.diff(t) > gap_us
         fpos = np.flatnonzero(new_sess)
         slen = np.diff(np.append(fpos, n))
-        entry = et.take(pa.array(fpos))
+        entry = g["event_type"].take(fpos)
         return pa.table({
             "entry_type": entry,
             "bounces": pa.array((slen == 1).astype(np.int64)),
             "events": pa.array(slen.astype(np.int64))})
 
-    agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "event_id",
-                                 "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    agg = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts", "event_id", "event_type"], bucket,
+        npart=npart),
         "entry_type", [("sessions", "count"), ("bounces", "sum"),
                        ("events", "sum")])
 
@@ -9642,42 +9408,27 @@ def type_run_lengths(sf_dir: str, npart: int = 32):
     behavioral-momentum statistic (rage-click runs, doomscroll view
     chains) that single-event counts can't see.
 
-    Scale shape: one user exchange; runs are change-flags on the
-    (user, ts, event_id)-sorted stream, lengths are flag-position
-    diffs (q212's session machinery with TYPE changes as the cut),
-    and the (type, len) histogram folds as tiny partials."""
+    Scale shape: one user exchange (``_user_timeline``); runs are
+    change-flags on the (user, ts, event_id)-sorted stream, lengths
+    are flag-position diffs (q212's session machinery with TYPE
+    changes as the cut), and the (type, len) histogram folds as tiny
+    partials."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b["user_id"],
-            "t": pc.cast(b["ts"], INT64),
-            "event_id": b["event_id"],
-            "event_type": b["event_type"]})
-
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        t = g["t"].to_numpy(zero_copy_only=False)
-        ei = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ei, t, u))
-        u = u[order]
-        et = np.asarray(g["event_type"].take(pa.array(order)))
-        n = len(u)
-        cut = np.ones(n, dtype=bool)
-        cut[1:] = (u[1:] != u[:-1]) | (et[1:] != et[:-1])
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        et = g["event_type"].to_numpy(zero_copy_only=False)
+        n = len(et)
+        cut = np.zeros(n, dtype=bool)
+        cut[starts] = True
+        cut[1:] |= et[1:] != et[:-1]
         fpos = np.flatnonzero(cut)
         rl = np.diff(np.append(fpos, n))
         return pa.table({
             "event_type": pa.array(et[fpos].tolist(), type=pa.string()),
             "run_len": pa.array(rl.astype(np.int64), type=INT64)})
 
-    return sort_result(combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "event_id",
-                                 "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    return sort_result(combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts", "event_id", "event_type"], bucket,
+        npart=npart),
         ["event_type", "run_len"], [("n_runs", "count")]),
         ["event_type", "run_len"])
 
@@ -10328,23 +10079,13 @@ def session_handoff(sf_dir: str, gap_minutes: int = 30,
     ≤|types|² matrix groupby."""
     gap_us = np.int64(gap_minutes) * 60_000_000
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b["user_id"],
-            "t": pc.cast(b["ts"], INT64),
-            "event_id": b["event_id"],
-            "event_type": b["event_type"]})
-
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        t = g["t"].to_numpy(zero_copy_only=False)
-        ei = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ei, t, u))
-        u, t = u[order], t[order]
-        et = np.asarray(g["event_type"].take(pa.array(order)))
-        n = len(u)
-        new_sess = np.ones(n, dtype=bool)
-        new_sess[1:] = (u[1:] != u[:-1]) | ((t[1:] - t[:-1]) > gap_us)
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        t = g["ts"].to_numpy(zero_copy_only=False)
+        et = g["event_type"].to_numpy(zero_copy_only=False)
+        n = len(t)
+        new_sess = np.zeros(n, dtype=bool)
+        new_sess[starts] = True
+        new_sess[1:] |= np.diff(t) > gap_us
         fpos = np.flatnonzero(new_sess)
         slen = np.diff(np.append(fpos, n))
         multi = slen > 1
@@ -10354,14 +10095,9 @@ def session_handoff(sf_dir: str, gap_minutes: int = 30,
             "entry_type": pa.array(entry.tolist(), type=pa.string()),
             "exit_type": pa.array(exit_.tolist(), type=pa.string())})
 
-    return sort_result(combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "event_id",
-                                 "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    return sort_result(combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts", "event_id", "event_type"], bucket,
+        npart=npart),
         ["entry_type", "exit_type"], [("n_sessions", "count")]),
         ["entry_type", "exit_type"])
 
@@ -10641,28 +10377,16 @@ def survival_table(sf_dir: str, npart: int = 32):
     oracle-exact deliverable; q180's "ship the exact ints, not the
     float fold" discipline).
 
-    Scale shape: one user exchange pivots each user's first signup,
-    first subsequent purchase and last event in one pass; the
+    Scale shape: one user exchange (``_user_timeline``) pivots each
+    user's first signup, first subsequent purchase and last event in
+    one pass; the
     (hour, event/censor) histogram is bounded by the stream horizon
     and the at-risk walk runs on that tiny table."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b["user_id"],
-            "t": pc.cast(b["ts"], INT64),
-            "event_id": b["event_id"],
-            "event_type": b["event_type"]})
-
-    def bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        t = g["t"].to_numpy(zero_copy_only=False)
-        ei = g["event_id"].to_numpy(zero_copy_only=False)
-        et = np.asarray(g["event_type"])
-        order = np.lexsort((ei, t, u))
-        u, t, et = u[order], t[order], et[order]
-        n = len(u)
-        starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
-        sizes = np.diff(np.append(starts, n))
+    def bucket(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        t = g["ts"].to_numpy(zero_copy_only=False)
+        et = g["event_type"].to_numpy(zero_copy_only=False)
+        sizes = np.diff(np.append(starts, len(t)))
         gi = np.repeat(np.arange(len(starts)), sizes)
         big = np.iinfo(np.int64).max
         s_t = np.full(len(starts), big, dtype=np.int64)
@@ -10688,14 +10412,9 @@ def survival_table(sf_dir: str, npart: int = 32):
                 (np.zeros(len(hr_conv), dtype=np.int64),
                  np.ones(len(hr_cens), dtype=np.int64))))})
 
-    agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "event_id",
-                                 "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    agg = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts", "event_id", "event_type"], bucket,
+        npart=npart),
         "hour", [("d", "sum"), ("c", "sum")])
 
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
@@ -11007,25 +10726,16 @@ def error_recovery(sf_dir: str, npart: int = 32):
     incident-UX metric (error→purchase fast = benign; error→nothing =
     churn signal).
 
-    Scale shape: one user exchange; the next event is the shifted
-    row of the (user, ts, event_id)-sorted stream; whole-second
+    Scale shape: one user exchange (``_user_timeline``); the next
+    event is the shifted row of the (user, ts, event_id)-sorted
+    stream; whole-second
     integer lags fold as (type, n, Σs) partials, mean = floor
     division."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b["user_id"],
-            "t": pc.cast(b["ts"], INT64),
-            "event_id": b["event_id"],
-            "event_type": b["event_type"]})
-
-    def bucket(g: pa.Table) -> pa.Table:
+    def bucket(g: pa.Table, _starts) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False)
-        t = g["t"].to_numpy(zero_copy_only=False)
-        ei = g["event_id"].to_numpy(zero_copy_only=False)
-        et = np.asarray(g["event_type"])
-        order = np.lexsort((ei, t, u))
-        u, t, et = u[order], t[order], et[order]
+        t = g["ts"].to_numpy(zero_copy_only=False)
+        et = g["event_type"].to_numpy(zero_copy_only=False)
         n = len(u)
         is_err = et == "error"
         same_next = np.zeros(n, dtype=bool)
@@ -11042,14 +10752,9 @@ def error_recovery(sf_dir: str, npart: int = 32):
             "sum_lag_s": pa.array(np.where(rec, lag_s, 0)[sel],
                                   type=INT64)})
 
-    agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "event_id",
-                                 "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: with_part(b, "user_id", npart),
-                     batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))),
+    agg = combine_buckets(_user_timeline(
+        sf_dir, ["user_id", "ts", "event_id", "event_type"], bucket,
+        npart=npart),
         "next_type", [("n", "count"), ("sum_lag_s", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:

@@ -45,13 +45,6 @@ def _pull(ds: rd.Dataset) -> pa.Table:
                              else t for t in tabs])
 
 
-def deepest_paths(log_ds: rd.Dataset, k: int = 20) -> pa.Table:
-    """Top-k fetched URLs by crawl depth (depth DESC, url ASC)."""
-    top = log_ds.sort(["depth", "url"], descending=[True, False]).limit(k)
-    return _pull(top).select(
-        ["url", "host", "depth", "round", "fetch_seq"])
-
-
 def crawl_metrics(log_ds: rd.Dataset) -> pa.Table:
     """Per-round scheduling metrics: (round, n_fetched, n_ok, n_hosts,
     min_seq, max_seq) — the G15 aggregate the driver/ops dashboards

@@ -68,11 +68,9 @@ class WriteWarcShard:
     stage doubles as index construction (zero extra passes).
     """
 
-    def __init__(self, out_dir: str, date: str = "2026-01-01T00:00:00Z",
-                 compress: bool = True):
+    def __init__(self, out_dir: str, date: str = "2026-01-01T00:00:00Z"):
         self.out_dir = out_dir
         self.date = date
-        self.compress = compress
         os.makedirs(out_dir, exist_ok=True)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -80,24 +78,17 @@ class WriteWarcShard:
             return pa.table({f.name: [] for f in CDX_SCHEMA}, schema=CDX_SCHEMA)
         rec_ids = batch["record_id"].to_pylist()
         name_h = hashlib.sha1("|".join(rec_ids).encode()).hexdigest()[:16]
-        ext = ".warc.gz" if self.compress else ".warc"
-        shard_name = f"part-{name_h}{ext}"
+        shard_name = f"part-{name_h}.warc.gz"
         shard_path = os.path.join(self.out_dir, shard_name)
 
-        info = warcinfo_bytes(shard_name, self.date)
-        records = batch["record_bytes"]
-        if self.compress:
-            # content-type-driven effort: high-entropy media payloads
-            # get STORED members (level-9 match search over them is
-            # ~12x the CPU for zero ratio gain); text keeps level 9
-            stored = (batch["entropy_hint"].to_numpy()
-                      if "entropy_hint" in batch.column_names else None)
-            head = gzipm.compress_member(info)
-            body, rec_lengths = gzipm.compress_members(records, stored)
-        else:
-            head = info
-            body = b"".join(records.to_pylist())
-            rec_lengths = pc.binary_length(records).to_numpy()
+        # content-type-driven effort: high-entropy media payloads get
+        # STORED members (level-9 match search over them is ~12x the
+        # CPU for zero ratio gain); text keeps level 9
+        stored = (batch["entropy_hint"].to_numpy()
+                  if "entropy_hint" in batch.column_names else None)
+        head = gzipm.compress_member(warcinfo_bytes(shard_name, self.date))
+        body, rec_lengths = gzipm.compress_members(batch["record_bytes"],
+                                                   stored)
         return _land_shard(shard_path, head, body, rec_lengths,
                            batch["target_uri"], batch["record_id"],
                            batch["rec_type"], batch["payload_digest"])
@@ -135,7 +126,7 @@ def _land_shard(shard_path: str, head: bytes, body: bytes, rec_lengths,
     }, schema=CDX_SCHEMA)
 
 
-def write_warc_shards(records_ds, out_dir: str, *, compress: bool = True,
+def write_warc_shards(records_ds, out_dir: str, *,
                       date: str = "2026-01-01T00:00:00Z",
                       batch_size: int = 2048, clean: bool = True):
     """Serialize+write a Dataset of serialized records; returns the CDX
@@ -148,12 +139,11 @@ def write_warc_shards(records_ds, out_dir: str, *, compress: bool = True,
     via their manifest (G16), rather than merging files in place.
     """
     if clean and os.path.isdir(out_dir):
-        suffix = ".warc.gz" if compress else ".warc"
         for name in os.listdir(out_dir):
-            if name.endswith(suffix) or ".tmp-" in name:
+            if name.endswith(".warc.gz") or ".tmp-" in name:
                 os.unlink(os.path.join(out_dir, name))
     return records_ds.map_batches(
-        WriteWarcShard(out_dir, date=date, compress=compress),
+        WriteWarcShard(out_dir, date=date),
         batch_format="pyarrow",
         batch_size=batch_size,
     )

@@ -818,7 +818,3 @@ def simhash64(batch: pa.Table, id_col: str = "doc_id",
         val = np.bitwise_or.reduce(bitw[pos]) if pos.any() else np.uint64(0)
         out.append(format(int(val), "016x"))
     return pa.table({"doc_id": ids, "simhash": pa.array(out, type=pa.string())})
-
-
-def simhash_hamming(a: str, b: str) -> int:
-    return bin(int(a, 16) ^ int(b, 16)).count("1")

@@ -47,7 +47,13 @@ def _mg_fold(parts: rd.Dataset, target_per_group: int,
     """Misra-Gries hot hosts from per-block partials: each block's exact
     host counts prune to ≤``cells`` counters, the driver folds them one
     block at a time (re-pruning an oversized fold buffer) and keeps the
-    hosts whose count UPPER bound clears ``target_per_group``."""
+    hosts whose count UPPER bound clears ``target_per_group``.
+
+    Driver state is O(cells) at any host cardinality.  The MG
+    guarantee (under-count ≤ n/(cells+1), merge-preserved — Agarwal et
+    al., "Mergeable Summaries") means every host with true count >
+    target survives whenever target ≥ n/(cells+1).  Returns ``(hot
+    host → upper-bound count, n)``, n = links with a host."""
     from .sketch import mg_prune
 
     def prune(acc: dict[str, int]) -> dict[str, int]:
@@ -74,30 +80,6 @@ def _mg_fold(parts: rd.Dataset, target_per_group: int,
     err = total // (cells + 1)
     return {h: c + err for h, c in acc.items()
             if c + err > target_per_group}, total
-
-
-def mg_hot_hosts(ds: rd.Dataset, url_col: str = "url",
-                 target_per_group: int = 50_000,
-                 cells: int = 4096) -> tuple[dict[str, int], int]:
-    """Bounded hot-host pre-pass: per-block exact host counts pruned to
-    a ≤``cells``-row Misra-Gries summary; the driver folds the
-    summaries and keeps only hosts whose count UPPER bound clears the
-    salt threshold.
-
-    Driver state is O(cells), independent of host cardinality (10⁸
-    hosts at web scale).  The MG guarantee (under-count ≤ n/(cells+1),
-    merge-preserved — Agarwal et al., "Mergeable Summaries") means
-    every host with true count > target survives whenever target ≥
-    n/(cells+1); below that the host was ≤ 1/(cells+1) of the data and
-    could not skew a ≥cells-way reduce in the first place.  Upper-bound
-    counts (est + fold error) only OVER-salt — salting is semantically
-    transparent, so results are unchanged either way (the
-    salted-vs-unsalted parity test pins this).
-
-    Returns ``(hot_host → upper-bound count, n)``, n = links with a
-    host.
-    """
-    return _mg_fold(_host_partials(ds, url_col), target_per_group, cells)
 
 
 def salt_factors(counts: dict[str, int], target_per_group: int = 50_000,

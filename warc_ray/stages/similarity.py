@@ -115,7 +115,9 @@ class NearDupPairs:
     """Cosine-threshold pairs: each batch × broadcast full matrix.
 
     O(n·N) per pass — exact; the IVF variant below is the scale path.
-    Outputs integer pair ids only (a < b).
+    Outputs integer pair ids only (a < b).  No pipeline runs it: it is
+    the reference ``neardup_pairs_blocked`` is compared against
+    (``tests/test_dedup.py::test_blocked_neardup_matches_broadcast``).
     """
 
     def __init__(self, all_ids: np.ndarray, all_matrix: np.ndarray,

@@ -86,11 +86,6 @@ def url_sha1(url: str) -> bytes:
     return hashlib.sha1(url.encode("utf-8")).digest()
 
 
-def url_hash64(url: str) -> int:
-    """uint64 key for the cuckoo filter (first 8 digest bytes)."""
-    return int.from_bytes(url_sha1(url)[:8], "big")
-
-
 # Already-canonical fast path: lowercase http scheme+host (no port, no
 # trailing dot), non-empty path containing no '%', '?', '#', or '.'
 # → canonicalize_url(u) == u by construction.  Covers ~all in-crawl
