@@ -112,17 +112,14 @@ def _revisit_dedup_q(sf_dir: str):
 
 
 def _seen_dedup_q(sf_dir: str):
-    import ray.data as rd
-
     import pyarrow as pa
 
+    from warc_ray.sources._util import read_parquet
     from warc_ray.stages.exchange import combine_buckets
     from warc_ray.stages.urls import canonicalize_batch, extract_links
 
     cdir = _corpus_for(sf_dir)
-    # few big blocks: every downstream exchange's fixed cost scales
-    # with block count, and the partial rows are small
-    ds = rd.read_parquet(corpus_mod.docs_path(cdir), override_num_blocks=64)
+    ds = read_parquet(corpus_mod.docs_path(cdir))
 
     def partial(b: pa.Table) -> pa.Table:
         # with_hashes=False: this pipeline groups on the canonical URL
@@ -146,20 +143,15 @@ def _hll_host_distinct_q(sf_dir: str):
     alternative to q51's exact exchange.  Value-exact vs the DuckDB
     oracle (md5-prefix-64 key hash + integer estimator); accuracy and
     merge laws additionally pytest-gated."""
-    import ray.data as rd
-
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from warc_ray.sources._util import read_parquet
     from warc_ray.stages.sketch import hll_distinct
     from warc_ray.stages.urls import extract_links
 
     cdir = _corpus_for(sf_dir)
-    # sketch partials ship one 4 KB register cell per (host, BLOCK):
-    # the exchange volume is hosts × 4 KB × n_blocks, so block count
-    # should track CPU parallelism, not data size (64 blocks measured
-    # 3.4× slower than 16 here for zero extra parallelism gain)
-    ds = rd.read_parquet(corpus_mod.docs_path(cdir), override_num_blocks=16)
+    ds = read_parquet(corpus_mod.docs_path(cdir))
 
     def links_with_host(b: pa.Table) -> pa.Table:
         links = extract_links(b)
@@ -183,15 +175,14 @@ def _cms_url_refs_q(sf_dir: str):
     oracle (the D row hashes are the four 32-bit chunks of one md5, so
     SQL folds the same hex chunks); no-undercount / merge laws
     additionally pytest-gated."""
-    import ray.data as rd
-
     import pyarrow as pa
 
+    from warc_ray.sources._util import read_parquet
     from warc_ray.stages.sketch import cms_freq
     from warc_ray.stages.urls import extract_links
 
     cdir = _corpus_for(sf_dir)
-    ds = rd.read_parquet(corpus_mod.docs_path(cdir), override_num_blocks=16)
+    ds = read_parquet(corpus_mod.docs_path(cdir))
 
     def links(b: pa.Table) -> pa.Table:
         return extract_links(b).select(["url"])
@@ -295,15 +286,13 @@ def _crawl_metrics_q(sf_dir: str):
 def _host_link_stats_q(sf_dir: str):
     """Per-host inbound-link aggregation with hot-key salting (G11) —
     host-0 owns ~20% of the corpus, the exact skew the salting splits."""
-    import ray.data as rd
-
+    from warc_ray.sources._util import read_parquet
     from warc_ray.stages.exchange import sort_result
     from warc_ray.stages.hoststats import host_link_stats
     from warc_ray.stages.urls import extract_links
 
     cdir = _corpus_for(sf_dir)
-    links = rd.read_parquet(corpus_mod.docs_path(cdir),
-                            override_num_blocks=64).map_batches(
+    links = read_parquet(corpus_mod.docs_path(cdir)).map_batches(
         lambda b: extract_links(b), batch_format="pyarrow", batch_size=None)
     # one row per host: sorted on the driver, not by a Ray sort
     return sort_result(host_link_stats(links, target_per_group=2_000),
@@ -319,15 +308,13 @@ def _heavy_hitter_hosts_q(sf_dir: str):
     shaped ever shuffles or lands on the driver — the bounded-memory
     complement to q56's exact per-host exchange and q49's CMS
     estimates."""
-    import ray.data as rd
-
+    from warc_ray.sources._util import read_parquet
     from warc_ray.stages.hoststats import add_host_column
     from warc_ray.stages.sketch import mg_heavy_hitters
     from warc_ray.stages.urls import extract_links
 
     cdir = _corpus_for(sf_dir)
-    hosts = rd.read_parquet(corpus_mod.docs_path(cdir),
-                            override_num_blocks=64).map_batches(
+    hosts = read_parquet(corpus_mod.docs_path(cdir)).map_batches(
         lambda b: add_host_column(extract_links(b)).select(["host"]),
         batch_format="pyarrow", batch_size=None)
     return mg_heavy_hitters(hosts, "host", k=64, phi_inv=64,

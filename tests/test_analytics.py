@@ -1600,6 +1600,22 @@ def test_windowed_pairs_matches_bruteforce(ray_session):
     assert sum(n for n, _ in exp.values()) > 0
 
 
+def test_windowed_pairs_never_cross_users(ray_session, tmp_path):
+    """q165 pairs only one user's events, whatever the bucket's
+    timestamp span: user 0 clicks 2^43 - 10 µs after user 1 purchases,
+    both in one bucket, and no pair comes back."""
+    from warc_ray.pipelines.analytics import windowed_pair_join
+
+    t0 = 1_700_000_000_000_000
+    pq.write_table(pa.table({
+        "user_id": pa.array([1, 0], type=pa.int64()),
+        "ts": pa.array([t0, t0 + (1 << 43) - 10], type=pa.timestamp("us")),
+        "event_type": ["purchase", "click"],
+    }), str(tmp_path / "events.parquet"))
+    got = windowed_pair_join(str(tmp_path), npart=1).to_pandas()
+    assert got.empty
+
+
 def test_bootstrap_weights_and_ci(ray_session):
     """q166: pinned-threshold Poisson weights have the right first two
     moments, and the replicate CI brackets the point mean at t1."""

@@ -237,9 +237,10 @@ def test_offer_counts_suppressed_repeats():
 
 
 def test_seed_offers_split_matches_serial():
-    """Seed slices canonicalized apart and concatenated per shard give
-    each shard the serial path's rows, keep only the offer columns, and
-    one shard gets its pair bare."""
+    """Strided seed slices canonicalized apart and concatenated per
+    shard give each shard the serial path's rows once sorted by their
+    global ``src_offset`` (the seal's order), keep only the offer
+    columns, and one shard gets its pair bare."""
     import pyarrow as pa
 
     from warc_ray.stages.urls import urls_from_seeds
@@ -248,16 +249,16 @@ def test_seed_offers_split_matches_serial():
 
     seeds = corpus.read_seeds(corpus.ensure_corpus("t2"))
     n = seeds.num_rows
-    bounds = [0, 7, 7, 30, n]
-    parts = [seed_offers(seeds, lo, hi, 3)
-             for lo, hi in zip(bounds, bounds[1:])]
     serial = split_by_host_shard(urls_from_seeds(seeds), 3)
-    for s in range(3):
-        assert all(p[s][1] == 0 for p in parts)
-        got = pa.concat_tables([p[s][0] for p in parts])
-        assert got.column_names == OFFER_COLS
-        assert got.equals(serial[s].select(OFFER_COLS))
-    table, n_suppressed = seed_offers(seeds, 0, n, 1)
+    for k in (1, 4, 7):
+        parts = [seed_offers(seeds, i, k, 3) for i in range(k)]
+        for s in range(3):
+            assert all(p[s][1] == 0 for p in parts)
+            got = pa.concat_tables([p[s][0] for p in parts]) \
+                .sort_by("src_offset")
+            assert got.column_names == OFFER_COLS
+            assert got.equals(serial[s].select(OFFER_COLS))
+    table, n_suppressed = seed_offers(seeds, 0, 1, 1)
     assert table.num_rows == n and n_suppressed == 0
 
 

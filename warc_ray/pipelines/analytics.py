@@ -25,6 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..sources._util import read_parquet
 from ..stages.exchange import (bucket_exchange, combine_buckets,
                                segment_bounds, sort_result, with_part)
 
@@ -70,18 +71,6 @@ def _grp_span_chunks(n_groups: int, span: int, starts, n_rows: int):
         row_hi = int(starts[g_hi]) if g_hi < n_groups else n_rows
         yield row_lo, row_hi, g
         g = g_hi
-
-
-def _read_capped(path: str, columns=None):
-    """read_parquet with block count capped to ~2× cluster CPUs: many-
-    file corpus dirs otherwise make every downstream all-to-all inherit
-    hundreds of partitions (the q53 reader lesson — task overhead
-    dwarfs the 32-way exchanges these scans feed)."""
-    import ray as _ray
-
-    nblocks = max(8, 2 * int(_ray.cluster_resources().get("CPU", 8)))
-    return rd.read_parquet(path, columns=columns,
-                           override_num_blocks=nblocks)
 
 
 def _user_timeline(sf_dir: str, columns: list[str], bucket_fn, *,
@@ -613,7 +602,7 @@ def degree_histogram(docs_path: str, npart: int = 32):
         })
 
     agg = combine_buckets(bucket_exchange(
-        _read_capped(docs_path, columns=["doc_id", "spans"])
+        read_parquet(docs_path, columns=["doc_id", "spans"])
         .map_batches(scan, batch_format="pyarrow"), bucket),
         ["side", "degree"], [("n", "sum")])
     return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
@@ -1305,7 +1294,7 @@ def seed_distance_histogram(docs_path: str, seeds_path: str,
         su, r"/doc/(?P<i>\d+)"), "i"), INT64).to_numpy(
         zero_copy_only=False)
 
-    edge_ds = _read_capped(docs_path, columns=["doc_id", "spans"]) \
+    edge_ds = read_parquet(docs_path, columns=["doc_id", "spans"]) \
         .map_batches(edges, batch_format="pyarrow")
     t = bfs_distance(edge_ds, np.unique(seeds), nparts=nparts)
     d = t["dist"].to_numpy(zero_copy_only=False)
@@ -2306,7 +2295,7 @@ def host_reciprocity(docs_path: str, n_hosts: int):
                                       type=INT64)})
 
     parts = bucket_exchange(
-        _read_capped(docs_path, columns=["doc_id", "spans"])
+        read_parquet(docs_path, columns=["doc_id", "spans"])
         .map_batches(edges, batch_format="pyarrow"), bucket)
     # per-bucket counters only — the driver never sees an edge table
     n_edges = n_self = n_recip = 0
@@ -3289,7 +3278,7 @@ def triangle_count(docs_path: str, nparts: int = 16,
     # per-key sort-aggregate over millions of distinct edges) and the
     # kpart column is reused verbatim for the closure routing below
     edges = bucket_exchange(
-        _read_capped(docs_path, columns=["doc_id", "spans"])
+        read_parquet(docs_path, columns=["doc_id", "spans"])
         .map_batches(edge_partial, batch_format="pyarrow")
         .map_batches(lambda b: b.append_column(
             "kpart", pc.cast(pc.bit_wise_and(
@@ -5070,7 +5059,7 @@ def _forest_doubling(sf_dir: str, npart: int, acc_col: str, acc_init,
             "cents": cents,
         })
 
-    state = _read_capped(_pq(sf_dir, "part"),
+    state = read_parquet(_pq(sf_dir, "part"),
                          columns=["p_partkey", "p_retailprice"]) \
         .map_batches(init, batch_format="pyarrow").materialize()
     n_total = state.count()          # metadata on a materialized ds
@@ -5536,11 +5525,12 @@ def windowed_pair_join(sf_dir: str, npart: int = 32,
 
     Scale shape: the scan prunes to the two event types and ships only
     (user, ts) rows through ONE user exchange (``_user_timeline``);
-    each bucket pairs via composite-key searchsorted (user_rank·2^43 +
-    ts-offset — the 1h window can never cross a user boundary) with a
-    prefix-sum over purchase timestamps turning per-click lag sums into
-    two gathers — no pair list ever materializes, output is O(days)
-    partials.
+    each bucket pairs via composite-key searchsorted (user_rank·W +
+    dense rank of ts among the bucket's click, purchase and click+lag
+    timestamps, W = their count — exact for any timestamp span, so a
+    window never crosses a user boundary) with a prefix-sum over
+    purchase timestamps turning per-click lag sums into two gathers —
+    no pair list ever materializes, output is O(days) partials.
     Oracle: the quadratic self-join (value-exact)."""
 
     US_DAY = np.int64(86_400_000_000)
@@ -5555,18 +5545,21 @@ def windowed_pair_join(sf_dir: str, npart: int = 32,
         u = g["user_id"].to_numpy(zero_copy_only=False)
         ts = g["ts"].to_numpy(zero_copy_only=False)
         isc = g["is_click"].to_numpy(zero_copy_only=False)
-        lo_ts = ts.min()
         _, rank = np.unique(u, return_inverse=True)
-        comp = rank.astype(np.int64) * np.int64(1 << 43) + (ts - lo_ts)
-        ck, cts = np.sort(comp[isc]), None
-        order_c = np.argsort(comp[isc], kind="stable")
-        cts = ts[isc][order_c]
-        pk_order = np.argsort(comp[~isc], kind="stable")
-        pk = comp[~isc][pk_order]
-        pts = ts[~isc][pk_order].astype(np.int64)
-        psum = np.concatenate([[0], np.cumsum(pts)])
-        lo = np.searchsorted(pk, ck, side="right")
-        hi = np.searchsorted(pk, ck + np.int64(lag_max_us), side="right")
+        rank = rank.astype(np.int64)
+        cts, cend, pts = ts[isc], ts[isc] + np.int64(lag_max_us), ts[~isc]
+        vals = np.unique(np.concatenate([cts, cend, pts]))
+        width = np.int64(vals.size)
+
+        def key(r, t):
+            return r * width + np.searchsorted(vals, t)
+
+        pk = key(rank[~isc], pts)
+        pk_order = np.argsort(pk, kind="stable")
+        pk = pk[pk_order]
+        psum = np.concatenate([[0], np.cumsum(pts[pk_order])])
+        lo = np.searchsorted(pk, key(rank[isc], cts), side="right")
+        hi = np.searchsorted(pk, key(rank[isc], cend), side="right")
         n = (hi - lo).astype(np.int64)
         lag = (psum[hi] - psum[lo]) - n * cts
         day = (cts // US_DAY).astype(np.int64)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ray.data as rd
 
 from ..sinks.warc_sink import write_warc_shards
+from ..sources._util import read_parquet
 from ..stages.assemble import fused_doc_records
 from ..stages.exchange import bucket_exchange, combine_buckets, sort_result
 
@@ -176,18 +177,9 @@ def revisit_decisions(archive_dir: str, corpus_docs_path: str,
         return pa.table({"decision": dec,
                          "payload_bytes": hit["body_len_min"]})
 
-    # cap read block counts: Ray sizes blocks from file counts here
-    # (200 cdx files + 256 doc splits), and the downstream all-to-all
-    # inherits that as its partition count — ~450 sort partitions cost
-    # ~10x the 32-way exchange they feed (the q53 reader lesson)
-    import ray as _ray
-    nblocks = max(8, 2 * int(_ray.cluster_resources().get("CPU", 8)))
-    cdx = rd.read_parquet(archive_dir + "-cdx",
-                          override_num_blocks=nblocks) \
+    cdx = read_parquet(archive_dir + "-cdx") \
         .map_batches(cdx_side, batch_format="pyarrow")
-    snap = rd.read_parquet(corpus_docs_path,
-                           columns=["doc_id", "spans"],
-                           override_num_blocks=nblocks) \
+    snap = read_parquet(corpus_docs_path, columns=["doc_id", "spans"]) \
         .map_batches(recrawl_side, batch_format="pyarrow")
     import pyarrow as _pa
 

@@ -188,10 +188,10 @@ class WarcWriter:
         self._reset_busy()
         return b
 
-    def seed_offers(self, seeds: pa.Table, lo: int, hi: int,
+    def seed_offers(self, seeds: pa.Table, i: int, k: int,
                     num_shards: int):
         # writers are idle before round 0, so they seed too
-        return seed_offers(seeds, lo, hi, num_shards)
+        return seed_offers(seeds, i, k, num_shards)
 
 
 @ray.remote
@@ -253,9 +253,9 @@ class CrawlWorker:
             log_dir, f"part-{self.worker_id:03d}-r{upto:05d}.parquet"))
         return tbl.num_rows
 
-    def seed_offers(self, seeds: pa.Table, lo: int, hi: int,
+    def seed_offers(self, seeds: pa.Table, i: int, k: int,
                     num_shards: int):
-        return seed_offers(seeds, lo, hi, num_shards)
+        return seed_offers(seeds, i, k, num_shards)
 
     def process_round_refs(self, t: int, slice_refs: list,
                            write_warc: bool) -> tuple:
@@ -545,21 +545,20 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         # actor fleet (writers and shards are idle before round 0) —
         # seed canonicalization+sha1 was ~11 s of serial driver time at
         # bench scale, a fixed cost that capped scaling efficiency.
-        # src_offset bases keep the ingestion order byte-identical to
-        # the serial path (seal sorts offers deterministically).
+        # Slice i of k takes rows i, i+k, …, so costly seed rows spread
+        # over all slices; global src_offsets keep the ingestion order
+        # byte-identical to the serial path (seal sorts offers).
         seeds_tbl = corpus_mod.read_seeds(corpus_dir)
         seed_pool = list(workers) + list(writers) + list(shards)
         n_seeds = seeds_tbl.num_rows
         seed_slices = max(1, min(len(seed_pool),
                                  n_seeds // SEED_SLICE_ROWS or 1))
         seeds_ref = ray.put(seeds_tbl)
-        bounds = [n_seeds * i // seed_slices
-                  for i in range(seed_slices + 1)]
         seeded = [
             _ref_list(seed_pool[i % len(seed_pool)].seed_offers.options(
                 num_returns=n_shards).remote(
-                    seeds_ref, bounds[i], bounds[i + 1], n_shards))
-            for i in range(seed_slices) if bounds[i + 1] > bounds[i]
+                    seeds_ref, i, seed_slices, n_shards))
+            for i in range(min(seed_slices, n_seeds))
         ]
         # wait without pulling the tables here: they go to the shards
         flat = [r for refs in seeded for r in refs]

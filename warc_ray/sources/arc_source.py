@@ -308,9 +308,7 @@ def read_arc(paths, *, batch_rows: int = 512,
     ``location``, and the scan completes."""
     src = ArcDatasource(paths, batch_rows=batch_rows, on_error=on_error)
     if "override_num_blocks" not in kwargs:
-        # CPU-scaled file-level parallelism (see _util.default_read_blocks:
-        # Ray's own estimate under-splits gzip; raw file count over-splits
-        # downstream shuffles)
+        # the engine's read-block rule, capped at the file count
         from ._util import default_read_blocks
 
         try:

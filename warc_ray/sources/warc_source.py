@@ -400,9 +400,7 @@ def read_warc(paths, *, batch_rows: int = 512,
                                 batch_format="pyarrow", batch_size=1)
     src = WarcDatasource(paths, batch_rows=batch_rows, on_error=on_error)
     if "override_num_blocks" not in kwargs:
-        # CPU-scaled file-level parallelism (see _util.default_read_blocks:
-        # Ray's own estimate under-splits gzip; raw file count over-splits
-        # downstream shuffles)
+        # the engine's read-block rule, capped at the file count
         from ._util import default_read_blocks
 
         try:

@@ -675,6 +675,7 @@ def media_index_from_corpus(corpus_dir: str,
     import ray.data as rd
 
     from .. import corpus as corpus_mod
+    from ..sources._util import read_parquet
     from ..stages.urls import extract_links
 
     import pyarrow.compute as pc
@@ -697,12 +698,7 @@ def media_index_from_corpus(corpus_dir: str,
         m = np.unique(g["midx"].to_numpy(zero_copy_only=False))
         return pa.table({"midx": pa.array(m, type=pa.int64())})
 
-    # read a few dozen big blocks (not one per row-group): every
-    # downstream shuffle's partition count — and Ray's per-block fixed
-    # costs — scale with block count, and the index rows are tiny.
-    # On a multi-node cluster size this to ~2-4 blocks per node.
-    ds = rd.read_parquet(corpus_mod.docs_path(corpus_dir),
-                         override_num_blocks=64)
+    ds = read_parquet(corpus_mod.docs_path(corpus_dir))
     if limit_docs:
         ds = ds.limit(limit_docs)
     idx = ds.map_batches(to_media_idx, batch_format="pyarrow",

@@ -225,20 +225,22 @@ def extract_links(batch: pa.Table, spans_col: str = "spans",
     })
 
 
-def urls_from_seeds(seeds: pa.Table, offset0: int = 0) -> pa.Table:
+def urls_from_seeds(seeds: pa.Table, offsets=None) -> pa.Table:
     """Seed table → canonical URL rows with seed discovery order.
 
-    ``offset0`` is the slice's base discovery index: parallel seeding
-    splits the seed table into row ranges and each task passes its
-    range start, so the global ``src_offset`` ordering (and therefore
-    frontier ingestion order) is identical to the serial path."""
+    ``offsets`` are the rows' indices in the whole seed list (default
+    ``0 … n-1``): parallel seeding hands each task a subset of the rows
+    with their global indices, so the global ``src_offset`` ordering
+    (and therefore frontier ingestion order) is identical to the serial
+    path."""
     n = seeds.num_rows
+    if offsets is None:
+        offsets = np.arange(n)
     t = pa.table({
         "url": seeds["url"],
         "priority": pc.cast(seeds["priority"], pa.int32()),
         "src_doc": pa.array([""] * n, type=pa.string()),
-        "src_offset": pa.array(np.arange(offset0, offset0 + n,
-                                         dtype=np.int32)),
+        "src_offset": pa.array(np.asarray(offsets, dtype=np.int32)),
         "depth": pa.array(np.zeros(n, dtype=np.int32)),
     })
     return canonicalize_batch(t)

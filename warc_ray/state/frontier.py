@@ -570,19 +570,23 @@ def split_by_host_shard(table: pa.Table, num_shards: int) -> list:
     return out
 
 
-def seed_offers(seeds: pa.Table, lo: int, hi: int, num_shards: int):
-    """Canonicalize seed rows ``[lo, hi)`` into one ``(offer_table, 0)``
-    per owning shard — the shape of a fetch worker's round offers, so
-    the seeds reach the round-0 seal as its arguments.  ``src_offset``
-    counts from ``lo``: any split of the seed list seals in the serial
-    order.  Every actor of the crawl fleet runs this (parallel seeding);
-    call it with ``num_returns=num_shards``.  Ray stores a
-    ``num_returns=1`` call's whole value as its one object, so a single
-    shard gets its pair bare, not in a 1-tuple."""
+def seed_offers(seeds: pa.Table, i: int, k: int, num_shards: int):
+    """Canonicalize slice ``i`` of ``k`` of the seed list — rows ``i,
+    i+k, i+2k, …`` — into one ``(offer_table, 0)`` per owning shard, the
+    shape of a fetch worker's round offers, so the seeds reach the
+    round-0 seal as its arguments.  Strided, not contiguous: a seed
+    list whose costly rows sit together (perfbench appends its
+    non-canonical variants at the end) would otherwise load one slice
+    alone.  ``src_offset`` is each row's index in the whole list, and
+    the seal sorts, so any split seals in the serial order.  Every
+    actor of the crawl fleet runs this (parallel seeding); call it with
+    ``num_returns=num_shards``.  Ray stores a ``num_returns=1`` call's
+    whole value as its one object, so a single shard gets its pair
+    bare, not in a 1-tuple."""
     from ..stages.urls import urls_from_seeds
 
-    part = urls_from_seeds(seeds.slice(lo, hi - lo),
-                           offset0=lo).select(OFFER_COLS)
+    rows = np.arange(i, seeds.num_rows, k)
+    part = urls_from_seeds(seeds.take(rows), offsets=rows).select(OFFER_COLS)
     out = tuple((part.slice(0, 0) if sub is None else sub, 0)
                 for sub in split_by_host_shard(part, num_shards))
     return out if num_shards > 1 else out[0]
@@ -657,11 +661,11 @@ def make_frontier_shard_cls():
                 core.load(restore_path)
             self.core = core
 
-        def seed_offers(self, seeds: pa.Table, lo: int, hi: int,
+        def seed_offers(self, seeds: pa.Table, i: int, k: int,
                         num_shards: int):
             # an idle shard seeds too: it takes no offer calls, so its
             # own seal never waits behind this one
-            return seed_offers(seeds, lo, hi, num_shards)
+            return seed_offers(seeds, i, k, num_shards)
 
         def seal_round(self, *offers) -> dict:
             """Seal the round's offers: one ``(offer_table,
