@@ -147,6 +147,7 @@ def _hll_host_distinct_q(sf_dir: str):
     import pyarrow.compute as pc
 
     from warc_ray.sources._util import read_parquet
+    from warc_ray.stages.exchange import sort_result
     from warc_ray.stages.sketch import hll_distinct
     from warc_ray.stages.urls import extract_links
 
@@ -159,10 +160,10 @@ def _hll_host_distinct_q(sf_dir: str):
             links["url"], r"^https?://(?P<host>[^/:]+)"), "host")
         return pa.table({"url": links["url"], "host": host})
 
-    return hll_distinct(
+    return sort_result(hll_distinct(
         ds.map_batches(links_with_host, batch_format="pyarrow",
                        batch_size=None),
-        key_col="url", group_col="host").sort("host")
+        key_col="url", group_col="host"), "host")
 
 
 def _cms_url_refs_q(sf_dir: str):
@@ -264,9 +265,11 @@ def _crawl_q(sf_dir: str):
     value parity vs the single-process oracle is asserted in pytest —
     here the driver records the rows-only check."""
     from warc_ray.pipelines.crawl import read_fetch_log
+    from warc_ray.stages.exchange import sort_result
 
     out = _ensure_crawl(sf_dir)
-    return read_fetch_log(out).sort(["round", "host", "fetch_seq", "url"])
+    return sort_result(read_fetch_log(out),
+                       ["round", "host", "fetch_seq", "url"])
 
 
 def _hottest_hosts_q(sf_dir: str):
@@ -365,6 +368,7 @@ def _cdx_lookup_q(sf_dir: str):
     import ray.data as rd
 
     from warc_ray.pipelines.archive import cdx_replay_batch
+    from warc_ray.stages.exchange import sort_result
     from warc_ray.stages.sketch import md5_prefix64
 
     out = _ensure_archive(sf_dir)
@@ -377,9 +381,9 @@ def _cdx_lookup_q(sf_dir: str):
         h = md5_prefix64(b["record_id"].to_pylist())
         return b.filter(pa.array(h % np.uint64(97) == 0))
 
-    return cdx.map_batches(sample, batch_format="pyarrow") \
-        .map_batches(cdx_replay_batch, batch_format="pyarrow") \
-        .sort("record_id")
+    return sort_result(cdx.map_batches(sample, batch_format="pyarrow")
+                       .map_batches(cdx_replay_batch, batch_format="pyarrow"),
+                       "record_id")
 
 
 def _verify_spans_q(sf_dir: str):
@@ -561,6 +565,7 @@ def _format_consistency_q(sf_dir: str):
 
     from warc_ray.pipelines.logs import (ingest_events_csv,
                                          ingest_events_jsonl)
+    from warc_ray.stages.exchange import collect
 
     def totals_from(t):
         return (int(pc.sum(t["n_events"]).as_py()),
@@ -579,18 +584,12 @@ def _format_consistency_q(sf_dir: str):
             "n_events": pa.array([b.num_rows], type=pa.int64()),
             "sum_cents": pa.array([int(cents.sum())], type=pa.int64())})
 
-    pt = pa.concat_tables(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                        columns=["value"])
-        .map_batches(pq_partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow"))
+    pt = collect(rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
+                                 columns=["value"])
+                 .map_batches(pq_partial, batch_format="pyarrow"))
     pq_totals = totals_from(pt)
-    jt = pa.concat_tables(
-        ingest_events_jsonl(_ensure_jsonl(sf_dir))
-        .iter_batches(batch_format="pyarrow"))
-    ct = pa.concat_tables(
-        ingest_events_csv(_ensure_csv(sf_dir))
-        .iter_batches(batch_format="pyarrow"))
+    jt = collect(ingest_events_jsonl(_ensure_jsonl(sf_dir)))
+    ct = collect(ingest_events_csv(_ensure_csv(sf_dir)))
     rows = [("csv",) + totals_from(ct),
             ("jsonl",) + totals_from(jt),
             ("parquet",) + pq_totals]
@@ -658,31 +657,24 @@ def _evolved_scan_q(sf_dir: str):
     return evolved_scan(_ensure_evolved(sf_dir))
 
 
-def _ensure_arc_src(sf_dir: str) -> str:
-    """Fetched docs → .arc.gz shards ONCE per profile (stamped) — the
-    migration fixture q78 reads; q58 keeps its own unstamped dir (it
-    tests the sink itself, rewriting deliberately)."""
-    import json
-    import shutil
-    from dataclasses import asdict
-
+def _write_arc_fixture(sf_dir: str, out: str) -> None:
+    """Fetched docs → .arc.gz shards under ``out``: the corpus seeds,
+    canonicalized and fetched by a ``FetchGroup`` pool, one ARC record
+    per document (q58 and q78)."""
     import pyarrow as pa
     import ray.data as rd
 
     from warc_ray.sinks import write_arc_shards
+    from warc_ray.stages.exchange import sort_result
     from warc_ray.stages.fetch import FetchGroup, add_bucket_column
     from warc_ray.stages.urls import urls_from_seeds
 
     cdir = _corpus_for(sf_dir)
     prof = corpus_mod.profile_for_sf_dir(sf_dir)
-    out = os.path.join(_CRAWL_OUT, f"arcsrc-{prof.name}")
-    done = out + ".DONE"
-    stamp = json.dumps(dict(asdict(prof), gen=corpus_mod.GEN_VERSION, fmt=1))
-    if os.path.exists(done) and open(done).read() == stamp:
-        return out
-    shutil.rmtree(out, ignore_errors=True)
 
     def prep(b: pa.Table) -> pa.Table:
+        # canonicalize IN the workers (the serial driver-side pass was
+        # ~1/4 of q58), then tag the columns FetchGroup reads
         t = urls_from_seeds(b)
         n = t.num_rows
         t = t.append_column("round", pa.array([0] * n, type=pa.int32()))
@@ -700,16 +692,43 @@ def _ensure_arc_src(sf_dir: str) -> str:
             "body": b["body"],
         })
 
-    fetched = rd.from_arrow(corpus_mod.read_seeds(cdir)) \
-        .repartition(32) \
-        .map_batches(prep, batch_format="pyarrow") \
-        .sort("bucket") \
+    # bucket-sort so each fetch actor's batch touches few corpus
+    # buckets (same locality the crawl loop gets from its stable
+    # bucket→worker assignment); FetchGroup as an actor POOL keeps the
+    # rendered bucket caches warm across batches
+    seeds = rd.from_arrow(corpus_mod.read_seeds(cdir)).repartition(32) \
+        .map_batches(prep, batch_format="pyarrow")
+    fetched = sort_result(seeds, "bucket") \
         .map_batches(FetchGroup, fn_constructor_args=(cdir, prof.n_buckets),
                      batch_format="pyarrow", batch_size=8192,
+                     # rendering dominates this query (~110 µs/row —
+                     # 67 core-s at sf0.1), so size the pool to the
+                     # node, not to cache frugality: (4,28) measured
+                     # 8.7 s cold / 6.2 s warm vs 12.4 / 7.8 at (1,12);
+                     # bucket-sorted input keeps per-actor bucket
+                     # ranges contiguous either way
                      concurrency=(4, 28))
     write_arc_shards(fetched.map_batches(to_arc_rows,
                                          batch_format="pyarrow"),
                      out).materialize()
+
+
+def _ensure_arc_src(sf_dir: str) -> str:
+    """``_write_arc_fixture`` ONCE per profile (stamped) — the
+    migration fixture q78 reads; q58 keeps its own unstamped dir (it
+    tests the sink itself, rewriting deliberately)."""
+    import json
+    import shutil
+    from dataclasses import asdict
+
+    prof = corpus_mod.profile_for_sf_dir(sf_dir)
+    out = os.path.join(_CRAWL_OUT, f"arcsrc-{prof.name}")
+    done = out + ".DONE"
+    stamp = json.dumps(dict(asdict(prof), gen=corpus_mod.GEN_VERSION, fmt=1))
+    if os.path.exists(done) and open(done).read() == stamp:
+        return out
+    shutil.rmtree(out, ignore_errors=True)
+    _write_arc_fixture(sf_dir, out)
     with open(done, "w") as f:
         f.write(stamp)
     return out
@@ -737,7 +756,7 @@ def _arc_to_warc_q(sf_dir: str):
     from warc_ray.sources import read_arc, read_warc
     from warc_ray.stages.assemble import (arc_rows_to_warc_records,
                                           serialize_records)
-    from warc_ray.stages.exchange import combine_buckets
+    from warc_ray.stages.exchange import collect, combine_buckets
 
     prof = corpus_mod.profile_for_sf_dir(sf_dir)
     arc_dir = _ensure_arc_src(sf_dir)
@@ -763,7 +782,7 @@ def _arc_to_warc_q(sf_dir: str):
         read_warc(out).map_batches(check, batch_format="pyarrow"), "k",
         [("n_records", "sum"), ("payload_bytes", "sum"),
          ("n_digest_ok", "sum")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     return pa.table({
         "n_records": t["n_records"],
         "payload_bytes": t["payload_bytes"],
@@ -778,61 +797,14 @@ def _arc_roundtrip_q(sf_dir: str):
     import shutil
 
     import pyarrow as pa
-    import ray.data as rd
 
-    from warc_ray.sinks import write_arc_shards
     from warc_ray.sources import read_arc
     from warc_ray.stages.exchange import combine_buckets
-    from warc_ray.stages.fetch import FetchGroup, add_bucket_column
-    from warc_ray.stages.urls import urls_from_seeds
 
-    cdir = _corpus_for(sf_dir)
     prof = corpus_mod.profile_for_sf_dir(sf_dir)
     out = os.path.join(_CRAWL_OUT, f"arc-{prof.name}")
     shutil.rmtree(out, ignore_errors=True)
-
-    def prep(b: pa.Table) -> pa.Table:
-        # canonicalize IN the workers (the serial driver-side pass was
-        # ~1/4 of this query), then tag the columns FetchGroup reads
-        t = urls_from_seeds(b)
-        n = t.num_rows
-        t = t.append_column("round", pa.array([0] * n, type=pa.int32()))
-        t = t.append_column("fetch_seq",
-                            pa.array(t["src_offset"].cast(pa.int64())))
-        return add_bucket_column(t, prof.n_buckets)
-
-    # bucket-sort so each fetch actor's batch touches few corpus
-    # buckets (same locality the crawl loop gets from its stable
-    # bucket→worker assignment); FetchGroup as an actor POOL keeps the
-    # rendered bucket caches warm across batches
-    fetched = rd.from_arrow(corpus_mod.read_seeds(cdir)) \
-        .repartition(32) \
-        .map_batches(prep, batch_format="pyarrow") \
-        .sort("bucket") \
-        .map_batches(FetchGroup, fn_constructor_args=(cdir, prof.n_buckets),
-                     batch_format="pyarrow", batch_size=8192,
-                     # rendering dominates this query (~110 µs/row —
-                     # 67 core-s at sf0.1), so size the pool to the
-                     # node, not to cache frugality: (4,28) measured
-                     # 8.7 s cold / 6.2 s warm vs 12.4 / 7.8 at (1,12);
-                     # bucket-sorted input keeps per-actor bucket
-                     # ranges contiguous either way
-                     concurrency=(4, 28))
-
-    def to_arc_rows(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({
-            "url": b["url"],
-            "ip_address": pa.array(["127.0.0.1"] * n),
-            "date": pa.array(["20260101000000"] * n),
-            "content_type": b["content_type"],
-            "body": b["body"],
-        })
-
-    idx = write_arc_shards(fetched.map_batches(to_arc_rows,
-                                               batch_format="pyarrow"),
-                           out)
-    idx.materialize()
+    _write_arc_fixture(sf_dir, out)
     back = read_arc(out)
 
     def lengths(b: pa.Table) -> pa.Table:
@@ -1187,21 +1159,23 @@ def queries() -> dict[str, Callable[[str], Any]]:
     return {q.name: q.fn for q in registry()}
 
 
-def oracle_sql() -> dict[str, str]:
+def oracle_sql(sf_dir: str = "sf0.01") -> dict[str, str]:
+    """Every query's DuckDB oracle text.  The corpus-path oracles read
+    the artifacts of ``sf_dir``'s corpus profile (its basename picks
+    it, as for the queries); the default is sf0.01's."""
     from warc_ray.oracle_sql.corpus import CorpusPaths
 
-    _nh = corpus_mod.PROFILES["t2"].n_hosts   # q99 host-domain literal
-
+    prof = corpus_mod.profile_for_sf_dir(sf_dir)
     # the corpus parquet files must exist for q50/q51 — same generator
     # the Ray queries use (deterministic, idempotent)
-    t2 = corpus_mod.ensure_corpus("t2")
-    docs_glob = f"{t2}/docs/*.parquet"
+    cdir = corpus_mod.ensure_corpus(prof)
+    docs_glob = f"{cdir}/docs/*.parquet"
     # independent single-process-simulator fetch log for the crawl
     # oracles (q52/q54/q55): distributed crawl == plain SQL over the
     # simulator's log is the BASELINE.json crawl-order parity invariant
-    sim_log = _ensure_sim_log("t2")
+    sim_log = _ensure_sim_log(prof.name)
     # q65's CDX parquet (persisted by _ensure_archive beside the shards)
-    warc_cdx = _ensure_archive("/root/testdata/sf0.01") + "-cdx"
-    paths = CorpusPaths(docs_glob, t2, sim_log, warc_cdx, _nh)
+    warc_cdx = _ensure_archive(sf_dir) + "-cdx"
+    paths = CorpusPaths(docs_glob, cdir, sim_log, warc_cdx, prof.n_hosts)
     return {q.name: q.sql(paths) if callable(q.sql) else q.sql
             for q in registry() if q.sql is not None}

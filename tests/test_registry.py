@@ -8,7 +8,7 @@ driver-hard coverage grows.  These tests pin both contracts so future
 registry edits can't silently break them.  No Ray needed — the
 registry is plain list construction, and the two corpus-artifact
 builders ``oracle_sql()`` calls are stubbed the way perfbench stubs
-them.
+them.  Only the last test starts Ray: it runs q56 against its oracle.
 
 The registry declares each query once (name, engine function, oracle),
 and the oracle SQL lives apart from the engine in
@@ -22,6 +22,7 @@ import os
 import re
 import sys
 
+import pandas as pd
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -286,3 +287,26 @@ def test_no_oracle_returns_wide_ints(monkeypatch, tmp_path):
         if cols:
             wide[name] = cols
     assert not wide, wide
+
+
+def test_corpus_oracles_follow_the_sf_dir(ray_session, monkeypatch):
+    """``oracle_sql(sf_dir)`` renders the corpus oracles from the corpus
+    the queries read for ``sf_dir``: at sf0.001 (the t1 corpus) q56's
+    oracle equals the engine's rows.  The no-argument text reads
+    sf0.01's corpus, so it differs."""
+    import duckdb
+
+    monkeypatch.setattr(entry, "_ensure_sim_log", _unused)
+    monkeypatch.setattr(entry, "_ensure_archive", _unused)
+    name = "q56_host_link_stats"
+    sql = entry.oracle_sql(SF)[name]
+    assert sql != entry.oracle_sql()[name]
+
+    def norm(df):
+        cols = sorted(df.columns)
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
+    got = norm(entry.queries()[name](SF).to_pandas())
+    want = norm(duckdb.connect().execute(sql).fetchdf())
+    assert len(got) > 0
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)

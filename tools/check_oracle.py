@@ -63,7 +63,7 @@ def main():
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
-    oracles = entrymod.oracle_sql()
+    oracles = entrymod.oracle_sql(sf_dir)
 
     con = duckdb.connect()
     # a table the sf dir lacks is left undefined: only the oracles that

@@ -1,9 +1,9 @@
 """Oracles of the crawl, archive and ingest queries that
 ``__ray_entry__`` defines.
 
-Most read corpus artifacts beside the sf tables: the t2 interleaved
-corpus, the single-process simulator's fetch log, and the archive's
-CDX index.  Those oracles are functions of one :class:`CorpusPaths`;
+Most read corpus artifacts beside the sf tables: the sf dir's
+interleaved corpus, the single-process simulator's fetch log, and the
+archive's CDX index.  Those oracles are functions of one :class:`CorpusPaths`;
 ``__ray_entry__.oracle_sql()`` builds the artifacts and passes it.
 """
 
@@ -16,11 +16,11 @@ from . import md5h, splitmix64
 
 
 class CorpusPaths(NamedTuple):
-    docs_glob: str   # the t2 corpus documents, '<t2>/docs/*.parquet'
-    t2: str          # the t2 corpus dir (seeds, robots)
-    sim_log: str     # the simulator's fetch log of the t2 crawl
-    warc_cdx: str    # the CDX parquet dir of the sf0.01 archive
-    n_hosts: int     # the t2 profile's host count
+    docs_glob: str   # the corpus documents, '<corpus>/docs/*.parquet'
+    corpus: str      # the corpus dir (seeds, robots)
+    sim_log: str     # the simulator's fetch log of the corpus crawl
+    warc_cdx: str    # the CDX parquet dir of the corpus archive
+    n_hosts: int     # the corpus profile's host count
 
 
 def _spans_src(p: CorpusPaths) -> str:
@@ -62,7 +62,7 @@ def _seed_body_lens(p: CorpusPaths) -> str:
             seed_docs AS (
               SELECT CAST(regexp_extract(replace(url, '%64', 'd'),
                                          '/doc/(\\d+)', 1) AS BIGINT) AS i
-              FROM read_parquet('{p.t2}/seeds.parquet')
+              FROM read_parquet('{p.corpus}/seeds.parquet')
             )"""
 
 
@@ -296,7 +296,7 @@ def robots_audit(p: CorpusPaths) -> str:
     return f"""
             WITH ruled AS (
               SELECT host, UNNEST(disallow_prefixes) AS pfx
-              FROM read_parquet('{p.t2}/robots.parquet')),
+              FROM read_parquet('{p.corpus}/robots.parquet')),
             rule_hosts AS (
               SELECT host, CAST(COUNT(*) AS BIGINT) AS n_rules
               FROM ruled GROUP BY host),
@@ -561,7 +561,7 @@ def seed_distance(p: CorpusPaths) -> str:
               SELECT DISTINCT CAST(regexp_extract(
                        replace(url, '%64', 'd'), '/doc/(\\d+)', 1)
                      AS BIGINT) AS n
-              FROM read_parquet('{p.t2}/seeds.parquet')
+              FROM read_parquet('{p.corpus}/seeds.parquet')
             ),
             walk(n, dist) AS (
               SELECT n, 0 FROM sd WHERE n IN (SELECT n FROM nodes)

@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..sources._util import read_parquet
-from ..stages.exchange import (bucket_exchange, combine_buckets,
+from ..stages.exchange import (bucket_exchange, collect, combine_buckets,
                                segment_bounds, sort_result, with_part)
 
 INT64 = pa.int64()
@@ -131,7 +131,7 @@ def _day_type_counts(sf_dir: str) -> pa.Table:
         rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "event_type"])
         .map_batches(partial, batch_format="pyarrow"),
         ["day", "event_type"], [("n", "count")])
-    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    return collect(agg)
 
 
 def pivot_events(sf_dir: str):
@@ -216,7 +216,7 @@ def funnel(sf_dir: str, npart: int = 32):
     parts = _user_timeline(sf_dir, ["user_id", "ts", "event_id",
                                     "event_type"], bucket,
                            npart=npart, reduce=kinds)
-    t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
+    t = collect(parts)
     return pa.table({
         "n_view": pa.array([int(pc.sum(t["n_view"]).as_py())], type=INT64),
         "n_click": pa.array([int(pc.sum(t["n_click"]).as_py())], type=INT64),
@@ -255,7 +255,7 @@ def debounce_events(sf_dir: str, gap_us: int = 300_000_000,
         sf_dir, ["event_id", "user_id", "ts", "event_type"], bucket,
         npart=npart, order=("user_id", "event_type", "ts", "event_id")),
         "event_type", [("n_total", "count"), ("n_kept", "sum")])
-    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
+    return collect(agg) \
         .sort_by("event_type")
 
 
@@ -337,7 +337,7 @@ def cumulative_users(sf_dir: str, npart: int = 32):
         lambda g, starts: g.select(["day"]).take(starts),
         npart=npart, order=("user_id", "day"), reduce=pairs),
         "day", [("n_new", "count")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     d = t["day"].to_numpy(zero_copy_only=False)
     n = t["n_new"].to_numpy(zero_copy_only=False)
     order = np.argsort(d)
@@ -398,7 +398,7 @@ def cooccurrence(sf_dir: str, v: int = 16, topk: int = 20,
         ["tok_a", "tok_b"], [("n", "sum")])
     # total docs: cheap exact count (metadata-only on parquet)
     n_total = _docs(sf_dir, columns=["doc_id"]).count()
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     a = np.asarray(t["tok_a"].to_pylist(), dtype=object)
     b_ = np.asarray(t["tok_b"].to_pylist(), dtype=object)
     n = t["n"].to_numpy(zero_copy_only=False)
@@ -456,7 +456,7 @@ def session_trigrams(sf_dir: str, topk: int = 10, gap_minutes: int = 30,
         sf_dir, ["event_id", "user_id", "ts", "event_type"], bucket,
         npart=npart),
         "trigram", [("n", "count")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     tri = np.asarray(t["trigram"].to_pylist(), dtype=object)
     n = t["n"].to_numpy(zero_copy_only=False)
     order = np.lexsort((tri, -n))[:topk]
@@ -515,7 +515,7 @@ def incremental_agg(sf_dir: str, state_dir: str | None = None):
     delta = orders().map_batches(lambda b: split(b, True),
                                  batch_format="pyarrow")
     agg = combine_buckets(state.union(delta), "o_orderstatus", aggs)
-    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
+    return collect(agg) \
         .sort_by("o_orderstatus")
 
 
@@ -605,7 +605,7 @@ def degree_histogram(docs_path: str, npart: int = 32):
         read_parquet(docs_path, columns=["doc_id", "spans"])
         .map_batches(scan, batch_format="pyarrow"), bucket),
         ["side", "degree"], [("n", "sum")])
-    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
+    return collect(agg) \
         .sort_by([("side", "ascending"), ("degree", "ascending")])
 
 
@@ -685,7 +685,7 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
 
     parts = hash_join(lines, orders, "l_orderkey", how="inner",
                       bucket_finish=topk_finish)
-    t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
+    t = collect(parts)
     t = t.take(pc.sort_indices(t, sort_keys=[
         ("rev", "descending"), ("l_orderkey", "ascending")])).slice(0, k)
     return pa.table({
@@ -830,7 +830,7 @@ def compact_files(sf_dir: str, target_rows: int = 4096,
 
     man = rd.from_items(groups).repartition(max(len(groups), 1)) \
         .map_batches(rewrite, batch_format="pyarrow", batch_size=1)
-    t = pa.concat_tables(man.iter_batches(batch_format="pyarrow"))
+    t = collect(man)
     ck = 0
     for c in t["checksum"].to_pylist():
         ck = (ck + c) % _MERSENNE61
@@ -871,7 +871,7 @@ def unpivot_lineitem(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
         [("sum_qty", "sum"), ("sum_cents", "sum"), ("n_rows", "count")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     rf, ls, out_m, out_v = [], [], [], []
     for i in range(t.num_rows):
         for metric in ("sum_qty", "sum_cents", "n_rows"):
@@ -973,7 +973,7 @@ def event_mad(sf_dir: str):
         out = bucket_exchange(
             ev().map_batches(fn, batch_format="pyarrow"),
             _bucket_median, part_col="event_type")
-        t = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
+        t = collect(out)
         return dict(zip(t["event_type"].to_pylist(),
                         t["median"].to_pylist()))
 
@@ -1010,7 +1010,7 @@ def weighted_avg_chars(sf_dir: str):
         _docs(sf_dir, columns=["doc_id", "lang", "text", "n_chars"])
         .map_batches(partial, batch_format="pyarrow"),
         "lang", [("wx", "sum"), ("w", "sum")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     wx = t["wx"].to_numpy(zero_copy_only=False)
     w = t["w"].to_numpy(zero_copy_only=False)
     return pa.table({
@@ -1112,7 +1112,7 @@ def table_fingerprints(sf_dir: str):
     agg = bucket_exchange(
         _docs(sf_dir, columns=["doc_id", "source", "text"])
         .map_batches(partial, batch_format="pyarrow"), fold, part_col="source")
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     return t.sort_by("source")
 
 
@@ -1146,7 +1146,7 @@ def zscore_outliers(sf_dir: str):
         rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
         .map_batches(moments, batch_format="pyarrow"),
         "event_type", [("n", "count"), ("s", "sum"), ("ss", "sum")])
-    mt = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    mt = collect(agg)
     thr: dict[str, tuple[int, int, int]] = {}
     for i in range(mt.num_rows):
         n, s, ss = (int(mt[c][i].as_py()) for c in ("n", "s", "ss"))
@@ -1235,7 +1235,7 @@ def streaming_windows(sf_dir: str, window_s: int = 3600,
         range_scan(events, i64_key("event_id"), i64_key("event_id"), "t",
                    "max", panes, npart=nparts),
         ["window", "event_type"], [("n_on_time", "sum"), ("n_late", "sum")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     w = t["window"].to_numpy(zero_copy_only=False)
     iso = [str(np.datetime64(int(x) * window_s, "s")) for x in w]
     return pa.table({
@@ -1349,7 +1349,7 @@ def last_touch_attribution(sf_dir: str, npart: int = 32):
         sf_dir, ["event_id", "user_id", "ts", "event_type"], bucket,
         npart=npart),
         "channel", [("n_purchases", "count")])
-    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
+    return collect(agg) \
         .sort_by("channel")
 
 
@@ -1423,7 +1423,7 @@ def integrity_audit(sf_dir: str):
 
         parts = rd.read_parquet(_pq(sf_dir, child), columns=[ckey]) \
             .map_batches(part, batch_format="pyarrow")
-        t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
+        t = collect(parts)
         t = t.group_by(["k", "is_orphan"]).aggregate([])
         orphans = int(pc.sum(pc.cast(t["is_orphan"], INT64)).as_py() or 0)
         used_keys = t.filter(pc.equal(t["is_orphan"], 0))["k"] \
@@ -1460,7 +1460,7 @@ def integrity_audit(sf_dir: str):
 
     parts = hash_join(lkeys, okeys, "k", how="full outer",
                       bucket_finish=finish)
-    t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
+    t = collect(parts)
     rows.insert(0, ("lineitem->orders",
                     int(pc.sum(t["orphans"]).as_py() or 0),
                     int(pc.sum(t["childless"]).as_py() or 0)))
@@ -1502,7 +1502,7 @@ def charclass_entropy(sf_dir: str):
         _docs(sf_dir, columns=["lang", "text"])
         .map_batches(partial, batch_format="pyarrow"),
         "lang", [("cl", "sum"), ("cd", "sum"), ("cs", "sum"), ("n", "sum")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
 
     def term(c: int) -> float:
         return float(c) * math.log(float(c)) if c > 0 else 0.0
@@ -1566,7 +1566,7 @@ def median_interarrival(sf_dir: str, npart: int = 32):
 
     out = _user_timeline(sf_dir, ["user_id", "event_id", "ts"], bucket,
                          npart=npart)
-    return pa.concat_tables(out.iter_batches(batch_format="pyarrow")) \
+    return collect(out) \
         .sort_by("user_id")
 
 
@@ -1610,7 +1610,7 @@ def audience_overlap(sf_dir: str):
 
     out = combine_buckets(seg.map_batches(seg_name, batch_format="pyarrow"),
                           "segment", [("n", "count")])
-    t = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
+    t = collect(out)
     # report grid is fixed: emit all three segments, zero-filled
     got = dict(zip(t["segment"].to_pylist(), t["n"].to_pylist()))
     segs = ["both", "events_only", "orders_only"]
@@ -1650,7 +1650,7 @@ def top_user_per_type(sf_dir: str):
                         columns=["event_type", "user_id"]),
         ["event_type", "user_id"], [("n", "count")]), argmax,
         part_col="event_type")
-    return pa.concat_tables(out.iter_batches(batch_format="pyarrow")) \
+    return collect(out) \
         .sort_by("event_type")
 
 
@@ -1722,7 +1722,7 @@ def bm25_topk(sf_dir: str):
 
     cand = _docs(sf_dir, columns=["doc_id", "text"]) \
         .map_batches(score, batch_format="pyarrow")
-    t = pa.concat_tables(cand.iter_batches(batch_format="pyarrow"))
+    t = collect(cand)
     idx = np.lexsort((t["doc_id"].to_numpy(zero_copy_only=False),
                       -t["score"].to_numpy(zero_copy_only=False)))
     return t.take(pa.array(idx[:BM25_TOPK]))
@@ -1756,7 +1756,7 @@ def event_transitions(sf_dir: str, npart: int = 32):
         sf_dir, ["user_id", "event_id", "ts", "event_type"], bucket,
         npart=npart),
         ["prev_type", "next_type"], [("n", "count")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     n = t["n"].to_numpy(zero_copy_only=False)
     prev = np.asarray(t["prev_type"].to_pylist(), dtype=object)
     tot = {}
@@ -1807,7 +1807,7 @@ def sliding_distinct_users(sf_dir: str, window_days: int = 7,
         _user_timeline(sf_dir, ["user_id", "ts"], bucket, npart=npart,
                        order=None, reduce=pairs),
         "window_day", [("u7", "count")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
 
     days = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts"]) \
         .map_batches(lambda b: pa.table({
@@ -1893,7 +1893,7 @@ def pruned_join_revenue(sf_dir: str, npart: int = 32):
                          npart=npart, bucket_finish=finish)
     agg = combine_buckets(agg, "o_orderpriority",
                           [("n_items", "sum"), ("rev", "sum")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     return pa.table({
         "o_orderpriority": t["o_orderpriority"],
         "n_items": t["n_items"],
@@ -1932,12 +1932,9 @@ def above_avg_orders(sf_dir: str):
                         columns=["o_custkey", "o_totalprice"])
         .map_batches(part_sums, batch_format="pyarrow"),
         "o_custkey", [("s", "sum"), ("n", "count")])
-    stats_ref = _ray.put(pa.concat_tables(
-        per_cust.iter_batches(batch_format="pyarrow")))
-    seg_ref = _ray.put(pa.concat_tables(
-        rd.read_parquet(_pq(sf_dir, "customer"),
-                        columns=["c_custkey", "c_mktsegment"])
-        .iter_batches(batch_format="pyarrow")))
+    stats_ref = _ray.put(collect(per_cust))
+    seg_ref = _ray.put(collect(rd.read_parquet(
+        _pq(sf_dir, "customer"), columns=["c_custkey", "c_mktsegment"])))
 
     def filt(b: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(
@@ -1953,7 +1950,7 @@ def above_avg_orders(sf_dir: str):
                         columns=["o_custkey", "o_totalprice"])
         .map_batches(filt, batch_format="pyarrow"),
         "c_mktsegment", [("n_orders", "count"), ("cents", "sum")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     return pa.table({
         "c_mktsegment": t["c_mktsegment"],
         "n_orders": t["n_orders"],
@@ -2024,7 +2021,7 @@ def source_lang_lift(sf_dir: str):
 
     agg = combine_buckets(_docs(sf_dir, columns=["source", "lang"]),
                           ["source", "lang"], [("n", "count")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     src = np.asarray(t["source"].to_pylist(), dtype=object)
     lng = np.asarray(t["lang"].to_pylist(), dtype=object)
     n = t["n"].to_numpy(zero_copy_only=False)
@@ -2095,7 +2092,7 @@ def point_lookup(sf_dir: str, sample_mod: int = 23,
         idx = rd.from_items([{"rg": i} for i in range(len(rg_rows))]) \
             .repartition(len(rg_rows)) \
             .map_batches(build, batch_format="pyarrow", batch_size=1)
-        t = pa.concat_tables(idx.iter_batches(batch_format="pyarrow"))
+        t = collect(idx)
         _pq2.write_table(t.sort_by("doc_id"),
                          os.path.join(idx_dir, "index.parquet"))
         open(done, "w").write("ok")
@@ -2123,7 +2120,7 @@ def point_lookup(sf_dir: str, sample_mod: int = 23,
     out = rd.from_items([{"rg": int(r)} for r in rgs]) \
         .repartition(max(len(rgs), 1)) \
         .map_batches(fetch_one, batch_format="pyarrow", batch_size=1)
-    return pa.concat_tables(out.iter_batches(batch_format="pyarrow")) \
+    return collect(out) \
         .sort_by("doc_id")
 
 
@@ -2218,7 +2215,7 @@ def skewed_user_join(sf_dir: str, n_salt: int = 8):
         skew_join(facts, dims, "c_custkey", how="inner",
                   n_salt=n_salt, bucket_finish=finish),
         "c_nationkey", [("n_events", "sum"), ("sum_milli", "sum")])
-    return pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
+    return collect(agg) \
         .sort_by("c_nationkey")
 
 
@@ -2358,7 +2355,7 @@ def vocab_build(sf_dir: str, v: int = 16, npart: int = 32):
     tops = bucket_exchange(
         _docs(sf_dir, columns=["text"])
         .map_batches(partial, batch_format="pyarrow"), bucket_top)
-    t = pa.concat_tables(tops.iter_batches(batch_format="pyarrow"))
+    t = collect(tops)
     totals: dict[int, int] = {}
     for p, bt in zip(t["part"].to_pylist(), t["bucket_total"].to_pylist()):
         totals[p] = bt
@@ -2452,7 +2449,7 @@ def source_mixture(sf_dir: str):
 
     agg = combine_buckets(_docs(sf_dir, columns=["source"]), "source",
                           [("n", "count")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     srcs = t["source"].to_pylist()
     ns = {s: int(x) for s, x in zip(srcs, t["n"].to_pylist())}
     ws = {s: 1 + int(s[3:]) % 4 for s in srcs}
@@ -2474,7 +2471,7 @@ def source_mixture(sf_dir: str):
         _docs(sf_dir, columns=["doc_id", "source"])
         .map_batches(keep_counts, batch_format="pyarrow"),
         "source", [("n_total", "count"), ("n_kept", "sum")])
-    t2 = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
+    t2 = collect(out)
     tgt = pa.array([target[s] for s in t2["source"].to_pylist()], type=INT64)
     return pa.table({
         "source": t2["source"],
@@ -2611,7 +2608,7 @@ def group_concat(sf_dir: str, k: int = 16):
 
     parts = _docs(sf_dir, columns=["doc_id", "source", "lang"]) \
         .map_batches(partial, batch_format="pyarrow")
-    t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
+    t = collect(parts)
     merged: dict[tuple, tuple[int, list[int]]] = {}
     for s, l, n, ids in zip(t["source"].to_pylist(), t["lang"].to_pylist(),
                             t["n"].to_pylist(), t["ids"].to_pylist()):
@@ -2660,7 +2657,7 @@ def feature_corr(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow"),
         "lang", [("n", "count")] + [(c, "sum") for c in
                                     ("sx", "sy", "sxy", "sxx", "syy")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     corr = []
     for i in range(t.num_rows):
         n, sx, sy, sxy, sxx, syy = (int(t[c][i].as_py()) for c in
@@ -2702,7 +2699,7 @@ def json_props_stats(sf_dir: str):
         rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "props"])
         .map_batches(partial, batch_format="pyarrow"),
         ["event_type", "k"], [("n", "count")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     et = np.asarray(t["event_type"].to_pylist(), dtype=object)
     k = t["k"].to_numpy(zero_copy_only=False)
     n = t["n"].to_numpy(zero_copy_only=False)
@@ -2764,7 +2761,7 @@ def retention_cohorts(sf_dir: str, npart: int = 32):
         sf_dir, ["user_id", "ts"], bucket, npart=npart,
         order=("user_id", "week"), reduce=pairs),
         ["cohort_week", "week_offset"], [("n_users", "count")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     wk = t["cohort_week"].to_numpy(zero_copy_only=False)
     days = wk * 7 - _EPOCH_MONDAY_SHIFT
     dates = (np.array(days, dtype="datetime64[D]")
@@ -2837,11 +2834,9 @@ def part_skyline(sf_dir: str):
             "p_size": pa.array(size[keep]),
         })
 
-    cand = pa.concat_tables(
-        rd.read_parquet(_pq(sf_dir, "part"),
-                        columns=["p_partkey", "p_retailprice", "p_size"])
-        .map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow"))
+    cand = collect(rd.read_parquet(
+        _pq(sf_dir, "part"), columns=["p_partkey", "p_retailprice", "p_size"])
+        .map_batches(partial, batch_format="pyarrow"))
     keep = local_skyline(cand["cents"].to_numpy(),
                          cand["p_size"].to_numpy())
     idx = pa.array(np.flatnonzero(keep))
@@ -2887,7 +2882,7 @@ def lineitem_regression(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow"),
         "flag", [("n", "count")] + [(c, "sum") for c in
                                     ("sx", "sy", "sxy", "sxx")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     slope, icept = [], []
     for i in range(t.num_rows):
         n, sx, sy, sxy, sxx = (int(t[c][i].as_py()) for c in
@@ -2954,9 +2949,9 @@ def scd2_user_state(sf_dir: str, npart: int = 32):
             "first_event_id": pa.array(re.astype(np.int64)),
         })
 
-    return _user_timeline(sf_dir, ["user_id", "event_id", "ts",
-                                   "event_type"], bucket, npart=npart) \
-        .sort(["user_id", "valid_from_us"])
+    return sort_result(_user_timeline(
+        sf_dir, ["user_id", "event_id", "ts", "event_type"], bucket,
+        npart=npart), ["user_id", "valid_from_us"])
 
 
 # ---------------------------------------------------------------------------
@@ -3008,7 +3003,7 @@ def embedding_covariance(sf_dir: str):
         rd.read_parquet(_pq(sf_dir, "embeddings"), columns=["embedding"])
         .map_batches(partial, batch_format="pyarrow"),
         ["i", "j"], [(c, "sum") for c in ("sxy", "sxi", "sxj", "n")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     cov = []
     for k in range(t.num_rows):
         n, sxy, sxi, sxj = (int(t[c][k].as_py()) for c in
@@ -3116,7 +3111,7 @@ def lineitem_profile(sf_dir: str):
         "col_name", [("n", "sum"), ("n_null", "sum"), ("min_num", "min"),
                      ("max_num", "max"), ("min_str", "min"),
                      ("max_str", "max")])
-    folded = {r["col_name"]: r for r in stats.take_all()}
+    folded = {r["col_name"]: r for r in collect(stats).to_pylist()}
 
     # exact distinct: a (col, value) distinct, then a count per column
     vkeys = partials.map_batches(
@@ -3207,12 +3202,11 @@ def trimmed_mean_value(sf_dir: str, trim_pct: int = 5):
             "trimmed_mean": pa.array([mean], type=pa.float64()),
         })
 
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "events"),
                         columns=["event_type", "value"])
         .map_batches(partial, batch_format="pyarrow"),
-        combine, part_col="event_type") \
-        .sort("event_type")
+        combine, part_col="event_type"), "event_type")
 
 
 # ---------------------------------------------------------------------------
@@ -3567,7 +3561,7 @@ def equidepth_histogram(sf_dir: str, k: int = 8):
         rd.read_parquet(_pq(sf_dir, "lineitem"), columns=["l_extendedprice"])
         .map_batches(partial, batch_format="pyarrow"),
         "cents", [("cnt", "count")])
-    h = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    h = collect(agg)
     m = h["cents"].to_numpy()
     c = h["cnt"].to_numpy()
     order = np.argsort(m)
@@ -3776,18 +3770,16 @@ def zorder_range_scan(sf_dir: str, day_lo: int = 19728,
             {"event_type": pa.array([], type=pa.string()),
              "s": pa.array([], type=INT64)})
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
+    t = collect(combine_buckets(
+        rd.from_items([{"rg": r} for r in keep])
+        .map_batches(read_groups, batch_format="pyarrow", batch_size=4),
+        "event_type", [("n", "count"), ("s", "sum")])) if keep else None
+    if t is None or not t.num_columns:
+        # nothing kept, or every kept group filtered empty: Ray drops
+        # the schema of a batch a task emptied, so collect has none
+        t = pa.table({"event_type": pa.array([], type=pa.string()),
                       "n": pa.array([], type=INT64),
                       "s": pa.array([], type=INT64)})
-    if keep:
-        agg = combine_buckets(
-            rd.from_items([{"rg": r} for r in keep])
-            .map_batches(read_groups, batch_format="pyarrow", batch_size=4),
-            "event_type", [("n", "count"), ("s", "sum")])
-        t = pa.concat_tables(
-            list(agg.iter_batches(batch_format="pyarrow")) or [empty])
-    else:
-        t = empty
     out = pa.table({
         "event_type": t["event_type"],
         "n": pc.cast(t["n"], INT64),
@@ -3878,14 +3870,13 @@ def big_spenders(sf_dir: str):
                         columns=["o_custkey", "o_totalprice"])
         .map_batches(order_partial, batch_format="pyarrow"),
         "c", [("cents", "sum")])
-    pc_t = pa.concat_tables(per_cust.iter_batches(batch_format="pyarrow"))
+    pc_t = collect(per_cust)
     spend = dict(zip((int(x) for x in pc_t["c"].to_pylist()),
                      (int(x) for x in pc_t["cents"].to_pylist())))
 
-    cust = pa.concat_tables(
-        rd.read_parquet(_pq(sf_dir, "customer"),
-                        columns=["c_custkey", "c_name", "c_nationkey"])
-        .iter_batches(batch_format="pyarrow"))
+    cust = collect(rd.read_parquet(
+        _pq(sf_dir, "customer"),
+        columns=["c_custkey", "c_name", "c_nationkey"]))
     ck = [int(x) for x in cust["c_custkey"].to_pylist()]
     nk = [int(x) for x in cust["c_nationkey"].to_pylist()]
     names = cust["c_name"].to_pylist()
@@ -4042,7 +4033,7 @@ def revenue_rollup_geo(sf_dir: str):
                         columns=["o_custkey", "o_totalprice"])
         .map_batches(Leaf, batch_format="pyarrow", concurrency=(1, 2)),
         ["r_name", "n_name"], [("cents", "sum"), ("n", "count")])
-    t = pa.concat_tables(leaf.iter_batches(batch_format="pyarrow"))
+    t = collect(leaf)
     rows = []
     for i in range(t.num_rows):
         rows.append((t["r_name"][i].as_py(), t["n_name"][i].as_py(),
@@ -4110,7 +4101,7 @@ def max_concurrent_sessions(sf_dir: str, gap_minutes: int = 30):
 
     agg = combine_buckets(sess.map_batches(deltas, batch_format="pyarrow"),
                           "us", [("net", "sum")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     us = t["us"].to_numpy()
     net = t["net"].to_numpy()
     order = np.argsort(us, kind="stable")
@@ -4173,13 +4164,12 @@ def weighted_median_price(sf_dir: str):
             "wmedian_cents": pa.array([int(c_u[pos])], type=INT64),
         })
 
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_returnflag", "l_extendedprice",
                                  "l_quantity"])
         .map_batches(partial, batch_format="pyarrow"),
-        combine, part_col="flag") \
-        .sort("l_returnflag")
+        combine, part_col="flag"), "l_returnflag")
 
 
 # ---------------------------------------------------------------------------
@@ -4213,7 +4203,7 @@ def drift_psi(sf_dir: str, split_day: int = 19738, nbins: int = 10):
         rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "value"])
         .map_batches(partial, batch_format="pyarrow"),
         ["half", "milli"], [("n", "count")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     half = t["half"].to_numpy()
     milli = t["milli"].to_numpy()
     n = t["n"].to_numpy()
@@ -4283,7 +4273,7 @@ def ab_experiment(sf_dir: str):
                         columns=["user_id", "event_type"])
         .map_batches(partial, batch_format="pyarrow"),
         "user_id", [("conv", "max")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     users = t["user_id"].to_pylist()
     conv = t["conv"].to_numpy()
     arm = np.array([_md5_hex([str(int(u))])[0][0] < "8"
@@ -4410,7 +4400,7 @@ def basket_pairs(sf_dir: str, k: int = 50, npart: int = 16):
                         columns=["l_orderkey", "l_partkey"])
         .map_batches(op_distinct, batch_format="pyarrow"), baskets)
     parts = bucket_exchange(bask, pair_totals, part_col="part2")
-    t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
+    t = collect(parts)
     kind = t["kind"].to_numpy(zero_copy_only=False)
     A = t["pa"].to_numpy(zero_copy_only=False)
     B = t["pb"].to_numpy(zero_copy_only=False)
@@ -4537,7 +4527,7 @@ def spatial_radius_join(sf_dir: str, npart: int = 16):
         rd.read_parquet(_pq(sf_dir, "customer"),
                         columns=["c_custkey"])
         .map_batches(scatter, batch_format="pyarrow"), pair_cells)
-    t = pa.concat_tables(pairs.iter_batches(batch_format="pyarrow"))
+    t = collect(pairs)
     return t.take(pc.sort_indices(t, sort_keys=[
         ("c1", "ascending"), ("c2", "ascending")]))
 
@@ -4561,9 +4551,7 @@ def custdist(sf_dir: str):
     per_cust = combine_buckets(
         rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_custkey"]),
         "o_custkey", [("c_count", "count")])
-    t = pa.concat_tables(
-        combine_buckets(per_cust, "c_count", [("custdist", "count")])
-        .iter_batches(batch_format="pyarrow"))
+    t = collect(combine_buckets(per_cust, "c_count", [("custdist", "count")]))
     import duckdb
     n_cust = duckdb.sql("SELECT COUNT(*) FROM read_parquet('%s')"
                         % _pq(sf_dir, "customer")).fetchone()[0]
@@ -4619,7 +4607,7 @@ def naive_bayes(sf_dir: str):
         _docs(sf_dir, columns=["lang", "text"])
         .map_batches(train_partial, batch_format="pyarrow"), "lang",
         [(f"c{i}", "sum") for i in range(len(NB_TERMS))] + [("nd", "count")])
-    gt = pa.concat_tables(g.iter_batches(batch_format="pyarrow"))
+    gt = collect(g)
     stats = {gt["lang"][i].as_py():
              {"nd": int(gt["nd"][i].as_py()),
               **{f"c{j}": int(gt[f"c{j}"][i].as_py())
@@ -4654,7 +4642,7 @@ def naive_bayes(sf_dir: str):
 
     conf = _docs(sf_dir, columns=["lang", "text"]) \
         .map_batches(classify, batch_format="pyarrow")
-    t = pa.concat_tables(conf.iter_batches(batch_format="pyarrow"))
+    t = collect(conf)
     t = t.group_by(["lang", "pred"]).aggregate([("n", "sum")]) \
         .rename_columns(["lang", "pred", "n"])
     t = pa.table({"lang": t["lang"], "pred": t["pred"],
@@ -4733,7 +4721,7 @@ def rle_advisor(sf_dir: str, npart: int = 16):
             _pq(sf_dir, "lineitem"),
             columns=["l_orderkey", "l_linenumber"] + RLE_COLS)
         .map_batches(scatter, batch_format="pyarrow"), runs)
-    t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
+    t = collect(parts)
     out = []
     for col in RLE_COLS:
         sub = t.filter(pc.equal(t["col"], col))
@@ -4900,7 +4888,7 @@ def bpe_merges(sf_dir: str, npart: int = 32):
         cand = bucket_exchange(
             _docs(sf_dir, columns=["text"])
             .map_batches(pair_counts, batch_format="pyarrow"), bucket_top)
-        t = pa.concat_tables(cand.iter_batches(batch_format="pyarrow"))
+        t = collect(cand)
         rows = sorted(zip((-x for x in t["n"].to_pylist()),
                           t["pair"].to_pylist()))
         n, pair = -rows[0][0], rows[0][1]
@@ -4983,9 +4971,8 @@ def gdpr_cascade(sf_dir: str):
     never shuffle and nothing but keys ever reaches the driver."""
     import ray
 
-    cust = pa.concat_tables(
-        rd.read_parquet(_pq(sf_dir, "customer"), columns=["c_custkey"])
-        .iter_batches(batch_format="pyarrow"))
+    cust = collect(rd.read_parquet(_pq(sf_dir, "customer"),
+                                   columns=["c_custkey"]))
     ckeys = cust["c_custkey"].to_numpy(zero_copy_only=False)
     dmask = np.array([h[0] == "0" for h in
                       _md5_hex([str(int(k)) for k in ckeys])])
@@ -5006,7 +4993,7 @@ def gdpr_cascade(sf_dir: str):
     od = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_orderkey", "o_custkey"]) \
         .map_batches(orders_partial, batch_format="pyarrow")
-    ot = pa.concat_tables(od.iter_batches(batch_format="pyarrow"))
+    ot = collect(od)
     del_ord = np.sort(ot["key"].to_numpy(zero_copy_only=False))
     p_ord = len(del_ord)
     del_ord_ref = ray.put(del_ord)
@@ -5448,10 +5435,8 @@ def local_supplier_revenue(sf_dir: str, region: str = "ASIA",
 
     # nation-sized partials per batch or bucket: fold + name + sort
     # driver-side
-    parts = pa.concat_tables(
-        lookup_join(lines, ord_nat, "l_orderkey", npart=npart,
-                    bucket_finish=q5_finish)
-        .iter_batches(batch_format="pyarrow", batch_size=None))
+    parts = collect(lookup_join(lines, ord_nat, "l_orderkey", npart=npart,
+                                bucket_finish=q5_finish))
     g = parts.group_by(["n_nationkey"]).aggregate([("rev", "sum")]) \
         .rename_columns(["n_nationkey", "rev"])
     names = [nat_name[int(k)] for k in g["n_nationkey"].to_pylist()]
@@ -5630,7 +5615,7 @@ def bootstrap_ci(sf_dir: str):
         rd.read_parquet(_pq(sf_dir, "events"), columns=["event_id", "value"])
         .map_batches(partial, batch_format="pyarrow"),
         "r", [("s", "sum"), ("n", "sum")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     rows = {int(r): (int(s), int(n)) for r, s, n in
             zip(t["r"].to_pylist(), t["s"].to_pylist(),
                 t["n"].to_pylist())}
@@ -5897,12 +5882,12 @@ def cusum_changepoint(sf_dir: str):
         return pa.table({"day": pc.cast(pc.floor(pc.divide(
             pc.cast(b["ts"], INT64), US_DAY)), INT64)})
 
-    daily = sort_result(combine_buckets(
+    daily = collect(combine_buckets(
         rd.read_parquet(_pq(sf_dir, "events"), columns=["ts"])
         .map_batches(partial, batch_format="pyarrow"), "day",
-        [("n", "count")]), ["day"]).take_all()
-    days = np.array([r["day"] for r in daily], dtype=np.int64)
-    cnt = np.array([r["n"] for r in daily], dtype=np.int64)
+        [("n", "count")])).sort_by("day")
+    days = daily["day"].to_numpy().astype(np.int64)
+    cnt = daily["n"].to_numpy().astype(np.int64)
     n = np.int64(days.size)
     total = np.int64(cnt.sum())
     s = np.cumsum(cnt)
@@ -5967,14 +5952,13 @@ def period_movers(sf_dir: str, npart: int = 32):
         order = np.lexsort((p, -delta))[:_MOVER_K]
         return b.take(pa.array(np.sort(order)))
 
-    parts = combine_buckets(
+    parts = collect(combine_buckets(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_partkey", "l_shipdate",
                                  "l_extendedprice", "l_discount"])
         .map_batches(partial, batch_format="pyarrow"),
-        "p", [("rev_a", "sum"), ("rev_b", "sum")]) \
-        .map_batches(local_topk, batch_format="pyarrow") \
-        .take_all()
+        "p", [("rev_a", "sum"), ("rev_b", "sum")])
+        .map_batches(local_topk, batch_format="pyarrow")).to_pylist()
     rows = sorted(parts, key=lambda r: (-(r["rev_b"] - r["rev_a"]),
                                         r["p"]))[:_MOVER_K]
     return pa.table({
@@ -6176,9 +6160,9 @@ def pareto_cut(sf_dir: str, npart: int = 32, target_ppm: int = 800_000):
         return pa.table({"c": pa.array(classes, type=INT64),
                          "m": pa.array(m, type=INT64)})
 
-    hist = combine_buckets(_user_timeline(
+    hist = collect(combine_buckets(_user_timeline(
         sf_dir, ["user_id"], bucket, npart=npart, order=None, reduce=scan),
-        "c", [("m", "sum")]).take_all()
+        "c", [("m", "sum")])).to_pylist()
     cls = sorted(((int(r["c"]), int(r["m"])) for r in hist),
                  reverse=True)
     total = sum(c * m for c, m in cls)
@@ -6281,8 +6265,8 @@ def apportioned_sample(sf_dir: str):
     driver arithmetic; each batch keeps only its local quota-smallest
     md5 keys per lang (the top-k combiner), so the final per-lang
     selection sees ≤ quota·blocks rows — the corpus never moves."""
-    lang_counts = combine_buckets(_docs(sf_dir, columns=["lang"]), "lang",
-                                  [("n", "count")]).take_all()
+    lang_counts = collect(combine_buckets(
+        _docs(sf_dir, columns=["lang"]), "lang", [("n", "count")])).to_pylist()
     counts = sorted((r["lang"], int(r["n"])) for r in lang_counts)
     total = sum(n for _, n in counts)
     base = {l: _APPORTION_N * n // total for l, n in counts}
@@ -6317,11 +6301,10 @@ def apportioned_sample(sf_dir: str):
         return pa.table({"lang": g["lang"].take(pa.array(sel)),
                          "doc_id": pa.array(ids[sel], type=INT64)})
 
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         _docs(sf_dir, columns=["doc_id", "lang"])
         .map_batches(local_topq, batch_format="pyarrow"),
-        final_pick, part_col="lang") \
-        .sort(["lang", "doc_id"])
+        final_pick, part_col="lang"), ["lang", "doc_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -6353,10 +6336,10 @@ def mi_contributions(sf_dir: str):
                        .astype(np.int64))
         return pa.table({"x": b["event_type"], "dow": dow})
 
-    cells = combine_buckets(
+    cells = collect(combine_buckets(
         rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "ts"])
         .map_batches(partial, batch_format="pyarrow"),
-        ["x", "dow"], [("n", "count")]).take_all()
+        ["x", "dow"], [("n", "count")])).to_pylist()
     n_x, n_y = {}, {}
     total = 0
     for r in cells:
@@ -6418,9 +6401,9 @@ def pca_label_map(sf_dir: str):
 
     emb = rd.read_parquet(_pq(sf_dir, "embeddings"),
                           columns=["embedding", "label"])
-    agg = combine_buckets(
+    agg = collect(combine_buckets(
         emb.map_batches(gram_partial, batch_format="pyarrow"), ["i", "j"],
-        [(c, "sum") for c in ("sxy", "sxi", "sxj", "n")]).take_all()
+        [(c, "sum") for c in ("sxy", "sxi", "sxj", "n")])).to_pylist()
     d = int(max(r["i"] for r in agg)) + 1
     n_total = int(agg[0]["n"])
     cov = np.zeros((d, d))
@@ -6456,9 +6439,9 @@ def pca_label_map(sf_dir: str):
             cols[f"s{dim}"] = pa.array(sums[:, dim], type=INT64)
         return pa.table(cols)
 
-    per_label = combine_buckets(
+    per_label = collect(combine_buckets(
         emb.map_batches(label_partial, batch_format="pyarrow"), "label",
-        [("n", "sum")] + [(f"s{dim}", "sum") for dim in range(d)]).take_all()
+        [("n", "sum")] + [(f"s{dim}", "sum") for dim in range(d)])).to_pylist()
     rows = []
     for r in sorted(per_label, key=lambda r: int(r["label"])):
         n = int(r["n"])
@@ -6594,9 +6577,9 @@ def merkle_diff(sf_dir: str):
             }))
         return pa.concat_tables(out)
 
-    parts = rd.read_parquet(_pq(sf_dir, "orders"),
-                            columns=["o_orderkey", "o_totalprice"]) \
-        .map_batches(partial, batch_format="pyarrow").take_all()
+    parts = collect(rd.read_parquet(_pq(sf_dir, "orders"),
+                                    columns=["o_orderkey", "o_totalprice"])
+                    .map_batches(partial, batch_format="pyarrow")).to_pylist()
     dig = np.zeros((2, _MERKLE_LEAVES), dtype=np.uint64)
     cnt = np.zeros((2, _MERKLE_LEAVES), dtype=np.int64)
     with np.errstate(over="ignore"):
@@ -6814,10 +6797,8 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_3",
 
     # ≤ 2·2·years partial rows per batch or bucket: fold + name + sort
     # driver-side
-    parts = pa.concat_tables(
-        lookup_join(lines, ord_nat, "l_orderkey", npart=npart,
-                    bucket_finish=q7_finish)
-        .iter_batches(batch_format="pyarrow", batch_size=None))
+    parts = collect(lookup_join(lines, ord_nat, "l_orderkey", npart=npart,
+                                bucket_finish=q7_finish))
     g = parts.group_by(["s_nat", "c_nat", "l_year"]) \
         .aggregate([("rev", "sum")]) \
         .rename_columns(["s_nat", "c_nat", "l_year", "rev"])
@@ -6948,10 +6929,8 @@ def national_market_share(sf_dir: str, region: str = "ASIA",
 
     # years-sized partials per batch or bucket: fold + divide + sort on
     # the driver instead of a native Aggregate + distributed sort
-    parts = pa.concat_tables(
-        lookup_join(lines, ord_year, "l_orderkey", npart=npart,
-                    bucket_finish=q8_finish)
-        .iter_batches(batch_format="pyarrow", batch_size=None))
+    parts = collect(lookup_join(lines, ord_year, "l_orderkey", npart=npart,
+                                bucket_finish=q8_finish))
     g = parts.group_by(["o_year"]).aggregate(
         [("den", "sum"), ("num", "sum")]) \
         .rename_columns(["o_year", "den", "num"]).sort_by("o_year")
@@ -7069,9 +7048,7 @@ def returned_items(sf_dir: str, npart: int = 16, k: int = 20):
 
     # k·npart candidate rows: global top-k + present-sort on the
     # driver instead of a distributed sort+limit over ≤320 rows
-    out = pa.concat_tables(
-        top.map_batches(finish, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow", batch_size=None))
+    out = collect(top.map_batches(finish, batch_format="pyarrow"))
     order = np.lexsort((out["c_custkey"].to_numpy(zero_copy_only=False),
                         -out["revenue"].to_numpy(zero_copy_only=False)))
     return rd.from_arrow(out.take(pa.array(order[:k])))
@@ -7336,19 +7313,16 @@ def large_volume_customers(sf_dir: str, min_qty: int = 250,
     # the HAVING survivors are ~0.1% of orders — the textbook
     # broadcast semi-join side.  Each joined batch keeps its local
     # top-k, so ≤ k rows per batch reach the driver's global top-k.
-    wo = pa.concat_tables(
-        lookup_join(orders, big, "o_orderkey", npart=npart,
-                    bucket_finish=topk_partial)
-        .iter_batches(batch_format="pyarrow", batch_size=None))
+    wo = collect(lookup_join(orders, big, "o_orderkey", npart=npart,
+                             bucket_finish=topk_partial))
     top_tbl = topk_partial(wo)
     # c_name lookup: the ≤ k wanted custkeys filter the customer scan
     want = rd.from_arrow(pa.table({"c_custkey": pa.array(np.unique(
         top_tbl["c_custkey"].to_numpy(zero_copy_only=False)), type=INT64)}))
-    cust_tbl = pa.concat_tables(
-        lookup_join(rd.read_parquet(_pq(sf_dir, "customer"),
-                                    columns=["c_custkey", "c_name"]),
-                    want, "c_custkey", npart=npart)
-        .iter_batches(batch_format="pyarrow", batch_size=None))
+    cust_tbl = collect(lookup_join(
+        rd.read_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_custkey", "c_name"]),
+        want, "c_custkey", npart=npart))
     b = top_tbl.join(cust_tbl, keys="c_custkey", join_type="inner")
     iso = [str(np.datetime64(int(x), "us"))[:10]
            for x in b["o_date_us"].to_numpy(zero_copy_only=False)]
@@ -7452,10 +7426,8 @@ def product_profit(sf_dir: str, p_type: str = "LARGE", npart: int = 16):
     # present-sort on the driver instead of paying a native Aggregate
     # AND a distributed sort (~2 fixed all-to-alls) for ≤175 rows
     # (round-4 native-Aggregate finding; 11.9 s → ~8 s at sf0.1/32)
-    parts = pa.concat_tables(
-        hash_join(lines, orders, "l_orderkey", npart=npart,
-                  bucket_finish=q9_finish)
-        .iter_batches(batch_format="pyarrow", batch_size=None))
+    parts = collect(hash_join(lines, orders, "l_orderkey", npart=npart,
+                              bucket_finish=q9_finish))
     agg = parts.group_by(["s_nat", "o_year"]) \
         .aggregate([("profit", "sum")]) \
         .rename_columns(["s_nat", "o_year", "profit"])
@@ -7588,7 +7560,7 @@ def stockout_crossing(sf_dir: str, threshold_qty: int = 500,
             "cross_date": pa.array(iso, type=pa.string()),
             "cum_qc": pa.array(cum[fi], type=INT64)})
 
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_partkey", "l_shipdate",
                                  "l_orderkey", "l_linenumber",
@@ -7596,8 +7568,7 @@ def stockout_crossing(sf_dir: str, threshold_qty: int = 500,
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "l_partkey", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .sort("l_partkey")
+        lambda g: bucket(g.drop_columns(["part"]))), "l_partkey")
 
 
 # ---------------------------------------------------------------------------
@@ -7774,7 +7745,7 @@ def split_scan(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow"),
         "bucket", [("n", "count"), ("pos", "sum")])
 
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     order = np.argsort(t["bucket"].to_numpy(zero_copy_only=False))
     bkt = t["bucket"].to_numpy(zero_copy_only=False)[order]
     n = t["n"].to_numpy(zero_copy_only=False)[order]
@@ -7841,7 +7812,7 @@ def brand_triples(sf_dir: str, minsup: int = 40, npart: int = 16):
 
     # Apriori prune: brand support floor (tiny, driver-held)
     sup = combine_buckets(ob.select_columns(["b"]), "b", [("n", "count")])
-    sup_t = pa.concat_tables(sup.iter_batches(batch_format="pyarrow"))
+    sup_t = collect(sup)
     freq = set(sup_t.filter(pc.greater_equal(
         sup_t["n"], minsup))["b"].to_pylist())
 
@@ -8037,8 +8008,9 @@ def monetary_unit_sample(sf_dir: str, npart: int = 32):
     ds = rd.read_parquet(_pq(sf_dir, "orders"),
                          columns=["o_orderkey", "o_totalprice"]) \
         .map_batches(to_cents, batch_format="pyarrow")
-    return range_scan(ds, i64_key("o_orderkey"), i64_key("o_orderkey"),
-                      "cents", "sum", bucket, npart=npart).sort("o_orderkey")
+    return sort_result(range_scan(
+        ds, i64_key("o_orderkey"), i64_key("o_orderkey"), "cents", "sum",
+        bucket, npart=npart), "o_orderkey")
 
 
 # ---------------------------------------------------------------------------
@@ -8111,14 +8083,13 @@ def interval_union(sf_dir: str, npart: int = 32):
             "n_intervals": pa.array(sizes.astype(np.int64))})
         return isl.join(cnt, keys="user_id", join_type="inner")
 
-    return _user_timeline(
+    return sort_result(_user_timeline(
         sf_dir, ["user_id", "event_id", "ts", "value"], bucket,
         npart=npart, order=("user_id", "s", "e", "event_id"),
-        reduce=partial) \
+        reduce=partial)
         .map_batches(lambda b: b.select(
             ["user_id", "n_intervals", "n_islands", "covered_us"]),
-            batch_format="pyarrow") \
-        .sort("user_id")
+            batch_format="pyarrow"), "user_id")
 
 
 # ---------------------------------------------------------------------------
@@ -8269,17 +8240,13 @@ def journey_paths(sf_dir: str, k: int = 5, topn: int = 20,
             path[has] = path[has] + sep + et[starts[has] + j]
         return pa.table({"path": pa.array(path.tolist(), type=pa.string())})
 
-    top = combine_buckets(_user_timeline(
+    top = collect(combine_buckets(_user_timeline(
         sf_dir, ["user_id", "ts", "event_id", "event_type"], bucket,
         npart=npart),
-        "path", [("n_users", "count")]) \
-        .sort(["n_users", "path"], descending=[True, False]).limit(topn)
-
-    return top.map_batches(lambda b: pa.table({
-        "path": b["path"],
-        "n_users": pc.cast(b["n_users"], INT64)}),
-        batch_format="pyarrow") \
-        .sort(["n_users", "path"], descending=[True, False])
+        "path", [("n_users", "count")])).sort_by(
+            [("n_users", "descending"), ("path", "ascending")]).slice(0, topn)
+    return rd.from_arrow(pa.table({
+        "path": top["path"], "n_users": pc.cast(top["n_users"], INT64)}))
 
 
 # ---------------------------------------------------------------------------
@@ -8433,8 +8400,7 @@ def mutual_best(sf_dir: str, npart: int = 16):
 
     # result is mutual-match-sized (≤ min(|c|,|p|)) — sort it on the
     # driver instead of paying one more all-to-all for presentation
-    out = pa.concat_tables(
-        mutual.iter_batches(batch_format="pyarrow", batch_size=None))
+    out = collect(mutual)
     out = pa.table({
         "c_custkey": out["c"], "p_partkey": out["p"],
         "revenue": pc.divide(pc.cast(out["r"], pa.float64()), 10_000.0),
@@ -8529,13 +8495,11 @@ def quantized_retrieval(sf_dir: str, query_vec_id: int = 0,
             "vec_id": b["vec_id"].take(pa.array(order)),
             "dot": pa.array(dot[order], type=INT64)})
 
-    return rd.read_parquet(_pq(sf_dir, "embeddings"),
-                           columns=["vec_id", "embedding"]) \
-        .map_batches(score, batch_format="pyarrow") \
-        .sort(["dot", "vec_id"], descending=[True, False]).limit(k) \
-        .map_batches(lambda b: b.select(["vec_id", "dot"]),
-                     batch_format="pyarrow") \
-        .sort(["dot", "vec_id"], descending=[True, False])
+    top = collect(rd.read_parquet(_pq(sf_dir, "embeddings"),
+                                  columns=["vec_id", "embedding"])
+                  .map_batches(score, batch_format="pyarrow")).sort_by(
+        [("dot", "descending"), ("vec_id", "ascending")]).slice(0, k)
+    return rd.from_arrow(top.select(["vec_id", "dot"]))
 
 
 # ---------------------------------------------------------------------------
@@ -8582,7 +8546,7 @@ def cheapest_supplier(sf_dir: str, npart: int = 32):
             "s_suppkey": pa.array(s[first], type=INT64),
             "unit_price": pa.array(up[first], type=pa.float64())})
 
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_partkey", "l_suppkey",
                                  "l_orderkey", "l_extendedprice",
@@ -8590,8 +8554,7 @@ def cheapest_supplier(sf_dir: str, npart: int = 32):
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "l_partkey", npart),
                      batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .sort("p_partkey")
+        lambda g: bucket(g.drop_columns(["part"]))), "p_partkey")
 
 
 # ---------------------------------------------------------------------------
@@ -8659,8 +8622,8 @@ def order_cadence(sf_dir: str, min_orders: int = 5, npart: int = 32):
             "sum_gap_days": pa.array(sg, type=INT64),
             "cv": pa.array(cv, type=pa.float64())})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("c_custkey")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       "c_custkey")
 
 
 # ---------------------------------------------------------------------------
@@ -9055,7 +9018,7 @@ def weekday_seasonality(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow"),
         ["dow", "day"], [("cents", "sum")])
 
-    t = pa.concat_tables(per_day.iter_batches(batch_format="pyarrow"))
+    t = collect(per_day)
     dow = t["dow"].to_numpy(zero_copy_only=False)
     cents = t["cents"].to_numpy(zero_copy_only=False)
     n_days = np.bincount(dow, minlength=7).astype(np.int64)
@@ -9129,7 +9092,7 @@ def priority_mix_shift(sf_dir: str, year_a: int = 1996,
             "delta_ppm": pc.subtract(sb, sa)})
 
     # the aggregated table is <=|priorities| rows — close on the driver
-    return finish(pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))) \
+    return finish(collect(agg)) \
         .sort_by("priority")
 
 
@@ -9185,7 +9148,7 @@ def basket_width(sf_dir: str, npart: int = 32):
             "share": pa.array(n.astype(np.float64) / float(total),
                               type=pa.float64())})
 
-    return finish(pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))) \
+    return finish(collect(agg)) \
         .sort_by("width")
 
 
@@ -9327,8 +9290,8 @@ def brand_cr3(sf_dir: str, k: int = 3, npart: int = 16):
                             / tot.astype(np.float64),
                             type=pa.float64())})
 
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("p_brand")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
+                       "p_brand")
 
 
 # ---------------------------------------------------------------------------
@@ -9449,7 +9412,7 @@ def _cents_histograms(sf_dir: str, type_a: str, type_b: str):
         rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
         .map_batches(partial, batch_format="pyarrow"),
         "cents", [("c1", "sum"), ("c2", "sum")])
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     order = np.argsort(t["cents"].to_numpy(zero_copy_only=False))
     return (t["c1"].to_numpy(zero_copy_only=False)[order],
             t["c2"].to_numpy(zero_copy_only=False)[order])
@@ -9531,7 +9494,7 @@ def fulfillment_sla(sf_dir: str, sla_days: int = 60, npart: int = 16):
                   bucket_finish=hist_partial),
         ["priority", "lag"], [("n", "sum")])
 
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     pr = np.asarray(t["priority"])
     lag = t["lag"].to_numpy(zero_copy_only=False)
     cnt = t["n"].to_numpy(zero_copy_only=False)
@@ -9770,7 +9733,7 @@ def kendall_tau(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow"),
         ["size", "band"], [("n", "count")])
 
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     sz = t["size"].to_numpy(zero_copy_only=False)
     bd = t["band"].to_numpy(zero_copy_only=False)
     cnt = t["n"].to_numpy(zero_copy_only=False)
@@ -9854,8 +9817,8 @@ def stickiness(sf_dir: str, npart: int = 32):
                 (dr.astype(np.float64) / 7.0) / w.astype(np.float64),
                 type=pa.float64())})
 
-    return both.map_batches(finish, batch_format="pyarrow") \
-        .sort("week")
+    return sort_result(both.map_batches(finish, batch_format="pyarrow"),
+                       "week")
 
 
 # ---------------------------------------------------------------------------
@@ -10022,7 +9985,7 @@ def revenue_volatility(sf_dir: str, npart: int = 16):
 
     agg = combine_buckets(joined, ["nat", "month"], [("cents", "sum")])
 
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     nat = t["nat"].to_numpy(zero_copy_only=False)
     mo = t["month"].to_numpy(zero_copy_only=False)
     cents = t["cents"].to_numpy(zero_copy_only=False)
@@ -10178,9 +10141,7 @@ def reorder_rate(sf_dir: str, k: int = 20, npart: int = 32,
 
     # per-block top-k partials: the driver merges k·blocks rows, not
     # the parts-cardinality table
-    t = pa.concat_tables(
-        agg.map_batches(block_topk, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow"))
+    t = collect(agg.map_batches(block_topk, batch_format="pyarrow"))
     order = np.lexsort((t["p_partkey"].to_numpy(zero_copy_only=False),
                         -t["reorder_ppm"].to_numpy(
                             zero_copy_only=False)))[:k]
@@ -10236,9 +10197,9 @@ def hhi_index(sf_dir: str, npart: int = 16):
         nat = sup_nat[np.minimum(s, len(sup_nat) - 1)]
         return pa.table({"nat": pa.array(nat, type=INT64), "tot": b["rev"]})
 
-    tot_t = pa.concat_tables(combine_buckets(
-        per_sup.map_batches(nat_total, batch_format="pyarrow"), "nat",
-        [("tot", "sum")]).iter_batches(batch_format="pyarrow"))
+    tot_t = collect(combine_buckets(
+per_sup.map_batches(nat_total, batch_format="pyarrow"), "nat",
+[("tot", "sum")]))
     tot_map = np.zeros(int(tot_t["nat"].to_numpy(
         zero_copy_only=False).max()) + 1, dtype=np.int64)
     tot_map[tot_t["nat"].to_numpy(zero_copy_only=False)] = \
@@ -10410,7 +10371,7 @@ def survival_table(sf_dir: str, npart: int = 32):
         npart=npart),
         "hour", [("d", "sum"), ("c", "sum")])
 
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     order = np.argsort(t["hour"].to_numpy(zero_copy_only=False))
     hr = t["hour"].to_numpy(zero_copy_only=False)[order]
     d = t["d"].to_numpy(zero_copy_only=False)[order]
@@ -10522,7 +10483,7 @@ def calendar_gaps(sf_dir: str):
         rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_orderdate"])
         .map_batches(partial, batch_format="pyarrow"), "day", [])
 
-    t = pa.concat_tables(days.iter_batches(batch_format="pyarrow"))
+    t = collect(days)
     d = np.sort(t["day"].to_numpy(zero_copy_only=False))
     span = int(d[-1] - d[0]) + 1
     gaps = np.diff(d) - 1
@@ -10573,7 +10534,7 @@ def coactivity_correlation(sf_dir: str, type_a: str = "click",
         .map_batches(partial, batch_format="pyarrow"),
         "minute", [("ca", "sum"), ("cb", "sum")])
 
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     mn = t["minute"].to_numpy(zero_copy_only=False)
     ca = t["ca"].to_numpy(zero_copy_only=False)
     cb = t["cb"].to_numpy(zero_copy_only=False)
@@ -10842,7 +10803,7 @@ def region_trade_matrix(sf_dir: str, npart: int = 16):
                   bucket_finish=cells),
         ["c_reg", "s_reg"], [("rev", "sum")])
 
-    t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    t = collect(agg)
     rev = t["rev"].to_numpy(zero_copy_only=False)
     total = int(rev.sum())
     return pa.table({
@@ -11105,7 +11066,7 @@ def sole_latest_supplier(sf_dir: str, npart: int = 32, k: int = 10):
     nmap = dict(zip(names["s_suppkey"].to_pylist(),
                     names["s_name"].to_pylist()))
 
-    rows = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
+    rows = collect(agg)
     t = pa.table({
         "s_name": pa.array([nmap[s] for s in rows["supp"].to_pylist()],
                            type=pa.string()),
@@ -11201,11 +11162,7 @@ def rich_idle_customers(sf_dir: str, npart: int = 32):
                             columns=["n_nationkey", "n_name"])
     nmap = dict(zip(names["n_nationkey"].to_pylist(),
                     names["n_name"].to_pylist()))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    rows = (pa.concat_tables(batches) if batches
-            else pa.table({"nat": pa.array([], type=INT64),
-                           "numcust": pa.array([], type=INT64),
-                           "totacctbal_c": pa.array([], type=INT64)}))
+    rows = collect(agg)
     t = pa.table({
         "n_name": pa.array([nmap[x] for x in rows["nat"].to_pylist()],
                            type=pa.string()),
@@ -11274,11 +11231,10 @@ def volume_drawdown(sf_dir: str, npart: int = 8):
             "max_drawdown": pa.array(out_dd, type=INT64),
             "n_days": pa.array(out_days, type=INT64)})
 
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "orders"),
                         columns=["o_orderpriority", "o_orderdate"])
         .map_batches(partial, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .sort("o_orderpriority")
+        lambda g: bucket(g.drop_columns(["part"]))), "o_orderpriority")
 
 

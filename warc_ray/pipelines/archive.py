@@ -14,7 +14,8 @@ import ray.data as rd
 from ..sinks.warc_sink import write_warc_shards
 from ..sources._util import read_parquet
 from ..stages.assemble import fused_doc_records
-from ..stages.exchange import bucket_exchange, combine_buckets, sort_result
+from ..stages.exchange import (bucket_exchange, collect, combine_buckets,
+                               sort_result)
 
 
 def archive_docs(docs_ds: "rd.Dataset", out_dir: str, *,
@@ -181,13 +182,11 @@ def revisit_decisions(archive_dir: str, corpus_docs_path: str,
         .map_batches(cdx_side, batch_format="pyarrow")
     snap = read_parquet(corpus_docs_path, columns=["doc_id", "spans"]) \
         .map_batches(recrawl_side, batch_format="pyarrow")
-    import pyarrow as _pa
-
     agg = combine_buckets(
         bucket_exchange(cdx.union(snap),
                         lambda g: bucket(g.drop_columns(["part"]))),
         "decision", [("n_records", "count"), ("payload_bytes", "sum")])
-    return _pa.concat_tables(agg.iter_batches(batch_format="pyarrow")) \
+    return collect(agg) \
         .sort_by("decision")
 
 

@@ -32,8 +32,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from ..stages.exchange import (bucket_exchange, combine_buckets, i64_key,
-                               ordered_bits_f64, ordered_bits_i64,
+from ..stages.exchange import (bucket_exchange, collect, combine_buckets,
+                               i64_key, ordered_bits_f64, ordered_bits_i64,
                                segment_bounds, sort_result)
 
 INT64 = pa.int64()
@@ -125,7 +125,7 @@ def rollup_lineitem(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "lineitem"),
                          columns=["l_returnflag", "l_linestatus", "l_quantity",
                                   "l_extendedprice", "l_discount", "l_shipdate"])
-    t = pa.concat_tables(_q1_fine(ds).iter_batches(batch_format="pyarrow"))
+    t = collect(_q1_fine(ds))
     flags = t["l_returnflag"].to_pylist()
     stats = t["l_linestatus"].to_pylist()
     q = np.asarray(t["sum_qty"].to_pylist(), dtype=np.int64)
@@ -162,7 +162,7 @@ def cube_lineitem(sf_dir: str):
     ds = rd.read_parquet(_pq(sf_dir, "lineitem"),
                          columns=["l_returnflag", "l_linestatus", "l_quantity",
                                   "l_extendedprice", "l_discount", "l_shipdate"])
-    t = pa.concat_tables(_q1_fine(ds).iter_batches(batch_format="pyarrow"))
+    t = collect(_q1_fine(ds))
     flags = np.asarray(t["l_returnflag"].to_pylist(), dtype=object)
     stats = np.asarray(t["l_linestatus"].to_pylist(), dtype=object)
     meas = [np.asarray(t[c].to_pylist(), dtype=np.int64)
@@ -220,7 +220,8 @@ def topk_events(sf_dir: str, k: int = 20):
     output is bit-identical to the oracle's."""
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_id", "user_id", "event_type", "value"])
-    return ds.sort(["value", "event_id"], descending=[True, False]).limit(k)
+    return sort_result(ds, ["value", "event_id"],
+                       descending=[True, False]).limit(k)
 
 
 def events_by_type(sf_dir: str):
@@ -257,7 +258,7 @@ def filter_orders(sf_dir: str, min_price: float = 100_000.0):
             "price_k": price_k,
         })
 
-    return ds.map_batches(f, batch_format="pyarrow").sort("o_orderkey")
+    return sort_result(ds.map_batches(f, batch_format="pyarrow"), "o_orderkey")
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +395,8 @@ def user_event_stats(sf_dir: str):
             "delta_milli": pa.array(last - first),
         })
 
-    return bucket_exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), combine) \
-        .sort("user_id")
+    return sort_result(bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), combine), "user_id")
 
 
 def moving_average(sf_dir: str, window: int = 3, npart: int = 32):
@@ -450,10 +450,9 @@ def moving_average(sf_dir: str, window: int = 3, npart: int = 32):
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["user_id", "event_id", "ts", "value"])
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         ds.map_batches(partial, batch_format="pyarrow"),
-        lambda g: combine(g.drop_columns(["part"]))) \
-        .sort(["user_id", "event_id"])
+        lambda g: combine(g.drop_columns(["part"]))), ["user_id", "event_id"])
 
 
 def sessionize(sf_dir: str, gap_minutes: int = 30):
@@ -516,9 +515,9 @@ def sessionize(sf_dir: str, gap_minutes: int = 30):
         })
 
     ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id", "ts"])
-    return bucket_exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), combine) \
-        .sort(["user_id", "session_id"])
+    return sort_result(bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), combine),
+        ["user_id", "session_id"])
 
 
 def asof_prior_event(sf_dir: str, right_type: str = "view"):
@@ -585,9 +584,8 @@ def asof_prior_event(sf_dir: str, right_type: str = "view"):
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "event_type"])
-    return bucket_exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), combine) \
-        .sort("event_id")
+    return sort_result(bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), combine), "event_id")
 
 
 def grouped_topk_events(sf_dir: str, k: int = 3):
@@ -629,10 +627,9 @@ def grouped_topk_events(sf_dir: str, k: int = 3):
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["user_id", "event_id", "value"])
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         ds.map_batches(lambda b: topk(b, False), batch_format="pyarrow"),
-        lambda g: topk(g.drop_columns(["part"]), True)) \
-        .sort(["user_id", "rank"])
+        lambda g: topk(g.drop_columns(["part"]), True)), ["user_id", "rank"])
 
 
 def event_quantile_sketch(sf_dir: str, nparts: int = 16):
@@ -689,9 +686,9 @@ def event_quantile_sketch(sf_dir: str, nparts: int = 16):
                          "event_type": pa.array(out_type, type=pa.string()),
                          "blob": pa.array(out_blob, type=pa.binary())})
 
-    rows = rd.from_arrow(desc) \
-        .map_batches(sketch_part, batch_format="pyarrow", batch_size=1) \
-        .take_all()                     # tiny: nparts x types sketch blobs
+    # tiny: nparts x types sketch blobs
+    rows = collect(rd.from_arrow(desc).map_batches(
+        sketch_part, batch_format="pyarrow", batch_size=1)).to_pylist()
     by_type: dict = {}
     for r in sorted(rows, key=lambda r: (r["event_type"], r["part"])):
         s = KLLSketch.from_bytes(r["blob"])
@@ -749,10 +746,9 @@ def event_quantiles(sf_dir: str):
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_type", "value"])
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         ds.map_batches(partial, batch_format="pyarrow"),
-        combine, part_col="event_type") \
-        .sort("event_type")
+        combine, part_col="event_type"), "event_type")
 
 
 def sample_documents(sf_dir: str, hex_cap: str = "28"):
@@ -775,7 +771,7 @@ def sample_documents(sf_dir: str, hex_cap: str = "28"):
 
     ds = rd.read_parquet(_pq(sf_dir, "documents"),
                          columns=["doc_id", "lang", "n_chars"])
-    return ds.map_batches(f, batch_format="pyarrow").sort("doc_id")
+    return sort_result(ds.map_batches(f, batch_format="pyarrow"), "doc_id")
 
 
 def range_join_views(sf_dir: str, window_minutes: int = 10,
@@ -826,9 +822,8 @@ def range_join_views(sf_dir: str, window_minutes: int = 10,
 
     ds = rd.read_parquet(_pq(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "event_type"])
-    return bucket_exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), combine) \
-        .sort("event_id")
+    return sort_result(bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), combine), "event_id")
 
 
 def customers_without_orders(sf_dir: str, priority: str = "1-URGENT"):
@@ -875,8 +870,8 @@ def customers_without_orders(sf_dir: str, priority: str = "1-URGENT"):
     orders = rd.read_parquet(_pq(sf_dir, "orders"),
                              columns=["o_custkey", "o_orderpriority"]) \
         .map_batches(order_part, batch_format="pyarrow")
-    return bucket_exchange(cust.union(orders), combine) \
-        .sort("c_custkey")
+    return sort_result(bucket_exchange(cust.union(orders), combine),
+                       "c_custkey")
 
 
 def windowed_events(sf_dir: str, window: str = "hour"):
@@ -1008,10 +1003,9 @@ def bloom_semi_join(sf_dir: str, segment: str = "BUILDING", npart: int = 16):
                              pc.greater(t["n_items"], 0)))
         return t.drop_columns(["is_key"])
 
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         probe_ds.union(key_ds)
-        .map_batches(add_part, batch_format="pyarrow"), confirm) \
-        .sort("l_orderkey")
+        .map_batches(add_part, batch_format="pyarrow"), confirm), "l_orderkey")
 
 
 # ---------------------------------------------------------------------------
@@ -1079,11 +1073,7 @@ def outlier_events(sf_dir: str):
     Composition story: any exact-quantile cut at any scale costs one
     histogram exchange + one filter scan — the rows themselves never
     shuffle."""
-    thr_t = pa.concat_tables(
-        event_quantiles(sf_dir)
-        .map_batches(lambda b: b.select(["event_type", "p99_milli"]),
-                     batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow"))
+    thr_t = collect(event_quantiles(sf_dir))
     thr = dict(zip(thr_t["event_type"].to_pylist(),
                    thr_t["p99_milli"].to_pylist()))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data as rd
 
-from ..stages.exchange import combine_buckets
+from ..stages.exchange import collect, combine_buckets
 
 
 def hottest_hosts(log_ds: rd.Dataset, k: int = 20) -> pa.Table:
@@ -29,20 +29,10 @@ def hottest_hosts(log_ds: rd.Dataset, k: int = 20) -> pa.Table:
         log_ds.map_batches(partial, batch_format="pyarrow"), "host",
         [("n_fetched", "count"), ("n_ok", "sum"), ("first_round", "min"),
          ("last_round", "max")])
-    top = agg.sort(["n_fetched", "host"], descending=[True, False]).limit(k)
-    return _pull(top).select(
+    top = collect(agg).sort_by([("n_fetched", "descending"),
+                                ("host", "ascending")]).slice(0, k)
+    return top.select(
         ["host", "n_fetched", "n_ok", "first_round", "last_round"])
-
-
-def _pull(ds: rd.Dataset) -> pa.Table:
-    """Small-result driver pull as ONE Arrow table — no pandas
-    round-trip (round-2 VERDICT nit: Arrow→pandas→Arrow on top-k
-    results loses types and copies twice for nothing)."""
-    tabs = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
-    if not tabs:
-        return pa.table({})
-    return pa.concat_tables([pa.table(t) if not isinstance(t, pa.Table)
-                             else t for t in tabs])
 
 
 def crawl_metrics(log_ds: rd.Dataset) -> pa.Table:
@@ -67,9 +57,8 @@ def crawl_metrics(log_ds: rd.Dataset) -> pa.Table:
     hosts = log_ds.select_columns(["round", "host"])
     n_hosts = combine_buckets(combine_buckets(hosts, ["round", "host"], []),
                               "round", [("n_hosts", "count")])
-    a = _pull(agg)
-    h = _pull(n_hosts)
-    return a.join(h, keys="round").sort_by("round")
+    return collect(agg).join(collect(n_hosts), keys="round") \
+        .sort_by("round")
 
 
 def robots_audit(log_ds: rd.Dataset, robots: pa.Table) -> pa.Table:
@@ -127,7 +116,7 @@ def robots_audit(log_ds: rd.Dataset, robots: pa.Table) -> pa.Table:
     agg = combine_buckets(
         log_ds.map_batches(partial, batch_format="pyarrow"), "host",
         [("n_fetched", "sum"), ("n_violations", "sum")])
-    rows = _pull(agg)
+    rows = collect(agg)
     got = {h: (int(f), int(v)) for h, f, v in
            zip(rows["host"].to_pylist(),
                rows["n_fetched"].to_pylist(),

@@ -14,7 +14,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from ..stages.exchange import bucket_exchange, with_part
+from ..stages.exchange import bucket_exchange, collect, with_part
 
 INT64 = pa.int64()
 
@@ -66,10 +66,8 @@ def span_census(docs_path: str):
              ("docs", "sum")]) \
             .rename_columns(["kind", "n_spans", "text_chars", "n_docs"])
 
-    parts = pa.concat_tables(
-        rd.read_parquet(docs_path, columns=["doc_id", "spans"])
-        .map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow", batch_size=None))
+    parts = collect(rd.read_parquet(docs_path, columns=["doc_id", "spans"])
+                    .map_batches(partial, batch_format="pyarrow"))
     out = rd.from_arrow(
         parts.group_by(["kind"]).aggregate(
             [("n_spans", "sum"), ("text_chars", "sum"),
@@ -85,8 +83,7 @@ def span_census(docs_path: str):
 
     # ≤4 rows: sort on the driver, not a distributed sort stage
     return rd.from_arrow(
-        finish(pa.concat_tables(
-            out.iter_batches(batch_format="pyarrow", batch_size=None)))
+        finish(collect(out))
         .sort_by("kind"))
 
 
@@ -147,7 +144,7 @@ def anchor_text_index(docs_path: str, k: int = 50, npart: int = 32):
         rd.read_parquet(docs_path, columns=["spans"])
         .map_batches(partial, batch_format="pyarrow"),
         lambda g: bucket(g.drop_columns(["part"])))
-    merged = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
+    merged = collect(ds)
     idx = pc.sort_indices(merged, sort_keys=[("n_refs", "descending"),
                                              ("target", "ascending")])
     return merged.take(idx.slice(0, k))

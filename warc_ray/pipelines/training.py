@@ -16,7 +16,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..stages import dedup as dd
-from ..stages.exchange import (bucket_exchange, combine_buckets,
+from ..stages.exchange import (bucket_exchange, collect, combine_buckets,
                                segment_bounds, sort_result)
 from ..stages import similarity as sim
 from ..stages import textstats as ts
@@ -75,8 +75,7 @@ def _seeded_sample_rows(path: str, n: int,
 
     parts = rd.read_parquet(path, columns=columns) \
         .map_batches(partial, batch_format="pyarrow")
-    t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow",
-                                            batch_size=None))
+    t = collect(parts)
     h = t["_h"].to_numpy()
     order = np.argsort(h, kind="stable")[:n]
     return t.take(pa.array(order)).drop_columns(["_h"])
@@ -85,23 +84,23 @@ def _seeded_sample_rows(path: str, n: int,
 # -- text analysis ----------------------------------------------------------
 
 def token_counts(sf_dir: str):
-    return _docs(sf_dir).map_batches(ts.token_counts, batch_format="pyarrow") \
-        .sort("doc_id")
+    return sort_result(_docs(sf_dir).map_batches(
+        ts.token_counts, batch_format="pyarrow"), "doc_id")
 
 
 def quality_scores(sf_dir: str):
-    return _docs(sf_dir).map_batches(ts.quality_scores, batch_format="pyarrow") \
-        .sort("doc_id")
+    return sort_result(_docs(sf_dir).map_batches(
+        ts.quality_scores, batch_format="pyarrow"), "doc_id")
 
 
 def lang_id(sf_dir: str):
-    return _docs(sf_dir).map_batches(ts.lang_id, batch_format="pyarrow") \
-        .sort("doc_id")
+    return sort_result(_docs(sf_dir).map_batches(
+        ts.lang_id, batch_format="pyarrow"), "doc_id")
 
 
 def doc_fingerprints(sf_dir: str):
-    return _docs(sf_dir).map_batches(ts.fingerprints, batch_format="pyarrow") \
-        .sort("doc_id")
+    return sort_result(_docs(sf_dir).map_batches(
+        ts.fingerprints, batch_format="pyarrow"), "doc_id")
 
 
 def quality_model_scores(sf_dir: str):
@@ -110,10 +109,9 @@ def quality_model_scores(sf_dir: str):
     materialized once per actor in ``__init__``, the slot where a real
     deployment loads fastText/ONNX), each batch scored with vectorized
     Arrow kernels.  Integer micro-logits, DuckDB-value-exact."""
-    return _docs(sf_dir, columns=["doc_id", "text"]) \
+    return sort_result(_docs(sf_dir, columns=["doc_id", "text"])
         .map_batches(ts.QualityModel, batch_format="pyarrow",
-                     concurrency=(1, 8)) \
-        .sort("doc_id")
+                     concurrency=(1, 8)), "doc_id")
 
 
 # -- dedup ------------------------------------------------------------------
@@ -148,8 +146,8 @@ def ngram_jaccard(sf_dir: str, threshold_ppm: int = 500_000):
 
 
 def simhash(sf_dir: str):
-    return _docs(sf_dir).map_batches(dd.simhash64, batch_format="pyarrow") \
-        .sort("doc_id")
+    return sort_result(_docs(sf_dir).map_batches(
+        dd.simhash64, batch_format="pyarrow"), "doc_id")
 
 
 def embedding_neardup(sf_dir: str, threshold: float = 0.4):
@@ -165,7 +163,7 @@ def embedding_quantize(sf_dir: str):
     (4→1 byte per dim, the standard ANN memory step): tiny two-phase
     stats→quantize, integer-exact incl. the reconstruction-error
     checksum (q48 oracle)."""
-    return sim.quantize_embeddings(_emb(sf_dir)).sort("vec_id")
+    return sort_result(sim.quantize_embeddings(_emb(sf_dir)), "vec_id")
 
 
 def embedding_lsh_pairs(sf_dir: str, threshold: float = 0.4):
@@ -390,8 +388,8 @@ def curation(sf_dir: str):
         q = q.filter(q["is_quality"])
         return q.select(["doc_id", "n_tokens", "alpha_ppm"])
 
-    return survivors.map_batches(stats_and_gate, batch_format="pyarrow") \
-        .sort("doc_id")
+    return sort_result(survivors.map_batches(
+        stats_and_gate, batch_format="pyarrow"), "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +459,10 @@ def tfidf_topk(sf_dir: str, k: int = 3, npart: int = 32):
         docs.map_batches(tf_batch, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "term", npart),
                      batch_format="pyarrow"), score_bucket)
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         scored.map_batches(lambda b: topk(b, False),
                            batch_format="pyarrow"),
-        lambda g: topk(g.drop_columns(["part"]), True)) \
-        .sort(["doc_id", "rank"])
+        lambda g: topk(g.drop_columns(["part"]), True)), ["doc_id", "rank"])
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +528,8 @@ def neardup_curation(sf_dir: str, threshold_ppm: int = 500_000):
         mask = ~np.isin(ids, np.asarray(ray.get(drop_ref)))
         return pa.table({"doc_id": pa.array(ids[mask], type=pa.int64())})
 
-    return _docs(sf_dir, columns=["doc_id"]) \
-        .map_batches(keep, batch_format="pyarrow").sort("doc_id")
+    return sort_result(_docs(sf_dir, columns=["doc_id"])
+        .map_batches(keep, batch_format="pyarrow"), "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +586,10 @@ def inverted_index(sf_dir: str, npart: int = 32):
         })
 
     docs = _docs(sf_dir, columns=["doc_id", "text"])
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         docs.map_batches(pairs_batch, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "term", npart),
-                     batch_format="pyarrow"), build_bucket) \
-        .sort("term")
+                     batch_format="pyarrow"), build_bucket), "term")
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +632,8 @@ def window_chunks(sf_dir: str, win: int = 64, stride: int = 32):
             "win_md5": pa.array(digests, type=pa.string()),
         })
 
-    return _docs(sf_dir, columns=["doc_id", "text"]) \
-        .map_batches(wins, batch_format="pyarrow") \
-        .sort(["doc_id", "win_idx"])
+    return sort_result(_docs(sf_dir, columns=["doc_id", "text"])
+        .map_batches(wins, batch_format="pyarrow"), ["doc_id", "win_idx"])
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +698,7 @@ def pack_chunks(sf_dir: str, budget: int = 2048, npart: int = 16):
         return pa.table({"doc_id": t["doc_id"], "n_tokens": t["n_tokens"],
                          "pack_id": pa.array(before // budget)})
 
-    return bucket_exchange(toks, pack_part) \
-        .sort("doc_id")
+    return sort_result(bucket_exchange(toks, pack_part), "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +728,8 @@ def pii_scrub(sf_dir: str):
                          "clean_len": pc.cast(pc.utf8_length(red),
                                               pa.int64())})
 
-    return _docs(sf_dir, columns=["doc_id", "text"]) \
-        .map_batches(scrub, batch_format="pyarrow").sort("doc_id")
+    return sort_result(_docs(sf_dir, columns=["doc_id", "text"])
+        .map_batches(scrub, batch_format="pyarrow"), "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +763,8 @@ def split_assign(sf_dir: str, train_pct: int = 80, val_pct: int = 10):
                          "bucket": pa.array(bucket),
                          "split": pa.array(split)})
 
-    return _docs(sf_dir, columns=["doc_id"]) \
-        .map_batches(assign, batch_format="pyarrow").sort("doc_id")
+    return sort_result(_docs(sf_dir, columns=["doc_id"])
+        .map_batches(assign, batch_format="pyarrow"), "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -835,8 +829,8 @@ def repetition_stats(sf_dir: str, max_dup_ppm: int = 200_000):
             "is_repetitive": pa.array(ppm >= max_dup_ppm),
         })
 
-    return _docs(sf_dir, columns=["doc_id", "text"]) \
-        .map_batches(stats, batch_format="pyarrow").sort("doc_id")
+    return sort_result(_docs(sf_dir, columns=["doc_id", "text"])
+        .map_batches(stats, batch_format="pyarrow"), "doc_id")
 
 
 def stratified_sample(sf_dir: str, k: int = 20):
@@ -872,14 +866,13 @@ def stratified_sample(sf_dir: str, k: int = 20):
             "rank", pa.array(rank + 1, type=pa.int64()))
 
     # langs are a handful: one global group is langs*k*nblocks rows max
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         _docs(sf_dir, columns=["doc_id", "lang"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: b.append_column(
             "part", pa.array(np.zeros(b.num_rows, dtype=np.int32))),
             batch_format="pyarrow"),
-        lambda g: final(g.drop_columns(["part"]))) \
-        .sort(["lang", "rank"])
+        lambda g: final(g.drop_columns(["part"]))), ["lang", "rank"])
 
 
 def weighted_sample(sf_dir: str, k: int = 20):
@@ -916,11 +909,10 @@ def weighted_sample(sf_dir: str, k: int = 20):
         return t.drop_columns(["ky"]).append_column(
             "rank", pa.array(np.arange(1, t.num_rows + 1, dtype=np.int64)))
 
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         _docs(sf_dir, columns=["doc_id", "n_chars"])
         .map_batches(partial, batch_format="pyarrow"),
-        lambda g: final(g.drop_columns(["part"]))) \
-        .sort("rank")
+        lambda g: final(g.drop_columns(["part"]))), "rank")
 
 
 def ngram_counts(sf_dir: str, topn: int = 50, npart: int = 32):
@@ -958,11 +950,10 @@ def ngram_counts(sf_dir: str, topn: int = 50, npart: int = 32):
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "trigram", npart),
                      batch_format="pyarrow"), bucket_top)
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         tops.map_batches(lambda b: b.append_column(
             "part", pa.array(np.zeros(b.num_rows, dtype=np.int32))),
-            batch_format="pyarrow"), final) \
-        .sort("rank")
+            batch_format="pyarrow"), final), "rank")
 
 
 # ---------------------------------------------------------------------------
@@ -1015,10 +1006,9 @@ def bottomk_distinct(sf_dir: str, k: int = 16):
             "est_distinct": pa.array(ests, type=pa.int64()),
         })
 
-    return bucket_exchange(
+    return sort_result(bucket_exchange(
         _docs(sf_dir, columns=["lang", "text"])
-        .map_batches(partial, batch_format="pyarrow"), final) \
-        .sort("lang")
+        .map_batches(partial, batch_format="pyarrow"), final), "lang")
 
 
 def segment_dedup(sf_dir: str, seg_len: int = 16, npart: int = 64):
@@ -1287,7 +1277,7 @@ def mode_lang_by_source(sf_dir: str):
     as q01/q66."""
     fine = combine_buckets(_docs(sf_dir, columns=["source", "lang"]),
                            ["source", "lang"], [("n", "count")])
-    t = pa.concat_tables(fine.iter_batches(batch_format="pyarrow"))
+    t = collect(fine)
     src = np.asarray(t["source"].to_pylist(), dtype=object)
     lang = np.asarray(t["lang"].to_pylist(), dtype=object)
     n = t["n"].to_numpy(zero_copy_only=False)

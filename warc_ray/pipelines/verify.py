@@ -21,6 +21,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from ..stages.exchange import collect, combine_buckets
+
 _LINK_RE = re.compile(r'^<a href="(?P<ref>[^"]*)">(?P<text>.*)</a>$', re.S)
 _IMG_RE = re.compile(r'^<img src="(?P<ref>[^"]*)">$')
 _VID_RE = re.compile(r'^<video src="(?P<ref>[^"]*)">$')
@@ -156,7 +158,8 @@ def _fp_partial(batch: pa.Table) -> pa.Table:
 
 
 def _fp_reduce(ds: rd.Dataset) -> tuple[int, int]:
-    rows = ds.map_batches(_fp_partial, batch_format="pyarrow").take_all()
+    rows = collect(ds.map_batches(_fp_partial,
+                                  batch_format="pyarrow")).to_pylist()
     n = sum(r["n"] for r in rows)
     fp = sum(r["fp"] for r in rows) & ((1 << 64) - 1)
     return n, fp
@@ -199,8 +202,6 @@ def verify_archive_spans(warc_dir: str, corpus_docs_path: str) -> rd.Dataset:
     comparator is a single vectorized aggregate (Count/Sum/Min/Max) —
     no per-group Python.  False pass probability per doc ≈ 2^-64."""
     from ..sources import read_warc
-    from ..stages.exchange import combine_buckets
-
     def measures(b: pa.Table) -> pa.Table:
         return pa.table({"doc_id": b["doc_id"], "side_sum": b["side_flag"],
                          "h_min": b["seq_hash"], "h_max": b["seq_hash"]})

@@ -35,6 +35,16 @@ fact batch with Arrow, no exchange; else ``hash_join``),
 ``sort_result`` to a result it sorts (fits → sort on the driver; else
 Ray's distributed sort).
 
+This module also owns how a result leaves Ray.  ``collect`` is the
+engine's one driver pull: a Dataset becomes one Arrow table (blocks
+whose types differ promote; empty input keeps the schema when Ray
+knows it).  ``sort_result`` is the engine's one Dataset sort, a
+drop-in for ``Dataset.sort(key, descending)``: the same rows in the
+same key order (nulls last either way) and the same block count, so a
+sorted Dataset that feeds more distributed work keeps its
+parallelism.  A loop that reduces batch by batch
+(``for b in ds.iter_batches()``) is a streaming fold, not a pull.
+
 ``npart`` sizes the reduce parallelism and bounds per-task group state:
 at cluster scale set it to a few × total cores so each bucket's
 distinct keys fit a worker's heap.  Keys hash uniformly, so buckets
@@ -113,17 +123,15 @@ def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
     Empty input never calls ``bucket_fn`` and yields an empty Dataset.
     Output row order is unspecified.
     """
-    import ray
     import ray.data as rd
 
     mat = ds.materialize()
     if mat.count() and not fits_one_block(mat.size_bytes()):
         return mat.groupby(part_col).map_groups(
             bucket_fn, batch_format="pyarrow").materialize()
-    blocks = [b for b in ray.get(mat.to_arrow_refs()) if b.num_rows]
-    if not blocks:
+    tab = collect(mat)
+    if not tab.num_rows:
         return rd.from_arrow(pa.table({}))
-    tab = pa.concat_tables(blocks, promote_options="permissive")
     part = tab[part_col].to_numpy(zero_copy_only=False)
     order = np.argsort(part, kind="stable")
     tab, part = tab.take(pa.array(order)), part[order]
@@ -134,24 +142,58 @@ def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
                                           promote_options="permissive"))
 
 
-def sort_result(ds, keys: list[str]):
-    """Ascending sort of a RESULT-sized Dataset by ``keys``.  Ray's
-    distributed ``.sort()`` costs seconds of fixed all-to-all wall
-    whatever the row count, so a materialized result that
-    ``fits_one_block`` is concatenated and sorted on the driver; a
-    larger one takes ``.sort()``.  Executes ``ds`` once."""
+def collect(ds) -> pa.Table:
+    """The engine's one driver pull: all rows of ``ds`` as one Arrow
+    table, in block order.
+
+    Executes ``ds`` once (materialized; a materialized input is read
+    as it is, since ``materialize`` would re-run its block list through
+    an executor, ~5 ms) and reads its block refs with one ``ray.get``.
+    Non-empty blocks concatenate with permissive promotion (int32 and
+    int64 blocks give int64).  Empty input gives the zero-row table of
+    its blocks' schema, or ``pa.table({})`` when they have none (Ray
+    drops the schema of a batch a task emptied)."""
     import ray
+    from ray.data.dataset import MaterializedDataset
+
+    mat = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+    blocks = [b for b in ray.get(mat.to_arrow_refs()) if b.num_rows]
+    if blocks:
+        return pa.concat_tables(blocks, promote_options="permissive")
+    schema = mat.schema()
+    return pa.table({}) if schema is None else \
+        schema.base_schema.empty_table()
+
+
+def sort_result(ds, keys, descending=False):
+    """``ds.sort(keys, descending)`` for a RESULT-sized Dataset: the
+    engine's one Dataset sort.
+
+    ``keys`` is a column or a list, ``descending`` a bool or one per
+    key, as for ``Dataset.sort``; nulls sort last either way and ties
+    keep input order.  Ray's distributed sort costs seconds of fixed
+    all-to-all wall whatever the row count, so a materialized input
+    that ``fits_one_block`` is sorted on the driver and returned as
+    contiguous slices, one per input block (Ray's sort keeps the block
+    count too); a larger one takes ``Dataset.sort``.  Executes ``ds``
+    once."""
     import ray.data as rd
 
     mat = ds.materialize()
     if not fits_one_block(mat.size_bytes()):
-        return mat.sort(keys)
-    blocks = [b for b in ray.get(mat.to_arrow_refs()) if b.num_rows]
-    if not blocks:
+        return mat.sort(keys, descending=descending)
+    tab = collect(mat)
+    if not tab.num_rows:
         return mat
-    return rd.from_arrow(
-        pa.concat_tables(blocks, promote_options="permissive")
-        .sort_by([(k, "ascending") for k in keys]))
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    desc = descending if isinstance(descending, (list, tuple)) \
+        else [descending] * len(keys)
+    tab = tab.sort_by([(k, "descending" if d else "ascending")
+                       for k, d in zip(keys, desc)])
+    cuts = np.arange(mat.num_blocks() + 1) * tab.num_rows \
+        // mat.num_blocks()
+    return rd.from_arrow([tab.slice(s, e - s)
+                          for s, e in zip(cuts[:-1], cuts[1:])])
 
 
 _COMBINE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
@@ -189,6 +231,7 @@ def combine_buckets(ds, keys, aggs: list[tuple[str, str]], *,
     Dataset, as ``bucket_exchange`` does.
     """
     import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     merge = [(col, _COMBINE_OP[op]) for col, op in aggs]
@@ -203,7 +246,10 @@ def combine_buckets(ds, keys, aggs: list[tuple[str, str]], *,
     mat = ds.map_batches(partial, batch_format="pyarrow",
                          batch_size=None).materialize()
     if mat.count() == 0:
-        schema = ds.schema(fetch_if_missing=False)
+        # an all-empty materialized Dataset reads its schema from its
+        # blocks: Ray's metadata of empty blocks carries none
+        schema = ds.schema(
+            fetch_if_missing=isinstance(ds, MaterializedDataset))
         if schema is not None:
             return rd.from_arrow(
                 combine(partial(schema.base_schema.empty_table())))
@@ -339,15 +385,11 @@ def lookup_join(fact_ds, dim_ds, keys, *, npart: int = 32,
     not once per key bucket, so it must be row-wise (select, filter)
     or a partial the caller re-reduces (a per-key sum, a local top-k).
     """
-    import ray
-
     dim_ds = dim_ds.materialize()
     if not fits_one_block(dim_ds.size_bytes()):
         return hash_join(fact_ds, dim_ds, keys, npart=npart,
                          bucket_finish=bucket_finish)
-    dim = pa.concat_tables(ray.get(dim_ds.to_arrow_refs()),
-                           promote_options="permissive")
-    return _broadcast_join(fact_ds, dim, keys, bucket_finish)
+    return _broadcast_join(fact_ds, collect(dim_ds), keys, bucket_finish)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +563,6 @@ def detect_hot_keys(ds, key: str, *, hot_share_ppm: int = 20_000,
     missing some batches' top lists undercounts) but DETERMINISTIC for
     a given block layout — and correctness never depends on it: salted
     and unsalted joins are value-equal, detection only moves work."""
-    import pyarrow as pa
-
     def cand(b: pa.Table) -> pa.Table:
         t = pa.table({"k": b[key]})
         c = t.group_by(["k"]).aggregate([("k", "count")]) \
@@ -535,8 +575,7 @@ def detect_hot_keys(ds, key: str, *, hot_share_ppm: int = 20_000,
                              if c.num_rows else [],
                              type=pa.int64()))
 
-    parts = ds.map_batches(cand, batch_format="pyarrow")
-    t = pa.concat_tables(parts.iter_batches(batch_format="pyarrow"))
+    t = collect(ds.map_batches(cand, batch_format="pyarrow"))
     if t.num_rows == 0:
         return set()
     total = int(pa.compute.sum(t["rows"]).as_py() or 0)
@@ -766,13 +805,8 @@ def distributed_select(make_ds, value_col: str, ranks: list[int],
     pass (a lazy Dataset can be consumed once per execution but
     callers may hold non-reusable pipelines).  ``ranks`` are 1-based.
     """
-    import pyarrow as pa
-
     def fold(ds, fn):
-        t = pa.concat_tables(
-            ds.map_batches(fn, batch_format="pyarrow")
-            .iter_batches(batch_format="pyarrow"))
-        return t
+        return collect(ds.map_batches(fn, batch_format="pyarrow"))
 
     def nm(b: pa.Table) -> pa.Table:
         v = b[value_col].to_numpy(zero_copy_only=False)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .exchange import (bucket_exchange, combine_buckets, segment_bounds,
-                       sort_result)
+from .exchange import (bucket_exchange, collect, combine_buckets,
+                       segment_bounds, sort_result)
 
 
 def _matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -76,8 +76,7 @@ def _merge_candidate_heads(cand_ds, score_col: str, k: int, *,
 
     Deterministic ordering: (score, vec_id ASC) within query; emits
     (query_id, vec_id, rank) with rank 1-based."""
-    tbl = pa.concat_tables(
-        cand_ds.iter_batches(batch_format="pyarrow", batch_size=None))
+    tbl = collect(cand_ds)
     q = tbl["query_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     v = tbl["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     s = tbl[score_col].to_numpy(zero_copy_only=False)
@@ -471,11 +470,11 @@ def quantize_embeddings(emb_ds):
             "mx": pa.array(X.max(axis=0)),
         })
 
-    st = sort_result(combine_buckets(
+    st = collect(combine_buckets(                      # one row/dim
         emb_ds.map_batches(stats, batch_format="pyarrow"), "dim",
-        [("mn", "min"), ("mx", "max")]), ["dim"]).take_all()  # one row/dim
-    mn = np.array([r["mn"] for r in st], dtype=np.int64)
-    mx = np.array([r["mx"] for r in st], dtype=np.int64)
+        [("mn", "min"), ("mx", "max")])).sort_by("dim")
+    mn = st["mn"].to_numpy().astype(np.int64)
+    mx = st["mx"].to_numpy().astype(np.int64)
     rng = mx - mn
     rng_safe = np.maximum(rng, 1)
 
@@ -558,8 +557,8 @@ def semdedup_keep(emb_ds, centroids: np.ndarray, threshold: float = 0.4,
         mask = ~np.isin(ids, np.asarray(ray.get(drop_ref)))
         return pa.table({"vec_id": pa.array(ids[mask], type=pa.int64())})
 
-    return emb_ds.select_columns(["vec_id"]) \
-        .map_batches(keep, batch_format="pyarrow").sort("vec_id")
+    return sort_result(emb_ds.select_columns(["vec_id"])
+        .map_batches(keep, batch_format="pyarrow"), "vec_id")
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,7 @@ def cms_freq(ds, key_col: str, probe_mod: int = 97,
     import ray
     import pyarrow.compute as pc
 
-    from .exchange import combine_buckets
+    from .exchange import combine_buckets, sort_result
 
     def partial(b: pa.Table) -> pa.Table:
         col = b[key_col]
@@ -397,10 +397,9 @@ def cms_freq(ds, key_col: str, probe_mod: int = 97,
         return pa.table({key_col: sub[key_col],
                          est_name: pa.array(est, type=pa.int64())})
 
-    return combine_buckets(
+    return sort_result(combine_buckets(
         emitted.map_batches(probe_est, batch_format="pyarrow"),
-        key_col, [(est_name, "min")], npart=npart) \
-        .sort(key_col)
+        key_col, [(est_name, "min")], npart=npart), key_col)
 
 
 # ---------------------------------------------------------------------------
