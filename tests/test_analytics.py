@@ -2294,3 +2294,36 @@ def test_broadcast_join_queries_match_oracle(ray_session, monkeypatch,
     got = got[cols].sort_values(cols).reset_index(drop=True)
     want = want[cols].sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+# queries whose sf0.001 result is empty or has no matching row:
+# query -> (function, oracle SQL, rows at sf0.001)
+EMPTY_RESULT_QUERIES = {
+    "q196": ("brand_triples", "TRIPLES_SQL", 0),
+    "q205": ("collision_detector", "COLLISION_SQL", 0),
+    "q251": ("bracket_revenue", "BRACKET_REVENUE_SQL", 1),
+}
+
+
+@pytest.mark.parametrize("query", sorted(EMPTY_RESULT_QUERIES))
+def test_empty_results_match_oracle(ray_session, query):
+    """At sf0.001 q196 and q205 find nothing and q251 matches no line
+    item: each result still has its oracle's columns, and q251's
+    ``revenue`` is NULL, as SQL's ``SUM`` over no row is."""
+    import duckdb
+
+    from warc_ray.oracle_sql import analytics as oracles
+    from warc_ray.pipelines import analytics
+
+    fn, sql, rows = EMPTY_RESULT_QUERIES[query]
+    got = getattr(analytics, fn)(SF).to_pandas()
+    con = duckdb.connect()
+    for t in ("part", "lineitem", "events"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{SF}/{t}.parquet')")
+    want = con.execute(getattr(oracles, sql)).fetchdf()
+    assert len(got) == len(want) == rows
+    assert list(got.columns) == list(want.columns)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    if query == "q251":
+        assert got.n_lineitems[0] == 0 and pd.isna(got.revenue[0])

@@ -302,6 +302,65 @@ def test_writer_deflate_reported(crawl_result):
     assert 0 < ph["writer_deflate"] <= ph["writer_busy"]
 
 
+def _warc_outputs(out: str) -> tuple:
+    """sha1 of every WARC shard by run-relative path, and each CDX part
+    by name as its on-disk rows with ``shard`` made run-relative (as
+    ``tools/kill_resume_check.py::_cdx_table`` does)."""
+    import hashlib
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    warc = {os.path.relpath(p, out): hashlib.sha1(open(p, "rb").read())
+            .hexdigest()
+            for p in glob.glob(os.path.join(out, "round=*", "warc", "*"))}
+    cdx = {}
+    for p in sorted(glob.glob(os.path.join(out, "cdx", "*.parquet"))):
+        t = pq.read_table(p)
+        rel = pc.replace_substring(t["shard"], out.rstrip("/") + "/", "")
+        cdx[os.path.basename(p)] = t.set_column(
+            t.column_names.index("shard"), "shard", rel).to_pydict()
+    return warc, cdx
+
+
+def test_warc_output_independent_of_deflater_layout(ray_session, t1_dir,
+                                                    tmp_path, monkeypatch):
+    """The same crawl under two deflater fleets — one WarcWriter and
+    five, by the cluster size ``run_crawl`` reads — writes
+    sha1-identical WARC shards and identical CDX parts (names and
+    rows), and the one-writer crawl's final drain hands chunks to
+    actors that are not writers.  Both crawls keep two fetch workers:
+    a WARC chunk is cut per (fetch worker, shard), so the fetch-worker
+    count is part of the output and a ``fetch_concurrency`` change
+    re-cuts the shards."""
+    import ray
+
+    from warc_ray.pipelines import crawl
+
+    # rounds 0-9 of t1 fetch from all four shards: the last round's
+    # chunks arrive together, more than one writer takes at once
+    cfg = FrontierConfig(num_shards=4, max_rounds=5, filter_capacity=1 << 14)
+    got = []
+    for cpus, n_writers in ((3, 1), (8, 5)):
+        monkeypatch.setattr(ray, "cluster_resources",
+                            lambda cpus=cpus: {"CPU": float(cpus)})
+        out = str(tmp_path / f"cpus{cpus}")
+        res = crawl.run_crawl(t1_dir, out, config=cfg, write_warc=True,
+                              fetch_concurrency=2)
+        (workers, writers, _), = crawl._POOL_CACHE.values()
+        assert (len(workers), len(writers)) == (2, n_writers)
+        got.append((res, _warc_outputs(out)))
+    (one, out_one), (five, out_five) = got
+    assert one["warc_chunks"]["writer"] > 0
+    assert one["warc_chunks"]["fetch_worker"] + one["warc_chunks"]["shard"] > 0
+    assert sum(one["warc_chunks"].values()) == sum(five["warc_chunks"].values())
+    warc, cdx = out_one
+    assert warc and list(cdx) == ["part-r00005.parquet"]
+    assert out_one == out_five
+    assert one["warc_records"] == five["warc_records"] == sum(
+        len(t["offset"]) for t in cdx.values())
+
+
 def test_fresh_run_clears_stale_parts(ray_session, tmp_path):
     """A fresh (non-resume) run into a reused out_dir must not leave
     stale log/cdx parts from a previous run with a DIFFERENT pool

@@ -508,8 +508,9 @@ def test_sort_result_matches_dataset_sort(ray_session, monkeypatch, case,
 def test_collect(ray_session, case):
     """``collect`` pulls all rows in block order as one table: an empty
     input keeps the schema Ray knows and is ``pa.table({})`` when Ray
-    knows none; int32 and int64 blocks promote to int64; a multi-block
-    input equals the concat of its ``iter_batches``."""
+    knows none, or the caller's ``schema``; int32 and int64 blocks
+    promote to int64; a multi-block input equals the concat of its
+    ``iter_batches``."""
     import ray.data as rd
 
     from warc_ray.stages.exchange import collect
@@ -522,6 +523,9 @@ def test_collect(ray_session, case):
     elif case == "no_schema":
         got = collect(rd.from_arrow([tab, tab]).filter(lambda r: False))
         assert got.num_rows == 0 and got.num_columns == 0
+        got = collect(rd.from_arrow([tab, tab]).filter(lambda r: False),
+                      tab.schema)
+        assert got.num_rows == 0 and got.schema == tab.schema
     elif case == "promote":
         i32 = pa.table({"k": pa.array([7, 8], type=pa.int32())})
         got = collect(rd.from_arrow([tab.select(["k"]), i32]))

@@ -8,13 +8,14 @@ buckets are generated once and cached under
 (``perfbench/crawls.py``), and a single-process replay of the crawl
 through ``FrontierCore`` and ``FetchGroup``.  Each round's fetched rows
 are fetched per frontier shard and cut into ``crawl.WRITE_CHUNK``
-slices of ``crawl.WRITER_COLS``, as a ``CrawlWorker`` hands them to
-its ``WarcWriter``.
+slices of ``crawl.WRITER_COLS``, as a ``CrawlWorker`` cuts them into
+the chunk jobs that the crawl driver hands to a free deflater (a
+``WarcWriter`` during rounds, any actor of the fleet at a drain point).
 
 Three paths are timed over the same chunks, each pass writing every
 chunk, and the best of ``--repeat`` passes is reported:
 
-* ``fused``: ``sinks.warc_sink.write_fused_round``, the writer actors'
+* ``fused``: ``sinks.warc_sink.write_fused_round``, the deflaters'
   call;
 * ``two_pass``: ``WriteWarcShard(fused_fetch_records(chunk))``, the
   per-row parity reference;

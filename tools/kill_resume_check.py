@@ -81,9 +81,12 @@ def _sha1_dir(root: str, pattern: str) -> dict[str, str]:
 def _cdx_table(out_dir: str):
     """CDX parts, path-relativized, in on-disk row order.
 
-    Since flush_cdx canonicalizes row order by (shard, offset), the
-    comparison is deliberately ORDER-SENSITIVE — two runs must produce
-    the parts with identical row sequences, not just equal multisets.
+    Each drain point (checkpoint barrier, crawl end) writes one part,
+    ``cdx/part-rNNNNN.parquet``, of the CDX rows of every WARC chunk
+    deflated since the last one, sorted by (shard, offset) — whichever
+    actors deflated them.  So the comparison is deliberately
+    ORDER-SENSITIVE — two runs must produce the parts with identical
+    row sequences, not just equal multisets.
     Byte-level sha1 can't be used here only because the ``shard``
     column embeds each run's absolute output path."""
     import pyarrow.parquet as pq

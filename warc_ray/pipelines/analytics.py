@@ -7852,18 +7852,18 @@ def brand_triples(sf_dir: str, minsup: int = 40, npart: int = 16):
         lambda g: triples(g.drop_columns(["part"]))),
         "key", [("support", "count")])
 
-    def finish(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater_equal(t["support"],
-                                      pa.scalar(minsup, type=INT64)))
-        parts = pc.split_pattern(t["key"], "|")
-        return pa.table({
-            "b1": pc.list_element(parts, 0),
-            "b2": pc.list_element(parts, 1),
-            "b3": pc.list_element(parts, 2),
-            "support": t["support"]})
-
-    return sort_result(agg.map_batches(finish, batch_format="pyarrow"),
-                       ["b1", "b2", "b3"])
+    # no basket with a frequent triple leaves no rows and, since Ray
+    # drops an emptied batch's schema, no columns: name them here
+    t = collect(agg, pa.schema([("key", pa.string()), ("support", INT64)]))
+    t = t.filter(pc.greater_equal(t["support"],
+                                  pa.scalar(minsup, type=INT64)))
+    parts = pc.split_pattern(t["key"], "|")
+    return pa.table({
+        "b1": pc.list_element(parts, 0),
+        "b2": pc.list_element(parts, 1),
+        "b3": pc.list_element(parts, 2),
+        "support": t["support"]}).sort_by(
+            [("b1", "ascending"), ("b2", "ascending"), ("b3", "ascending")])
 
 
 # ---------------------------------------------------------------------------
@@ -8305,7 +8305,11 @@ def collision_detector(sf_dir: str, npart: int = 32):
                      .drop_columns(["key"]), batch_format="pyarrow"),
         lambda g: bucket(g.drop_columns(["part"]))),
         "pairs_per_key", [("n_keys", "count")])
-    return sort_result(agg, ["pairs_per_key"])
+    # a collision-free minute set keeps no rows and no schema (Ray
+    # drops an emptied batch's): the columns are named here
+    return collect(agg, pa.schema([("pairs_per_key", INT64),
+                                   ("n_keys", INT64)])).sort_by(
+                                       "pairs_per_key")
 
 
 # ---------------------------------------------------------------------------
@@ -10997,9 +11001,11 @@ def bracket_revenue(sf_dir: str):
                         columns=["l_partkey", "l_quantity",
                                  "l_extendedprice", "l_discount"]) \
         .map_batches(scan, batch_format="pyarrow").sum(["rev_u", "n"])
+    n = int(g["sum(n)"])
+    # SQL's SUM over no matching row is NULL, not 0
     return pa.table({
-        "n_lineitems": pa.array([int(g["sum(n)"])], type=INT64),
-        "revenue": pa.array([int(g["sum(rev_u)"]) / 10_000.0],
+        "n_lineitems": pa.array([n], type=INT64),
+        "revenue": pa.array([int(g["sum(rev_u)"]) / 10_000.0 if n else None],
                             type=pa.float64())})
 
 

@@ -7,13 +7,23 @@ Per logical round ``t``::
               # bounded emit, split shard-side by corpus bucket → worker
               # (bucket % n_workers)
     stats, *offers[t] = worker.process_round_refs(t, slices)     # per worker
-              # fetch → log parquet → WARC shard + CDX → extract links →
+              # fetch → log rows → WARC chunk jobs → extract links →
               # one (offer_table, n_suppressed) object per shard
 
 Each shard's seal takes every worker's offer object for it as an
 argument: Ray resolves the arguments before the seal runs, so they are
 the round barrier, and no offer RPC or ack wait exists.  The seeds take
 the same path into the round-0 seal (``frontier.seed_offers``).
+
+WARC output never feeds the frontier.  A worker's stats carry its WARC
+chunks as jobs (an object ref, ``round_dir``, date); the driver keeps
+one FIFO of them (``_DeflateQueue``) and gives each to a free deflater:
+during rounds the ``WarcWriter`` pool, fed while the driver waits on
+the round, and at every drain point (a checkpoint barrier, the crawl's
+end) the whole fleet — fetch workers, writers and shards, idle there —
+until the FIFO is empty.  Each job returns its CDX rows, and each
+drain writes one CDX part sorted by (shard, offset), so no output
+depends on which actor deflated what.
 
 The barrier per round is REQUIRED for exact crawl-order parity with the
 single-process oracle (SURVEY.md §4 Ordering); throughput comes from
@@ -27,8 +37,8 @@ politeness-bounded batch (≤ burst × hosts rows) but there are hundreds
 of rounds.  Expressing each round as Dataset.map_batches/groupby costs
 a fresh task/actor pool + an all-to-all shuffle per round — fixed
 overhead that dominated wall-time ~50× over the useful work at bench
-scale.  Persistent ``CrawlWorker`` actors keep bucket caches and WARC
-sinks warm across rounds; the bucket → worker assignment is stable
+scale.  Persistent ``CrawlWorker`` actors keep bucket caches warm
+across rounds; the bucket → worker assignment is stable
 (``bucket % n_workers``) so each corpus bucket file is read by exactly
 one worker for the whole crawl (same co-partitioning a 256-node
 cluster would use).  The bulk, non-iterative paths (corpus → WARC
@@ -45,6 +55,7 @@ acknowledgement, so the seed phase times seeding only.
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import shutil
@@ -91,28 +102,52 @@ WORKER_PHASES = ("worker_fetch", "worker_warc", "worker_links",
 _POOL_CACHE: dict = {}
 
 
+def _ready(refs: list) -> list:
+    """Every complete ref of ``refs``, once at least one is."""
+    ray.wait(refs, num_returns=1)
+    return ray.wait(refs, num_returns=len(refs), timeout=0)[0]
+
+
 def _ref_list(refs) -> list:
     """A multi-return call's refs as a list: with ``num_returns=1`` Ray
     returns one bare ObjectRef."""
     return refs if isinstance(refs, list) else [refs]
 
 
+def write_round(chunk: pa.Table, round_dir: str, date_str: str) -> tuple:
+    """Deflate one WARC chunk job into ``round_dir/warc/``: every actor
+    of the crawl fleet runs this (``write_round`` on WarcWriter,
+    CrawlWorker and FrontierShard).  Returns the chunk's CDX rows and
+    this call's (wall, cpu, deflate) seconds; deflate is the wall time
+    of write_fused_round's deflate loop, a part of wall.  The shard's
+    name and bytes are a pure function of the chunk, so which actor
+    ran the job never reaches the output."""
+    import time as _t
+
+    b0, c0 = _t.perf_counter(), _t.process_time()
+    timing = {"deflate": 0.0}
+    cdx = write_fused_round(chunk, os.path.join(round_dir, "warc"),
+                            date_str, timing)
+    # wall vs CPU split: busy-wall >> busy-cpu means the actor was
+    # preempted mid-call (oversubscribed node), not doing more work
+    return cdx, (_t.perf_counter() - b0, _t.process_time() - c0,
+                 timing["deflate"])
+
+
 @ray.remote
 class WarcWriter:
-    """Persistent WARC assembly/compression worker.
+    """Persistent WARC deflate actor.
 
     Off the round critical path on purpose: WARC output never feeds the
     frontier, so gzip (the single largest CPU cost) pipelines ACROSS
     round barriers in a dedicated long-lived actor pool (persistent
     processes — floating tasks churned Ray worker processes and
-    stalled the loop).  The crawl driver holds the returned refs and
-    flushes them before each checkpoint (durability) and at the end."""
+    stalled the loop).  During rounds the writers are the only
+    deflaters the driver's ``_DeflateQueue`` feeds; at a drain point
+    (checkpoint barrier, crawl end) every fleet actor joins them."""
 
-    def __init__(self, writer_id: int = 0):
+    def __init__(self):
         single_threaded_actor()
-        self.writer_id = writer_id
-        self._cdx_buf: list = []
-        self._reset_busy()
         # Deprioritize the compressor pool with SCHED_BATCH, NOT
         # os.nice(): Ray reuses worker PROCESSES across actor
         # lifetimes, and nice can never be lowered back without
@@ -127,66 +162,9 @@ class WarcWriter:
         except (AttributeError, OSError):
             pass
 
-    def write_round(self, fetched: pa.Table, round_dir: str, part_id: str,
-                    date_str: str) -> int:
-        import time as _t
-
-        _b0 = _t.perf_counter()
-        _c0 = _t.process_time()
-        # columnar assembly, then one deflate loop over the chunk's
-        # record column (write_fused_round); byte parity with the
-        # two-pass path is pytest-pinned.  ``timing`` collects the
-        # deflate loop's share of the call (writer_deflate).
-        cdx = write_fused_round(fetched, os.path.join(round_dir, "warc"),
-                                date_str, self._timing)
-        # CDX rows buffer in-actor and flush at checkpoint barriers /
-        # crawl end (same durability granularity as the fetch log) —
-        # a parquet file per 2048-row chunk was ~3k tiny files and a
-        # measurable slice of writer busy time.  CDX is re-derivable
-        # from the WARC shards themselves, so a crash loses nothing.
-        self._cdx_buf.append(cdx)
-        self._busy += _t.perf_counter() - _b0
-        # wall vs CPU split: busy-wall >> busy-cpu means the writer was
-        # preempted mid-call (oversubscribed node), not doing more work
-        self._busy_cpu += _t.process_time() - _c0
-        return cdx.num_rows
-
-    def flush_cdx(self, out_dir: str, upto: int) -> int:
-        """Write buffered CDX rows as one parquet part under
-        ``out_dir/cdx/`` (rounds < upto; filename is rerun-stable)."""
-        if not self._cdx_buf:
-            return 0
-        tbl = pa.concat_tables(self._cdx_buf)
-        self._cdx_buf = []
-        # (shard, offset) is a natural deterministic total order (one
-        # gzip member per compressed offset per file) — canonicalize
-        # so part contents don't depend on write_round arrival order.
-        # Parts stay content-identical across runs up to the absolute
-        # output-path prefix embedded in ``shard``.
-        tbl = tbl.sort_by([("shard", "ascending"), ("offset", "ascending")])
-        cdx_dir = os.path.join(out_dir, "cdx")
-        os.makedirs(cdx_dir, exist_ok=True)
-        pq.write_table(tbl, os.path.join(
-            cdx_dir, f"part-{self.writer_id:03d}-r{upto:05d}.parquet"))
-        return tbl.num_rows
-
-    def bind_run(self) -> None:
-        """Rebind to a new crawl run (pool reuse): drop the CDX buffer
-        and busy counters of the previous run."""
-        self._cdx_buf = []
-        self._reset_busy()
-
-    def _reset_busy(self) -> None:
-        self._busy = self._busy_cpu = 0.0
-        self._timing = {"deflate": 0.0}
-
-    def busy_seconds(self) -> tuple:
-        """Cumulative write_round (wall, cpu, deflate) seconds since the
-        last call; deflate is the wall time of the deflate loop inside
-        write_round, a part of wall."""
-        b = (self._busy, self._busy_cpu, self._timing["deflate"])
-        self._reset_busy()
-        return b
+    def write_round(self, chunk: pa.Table, round_dir: str,
+                    date_str: str) -> tuple:
+        return write_round(chunk, round_dir, date_str)
 
     def seed_offers(self, seeds: pa.Table, i: int, k: int,
                     num_shards: int):
@@ -210,13 +188,12 @@ class CrawlWorker:
     OFFERED_SET_CAP = 16_000_000
 
     def __init__(self, worker_id: int, corpus_dir: str, n_buckets: int,
-                 num_shards: int, out_dir: str, writers=None):
+                 num_shards: int, out_dir: str):
         single_threaded_actor()
         self.worker_id = worker_id
         self.fetch = FetchGroup(corpus_dir, n_buckets)
         self.num_shards = num_shards
         self.out_dir = out_dir
-        self.writers = writers or []
         self._log_buf: list = []
         from ..state.u64set import U64Set
 
@@ -257,6 +234,11 @@ class CrawlWorker:
                     num_shards: int):
         return seed_offers(seeds, i, k, num_shards)
 
+    def write_round(self, chunk: pa.Table, round_dir: str,
+                    date_str: str) -> tuple:
+        # an idle fetch worker deflates at drain points
+        return write_round(chunk, round_dir, date_str)
+
     def process_round_refs(self, t: int, slice_refs: list,
                            write_warc: bool) -> tuple:
         """process_round over shard-side-split slices: the driver hands
@@ -275,13 +257,14 @@ class CrawlWorker:
         reach the output bytes.
 
         Returns ``1 + num_shards`` objects (call it with
-        ``.options(num_returns=1 + num_shards)``): the round's stats,
-        then one ``(offer_table, n_suppressed)`` per shard, gathered
-        over all waves.  The driver passes shard ``s``'s object
+        ``.options(num_returns=1 + num_shards)``): the round's stats
+        (its WARC chunk jobs in ``warc_jobs``), then one
+        ``(offer_table, n_suppressed)`` per shard, gathered over all
+        waves.  The driver passes shard ``s``'s object
         straight to that shard's next seal."""
         sid_of = {r: i for i, r in enumerate(slice_refs)}
         pend = list(slice_refs)
-        stats = {"fetched": 0, "warc_refs": [], "tm": (0.0,) * 4}
+        stats = {"fetched": 0, "warc_jobs": [], "tm": (0.0,) * 4}
         offers = [[] for _ in range(self.num_shards)]
         n_sup = [0] * self.num_shards
         fresh_keys: list = []
@@ -301,7 +284,7 @@ class CrawlWorker:
             one = self.process_round(t, slices, write_warc,
                                      offers, n_sup, fresh_keys)
             stats["fetched"] += one["fetched"]
-            stats["warc_refs"].extend(one["warc_refs"])
+            stats["warc_jobs"].extend(one["warc_jobs"])
             stats["tm"] = tuple(a + b for a, b in zip(stats["tm"], one["tm"]))
         # this round's offered keys join the suppression set only now,
         # at the round boundary (see process_round)
@@ -318,8 +301,8 @@ class CrawlWorker:
                       offers: list, n_sup: list, fresh_keys: list) -> dict:
         """``slices``: list of ``(shard_id, url_table)`` — fetch and
         extraction run over the concatenation (vector width), WARC
-        dispatch runs per SLICE so chunk ids/file names are
-        deterministic (shard id, not arrival wave).  The wave's fresh
+        chunks are cut per SLICE so chunk contents and shard file names
+        are deterministic (shard id, not arrival wave).  The wave's fresh
         links go to ``offers[s]`` (a list of tables per shard), its
         suppressed re-offers to ``n_sup[s]`` and its fresh hash64 keys
         to ``fresh_keys``."""
@@ -339,27 +322,22 @@ class CrawlWorker:
         round_dir = os.path.join(self.out_dir, f"round={t:05d}")
         self._log_buf.append(fetched.select(LOG_COLS))
 
-        warc_refs = []
-        if write_warc and self.writers:
-            # chunked so a fat round spreads over the WHOLE writer pool,
-            # not one writer per fetch worker.  Only the columns the
-            # record assembler reads are shipped — the spans column in
-            # particular is ~1/3 of the fetched table's bytes and dead
-            # weight in the writer IPC.  Chunk identity is
-            # (worker, SHARD, chunk): a pure function of round content,
-            # so reruns/resumes regenerate byte-identical shard files.
-            nwr = len(self.writers)
-            for sid, fp in fetched_parts:
+        warc_jobs = []
+        if write_warc:
+            # each chunk is a job the driver hands to a free deflater,
+            # so a fat round spreads over the WHOLE pool.  Only the
+            # columns the record assembler reads are shipped — the
+            # spans column in particular is ~1/3 of the fetched table's
+            # bytes and dead weight in the deflater IPC.  Chunk
+            # identity is (worker, SHARD, chunk): a pure function of
+            # round content, so reruns/resumes regenerate
+            # byte-identical shard files whoever deflates them.
+            date_str = logical_date(t)
+            for _, fp in fetched_parts:
                 to_write = fp.select(WRITER_COLS)
-                for c, lo in enumerate(range(0, fp.num_rows, WRITE_CHUNK)):
-                    chunk = to_write.slice(lo, WRITE_CHUNK)
-                    w = self.writers[
-                        (t * 131 + self.worker_id * 7 + sid * 17 + c)
-                        % nwr]
-                    warc_refs.append(w.write_round.remote(
-                        chunk, round_dir,
-                        "%03d-%02d-%02d" % (self.worker_id, sid, c),
-                        logical_date(t)))
+                warc_jobs += [(ray.put(to_write.slice(lo, WRITE_CHUNK)),
+                               round_dir, date_str)
+                              for lo in range(0, fp.num_rows, WRITE_CHUNK)]
 
         _p2 = _t.perf_counter()
         links = canonicalize_batch(
@@ -402,9 +380,113 @@ class CrawlWorker:
                 if mask.any():
                     offers[s].append(links.filter(pa.array(mask)))
                 n_sup[s] += int(sup[s])
-        return {"fetched": fetched.num_rows, "warc_refs": warc_refs,
+        return {"fetched": fetched.num_rows, "warc_jobs": warc_jobs,
                 "tm": (_p1 - _p0, _p2 - _p1, _p3 - _p2,
                        _t.perf_counter() - _p3)}
+
+
+class _DeflateQueue:
+    """The driver's one FIFO of WARC chunk jobs and the actors that
+    deflate them.
+
+    ``fleet`` is every crawl actor with its role; the ``"writer"``s
+    (the WarcWriters) alone deflate during rounds, and ``drain`` lets the
+    whole fleet take jobs until none is left.  Each deflater holds at
+    most one job, and a finished job frees its actor for the FIFO's
+    head, so no deflater idles while a chunk waits and no chunk waits
+    behind a busy actor while another deflater is idle.  The driver
+    serves the queue whenever it waits on the crawl (``get``).  CDX rows
+    come back with each job and land as one part per flush, so the
+    output does not depend on which actor deflated what."""
+
+    def __init__(self, fleet: list):
+        self.fleet = fleet                    # [(actor, role)]
+        self.writers = [i for i, (_, role) in enumerate(fleet)
+                        if role == "writer"]
+        self.jobs: collections.deque = collections.deque()
+        self.free = list(self.writers)
+        self.running: dict = {}               # job ref -> fleet index
+        self.cdx: list = []
+        self.records = 0
+        self.busy = [(0.0, 0.0, 0.0)] * len(fleet)
+        self.chunks = {role: 0 for _, role in fleet}
+
+    def add(self, jobs) -> None:
+        self.jobs.extend(jobs)
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        while self.jobs and self.free:
+            i = self.free.pop(0)
+            self.running[self.fleet[i][0].write_round.remote(
+                *self.jobs.popleft())] = i
+
+    def _finish(self, refs: list) -> None:
+        for ref, (cdx, b) in zip(refs, ray.get(refs)):
+            i = self.running.pop(ref)
+            self.busy[i] = tuple(x + y for x, y in zip(self.busy[i], b))
+            self.chunks[self.fleet[i][1]] += 1
+            self.cdx.append(cdx)
+            self.records += cdx.num_rows
+            self.free.append(i)
+        self._dispatch()
+
+    def get(self, refs: list, jobs: bool = False) -> list:
+        """``ray.get(refs)``, serving the queue while it waits: each
+        finished job frees its deflater for the next chunk, and with
+        ``jobs`` each result's ``warc_jobs`` join the FIFO as soon as
+        it lands.  Without writers (no WARC output) it is a plain
+        ``ray.get``."""
+        if not self.writers:
+            return ray.get(refs)
+        out = dict.fromkeys(refs)
+        pend = set(refs)
+        while pend:
+            ready = _ready(list(pend) + list(self.running))
+            mine = [r for r in ready if r in pend]
+            for r, v in zip(mine, ray.get(mine)):
+                out[r] = v
+                pend.discard(r)
+                if jobs:
+                    self.add(v["warc_jobs"])
+            self._finish([r for r in ready if r in self.running])
+        return [out[r] for r in refs]
+
+    def drain(self) -> None:
+        """Deflate every queued chunk on the whole fleet, then hand the
+        fleet back: only the writers deflate during rounds."""
+        self.free = [i for i in range(len(self.fleet))
+                     if i not in self.running.values()]
+        self._dispatch()
+        while self.running:
+            self._finish(_ready(list(self.running)))
+        self.free = list(self.writers)
+
+    def flush_cdx(self, out_dir: str, upto: int) -> None:
+        """Write the CDX rows of every job since the last flush as one
+        ``cdx/part-rNNNNN.parquet`` (rounds < upto; the name is
+        rerun-stable).  (shard, offset) is a total order (one gzip
+        member per compressed offset per file), so the part's rows do
+        not depend on job arrival order; parts are content-identical
+        across runs up to the absolute output-path prefix embedded in
+        ``shard``.  CDX is re-derivable from the WARC shards, so a crash
+        between checkpoints loses nothing."""
+        if not self.cdx:
+            return
+        tbl = pa.concat_tables(self.cdx).sort_by(
+            [("shard", "ascending"), ("offset", "ascending")])
+        self.cdx = []
+        cdx_dir = os.path.join(out_dir, "cdx")
+        os.makedirs(cdx_dir, exist_ok=True)
+        pq.write_table(tbl, os.path.join(cdx_dir, f"part-r{upto:05d}.parquet"))
+
+    def phases(self) -> dict:
+        """Busy seconds summed over every actor that deflated a chunk,
+        and the busiest actor's wall."""
+        return {"writer_busy": sum(b[0] for b in self.busy),
+                "writer_busy_cpu": sum(b[1] for b in self.busy),
+                "writer_deflate": sum(b[2] for b in self.busy),
+                "writer_busy_max": max(b[0] for b in self.busy)}
 
 
 def run_crawl(corpus_dir: str, out_dir: str, *,
@@ -423,7 +505,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
     resuming = resume and os.path.exists(manifest_path)
     if not resuming:
         # fresh run into a reused out_dir: drop ALL prior outputs.
-        # Flushed log/cdx part names are keyed (worker_id, round) — a
+        # Flushed log part names are keyed (worker_id, round) — a
         # rerun with a different pool size overwrites only ITS OWN
         # part names and read_fetch_log would union in stale parts
         # from the previous layout.
@@ -483,17 +565,18 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         # measured costs (crawl-archive config on the perfbench corpus,
         # seed 3, nproc 1, affinity 4): fetch+links ≈ 9µs/URL of pool
         # CPU (phase_sec worker_fetch + worker_links; all four worker_*
-        # phases ≈ 12) vs the writer's ≈ 115µs/URL (writer_busy, of
-        # which writer_deflate ≈ 97; tools/bench_writer.py reads
-        # write_fused_round at ≈ 95 in-process, ≈ 15 of it outside
-        # deflate) → writer:fetch work ≈ 10-13:1.  Fetch still gets
-        # ~1/5 of the pool (above its work share) because the
-        # round-barrier chain rides on fetch latency — the writer pool
-        # drains asynchronously across barriers and only its TOTAL
-        # must fit inside the crawl's wall time.  The 0.22 itself is
-        # not re-tuned: at one Ray CPU the fleet is 1 fetch worker and
-        # 1 writer whatever the fraction, so a change to it cannot be
-        # measured there.
+        # phases ≈ 12) vs deflate's ≈ 110µs/URL (writer_busy_cpu;
+        # tools/bench_writer.py reads write_fused_round at ≈ 95
+        # in-process, ≈ 15 of it outside deflate) → deflate:fetch work
+        # ≈ 10-13:1.  This split sizes only the DURING-ROUND deflaters:
+        # the writers take chunks across round barriers, and whatever
+        # they have not deflated when the rounds end drains over the
+        # whole fleet (fetch workers and shards included).  Fetch still
+        # gets ~1/5 of the pool (above its work share) because the
+        # round-barrier chain rides on fetch latency.  The 0.22 itself
+        # is not re-tuned: at one Ray CPU the fleet is 1 fetch worker
+        # and 1 writer whatever the fraction, so a change to it cannot
+        # be measured there.
         frac = max(1, round(budget * 0.22)) if write_warc else budget
         fetch_concurrency = max(1, min(profile.n_buckets, 32, frac))
     n_workers = fetch_concurrency
@@ -519,7 +602,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
                 [s.bind_run.remote(i, cfg, robots_ref, restore[i])
                  for i, s in enumerate(shards)],
                 [w.bind_run.remote(out_dir) for w in workers]
-                + [w.bind_run.remote() for w in writers],
+                + [w.__ray_ready__.remote() for w in writers],
                 _phase, _pt)
         except ray.exceptions.RayActorError:
             pool = None  # an actor died between crawls: respawn all
@@ -527,10 +610,10 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         Shard = make_frontier_shard_cls()
         shards = [Shard.remote(s, cfg, robots_ref, restore[s])
                   for s in range(cfg.num_shards)]
-        writers = [WarcWriter.remote(i) for i in range(n_writers)]
+        writers = [WarcWriter.remote() for _ in range(n_writers)]
         workers = [
             CrawlWorker.remote(w, corpus_dir, profile.n_buckets,
-                               cfg.num_shards, out_dir, writers)
+                               cfg.num_shards, out_dir)
             for w in range(n_workers)
         ]
         _await_bound([s.__ray_ready__.remote() for s in shards],
@@ -539,6 +622,12 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
     _pt = _time.perf_counter()
 
     n_shards = len(shards)
+    # the whole fleet seeds before round 0 and deflates at drain points
+    fleet = ([(a, "fetch_worker") for a in workers]
+             + [(a, "writer") for a in writers]
+             + [(a, "shard") for a in shards])
+    seed_pool = [a for a, _ in fleet]
+    deflate = _DeflateQueue(fleet)
     seed_slices = 0
     if not resuming:
         # round -1: seed the frontier IN PARALLEL across the whole
@@ -549,7 +638,6 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         # over all slices; global src_offsets keep the ingestion order
         # byte-identical to the serial path (seal sorts offers).
         seeds_tbl = corpus_mod.read_seeds(corpus_dir)
-        seed_pool = list(workers) + list(writers) + list(shards)
         n_seeds = seeds_tbl.num_rows
         seed_slices = max(1, min(len(seed_pool),
                                  n_seeds // SEED_SLICE_ROWS or 1))
@@ -581,9 +669,7 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         ])
     rounds_run = 0
     total_fetched = 0
-    total_warc_records = 0
     worker_tm = [0.0] * len(WORKER_PHASES)
-    pending_warc: list = []
 
     # rounds already on disk when THIS run starts are stale (an
     # unfinished prior run) and safe to clear on resubmission; a round
@@ -633,18 +719,17 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
             refs = _submit_work(t, split_refs)
         next_split = None
         next_work = None
-        counts_per_shard = ray.get([r[0] for r in split_refs])
+        counts_per_shard = deflate.get([r[0] for r in split_refs])
         per_worker = [sum(c[w] for c in counts_per_shard)
                       for w in range(n_workers)]
         if sum(per_worker) == 0:
-            # drain the no-op calls AND any write tasks they dispatched
-            # — discarding warc_refs here orphaned writers that could
-            # outlive the run and collide with a later run's cleanup
-            for c in ray.get([r[0] for r in refs]):
-                pending_warc.extend(c["warc_refs"])
-            if not any(ray.get([s.has_pending.remote() for s in shards])):
+            # drain the no-op calls AND queue any chunk jobs they made
+            # — a dropped job left its round's WARC output incomplete
+            deflate.get([r[0] for r in refs], jobs=True)
+            if not any(deflate.get([s.has_pending.remote() for s in shards])):
                 break
-            nexts = [x for x in ray.get([s.earliest_allowed.remote(t) for s in shards])
+            nexts = [x for x in deflate.get([s.earliest_allowed.remote(t)
+                                             for s in shards])
                      if x is not None]
             t = max(t + 1, min(nexts)) if nexts else t + 1
             continue
@@ -672,15 +757,16 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
             ])
             next_work = _submit_work(t + 1, next_split[1])
         _t1 = _time.perf_counter()
-        counts = [c for c in ray.get([r[0] for r in refs]) if c["fetched"]]
+        # the driver feeds the writers while it waits for the round
+        counts = [c for c in deflate.get([r[0] for r in refs], jobs=True)
+                  if c["fetched"]]
         _t2 = _time.perf_counter()
         total_fetched += sum(c["fetched"] for c in counts)
         for c in counts:
             worker_tm = [a + b for a, b in zip(worker_tm, c["tm"])]
-        pending_warc.extend(r for c in counts for r in c["warc_refs"])
         if not fused:
-            ray.get([s.seal_round.remote(*offers[si])
-                     for si, s in enumerate(shards)])
+            deflate.get([s.seal_round.remote(*offers[si])
+                         for si, s in enumerate(shards)])
         if round_log:
             tmx = [max(c["tm"][i] for c in counts) for i in range(4)]
             with open(round_log, "a") as f:
@@ -695,27 +781,19 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         if checkpoint_every and rounds_run % checkpoint_every == 0:
             # durability barrier: all WARC shards + log rows up to this
             # round must be on disk before the manifest commits it
-            total_warc_records += sum(ray.get(pending_warc))
-            pending_warc = []
-            ray.get([w.flush_log.remote(t) for w in workers]
-                    + [w.flush_cdx.remote(out_dir, t) for w in writers])
+            _flush(deflate, workers, out_dir, t)
             _checkpoint(shards, ckpt_dir, manifest_path, t, cfg)
 
     _phase["rounds"] = _time.perf_counter() - _pt
     _phase.update(zip(WORKER_PHASES, worker_tm))
     _pt = _time.perf_counter()
-    total_warc_records += sum(ray.get(pending_warc))
-    pending_warc = []
-    ray.get([w.flush_log.remote(t) for w in workers]
-            + [w.flush_cdx.remote(out_dir, t) for w in writers])
+    _flush(deflate, workers, out_dir, t)
     if checkpoint_every:
         _checkpoint(shards, ckpt_dir, manifest_path, t, cfg)
     _phase["final_flush"] = _time.perf_counter() - _pt
-    # one end-of-run round over the fleet: each shard reads out and
-    # drops its run state (finish), each writer its busy counters
-    fin_refs = [s.finish.remote() for s in shards]
-    wb = ray.get([w.busy_seconds.remote() for w in writers])
-    fin = ray.get(fin_refs)
+    # one end-of-run round over the shards: each reads out and drops
+    # its run state (finish)
+    fin = ray.get([s.finish.remote() for s in shards])
     shard_busy = [f["busy"] for f in fin]
     _phase["seal_busy_max"] = max(b["seal"] for b in shard_busy)
     _phase["seal_busy_sum"] = sum(b["seal"] for b in shard_busy)
@@ -724,16 +802,17 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
     for k in ("seal_sort", "seal_filter", "seal_queue"):
         _phase["hot_" + k] = hot.get(k, 0.0)
     if writers:
-        _phase["writer_busy"] = sum(b[0] for b in wb)
-        _phase["writer_busy_cpu"] = sum(b[1] for b in wb)
-        _phase["writer_deflate"] = sum(b[2] for b in wb)
+        _phase.update(deflate.phases())
     # a clean finish: the fleet goes back to the warm pool
     _POOL_CACHE[pool_key] = (workers, writers, shards)
     return {
         "rounds": rounds_run,
         "last_round": t,
         "total_fetched": total_fetched,
-        "warc_records": total_warc_records,
+        "warc_records": deflate.records,
+        # WARC chunks deflated per actor role (writer, fetch_worker,
+        # shard): the non-writer counts are the drain points' share
+        "warc_chunks": deflate.chunks,
         "shard_stats": [f["stats"] for f in fin],
         "filter_bytes": [f["filter_bytes"] for f in fin],
         "out_dir": out_dir,
@@ -741,6 +820,17 @@ def run_crawl(corpus_dir: str, out_dir: str, *,
         "wall_sec": round(_time.perf_counter() - _t_start, 3),
         "phase_sec": {k: round(v, 3) for k, v in _phase.items()},
     }
+
+
+def _flush(deflate: _DeflateQueue, workers: list, out_dir: str,
+           upto: int) -> None:
+    """A drain point: every queued WARC chunk deflated on the whole
+    fleet, then the fetch-log parts and one CDX part for rounds <
+    ``upto`` on disk."""
+    deflate.drain()
+    logs = [w.flush_log.remote(upto) for w in workers]
+    deflate.flush_cdx(out_dir, upto)
+    ray.get(logs)
 
 
 def _await_bound(shard_acks: list, pool_acks: list, phase: dict,

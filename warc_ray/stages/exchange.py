@@ -142,7 +142,7 @@ def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
                                           promote_options="permissive"))
 
 
-def collect(ds) -> pa.Table:
+def collect(ds, schema: pa.Schema | None = None) -> pa.Table:
     """The engine's one driver pull: all rows of ``ds`` as one Arrow
     table, in block order.
 
@@ -151,8 +151,8 @@ def collect(ds) -> pa.Table:
     an executor, ~5 ms) and reads its block refs with one ``ray.get``.
     Non-empty blocks concatenate with permissive promotion (int32 and
     int64 blocks give int64).  Empty input gives the zero-row table of
-    its blocks' schema, or ``pa.table({})`` when they have none (Ray
-    drops the schema of a batch a task emptied)."""
+    its blocks' schema; when they have none (Ray drops the schema of a
+    batch a task emptied), of ``schema``, or ``pa.table({})``."""
     import ray
     from ray.data.dataset import MaterializedDataset
 
@@ -160,9 +160,9 @@ def collect(ds) -> pa.Table:
     blocks = [b for b in ray.get(mat.to_arrow_refs()) if b.num_rows]
     if blocks:
         return pa.concat_tables(blocks, promote_options="permissive")
-    schema = mat.schema()
-    return pa.table({}) if schema is None else \
-        schema.base_schema.empty_table()
+    if mat.schema() is not None:
+        return mat.schema().base_schema.empty_table()
+    return pa.table({}) if schema is None else schema.empty_table()
 
 
 def sort_result(ds, keys, descending=False):

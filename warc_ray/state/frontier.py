@@ -667,6 +667,14 @@ def make_frontier_shard_cls():
             # own seal never waits behind this one
             return seed_offers(seeds, i, k, num_shards)
 
+        def write_round(self, chunk: pa.Table, round_dir: str,
+                        date_str: str) -> tuple:
+            # an idle shard deflates WARC chunks at the crawl's drain
+            # points (checkpoint barriers, crawl end)
+            from ..pipelines.crawl import write_round
+
+            return write_round(chunk, round_dir, date_str)
+
         def seal_round(self, *offers) -> dict:
             """Seal the round's offers: one ``(offer_table,
             n_suppressed)`` per producer.  Ray resolves them before the
