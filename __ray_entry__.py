@@ -665,7 +665,7 @@ def _write_arc_fixture(sf_dir: str, out: str) -> None:
     import ray.data as rd
 
     from warc_ray.sinks import write_arc_shards
-    from warc_ray.stages.exchange import sort_result
+    from warc_ray.stages.exchange import materialize, sort_result
     from warc_ray.stages.fetch import FetchGroup, add_bucket_column
     from warc_ray.stages.urls import urls_from_seeds
 
@@ -708,9 +708,8 @@ def _write_arc_fixture(sf_dir: str, out: str) -> None:
                      # bucket-sorted input keeps per-actor bucket
                      # ranges contiguous either way
                      concurrency=(4, 28))
-    write_arc_shards(fetched.map_batches(to_arc_rows,
-                                         batch_format="pyarrow"),
-                     out).materialize()
+    materialize(write_arc_shards(
+        fetched.map_batches(to_arc_rows, batch_format="pyarrow"), out))
 
 
 def _ensure_arc_src(sf_dir: str) -> str:
@@ -756,7 +755,8 @@ def _arc_to_warc_q(sf_dir: str):
     from warc_ray.sources import read_arc, read_warc
     from warc_ray.stages.assemble import (arc_rows_to_warc_records,
                                           serialize_records)
-    from warc_ray.stages.exchange import collect, combine_buckets
+    from warc_ray.stages.exchange import (collect, combine_buckets,
+                                          materialize)
 
     prof = corpus_mod.profile_for_sf_dir(sf_dir)
     arc_dir = _ensure_arc_src(sf_dir)
@@ -765,7 +765,7 @@ def _arc_to_warc_q(sf_dir: str):
     migrated = read_arc(arc_dir) \
         .map_batches(arc_rows_to_warc_records, batch_format="pyarrow") \
         .map_batches(serialize_records, batch_format="pyarrow")
-    write_warc_shards(migrated, out).materialize()
+    materialize(write_warc_shards(migrated, out))
 
     def check(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b["rec_type"], "response"))

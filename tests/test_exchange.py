@@ -1099,3 +1099,256 @@ def test_distributed_select_matches_sort(ray_session):
     srt = np.sort(vals)
     for k in ranks:
         assert got[k] == int(srt[k - 1]), k
+
+
+# ---------------------------------------------------------------------------
+# The local path: small whitelisted plans run in the driver
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _executions():
+    """Count Ray Data executions (``StreamingExecutor.execute`` calls)
+    started inside the block."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    started, execute = [0], StreamingExecutor.execute
+
+    def counted(self, *a, **k):
+        started[0] += 1
+        return execute(self, *a, **k)
+
+    StreamingExecutor.execute = counted
+    try:
+        yield started
+    finally:
+        StreamingExecutor.execute = execute
+
+
+def _ray_blocks(ds) -> list:
+    """``ds``'s blocks from Ray, in plan order (union inputs in turn)."""
+    import ray
+    from ray.data import DataContext
+
+    opts = DataContext.get_current().execution_options
+    keep, opts.preserve_order = opts.preserve_order, True
+    try:
+        return ray.get(ds.materialize().to_arrow_refs())
+    finally:
+        opts.preserve_order = keep
+
+
+def _whitelisted_plan(tmp_path):
+    """``from_arrow`` (an empty block included) ∪ a one-file Parquet
+    read, then a pyarrow ``map_batches`` and ``select_columns``."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    t = _rand_table(n=600)
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(t.slice(300), path)
+
+    def f(b: pa.Table) -> pa.Table:
+        return b.append_column("v2", pa.compute.multiply(b["v"], 2)) \
+            .filter(pa.compute.greater(b["v"], 100))
+
+    src = rd.from_arrow([t.slice(0, 150), t.slice(0, 0), t.slice(150, 150)])
+    read = rd.read_parquet(path, override_num_blocks=1)
+    ds = src.union(read).map_batches(f, batch_format="pyarrow") \
+        .select_columns(["k", "v2"])
+    return ds, t
+
+
+def test_local_path_gives_ray_blocks(ray_session, tmp_path):
+    """On ``from_arrow`` + ``read_parquet`` + ``map_batches`` +
+    ``select_columns`` + ``union`` the driver path gives Ray's blocks,
+    one for one (an empty input block stays an empty, schema-less
+    block; the one-file read is one block, as Ray's is at
+    ``override_num_blocks=1``), and starts no Ray Data execution;
+    ``collect`` and ``materialize`` take it too."""
+    from warc_ray.stages.exchange import collect, local_blocks, materialize
+
+    ds, t = _whitelisted_plan(tmp_path)
+    with _executions() as started:
+        got = local_blocks(ds)
+        pulled = collect(ds)
+        mat = materialize(ds)
+        assert collect(mat).equals(pulled)
+    assert started[0] == 0
+    want = _ray_blocks(ds)
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert g.equals(w), (g.schema, w.schema)
+    assert got[1].num_rows == 0 and got[1].num_columns == 0
+    keep = t.filter(pa.compute.greater(t["v"], 100))
+    assert pulled.equals(pa.table({
+        "k": keep["k"], "v2": pa.compute.multiply(keep["v"], 2)}))
+    with _executions() as started:
+        _ray_blocks(ds)
+    assert started[0] == 1
+
+
+def _guard_case(case, tmp_path, monkeypatch):
+    """(Dataset, its rows) for one plan the local path must refuse."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from warc_ray.stages import exchange
+
+    class _Double:                  # local: Ray workers pickle it by value
+        def __call__(self, b: pa.Table) -> pa.Table:
+            return b.set_column(1, "v", pa.compute.multiply(b["v"], 2))
+
+    t = _rand_table(n=400)
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(t, path)
+    double = t.set_column(1, "v", pa.compute.multiply(t["v"], 2))
+    if case == "hive_directory":                    # q79's shape
+        for part in ("a", "b"):
+            os.makedirs(tmp_path / "hive" / f"p={part}")
+            pq.write_table(t, str(tmp_path / "hive" / f"p={part}"
+                                  / "0.parquet"))
+        want = pa.concat_tables([t.append_column(
+            "p", pa.array([p] * t.num_rows)) for p in ("a", "b")])
+        return rd.read_parquet(str(tmp_path / "hive")), want
+    if case == "evolved_files":                     # q162's shape
+        wide = t.append_column("w", pa.array(range(t.num_rows)))
+        pq.write_table(t, str(tmp_path / "g0.parquet"))
+        pq.write_table(wide, str(tmp_path / "g1.parquet"))
+        return (rd.read_parquet([str(tmp_path / "g0.parquet"),
+                                 str(tmp_path / "g1.parquet")]),
+                pa.concat_tables([t, wide], promote_options="default"))
+    if case == "read_schema":
+        return rd.read_parquet(path, schema=t.schema), t
+    if case == "actor_pool":
+        return (rd.from_arrow(t).map_batches(
+            _Double, batch_format="pyarrow", concurrency=1), double)
+    if case == "pandas_batches":
+        return (rd.from_arrow(t).map_batches(
+            lambda df: df.assign(v=df["v"] * 2), batch_format="pandas"),
+            double)
+    if case == "batch_size":
+        return (rd.from_arrow(t).map_batches(
+            _Double(), batch_format="pyarrow", batch_size=64), double)
+    if case == "sort":
+        return rd.from_arrow(t).sort("v"), t
+    if case == "groupby":
+        ds = rd.from_arrow(t).groupby("s").count()
+        return ds, t.group_by("s").aggregate([([], "count_all")]) \
+            .rename_columns(["s", "count()"])
+    assert case == "above_cap"
+    monkeypatch.setattr(exchange, "LOCAL_PLAN_BYTES", t.nbytes // 2)
+    return rd.from_arrow([t.slice(0, 200), t.slice(200)]).map_batches(
+        _Double(), batch_format="pyarrow"), double
+
+
+@pytest.mark.parametrize("case", [
+    "hive_directory", "evolved_files", "read_schema", "actor_pool",
+    "pandas_batches", "batch_size", "sort", "groupby", "above_cap"])
+def test_local_path_guards_fall_back(ray_session, tmp_path, monkeypatch,
+                                     case):
+    """Each guard of the local path takes Ray's path, with the same
+    rows: a hive directory scan and an evolved multi-file scan (the
+    q79 and q162 shapes), a read schema, an actor-pool map, a
+    non-pyarrow ``batch_format``, a set ``batch_size``, an unlisted
+    operator (sort, groupby) and a source above ``LOCAL_PLAN_BYTES``."""
+    from warc_ray.stages.exchange import collect, local_blocks
+
+    ds, want = _guard_case(case, tmp_path, monkeypatch)
+    assert local_blocks(ds) is None
+    with _executions() as started:
+        got = collect(ds)
+    assert started[0] >= 1
+    cols = sorted(want.column_names)
+    order = [(c, "ascending") for c in cols]
+    assert got.select(cols).sort_by(order).equals(
+        want.select(cols).sort_by(order))
+
+
+def test_local_path_pins_ray_internals(ray_session, tmp_path):
+    """The walker reads Ray's logical plan: these operator classes and
+    attributes; ``_from_arrow`` builds Ray's ``from_arrow`` Dataset from
+    Ray internals.  A Ray upgrade that moves any of them fails here
+    instead of silently sending every plan down Ray's path."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data._internal.compute import TaskPoolStrategy
+    from ray.data._internal.datasource.parquet_datasource import (
+        ParquetDatasource)
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.logical.operators.input_data_operator import (
+        InputData)
+    from ray.data._internal.logical.operators.map_operator import (
+        MapBatches, Project)
+    from ray.data._internal.logical.operators.n_ary_operator import Union
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    from warc_ray.stages.exchange import _from_arrow, local_blocks
+
+    t = _rand_table(n=50)
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(t, path)
+    arrow = rd.from_arrow(t)
+    src = arrow._logical_plan.dag
+    assert type(src) is FromArrow
+    assert type(arrow.materialize()._logical_plan.dag) is InputData
+    (ref, meta), = src.input_data[0].blocks
+    assert meta.size_bytes > 0
+    read = rd.read_parquet(path)._logical_plan.dag
+    assert type(read) is Read and type(read._datasource) is ParquetDatasource
+    pds = read._datasource
+    for attr in ("_pq_paths", "_filesystem", "_include_paths",
+                 "_to_batches_kwargs", "_block_udf", "_read_schema",
+                 "_partition_columns", "_partitioning",
+                 "_file_metadata_shuffler", "_data_columns"):
+        assert hasattr(pds, attr), attr
+    assert pds._pq_paths == [path] and pds._to_batches_kwargs == {}
+    mapped = arrow.map_batches(lambda b: b, batch_format="pyarrow")
+    op = mapped._logical_plan.dag
+    assert type(op) is MapBatches and op.input_dependencies == [src]
+    assert isinstance(op._compute, TaskPoolStrategy)
+    assert (op._batch_format, op._batch_size) == ("pyarrow", None)
+    for attr in ("_fn", "_fn_args", "_fn_kwargs", "_fn_constructor_args",
+                 "_fn_constructor_kwargs", "_ray_remote_args_fn"):
+        assert hasattr(op, attr), attr
+    proj = arrow.select_columns(["k"])._logical_plan.dag
+    assert type(proj) is Project and proj.cols == ["k"]
+    assert proj.cols_rename is None and proj.exprs is None
+    assert type(arrow.union(arrow)._logical_plan.dag) is Union
+    for ds in (arrow, rd.read_parquet(path), mapped,
+               arrow.select_columns(["k"]), arrow.union(mapped)):
+        assert local_blocks(ds) is not None
+    # _from_arrow builds what ray.data.from_arrow builds
+    ours, theirs = _from_arrow([t, t.slice(0, 0)]), rd.from_arrow(
+        [t, t.slice(0, 0)])
+    assert type(ours) is type(theirs)
+    assert type(ours._logical_plan.dag) is FromArrow
+    assert (ours.count(), ours.num_blocks(), ours.size_bytes(),
+            ours.schema()) == (theirs.count(), theirs.num_blocks(),
+                               theirs.size_bytes(), theirs.schema())
+    assert [b.equals(c) for b, c in zip(local_blocks(ours),
+                                        local_blocks(theirs))] == [True] * 2
+
+
+def test_engine_has_one_materialize():
+    """Every materialization in the engine goes through
+    ``exchange.materialize``: no other function in ``warc_ray/`` or
+    ``__ray_entry__.py`` calls ``.materialize()``."""
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sites = []
+    for path in sorted((root / "warc_ray").rglob("*.py")) \
+            + [root / "__ray_entry__.py"]:
+        tree = ast.parse(path.read_text())
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "materialize"):
+                owner = max((d for d in defs
+                             if d.lineno <= node.lineno <= d.end_lineno),
+                            key=lambda d: d.lineno, default=None)
+                sites.append((path.relative_to(root).as_posix(),
+                              owner.name if owner else None))
+    assert sites == [("warc_ray/stages/exchange.py", "materialize")]

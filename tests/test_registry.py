@@ -8,7 +8,9 @@ driver-hard coverage grows.  These tests pin both contracts so future
 registry edits can't silently break them.  No Ray needed — the
 registry is plain list construction, and the two corpus-artifact
 builders ``oracle_sql()`` calls are stubbed the way perfbench stubs
-them.  Only the last test starts Ray: it runs q56 against its oracle.
+them.  The last tests start Ray: q56 against its oracle, every query
+that finishes at one CPU against its oracle at sf0.001 and sf0.01, and
+q76 under two hash seeds.
 
 The registry declares each query once (name, engine function, oracle),
 and the oracle SQL lives apart from the engine in
@@ -17,9 +19,12 @@ and the oracle SQL lives apart from the engine in
 
 import ast
 import collections
+import contextlib
 import glob
 import os
 import re
+import signal
+import subprocess
 import sys
 
 import pandas as pd
@@ -310,3 +315,132 @@ def test_corpus_oracles_follow_the_sf_dir(ray_session, monkeypatch):
     want = norm(duckdb.connect().execute(sql).fetchdf())
     assert len(got) > 0
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+# Direction 2's queries that do not finish at num_cpus=1: each starts
+# an actor pool whose minimum size starves the tasks after it.  A PR
+# that takes a name out of this set shows that query passing.
+EXPECTED_HANGS = {
+    "q30_knn_topk": "similarity.knn_topk: actor pool (1, 2)",
+    "q31_knn_topk_ivf": "similarity.ivf_topk: actor pool (1, 2)",
+    "q114_ivf_recall": "similarity.knn_topk / ivf_topk: actor pools (1, 2)",
+    "q255_pq_retrieval": "similarity.pq_topk: actor pool (1, 2)",
+    "q62_quality_model": "training.quality_model_scores: actor pool (1, 8)",
+    "q40_media_features": "training.media_features: actor pool (2, 28)",
+    "q41_frame_samples": "training.frame_samples: actor pool (2, 24)",
+    "q42_media_resize": "training.media_resize: actor pool (2, 24)",
+    "q43_audio_features": "training.audio_features: actor pool (2, 24)",
+    "q143_revenue_rollup_geo":
+        "analytics.revenue_rollup_geo: actor pool (1, 2)",
+    "q58_arc_roundtrip": "_write_arc_fixture: FetchGroup pool (4, 28); "
+                         "hangs below 8 CPUs",
+    "q78_arc_to_warc": "_write_arc_fixture: FetchGroup pool (4, 28); "
+                       "hangs below 8 CPUs",
+}
+# rows-only queries (no oracle): columns and row count per scale
+ROWS_ONLY_SHAPES = {
+    "q60_semdedup": (["vec_id"], {"sf0.001": 441, "sf0.01": 455}),
+    "q64_quantile_sketch": (["event_type", "p50_milli", "p90_milli",
+                             "p99_milli"], {"sf0.001": 5, "sf0.01": 5}),
+    "q75_compression_signal": (["comp_len", "doc_id", "keep", "ratio_ppm",
+                                "raw_len"], {"sf0.001": 500, "sf0.01": 500}),
+    "q179_pca_label_map": (["label", "mean_pc1", "mean_pc2", "n",
+                            "var_explained_pc1", "var_explained_pc2"],
+                           {"sf0.001": 10, "sf0.01": 10}),
+}
+QUERY_DEADLINE_S = 90
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this thread once ``seconds`` pass (Ray's
+    blocking calls check for signals), so one hang fails one query."""
+    def expire(*_):
+        raise TimeoutError(f"no result in {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_expected_hangs_are_registry_queries():
+    names = set(entry.queries())
+    assert set(EXPECTED_HANGS) <= names
+    assert set(ROWS_ONLY_SHAPES) == \
+        names - set(EXPECTED_HANGS) - set(entry.oracle_sql(SF))
+
+
+@pytest.mark.parametrize("scale", ["sf0.001", "sf0.01"])
+def test_every_query_matches_its_oracle(ray_session, scale):
+    """Every query that finishes at one CPU equals its ``oracle_sql``
+    DuckDB twin at ``scale``, compared as ``tools/check_oracle.py``
+    compares (same row count and columns, values after sorting every
+    column); a rows-only query keeps its columns and row count.  Each
+    query runs under its own deadline.  Fails with the FAIL names."""
+    import duckdb
+
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    from check_oracle import normalize, to_pandas
+
+    sf_dir = os.path.join(os.path.dirname(SF), scale)
+    oracles = entry.oracle_sql(sf_dir)
+    con = duckdb.connect()
+    for t in ("region nation customer supplier part orders lineitem "
+              "events documents embeddings").split():
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{sf_dir}/{t}.parquet')")
+    fails = []
+    for name, fn in entry.queries().items():
+        if name in EXPECTED_HANGS:
+            continue
+        try:
+            with _deadline(QUERY_DEADLINE_S):
+                got = normalize(to_pandas(fn(sf_dir)))
+        except Exception as e:  # noqa: BLE001 - reported as a FAIL name
+            fails.append(f"{name} ({type(e).__name__}: {e})"[:200])
+            continue
+        if name not in oracles:
+            cols, rows = ROWS_ONLY_SHAPES[name]
+            if list(got.columns) != cols or len(got) != rows[scale]:
+                fails.append(f"{name} (rows {len(got)}, {list(got.columns)})")
+            continue
+        want = normalize(con.execute(oracles[name]).fetchdf())
+        try:
+            assert list(got.columns) == list(want.columns)
+            pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        except AssertionError:
+            fails.append(f"{name} (rows {len(got)}/{len(want)})")
+    assert not fails, f"FAIL at {scale}: {fails}"
+
+
+def test_q76_row_order_is_hash_seed_free(ray_session):
+    """q76 ``duplicate_spans`` returns its rows in one order whatever
+    ``PYTHONHASHSEED`` is: each run joins this Ray session from its own
+    process (whose driver runs the small plan) and digests the rows in
+    order."""
+    import ray
+
+    code = (
+        "import hashlib, sys\n"
+        "import pandas as pd, ray\n"
+        f"sys.path.insert(0, {ROOT!r})\n"
+        f"ray.init(address={ray.get_runtime_context().gcs_address!r},"
+        " logging_level='ERROR')\n"
+        "import __ray_entry__ as entry\n"
+        f"df = entry.queries()['q76_duplicate_spans']({SF!r}).to_pandas()\n"
+        "print(len(df), hashlib.sha1(pd.util.hash_pandas_object("
+        "df, index=False).values.tobytes()).hexdigest())\n")
+    digests = set()
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=300,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": ROOT})
+        rows, digest = out.stdout.split()[-2:]
+        assert int(rows) > 0
+        digests.add(digest)
+    assert len(digests) == 1, digests

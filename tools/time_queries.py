@@ -6,9 +6,14 @@ session (``num_cpus`` = ``nproc``): one untimed warm-up pass, then
 ``--passes`` timed passes.  Each pass runs every named query once, in
 the order given, so a slow host window hits all of them alike.  A
 query's time covers its call and the conversion of its result to
-pandas (a lazy Dataset result executes there).  Prints one line per
-query and, last, one JSON object with the per-pass seconds, ``nproc``
-and the CPU affinity count.
+pandas; a Dataset result is pulled with ``exchange.collect``, the
+engine's one driver pull (a lazy result executes there).  Each query's
+Ray Data executions are counted too: the tool wraps
+``StreamingExecutor.execute`` in its own process (a materialized
+Dataset or a plan the driver runs starts none).  Prints one line per
+query (min, median, executions per pass) and, last, one JSON object
+with the per-pass seconds and execution counts, ``nproc`` and the CPU
+affinity count.
 
 Whole-workload benchmark runs swing together with the host; a loop
 inside one session is the steadier reading for one query.  To compare
@@ -53,8 +58,21 @@ def main():
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    started = [0]
+    execute = StreamingExecutor.execute
+
+    def counted(self, *a, **k):
+        started[0] += 1
+        return execute(self, *a, **k)
+
+    StreamingExecutor.execute = counted
 
     import __ray_entry__ as entrymod
+    import ray.data as rd
+    from warc_ray.stages.exchange import collect
 
     qs = entrymod.queries()
     missing = [q for q in args.queries if q not in qs]
@@ -62,22 +80,29 @@ def main():
         sys.exit(f"unknown queries: {missing}")
 
     secs: dict[str, list[float]] = {q: [] for q in args.queries}
+    execs: dict[str, list[int]] = {q: [] for q in args.queries}
     for p in range(args.passes + 1):
         for q in args.queries:
+            started[0] = 0
             t0 = time.perf_counter()
-            qs[q](args.sf).to_pandas()
+            res = qs[q](args.sf)
+            (collect(res) if isinstance(res, rd.Dataset) else res).to_pandas()
             if p:                                  # pass 0 warms up
                 secs[q].append(time.perf_counter() - t0)
+                execs[q].append(started[0])
     ray.shutdown()
 
     print(f"checkout={ROOT} nproc={nproc} affinity={affinity} "
           f"passes={args.passes}")
     for q, s in secs.items():
         print(f"{q:36s} min {min(s):.4f} s  "
-              f"median {statistics.median(s):.4f} s")
+              f"median {statistics.median(s):.4f} s  "
+              f"executions {max(execs[q])}")
+    mean = statistics.mean(max(e) for e in execs.values())
+    print(f"executions per query: mean {mean:.2f}")
     print(json.dumps({"checkout": ROOT, "sf": args.sf, "nproc": nproc,
                       "affinity": affinity, "passes": args.passes,
-                      "secs": secs}))
+                      "secs": secs, "executions": execs}))
 
 
 if __name__ == "__main__":

@@ -27,7 +27,8 @@ import ray.data as rd
 
 from ..sources._util import read_parquet
 from ..stages.exchange import (bucket_exchange, collect, combine_buckets,
-                               segment_bounds, sort_result, with_part)
+                               materialize, segment_bounds, sort_result,
+                               with_part)
 
 INT64 = pa.int64()
 
@@ -43,6 +44,16 @@ def _pq(sf_dir: str, name: str) -> str:
 
 def _docs(sf_dir: str, columns=None):
     return rd.read_parquet(_pq(sf_dir, "documents"), columns=columns)
+
+
+def _sums(ds, cols: list[str]) -> dict:
+    """``Dataset.sum(cols)`` of a small partials Dataset, through one
+    ``collect`` (Ray's aggregate is one more execution): column ->
+    exact Python-int sum of its non-null values, or None for an empty
+    Dataset, as Ray gives."""
+    t = collect(ds)
+    return {c: sum(v for v in t[c].to_pylist() if v is not None)
+            if t.num_rows else None for c in cols}
 
 
 def _md5_hex(strs: list[str]) -> list[str]:
@@ -1696,11 +1707,11 @@ def bm25_topk(sf_dir: str):
         return pa.table({k: pa.array(v, type=INT64)
                          for k, v in row.items()})
 
-    g = _docs(sf_dir, columns=["text"]) \
-        .map_batches(stats, batch_format="pyarrow") \
-        .sum(["n", "sdl"] + [f"df{i}" for i in range(len(BM25_TERMS))])
-    n, sdl = int(g["sum(n)"]), int(g["sum(sdl)"])
-    dfs = [int(g[f"sum(df{i})"]) for i in range(len(BM25_TERMS))]
+    g = _sums(_docs(sf_dir, columns=["text"])
+              .map_batches(stats, batch_format="pyarrow"),
+              ["n", "sdl"] + [f"df{i}" for i in range(len(BM25_TERMS))])
+    n, sdl = int(g["n"]), int(g["sdl"])
+    dfs = [int(g[f"df{i}"]) for i in range(len(BM25_TERMS))]
     avgdl = float(sdl) / float(n)
     idfs = [math.log(1.0 + (n - df + 0.5) / (df + 0.5)) for df in dfs]
 
@@ -1993,15 +2004,15 @@ def discount_revenue(sf_dir: str):
             "n": pa.array([len(amt)], type=INT64),
         })
 
-    g = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_shipdate", "l_discount",
-                                 "l_quantity", "l_extendedprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .sum(["units", "n"])
+    g = _sums(rd.read_parquet(_pq(sf_dir, "lineitem"),
+                              columns=["l_shipdate", "l_discount",
+                                       "l_quantity", "l_extendedprice"])
+              .map_batches(partial, batch_format="pyarrow"),
+              ["units", "n"])
     return pa.table({
-        "n_items": pa.array([int(g["sum(n)"])], type=INT64),
+        "n_items": pa.array([int(g["n"])], type=INT64),
         "revenue_effect": pa.array(
-            [float(int(g["sum(units)"])) / 10000.0], type=pa.float64()),
+            [float(int(g["units"])) / 10000.0], type=pa.float64()),
     })
 
 
@@ -3101,8 +3112,9 @@ def lineitem_profile(sf_dir: str):
             di = di.append_column(name, pa.nulls(di.num_rows, typ))
         return pa.concat_tables([st, di.select(st.column_names)])
 
-    partials = rd.read_parquet(_pq(sf_dir, "lineitem"), columns=cols) \
-        .map_batches(fused_partial, batch_format="pyarrow").materialize()
+    partials = materialize(
+        rd.read_parquet(_pq(sf_dir, "lineitem"), columns=cols)
+        .map_batches(fused_partial, batch_format="pyarrow"))
 
     # stats fold over the null-vkey rows (one row per column)
     stats = combine_buckets(
@@ -3639,9 +3651,9 @@ def join_cardinality(sf_dir: str):
             "cells": pa.array(blob, type=pa.binary()),
         })
 
-    ds = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_partkey"]) \
-        .map_batches(partial, batch_format="pyarrow").materialize()
+    ds = materialize(rd.read_parquet(_pq(sf_dir, "lineitem"),
+                                     columns=["l_partkey"])
+                     .map_batches(partial, batch_format="pyarrow"))
 
     # sketch fold: one dense cell block per input block, driver stream
     sketch = np.zeros((CMS_D, CMS_W), np.int64)
@@ -3823,12 +3835,11 @@ def private_purchase_count(sf_dir: str, truth_hex: str = "b"):
             "true_n": pa.array([int(truth.sum())], type=INT64),
         })
 
-    agg = rd.read_parquet(_pq(sf_dir, "events"),
-                          columns=["event_id", "event_type"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .sum(["n", "observed", "true_n"])
-    n, obs, tru = (int(agg[f"sum({c})"]) for c in
-                   ("n", "observed", "true_n"))
+    agg = _sums(rd.read_parquet(_pq(sf_dir, "events"),
+                                columns=["event_id", "event_type"])
+                .map_batches(partial, batch_format="pyarrow"),
+                ["n", "observed", "true_n"])
+    n, obs, tru = (int(agg[c]) for c in ("n", "observed", "true_n"))
     est = float(4 * obs - n) / 2.0           # (O − N/4) / (1/2), exact
     return pa.table({
         "n": pa.array([n], type=INT64),
@@ -3960,18 +3971,18 @@ def replica_repair(sf_dir: str, npart: int = 32):
             "n_all_diff": pa.array([int(all_diff.sum())], type=INT64),
         })
 
-    agg = bucket_exchange(
+    agg = _sums(bucket_exchange(
         rd.read_parquet(_pq(sf_dir, "orders"),
                         columns=["o_orderkey", "o_totalprice"])
         .map_batches(explode, batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .sum(["n_keys", "bad_r0", "bad_r1", "bad_r2", "n_all_diff"])
+        lambda g: bucket(g.drop_columns(["part"]))),
+        ["n_keys", "bad_r0", "bad_r1", "bad_r2", "n_all_diff"])
     return pa.table({
-        "n_keys": pa.array([int(agg["sum(n_keys)"])], type=INT64),
-        "bad_r0": pa.array([int(agg["sum(bad_r0)"])], type=INT64),
-        "bad_r1": pa.array([int(agg["sum(bad_r1)"])], type=INT64),
-        "bad_r2": pa.array([int(agg["sum(bad_r2)"])], type=INT64),
-        "n_all_diff": pa.array([int(agg["sum(n_all_diff)"])],
+        "n_keys": pa.array([int(agg["n_keys"])], type=INT64),
+        "bad_r0": pa.array([int(agg["bad_r0"])], type=INT64),
+        "bad_r1": pa.array([int(agg["bad_r1"])], type=INT64),
+        "bad_r2": pa.array([int(agg["bad_r2"])], type=INT64),
+        "n_all_diff": pa.array([int(agg["n_all_diff"])],
                                type=INT64),
     })
 
@@ -4814,11 +4825,11 @@ def logreg_train(sf_dir: str):
     cols = ["l_quantity", "l_discount", "l_returnflag"]
     ok = 0
     for _ in range(LOGREG_ITERS):
-        s = rd.read_parquet(_pq(sf_dir, "lineitem"), columns=cols) \
-            .map_batches(grad_partial, batch_format="pyarrow") \
-            .sum(["g0", "g1", "g2", "ok"])
-        G = [int(s["sum(g0)"]), int(s["sum(g1)"]), int(s["sum(g2)"])]
-        ok = int(s["sum(ok)"])     # accuracy of the PRE-update weights
+        s = _sums(rd.read_parquet(_pq(sf_dir, "lineitem"), columns=cols)
+                  .map_batches(grad_partial, batch_format="pyarrow"),
+                  ["g0", "g1", "g2", "ok"])
+        G = [int(s["g0"]), int(s["g1"]), int(s["g2"])]
+        ok = int(s["ok"])     # accuracy of the PRE-update weights
         w = [w[j] - ((float(G[j]) / 1000000000.0) / n_d)
              for j in range(3)]
     return pa.table({
@@ -4931,11 +4942,11 @@ def benford_audit(sf_dir: str):
                                            type=INT64)
                          for d in range(1, 10)})
 
-    s = rd.read_parquet(_pq(sf_dir, "orders"),
+    s = _sums(rd.read_parquet(_pq(sf_dir, "orders"),
                         columns=["o_totalprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .sum([f"d{d}" for d in range(1, 10)])
-    obs = [int(s[f"sum(d{d})"]) for d in range(1, 10)]
+        .map_batches(partial, batch_format="pyarrow"),
+        [f"d{d}" for d in range(1, 10)])
+    obs = [int(s[f"d{d}"]) for d in range(1, 10)]
     n = sum(obs)
     rows = []
     for d in range(1, 10):
@@ -5004,10 +5015,10 @@ def gdpr_cascade(sf_dir: str):
         return pa.table({"n": pa.array([len(ok)], type=INT64),
                          "p": pa.array([int(m.sum())], type=INT64)})
 
-    s = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_orderkey"]) \
-        .map_batches(li_partial, batch_format="pyarrow").sum(["n", "p"])
-    n_li, p_li = int(s["sum(n)"]), int(s["sum(p)"])
+    s = _sums(rd.read_parquet(_pq(sf_dir, "lineitem"),
+                              columns=["l_orderkey"])
+              .map_batches(li_partial, batch_format="pyarrow"), ["n", "p"])
+    n_li, p_li = int(s["n"]), int(s["p"])
     return pa.table({
         "tbl": pa.array(["customer", "lineitem", "orders"]),
         "n_total": pa.array([n_cust, n_li, n_ord], type=INT64),
@@ -5046,9 +5057,9 @@ def _forest_doubling(sf_dir: str, npart: int, acc_col: str, acc_init,
             "cents": cents,
         })
 
-    state = read_parquet(_pq(sf_dir, "part"),
-                         columns=["p_partkey", "p_retailprice"]) \
-        .map_batches(init, batch_format="pyarrow").materialize()
+    state = materialize(read_parquet(_pq(sf_dir, "part"),
+                                     columns=["p_partkey", "p_retailprice"])
+                        .map_batches(init, batch_format="pyarrow"))
     n_total = state.count()          # metadata on a materialized ds
 
     P32 = pa.int32()
@@ -5111,11 +5122,11 @@ def _forest_doubling(sf_dir: str, npart: int, acc_col: str, acc_init,
         state = bucket_exchange(
             state.map_batches(pad, batch_format="pyarrow"),
             lambda g: bucket(g.drop_columns(["part"])))
-        if r + 1 >= rounds and not int(state.map_batches(
+        if r + 1 >= rounds and not int(_sums(state.map_batches(
                 lambda b: pa.table({"n": pa.array(
                     [int((b["ptr"].to_numpy(zero_copy_only=False) >= 16)
                          .sum())], type=INT64)}),
-                batch_format="pyarrow").sum("n") or 0):
+                batch_format="pyarrow"), ["n"])["n"] or 0):
             return state             # no active node left
     raise RuntimeError("pointer doubling failed to converge")
 
@@ -5399,11 +5410,11 @@ def local_supplier_revenue(sf_dir: str, region: str = "ASIA",
     cust = rd.read_parquet(_pq(sf_dir, "customer"),
                            columns=["c_custkey", "c_nationkey"]) \
         .map_batches(cust_side, batch_format="pyarrow")
-    ord_nat = lookup_join(
+    ord_nat = materialize(lookup_join(
         orders, cust, "c_custkey", npart=npart,
         bucket_finish=lambda j: pa.table({
             "l_orderkey": j["o_orderkey"],
-            "c_nationkey": j["c_nationkey"]})).materialize()
+            "c_nationkey": j["c_nationkey"]})))
 
     def line_side(b: pa.Table) -> pa.Table:
         s = b["l_suppkey"].to_numpy(zero_copy_only=False)
@@ -6755,10 +6766,9 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_3",
 
     # the two-nation customer slice is broadcast-small (2/|nations| of
     # the dim): the orders scan joins it in place of a custkey exchange
-    ord_nat = lookup_join(
+    ord_nat = materialize(lookup_join(
         orders, cust, "c_custkey", npart=npart,
-        bucket_finish=lambda j: j.select(["l_orderkey", "c_nat"])) \
-        .materialize()
+        bucket_finish=lambda j: j.select(["l_orderkey", "c_nat"])))
 
     def line_side(b: pa.Table) -> pa.Table:
         d = pc.cast(b["l_shipdate"], INT64)
@@ -6884,10 +6894,9 @@ def national_market_share(sf_dir: str, region: str = "ASIA",
 
     # region customers are a ~1/|regions| slice of the customer
     # dimension — the broadcast semi-join side: orders never move
-    ord_year = lookup_join(
+    ord_year = materialize(lookup_join(
         orders, cust, "c_custkey", npart=npart,
-        bucket_finish=lambda j: j.select(["l_orderkey", "o_year"])) \
-        .materialize()
+        bucket_finish=lambda j: j.select(["l_orderkey", "o_year"])))
 
     def line_side(b: pa.Table) -> pa.Table:
         s = b["l_suppkey"].to_numpy(zero_copy_only=False)
@@ -7167,7 +7176,7 @@ def top_supplier(sf_dir: str, npart: int = 16):
         .map_batches(partial, batch_format="pyarrow"),
         "s_suppkey", [("rev", "sum")])
 
-    mx = rev.max("rev")
+    mx = pc.max(collect(rev)["rev"]).as_py()
 
     def finish(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b["rev"], pa.scalar(int(mx), type=INT64)))
@@ -7236,18 +7245,18 @@ def small_quantity_revenue(sf_dir: str, brand: str = "Brand#23",
             "sum_pc": pa.array([int(pcents[keep].sum())], type=INT64),
             "n_rows": pa.array([int(keep.sum())], type=INT64)})
 
-    g = bucket_exchange(
+    g = _sums(bucket_exchange(
         rows.map_batches(
             lambda b: with_part(b, "l_partkey", npart),
             batch_format="pyarrow"),
-        lambda g: bucket(g.drop_columns(["part"]))) \
-        .sum(["sum_pc", "n_rows"])
+        lambda g: bucket(g.drop_columns(["part"]))),
+        ["sum_pc", "n_rows"])
 
     return pa.table({
         "avg_yearly": pa.array(
-            [float(int(g["sum(sum_pc)"])) / 100.0 / 7.0],
+            [float(int(g["sum_pc"])) / 100.0 / 7.0],
             type=pa.float64()),
-        "n_rows": pa.array([int(g["sum(n_rows)"])], type=INT64)})
+        "n_rows": pa.array([int(g["n_rows"])], type=INT64)})
 
 
 # ---------------------------------------------------------------------------
@@ -7281,15 +7290,14 @@ def large_volume_customers(sf_dir: str, min_qty: int = 250,
     # 600k-row Aggregate here cost ~6 s wall at sf0.1 (round-4
     # profiler; same finding as q206), the part-exchange + Arrow
     # group_by costs ~1 s.  The HAVING filter fuses into the bucket.
-    big = combine_buckets(
+    big = materialize(combine_buckets(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_orderkey", "l_quantity"])
         .map_batches(qty_partial, batch_format="pyarrow"),
-        "o_orderkey", [("qc", "sum")], npart=npart) \
+        "o_orderkey", [("qc", "sum")], npart=npart)
         .map_batches(lambda b: b.filter(pc.greater(
             b["qc"], pa.scalar(min_qty * 100, type=INT64))),
-            batch_format="pyarrow") \
-        .materialize()
+            batch_format="pyarrow"))
 
     def orders_side(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -7490,10 +7498,9 @@ def gini_spend(sf_dir: str, npart: int = 32):
             "s_x": pa.array([int(x.sum())], type=INT64),
             "n": pa.array([len(x)], type=INT64)})
 
-    g = ranked.map_batches(fold, batch_format="pyarrow") \
-        .sum(["s_rx", "s_x", "n"])
-    s_rx, s_x, n = (int(g["sum(s_rx)"]), int(g["sum(s_x)"]),
-                    int(g["sum(n)"]))
+    g = _sums(ranked.map_batches(fold, batch_format="pyarrow"),
+              ["s_rx", "s_x", "n"])
+    s_rx, s_x, n = int(g["s_rx"]), int(g["s_x"]), int(g["n"])
     num = 2 * s_rx - (n + 1) * s_x          # exact arbitrary-precision
     return pa.table({
         "n_customers": pa.array([n], type=INT64),
@@ -7800,7 +7807,7 @@ def brand_triples(sf_dir: str, minsup: int = 40, npart: int = 16):
 
     from ..stages.exchange import clustered_join
 
-    ob = clustered_join(
+    ob = materialize(clustered_join(
         rd.read_parquet(_pq(sf_dir, "lineitem"),
                         columns=["l_partkey", "l_orderkey"])
         .map_batches(lambda b: pa.table({
@@ -7808,7 +7815,7 @@ def brand_triples(sf_dir: str, minsup: int = 40, npart: int = 16):
             "l_orderkey": b["l_orderkey"]}), batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
         dim_columns=["p_brand"], npart=npart,
-        bucket_finish=ob_distinct).materialize()
+        bucket_finish=ob_distinct))
 
     # Apriori prune: brand support floor (tiny, driver-held)
     sup = combine_buckets(ob.select_columns(["b"]), "b", [("n", "count")])
@@ -8145,16 +8152,16 @@ def degree_assortativity(sf_dir: str, npart: int = 16):
         edges.map_batches(lambda b: with_part(b, "l_orderkey", npart),
                           batch_format="pyarrow"),
         lambda g: bucket_do(g.drop_columns(["part"])))
-    g = bucket_exchange(
+    g = _sums(bucket_exchange(
         do.map_batches(lambda b: with_part(b, "l_partkey", npart),
                        batch_format="pyarrow"),
-        lambda g: bucket_moments(g.drop_columns(["part"]))) \
-        .sum(["n", "sx", "sy", "sxy", "sxx", "syy"])
+        lambda g: bucket_moments(g.drop_columns(["part"]))),
+        ["n", "sx", "sy", "sxy", "sxx", "syy"])
 
     import math
-    n, sx, sy = int(g["sum(n)"]), int(g["sum(sx)"]), int(g["sum(sy)"])
-    sxy, sxx, syy = (int(g["sum(sxy)"]), int(g["sum(sxx)"]),
-                     int(g["sum(syy)"]))
+    n, sx, sy = int(g["n"]), int(g["sx"]), int(g["sy"])
+    sxy, sxx, syy = (int(g["sxy"]), int(g["sxx"]),
+                     int(g["syy"]))
     r = float(n * sxy - sx * sy) / math.sqrt(
         float(n * sxx - sx * sx) * float(n * syy - sy * sy))
     return pa.table({
@@ -8368,8 +8375,8 @@ def mutual_best(sf_dir: str, npart: int = 16):
     # bucket below.  This removed a full 600k-row Ray-native
     # Aggregate (8.2 s wall / 71 core-s at sf0.1 — the round-4
     # profiler's top q206 cost).
-    cp = hash_join(lines, orders, "l_orderkey", npart=npart,
-                   bucket_finish=cp_partial).materialize()
+    cp = materialize(hash_join(lines, orders, "l_orderkey", npart=npart,
+                               bucket_finish=cp_partial))
 
     def argmax_by(key: str, other: str):
         def bucket(g: pa.Table) -> pa.Table:
@@ -8913,7 +8920,7 @@ def churn_report(sf_dir: str, horizon_days: int = 365,
                         columns=["o_custkey", "o_orderdate"])
         .map_batches(partial, batch_format="pyarrow"),
         "c_custkey", [("last_day", "max")])
-    global_last = int(last.max("last_day"))
+    global_last = int(pc.max(collect(last)["last_day"]).as_py())
     cut = global_last - horizon_days
 
     def agg_nation(j: pa.Table) -> pa.Table:
@@ -9796,10 +9803,10 @@ def stickiness(sf_dir: str, npart: int = 32):
         rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "user_id"])
         .map_batches(partial, batch_format="pyarrow"),
         ["day", "user_id"], [])
-    weeks = du.map_batches(lambda b: pa.table({
+    weeks = materialize(du.map_batches(lambda b: pa.table({
         "week": pa.array(b["day"].to_numpy(zero_copy_only=False) // 7,
                          type=INT64),
-        "user_id": b["user_id"]}), batch_format="pyarrow").materialize()
+        "user_id": b["user_id"]}), batch_format="pyarrow"))
 
     # (week, user) distinct for WAU needs its own exchange
     wau = combine_buckets(combine_buckets(weeks, ["week", "user_id"], []),
@@ -9807,7 +9814,7 @@ def stickiness(sf_dir: str, npart: int = 32):
     dau = combine_buckets(weeks, "week", [("day_user_rows", "count")])
 
     from ..stages.exchange import hash_join
-    both = hash_join(dau.materialize(), wau.materialize(), "week",
+    both = hash_join(materialize(dau), materialize(wau), "week",
                      npart=4)
 
     def finish(b: pa.Table) -> pa.Table:
@@ -10856,12 +10863,12 @@ def volume_discount(sf_dir: str):
             "c": pa.array([int((~big & deep).sum())], type=INT64),
             "d": pa.array([int((~big & ~deep).sum())], type=INT64)})
 
-    g = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_quantity", "l_discount"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .sum(["a", "b", "c", "d"])
-    a, b = int(g["sum(a)"]), int(g["sum(b)"])
-    c, d = int(g["sum(c)"]), int(g["sum(d)"])
+    g = _sums(rd.read_parquet(_pq(sf_dir, "lineitem"),
+                              columns=["l_quantity", "l_discount"])
+              .map_batches(partial, batch_format="pyarrow"),
+              ["a", "b", "c", "d"])
+    a, b = int(g["a"]), int(g["b"])
+    c, d = int(g["c"]), int(g["d"])
     return pa.table({
         "big_deep": pa.array([a], type=INT64),
         "big_shallow": pa.array([b], type=INT64),
@@ -10997,15 +11004,15 @@ def bracket_revenue(sf_dir: str):
         return pa.table({"rev_u": pa.array([rev], type=INT64),
                          "n": pa.array([int(keep.sum())], type=INT64)})
 
-    g = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_quantity",
-                                 "l_extendedprice", "l_discount"]) \
-        .map_batches(scan, batch_format="pyarrow").sum(["rev_u", "n"])
-    n = int(g["sum(n)"])
+    g = _sums(rd.read_parquet(_pq(sf_dir, "lineitem"),
+                              columns=["l_partkey", "l_quantity",
+                                       "l_extendedprice", "l_discount"])
+              .map_batches(scan, batch_format="pyarrow"), ["rev_u", "n"])
+    n = int(g["n"])
     # SQL's SUM over no matching row is NULL, not 0
     return pa.table({
         "n_lineitems": pa.array([n], type=INT64),
-        "revenue": pa.array([int(g["sum(rev_u)"]) / 10_000.0 if n else None],
+        "revenue": pa.array([int(g["rev_u"]) / 10_000.0 if n else None],
                             type=pa.float64())})
 
 
@@ -11113,10 +11120,9 @@ def rich_idle_customers(sf_dir: str, npart: int = 32):
             "s": pa.array([int(cents[pos].sum())], type=INT64),
             "n": pa.array([int(pos.sum())], type=INT64)})
 
-    g = rd.read_parquet(_pq(sf_dir, "customer"),
-                        columns=["c_acctbal"]) \
-        .map_batches(bal_scan, batch_format="pyarrow").sum(["s", "n"])
-    tot, n_pos = int(g["sum(s)"]), int(g["sum(n)"])
+    g = _sums(rd.read_parquet(_pq(sf_dir, "customer"), columns=["c_acctbal"])
+              .map_batches(bal_scan, batch_format="pyarrow"), ["s", "n"])
+    tot, n_pos = int(g["s"]), int(g["n"])
 
     def c_scan(b: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(b["c_acctbal"], 100.0)),

@@ -17,7 +17,7 @@ import ray.data as rd
 
 from ..stages import dedup as dd
 from ..stages.exchange import (bucket_exchange, collect, combine_buckets,
-                               segment_bounds, sort_result)
+                               materialize, segment_bounds, sort_result)
 from ..stages import similarity as sim
 from ..stages import textstats as ts
 
@@ -676,9 +676,8 @@ def pack_chunks(sf_dir: str, budget: int = 2048, npart: int = 16):
         return pa.table({"doc_id": b["doc_id"], "n_tokens": pa.array(n),
                          "part": pa.array(part)})
 
-    toks = _docs(sf_dir, columns=["doc_id", "text"]) \
-        .map_batches(tok_batch, batch_format="pyarrow") \
-        .materialize()
+    toks = materialize(_docs(sf_dir, columns=["doc_id", "text"])
+                       .map_batches(tok_batch, batch_format="pyarrow"))
 
     # pass 1: per-part subtotals -> exclusive offsets (npart rows)
     sub = combine_buckets(toks, "part", [("n_tokens", "sum")]) \
@@ -1183,7 +1182,9 @@ def duplicate_spans(sf_dir: str, win: int = 16, npart: int = 32):
             seen: set[str] = set()
             for i in range(n - win + 1):
                 seen.add(md5(" ".join(toks[i:i + win]).encode()).hexdigest())
-            fps.extend(seen)
+            # sorted, not set order: the bucket rows (and so the
+            # output order) must not depend on PYTHONHASHSEED
+            fps.extend(sorted(seen))
             out_ids.extend([int(d)] * len(seen))
         t = pa.table({"fp": pa.array(fps, type=pa.string()),
                       "doc_id": pa.array(out_ids, type=pa.int64())})

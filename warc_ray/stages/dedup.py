@@ -27,7 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import bucket_exchange, combine_buckets
+from .exchange import bucket_exchange, combine_buckets, materialize
 from .md5vec import md5_prefix64
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
@@ -740,8 +740,7 @@ def minhash_dedup_pairs(docs_ds, docs_parquet: str | None = None, *,
         # the pruned (candidate-only) doc slice is materialized so j1
         # and j2 share one corpus scan; its size tracks candidate
         # count, not the corpus
-        docs = docs.map_batches(prune, batch_format="pyarrow") \
-            .materialize()
+        docs = materialize(docs.map_batches(prune, batch_format="pyarrow"))
     # exchange 1: key=doc_a picks up text_a AND dedups candidate pairs
     # in the same bucket pass (duplicates of a pair co-locate by
     # doc_a-hash); output (key=doc_a, other=doc_b, text_a).

@@ -38,12 +38,26 @@ Ray's distributed sort).
 This module also owns how a result leaves Ray.  ``collect`` is the
 engine's one driver pull: a Dataset becomes one Arrow table (blocks
 whose types differ promote; empty input keeps the schema when Ray
-knows it).  ``sort_result`` is the engine's one Dataset sort, a
+knows it).  ``materialize`` is the engine's one materialization.
+``sort_result`` is the engine's one Dataset sort, a
 drop-in for ``Dataset.sort(key, descending)``: the same rows in the
 same key order (nulls last either way) and the same block count, so a
 sorted Dataset that feeds more distributed work keeps its
 parallelism.  A loop that reduces batch by batch
 (``for b in ds.iter_batches()``) is a streaming fold, not a pull.
+
+Small plans run in the driver.  Every Ray Data execution costs tens
+of ms of fixed wall, most of a query's time at sf0.01, so ``collect``,
+``materialize`` and with them every primitive here first ask
+``local_blocks`` for the plan's output blocks.  It walks the logical
+plan over a whitelist (``from_arrow`` or materialized input; a Parquet
+read without partition values, filter, block UDF or read schema whose
+files share one schema; a task-pool pyarrow ``map_batches`` with
+``batch_size=None``; ``select_columns``; ``union``) and computes the
+blocks with Arrow, keeping Ray's per-block semantics, when the plan's
+source bytes pass ``fits_one_block`` and ``LOCAL_PLAN_BYTES``
+(64 MiB).  Anything else runs on Ray unchanged; so do the tests that
+lower the block ceiling to force an exchange.
 
 ``npart`` sizes the reduce parallelism and bounds per-task group state:
 at cluster scale set it to a few × total cores so each bucket's
@@ -53,6 +67,10 @@ in step 1's partials).
 """
 
 from __future__ import annotations
+
+import inspect
+import os
+import types
 
 import numpy as np
 import polars as pl
@@ -106,6 +124,217 @@ def fits_one_block(nbytes: int | None) -> bool:
             and nbytes <= DataContext.get_current().target_max_block_size)
 
 
+# The local path's cap on a plan's source bytes (in-memory input block
+# sizes plus Parquet footer ``total_byte_size``).  A Ray Data execution
+# has a fixed cost of ~70-100 ms however few the rows; the driver path
+# pays none of it but gives up the tasks' parallelism, which pays only
+# once per-block work outweighs that fixed cost.  Measured with
+# ``collect(read_parquet(f).map_batches(fn))``, Ray path against driver
+# path, min of 3-5 warm calls, nproc 1, affinity 4:
+#   - a per-block row-count partial over lineitem: sf0.01 (1.2 MB of
+#     footer bytes) 98 -> 27 ms at num_cpus 1 and 117 -> 26 ms at 4;
+#     sf0.1 (13.6 MB) 258 -> 123 ms and 306 -> 132 ms;
+#   - a per-block four-aggregate ``group_by`` over 1x, 2x and 4x
+#     sf0.1 lineitem (15.5, 31 and 62 MiB): 256/457/658 -> 131/201/328
+#     ms at num_cpus 1 and 271/375/569 -> 130/196/324 ms at 4;
+#   - q01 and q100 at sf0.1 and num_cpus 4: 425 -> 156 ms, 935 -> 280.
+# The driver won every case; its margin shrinks with size at 4 CPUs
+# (x2.1, x1.9, x1.8), so the cap is the largest measured size, 64 MiB,
+# which also bounds the driver's memory for one plan.  At 32 CPUs the
+# crossover is unmeasured.
+LOCAL_PLAN_BYTES = 64 << 20
+
+
+def _local_source(op, refs: list, nbytes: list):
+    """The driver-side evaluator of one source operator (see
+    ``local_blocks``), or None when ``op`` is not whitelisted.  Appends
+    the source's block refs to ``refs`` and its bytes to ``nbytes``."""
+    import pyarrow.parquet as pq
+    from pyarrow.fs import LocalFileSystem
+    from ray.data._internal.datasource.parquet_datasource import (
+        ParquetDatasource)
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.logical.operators.input_data_operator import (
+        InputData)
+    from ray.data._internal.logical.operators.read_operator import Read
+    from ray.data.datasource.partitioning import PathPartitionParser
+
+    if type(op) in (FromArrow, InputData):
+        metas = [m for bundle in op.input_data for _, m in bundle.blocks]
+        if any(m.size_bytes is None for m in metas):
+            return None
+        lo = len(refs)
+        refs += [r for bundle in op.input_data for r, _ in bundle.blocks]
+        nbytes.append(sum(m.size_bytes for m in metas))
+        return lambda got: got[lo:lo + len(metas)]
+    if type(op) is not Read or type(op._datasource) is not ParquetDatasource:
+        return None
+    src = op._datasource
+    paths = src._pq_paths
+    if (not isinstance(src._filesystem, LocalFileSystem) or not paths
+            or src._include_paths or src._to_batches_kwargs
+            or src._block_udf is not None or src._read_schema is not None
+            or src._partition_columns
+            or src._file_metadata_shuffler is not None
+            or (src._partitioning is not None
+                and any(PathPartitionParser(src._partitioning)(p)
+                        for p in paths))):
+        return None
+    mds = [pq.read_metadata(p) for p in paths]
+    if any(not md.schema.equals(mds[0].schema) for md in mds[1:]):
+        return None                     # an evolved scan: Ray unifies it
+    nbytes.append(sum(md.row_group(i).total_byte_size
+                      for md in mds for i in range(md.num_row_groups)))
+    cols = src._data_columns
+    return lambda got: [pa.concat_tables(
+        [pq.ParquetFile(p).read(columns=cols) for p in paths])]
+
+
+def _local_op(op, refs: list, nbytes: list):
+    """The driver-side evaluator of the plan rooted at ``op``: a
+    function from the fetched source blocks to ``op``'s output blocks,
+    or None when some operator is not whitelisted."""
+    from ray.data._internal.compute import TaskPoolStrategy
+    from ray.data._internal.logical.operators.map_operator import (
+        MapBatches, Project)
+    from ray.data._internal.logical.operators.n_ary_operator import Union
+    from ray.data.block import BlockAccessor
+
+    if type(op) is Union:
+        kids = [_local_op(k, refs, nbytes) for k in op.input_dependencies]
+        if any(k is None for k in kids):
+            return None
+        return lambda got: [b for k in kids for b in k(got)]
+    if type(op) is Project:
+        if op.cols is None or op.cols_rename or op.exprs:
+            return None
+        child, cols = _local_op(op.input_dependencies[0], refs,
+                                nbytes), op.cols
+        # Ray passes an empty block through unprojected
+        return child and (lambda got: [b.select(cols) if b.num_rows else b
+                                       for b in child(got)])
+    if type(op) is MapBatches:
+        fn = op._fn
+        if (not isinstance(op._compute, TaskPoolStrategy)
+                or op._batch_format != "pyarrow" or op._batch_size is not None
+                or op._fn_constructor_args or op._fn_constructor_kwargs
+                or op._ray_remote_args_fn is not None
+                or inspect.isclass(fn) or inspect.iscoroutinefunction(fn)
+                or inspect.isasyncgenfunction(fn)):
+            return None
+        child = _local_op(op.input_dependencies[0], refs, nbytes)
+        args, kwargs = op._fn_args or (), op._fn_kwargs or {}
+
+        def call(b: pa.Table) -> pa.Table:
+            if not b.num_rows:              # Ray never calls fn on these
+                return pa.table({})
+            out = fn(b, *args, **kwargs)
+            outs = list(out) if isinstance(out, types.GeneratorType) \
+                else [out]
+            outs = [BlockAccessor.batch_to_block(o) for o in outs]
+            return outs[0] if len(outs) == 1 else pa.concat_tables(
+                outs, promote_options="default")
+
+        return child and (lambda got: [call(b) for b in child(got)])
+    return _local_source(op, refs, nbytes)
+
+
+def local_blocks(ds) -> list[pa.Table] | None:
+    """``ds``'s output blocks computed in the driver process, or None
+    when its plan is not small and simple; then Ray runs it.
+
+    Every Ray Data execution costs tens of ms of fixed wall, most of a
+    query's time at sf0.01, where the rows are few.  So a plan built
+    only of whitelisted operators whose source bytes pass
+    ``fits_one_block`` and ``LOCAL_PLAN_BYTES`` runs here with Arrow,
+    keeping Ray's per-block semantics:
+
+    - ``from_arrow`` / a materialized Dataset: its blocks, with one
+      ``ray.get`` of all the plan's block refs;
+    - ``read_parquet`` of local files that share one schema (a named
+      file, or a directory or list without partition values in their
+      paths), with no ``include_paths``, filter, block UDF, read
+      schema or file shuffle: one block (Ray may split the scan; the
+      engine's per-block partials re-reduce either way).  A hive
+      directory or an evolved multi-file scan is left to Ray;
+    - a task-pool ``map_batches`` with ``batch_format="pyarrow"``,
+      ``batch_size=None`` and no constructor: ``fn`` once per block,
+      never on an empty one (which, as in Ray, yields an empty
+      schema-less block);
+    - ``select_columns`` (a ``Project`` without renames or
+      expressions);
+    - ``union``: its inputs' blocks in input order.
+
+    Anything else returns None.  The walker reads Ray internals; a
+    test pins them, so a Ray upgrade that moves them fails loudly."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    refs, nbytes = [], []
+    run = _local_op(ds._logical_plan.dag, refs, nbytes)
+    src = sum(nbytes)
+    if run is None or not (fits_one_block(src) and src <= LOCAL_PLAN_BYTES):
+        return None
+    got = [b if isinstance(b, pa.Table)
+           else BlockAccessor.for_block(b).to_arrow()
+           for b in (ray.get(refs) if refs else [])]
+    return run(got)
+
+
+def _from_arrow(tables):
+    """``ray.data.from_arrow(tables)`` with the blocks' metadata read in
+    the driver, which holds the tables: Ray's runs one remote task per
+    table for it (~20 ms a call at one CPU)."""
+    import ray
+    from ray.data import DataContext
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data._internal.util import get_table_block_metadata_schema
+    from ray.data.dataset import MaterializedDataset
+
+    tables = [tables] if isinstance(tables, pa.Table) else tables
+    meta = [get_table_block_metadata_schema(t) for t in tables]
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": meta},
+                                      parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(
+        FromArrow([ray.put(t) for t in tables], meta), plan._context))
+
+
+def materialize(ds):
+    """``ds.materialize()`` through the local path: the engine's one
+    materialization.  A materialized input is returned as it is
+    (``materialize`` would re-run its block list, ~5 ms); a plan that
+    ``local_blocks`` runs becomes a ``from_arrow`` Dataset of its
+    blocks; anything else is ``ds.materialize()``."""
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(ds, MaterializedDataset):
+        return ds
+    blocks = local_blocks(ds)
+    if blocks is None:
+        return ds.materialize()
+    return _from_arrow(blocks or [pa.table({})])
+
+
+def block_refs(ds) -> list:
+    """The block refs of ``materialize(ds)``, for a fold that reads one
+    block at a time.  A materialized or driver-run Dataset's refs are
+    read from its plan (``to_arrow_refs`` would start a Ray execution
+    over them)."""
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.logical.operators.input_data_operator import (
+        InputData)
+
+    ds = materialize(ds)
+    op = ds._logical_plan.dag
+    if type(op) in (FromArrow, InputData):
+        return [r for bundle in op.input_data for r, _ in bundle.blocks]
+    return ds.to_arrow_refs()
+
+
 def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
     """Run ``bucket_fn`` once per distinct ``part_col`` value of ``ds``,
     picking the path by size.
@@ -123,45 +352,50 @@ def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
     Empty input never calls ``bucket_fn`` and yields an empty Dataset.
     Output row order is unspecified.
     """
-    import ray.data as rd
-
-    mat = ds.materialize()
+    mat = materialize(ds)
     if mat.count() and not fits_one_block(mat.size_bytes()):
-        return mat.groupby(part_col).map_groups(
-            bucket_fn, batch_format="pyarrow").materialize()
+        return materialize(mat.groupby(part_col).map_groups(
+            bucket_fn, batch_format="pyarrow"))
     tab = collect(mat)
     if not tab.num_rows:
-        return rd.from_arrow(pa.table({}))
+        return _from_arrow(pa.table({}))
     part = tab[part_col].to_numpy(zero_copy_only=False)
     order = np.argsort(part, kind="stable")
     tab, part = tab.take(pa.array(order)), part[order]
     cuts = np.flatnonzero(part[1:] != part[:-1]) + 1
     outs = [bucket_fn(tab.slice(s, e - s))
             for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(part)])]
-    return rd.from_arrow(pa.concat_tables(outs,
-                                          promote_options="permissive"))
+    return _from_arrow(pa.concat_tables(outs, promote_options="permissive"))
 
 
 def collect(ds, schema: pa.Schema | None = None) -> pa.Table:
     """The engine's one driver pull: all rows of ``ds`` as one Arrow
     table, in block order.
 
-    Executes ``ds`` once (materialized; a materialized input is read
-    as it is, since ``materialize`` would re-run its block list through
-    an executor, ~5 ms) and reads its block refs with one ``ray.get``.
-    Non-empty blocks concatenate with permissive promotion (int32 and
-    int64 blocks give int64).  Empty input gives the zero-row table of
-    its blocks' schema; when they have none (Ray drops the schema of a
-    batch a task emptied), of ``schema``, or ``pa.table({})``."""
+    Executes ``ds`` once: on the driver when ``local_blocks`` runs its
+    plan (a materialized input's blocks take one ``ray.get``, with no
+    Ray execution), else through ``materialize`` and one ``ray.get``
+    of its block refs.  Non-empty blocks concatenate with permissive
+    promotion (int32 and int64 blocks give int64).  Empty input gives
+    the zero-row table of its blocks' schema (or a materialized
+    input's known schema); when they have none (Ray drops the schema
+    of an empty block a map passed), of ``schema``, or
+    ``pa.table({})``."""
     import ray
     from ray.data.dataset import MaterializedDataset
 
-    mat = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
-    blocks = [b for b in ray.get(mat.to_arrow_refs()) if b.num_rows]
-    if blocks:
-        return pa.concat_tables(blocks, promote_options="permissive")
-    if mat.schema() is not None:
-        return mat.schema().base_schema.empty_table()
+    blocks = local_blocks(ds)
+    if blocks is None:
+        ds = materialize(ds)
+        blocks = ray.get(ds.to_arrow_refs())
+    known = next((b.schema for b in blocks if b.num_columns), None)
+    if known is None and isinstance(ds, MaterializedDataset):
+        known = getattr(ds.schema(), "base_schema", None)
+    rows = [b for b in blocks if b.num_rows]
+    if rows:
+        return pa.concat_tables(rows, promote_options="permissive")
+    if known is not None:
+        return known.empty_table()
     return pa.table({}) if schema is None else schema.empty_table()
 
 
@@ -177,9 +411,7 @@ def sort_result(ds, keys, descending=False):
     contiguous slices, one per input block (Ray's sort keeps the block
     count too); a larger one takes ``Dataset.sort``.  Executes ``ds``
     once."""
-    import ray.data as rd
-
-    mat = ds.materialize()
+    mat = materialize(ds)
     if not fits_one_block(mat.size_bytes()):
         return mat.sort(keys, descending=descending)
     tab = collect(mat)
@@ -192,8 +424,8 @@ def sort_result(ds, keys, descending=False):
                        for k, d in zip(keys, desc)])
     cuts = np.arange(mat.num_blocks() + 1) * tab.num_rows \
         // mat.num_blocks()
-    return rd.from_arrow([tab.slice(s, e - s)
-                          for s, e in zip(cuts[:-1], cuts[1:])])
+    return _from_arrow([tab.slice(s, e - s)
+                        for s, e in zip(cuts[:-1], cuts[1:])])
 
 
 _COMBINE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
@@ -230,7 +462,6 @@ def combine_buckets(ds, keys, aggs: list[tuple[str, str]], *,
     (e.g. Arrow or materialized input); otherwise it yields an empty
     Dataset, as ``bucket_exchange`` does.
     """
-    import ray.data as rd
     from ray.data.dataset import MaterializedDataset
 
     keys = [keys] if isinstance(keys, str) else list(keys)
@@ -243,16 +474,15 @@ def combine_buckets(ds, keys, aggs: list[tuple[str, str]], *,
     def combine(g: pa.Table) -> pa.Table:
         return _group(g.drop_columns([_PART]), keys, merge)
 
-    mat = ds.map_batches(partial, batch_format="pyarrow",
-                         batch_size=None).materialize()
+    mat = materialize(ds.map_batches(partial, batch_format="pyarrow",
+                                     batch_size=None))
     if mat.count() == 0:
         # an all-empty materialized Dataset reads its schema from its
-        # blocks: Ray's metadata of empty blocks carries none
-        schema = ds.schema(
-            fetch_if_missing=isinstance(ds, MaterializedDataset))
-        if schema is not None:
-            return rd.from_arrow(
-                combine(partial(schema.base_schema.empty_table())))
+        # blocks (``collect``): Ray's metadata of empty blocks has none
+        schema = collect(ds).schema if isinstance(ds, MaterializedDataset) \
+            else getattr(ds.schema(), "base_schema", None)
+        if schema is not None and schema.names:
+            return _from_arrow(combine(partial(schema.empty_table())))
     return bucket_exchange(mat, combine, part_col=_PART)
 
 
@@ -267,7 +497,7 @@ def _join_exchange(left_ds, right_ds, keys: list[str], how: str,
     bucket runs a single vectorized pyarrow ``Table.join``.
     ``route_*(batch) -> (row indices | None, part)`` picks each padded
     row's bucket; indices, when given, first replicate rows."""
-    left_ds, right_ds = left_ds.materialize(), right_ds.materialize()
+    left_ds, right_ds = materialize(left_ds), materialize(right_ds)
     l_schema, r_schema = left_ds.schema(), right_ds.schema()
     l_extra = [n for n in l_schema.names if n not in keys]
     r_extra = [n for n in r_schema.names if n not in keys]
@@ -385,7 +615,7 @@ def lookup_join(fact_ds, dim_ds, keys, *, npart: int = 32,
     not once per key bucket, so it must be row-wise (select, filter)
     or a partial the caller re-reduces (a per-key sum, a local top-k).
     """
-    dim_ds = dim_ds.materialize()
+    dim_ds = materialize(dim_ds)
     if not fits_one_block(dim_ds.size_bytes()):
         return hash_join(fact_ds, dim_ds, keys, npart=npart,
                          bucket_finish=bucket_finish)
@@ -469,7 +699,7 @@ def range_scan(ds, key_fn, tiebreak_fn, value_col, op, bucket_fn, *,
     a bucket fits a worker's heap.  Returns a materialized Dataset.
     """
     ident, ufunc, fold = _SCAN_OP[op]
-    ds = ds.materialize()
+    ds = materialize(ds)
 
     # -- pass 1: strided key sample → splitters --------------------------
     def sample_keys(b: pa.Table) -> pa.Table:
@@ -477,11 +707,9 @@ def range_scan(ds, key_fn, tiebreak_fn, value_col, op, bucket_fn, *,
         step = max(1, len(k) // _SAMPLE_PER_BLOCK)
         return pa.table({"k": pa.array(k[::step], type=pa.uint64())})
 
-    samp = np.sort(np.concatenate(
-        [b["k"].to_numpy() for b in
-         ds.map_batches(sample_keys, batch_format="pyarrow")
-           .iter_batches(batch_format="pyarrow")] or
-        [np.array([], dtype=np.uint64)]))
+    samp = collect(ds.map_batches(sample_keys, batch_format="pyarrow"))
+    samp = np.sort(samp["k"].to_numpy()) if samp.num_rows \
+        else np.array([], dtype=np.uint64)
     if len(samp) == 0:
         splitters = np.array([], dtype=np.uint64)
     else:
@@ -503,13 +731,12 @@ def range_scan(ds, key_fn, tiebreak_fn, value_col, op, bucket_fn, *,
                          "v": pa.array(acc)})
 
     acc = np.full(nranges, ident, dtype=np.int64)
-    for b in ds.map_batches(partial, batch_format="pyarrow") \
-            .iter_batches(batch_format="pyarrow"):
-        # ufunc.at: iter_batches coalesces blocks, so part indices
-        # repeat within one yielded batch — fancy-index assignment
-        # would silently keep only one block's value per part
-        ufunc.at(acc, b["part"].to_numpy(zero_copy_only=False),
-                 b["v"].to_numpy(zero_copy_only=False))
+    parts = collect(ds.map_batches(partial, batch_format="pyarrow"))
+    if parts.num_rows:
+        # ufunc.at: part indices repeat once per block — fancy-index
+        # assignment would silently keep only one block's value per part
+        ufunc.at(acc, parts["part"].to_numpy(zero_copy_only=False),
+                 parts["v"].to_numpy(zero_copy_only=False))
     run = fold(acc)
     carry = [int(ident)] + run[:-1].tolist()  # carry[p] = scan before p
     total = int(run[-1])
@@ -613,7 +840,7 @@ def skew_join(left_ds, right_ds, key: str, how: str = "inner", *,
     finishes; per-KEY aggregates of hot keys span salts, so fuse only
     per-row work when salting is active."""
     assert how in ("inner", "left outer")
-    left_ds = left_ds.materialize()
+    left_ds = materialize(left_ds)
     if hot_keys is None:
         hot_keys = detect_hot_keys(left_ds, key,
                                    hot_share_ppm=hot_share_ppm)

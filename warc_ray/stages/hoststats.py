@@ -33,13 +33,15 @@ def _host_partials(ds: rd.Dataset, url_col: str) -> rd.Dataset:
     """Per-block exact ``(host, n_links, min_src, max_src)`` partials,
     materialized — the one scan both the hot-host fold and the
     aggregate read."""
+    from .exchange import materialize
+
     def partial(b: pa.Table) -> pa.Table:
         g = add_host_column(b, url_col).group_by("host").aggregate(
             [("host", "count"), ("src_doc", "min"), ("src_doc", "max")])
         return g.rename_columns(["host", "n_links", "min_src", "max_src"])
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          batch_size=None).materialize()
+    return materialize(ds.map_batches(partial, batch_format="pyarrow",
+                                      batch_size=None))
 
 
 def _mg_fold(parts: rd.Dataset, target_per_group: int,
@@ -54,6 +56,7 @@ def _mg_fold(parts: rd.Dataset, target_per_group: int,
     al., "Mergeable Summaries") means every host with true count >
     target survives whenever target ≥ n/(cells+1).  Returns ``(hot
     host → upper-bound count, n)``, n = links with a host."""
+    from .exchange import block_refs
     from .sketch import mg_prune
 
     def prune(acc: dict[str, int]) -> dict[str, int]:
@@ -64,7 +67,7 @@ def _mg_fold(parts: rd.Dataset, target_per_group: int,
 
     acc: dict[str, int] = {}
     total = 0
-    for ref in parts.to_arrow_refs():
+    for ref in block_refs(parts):
         t = ray.get(ref)
         t = t.filter(pc.is_valid(t["host"]))
         counts = t["n_links"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -130,10 +133,11 @@ def host_link_stats(ds: rd.Dataset, url_col: str = "url",
 
     aggs = [("n_links", "sum"), ("min_src", "min"), ("max_src", "max")]
     # stage 1: reduce on the SALTED key (skew split across k buckets);
-    # the batch size bundles the host-sized per-block partials into a
-    # few tasks instead of one task per input block
+    # one salt call per partials block, so a small plan runs on the
+    # driver (exchange.local_blocks); the partials have one block per
+    # scan block, 2 x cluster CPUs (sources/_util.default_read_blocks)
     stage1 = combine_buckets(
-        parts.map_batches(salt, batch_format="pyarrow", batch_size=1 << 16),
+        parts.map_batches(salt, batch_format="pyarrow", batch_size=None),
         "host_salted", aggs, npart=16)
 
     # stage 2: strip the salt (vectorized), merge the k partials per

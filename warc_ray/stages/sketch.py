@@ -355,7 +355,7 @@ def cms_freq(ds, key_col: str, probe_mod: int = 97,
     import ray
     import pyarrow.compute as pc
 
-    from .exchange import combine_buckets, sort_result
+    from .exchange import combine_buckets, materialize, sort_result
 
     def partial(b: pa.Table) -> pa.Table:
         col = b[key_col]
@@ -375,8 +375,8 @@ def cms_freq(ds, key_col: str, probe_mod: int = 97,
         bits = pa.array([cell] + [b""] * len(probe), type=pa.binary())
         return pa.table({"kind": kind, key_col: keys, "bits": bits})
 
-    emitted = ds.map_batches(partial, batch_format="pyarrow",
-                             batch_size=None).materialize()
+    emitted = materialize(ds.map_batches(partial, batch_format="pyarrow",
+                                         batch_size=None))
 
     acc = np.zeros((CMS_D, CMS_W), dtype=np.int64)
     for bt in emitted.iter_batches(batch_format="pyarrow"):
