@@ -59,12 +59,11 @@ def entry() -> Any:
 # ---------------------------------------------------------------------------
 
 def _extract_links_q(sf_dir: str):
-    import ray.data as rd
-
+    from warc_ray.sources._util import scan_parquet
     from warc_ray.stages.urls import extract_links
 
     cdir = _corpus_for(sf_dir)
-    ds = rd.read_parquet(corpus_mod.docs_path(cdir))
+    ds = scan_parquet(corpus_mod.docs_path(cdir))
     # no final sort: the driver's value check is order-insensitive, and
     # a total sort of millions of link rows would be the single biggest
     # shuffle in the query for zero semantic content
@@ -365,14 +364,14 @@ def _cdx_lookup_q(sf_dir: str):
     hash-mismatches."""
     import numpy as np
     import pyarrow as pa
-    import ray.data as rd
 
     from warc_ray.pipelines.archive import cdx_replay_batch
+    from warc_ray.sources._util import scan_parquet
     from warc_ray.stages.exchange import sort_result
     from warc_ray.stages.sketch import md5_prefix64
 
     out = _ensure_archive(sf_dir)
-    cdx = rd.read_parquet(out + "-cdx")
+    cdx = scan_parquet(out + "-cdx")
 
     def sample(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -561,10 +560,10 @@ def _format_consistency_q(sf_dir: str):
     integer aggregate; the driver folds three 5-row tables."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from warc_ray.pipelines.logs import (ingest_events_csv,
                                          ingest_events_jsonl)
+    from warc_ray.sources._util import scan_parquet
     from warc_ray.stages.exchange import collect
 
     def totals_from(t):
@@ -584,8 +583,8 @@ def _format_consistency_q(sf_dir: str):
             "n_events": pa.array([b.num_rows], type=pa.int64()),
             "sum_cents": pa.array([int(cents.sum())], type=pa.int64())})
 
-    pt = collect(rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                                 columns=["value"])
+    pt = collect(scan_parquet(os.path.join(sf_dir, "events.parquet"),
+                              columns=["value"])
                  .map_batches(pq_partial, batch_format="pyarrow"))
     pq_totals = totals_from(pt)
     jt = collect(ingest_events_jsonl(_ensure_jsonl(sf_dir)))
@@ -662,10 +661,10 @@ def _write_arc_fixture(sf_dir: str, out: str) -> None:
     canonicalized and fetched by a ``FetchGroup`` pool, one ARC record
     per document (q58 and q78)."""
     import pyarrow as pa
-    import ray.data as rd
 
     from warc_ray.sinks import write_arc_shards
-    from warc_ray.stages.exchange import materialize, sort_result
+    from warc_ray.stages.exchange import (from_arrow, materialize,
+                                          sort_result)
     from warc_ray.stages.fetch import FetchGroup, add_bucket_column
     from warc_ray.stages.urls import urls_from_seeds
 
@@ -696,7 +695,7 @@ def _write_arc_fixture(sf_dir: str, out: str) -> None:
     # buckets (same locality the crawl loop gets from its stable
     # bucket→worker assignment); FetchGroup as an actor POOL keeps the
     # rendered bucket caches warm across batches
-    seeds = rd.from_arrow(corpus_mod.read_seeds(cdir)).repartition(32) \
+    seeds = from_arrow(corpus_mod.read_seeds(cdir)).repartition(32) \
         .map_batches(prep, batch_format="pyarrow")
     fetched = sort_result(seeds, "bucket") \
         .map_batches(FetchGroup, fn_constructor_args=(cdir, prof.n_buckets),

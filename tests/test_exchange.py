@@ -146,8 +146,8 @@ def test_combine_buckets_matches_builtin_aggregate(ray_session, path, keys):
 def test_engine_has_no_ray_grouped_aggregate():
     """combine_buckets is the engine's only grouped aggregate: in
     warc_ray/ and __ray_entry__.py no ``.groupby(`` call sits outside
-    bucket_exchange (whose one map_groups is the exchange itself) and
-    nothing imports ray.data.aggregate."""
+    ``_exchange``, bucket_exchange's body (whose one map_groups is the
+    exchange itself), and nothing imports ray.data.aggregate."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     files = sorted(glob.glob(os.path.join(root, "warc_ray", "**", "*.py"),
                              recursive=True))
@@ -160,7 +160,7 @@ def test_engine_has_no_ray_grouped_aggregate():
         if rel == os.path.join("warc_ray", "stages", "exchange.py"):
             allowed = {id(n) for fn in ast.walk(tree)
                        if isinstance(fn, ast.FunctionDef)
-                       and fn.name == "bucket_exchange"
+                       and fn.name == "_exchange"
                        for n in ast.walk(fn)}
         for n in ast.walk(tree):
             if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
@@ -247,7 +247,8 @@ def test_bucket_exchange_result_is_materialized(ray_session, tmp_path,
 
 def test_engine_has_one_map_groups_call():
     """Every bucket exchange in the engine goes through
-    ``bucket_exchange``: it holds the only ``map_groups`` call."""
+    ``bucket_exchange``: its body, ``_exchange``, holds the only
+    ``map_groups`` call."""
     import ast
     import pathlib
 
@@ -265,7 +266,7 @@ def test_engine_has_one_map_groups_call():
                             key=lambda d: d.lineno, default=None)
                 sites.append((path.relative_to(root).as_posix(),
                               owner.name if owner else None))
-    assert sites == [("stages/exchange.py", "bucket_exchange")]
+    assert sites == [("stages/exchange.py", "_exchange")]
 
 
 def test_engine_has_one_result_path():
@@ -1140,9 +1141,11 @@ def _ray_blocks(ds) -> list:
 
 def _whitelisted_plan(tmp_path):
     """``from_arrow`` (an empty block included) ∪ a one-file Parquet
-    read, then a pyarrow ``map_batches`` and ``select_columns``."""
+    scan, then a pyarrow ``map_batches`` and ``select_columns``."""
     import pyarrow.parquet as pq
     import ray.data as rd
+
+    from warc_ray.sources._util import scan_parquet
 
     t = _rand_table(n=600)
     path = str(tmp_path / "t.parquet")
@@ -1153,17 +1156,17 @@ def _whitelisted_plan(tmp_path):
             .filter(pa.compute.greater(b["v"], 100))
 
     src = rd.from_arrow([t.slice(0, 150), t.slice(0, 0), t.slice(150, 150)])
-    read = rd.read_parquet(path, override_num_blocks=1)
+    read = scan_parquet(path, override_num_blocks=1)
     ds = src.union(read).map_batches(f, batch_format="pyarrow") \
         .select_columns(["k", "v2"])
     return ds, t
 
 
 def test_local_path_gives_ray_blocks(ray_session, tmp_path):
-    """On ``from_arrow`` + ``read_parquet`` + ``map_batches`` +
+    """On ``from_arrow`` + ``scan_parquet`` + ``map_batches`` +
     ``select_columns`` + ``union`` the driver path gives Ray's blocks,
     one for one (an empty input block stays an empty, schema-less
-    block; the one-file read is one block, as Ray's is at
+    block; the one-file scan is one block at
     ``override_num_blocks=1``), and starts no Ray Data execution;
     ``collect`` and ``materialize`` take it too."""
     from warc_ray.stages.exchange import collect, local_blocks, materialize
@@ -1265,44 +1268,30 @@ def test_local_path_guards_fall_back(ray_session, tmp_path, monkeypatch,
         want.select(cols).sort_by(order))
 
 
-def test_local_path_pins_ray_internals(ray_session, tmp_path):
+def test_local_path_pins_ray_internals(ray_session):
     """The walker reads Ray's logical plan: these operator classes and
-    attributes; ``_from_arrow`` builds Ray's ``from_arrow`` Dataset from
-    Ray internals.  A Ray upgrade that moves any of them fails here
-    instead of silently sending every plan down Ray's path."""
-    import pyarrow.parquet as pq
+    attributes; ``from_arrow`` builds Ray's ``from_arrow`` Dataset from
+    Ray internals, with ``Dataset.__init__``'s attributes.  A Ray
+    upgrade that moves any of them fails here instead of silently
+    sending every plan down Ray's path."""
     import ray.data as rd
     from ray.data._internal.compute import TaskPoolStrategy
-    from ray.data._internal.datasource.parquet_datasource import (
-        ParquetDatasource)
     from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.logical.operators.input_data_operator import (
         InputData)
     from ray.data._internal.logical.operators.map_operator import (
         MapBatches, Project)
     from ray.data._internal.logical.operators.n_ary_operator import Union
-    from ray.data._internal.logical.operators.read_operator import Read
 
-    from warc_ray.stages.exchange import _from_arrow, local_blocks
+    from warc_ray.stages.exchange import from_arrow, local_blocks
 
     t = _rand_table(n=50)
-    path = str(tmp_path / "t.parquet")
-    pq.write_table(t, path)
     arrow = rd.from_arrow(t)
     src = arrow._logical_plan.dag
     assert type(src) is FromArrow
     assert type(arrow.materialize()._logical_plan.dag) is InputData
     (ref, meta), = src.input_data[0].blocks
     assert meta.size_bytes > 0
-    read = rd.read_parquet(path)._logical_plan.dag
-    assert type(read) is Read and type(read._datasource) is ParquetDatasource
-    pds = read._datasource
-    for attr in ("_pq_paths", "_filesystem", "_include_paths",
-                 "_to_batches_kwargs", "_block_udf", "_read_schema",
-                 "_partition_columns", "_partitioning",
-                 "_file_metadata_shuffler", "_data_columns"):
-        assert hasattr(pds, attr), attr
-    assert pds._pq_paths == [path] and pds._to_batches_kwargs == {}
     mapped = arrow.map_batches(lambda b: b, batch_format="pyarrow")
     op = mapped._logical_plan.dag
     assert type(op) is MapBatches and op.input_dependencies == [src]
@@ -1315,13 +1304,15 @@ def test_local_path_pins_ray_internals(ray_session, tmp_path):
     assert type(proj) is Project and proj.cols == ["k"]
     assert proj.cols_rename is None and proj.exprs is None
     assert type(arrow.union(arrow)._logical_plan.dag) is Union
-    for ds in (arrow, rd.read_parquet(path), mapped,
-               arrow.select_columns(["k"]), arrow.union(mapped)):
+    for ds in (arrow, mapped, arrow.select_columns(["k"]),
+               arrow.union(mapped)):
         assert local_blocks(ds) is not None
-    # _from_arrow builds what ray.data.from_arrow builds
-    ours, theirs = _from_arrow([t, t.slice(0, 0)]), rd.from_arrow(
+    # from_arrow builds what ray.data.from_arrow builds, id aside
+    ours, theirs = from_arrow([t, t.slice(0, 0)]), rd.from_arrow(
         [t, t.slice(0, 0)])
     assert type(ours) is type(theirs)
+    assert vars(ours).keys() == vars(theirs).keys()
+    assert ours._plan._dataset_uuid == ours._get_uuid() != theirs._get_uuid()
     assert type(ours._logical_plan.dag) is FromArrow
     assert (ours.count(), ours.num_blocks(), ours.size_bytes(),
             ours.schema()) == (theirs.count(), theirs.num_blocks(),
@@ -1352,3 +1343,135 @@ def test_engine_has_one_materialize():
                 sites.append((path.relative_to(root).as_posix(),
                               owner.name if owner else None))
     assert sites == [("warc_ray/stages/exchange.py", "materialize")]
+
+
+# ---------------------------------------------------------------------------
+# Composed primitives: on the driver path a call builds only its result
+# ---------------------------------------------------------------------------
+
+_BUILT: list = []      # [count] while ``_constructions`` counts
+
+
+@contextlib.contextmanager
+def _constructions():
+    """Count Dataset constructions (``Dataset.__new__``: Ray's
+    constructor and ``exchange.from_arrow`` both reach it) inside.  The
+    counting ``__new__`` stays installed, counting only inside this
+    block: CPython cannot give a class back its inherited ``__new__``
+    once one is assigned."""
+    from ray.data.dataset import Dataset
+
+    if "__new__" not in vars(Dataset):
+        def new(cls, *a, **k):
+            if _BUILT:
+                _BUILT[0] += 1
+            return object.__new__(cls)
+
+        Dataset.__new__ = new
+    built = [0]
+    _BUILT[:] = [0]
+    try:
+        yield built
+    finally:
+        built[0] = _BUILT.pop()
+
+
+def _rows(ds) -> pa.Table:
+    """``ds``'s rows sorted by every column."""
+    from warc_ray.stages.exchange import collect
+
+    t = collect(ds)
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+def _composed_case(case):
+    """(primitive call, its input Datasets) for one composed case."""
+    import ray.data as rd
+
+    from warc_ray.stages import exchange as ex
+
+    rng = np.random.default_rng(3)
+    n = 900
+    k = rng.integers(0, 40, n)
+    k[: n // 3] = 7                         # a hot key for skew_join
+    left = pa.table({"k": pa.array(k, pa.int64()),
+                     "v": pa.array(rng.integers(0, 100, n))})
+    right = pa.table({"k": pa.array(np.arange(-5, 35), pa.int64()),
+                      "w": pa.array(np.arange(40) * 3)})
+    l_ds = rd.from_arrow([left.slice(0, 400), left.slice(400)])
+    r_ds = rd.from_arrow(right)
+    if case.startswith("combine_"):
+        t = {"combine_empty": left.slice(0, 0),
+             "combine_null_keys": left.set_column(
+                 0, "k", pa.nulls(n, pa.int64())),
+             "combine_count_only": left}[case]
+        aggs = [("n", "count")] if case == "combine_count_only" \
+            else [("v", "sum"), ("v2", "count")]
+        ds = rd.from_arrow([t.slice(0, 300), t.slice(300)])
+        return lambda: ex.combine_buckets(ds, "k", aggs, npart=4)
+    if case.startswith("hash_join_"):
+        how = case[len("hash_join_"):].replace("_", " ")
+        return lambda: ex.hash_join(l_ds, r_ds, "k", how=how, npart=4)
+    if case == "skew_join":
+        return lambda: ex.skew_join(l_ds, r_ds, "k", npart=4, n_salt=3,
+                                    hot_share_ppm=100_000)
+    if case == "lookup_join":
+        return lambda: ex.lookup_join(l_ds, r_ds, "k", npart=4)
+    assert case == "range_scan"
+
+    def bucket(g, carry, total):
+        run = np.cumsum(g["v"].to_numpy()) + carry
+        return g.append_column("run", pa.array(run)).append_column(
+            "total", pa.array(np.full(g.num_rows, total)))
+
+    rows = rd.from_arrow(left.append_column("id", pa.array(np.arange(n))))
+    mapped = rows.map_batches(lambda b: b.set_column(
+        1, "v", pa.compute.multiply(b["v"], 2)), batch_format="pyarrow")
+    return lambda: ex.range_scan(mapped, ex.i64_key("k"), ex.i64_key("id"),
+                                 "v", "sum", bucket, npart=4)
+
+
+@pytest.mark.parametrize("case", [
+    "combine_empty", "combine_null_keys", "combine_count_only",
+    "hash_join_inner", "hash_join_left_outer", "hash_join_right_outer",
+    "hash_join_full_outer", "skew_join", "range_scan", "lookup_join"])
+def test_composed_primitive_builds_one_dataset(ray_session, case):
+    """Each primitive built on ``exchange._blocks`` gives the forced Ray
+    path's rows on the driver path, and there builds exactly one
+    Dataset, its result (no intermediate ``map_batches``, ``union`` or
+    ``from_arrow``)."""
+    from warc_ray.stages.exchange import local_blocks
+
+    call = _composed_case(case)
+    with _constructions() as built, _executions() as started:
+        driver = call()
+    assert (built[0], started[0]) == (1, 0)
+    assert local_blocks(driver) is not None
+    with _path("exchange"):
+        forced = call()
+    assert _rows(driver).equals(_rows(forced))
+    if case == "combine_empty":
+        assert _rows(driver).column_names == ["k", "v", "v2"]
+    elif case == "combine_null_keys":
+        assert _rows(driver).num_rows == 1
+
+
+def test_engine_builds_from_arrow_in_one_place():
+    """Every Arrow-table Dataset of the engine is ``exchange.from_arrow``
+    (no stats-actor id, no remote metadata task): ``rd.from_arrow(`` or
+    ``ray.data.from_arrow(`` appears in no file of ``warc_ray/`` or
+    ``__ray_entry__.py`` outside ``stages/exchange.py``, and there in
+    no call at all."""
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sites = []
+    for path in sorted((root / "warc_ray").rglob("*.py")) \
+            + [root / "__ray_entry__.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr.startswith("from_arrow")
+                    and ast.unparse(node.func.value) in ("rd", "ray.data")):
+                sites.append(path.relative_to(root).as_posix())
+    assert sites == []

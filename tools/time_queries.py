@@ -7,13 +7,16 @@ session (``num_cpus`` = ``nproc``): one untimed warm-up pass, then
 the order given, so a slow host window hits all of them alike.  A
 query's time covers its call and the conversion of its result to
 pandas; a Dataset result is pulled with ``exchange.collect``, the
-engine's one driver pull (a lazy result executes there).  Each query's
-Ray Data executions are counted too: the tool wraps
-``StreamingExecutor.execute`` in its own process (a materialized
-Dataset or a plan the driver runs starts none).  Prints one line per
-query (min, median, executions per pass) and, last, one JSON object
-with the per-pass seconds and execution counts, ``nproc`` and the CPU
-affinity count.
+engine's one driver pull (a lazy result executes there).  Per query
+and pass the tool also counts, by wrapping them in its own process:
+Ray Data executions (``StreamingExecutor.execute``; a materialized
+Dataset or a plan the driver runs starts none), Dataset constructions
+(``Dataset.__new__``, which Ray's constructor and
+``exchange.from_arrow`` both reach) and ``ParquetDatasource``
+constructions (Ray-read Parquet scans).  Prints one line per query
+(min, median, and the three counts of its busiest pass) and, last, one
+JSON object with the per-pass seconds and counts, ``nproc`` and the
+CPU affinity count.
 
 Whole-workload benchmark runs swing together with the host; a loop
 inside one session is the steadier reading for one query.  To compare
@@ -58,17 +61,26 @@ def main():
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+    from ray.data._internal.datasource.parquet_datasource import (
+        ParquetDatasource)
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor)
+    from ray.data.dataset import Dataset
 
-    started = [0]
-    execute = StreamingExecutor.execute
+    counts = {"executions": 0, "datasets": 0, "parquet_sources": 0}
 
-    def counted(self, *a, **k):
-        started[0] += 1
-        return execute(self, *a, **k)
+    def counting(key, fn):
+        def wrapped(*a, **k):
+            counts[key] += 1
+            return fn(*a, **k)
+        return wrapped
 
-    StreamingExecutor.execute = counted
+    StreamingExecutor.execute = counting("executions",
+                                         StreamingExecutor.execute)
+    ParquetDatasource.__init__ = counting("parquet_sources",
+                                          ParquetDatasource.__init__)
+    Dataset.__new__ = counting("datasets",
+                               lambda cls, *a, **k: object.__new__(cls))
 
     import __ray_entry__ as entrymod
     import ray.data as rd
@@ -80,16 +92,17 @@ def main():
         sys.exit(f"unknown queries: {missing}")
 
     secs: dict[str, list[float]] = {q: [] for q in args.queries}
-    execs: dict[str, list[int]] = {q: [] for q in args.queries}
+    seen = {k: {q: [] for q in args.queries} for k in counts}
     for p in range(args.passes + 1):
         for q in args.queries:
-            started[0] = 0
+            counts.update(dict.fromkeys(counts, 0))
             t0 = time.perf_counter()
             res = qs[q](args.sf)
             (collect(res) if isinstance(res, rd.Dataset) else res).to_pandas()
             if p:                                  # pass 0 warms up
                 secs[q].append(time.perf_counter() - t0)
-                execs[q].append(started[0])
+                for k, n in counts.items():
+                    seen[k][q].append(n)
     ray.shutdown()
 
     print(f"checkout={ROOT} nproc={nproc} affinity={affinity} "
@@ -97,12 +110,13 @@ def main():
     for q, s in secs.items():
         print(f"{q:36s} min {min(s):.4f} s  "
               f"median {statistics.median(s):.4f} s  "
-              f"executions {max(execs[q])}")
-    mean = statistics.mean(max(e) for e in execs.values())
-    print(f"executions per query: mean {mean:.2f}")
+              + "  ".join(f"{k} {max(seen[k][q])}" for k in counts))
+    print("per query, busiest pass: " + ", ".join(
+        f"{k} mean {statistics.mean(max(v) for v in seen[k].values()):.2f}"
+        f" sum {sum(max(v) for v in seen[k].values())}" for k in counts))
     print(json.dumps({"checkout": ROOT, "sf": args.sf, "nproc": nproc,
                       "affinity": affinity, "passes": args.passes,
-                      "secs": secs, "executions": execs}))
+                      "secs": secs, **seen}))
 
 
 if __name__ == "__main__":

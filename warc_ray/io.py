@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import ray.data as rd
 
+from .sources._util import scan_parquet
+
 try:  # pragma: no cover - environment-dependent
     import lance  # noqa: F401
 
@@ -26,7 +28,7 @@ def read_docs(path: str, **kwargs) -> "rd.Dataset":
     """Read a docs table (directory of bucket files or single file)."""
     if HAVE_LANCE and path.endswith(".lance"):
         return rd.read_lance(path, **kwargs)
-    return rd.read_parquet(path, **kwargs)
+    return scan_parquet(path, **kwargs)
 
 
 def read_table(path: str, **kwargs) -> "rd.Dataset":
@@ -62,5 +64,5 @@ def read_evolved(path: str, target_schema, **kwargs) -> "rd.Dataset":
                 cols.append(pa.nulls(b.num_rows, f.type))
         return pa.table(cols, schema=target_schema)
 
-    return rd.read_parquet(path, **kwargs) \
+    return scan_parquet(path, **kwargs) \
         .map_batches(norm, batch_format="pyarrow")

@@ -25,10 +25,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from ..sources._util import read_parquet
+from ..sources._util import read_parquet, scan_parquet
 from ..stages.exchange import (bucket_exchange, collect, combine_buckets,
-                               materialize, segment_bounds, sort_result,
-                               with_part)
+                               from_arrow, materialize, segment_bounds,
+                               sort_result, with_part)
 
 INT64 = pa.int64()
 
@@ -43,7 +43,7 @@ def _pq(sf_dir: str, name: str) -> str:
 
 
 def _docs(sf_dir: str, columns=None):
-    return rd.read_parquet(_pq(sf_dir, "documents"), columns=columns)
+    return scan_parquet(_pq(sf_dir, "documents"), columns=columns)
 
 
 def _sums(ds, cols: list[str]) -> dict:
@@ -118,7 +118,7 @@ def _user_timeline(sf_dir: str, columns: list[str], bucket_fn, *,
         return bucket_fn(g, np.flatnonzero(new))
 
     return bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=columns)
+        scan_parquet(_pq(sf_dir, "events"), columns=columns)
         .map_batches(tag, batch_format="pyarrow"), bucket)
 
 
@@ -139,7 +139,7 @@ def _day_type_counts(sf_dir: str) -> pa.Table:
         return pa.table({"day": days, "event_type": b["event_type"]})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "event_type"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["ts", "event_type"])
         .map_batches(partial, batch_format="pyarrow"),
         ["day", "event_type"], [("n", "count")])
     return collect(agg)
@@ -511,7 +511,7 @@ def incremental_agg(sf_dir: str, state_dir: str | None = None):
                          "n_orders": pa.nulls(b.num_rows, INT64).fill_null(1),
                          "sum_cents": cents})
 
-    orders = lambda: rd.read_parquet(  # noqa: E731
+    orders = lambda: scan_parquet(  # noqa: E731
         _pq(sf_dir, "orders"),
         columns=["o_orderkey", "o_totalprice", "o_orderstatus"])
     aggs = [("n_orders", "sum"), ("sum_cents", "sum")]
@@ -522,7 +522,7 @@ def incremental_agg(sf_dir: str, state_dir: str | None = None):
                                              batch_format="pyarrow"),
                         "o_orderstatus", aggs).write_parquet(out)
 
-    state = rd.read_parquet(out)
+    state = scan_parquet(out)
     delta = orders().map_batches(lambda b: split(b, True),
                                  batch_format="pyarrow")
     agg = combine_buckets(state.union(delta), "o_orderstatus", aggs)
@@ -672,12 +672,12 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
         return t.group_by(["l_orderkey"]).aggregate([("rev", "sum")]) \
             .rename_columns(["l_orderkey", "rev"])
 
-    orders = rd.read_parquet(
+    orders = scan_parquet(
         _pq(sf_dir, "orders"),
         columns=["o_orderkey", "o_custkey", "o_orderdate",
                  "o_orderpriority"]) \
         .map_batches(orders_side, batch_format="pyarrow")
-    lines = rd.read_parquet(
+    lines = scan_parquet(
         _pq(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount",
                  "l_shipdate"]) \
@@ -802,8 +802,8 @@ def compact_files(sf_dir: str, target_rows: int = 4096,
     # stage 0: a deliberately fragmented copy (streaming-writer shape)
     if not os.path.exists(small + ".DONE"):
         shutil.rmtree(small, ignore_errors=True)
-        rd.read_parquet(_pq(sf_dir, "documents"),
-                        columns=["doc_id", "text"]) \
+        scan_parquet(_pq(sf_dir, "documents"),
+                     columns=["doc_id", "text"]) \
             .repartition(64).write_parquet(small)
         open(small + ".DONE", "w").write("ok")
 
@@ -876,8 +876,8 @@ def unpivot_lineitem(sf_dir: str):
                          "sum_qty": qty, "sum_cents": cents})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_returnflag", "l_linestatus",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_returnflag", "l_linestatus",
                                  "l_quantity", "l_extendedprice"])
         .map_batches(partial, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
@@ -974,7 +974,7 @@ def event_mad(sf_dir: str):
             .aggregate([("milli", "count")]) \
             .rename_columns(["event_type", "milli", "cnt"])
 
-    ev = lambda: rd.read_parquet(  # noqa: E731
+    ev = lambda: scan_parquet(  # noqa: E731
         _pq(sf_dir, "events"), columns=["event_type", "value"])
 
     def pass_median(fn) -> dict[str, int]:
@@ -1154,7 +1154,7 @@ def zscore_outliers(sf_dir: str):
                          "ss": pa.array(milli * milli, type=INT64)})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
         .map_batches(moments, batch_format="pyarrow"),
         "event_type", [("n", "count"), ("s", "sum"), ("ss", "sum")])
     mt = collect(agg)
@@ -1180,8 +1180,8 @@ def zscore_outliers(sf_dir: str):
             "value": b["value"].filter(pa.array(keep)),
         })
 
-    return rd.read_parquet(_pq(sf_dir, "events"),
-                           columns=["event_id", "event_type", "value"]) \
+    return scan_parquet(_pq(sf_dir, "events"),
+                        columns=["event_id", "event_type", "value"]) \
         .map_batches(flag, batch_format="pyarrow")
 
 
@@ -1239,8 +1239,8 @@ def streaming_windows(sf_dir: str, window_s: int = 3600,
             "n_late": pa.array(late.astype(np.int64), type=INT64),
         })
 
-    events = rd.read_parquet(_pq(sf_dir, "events"),
-                             columns=["event_id", "ts", "event_type"]) \
+    events = scan_parquet(_pq(sf_dir, "events"),
+                          columns=["event_id", "ts", "event_type"]) \
         .map_batches(eff_ts, batch_format="pyarrow")
     agg = combine_buckets(
         range_scan(events, i64_key("event_id"), i64_key("event_id"), "t",
@@ -1432,7 +1432,7 @@ def integrity_audit(sf_dir: str):
                     (np.ones(len(orphan), np.int8),
                      np.zeros(len(used), np.int8))))})
 
-        parts = rd.read_parquet(_pq(sf_dir, child), columns=[ckey]) \
+        parts = scan_parquet(_pq(sf_dir, child), columns=[ckey]) \
             .map_batches(part, batch_format="pyarrow")
         t = collect(parts)
         t = t.group_by(["k", "is_orphan"]).aggregate([])
@@ -1445,14 +1445,14 @@ def integrity_audit(sf_dir: str):
     # fact→fact: distinct-key partials meet in one hash exchange
     from ..stages.exchange import hash_join
 
-    lkeys = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_orderkey"]) \
+    lkeys = scan_parquet(_pq(sf_dir, "lineitem"),
+                         columns=["l_orderkey"]) \
         .map_batches(lambda b: pa.table({"k": pc.unique(
             pc.cast(b["l_orderkey"], INT64)),
             "child": pa.nulls(len(pc.unique(b["l_orderkey"])), INT64)
             .fill_null(1)}), batch_format="pyarrow")
-    okeys = rd.read_parquet(_pq(sf_dir, "orders"),
-                            columns=["o_orderkey"]) \
+    okeys = scan_parquet(_pq(sf_dir, "orders"),
+                         columns=["o_orderkey"]) \
         .map_batches(lambda b: pa.table({"k": pc.cast(
             b["o_orderkey"], INT64),
             "parent": pa.nulls(b.num_rows, INT64).fill_null(1)}),
@@ -1605,9 +1605,9 @@ def audience_overlap(sf_dir: str):
             return pa.table({"k": pc.cast(b[col], INT64), "lo": m, "hi": m})
         return fn
 
-    ev = rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id"]) \
+    ev = scan_parquet(_pq(sf_dir, "events"), columns=["user_id"]) \
         .map_batches(tag(1), batch_format="pyarrow")
-    od = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_custkey"]) \
+    od = scan_parquet(_pq(sf_dir, "orders"), columns=["o_custkey"]) \
         .map_batches(tag(2), batch_format="pyarrow")
     seg = combine_buckets(ev.union(od), "k", [("lo", "min"), ("hi", "max")])
 
@@ -1657,8 +1657,8 @@ def top_user_per_type(sf_dir: str):
         })
 
     out = bucket_exchange(combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["event_type", "user_id"]),
+        scan_parquet(_pq(sf_dir, "events"),
+                     columns=["event_type", "user_id"]),
         ["event_type", "user_id"], [("n", "count")]), argmax,
         part_col="event_type")
     return collect(out) \
@@ -1820,7 +1820,7 @@ def sliding_distinct_users(sf_dir: str, window_days: int = 7,
         "window_day", [("u7", "count")])
     t = collect(agg)
 
-    days = rd.read_parquet(_pq(sf_dir, "events"), columns=["ts"]) \
+    days = scan_parquet(_pq(sf_dir, "events"), columns=["ts"]) \
         .map_batches(lambda b: pa.table({
             "day": pc.unique(pc.cast(pc.floor(pc.divide(
                 pc.cast(b["ts"], INT64), 86_400_000_000)), INT64))}),
@@ -1894,7 +1894,7 @@ def pruned_join_revenue(sf_dir: str, npart: int = 32):
                 [("one", "sum"), ("rev", "sum")]) \
             .rename_columns(["o_orderpriority", "n_items", "rev"])
 
-    fact = rd.read_parquet(
+    fact = scan_parquet(
         _pq(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"]) \
         .map_batches(to_units, batch_format="pyarrow")
@@ -1939,12 +1939,12 @@ def above_avg_orders(sf_dir: str):
         return pa.table({"o_custkey": b["o_custkey"], "s": cents})
 
     per_cust = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_totalprice"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_totalprice"])
         .map_batches(part_sums, batch_format="pyarrow"),
         "o_custkey", [("s", "sum"), ("n", "count")])
     stats_ref = _ray.put(collect(per_cust))
-    seg_ref = _ray.put(collect(rd.read_parquet(
+    seg_ref = _ray.put(collect(scan_parquet(
         _pq(sf_dir, "customer"), columns=["c_custkey", "c_mktsegment"])))
 
     def filt(b: pa.Table) -> pa.Table:
@@ -1957,8 +1957,8 @@ def above_avg_orders(sf_dir: str):
         return t.filter(keep).select(["c_mktsegment", "cents"])
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_totalprice"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_totalprice"])
         .map_batches(filt, batch_format="pyarrow"),
         "c_mktsegment", [("n_orders", "count"), ("cents", "sum")])
     t = collect(agg)
@@ -2004,8 +2004,8 @@ def discount_revenue(sf_dir: str):
             "n": pa.array([len(amt)], type=INT64),
         })
 
-    g = _sums(rd.read_parquet(_pq(sf_dir, "lineitem"),
-                              columns=["l_shipdate", "l_discount",
+    g = _sums(scan_parquet(_pq(sf_dir, "lineitem"),
+                           columns=["l_shipdate", "l_discount",
                                        "l_quantity", "l_extendedprice"])
               .map_batches(partial, batch_format="pyarrow"),
               ["units", "n"])
@@ -2202,15 +2202,15 @@ def skewed_user_join(sf_dir: str, n_salt: int = 8):
             "c_nationkey": pc.cast(b["c_nationkey"], INT64),
         })
 
-    facts = rd.read_parquet(_pq(sf_dir, "events"),
-                            columns=["event_id", "user_id", "value"]) \
+    facts = scan_parquet(_pq(sf_dir, "events"),
+                         columns=["event_id", "user_id", "value"]) \
         .map_batches(fact, batch_format="pyarrow")
     anon_row = pa.table({"c_custkey": pa.array([0], type=INT64),
                          "c_nationkey": pa.array([-1], type=INT64)})
-    dims = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_nationkey"]) \
+    dims = scan_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_custkey", "c_nationkey"]) \
         .map_batches(dim, batch_format="pyarrow") \
-        .union(rd.from_arrow(anon_row))
+        .union(from_arrow(anon_row))
 
     def finish(j: pa.Table) -> pa.Table:
         # per-ROW → per-nation partial (hot key 0 spans salts, so this
@@ -2557,7 +2557,7 @@ def merge_upsert(sf_dir: str, npart: int = 32,
             .select(["o_orderkey", "o_orderstatus", "price_cents",
                      "version"])
 
-    ds = rd.read_parquet(
+    ds = scan_parquet(
         _pq(sf_dir, "orders"),
         columns=["o_orderkey", "o_totalprice", "o_orderstatus"]) \
         .map_batches(explode, batch_format="pyarrow")
@@ -2707,7 +2707,7 @@ def json_props_stats(sf_dir: str):
         return pa.table({"event_type": b["event_type"], "k": k})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "props"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["event_type", "props"])
         .map_batches(partial, batch_format="pyarrow"),
         ["event_type", "k"], [("n", "count")])
     t = collect(agg)
@@ -2845,7 +2845,7 @@ def part_skyline(sf_dir: str):
             "p_size": pa.array(size[keep]),
         })
 
-    cand = collect(rd.read_parquet(
+    cand = collect(scan_parquet(
         _pq(sf_dir, "part"), columns=["p_partkey", "p_retailprice", "p_size"])
         .map_batches(partial, batch_format="pyarrow"))
     keep = local_skyline(cand["cents"].to_numpy(),
@@ -2887,8 +2887,8 @@ def lineitem_regression(sf_dir: str):
                          "sxy": x * y, "sxx": x * x})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_returnflag", "l_quantity",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_returnflag", "l_quantity",
                                  "l_extendedprice"])
         .map_batches(partial, batch_format="pyarrow"),
         "flag", [("n", "count")] + [(c, "sum") for c in
@@ -3011,7 +3011,7 @@ def embedding_covariance(sf_dir: str):
         })
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "embeddings"), columns=["embedding"])
+        scan_parquet(_pq(sf_dir, "embeddings"), columns=["embedding"])
         .map_batches(partial, batch_format="pyarrow"),
         ["i", "j"], [(c, "sum") for c in ("sxy", "sxi", "sxj", "n")])
     t = collect(agg)
@@ -3113,7 +3113,7 @@ def lineitem_profile(sf_dir: str):
         return pa.concat_tables([st, di.select(st.column_names)])
 
     partials = materialize(
-        rd.read_parquet(_pq(sf_dir, "lineitem"), columns=cols)
+        scan_parquet(_pq(sf_dir, "lineitem"), columns=cols)
         .map_batches(fused_partial, batch_format="pyarrow"))
 
     # stats fold over the null-vkey rows (one row per column)
@@ -3215,8 +3215,8 @@ def trimmed_mean_value(sf_dir: str, trim_pct: int = 5):
         })
 
     return sort_result(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["event_type", "value"])
+        scan_parquet(_pq(sf_dir, "events"),
+                     columns=["event_type", "value"])
         .map_batches(partial, batch_format="pyarrow"),
         combine, part_col="event_type"), "event_type")
 
@@ -3570,7 +3570,7 @@ def equidepth_histogram(sf_dir: str, k: int = 8):
             b["l_extendedprice"], 100.0)), INT64)})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "lineitem"), columns=["l_extendedprice"])
+        scan_parquet(_pq(sf_dir, "lineitem"), columns=["l_extendedprice"])
         .map_batches(partial, batch_format="pyarrow"),
         "cents", [("cnt", "count")])
     h = collect(agg)
@@ -3651,8 +3651,8 @@ def join_cardinality(sf_dir: str):
             "cells": pa.array(blob, type=pa.binary()),
         })
 
-    ds = materialize(rd.read_parquet(_pq(sf_dir, "lineitem"),
-                                     columns=["l_partkey"])
+    ds = materialize(scan_parquet(_pq(sf_dir, "lineitem"),
+                                  columns=["l_partkey"])
                      .map_batches(partial, batch_format="pyarrow"))
 
     # sketch fold: one dense cell block per input block, driver stream
@@ -3835,8 +3835,8 @@ def private_purchase_count(sf_dir: str, truth_hex: str = "b"):
             "true_n": pa.array([int(truth.sum())], type=INT64),
         })
 
-    agg = _sums(rd.read_parquet(_pq(sf_dir, "events"),
-                                columns=["event_id", "event_type"])
+    agg = _sums(scan_parquet(_pq(sf_dir, "events"),
+                             columns=["event_id", "event_type"])
                 .map_batches(partial, batch_format="pyarrow"),
                 ["n", "observed", "true_n"])
     n, obs, tru = (int(agg[c]) for c in ("n", "observed", "true_n"))
@@ -3877,15 +3877,15 @@ def big_spenders(sf_dir: str):
         return pa.table({"c": b["o_custkey"], "cents": cents})
 
     per_cust = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_totalprice"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_totalprice"])
         .map_batches(order_partial, batch_format="pyarrow"),
         "c", [("cents", "sum")])
     pc_t = collect(per_cust)
     spend = dict(zip((int(x) for x in pc_t["c"].to_pylist()),
                      (int(x) for x in pc_t["cents"].to_pylist())))
 
-    cust = collect(rd.read_parquet(
+    cust = collect(scan_parquet(
         _pq(sf_dir, "customer"),
         columns=["c_custkey", "c_name", "c_nationkey"]))
     ck = [int(x) for x in cust["c_custkey"].to_pylist()]
@@ -3972,8 +3972,8 @@ def replica_repair(sf_dir: str, npart: int = 32):
         })
 
     agg = _sums(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_orderkey", "o_totalprice"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_orderkey", "o_totalprice"])
         .map_batches(explode, batch_format="pyarrow"),
         lambda g: bucket(g.drop_columns(["part"]))),
         ["n_keys", "bad_r0", "bad_r1", "bad_r2", "n_all_diff"])
@@ -4040,8 +4040,8 @@ def revenue_rollup_geo(sf_dir: str):
             })
 
     leaf = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_totalprice"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_totalprice"])
         .map_batches(Leaf, batch_format="pyarrow", concurrency=(1, 2)),
         ["r_name", "n_name"], [("cents", "sum"), ("n", "count")])
     t = collect(leaf)
@@ -4176,8 +4176,8 @@ def weighted_median_price(sf_dir: str):
         })
 
     return sort_result(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_returnflag", "l_extendedprice",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_returnflag", "l_extendedprice",
                                  "l_quantity"])
         .map_batches(partial, batch_format="pyarrow"),
         combine, part_col="flag"), "l_returnflag")
@@ -4211,7 +4211,7 @@ def drift_psi(sf_dir: str, split_day: int = 19738, nbins: int = 10):
         return pa.table({"half": half, "milli": milli})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "value"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["ts", "value"])
         .map_batches(partial, batch_format="pyarrow"),
         ["half", "milli"], [("n", "count")])
     t = collect(agg)
@@ -4280,8 +4280,8 @@ def ab_experiment(sf_dir: str):
         return pa.table({"user_id": pa.array(u), "conv": pa.array(conv)})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "event_type"])
+        scan_parquet(_pq(sf_dir, "events"),
+                     columns=["user_id", "event_type"])
         .map_batches(partial, batch_format="pyarrow"),
         "user_id", [("conv", "max")])
     t = collect(agg)
@@ -4407,8 +4407,8 @@ def basket_pairs(sf_dir: str, k: int = 50, npart: int = 16):
         return pa.concat_tables([pairs, rest])
 
     bask = bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_orderkey", "l_partkey"])
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_orderkey", "l_partkey"])
         .map_batches(op_distinct, batch_format="pyarrow"), baskets)
     parts = bucket_exchange(bask, pair_totals, part_col="part2")
     t = collect(parts)
@@ -4535,8 +4535,8 @@ def spatial_radius_join(sf_dir: str, npart: int = 16):
                          "dist2": pa.array(D, type=INT64)})
 
     pairs = bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "customer"),
-                        columns=["c_custkey"])
+        scan_parquet(_pq(sf_dir, "customer"),
+                     columns=["c_custkey"])
         .map_batches(scatter, batch_format="pyarrow"), pair_cells)
     t = collect(pairs)
     return t.take(pc.sort_indices(t, sort_keys=[
@@ -4560,7 +4560,7 @@ def custdist(sf_dir: str):
     ``n_customers − Σ custdist``, one extra metadata-count scan."""
 
     per_cust = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_custkey"]),
+        scan_parquet(_pq(sf_dir, "orders"), columns=["o_custkey"]),
         "o_custkey", [("c_count", "count")])
     t = collect(combine_buckets(per_cust, "c_count", [("custdist", "count")]))
     import duckdb
@@ -4728,7 +4728,7 @@ def rle_advisor(sf_dir: str, npart: int = 16):
                          for k2 in rows[0]})
 
     parts = bucket_exchange(
-        rd.read_parquet(
+        scan_parquet(
             _pq(sf_dir, "lineitem"),
             columns=["l_orderkey", "l_linenumber"] + RLE_COLS)
         .map_batches(scatter, batch_format="pyarrow"), runs)
@@ -4825,7 +4825,7 @@ def logreg_train(sf_dir: str):
     cols = ["l_quantity", "l_discount", "l_returnflag"]
     ok = 0
     for _ in range(LOGREG_ITERS):
-        s = _sums(rd.read_parquet(_pq(sf_dir, "lineitem"), columns=cols)
+        s = _sums(scan_parquet(_pq(sf_dir, "lineitem"), columns=cols)
                   .map_batches(grad_partial, batch_format="pyarrow"),
                   ["g0", "g1", "g2", "ok"])
         G = [int(s["g0"]), int(s["g1"]), int(s["g2"])]
@@ -4942,7 +4942,7 @@ def benford_audit(sf_dir: str):
                                            type=INT64)
                          for d in range(1, 10)})
 
-    s = _sums(rd.read_parquet(_pq(sf_dir, "orders"),
+    s = _sums(scan_parquet(_pq(sf_dir, "orders"),
                         columns=["o_totalprice"]) \
         .map_batches(partial, batch_format="pyarrow"),
         [f"d{d}" for d in range(1, 10)])
@@ -4982,8 +4982,8 @@ def gdpr_cascade(sf_dir: str):
     never shuffle and nothing but keys ever reaches the driver."""
     import ray
 
-    cust = collect(rd.read_parquet(_pq(sf_dir, "customer"),
-                                   columns=["c_custkey"]))
+    cust = collect(scan_parquet(_pq(sf_dir, "customer"),
+                                columns=["c_custkey"]))
     ckeys = cust["c_custkey"].to_numpy(zero_copy_only=False)
     dmask = np.array([h[0] == "0" for h in
                       _md5_hex([str(int(k)) for k in ckeys])])
@@ -5001,8 +5001,8 @@ def gdpr_cascade(sf_dir: str):
         m = np.isin(ck, np.asarray(ray.get(del_cust_ref)))
         return pa.table({"key": pa.array(ok[m], type=INT64)})
 
-    od = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderkey", "o_custkey"]) \
+    od = scan_parquet(_pq(sf_dir, "orders"),
+                      columns=["o_orderkey", "o_custkey"]) \
         .map_batches(orders_partial, batch_format="pyarrow")
     ot = collect(od)
     del_ord = np.sort(ot["key"].to_numpy(zero_copy_only=False))
@@ -5015,8 +5015,8 @@ def gdpr_cascade(sf_dir: str):
         return pa.table({"n": pa.array([len(ok)], type=INT64),
                          "p": pa.array([int(m.sum())], type=INT64)})
 
-    s = _sums(rd.read_parquet(_pq(sf_dir, "lineitem"),
-                              columns=["l_orderkey"])
+    s = _sums(scan_parquet(_pq(sf_dir, "lineitem"),
+                           columns=["l_orderkey"])
               .map_batches(li_partial, batch_format="pyarrow"), ["n", "p"])
     n_li, p_li = int(s["n"]), int(s["p"])
     return pa.table({
@@ -5207,7 +5207,7 @@ def bloom_pruned_join(sf_dir: str, npart: int = 16, prune: bool = True):
 
     bits_ref = None
     if prune:
-        parts = rd.read_parquet(
+        parts = scan_parquet(
             _pq(sf_dir, "orders"),
             columns=["o_orderkey", "o_orderpriority"]) \
             .map_batches(build_partial, batch_format="pyarrow")
@@ -5242,11 +5242,11 @@ def bloom_pruned_join(sf_dir: str, npart: int = 16, prune: bool = True):
             [("rev", "sum"), ("n", "sum")]) \
             .rename_columns(["l_orderkey", "rev", "n"])
 
-    orders = rd.read_parquet(
+    orders = scan_parquet(
         _pq(sf_dir, "orders"),
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"]) \
         .map_batches(orders_side, batch_format="pyarrow")
-    lines = rd.read_parquet(
+    lines = scan_parquet(
         _pq(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"]) \
         .map_batches(line_side, batch_format="pyarrow")
@@ -5335,7 +5335,7 @@ def lpm_enrich(sf_dir: str):
         })
 
     per_user = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id", "value"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["user_id", "value"])
         .map_batches(enrich, batch_format="pyarrow"),
         ["region", "user_id"], [("n_events", "count"), ("sum_cents", "sum")])
     out = combine_buckets(per_user, "region",
@@ -5393,8 +5393,8 @@ def local_supplier_revenue(sf_dir: str, region: str = "ASIA",
         return pa.table({"c_custkey": b["o_custkey"],
                          "o_orderkey": b["o_orderkey"]})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey",
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_custkey",
                                       "o_orderdate"]) \
         .map_batches(orders_side, batch_format="pyarrow")
 
@@ -5407,8 +5407,8 @@ def local_supplier_revenue(sf_dir: str, region: str = "ASIA",
     # region customers only: the custkey → nationkey slice is
     # broadcast-small (round-4: the custkey exchange was half of
     # q163's ~10 s wall)
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_nationkey"]) \
+    cust = scan_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_custkey", "c_nationkey"]) \
         .map_batches(cust_side, batch_format="pyarrow")
     ord_nat = materialize(lookup_join(
         orders, cust, "c_custkey", npart=npart,
@@ -5432,8 +5432,8 @@ def local_supplier_revenue(sf_dir: str, region: str = "ASIA",
                 pa.scalar(100, type=INT64), disc)),
         })
 
-    lines = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_orderkey", "l_suppkey",
+    lines = scan_parquet(_pq(sf_dir, "lineitem"),
+                         columns=["l_orderkey", "l_suppkey",
                                      "l_extendedprice", "l_discount"]) \
         .map_batches(line_side, batch_format="pyarrow")
 
@@ -5455,7 +5455,7 @@ def local_supplier_revenue(sf_dir: str, region: str = "ASIA",
         "n_name": pa.array(names, type=pa.string()),
         "revenue": pc.divide(pc.cast(g["rev"], pa.float64()), 10_000.0),
     }).sort_by([("revenue", "descending")])
-    return rd.from_arrow(out)
+    return from_arrow(out)
 
 
 def pit_state_snapshot(sf_dir: str, npart: int = 32,
@@ -5623,7 +5623,7 @@ def bootstrap_ci(sf_dir: str):
                          "n": pa.array(ns, type=INT64)})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_id", "value"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["event_id", "value"])
         .map_batches(partial, batch_format="pyarrow"),
         "r", [("s", "sum"), ("n", "sum")])
     t = collect(agg)
@@ -5683,9 +5683,9 @@ def join_advisor(sf_dir: str):
                 .rename_columns(["key", "n"])
             return with_part(t, "key", npart)
 
-        facts = rd.read_parquet(_pq(sf_dir, fact), columns=[key]) \
+        facts = scan_parquet(_pq(sf_dir, fact), columns=[key]) \
             .map_batches(partial, batch_format="pyarrow")
-        dims = rd.read_parquet(_pq(sf_dir, dim))
+        dims = scan_parquet(_pq(sf_dir, dim))
         return (name, facts, dims)
 
     def bucket_stats(g: pa.Table) -> pa.Table:
@@ -5847,7 +5847,7 @@ def fd_discovery(sf_dir: str, npart: int = 16):
             })
 
         parts = bucket_exchange(
-            rd.read_parquet(_pq(sf_dir, tbl), columns=[lhs, rhs])
+            scan_parquet(_pq(sf_dir, tbl), columns=[lhs, rhs])
             .map_batches(scan, batch_format="pyarrow"), lambda g: bucket(g))
         n_lhs = n_pairs = n_viol = 0
         for bb in parts.iter_batches(batch_format="pyarrow"):
@@ -5894,7 +5894,7 @@ def cusum_changepoint(sf_dir: str):
             pc.cast(b["ts"], INT64), US_DAY)), INT64)})
 
     daily = collect(combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["ts"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["ts"])
         .map_batches(partial, batch_format="pyarrow"), "day",
         [("n", "count")])).sort_by("day")
     days = daily["day"].to_numpy().astype(np.int64)
@@ -5964,8 +5964,8 @@ def period_movers(sf_dir: str, npart: int = 32):
         return b.take(pa.array(np.sort(order)))
 
     parts = collect(combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_shipdate",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_shipdate",
                                  "l_extendedprice", "l_discount"])
         .map_batches(partial, batch_format="pyarrow"),
         "p", [("rev_a", "sum"), ("rev_b", "sum")])
@@ -6045,10 +6045,10 @@ def late_orders(sf_dir: str, npart: int = 32):
         return pa.table({"o_orderpriority": j["prio"],
                          "n_late": pc.cast(late, INT64)})
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_shipdate"]) \
+    li = scan_parquet(_pq(sf_dir, "lineitem"),
+                      columns=["l_orderkey", "l_shipdate"]) \
         .map_batches(li_scan, batch_format="pyarrow")
-    orders = rd.read_parquet(
+    orders = scan_parquet(
         _pq(sf_dir, "orders"),
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"]) \
         .map_batches(o_scan, batch_format="pyarrow")
@@ -6126,11 +6126,11 @@ def reconciliation_audit(sf_dir: str, npart: int = 32):
             "sum_abs_diff": pa.array(diff, type=INT64),
         })
 
-    li = rd.read_parquet(
+    li = scan_parquet(
         _pq(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount",
                  "l_tax"]).map_batches(li_scan, batch_format="pyarrow")
-    orders = rd.read_parquet(
+    orders = scan_parquet(
         _pq(sf_dir, "orders"), columns=["o_orderkey", "o_totalprice"]) \
         .map_batches(o_scan, batch_format="pyarrow")
     out = combine_buckets(
@@ -6348,7 +6348,7 @@ def mi_contributions(sf_dir: str):
         return pa.table({"x": b["event_type"], "dow": dow})
 
     cells = collect(combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "ts"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["event_type", "ts"])
         .map_batches(partial, batch_format="pyarrow"),
         ["x", "dow"], [("n", "count")])).to_pylist()
     n_x, n_y = {}, {}
@@ -6410,8 +6410,8 @@ def pca_label_map(sf_dir: str):
             "n": pa.array(np.full(d * d, len(xm), np.int64)),
         })
 
-    emb = rd.read_parquet(_pq(sf_dir, "embeddings"),
-                          columns=["embedding", "label"])
+    emb = scan_parquet(_pq(sf_dir, "embeddings"),
+                       columns=["embedding", "label"])
     agg = collect(combine_buckets(
         emb.map_batches(gram_partial, batch_format="pyarrow"), ["i", "j"],
         [(c, "sum") for c in ("sxy", "sxi", "sxj", "n")])).to_pylist()
@@ -6588,8 +6588,8 @@ def merkle_diff(sf_dir: str):
             }))
         return pa.concat_tables(out)
 
-    parts = collect(rd.read_parquet(_pq(sf_dir, "orders"),
-                                    columns=["o_orderkey", "o_totalprice"])
+    parts = collect(scan_parquet(_pq(sf_dir, "orders"),
+                                 columns=["o_orderkey", "o_totalprice"])
                     .map_batches(partial, batch_format="pyarrow")).to_pylist()
     dig = np.zeros((2, _MERKLE_LEAVES), dtype=np.uint64)
     cnt = np.zeros((2, _MERKLE_LEAVES), dtype=np.int64)
@@ -6752,16 +6752,16 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_3",
         return pa.table({"c_custkey": b["c_custkey"],
                          "c_nat": pc.cast(b["c_nationkey"], INT64)})
 
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_nationkey"]) \
+    cust = scan_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_custkey", "c_nationkey"]) \
         .map_batches(cust_side, batch_format="pyarrow")
 
     def orders_side(b: pa.Table) -> pa.Table:
         return pa.table({"c_custkey": b["o_custkey"],
                          "l_orderkey": b["o_orderkey"]})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey"]) \
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_custkey"]) \
         .map_batches(orders_side, batch_format="pyarrow")
 
     # the two-nation customer slice is broadcast-small (2/|nations| of
@@ -6791,8 +6791,8 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_3",
                 pa.scalar(100, type=INT64), disc)),
         })
 
-    lines = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_orderkey", "l_suppkey",
+    lines = scan_parquet(_pq(sf_dir, "lineitem"),
+                         columns=["l_orderkey", "l_suppkey",
                                      "l_shipdate", "l_extendedprice",
                                      "l_discount"]) \
         .map_batches(line_side, batch_format="pyarrow")
@@ -6823,7 +6823,7 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_3",
         "revenue": pc.divide(pc.cast(g["rev"], pa.float64()), 10_000.0),
     }).sort_by([("supp_nation", "ascending"),
                 ("cust_nation", "ascending"), ("l_year", "ascending")])
-    return rd.from_arrow(out)
+    return from_arrow(out)
 
 
 # ---------------------------------------------------------------------------
@@ -6873,8 +6873,8 @@ def national_market_share(sf_dir: str, region: str = "ASIA",
         b = b.filter(pa.array(np.isin(cn, region_keys)))
         return b.select(["c_custkey"])
 
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_nationkey"]) \
+    cust = scan_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_custkey", "c_nationkey"]) \
         .map_batches(cust_side, batch_format="pyarrow")
 
     def orders_side(b: pa.Table) -> pa.Table:
@@ -6887,8 +6887,8 @@ def national_market_share(sf_dir: str, region: str = "ASIA",
             "l_orderkey": b["o_orderkey"],
             "o_year": pc.cast(pc.year(b["o_orderdate"]), INT64)})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey",
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_custkey",
                                       "o_orderdate"]) \
         .map_batches(orders_side, batch_format="pyarrow")
 
@@ -6918,8 +6918,8 @@ def national_market_share(sf_dir: str, region: str = "ASIA",
         return j.select(["l_orderkey", "s_nat", "rev"])
 
     lines = clustered_join(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_orderkey", "l_suppkey",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_orderkey", "l_suppkey",
                                  "l_extendedprice", "l_discount"])
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
@@ -6943,7 +6943,7 @@ def national_market_share(sf_dir: str, region: str = "ASIA",
     g = parts.group_by(["o_year"]).aggregate(
         [("den", "sum"), ("num", "sum")]) \
         .rename_columns(["o_year", "den", "num"]).sort_by("o_year")
-    return rd.from_arrow(pa.table({
+    return from_arrow(pa.table({
         "o_year": g["o_year"],
         "mkt_share": pc.divide(pc.cast(g["num"], pa.float64()),
                                pc.cast(g["den"], pa.float64())),
@@ -6989,8 +6989,8 @@ def returned_items(sf_dir: str, npart: int = 16, k: int = 20):
         return pa.table({"l_orderkey": b["o_orderkey"],
                          "c_custkey": b["o_custkey"]})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey",
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_custkey",
                                       "o_orderdate"]) \
         .map_batches(orders_side, batch_format="pyarrow")
 
@@ -7004,8 +7004,8 @@ def returned_items(sf_dir: str, npart: int = 16, k: int = 20):
             "rev": pc.multiply(cents, pc.subtract(
                 pa.scalar(100, type=INT64), disc))})
 
-    lines = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_orderkey", "l_returnflag",
+    lines = scan_parquet(_pq(sf_dir, "lineitem"),
+                         columns=["l_orderkey", "l_returnflag",
                                      "l_extendedprice", "l_discount"]) \
         .map_batches(line_side, batch_format="pyarrow")
 
@@ -7024,8 +7024,8 @@ def returned_items(sf_dir: str, npart: int = 16, k: int = 20):
     cust_rev = lookup_join(lines, orders, "l_orderkey", npart=npart,
                            bucket_finish=cust_partial)
 
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_name", "c_acctbal",
+    cust = scan_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_custkey", "c_name", "c_acctbal",
                                     "c_nationkey"])
 
     def topk_bucket(j: pa.Table) -> pa.Table:
@@ -7060,7 +7060,7 @@ def returned_items(sf_dir: str, npart: int = 16, k: int = 20):
     out = collect(top.map_batches(finish, batch_format="pyarrow"))
     order = np.lexsort((out["c_custkey"].to_numpy(zero_copy_only=False),
                         -out["revenue"].to_numpy(zero_copy_only=False)))
-    return rd.from_arrow(out.take(pa.array(order[:k])))
+    return from_arrow(out.take(pa.array(order[:k])))
 
 
 # ---------------------------------------------------------------------------
@@ -7108,8 +7108,8 @@ def promo_effect(sf_dir: str, npart: int = 16):
             .rename_columns(["month", "num", "den"])
 
     agg = clustered_join(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_shipdate",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_shipdate",
                                  "l_extendedprice", "l_discount"])
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
@@ -7170,8 +7170,8 @@ def top_supplier(sf_dir: str, npart: int = 16):
                 pa.scalar(100, type=INT64), disc))})
 
     rev = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_suppkey", "l_shipdate",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_suppkey", "l_shipdate",
                                  "l_extendedprice", "l_discount"])
         .map_batches(partial, batch_format="pyarrow"),
         "s_suppkey", [("rev", "sum")])
@@ -7225,8 +7225,8 @@ def small_quantity_revenue(sf_dir: str, brand: str = "Brand#23",
         return j.select(["l_partkey", "qc", "pcents"])
 
     rows = clustered_join(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_quantity",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_quantity",
                                  "l_extendedprice"])
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
@@ -7291,8 +7291,8 @@ def large_volume_customers(sf_dir: str, min_qty: int = 250,
     # profiler; same finding as q206), the part-exchange + Arrow
     # group_by costs ~1 s.  The HAVING filter fuses into the bucket.
     big = materialize(combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_orderkey", "l_quantity"])
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_orderkey", "l_quantity"])
         .map_batches(qty_partial, batch_format="pyarrow"),
         "o_orderkey", [("qc", "sum")], npart=npart)
         .map_batches(lambda b: b.filter(pc.greater(
@@ -7307,8 +7307,8 @@ def large_volume_customers(sf_dir: str, min_qty: int = 250,
                 b["o_totalprice"], 100.0)), INT64),
             "o_date_us": pc.cast(b["o_orderdate"], INT64)})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey",
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_custkey",
                                       "o_totalprice", "o_orderdate"]) \
         .map_batches(orders_side, batch_format="pyarrow")
 
@@ -7325,11 +7325,11 @@ def large_volume_customers(sf_dir: str, min_qty: int = 250,
                              bucket_finish=topk_partial))
     top_tbl = topk_partial(wo)
     # c_name lookup: the ≤ k wanted custkeys filter the customer scan
-    want = rd.from_arrow(pa.table({"c_custkey": pa.array(np.unique(
+    want = from_arrow(pa.table({"c_custkey": pa.array(np.unique(
         top_tbl["c_custkey"].to_numpy(zero_copy_only=False)), type=INT64)}))
     cust_tbl = collect(lookup_join(
-        rd.read_parquet(_pq(sf_dir, "customer"),
-                        columns=["c_custkey", "c_name"]),
+        scan_parquet(_pq(sf_dir, "customer"),
+                     columns=["c_custkey", "c_name"]),
         want, "c_custkey", npart=npart))
     b = top_tbl.join(cust_tbl, keys="c_custkey", join_type="inner")
     iso = [str(np.datetime64(int(x), "us"))[:10]
@@ -7342,7 +7342,7 @@ def large_volume_customers(sf_dir: str, min_qty: int = 250,
         "o_totalprice": pc.divide(pc.cast(b["tp_cents"],
                                           pa.float64()), 100.0),
         "sum_qty": pc.divide(pc.cast(b["qc"], pa.float64()), 100.0)})
-    return rd.from_arrow(out.sort_by([
+    return from_arrow(out.sort_by([
         ("o_totalprice", "descending"), ("o_orderkey", "ascending")]))
 
 
@@ -7407,8 +7407,8 @@ def product_profit(sf_dir: str, p_type: str = "LARGE", npart: int = 16):
                          "s_nat": j["s_nat"], "profit": profit})
 
     lines = clustered_join(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_orderkey", "l_suppkey",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_orderkey", "l_suppkey",
                                  "l_extendedprice", "l_discount",
                                  "l_quantity"])
         .map_batches(line_side, batch_format="pyarrow"),
@@ -7416,8 +7416,8 @@ def product_profit(sf_dir: str, p_type: str = "LARGE", npart: int = 16):
         dim_columns=["p_type", "p_retailprice"], npart=npart,
         bucket_finish=part_screen)
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_orderdate"]) \
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_orderdate"]) \
         .map_batches(lambda b: pa.table({
             "l_orderkey": b["o_orderkey"],
             "o_year": pc.cast(pc.year(b["o_orderdate"]), INT64)}),
@@ -7447,7 +7447,7 @@ def product_profit(sf_dir: str, p_type: str = "LARGE", npart: int = 16):
         "profit": pc.divide(pc.cast(agg["profit"], pa.float64()),
                             100_000.0)}) \
         .sort_by([("nation", "ascending"), ("o_year", "ascending")])
-    return rd.from_arrow(out)
+    return from_arrow(out)
 
 
 # ---------------------------------------------------------------------------
@@ -7477,8 +7477,8 @@ def gini_spend(sf_dir: str, npart: int = 32):
                 b["o_totalprice"], 100.0)), INT64)})
 
     spend = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_totalprice"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow"),
         "c_custkey", [("cents", "sum")])
 
@@ -7568,8 +7568,8 @@ def stockout_crossing(sf_dir: str, threshold_qty: int = 500,
             "cum_qc": pa.array(cum[fi], type=INT64)})
 
     return sort_result(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_shipdate",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_shipdate",
                                  "l_orderkey", "l_linenumber",
                                  "l_quantity"])
         .map_batches(partial, batch_format="pyarrow")
@@ -7748,7 +7748,7 @@ def split_scan(sf_dir: str):
         return pa.table({"bucket": bkt, "pos": pos})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
         .map_batches(partial, batch_format="pyarrow"),
         "bucket", [("n", "count"), ("pos", "sum")])
 
@@ -7808,8 +7808,8 @@ def brand_triples(sf_dir: str, minsup: int = 40, npart: int = 16):
     from ..stages.exchange import clustered_join
 
     ob = materialize(clustered_join(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_orderkey"])
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_orderkey"])
         .map_batches(lambda b: pa.table({
             "l_partkey": b["l_partkey"],
             "l_orderkey": b["l_orderkey"]}), batch_format="pyarrow"),
@@ -7957,8 +7957,8 @@ def watermark_audit(sf_dir: str, npart: int = 32):
             "max_lag_us": pa.array(lag, type=INT64),
             "sum_lag_us": pa.array(lag, type=INT64)})
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_id", "ts", "event_type"]) \
+    ds = scan_parquet(_pq(sf_dir, "events"),
+                      columns=["event_id", "ts", "event_type"]) \
         .map_batches(cast_ts, batch_format="pyarrow")
     agg = combine_buckets(
         range_scan(ds, i64_key("event_id"), i64_key("event_id"), "t", "max",
@@ -8012,8 +8012,8 @@ def monetary_unit_sample(sf_dir: str, npart: int = 32):
             "cum_cents": pa.array(cum[sel], type=INT64),
             "n_probes": pa.array(probes[sel], type=INT64)})
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderkey", "o_totalprice"]) \
+    ds = scan_parquet(_pq(sf_dir, "orders"),
+                      columns=["o_orderkey", "o_totalprice"]) \
         .map_batches(to_cents, batch_format="pyarrow")
     return sort_result(range_scan(
         ds, i64_key("o_orderkey"), i64_key("o_orderkey"), "cents", "sum",
@@ -8122,8 +8122,8 @@ def degree_assortativity(sf_dir: str, npart: int = 16):
     Pearson expression, evaluated in the same double shape both
     engines use."""
 
-    edges = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_orderkey", "l_partkey"])
+    edges = scan_parquet(_pq(sf_dir, "lineitem"),
+                         columns=["l_orderkey", "l_partkey"])
 
     def _codes(col) -> np.ndarray:
         enc = col.combine_chunks().dictionary_encode()
@@ -8252,7 +8252,7 @@ def journey_paths(sf_dir: str, k: int = 5, topn: int = 20,
         npart=npart),
         "path", [("n_users", "count")])).sort_by(
             [("n_users", "descending"), ("path", "ascending")]).slice(0, topn)
-    return rd.from_arrow(pa.table({
+    return from_arrow(pa.table({
         "path": top["path"], "n_users": pc.cast(top["n_users"], INT64)}))
 
 
@@ -8305,8 +8305,8 @@ def collision_detector(sf_dir: str, npart: int = 32):
         return pa.table({"pairs_per_key": pa.array(pairs[hit], type=INT64)})
 
     agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "events"),
-                        columns=["user_id", "ts", "value"])
+        scan_parquet(_pq(sf_dir, "events"),
+                     columns=["user_id", "ts", "value"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "key", npart)
                      .drop_columns(["key"]), batch_format="pyarrow"),
@@ -8343,8 +8343,8 @@ def mutual_best(sf_dir: str, npart: int = 16):
         return pa.table({"l_orderkey": b["o_orderkey"],
                          "c": b["o_custkey"]})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey"]) \
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_custkey"]) \
         .map_batches(orders_side, batch_format="pyarrow")
 
     def line_side(b: pa.Table) -> pa.Table:
@@ -8357,8 +8357,8 @@ def mutual_best(sf_dir: str, npart: int = 16):
             "r": pc.multiply(cents, pc.subtract(
                 pa.scalar(100, type=INT64), disc))})
 
-    lines = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_orderkey", "l_partkey",
+    lines = scan_parquet(_pq(sf_dir, "lineitem"),
+                         columns=["l_orderkey", "l_partkey",
                                      "l_extendedprice", "l_discount"]) \
         .map_batches(line_side, batch_format="pyarrow")
 
@@ -8416,7 +8416,7 @@ def mutual_best(sf_dir: str, npart: int = 16):
         "c_custkey": out["c"], "p_partkey": out["p"],
         "revenue": pc.divide(pc.cast(out["r"], pa.float64()), 10_000.0),
     }).sort_by("c_custkey")
-    return rd.from_arrow(out)
+    return from_arrow(out)
 
 
 # ---------------------------------------------------------------------------
@@ -8447,8 +8447,8 @@ def k_anonymity(sf_dir: str):
             "bal_bin": pa.array(bal_bin, type=INT64)})
 
     classes = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "customer"),
-                        columns=["c_nationkey", "c_mktsegment",
+        scan_parquet(_pq(sf_dir, "customer"),
+                     columns=["c_nationkey", "c_mktsegment",
                                  "c_acctbal"])
         .map_batches(partial, batch_format="pyarrow"),
         ["nat", "seg", "bal_bin"], [("class_size", "count")])
@@ -8506,11 +8506,11 @@ def quantized_retrieval(sf_dir: str, query_vec_id: int = 0,
             "vec_id": b["vec_id"].take(pa.array(order)),
             "dot": pa.array(dot[order], type=INT64)})
 
-    top = collect(rd.read_parquet(_pq(sf_dir, "embeddings"),
-                                  columns=["vec_id", "embedding"])
+    top = collect(scan_parquet(_pq(sf_dir, "embeddings"),
+                               columns=["vec_id", "embedding"])
                   .map_batches(score, batch_format="pyarrow")).sort_by(
         [("dot", "descending"), ("vec_id", "ascending")]).slice(0, k)
-    return rd.from_arrow(top.select(["vec_id", "dot"]))
+    return from_arrow(top.select(["vec_id", "dot"]))
 
 
 # ---------------------------------------------------------------------------
@@ -8558,8 +8558,8 @@ def cheapest_supplier(sf_dir: str, npart: int = 32):
             "unit_price": pa.array(up[first], type=pa.float64())})
 
     return sort_result(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_suppkey",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_suppkey",
                                  "l_orderkey", "l_extendedprice",
                                  "l_quantity"])
         .map_batches(partial, batch_format="pyarrow")
@@ -8611,8 +8611,8 @@ def order_cadence(sf_dir: str, min_orders: int = 5, npart: int = 32):
         return t.rename_columns(["c", "n", "sg", "sgg"])
 
     agg = bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_orderdate",
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_orderdate",
                                  "o_orderkey"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
@@ -8670,8 +8670,8 @@ def abc_classification(sf_dir: str, npart: int = 32):
                 pa.scalar(100, type=INT64), disc))})
 
     pr = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_extendedprice",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_extendedprice",
                                  "l_discount"])
         .map_batches(partial, batch_format="pyarrow"),
         "p", [("r", "sum")])
@@ -8818,8 +8818,8 @@ def linenumber_audit(sf_dir: str, npart: int = 32):
                                             type=pa.string())})
 
     return sort_result(combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_orderkey", "l_linenumber"])
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_orderkey", "l_linenumber"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "o", npart),
                      batch_format="pyarrow"),
@@ -8877,8 +8877,8 @@ def presence_census(sf_dir: str, npart: int = 32):
             "n_customers": b["n_customers"]})
 
     agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_orderdate"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_orderdate"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
                      batch_format="pyarrow"),
@@ -8916,8 +8916,8 @@ def churn_report(sf_dir: str, horizon_days: int = 365,
                 pa.scalar(86_400_000_000, type=INT64)), INT64)})
 
     last = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_orderdate"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_orderdate"])
         .map_batches(partial, batch_format="pyarrow"),
         "c_custkey", [("last_day", "max")])
     global_last = int(pc.max(collect(last)["last_day"]).as_py())
@@ -8975,8 +8975,8 @@ def radix_percentiles(sf_dir: str):
     from ..stages.exchange import distributed_select
 
     def make_ds():
-        return rd.read_parquet(_pq(sf_dir, "orders"),
-                               columns=["o_totalprice"]) \
+        return scan_parquet(_pq(sf_dir, "orders"),
+                            columns=["o_totalprice"]) \
             .map_batches(lambda b: pa.table({
                 "cents": pc.cast(pc.round(pc.multiply(
                     b["o_totalprice"], 100.0)), INT64)}),
@@ -9024,8 +9024,8 @@ def weekday_seasonality(sf_dir: str):
             "cents": cents})
 
     per_day = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_orderdate", "o_totalprice"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_orderdate", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow"),
         ["dow", "day"], [("cents", "sum")])
 
@@ -9082,8 +9082,8 @@ def priority_mix_shift(sf_dir: str, year_a: int = 1996,
             "n_b": pc.cast(in_b, INT64)})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_orderpriority", "o_orderdate"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_orderpriority", "o_orderdate"])
         .map_batches(partial, batch_format="pyarrow"),
         "priority", [("n_a", "sum"), ("n_b", "sum")])
 
@@ -9142,8 +9142,8 @@ def basket_width(sf_dir: str, npart: int = 32):
                                            type=INT64)})
 
     agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_orderkey", "l_partkey"])
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_orderkey", "l_partkey"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "o", npart),
                      batch_format="pyarrow"),
@@ -9188,7 +9188,7 @@ def supplier_balance(sf_dir: str):
     sup_nat[sk] = sn
 
     per_sup = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "lineitem"), columns=["l_suppkey"])
+        scan_parquet(_pq(sf_dir, "lineitem"), columns=["l_suppkey"])
         .map_batches(lambda b: pa.table({"s": b["l_suppkey"]}),
                      batch_format="pyarrow"),
         "s", [("c", "count")])
@@ -9257,8 +9257,8 @@ def brand_cr3(sf_dir: str, k: int = 3, npart: int = 16):
             .rename_columns(["p_brand", "l_partkey", "rev"])
 
     bp = clustered_join(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_extendedprice",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_extendedprice",
                                  "l_discount"])
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
@@ -9354,8 +9354,8 @@ def first_ship_share(sf_dir: str, npart: int = 32):
         return pa.table({"band": pa.array(np.minimum(band, 9), type=INT64)})
 
     return sort_result(combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_orderkey", "l_shipdate",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_orderkey", "l_shipdate",
                                  "l_extendedprice", "l_discount"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "o", npart),
@@ -9420,7 +9420,7 @@ def _cents_histograms(sf_dir: str, type_a: str, type_b: str):
             "c2": pc.subtract(pa.scalar(1, type=INT64), is_a)})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
         .map_batches(partial, batch_format="pyarrow"),
         "cents", [("c1", "sum"), ("c2", "sum")])
     t = collect(agg)
@@ -9474,8 +9474,8 @@ def fulfillment_sla(sf_dir: str, sla_days: int = 60, npart: int = 16):
     SLA rate is floor-ppm."""
     from ..stages.exchange import hash_join
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_orderdate",
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_orderdate",
                                       "o_orderpriority"]) \
         .map_batches(lambda b: pa.table({
             "l_orderkey": b["o_orderkey"],
@@ -9483,8 +9483,8 @@ def fulfillment_sla(sf_dir: str, sla_days: int = 60, npart: int = 16):
             "priority": b["o_orderpriority"]}),
             batch_format="pyarrow")
 
-    lines = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_orderkey", "l_shipdate"]) \
+    lines = scan_parquet(_pq(sf_dir, "lineitem"),
+                         columns=["l_orderkey", "l_shipdate"]) \
         .map_batches(lambda b: pa.table({
             "l_orderkey": b["l_orderkey"],
             "sd": pc.cast(b["l_shipdate"], INT64)}),
@@ -9589,7 +9589,7 @@ def round_number_bias(sf_dir: str):
             "half": pa.array((frac == 50).astype(np.int64))})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
         .map_batches(partial, batch_format="pyarrow"),
         "event_type", [("n", "count"), ("whole", "sum"), ("half", "sum")])
 
@@ -9644,8 +9644,8 @@ def supplier_fanout(sf_dir: str, npart: int = 32):
                                             type=INT64)})
 
     return sort_result(combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_suppkey"])
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_suppkey"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "p", npart),
                      batch_format="pyarrow"),
@@ -9704,8 +9704,8 @@ def spend_trajectory(sf_dir: str, min_orders: int = 3,
         return pa.table({"trend": pa.array(cls.tolist(), type=pa.string())})
 
     return sort_result(combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_orderdate",
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_orderdate",
                                  "o_orderkey", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
@@ -9739,8 +9739,8 @@ def kendall_tau(sf_dir: str):
         return pa.table({"size": pc.cast(b["p_size"], INT64), "band": band})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "part"),
-                        columns=["p_size", "p_retailprice"])
+        scan_parquet(_pq(sf_dir, "part"),
+                     columns=["p_size", "p_retailprice"])
         .map_batches(partial, batch_format="pyarrow"),
         ["size", "band"], [("n", "count")])
 
@@ -9800,7 +9800,7 @@ def stickiness(sf_dir: str, npart: int = 32):
         return pa.table({"day": day, "user_id": b["user_id"]})
 
     du = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["ts", "user_id"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["ts", "user_id"])
         .map_batches(partial, batch_format="pyarrow"),
         ["day", "user_id"], [])
     weeks = materialize(du.map_batches(lambda b: pa.table({
@@ -9872,8 +9872,8 @@ def whale_orders(sf_dir: str, npart: int = 32):
             "n_dominated": pa.array(dom[multi].astype(np.int64))})
 
     return sort_result(combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_totalprice"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "c", npart),
                      batch_format="pyarrow"),
@@ -9976,8 +9976,8 @@ def revenue_volatility(sf_dir: str, npart: int = 16):
             .aggregate([("cents", "sum")]) \
             .rename_columns(["c_custkey", "month", "cents"])
 
-    fact = rd.read_parquet(_pq(sf_dir, "orders"),
-                           columns=["o_custkey", "o_orderdate",
+    fact = scan_parquet(_pq(sf_dir, "orders"),
+                        columns=["o_custkey", "o_orderdate",
                                     "o_totalprice"]) \
         .map_batches(partial, batch_format="pyarrow")
 
@@ -10114,16 +10114,16 @@ def reorder_rate(sf_dir: str, k: int = 20, npart: int = 32,
 
     from ..stages.exchange import hash_join
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey",
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_custkey",
                                       "o_orderdate"]) \
         .map_batches(lambda b: pa.table({
             "l_orderkey": b["o_orderkey"],
             "o_custkey": b["o_custkey"],
             "o_orderdate": b["o_orderdate"]}),
             batch_format="pyarrow")
-    lines = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_orderkey", "l_partkey"])
+    lines = scan_parquet(_pq(sf_dir, "lineitem"),
+                         columns=["l_orderkey", "l_partkey"])
 
     cpm = hash_join(lines, orders, "l_orderkey", npart=npart,
                     bucket_finish=partial)
@@ -10196,8 +10196,8 @@ def hhi_index(sf_dir: str, npart: int = 16):
                 pa.scalar(100, type=INT64), disc))})
 
     per_sup = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_suppkey", "l_extendedprice",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_suppkey", "l_extendedprice",
                                  "l_discount"])
         .map_batches(partial, batch_format="pyarrow"),
         "s", [("rev", "sum")])
@@ -10281,8 +10281,8 @@ def ltv_transition(sf_dir: str, year_a: int = 1996,
                 b["o_totalprice"], 100.0)), INT64)})
 
     cy = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_custkey", "o_orderdate",
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_custkey", "o_orderdate",
                                  "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow"),
         ["c", "is_a"], [("cents", "sum")])
@@ -10439,8 +10439,8 @@ def discount_response(sf_dir: str, npart: int = 16):
             .rename_columns(["p_brand", "n", "sx", "sy", "sxy", "sxx"])
 
     agg = clustered_join(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_discount",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_discount",
                                  "l_quantity"])
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
@@ -10491,7 +10491,7 @@ def calendar_gaps(sf_dir: str):
         return pa.table({"day": pa.array(d, type=INT64)})
 
     days = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_orderdate"])
+        scan_parquet(_pq(sf_dir, "orders"), columns=["o_orderdate"])
         .map_batches(partial, batch_format="pyarrow"), "day", [])
 
     t = collect(days)
@@ -10541,7 +10541,7 @@ def coactivity_correlation(sf_dir: str, type_a: str = "click",
             "cb": pa.array((~is_a).astype(np.int64))})
 
     agg = combine_buckets(
-        rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "ts"])
+        scan_parquet(_pq(sf_dir, "events"), columns=["event_type", "ts"])
         .map_batches(partial, batch_format="pyarrow"),
         "minute", [("ca", "sum"), ("cb", "sum")])
 
@@ -10601,8 +10601,8 @@ def tax_incidence(sf_dir: str, npart: int = 16):
             .rename_columns(["p_brand", "n", "cents", "wtax", "tax"])
 
     agg = clustered_join(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_extendedprice",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_extendedprice",
                                  "l_tax"])
         .map_batches(line_side, batch_format="pyarrow"),
         _pq(sf_dir, "part"), fact_key="l_partkey", dim_key="p_partkey",
@@ -10670,8 +10670,8 @@ def price_laddering(sf_dir: str, npart: int = 32):
         return pa.table({"band": pa.array(band, type=INT64)})
 
     return sort_result(combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_partkey", "l_extendedprice"])
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_partkey", "l_extendedprice"])
         .map_batches(partial, batch_format="pyarrow")
         .map_batches(lambda b: with_part(b, "p", npart),
                      batch_format="pyarrow"),
@@ -10782,8 +10782,8 @@ def region_trade_matrix(sf_dir: str, npart: int = 16):
             "c_reg": pa.array(cust_reg[np.minimum(
                 c, len(cust_reg) - 1)], type=INT64)})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey"]) \
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_custkey"]) \
         .map_batches(orders_side, batch_format="pyarrow")
 
     def line_side(b: pa.Table) -> pa.Table:
@@ -10798,8 +10798,8 @@ def region_trade_matrix(sf_dir: str, npart: int = 16):
             "rev": pc.multiply(cents, pc.subtract(
                 pa.scalar(100, type=INT64), disc))})
 
-    lines = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_orderkey", "l_suppkey",
+    lines = scan_parquet(_pq(sf_dir, "lineitem"),
+                         columns=["l_orderkey", "l_suppkey",
                                      "l_extendedprice", "l_discount"]) \
         .map_batches(line_side, batch_format="pyarrow")
 
@@ -10863,8 +10863,8 @@ def volume_discount(sf_dir: str):
             "c": pa.array([int((~big & deep).sum())], type=INT64),
             "d": pa.array([int((~big & ~deep).sum())], type=INT64)})
 
-    g = _sums(rd.read_parquet(_pq(sf_dir, "lineitem"),
-                              columns=["l_quantity", "l_discount"])
+    g = _sums(scan_parquet(_pq(sf_dir, "lineitem"),
+                           columns=["l_quantity", "l_discount"])
               .map_batches(partial, batch_format="pyarrow"),
               ["a", "b", "c", "d"])
     a, b = int(g["a"]), int(g["b"])
@@ -10930,12 +10930,12 @@ def returnclass_priority(sf_dir: str, npart: int = 32):
                          "high_line_count": pc.cast(high, INT64),
                          "low_line_count": pc.cast(pc.invert(high), INT64)})
 
-    li = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_returnflag",
+    li = scan_parquet(_pq(sf_dir, "lineitem"),
+                      columns=["l_orderkey", "l_returnflag",
                                   "l_shipdate"]) \
         .map_batches(li_scan, batch_format="pyarrow")
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_orderpriority"]) \
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_orderpriority"]) \
         .map_batches(o_scan, batch_format="pyarrow")
     out = combine_buckets(
         bucket_exchange(li.union(orders),
@@ -11004,8 +11004,8 @@ def bracket_revenue(sf_dir: str):
         return pa.table({"rev_u": pa.array([rev], type=INT64),
                          "n": pa.array([int(keep.sum())], type=INT64)})
 
-    g = _sums(rd.read_parquet(_pq(sf_dir, "lineitem"),
-                              columns=["l_partkey", "l_quantity",
+    g = _sums(scan_parquet(_pq(sf_dir, "lineitem"),
+                           columns=["l_partkey", "l_quantity",
                                        "l_extendedprice", "l_discount"])
               .map_batches(scan, batch_format="pyarrow"), ["rev_u", "n"])
     n = int(g["n"])
@@ -11067,8 +11067,8 @@ def sole_latest_supplier(sf_dir: str, npart: int = 32, k: int = 10):
         return pa.table({"supp": pa.array(s[win], type=INT64)})
 
     agg = combine_buckets(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "lineitem"),
-                        columns=["l_orderkey", "l_suppkey",
+        scan_parquet(_pq(sf_dir, "lineitem"),
+                     columns=["l_orderkey", "l_suppkey",
                                  "l_shipdate"])
         .map_batches(li_scan, batch_format="pyarrow"),
         lambda g: bucket(g.drop_columns(["part"]))),
@@ -11120,7 +11120,7 @@ def rich_idle_customers(sf_dir: str, npart: int = 32):
             "s": pa.array([int(cents[pos].sum())], type=INT64),
             "n": pa.array([int(pos.sum())], type=INT64)})
 
-    g = _sums(rd.read_parquet(_pq(sf_dir, "customer"), columns=["c_acctbal"])
+    g = _sums(scan_parquet(_pq(sf_dir, "customer"), columns=["c_acctbal"])
               .map_batches(bal_scan, batch_format="pyarrow"), ["s", "n"])
     tot, n_pos = int(g["s"]), int(g["n"])
 
@@ -11158,12 +11158,12 @@ def rich_idle_customers(sf_dir: str, npart: int = 32):
         idle = cust.filter(pc.invert(hit))
         return pa.table({"nat": idle["nat"], "totacctbal_c": idle["cents"]})
 
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_acctbal",
+    cust = scan_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_custkey", "c_acctbal",
                                     "c_nationkey"]) \
         .map_batches(c_scan, batch_format="pyarrow")
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_custkey", "o_orderdate"]) \
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_custkey", "o_orderdate"]) \
         .map_batches(o_scan, batch_format="pyarrow")
     agg = combine_buckets(
         bucket_exchange(cust.union(orders),
@@ -11244,8 +11244,8 @@ def volume_drawdown(sf_dir: str, npart: int = 8):
             "n_days": pa.array(out_days, type=INT64)})
 
     return sort_result(bucket_exchange(
-        rd.read_parquet(_pq(sf_dir, "orders"),
-                        columns=["o_orderpriority", "o_orderdate"])
+        scan_parquet(_pq(sf_dir, "orders"),
+                     columns=["o_orderpriority", "o_orderdate"])
         .map_batches(partial, batch_format="pyarrow"),
         lambda g: bucket(g.drop_columns(["part"]))), "o_orderpriority")
 

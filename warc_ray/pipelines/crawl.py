@@ -68,6 +68,7 @@ import ray.data as rd
 
 from .. import corpus as corpus_mod
 from ..sinks.warc_sink import write_fused_round
+from ..sources._util import scan_parquet
 from ..stages.assemble import logical_date
 from ..stages.fetch import FetchGroup
 from ..stages.urls import canonicalize_batch, extract_links
@@ -886,4 +887,4 @@ def read_fetch_log(out_dir: str) -> "rd.Dataset":
     import glob
 
     paths = sorted(glob.glob(os.path.join(out_dir, "log", "*.parquet")))
-    return rd.read_parquet(paths)
+    return scan_parquet(paths)

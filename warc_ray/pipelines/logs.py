@@ -80,13 +80,13 @@ def export_events_jsonl(sf_dir: str, out_dir: str, *,
     """Export ``events.parquet`` as nested .jsonl shards; returns the
     total row count written.  The sink owns ``out_dir`` (stale shards
     from a differently-batched run are removed first)."""
-    import ray.data as rd
+    from ..sources._util import scan_parquet
 
     if os.path.isdir(out_dir):
         for name in os.listdir(out_dir):
             if name.endswith(".jsonl") or ".tmp-" in name:
                 os.remove(os.path.join(out_dir, name))
-    man = rd.read_parquet(os.path.join(sf_dir, "events.parquet")) \
+    man = scan_parquet(os.path.join(sf_dir, "events.parquet")) \
         .map_batches(_WriteJsonlShard(out_dir), batch_format="pyarrow",
                      batch_size=batch_size)
     return sum(r["n_rows"] for b in man.iter_batches(batch_format="pyarrow")
@@ -139,11 +139,11 @@ def export_events_evolved(sf_dir: str, out_dir: str) -> None:
     else 'web')."""
     import shutil
 
-    import ray.data as rd
+    from ..sources._util import scan_parquet
 
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir)
-    base = rd.read_parquet(os.path.join(sf_dir, "events.parquet"))
+    base = scan_parquet(os.path.join(sf_dir, "events.parquet"))
 
     def gen1(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(pc.bit_wise_and(b["event_id"], 1), 0))
@@ -220,7 +220,7 @@ def export_events_jsonl_corrupt(sf_dir: str, out_dir: str, *,
     """q167 fixture: the q158 export with PLANTED corruption — lines
     whose event_id % 97 == 13 lose their tail (unbalanced JSON), the
     torn-write/truncated-flush failure mode real log ingestion sees."""
-    import ray.data as rd
+    from ..sources._util import scan_parquet
 
     if os.path.isdir(out_dir):
         for name in os.listdir(out_dir):
@@ -257,7 +257,7 @@ def export_events_jsonl_corrupt(sf_dir: str, out_dir: str, *,
         return pa.table({"path": [path], "n_rows": [b.num_rows],
                          "bytes": [len(blob)]})
 
-    man = rd.read_parquet(os.path.join(sf_dir, "events.parquet")) \
+    man = scan_parquet(os.path.join(sf_dir, "events.parquet")) \
         .map_batches(write_corrupt, batch_format="pyarrow",
                      batch_size=batch_size)
     return sum(r["n_rows"] for b in man.iter_batches(batch_format="pyarrow")
@@ -375,13 +375,13 @@ class _WriteCsvShard:
 def export_events_csv(sf_dir: str, out_dir: str, *,
                       batch_size: int = 4096) -> int:
     """Export ``events.parquet`` as RFC-4180 .csv shards (q202)."""
-    import ray.data as rd
+    from ..sources._util import scan_parquet
 
     if os.path.isdir(out_dir):
         for name in os.listdir(out_dir):
             if name.endswith(".csv") or ".tmp-" in name:
                 os.remove(os.path.join(out_dir, name))
-    man = rd.read_parquet(os.path.join(sf_dir, "events.parquet")) \
+    man = scan_parquet(os.path.join(sf_dir, "events.parquet")) \
         .map_batches(_WriteCsvShard(out_dir), batch_format="pyarrow",
                      batch_size=batch_size)
     return sum(r["n_rows"] for b in man.iter_batches(batch_format="pyarrow")
@@ -474,13 +474,13 @@ class _WriteFixedWidthShard:
 def export_orders_fixedwidth(sf_dir: str, out_dir: str, *,
                              batch_size: int = 4096) -> int:
     """Export ``orders.parquet`` as fixed-width .dat shards (q215)."""
-    import ray.data as rd
+    from ..sources._util import scan_parquet
 
     if os.path.isdir(out_dir):
         for name in os.listdir(out_dir):
             if name.endswith(".dat") or ".tmp-" in name:
                 os.remove(os.path.join(out_dir, name))
-    man = rd.read_parquet(os.path.join(sf_dir, "orders.parquet")) \
+    man = scan_parquet(os.path.join(sf_dir, "orders.parquet")) \
         .map_batches(_WriteFixedWidthShard(out_dir),
                      batch_format="pyarrow", batch_size=batch_size)
     return sum(r["n_rows"] for b in man.iter_batches(batch_format="pyarrow")

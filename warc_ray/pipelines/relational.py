@@ -30,11 +30,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data as rd
 
+from ..sources._util import scan_parquet
 from ..stages.exchange import (bucket_exchange, collect, combine_buckets,
-                               i64_key, ordered_bits_f64, ordered_bits_i64,
-                               segment_bounds, sort_result)
+                               from_arrow, i64_key, ordered_bits_f64,
+                               ordered_bits_i64, segment_bounds, sort_result)
 
 INT64 = pa.int64()
 
@@ -78,8 +78,8 @@ def _q1_fine(ds):
 
 def agg_lineitem(sf_dir: str):
     """Pricing summary: per-block combine, tiny bucket combine."""
-    ds = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_returnflag", "l_linestatus", "l_quantity",
+    ds = scan_parquet(_pq(sf_dir, "lineitem"),
+                      columns=["l_returnflag", "l_linestatus", "l_quantity",
                                   "l_extendedprice", "l_discount", "l_shipdate"])
     return sort_result(_q1_fine(ds), ["l_returnflag", "l_linestatus"])
 
@@ -93,10 +93,10 @@ def segment_order_stats(sf_dir: str):
     reduce.  Integer cents keep the DuckDB oracle value-exact."""
     from ..stages.exchange import hash_join
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_custkey", "o_totalprice"])
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_mktsegment"]) \
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_custkey", "o_totalprice"])
+    cust = scan_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_custkey", "c_mktsegment"]) \
         .map_batches(lambda b: b.rename_columns(
             ["o_custkey", "c_mktsegment"]), batch_format="pyarrow")
     joined = hash_join(orders, cust, "o_custkey", how="inner")
@@ -122,8 +122,8 @@ def rollup_lineitem(sf_dir: str):
     one tiny groupby reduces them exactly (q01's shuffle), and the
     rollup expansion is driver-side arithmetic over the handful of
     reduced rows (groups × levels, never the fact table)."""
-    ds = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_returnflag", "l_linestatus", "l_quantity",
+    ds = scan_parquet(_pq(sf_dir, "lineitem"),
+                      columns=["l_returnflag", "l_linestatus", "l_quantity",
                                   "l_extendedprice", "l_discount", "l_shipdate"])
     t = collect(_q1_fine(ds))
     flags = t["l_returnflag"].to_pylist()
@@ -159,8 +159,8 @@ def cube_lineitem(sf_dir: str):
     cube expansion is driver arithmetic over groups × 2^k, never the
     fact table.  The one NEW set vs ROLLUP — (ALL, status) — folds the
     same fine rows along the other axis."""
-    ds = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                         columns=["l_returnflag", "l_linestatus", "l_quantity",
+    ds = scan_parquet(_pq(sf_dir, "lineitem"),
+                      columns=["l_returnflag", "l_linestatus", "l_quantity",
                                   "l_extendedprice", "l_discount", "l_shipdate"])
     t = collect(_q1_fine(ds))
     flags = np.asarray(t["l_returnflag"].to_pylist(), dtype=object)
@@ -204,7 +204,7 @@ def revenue_by_nation(sf_dir: str):
         return pa.table({"n_name": pa.array(names, type=pa.string()),
                          "revenue_cents": cents})
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"])
+    ds = scan_parquet(_pq(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"])
     out = combine_buckets(ds.map_batches(partial, batch_format="pyarrow"),
                           "n_name",
                           [("revenue_cents", "sum"), ("n_orders", "count")])
@@ -218,15 +218,15 @@ def revenue_by_nation(sf_dir: str):
 def topk_events(sf_dir: str, k: int = 20):
     """Top-k by value: the values are read, never recomputed — float
     output is bit-identical to the oracle's."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_id", "user_id", "event_type", "value"])
+    ds = scan_parquet(_pq(sf_dir, "events"),
+                      columns=["event_id", "user_id", "event_type", "value"])
     return sort_result(ds, ["value", "event_id"],
                        descending=[True, False]).limit(k)
 
 
 def events_by_type(sf_dir: str):
     """Event metrics (G15 pattern): per-type counts + integer-milli sums."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
+    ds = scan_parquet(_pq(sf_dir, "events"), columns=["event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         milli = _i64(pc.floor(pc.multiply(batch["value"], 1000.0)))
@@ -243,8 +243,8 @@ def events_by_type(sf_dir: str):
 
 def filter_orders(sf_dir: str, min_price: float = 100_000.0):
     """Filter + project + computed column (vectorized predicate)."""
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderkey", "o_custkey", "o_totalprice",
+    ds = scan_parquet(_pq(sf_dir, "orders"),
+                      columns=["o_orderkey", "o_custkey", "o_totalprice",
                                   "o_orderpriority"])
 
     def f(batch: pa.Table) -> pa.Table:
@@ -281,8 +281,8 @@ def global_sort_orders(sf_dir: str):
     and DuckDB's double compare agree exactly."""
     from ..stages.exchange import range_sort
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderkey", "o_totalprice"])
+    ds = scan_parquet(_pq(sf_dir, "orders"),
+                      columns=["o_orderkey", "o_totalprice"])
 
     def key(b: pa.Table) -> np.ndarray:
         return ~ordered_bits_f64(
@@ -306,8 +306,8 @@ def quality_deciles(sf_dir: str):
     from ..stages.exchange import range_sort
 
     n_total = pq.read_metadata(_pq(sf_dir, "documents")).num_rows
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "text"]) \
+    ds = scan_parquet(_pq(sf_dir, "documents"),
+                      columns=["doc_id", "text"]) \
         .map_batches(ts.quality_scores, batch_format="pyarrow") \
         .map_batches(lambda b: b.select(["doc_id", "alpha_ppm"]),
                      batch_format="pyarrow")
@@ -342,8 +342,8 @@ def user_event_stats(sf_dir: str):
     no second aggregate, no join."""
     import pyarrow as pa
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_type", "value"])
+    ds = scan_parquet(_pq(sf_dir, "events"),
+                      columns=["user_id", "ts", "event_type", "value"])
     npart = 8
 
     def partial(b: pa.Table) -> pa.Table:
@@ -448,8 +448,8 @@ def moving_average(sf_dir: str, window: int = 3, npart: int = 32):
             "ma_milli": pa.array(ma.astype(np.int64)),
         })
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "event_id", "ts", "value"])
+    ds = scan_parquet(_pq(sf_dir, "events"),
+                      columns=["user_id", "event_id", "ts", "value"])
     return sort_result(bucket_exchange(
         ds.map_batches(partial, batch_format="pyarrow"),
         lambda g: combine(g.drop_columns(["part"]))), ["user_id", "event_id"])
@@ -514,7 +514,7 @@ def sessionize(sf_dir: str, gap_minutes: int = 30):
             "end_ts": pa.array(ts_s[ends]).cast(pa.timestamp("us")),
         })
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"), columns=["user_id", "ts"])
+    ds = scan_parquet(_pq(sf_dir, "events"), columns=["user_id", "ts"])
     return sort_result(bucket_exchange(
         ds.map_batches(partial, batch_format="pyarrow"), combine),
         ["user_id", "session_id"])
@@ -582,8 +582,8 @@ def asof_prior_event(sf_dir: str, right_type: str = "view"):
             "prior_ts": pa.array(prior, mask=~valid).cast(pa.timestamp("us")),
         })
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_id", "user_id", "ts", "event_type"])
+    ds = scan_parquet(_pq(sf_dir, "events"),
+                      columns=["event_id", "user_id", "ts", "event_type"])
     return sort_result(bucket_exchange(
         ds.map_batches(partial, batch_format="pyarrow"), combine), "event_id")
 
@@ -625,8 +625,8 @@ def grouped_topk_events(sf_dir: str, k: int = 3):
         part = (u[keep] % npart).astype(np.int32)
         return out.append_column("part", pa.array(part))
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "event_id", "value"])
+    ds = scan_parquet(_pq(sf_dir, "events"),
+                      columns=["user_id", "event_id", "value"])
     return sort_result(bucket_exchange(
         ds.map_batches(lambda b: topk(b, False), batch_format="pyarrow"),
         lambda g: topk(g.drop_columns(["part"]), True)), ["user_id", "rank"])
@@ -687,7 +687,7 @@ def event_quantile_sketch(sf_dir: str, nparts: int = 16):
                          "blob": pa.array(out_blob, type=pa.binary())})
 
     # tiny: nparts x types sketch blobs
-    rows = collect(rd.from_arrow(desc).map_batches(
+    rows = collect(from_arrow(desc).map_batches(
         sketch_part, batch_format="pyarrow", batch_size=1)).to_pylist()
     by_type: dict = {}
     for r in sorted(rows, key=lambda r: (r["event_type"], r["part"])):
@@ -744,8 +744,8 @@ def event_quantiles(sf_dir: str):
             row[name] = pa.array([int(m_u[pos])], type=pa.int64())
         return pa.table(row)
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_type", "value"])
+    ds = scan_parquet(_pq(sf_dir, "events"),
+                      columns=["event_type", "value"])
     return sort_result(bucket_exchange(
         ds.map_batches(partial, batch_format="pyarrow"),
         combine, part_col="event_type"), "event_type")
@@ -769,8 +769,8 @@ def sample_documents(sf_dir: str, hex_cap: str = "28"):
         keep = pa.array((A & np.uint32(0xFF)) <= np.uint32(cap))
         return b.filter(keep)
 
-    ds = rd.read_parquet(_pq(sf_dir, "documents"),
-                         columns=["doc_id", "lang", "n_chars"])
+    ds = scan_parquet(_pq(sf_dir, "documents"),
+                      columns=["doc_id", "lang", "n_chars"])
     return sort_result(ds.map_batches(f, batch_format="pyarrow"), "doc_id")
 
 
@@ -820,8 +820,8 @@ def range_join_views(sf_dir: str, window_minutes: int = 10,
             "n_views_10m": pa.array((hi - lo).astype(np.int64)),
         })
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_id", "user_id", "ts", "event_type"])
+    ds = scan_parquet(_pq(sf_dir, "events"),
+                      columns=["event_id", "user_id", "ts", "event_type"])
     return sort_result(bucket_exchange(
         ds.map_batches(partial, batch_format="pyarrow"), combine), "event_id")
 
@@ -864,11 +864,11 @@ def customers_without_orders(sf_dir: str, priority: str = "1-URGENT"):
         return pa.table({"c_custkey": g["c_custkey"].filter(pa.array(keep)),
                          "c_name": g["c_name"].filter(pa.array(keep))})
 
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_name"]) \
+    cust = scan_parquet(_pq(sf_dir, "customer"),
+                        columns=["c_custkey", "c_name"]) \
         .map_batches(cust_part, batch_format="pyarrow")
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_custkey", "o_orderpriority"]) \
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_custkey", "o_orderpriority"]) \
         .map_batches(order_part, batch_format="pyarrow")
     return sort_result(bucket_exchange(cust.union(orders), combine),
                        "c_custkey")
@@ -884,10 +884,9 @@ def windowed_events(sf_dir: str, window: str = "hour"):
     equivalent)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["ts", "event_type", "value"])
+    ds = scan_parquet(_pq(sf_dir, "events"),
+                      columns=["ts", "event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         win = pc.floor_temporal(batch["ts"], unit=window)
@@ -939,8 +938,8 @@ def bloom_semi_join(sf_dir: str, segment: str = "BUILDING", npart: int = 16):
         keep = ok[np.isin(ck, keys)]
         return pa.table({"o_orderkey": pa.array(keep, type=pa.int64())})
 
-    orders = rd.read_parquet(_pq(sf_dir, "orders"),
-                             columns=["o_orderkey", "o_custkey"]) \
+    orders = scan_parquet(_pq(sf_dir, "orders"),
+                          columns=["o_orderkey", "o_custkey"]) \
         .map_batches(order_keys, batch_format="pyarrow")
 
     def to_partial(b: pa.Table) -> pa.Table:
@@ -976,7 +975,7 @@ def bloom_semi_join(sf_dir: str, segment: str = "BUILDING", npart: int = 16):
         return g.append_column(
             "is_key", pa.array(np.zeros(g.num_rows, dtype=np.int64)))
 
-    probe_ds = rd.read_parquet(
+    probe_ds = scan_parquet(
         _pq(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"]) \
         .map_batches(probe, batch_format="pyarrow")
@@ -1028,8 +1027,8 @@ def part_supplier_pagerank(sf_dir: str, iters: int = 5, nparts: int = 8):
         return pa.table({"src": pa.array(np.concatenate([p, s])),
                          "dst": pa.array(np.concatenate([s, p]))})
 
-    edges = rd.read_parquet(_pq(sf_dir, "lineitem"),
-                            columns=["l_partkey", "l_suppkey"]) \
+    edges = scan_parquet(_pq(sf_dir, "lineitem"),
+                         columns=["l_partkey", "l_suppkey"]) \
         .map_batches(to_edges, batch_format="pyarrow")
     out = graph.pagerank(edges, iters=iters, nparts=nparts)
     return out.sort_by("node_id")
@@ -1046,8 +1045,8 @@ def fuzzy_name_pairs(sf_dir: str):
     only variant-colliding candidates."""
     from ..stages.fuzzy import lev1_join
 
-    ds = rd.read_parquet(_pq(sf_dir, "customer"),
-                         columns=["c_custkey", "c_name"])
+    ds = scan_parquet(_pq(sf_dir, "customer"),
+                      columns=["c_custkey", "c_name"])
 
     def prep(b: pa.Table) -> pa.Table:
         return b.rename_columns(["id", "name"])
@@ -1092,6 +1091,6 @@ def outlier_events(sf_dir: str):
             "value_milli": pa.array(milli[m]),
         })
 
-    return rd.read_parquet(_pq(sf_dir, "events"),
-                           columns=["event_id", "event_type", "value"]) \
+    return scan_parquet(_pq(sf_dir, "events"),
+                        columns=["event_id", "event_type", "value"]) \
         .map_batches(keep, batch_format="pyarrow")

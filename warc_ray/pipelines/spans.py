@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
 
-from ..stages.exchange import bucket_exchange, collect, with_part
+from ..sources._util import scan_parquet
+from ..stages.exchange import bucket_exchange, collect, from_arrow, with_part
 
 INT64 = pa.int64()
 
@@ -66,9 +66,9 @@ def span_census(docs_path: str):
              ("docs", "sum")]) \
             .rename_columns(["kind", "n_spans", "text_chars", "n_docs"])
 
-    parts = collect(rd.read_parquet(docs_path, columns=["doc_id", "spans"])
+    parts = collect(scan_parquet(docs_path, columns=["doc_id", "spans"])
                     .map_batches(partial, batch_format="pyarrow"))
-    out = rd.from_arrow(
+    out = from_arrow(
         parts.group_by(["kind"]).aggregate(
             [("n_spans", "sum"), ("text_chars", "sum"),
              ("n_docs", "sum")])
@@ -82,7 +82,7 @@ def span_census(docs_path: str):
             "n_docs": pc.cast(b["n_docs"], INT64)})
 
     # ≤4 rows: sort on the driver, not a distributed sort stage
-    return rd.from_arrow(
+    return from_arrow(
         finish(collect(out))
         .sort_by("kind"))
 
@@ -141,7 +141,7 @@ def anchor_text_index(docs_path: str, k: int = 50, npart: int = 32):
         return out.take(idx.slice(0, k))
 
     ds = bucket_exchange(
-        rd.read_parquet(docs_path, columns=["spans"])
+        scan_parquet(docs_path, columns=["spans"])
         .map_batches(partial, batch_format="pyarrow"),
         lambda g: bucket(g.drop_columns(["part"])))
     merged = collect(ds)

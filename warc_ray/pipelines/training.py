@@ -13,8 +13,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data as rd
 
+from ..sources._util import scan_parquet
 from ..stages import dedup as dd
 from ..stages.exchange import (bucket_exchange, collect, combine_buckets,
                                materialize, segment_bounds, sort_result)
@@ -23,12 +23,12 @@ from ..stages import textstats as ts
 
 
 def _docs(sf_dir: str, columns: list[str] | None = None):
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=columns)
+    return scan_parquet(os.path.join(sf_dir, "documents.parquet"),
+                        columns=columns)
 
 
 def _emb(sf_dir: str):
-    return rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
+    return scan_parquet(os.path.join(sf_dir, "embeddings.parquet"))
 
 
 def _head_rows(path: str, n: int, columns: list[str] | None = None) -> pa.Table:
@@ -73,7 +73,7 @@ def _seeded_sample_rows(path: str, n: int,
             h = h[idx]
         return b.append_column("_h", pa.array(h, type=pa.uint64()))
 
-    parts = rd.read_parquet(path, columns=columns) \
+    parts = scan_parquet(path, columns=columns) \
         .map_batches(partial, batch_format="pyarrow")
     t = collect(parts)
     h = t["_h"].to_numpy()
@@ -1252,7 +1252,7 @@ def export_partitioned(sf_dir: str, out_dir: str | None = None):
         .map_batches(route, batch_format="pyarrow") \
         .write_parquet(out, partition_cols=["lang_pred"])
 
-    back = rd.read_parquet(out)
+    back = scan_parquet(out)
 
     def manifest(b: pa.Table) -> pa.Table:
         return pa.table({

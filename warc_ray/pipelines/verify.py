@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from ..sources._util import scan_parquet
 from ..stages.exchange import collect, combine_buckets
 
 _LINK_RE = re.compile(r'^<a href="(?P<ref>[^"]*)">(?P<text>.*)</a>$', re.S)
@@ -176,7 +177,7 @@ def verify_spans_summary(warc_dir: str, corpus_docs_path: str) -> pa.Table:
     (verify_archive_spans) to COUNT and localize failures."""
     from ..sources import read_warc
 
-    ref = rd.read_parquet(corpus_docs_path).map_batches(
+    ref = scan_parquet(corpus_docs_path).map_batches(
         _corpus_side, batch_format="pyarrow")
     out = read_warc(warc_dir).map_batches(_warc_side, batch_format="pyarrow")
     n_ref, fp_ref = _fp_reduce(ref)
@@ -206,7 +207,7 @@ def verify_archive_spans(warc_dir: str, corpus_docs_path: str) -> rd.Dataset:
         return pa.table({"doc_id": b["doc_id"], "side_sum": b["side_flag"],
                          "h_min": b["seq_hash"], "h_max": b["seq_hash"]})
 
-    ref = rd.read_parquet(corpus_docs_path).map_batches(
+    ref = scan_parquet(corpus_docs_path).map_batches(
         _corpus_side, batch_format="pyarrow")
     out = read_warc(warc_dir).map_batches(_warc_side, batch_format="pyarrow")
     agg = combine_buckets(

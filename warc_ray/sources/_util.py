@@ -1,13 +1,25 @@
-"""The engine's one read-block rule.
+"""The engine's one read-block rule and its one Parquet scan.
 
 Every scan that overrides Ray Data's own block count takes it from
 ``default_read_blocks``; ``read_parquet`` is the Parquet scan that does.
+
+``scan_parquet`` is the only caller of ``ray.data.read_parquet``, whose
+``ParquetDatasource`` samples the files in a remote task (~16 ms at one
+CPU) before anything runs.  It reads the footers first: a local scan
+whose files share one schema, with no partition values in their paths
+and no keyword beyond ``columns`` and ``override_num_blocks``, whose
+row-group bytes pass ``exchange.fits_one_block`` and
+``exchange.LOCAL_PLAN_BYTES``, is read in the driver with
+``pq.ParquetFile.read`` and returned through ``exchange.from_arrow``,
+cut into the block count asked for (one if none).  Any other scan is
+``ray.data.read_parquet`` with the caller's arguments.
 """
 
 from __future__ import annotations
 
 import os
 
+import pyarrow as pa
 import ray.data as rd
 
 
@@ -55,7 +67,55 @@ def default_read_blocks(n_files: int | None = None) -> int:
     return max(1, blocks)
 
 
+def _driver_table(paths, kwargs: dict) -> pa.Table | None:
+    """The scan's rows read in the driver, or None when Ray must read
+    it.  Files are listed as Ray's datasource lists them: one directory
+    through ``pq.ParquetDataset``, else the named files in order."""
+    import pyarrow.parquet as pq
+    from ray.data.datasource.partitioning import (Partitioning,
+                                                  PathPartitionParser)
+
+    from ..stages.exchange import LOCAL_PLAN_BYTES, fits_one_block
+
+    names = [paths] if isinstance(paths, str) else paths
+    if (set(kwargs) - {"columns", "override_num_blocks"}
+            or not isinstance(names, list) or not names
+            or not all(isinstance(p, str) and "://" not in p for p in names)):
+        return None
+    try:
+        if len(names) == 1 and os.path.isdir(names[0]):
+            names = [f.path for f in pq.ParquetDataset(
+                names[0], partitioning=None).fragments]
+        hive = PathPartitionParser(Partitioning("hive"))
+        if not names or any(not os.path.isfile(p) or hive(p) for p in names):
+            return None
+        mds = [pq.read_metadata(p) for p in names]
+    except (OSError, pa.ArrowException):
+        return None                     # Ray raises its own error
+    if any(not md.schema.equals(mds[0].schema) for md in mds[1:]):
+        return None                     # an evolved scan: Ray unifies it
+    nbytes = sum(md.row_group(i).total_byte_size
+                 for md in mds for i in range(md.num_row_groups))
+    if not (fits_one_block(nbytes) and nbytes <= LOCAL_PLAN_BYTES):
+        return None
+    return pa.concat_tables([pq.ParquetFile(p, metadata=md).read(
+        columns=kwargs.get("columns")) for p, md in zip(names, mds)])
+
+
+def scan_parquet(paths, **kwargs) -> "rd.Dataset":
+    """The engine's one Parquet scan: ``ray.data.read_parquet(paths,
+    **kwargs)``, read in the driver when its footers allow (see the
+    module docstring)."""
+    from ..stages.exchange import cut_blocks, from_arrow
+
+    tab = _driver_table(paths, kwargs)
+    if tab is None:
+        return rd.read_parquet(paths, **kwargs)
+    return from_arrow(cut_blocks(tab,
+                                 kwargs.get("override_num_blocks") or 1))
+
+
 def read_parquet(path, **kwargs) -> "rd.Dataset":
-    """``ray.data.read_parquet`` with ``default_read_blocks()`` blocks."""
-    return rd.read_parquet(path, override_num_blocks=default_read_blocks(),
-                           **kwargs)
+    """``scan_parquet`` with ``default_read_blocks()`` blocks."""
+    return scan_parquet(path, override_num_blocks=default_read_blocks(),
+                        **kwargs)

@@ -389,8 +389,10 @@ def read_warc(paths, *, batch_rows: int = 512,
     except OSError:
         files = []
     if files and any(p.endswith(".gz") and sz > split_size for p, sz in files):
+        from ..stages.exchange import from_arrow
+
         ranges = _plan_ranges(files, split_size)
-        desc = rd.from_arrow(pa.table({
+        desc = from_arrow(pa.table({
             "path": [r["path"] for r in ranges],
             "start": pa.array([r["start"] for r in ranges], type=pa.int64()),
             "end": pa.array([r["end"] for r in ranges], type=pa.int64()),

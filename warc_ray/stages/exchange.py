@@ -29,7 +29,7 @@ exactly once.
 One size rule decides every broadcast-or-exchange choice:
 ``fits_one_block`` (bytes ≤ ``DataContext.target_max_block_size``,
 128 MiB by default).  ``bucket_exchange`` applies it to its input,
-``lookup_join`` to its dimension (fits → ``ray.put`` it and join each
+``lookup_join`` to its dimension (fits → broadcast it and join each
 fact batch with Arrow, no exchange; else ``hash_join``),
 ``auto_join`` to the dimension's parquet footer bytes, and
 ``sort_result`` to a result it sorts (fits → sort on the driver; else
@@ -50,14 +50,16 @@ Small plans run in the driver.  Every Ray Data execution costs tens
 of ms of fixed wall, most of a query's time at sf0.01, so ``collect``,
 ``materialize`` and with them every primitive here first ask
 ``local_blocks`` for the plan's output blocks.  It walks the logical
-plan over a whitelist (``from_arrow`` or materialized input; a Parquet
-read without partition values, filter, block UDF or read schema whose
-files share one schema; a task-pool pyarrow ``map_batches`` with
-``batch_size=None``; ``select_columns``; ``union``) and computes the
-blocks with Arrow, keeping Ray's per-block semantics, when the plan's
-source bytes pass ``fits_one_block`` and ``LOCAL_PLAN_BYTES``
-(64 MiB).  Anything else runs on Ray unchanged; so do the tests that
-lower the block ceiling to force an exchange.
+plan over a whitelist (``from_arrow`` or materialized input, which a
+small Parquet scan is: ``sources._util.scan_parquet`` reads it in the
+driver; a task-pool pyarrow ``map_batches`` with ``batch_size=None``;
+``select_columns``; ``union``) and computes the blocks with Arrow,
+keeping Ray's per-block semantics, when the plan's source bytes pass
+``fits_one_block`` and ``LOCAL_PLAN_BYTES`` (64 MiB).  The primitives
+compose on Arrow blocks (``_blocks``): on the driver path a call
+builds one Dataset, its result (``from_arrow``, which asks no Ray
+actor or task).  Anything else runs on Ray unchanged; so do the tests
+that lower the block ceiling to force an exchange.
 
 ``npart`` sizes the reduce parallelism and bounds per-task group state:
 at cluster scale set it to a few × total cores so each bucket's
@@ -124,8 +126,9 @@ def fits_one_block(nbytes: int | None) -> bool:
             and nbytes <= DataContext.get_current().target_max_block_size)
 
 
-# The local path's cap on a plan's source bytes (in-memory input block
-# sizes plus Parquet footer ``total_byte_size``).  A Ray Data execution
+# The driver path's cap on a plan's source bytes (in-memory input block
+# sizes) and on a Parquet scan's footer ``total_byte_size`` (the same
+# bytes once ``scan_parquet`` has read it).  A Ray Data execution
 # has a fixed cost of ~70-100 ms however few the rows; the driver path
 # pays none of it but gives up the tasks' parallelism, which pays only
 # once per-block work outweighs that fixed cost.  Measured with
@@ -149,45 +152,34 @@ def _local_source(op, refs: list, nbytes: list):
     """The driver-side evaluator of one source operator (see
     ``local_blocks``), or None when ``op`` is not whitelisted.  Appends
     the source's block refs to ``refs`` and its bytes to ``nbytes``."""
-    import pyarrow.parquet as pq
-    from pyarrow.fs import LocalFileSystem
-    from ray.data._internal.datasource.parquet_datasource import (
-        ParquetDatasource)
     from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.logical.operators.input_data_operator import (
         InputData)
-    from ray.data._internal.logical.operators.read_operator import Read
-    from ray.data.datasource.partitioning import PathPartitionParser
 
-    if type(op) in (FromArrow, InputData):
-        metas = [m for bundle in op.input_data for _, m in bundle.blocks]
-        if any(m.size_bytes is None for m in metas):
-            return None
-        lo = len(refs)
-        refs += [r for bundle in op.input_data for r, _ in bundle.blocks]
-        nbytes.append(sum(m.size_bytes for m in metas))
-        return lambda got: got[lo:lo + len(metas)]
-    if type(op) is not Read or type(op._datasource) is not ParquetDatasource:
+    if type(op) not in (FromArrow, InputData):
         return None
-    src = op._datasource
-    paths = src._pq_paths
-    if (not isinstance(src._filesystem, LocalFileSystem) or not paths
-            or src._include_paths or src._to_batches_kwargs
-            or src._block_udf is not None or src._read_schema is not None
-            or src._partition_columns
-            or src._file_metadata_shuffler is not None
-            or (src._partitioning is not None
-                and any(PathPartitionParser(src._partitioning)(p)
-                        for p in paths))):
+    metas = [m for bundle in op.input_data for _, m in bundle.blocks]
+    if any(m.size_bytes is None for m in metas):
         return None
-    mds = [pq.read_metadata(p) for p in paths]
-    if any(not md.schema.equals(mds[0].schema) for md in mds[1:]):
-        return None                     # an evolved scan: Ray unifies it
-    nbytes.append(sum(md.row_group(i).total_byte_size
-                      for md in mds for i in range(md.num_row_groups)))
-    cols = src._data_columns
-    return lambda got: [pa.concat_tables(
-        [pq.ParquetFile(p).read(columns=cols) for p in paths])]
+    lo = len(refs)
+    refs += [r for bundle in op.input_data for r, _ in bundle.blocks]
+    nbytes.append(sum(m.size_bytes for m in metas))
+    return lambda got: got[lo:lo + len(metas)]
+
+
+def _map_block(fn, b: pa.Table, args=(), kwargs=None) -> pa.Table:
+    """``fn`` on one block as a task-pool pyarrow ``map_batches`` with
+    ``batch_size=None`` runs it: never on an empty block (which gives
+    an empty, schema-less block), generator outputs concatenated."""
+    from ray.data.block import BlockAccessor
+
+    if not b.num_rows:                  # Ray never calls fn on these
+        return pa.table({})
+    out = fn(b, *args, **(kwargs or {}))
+    outs = list(out) if isinstance(out, types.GeneratorType) else [out]
+    outs = [BlockAccessor.batch_to_block(o) for o in outs]
+    return outs[0] if len(outs) == 1 else pa.concat_tables(
+        outs, promote_options="default")
 
 
 def _local_op(op, refs: list, nbytes: list):
@@ -198,7 +190,6 @@ def _local_op(op, refs: list, nbytes: list):
     from ray.data._internal.logical.operators.map_operator import (
         MapBatches, Project)
     from ray.data._internal.logical.operators.n_ary_operator import Union
-    from ray.data.block import BlockAccessor
 
     if type(op) is Union:
         kids = [_local_op(k, refs, nbytes) for k in op.input_dependencies]
@@ -223,19 +214,9 @@ def _local_op(op, refs: list, nbytes: list):
                 or inspect.isasyncgenfunction(fn)):
             return None
         child = _local_op(op.input_dependencies[0], refs, nbytes)
-        args, kwargs = op._fn_args or (), op._fn_kwargs or {}
-
-        def call(b: pa.Table) -> pa.Table:
-            if not b.num_rows:              # Ray never calls fn on these
-                return pa.table({})
-            out = fn(b, *args, **kwargs)
-            outs = list(out) if isinstance(out, types.GeneratorType) \
-                else [out]
-            outs = [BlockAccessor.batch_to_block(o) for o in outs]
-            return outs[0] if len(outs) == 1 else pa.concat_tables(
-                outs, promote_options="default")
-
-        return child and (lambda got: [call(b) for b in child(got)])
+        args, kwargs = op._fn_args or (), op._fn_kwargs
+        return child and (lambda got: [_map_block(fn, b, args, kwargs)
+                                       for b in child(got)])
     return _local_source(op, refs, nbytes)
 
 
@@ -250,13 +231,8 @@ def local_blocks(ds) -> list[pa.Table] | None:
     keeping Ray's per-block semantics:
 
     - ``from_arrow`` / a materialized Dataset: its blocks, with one
-      ``ray.get`` of all the plan's block refs;
-    - ``read_parquet`` of local files that share one schema (a named
-      file, or a directory or list without partition values in their
-      paths), with no ``include_paths``, filter, block UDF, read
-      schema or file shuffle: one block (Ray may split the scan; the
-      engine's per-block partials re-reduce either way).  A hive
-      directory or an evolved multi-file scan is left to Ray;
+      ``ray.get`` of all the plan's block refs.  A small Parquet scan
+      is one: ``sources._util.scan_parquet`` reads it in the driver;
     - a task-pool ``map_batches`` with ``batch_format="pyarrow"``,
       ``batch_size=None`` and no constructor: ``fn`` once per block,
       never on an empty one (which, as in Ray, yields an empty
@@ -281,10 +257,15 @@ def local_blocks(ds) -> list[pa.Table] | None:
     return run(got)
 
 
-def _from_arrow(tables):
-    """``ray.data.from_arrow(tables)`` with the blocks' metadata read in
-    the driver, which holds the tables: Ray's runs one remote task per
-    table for it (~20 ms a call at one CPU)."""
+def from_arrow(tables):
+    """``ray.data.from_arrow(tables)`` built in the driver, which holds
+    the tables: Ray's reads the blocks' metadata in one remote task per
+    table (~20 ms a call at one CPU), and its ``Dataset`` constructor
+    asks the stats actor for an id (~1.5 ms).  This one reads the
+    metadata here and takes the id Ray falls back to, ``uuid4().hex``;
+    the rest is ``Dataset.__init__``'s, pinned by a test."""
+    import uuid
+
     import ray
     from ray.data import DataContext
     from ray.data._internal.logical.interfaces import LogicalPlan
@@ -299,8 +280,20 @@ def _from_arrow(tables):
     plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": meta},
                                       parent=None),
                          DataContext.get_current().copy())
-    return MaterializedDataset(plan, LogicalPlan(
-        FromArrow([ray.put(t) for t in tables], meta), plan._context))
+    dag = LogicalPlan(FromArrow([ray.put(t) for t in tables], meta),
+                      plan._context)
+    ds = MaterializedDataset.__new__(MaterializedDataset)
+    ds._plan, ds._logical_plan = plan, dag
+    plan.link_logical_plan(dag)
+    ds._current_executor = ds._write_ds = None
+    ds._set_uuid(uuid.uuid4().hex)
+    return ds
+
+
+def cut_blocks(tab: pa.Table, k: int) -> list[pa.Table]:
+    """``tab`` as ``k`` contiguous slices of near-equal row counts."""
+    cuts = np.arange(k + 1) * tab.num_rows // k
+    return [tab.slice(s, e - s) for s, e in zip(cuts[:-1], cuts[1:])]
 
 
 def materialize(ds):
@@ -316,7 +309,38 @@ def materialize(ds):
     blocks = local_blocks(ds)
     if blocks is None:
         return ds.materialize()
-    return _from_arrow(blocks or [pa.table({})])
+    return _dataset(blocks)
+
+
+def _blocks(ds, fn=None):
+    """How the primitives compose: ``ds`` (a Dataset, or Arrow blocks
+    an earlier step returned) with ``fn`` applied per block, as a
+    task-pool pyarrow ``map_batches`` applies it.  On the driver path
+    (``ds`` is blocks, or ``local_blocks`` runs its plan) this is a
+    list of Arrow blocks, and no Dataset is built; else it is Ray's:
+    ``ds.map_batches(fn)``, which its consumer executes, or
+    ``materialize(ds)`` without ``fn``."""
+    blocks = ds if isinstance(ds, list) else local_blocks(ds)
+    if blocks is None:
+        return materialize(ds) if fn is None else ds.map_batches(
+            fn, batch_format="pyarrow")
+    return blocks if fn is None else [_map_block(fn, b) for b in blocks]
+
+
+def _dataset(blocks):
+    """A ``_blocks`` result as a Dataset (Arrow blocks: ``from_arrow``;
+    no blocks: one empty, schema-less block)."""
+    if not isinstance(blocks, list):
+        return blocks
+    return from_arrow(blocks or [pa.table({})])
+
+
+def _size(blocks) -> tuple[int, int]:
+    """(rows, bytes) of Arrow blocks or a materialized Dataset."""
+    if isinstance(blocks, list):
+        return (sum(b.num_rows for b in blocks),
+                sum(b.nbytes for b in blocks))
+    return blocks.count(), blocks.size_bytes()
 
 
 def block_refs(ds) -> list:
@@ -352,25 +376,32 @@ def bucket_exchange(ds, bucket_fn, *, part_col: str = "part"):
     Empty input never calls ``bucket_fn`` and yields an empty Dataset.
     Output row order is unspecified.
     """
-    mat = materialize(ds)
-    if mat.count() and not fits_one_block(mat.size_bytes()):
-        return materialize(mat.groupby(part_col).map_groups(
+    return _dataset(_exchange(ds, bucket_fn, part_col))
+
+
+def _exchange(ds, bucket_fn, part_col: str = "part"):
+    """``bucket_exchange`` as a ``_blocks`` result: the fold's output
+    block (none for empty input), or the exchange's Dataset."""
+    mat = _blocks(ds)
+    rows, nbytes = _size(mat)
+    if rows and not fits_one_block(nbytes):
+        return materialize(_dataset(mat).groupby(part_col).map_groups(
             bucket_fn, batch_format="pyarrow"))
     tab = collect(mat)
     if not tab.num_rows:
-        return _from_arrow(pa.table({}))
+        return []
     part = tab[part_col].to_numpy(zero_copy_only=False)
     order = np.argsort(part, kind="stable")
     tab, part = tab.take(pa.array(order)), part[order]
     cuts = np.flatnonzero(part[1:] != part[:-1]) + 1
     outs = [bucket_fn(tab.slice(s, e - s))
             for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(part)])]
-    return _from_arrow(pa.concat_tables(outs, promote_options="permissive"))
+    return [pa.concat_tables(outs, promote_options="permissive")]
 
 
 def collect(ds, schema: pa.Schema | None = None) -> pa.Table:
-    """The engine's one driver pull: all rows of ``ds`` as one Arrow
-    table, in block order.
+    """The engine's one driver pull: all rows of ``ds`` (a Dataset or
+    ``_blocks``' Arrow blocks) as one Arrow table, in block order.
 
     Executes ``ds`` once: on the driver when ``local_blocks`` runs its
     plan (a materialized input's blocks take one ``ray.get``, with no
@@ -384,7 +415,7 @@ def collect(ds, schema: pa.Schema | None = None) -> pa.Table:
     import ray
     from ray.data.dataset import MaterializedDataset
 
-    blocks = local_blocks(ds)
+    blocks = ds if isinstance(ds, list) else local_blocks(ds)
     if blocks is None:
         ds = materialize(ds)
         blocks = ray.get(ds.to_arrow_refs())
@@ -411,21 +442,19 @@ def sort_result(ds, keys, descending=False):
     contiguous slices, one per input block (Ray's sort keeps the block
     count too); a larger one takes ``Dataset.sort``.  Executes ``ds``
     once."""
-    mat = materialize(ds)
-    if not fits_one_block(mat.size_bytes()):
-        return mat.sort(keys, descending=descending)
+    mat = _blocks(ds)
+    if not fits_one_block(_size(mat)[1]):
+        return _dataset(mat).sort(keys, descending=descending)
     tab = collect(mat)
     if not tab.num_rows:
-        return mat
+        return _dataset(mat)
     keys = [keys] if isinstance(keys, str) else list(keys)
     desc = descending if isinstance(descending, (list, tuple)) \
         else [descending] * len(keys)
     tab = tab.sort_by([(k, "descending" if d else "ascending")
                        for k, d in zip(keys, desc)])
-    cuts = np.arange(mat.num_blocks() + 1) * tab.num_rows \
-        // mat.num_blocks()
-    return _from_arrow([tab.slice(s, e - s)
-                        for s, e in zip(cuts[:-1], cuts[1:])])
+    return from_arrow(cut_blocks(tab, len(mat) if isinstance(mat, list)
+                                 else mat.num_blocks()))
 
 
 _COMBINE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
@@ -474,16 +503,15 @@ def combine_buckets(ds, keys, aggs: list[tuple[str, str]], *,
     def combine(g: pa.Table) -> pa.Table:
         return _group(g.drop_columns([_PART]), keys, merge)
 
-    mat = materialize(ds.map_batches(partial, batch_format="pyarrow",
-                                     batch_size=None))
-    if mat.count() == 0:
+    out = _exchange(_blocks(ds, partial), combine, _PART)
+    if not _size(out)[0]:
         # an all-empty materialized Dataset reads its schema from its
         # blocks (``collect``): Ray's metadata of empty blocks has none
         schema = collect(ds).schema if isinstance(ds, MaterializedDataset) \
             else getattr(ds.schema(), "base_schema", None)
         if schema is not None and schema.names:
-            return _from_arrow(combine(partial(schema.empty_table())))
-    return bucket_exchange(mat, combine, part_col=_PART)
+            return from_arrow(combine(partial(schema.empty_table())))
+    return _dataset(out)
 
 
 def _join_exchange(left_ds, right_ds, keys: list[str], how: str,
@@ -497,8 +525,10 @@ def _join_exchange(left_ds, right_ds, keys: list[str], how: str,
     bucket runs a single vectorized pyarrow ``Table.join``.
     ``route_*(batch) -> (row indices | None, part)`` picks each padded
     row's bucket; indices, when given, first replicate rows."""
-    left_ds, right_ds = materialize(left_ds), materialize(right_ds)
-    l_schema, r_schema = left_ds.schema(), right_ds.schema()
+    left_ds, right_ds = _blocks(left_ds), _blocks(right_ds)
+    l_schema, r_schema = (
+        collect(d).schema if isinstance(d, list) else d.schema()
+        for d in (left_ds, right_ds))
     l_extra = [n for n in l_schema.names if n not in keys]
     r_extra = [n for n in r_schema.names if n not in keys]
     r_out = [n + right_suffix if n in l_schema.names else n
@@ -533,9 +563,10 @@ def _join_exchange(left_ds, right_ds, keys: list[str], how: str,
         # applied here needs no second exchange downstream
         return bucket_finish(j) if bucket_finish is not None else j
 
-    u = left_ds.map_batches(pad(0, route_left), batch_format="pyarrow") \
-        .union(right_ds.map_batches(pad(1, route_right),
-                                    batch_format="pyarrow"))
+    u = [_blocks(left_ds, pad(0, route_left)),
+         _blocks(right_ds, pad(1, route_right))]
+    u = u[0] + u[1] if all(isinstance(d, list) for d in u) \
+        else _dataset(u[0]).union(_dataset(u[1]))
     return bucket_exchange(u, bucket)
 
 
@@ -583,20 +614,16 @@ def hash_join(left_ds, right_ds, keys, how: str = "inner", *,
 
 
 def _broadcast_join(fact_ds, dim: pa.Table, keys, bucket_finish):
-    """The broadcast kernel: ``ray.put`` ``dim`` once and inner-join it
-    into every fact batch with Arrow (N:M keys expand; an empty ``dim``
-    gives zero rows with the joined schema), then ``bucket_finish``.
-    Clashing dim columns get ``_r`` as in ``hash_join``."""
-    import ray
-
-    ref = ray.put(dim)
-
+    """The broadcast kernel: inner-join ``dim`` into every fact batch
+    with Arrow (N:M keys expand; an empty ``dim`` gives zero rows with
+    the joined schema), then ``bucket_finish``.  Clashing dim columns
+    get ``_r`` as in ``hash_join``.  On Ray, ``dim`` travels inside
+    the map function, which Ray puts in the object store once."""
     def probe(b: pa.Table) -> pa.Table:
-        j = b.join(ray.get(ref), keys=keys, join_type="inner",
-                   right_suffix="_r")
+        j = b.join(dim, keys=keys, join_type="inner", right_suffix="_r")
         return bucket_finish(j) if bucket_finish is not None else j
 
-    return fact_ds.map_batches(probe, batch_format="pyarrow")
+    return _dataset(_blocks(fact_ds, probe))
 
 
 def lookup_join(fact_ds, dim_ds, keys, *, npart: int = 32,
@@ -607,7 +634,8 @@ def lookup_join(fact_ds, dim_ds, keys, *, npart: int = 32,
     ``dim_ds`` executes once (materialized).  If it ``fits_one_block``
     its table is broadcast and each fact batch joins it with Arrow:
     the fact never moves, and the result is a lazy Dataset that runs
-    the fact when consumed.  Otherwise this is ``hash_join(fact_ds,
+    the fact when consumed (or, when the driver runs the fact's plan,
+    a materialized one).  Otherwise this is ``hash_join(fact_ds,
     dim_ds, keys, npart=npart, bucket_finish=bucket_finish)``.  Key
     columns must have the same types on both sides.
 
@@ -615,8 +643,8 @@ def lookup_join(fact_ds, dim_ds, keys, *, npart: int = 32,
     not once per key bucket, so it must be row-wise (select, filter)
     or a partial the caller re-reduces (a per-key sum, a local top-k).
     """
-    dim_ds = materialize(dim_ds)
-    if not fits_one_block(dim_ds.size_bytes()):
+    dim_ds = _blocks(dim_ds)
+    if not fits_one_block(_size(dim_ds)[1]):
         return hash_join(fact_ds, dim_ds, keys, npart=npart,
                          bucket_finish=bucket_finish)
     return _broadcast_join(fact_ds, collect(dim_ds), keys, bucket_finish)
@@ -699,7 +727,7 @@ def range_scan(ds, key_fn, tiebreak_fn, value_col, op, bucket_fn, *,
     a bucket fits a worker's heap.  Returns a materialized Dataset.
     """
     ident, ufunc, fold = _SCAN_OP[op]
-    ds = materialize(ds)
+    ds = _blocks(ds)
 
     # -- pass 1: strided key sample → splitters --------------------------
     def sample_keys(b: pa.Table) -> pa.Table:
@@ -707,7 +735,7 @@ def range_scan(ds, key_fn, tiebreak_fn, value_col, op, bucket_fn, *,
         step = max(1, len(k) // _SAMPLE_PER_BLOCK)
         return pa.table({"k": pa.array(k[::step], type=pa.uint64())})
 
-    samp = collect(ds.map_batches(sample_keys, batch_format="pyarrow"))
+    samp = collect(_blocks(ds, sample_keys))
     samp = np.sort(samp["k"].to_numpy()) if samp.num_rows \
         else np.array([], dtype=np.uint64)
     if len(samp) == 0:
@@ -731,7 +759,7 @@ def range_scan(ds, key_fn, tiebreak_fn, value_col, op, bucket_fn, *,
                          "v": pa.array(acc)})
 
     acc = np.full(nranges, ident, dtype=np.int64)
-    parts = collect(ds.map_batches(partial, batch_format="pyarrow"))
+    parts = collect(_blocks(ds, partial))
     if parts.num_rows:
         # ufunc.at: part indices repeat once per block — fancy-index
         # assignment would silently keep only one block's value per part
@@ -751,8 +779,7 @@ def range_scan(ds, key_fn, tiebreak_fn, value_col, op, bucket_fn, *,
         g = g.drop_columns(["part"]).take(pa.array(order))
         return bucket_fn(g, carry[part], total)
 
-    return bucket_exchange(ds.map_batches(tag, batch_format="pyarrow"),
-                           bucket)
+    return bucket_exchange(_blocks(ds, tag), bucket)
 
 
 def range_sort(ds, key_fn, tiebreak_fn, *, npart: int = 32):
@@ -802,7 +829,7 @@ def detect_hot_keys(ds, key: str, *, hot_share_ppm: int = 20_000,
                              if c.num_rows else [],
                              type=pa.int64()))
 
-    t = collect(ds.map_batches(cand, batch_format="pyarrow"))
+    t = collect(_blocks(ds, cand))
     if t.num_rows == 0:
         return set()
     total = int(pa.compute.sum(t["rows"]).as_py() or 0)
@@ -840,7 +867,7 @@ def skew_join(left_ds, right_ds, key: str, how: str = "inner", *,
     finishes; per-KEY aggregates of hot keys span salts, so fuse only
     per-row work when salting is active."""
     assert how in ("inner", "left outer")
-    left_ds = materialize(left_ds)
+    left_ds = _blocks(left_ds)
     if hot_keys is None:
         hot_keys = detect_hot_keys(left_ds, key,
                                    hot_share_ppm=hot_share_ppm)
@@ -946,8 +973,7 @@ def clustered_join(fact_ds, dim_path: str, *, fact_key: str,
                                           join_type="inner")
         return bucket_finish(j) if bucket_finish is not None else j
 
-    return bucket_exchange(fact_ds.map_batches(route, batch_format="pyarrow"),
-                           bucket)
+    return bucket_exchange(_blocks(fact_ds, route), bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,8 +1026,9 @@ def auto_join(fact_ds, dim_path: str, *, fact_key: str, dim_key: str,
                               npart=npart,
                               bucket_finish=bucket_finish), "clustered"
 
-    import ray.data as rd
-    dim_ds = rd.read_parquet(dim_path, columns=cols)
+    from ..sources._util import scan_parquet
+
+    dim_ds = scan_parquet(dim_path, columns=cols)
     if dim_key != fact_key:
         dim_ds = dim_ds.map_batches(rename, batch_format="pyarrow")
     return hash_join(fact_ds, dim_ds, fact_key, npart=npart,
@@ -1033,7 +1060,7 @@ def distributed_select(make_ds, value_col: str, ranks: list[int],
     callers may hold non-reusable pipelines).  ``ranks`` are 1-based.
     """
     def fold(ds, fn):
-        return collect(ds.map_batches(fn, batch_format="pyarrow"))
+        return collect(_blocks(ds, fn))
 
     def nm(b: pa.Table) -> pa.Table:
         v = b[value_col].to_numpy(zero_copy_only=False)

@@ -672,17 +672,15 @@ def media_index_from_corpus(corpus_dir: str,
     import os
     import shutil
 
-    import ray.data as rd
-
     from .. import corpus as corpus_mod
-    from ..sources._util import read_parquet
+    from ..sources._util import read_parquet, scan_parquet
     from ..stages.urls import extract_links
 
     import pyarrow.compute as pc
 
     cache = os.path.join(corpus_dir, "media_index")
     if limit_docs is None and os.path.isdir(cache):
-        return rd.read_parquet(cache)
+        return scan_parquet(cache)
 
     def to_media_idx(batch: pa.Table) -> pa.Table:
         links = extract_links(batch, doc_col="doc_id")
@@ -713,4 +711,4 @@ def media_index_from_corpus(corpus_dir: str,
         os.rename(tmp, cache)
     except OSError:  # concurrent builder won the rename; use theirs
         shutil.rmtree(tmp, ignore_errors=True)
-    return rd.read_parquet(cache)
+    return scan_parquet(cache)
